@@ -1,216 +1,50 @@
-"""Hot numeric kernels with a selectable backend.
+"""The two primitives every check reduces to, both on scipy.
 
-The two inner loops that dominate runtime live here: minimum distance from a
-batch of sample points to a finite base set (membership tests for Monte Carlo
-and rasterization) and Hopcroft-Karp maximum bipartite matching (thresholded
-transport).  ``PARSET_BACKEND`` picks the implementation:
-
-* ``numba`` - JIT-compiled loops (default whenever numba imports),
-* ``numpy`` - vectorised / pure-Python fallbacks,
-* ``auto`` / unset - numba if available, else numpy.
-
-Both implementations stay importable regardless of the selection so the
-benchmark in ``benchmarks/bench_kernels.py`` can time them side by side.
+``min_dist``: distance from a batch of points to a finite base set, which
+decides membership in an r-parallel set (Monte Carlo and rasterization).
+``max_matching``: maximum bipartite matching on a threshold graph, which
+gives the thresholded transport cost (robust risk).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_CHOICE = os.environ.get("PARSET_BACKEND", "auto").strip().lower() or "auto"
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"PARSET_BACKEND must be 'numba', 'numpy' or 'auto', got {_CHOICE!r}"
-    )
-
-_HAVE_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        if _CHOICE == "numba":
-            raise
-
-
-def backend_name() -> str:
-    return "numba" if (_HAVE_NUMBA and _CHOICE != "numpy") else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# minimum distance from points to a finite base set
-# ---------------------------------------------------------------------------
-
-
-def _min_dist_sq_l2_loops(points, base):
-    n = points.shape[0]
-    m = base.shape[0]
-    d = points.shape[1]
-    out = np.empty(n, np.float64)
-    for i in range(n):
-        best = np.inf
-        for j in range(m):
-            s = 0.0
-            for k in range(d):
-                t = points[i, k] - base[j, k]
-                s += t * t
-            if s < best:
-                best = s
-        out[i] = best
-    return out
-
-
-def _min_dist_linf_loops(points, base):
-    n = points.shape[0]
-    m = base.shape[0]
-    d = points.shape[1]
-    out = np.empty(n, np.float64)
-    for i in range(n):
-        best = np.inf
-        for j in range(m):
-            s = 0.0
-            for k in range(d):
-                t = points[i, k] - base[j, k]
-                if t < 0.0:
-                    t = -t
-                if t > s:
-                    s = t
-            if s < best:
-                best = s
-        out[i] = best
-    return out
-
-
-_BLOCK_ELEMS = 4_000_000  # cap on the (block x base) temporary
-
-
-def min_dist_sq_l2_numpy(points, base):
-    n = points.shape[0]
-    out = np.empty(n, np.float64)
-    step = max(1, _BLOCK_ELEMS // max(base.shape[0], 1))
-    for s in range(0, n, step):
-        blk = points[s : s + step]
-        d2 = ((blk[:, None, :] - base[None, :, :]) ** 2).sum(axis=2)
-        out[s : s + step] = d2.min(axis=1)
-    return out
-
-
-def min_dist_linf_numpy(points, base):
-    n = points.shape[0]
-    out = np.empty(n, np.float64)
-    step = max(1, _BLOCK_ELEMS // max(base.shape[0], 1))
-    for s in range(0, n, step):
-        blk = points[s : s + step]
-        d = np.abs(blk[:, None, :] - base[None, :, :]).max(axis=2)
-        out[s : s + step] = d.min(axis=1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hopcroft-Karp maximum matching on a CSR bipartite graph
-# ---------------------------------------------------------------------------
-
-_INF = 1 << 62
-
-
-def _hopcroft_karp_loops(indptr, indices, n_left, n_right):
-    match_l = np.full(n_left, -1, np.int64)
-    match_r = np.full(n_right, -1, np.int64)
-    dist = np.zeros(n_left, np.int64)
-    queue = np.zeros(n_left, np.int64)
-    # iterative DFS stack: left node, edge cursor, right node used to descend
-    su = np.zeros(n_left + 1, np.int64)
-    sk = np.zeros(n_left + 1, np.int64)
-    sv = np.zeros(n_left + 1, np.int64)
-    matched = 0
-    while True:
-        qh = 0
-        qt = 0
-        for u in range(n_left):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue[qt] = u
-                qt += 1
-            else:
-                dist[u] = _INF
-        free_right_reachable = False
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            for e in range(indptr[u], indptr[u + 1]):
-                w = match_r[indices[e]]
-                if w < 0:
-                    free_right_reachable = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue[qt] = w
-                    qt += 1
-        if not free_right_reachable:
-            break
-        for s in range(n_left):
-            if match_l[s] >= 0:
-                continue
-            top = 0
-            su[0] = s
-            sk[0] = indptr[s]
-            while top >= 0:
-                u = su[top]
-                e = sk[top]
-                if e >= indptr[u + 1]:
-                    dist[u] = _INF
-                    top -= 1
-                    continue
-                sk[top] = e + 1
-                v = indices[e]
-                w = match_r[v]
-                if w < 0:
-                    match_r[v] = u
-                    match_l[u] = v
-                    dist[u] = _INF
-                    for lev in range(top - 1, -1, -1):
-                        uu = su[lev]
-                        vv = sv[lev]
-                        match_r[vv] = uu
-                        match_l[uu] = vv
-                        dist[uu] = _INF
-                    matched += 1
-                    top = -1
-                elif dist[w] == dist[u] + 1:
-                    sv[top] = v
-                    top += 1
-                    su[top] = w
-                    sk[top] = indptr[w]
-    return matched, match_l, match_r
-
-
-hopcroft_karp_numpy = _hopcroft_karp_loops
-
-if _HAVE_NUMBA:
-    _min_dist_sq_l2_numba = njit(cache=True, nogil=True)(_min_dist_sq_l2_loops)
-    _min_dist_linf_numba = njit(cache=True, nogil=True)(_min_dist_linf_loops)
-    hopcroft_karp_numba = njit(cache=True, nogil=True)(_hopcroft_karp_loops)
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
+from scipy.spatial import cKDTree
 
 
 def min_dist(points: np.ndarray, base: np.ndarray, linf: bool) -> np.ndarray:
     """Distance from each row of ``points`` to the nearest row of ``base``."""
-    points = np.ascontiguousarray(points, np.float64)
-    base = np.ascontiguousarray(base, np.float64)
-    if backend_name() == "numba":
-        if linf:
-            return _min_dist_linf_numba(points, base)
-        return np.sqrt(_min_dist_sq_l2_numba(points, base))
-    if linf:
-        return min_dist_linf_numpy(points, base)
-    return np.sqrt(min_dist_sq_l2_numpy(points, base))
+    return cKDTree(base).query(points, p=np.inf if linf else 2)[0]
 
 
-def hopcroft_karp(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int):
-    """Maximum matching size plus left/right partner arrays (-1 = unmatched)."""
-    indptr = np.ascontiguousarray(indptr, np.int64)
-    indices = np.ascontiguousarray(indices, np.int64)
-    if backend_name() == "numba":
-        return hopcroft_karp_numba(indptr, indices, n_left, n_right)
-    return hopcroft_karp_numpy(indptr, indices, n_left, n_right)
+def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int):
+    """Maximum matching size and the right partner of each left node (-1 = unmatched).
+
+    The bipartite graph is given in CSR form, left node i adjacent to right
+    nodes indices[indptr[i]:indptr[i + 1]].  It is solved as a unit-capacity
+    max flow (Dinic) on source -> left -> right -> sink.
+    """
+    n_edges = len(indices)
+    source, sink = n_left + n_right, n_left + n_right + 1
+    # rows: left nodes, right nodes (one edge to the sink), source, sink
+    net_indptr = np.concatenate([
+        indptr,
+        n_edges + np.arange(1, n_right + 1),
+        [n_edges + n_right + n_left] * 2,
+    ])
+    net_indices = np.concatenate([
+        np.asarray(indices, np.int64) + n_left,
+        np.full(n_right, sink),
+        np.arange(n_left),
+    ])
+    n_nodes = sink + 1
+    network = csr_matrix(
+        (np.ones(len(net_indices), np.int32), net_indices, net_indptr), shape=(n_nodes, n_nodes)
+    )
+    flow = maximum_flow(network, source, sink, method="dinic").flow.tocoo()
+    used = (flow.row < n_left) & (flow.col >= n_left) & (flow.col < source) & (flow.data > 0)
+    match_l = np.full(n_left, -1, np.int64)
+    match_l[flow.row[used]] = flow.col[used] - n_left
+    return int(used.sum()), match_l

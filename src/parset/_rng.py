@@ -10,7 +10,6 @@ threads execute the chunks.
 from __future__ import annotations
 
 import hashlib
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -28,14 +27,6 @@ def derive_seed(seed: int, *tags) -> int:
     """Stable 64-bit child seed for a (seed, tags) pair."""
     msg = repr((int(seed),) + tuple(tags)).encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count, with PARSET_WORKERS taking precedence when set."""
-    env = os.environ.get("PARSET_WORKERS")
-    if env is not None and env.strip():
-        return max(1, int(env))
-    return max(1, int(workers or 1))
 
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -64,8 +55,7 @@ def map_reduce_chunks(
     def run(k: int):
         return chunk_fn(chunk_generator(seed, k), sizes[k])
 
-    workers = resolve_workers(workers)
-    if workers == 1 or len(sizes) == 1:
+    if workers <= 1 or len(sizes) == 1:
         parts = [run(k) for k in range(len(sizes))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

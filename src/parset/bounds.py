@@ -27,7 +27,8 @@ class Verdict(Enum):
 class BoundReport:
     """A bound's value next to a measured quantity, with a 4-sigma verdict.
 
-    fail only when measured - 4 * std_error > bound_value.
+    fail when measured - 4 * std_error > bound_value, or when any of the
+    three numbers is NaN or infinite.
     """
 
     bound_name: str
@@ -41,7 +42,9 @@ class BoundReport:
     def compare(
         cls, name: str, bound_value: float, measured: float, std_error: float = 0.0
     ) -> "BoundReport":
-        verdict = Verdict.FAIL if measured - 4.0 * std_error > bound_value else Verdict.PASS
+        finite = all(math.isfinite(v) for v in (bound_value, measured, std_error))
+        fails = not finite or measured - 4.0 * std_error > bound_value
+        verdict = Verdict.FAIL if fails else Verdict.PASS
         return cls(
             bound_name=name,
             bound_value=bound_value,

@@ -330,25 +330,11 @@ def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
 def _cmd_epi(args) -> int:
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
-    rep = ent.reverse_epi_check(
-        x_atoms=gm_x.atoms,
-        x_weights=gm_x.weights,
-        y_atoms=gm_y.atoms,
-        y_weights=gm_y.weights,
-        r=args.smoothing,
-        n=args.samples,
-        seed=args.seed,
-    )
-    h_x = ent.entropy_quadrature(gm_x).value if gm_x.dim == 1 else ent.entropy_mc(
-        gm_x, n=args.samples, seed=args.seed
-    ).value
-    h_y = ent.entropy_quadrature(gm_y).value if gm_y.dim == 1 else ent.entropy_mc(
-        gm_y, n=args.samples, seed=args.seed + 1
-    ).value
+    rep, h_x, h_y = ent._reverse_epi(gm_x, gm_y, n=args.samples, seed=args.seed)
     _emit(
         {
-            "h_x": h_x,
-            "h_y": h_y,
+            "h_x": h_x.value,
+            "h_y": h_y.value,
             "h_sum": rep.measured,
             "bound": rep.bound_value,
             "slack": rep.slack,

@@ -181,15 +181,23 @@ def reverse_epi_check(
     """
     gm_x = GaussianMixture(atoms=x_atoms, weights=x_weights, variance=r)
     gm_y = GaussianMixture(atoms=y_atoms, weights=y_weights, variance=r)
-    gm_sum = convolve_mixtures(gm_x, gm_y)
+    return _reverse_epi(gm_x, gm_y, n, seed)[0]
+
+
+def _reverse_epi(
+    gm_x: GaussianMixture, gm_y: GaussianMixture, n: int, seed: int
+) -> tuple[BoundReport, EntropyEstimate, EntropyEstimate]:
+    """The reverse-EPI report for two mixtures of one variance r, plus the
+    estimates of h(X) and h(Y) that it used."""
     h_x = _entropy_auto(gm_x, n, seed)
     h_y = _entropy_auto(gm_y, n, seed + 1)
-    h_sum = _entropy_auto(gm_sum, n, seed + 2)
-    bound = h_x.value + h_y.value + reverse_epi_constant(gm_x.dim, r)
+    h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2)
+    bound = h_x.value + h_y.value + reverse_epi_constant(gm_x.dim, gm_x.variance)
     combined = math.sqrt(h_x.std_error**2 + h_y.std_error**2 + h_sum.std_error**2)
-    return BoundReport.compare(
+    report = BoundReport.compare(
         "reverse-epi", bound_value=bound, measured=h_sum.value, std_error=combined
     )
+    return report, h_x, h_y
 
 
 def pointwise_lemma_log_ratio(a, b, r: float) -> tuple[float, float]:

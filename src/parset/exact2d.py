@@ -96,11 +96,14 @@ def _require_radius(r: float) -> float:
 
 
 def _dedup_preserve_order(points: np.ndarray, tol: float = _EPS) -> np.ndarray:
-    kept: list[np.ndarray] = []
+    """Rows in input order, dropping each row within tol of an already kept one."""
+    kept = np.empty_like(points)
+    k = 0
     for p in points:
-        if not any(np.abs(p - q).max() <= tol for q in kept):
-            kept.append(p)
-    return np.asarray(kept)
+        if not (np.abs(kept[:k] - p).max(axis=1) <= tol).any():
+            kept[k] = p
+            k += 1
+    return kept[:k]
 
 
 def _exposed_angular_intervals(covered: list[tuple[float, float]]):
@@ -200,23 +203,18 @@ def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
     n = len(pts)
     # (normal axis, sign): top/bottom are horizontal faces, left/right vertical
     faces = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
+    index = np.arange(n)
     segments: list[BoundarySegment] = []
     for i in range(n):
         for axis, sign, orientation in faces:
             tang = 1 - axis
             fixed = pts[i, axis] + sign * r
             span = (pts[i, tang] - r, pts[i, tang] + r)
-            holes = []
-            for j in range(n):
-                if j == i:
-                    continue
-                cn = pts[j, axis]
-                covers = cn - r - _EPS < fixed < cn + r + _EPS and not (
-                    abs(fixed - (cn + sign * r)) <= _EPS
-                )
-                coplanar_dup = abs(fixed - (cn + sign * r)) <= _EPS and j < i
-                if covers or coplanar_dup:
-                    holes.append((pts[j, tang] - r, pts[j, tang] + r))
+            cn = pts[:, axis]
+            coplanar = np.abs(fixed - (cn + sign * r)) <= _EPS
+            covers = (cn - r - _EPS < fixed) & (fixed < cn + r + _EPS) & ~coplanar
+            hit = (covers | (coplanar & (index < i))) & (index != i)
+            holes = list(zip(pts[hit, tang] - r, pts[hit, tang] + r))
             for a, b in _subtract_open_intervals(span[0], span[1], holes):
                 segments.append(
                     BoundarySegment(

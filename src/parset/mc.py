@@ -286,7 +286,7 @@ def inscribed_angle_check(
         )
         deficit = fc / shrink - fa
         se = math.sqrt(se_a**2 + (se_c / shrink) ** 2)
-        if deficit > worst:
+        if deficit > worst or math.isnan(deficit):
             worst = deficit
             worst_se = se
     return BoundReport.compare(

@@ -97,6 +97,11 @@ def profile_from_samples(samples: int | None) -> Profile:
     )
 
 
+def _worse(worst: float, value: float) -> float:
+    """max(worst, value), except that a NaN on either side is kept."""
+    return value if value > worst or math.isnan(value) else worst
+
+
 def _ball_config(g, max_points: int, dim: int = 2) -> np.ndarray:
     return uniform_in_ball(g, int(g.integers(1, max_points + 1)), dim)
 
@@ -126,7 +131,7 @@ def check_b_puzzle(seed: int, prof: Profile) -> list[BoundReport]:
     worst = 0.0
     for _ in range(prof.random_configs):
         centers = np.vstack([[0.0, 0.0], _ball_config(g, 50)])
-        worst = max(worst, ex2.disk_union_boundary(PointSet(centers), 1.0).perimeter())
+        worst = _worse(worst, ex2.disk_union_boundary(PointSet(centers), 1.0).perimeter())
     reports.append(BoundReport.compare("b-puzzle-bound", four_pi + 1e-9, worst))
     return reports
 
@@ -137,7 +142,7 @@ def check_c_puzzle(seed: int, prof: Profile) -> list[BoundReport]:
     worst = 0.0
     for _ in range(prof.random_configs):
         centers = np.vstack([[0.0, 0.0], _cube_config(g, 50)])
-        worst = max(worst, ex2.square_union_perimeter(PointSet(centers), 1.0))
+        worst = _worse(worst, ex2.square_union_perimeter(PointSet(centers), 1.0))
     return [BoundReport.compare("c-puzzle-bound", 16.0 + 1e-9, worst)]
 
 
@@ -158,8 +163,8 @@ def check_exact_vs_raster(seed: int, prof: Profile) -> list[BoundReport]:
             exact_p = ex2.square_union_perimeter(centers, r)
             exact_a = ex2.square_union_area(centers, r)
             area, perim = ex2.rasterized_measures(centers, r, NormKind.LINF, prof.raster_grid)
-        worst_perim = max(worst_perim, abs(perim - exact_p) / exact_p)
-        worst_area = max(worst_area, abs(area - exact_a) / exact_a)
+        worst_perim = _worse(worst_perim, abs(perim - exact_p) / exact_p)
+        worst_area = _worse(worst_area, abs(area - exact_a) / exact_a)
     return [
         BoundReport.compare("raster-perimeter-rel-err", 0.01, worst_perim),
         BoundReport.compare("raster-area-rel-err", 0.001, worst_area),
@@ -180,7 +185,7 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
         else:
             perim = ex2.square_union_perimeter(centers, r)
             vol = ex2.square_union_area(centers, r)
-        worst2d = max(worst2d, perim - bound_volume_constrained(2, r, vol))
+        worst2d = _worse(worst2d, perim - bound_volume_constrained(2, r, vol))
     reports = [BoundReport.compare("volume-constrained-2d", 0.0, worst2d)]
     worst3d = -math.inf
     for k in range(20):
@@ -193,7 +198,7 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
             spec, McConfig(samples=prof.shell3d_samples, seed=sub + 1)
         )
         bound = bound_volume_constrained(3, r, vol.value + 4.0 * vol.std_error)
-        worst3d = max(worst3d, shell.value - 4.0 * shell.std_error - bound)
+        worst3d = _worse(worst3d, shell.value - 4.0 * shell.std_error - bound)
     reports.append(BoundReport.compare("volume-constrained-3d", 0.0, worst3d))
     return reports
 
@@ -217,7 +222,7 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
                     samples=prof.kneser_samples, seed=derive_seed(seed, "kneser", k, t)
                 ),
             )
-            worst = max(worst, rep.measured - 4.0 * rep.std_error - rep.bound_value)
+            worst = _worse(worst, rep.measured - 4.0 * rep.std_error - rep.bound_value)
     return [BoundReport.compare("kneser-shell-sweep", 0.0, worst)]
 
 
@@ -242,7 +247,7 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
             seed=derive_seed(seed, "angle-3d", k),
             directions=prof.angle_directions,
         )
-        worst = max(worst, rep.measured - 4.0 * rep.std_error)
+        worst = _worse(worst, rep.measured - 4.0 * rep.std_error)
     reports.append(BoundReport.compare("inscribed-angle-3d-sweep", 0.0, worst))
     return reports
 
@@ -285,7 +290,7 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
                 McConfig(samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k)),
             )
             bound = gaussian_surface_bound(dim, r, 1.0, norm)
-            worst = max(worst, est.value - 4.0 * est.std_error - bound)
+            worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
             k += 1
     return [BoundReport.compare("gaussian-surface-bound", 0.0, worst)]
 
@@ -320,9 +325,9 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
             McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k)),
         )
         bound = vol_k * vol_l * reverse_bm_bound(2, r)
-        worst = max(worst, est.value - 4.0 * est.std_error - bound)
+        worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
         exact_sum = ex2.disk_union_area(sum_set, 2.0 * r)
-        worst_consistency = max(
+        worst_consistency = _worse(
             worst_consistency, abs(est.value - exact_sum) - 4.0 * est.std_error
         )
     return [
@@ -381,7 +386,7 @@ def check_w1_domination_sweep(seed: int, prof: Profile) -> list[BoundReport]:
         rep = tp.check_w1_domination(
             tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y), r
         )
-        worst = max(worst, rep.measured - rep.bound_value)
+        worst = _worse(worst, rep.measured - rep.bound_value)
     return [BoundReport.compare("w1-domination-sweep", 1e-12, worst)]
 
 
@@ -403,7 +408,7 @@ def check_coupling_sandwich(seed: int, prof: Profile) -> list[BoundReport]:
         mu0n = measure(1.0, float(g.uniform(-0.2, 0.2)))
         mu1n = measure(1.0, float(g.uniform(-0.2, 0.2)))
         rep = tp.coupling_sandwich_check(mu0, mu1, mu0n, mu1n, r, eta)
-        worst = max(worst, rep.measured)
+        worst = _worse(worst, rep.measured)
     return [BoundReport.compare("coupling-sandwich-sweep", 0.0, worst)]
 
 
@@ -456,7 +461,7 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
             y_weights=wy / wy.sum(),
             r=r,
         )
-        worst = max(worst, rep.measured - rep.bound_value)
+        worst = _worse(worst, rep.measured - rep.bound_value)
     reports.append(BoundReport.compare("reverse-epi-random", 1e-6, worst))
     # widely separated atoms: the gap approaches -(d/2) ln(pi e r)
     r = 0.3
@@ -487,7 +492,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
         est = ent.fisher_information_mc(
             gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k)
         )
-        worst = max(worst, est.value - 4.0 * est.std_error - gm.dim / gm.variance)
+        worst = _worse(worst, est.value - 4.0 * est.std_error - gm.dim / gm.variance)
     reports = [BoundReport.compare("fisher-bound-sweep", 0.0, worst)]
     worst_db = -math.inf
     for k in range(10):
@@ -501,7 +506,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             n=prof.entropy_samples,
             seed=derive_seed(seed, "de-bruijn", k),
         )
-        worst_db = max(worst_db, rep.measured - rep.bound_value)
+        worst_db = _worse(worst_db, rep.measured - rep.bound_value)
     reports.append(BoundReport.compare("de-bruijn-sweep", 0.0, worst_db))
     return reports
 

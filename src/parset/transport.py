@@ -3,8 +3,8 @@ and the plug-in convergence experiment.
 
 The thresholded cost 1{dist > 2r} turns optimal transport into maximum
 matching (uniform case) or maximum flow (weighted case): the optimal cost is
-one minus the largest mass matchable within distance 2r.  Matching runs on
-the Hopcroft-Karp kernel; the weighted flow runs Dinic on exact rational
+one minus the largest mass matchable within distance 2r.  Matching runs as a
+unit-capacity max flow in scipy; the weighted flow runs Dinic on exact rational
 capacities so that inequalities between transport values can be checked
 exactly rather than modulo solver tolerance.
 """
@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 
 from . import _kernels
 from ._rng import chunk_generator, derive_seed, single_generator, uniform_in_ball
@@ -61,19 +62,19 @@ def _pair_dist_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
-    """CSR adjacency of pairs with squared distance <= threshold_sq."""
-    n = x.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    block = max(1, (1 << 22) // max(y.shape[0], 1))
-    for s in range(0, n, block):
-        d2 = _pair_dist_sq(x[s : s + block], y)
-        for i, row in enumerate(d2 <= threshold_sq):
-            cols = np.nonzero(row)[0].astype(np.int64)
-            indptr[s + i + 1] = indptr[s + i] + len(cols)
-            chunks.append(cols)
-    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return indptr, indices
+    """CSR adjacency of pairs with squared distance <= threshold_sq.
+
+    The KD-tree proposes candidates within a radius widened by 1e-9 relative,
+    so rounding in the tree cannot drop a pair; the exact test below decides.
+    """
+    radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
+    near = cKDTree(y).query_ball_point(x, radius, return_sorted=True)
+    rows = np.repeat(np.arange(len(x)), [len(cols) for cols in near])
+    cols = np.fromiter(chain.from_iterable(near), np.int64, len(rows))
+    keep = ((x[rows] - y[cols]) ** 2).sum(axis=1) <= threshold_sq
+    indptr = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(x)), out=indptr[1:])
+    return indptr, cols[keep]
 
 
 def _check_pair(x: PointSet, y: PointSet, r: float):
@@ -94,7 +95,7 @@ def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
     if n != len(y):
         raise InvalidArgumentError("uniform transport needs equal sample counts")
     indptr, indices = _threshold_csr(x.points, y.points, (2.0 * r) ** 2)
-    matched, match_l, _ = _kernels.hopcroft_karp(indptr, indices, n, n)
+    matched, match_l = _kernels.max_matching(indptr, indices, n, n)
     pairs = tuple((i, int(match_l[i])) for i in range(n) if match_l[i] >= 0)
     exact = Fraction(n - int(matched), n)
     return TransportResult(

@@ -183,3 +183,10 @@ def test_bound_report_verdict_logic():
     rep = BoundReport.uncompared("x", 1.0)
     assert rep.verdict is Verdict.NOT_COMPARED
     assert rep.measured is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bound_report_non_finite_fails(bad):
+    assert BoundReport.compare("x", bad, measured=0.0).verdict is Verdict.FAIL
+    assert BoundReport.compare("x", 1.0, measured=bad).verdict is Verdict.FAIL
+    assert BoundReport.compare("x", 1.0, measured=0.0, std_error=bad).verdict is Verdict.FAIL

@@ -208,6 +208,25 @@ def test_epi_command(tmp_path):
     assert payload["h_sum"] <= payload["bound"]
 
 
+def test_epi_entropies_are_the_direct_estimates(tmp_path):
+    from parset.entropy import GaussianMixture, entropy_mc
+
+    mixtures = {
+        "x": {"atoms": [[0.0, 0.0], [2.0, 1.0]], "weights": [0.3, 0.7]},
+        "y": {"atoms": [[1.0, -1.0]], "weights": [1.0]},
+    }
+    for side, mix in mixtures.items():
+        (tmp_path / f"{side}.json").write_text(json.dumps(mix))
+    out = tmp_path / "epi.json"
+    rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+               "--smoothing", "0.5", "--samples", "5000", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    for key, side, seed in (("h_x", "x", 3), ("h_y", "y", 4)):
+        gm = GaussianMixture(variance=0.5, **mixtures[side])
+        assert payload[key] == entropy_mc(gm, n=5000, seed=seed).value
+
+
 def test_suite_smoke_exit_code(tmp_path):
     proc = run_cli(
         "suite", "gaussian", "--seed", "11", "--samples", "2000", "--out", str(tmp_path / "g")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,11 +24,7 @@ from parset import (
     mc_volume,
 )
 from parset import Verdict
-from parset._kernels import (
-    backend_name,
-    min_dist_linf_numpy,
-    min_dist_sq_l2_numpy,
-)
+from parset._kernels import min_dist
 from parset.mc import cap_solid_angle_fractions
 
 
@@ -142,14 +139,6 @@ def test_determinism_across_workers():
     assert a.value == b.value and a.std_error == b.std_error
 
 
-def test_workers_env_override(monkeypatch):
-    spec = spec_point(3)
-    baseline = mc_volume(spec, McConfig(samples=200_000, seed=42, workers=1))
-    monkeypatch.setenv("PARSET_WORKERS", "3")
-    overridden = mc_volume(spec, McConfig(samples=200_000, seed=42, workers=1))
-    assert overridden.value == baseline.value
-
-
 def test_unbiasedness_pooled():
     spec = spec_point(2)
     vals, ses = [], []
@@ -221,24 +210,37 @@ def test_inscribed_angle_2d_on_circle():
     assert fa / fc == pytest.approx(0.5, abs=0.01)
 
 
+def test_inscribed_angle_nan_trial_fails(monkeypatch):
+    from parset import mc
+
+    results = iter([(0.5, 0.5, 0.01, 0.01), (math.nan, 0.5, 0.01, 0.01), (0.5, 0.5, 0.01, 0.01)])
+    monkeypatch.setattr(mc, "cap_solid_angle_fractions", lambda *a: next(results))
+    rep = inscribed_angle_check(2, 0.9, trials=3, seed=0)
+    assert math.isnan(rep.measured)
+    assert rep.verdict is Verdict.FAIL
+
+
 def test_inscribed_angle_3d_sweep():
     rep = inscribed_angle_check(3, 1.2, trials=25, seed=20, directions=100_000)
     assert rep.verdict is Verdict.PASS
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(21)
-    pts = rng.standard_normal((500, 3))
-    base = rng.standard_normal((7, 3))
-    l2_numpy = np.sqrt(min_dist_sq_l2_numpy(pts, base))
-    linf_numpy = min_dist_linf_numpy(pts, base)
-    if backend_name() == "numba":
-        from parset._kernels import _min_dist_linf_numba, _min_dist_sq_l2_numba
+def _min_dist_brute_force(points, base, linf):
+    diff = np.abs(points[:, None, :] - base[None, :, :])
+    if linf:
+        return diff.max(axis=2).min(axis=1)
+    return np.sqrt((diff**2).sum(axis=2).min(axis=1))
 
-        np.testing.assert_allclose(
-            np.sqrt(_min_dist_sq_l2_numba(pts, base)), l2_numpy, rtol=1e-14
+
+def test_min_dist_matches_brute_force():
+    rng = np.random.default_rng(21)
+    # m = 40 is past the KD-tree's leaf size, so the tree really prunes
+    for dim, m, linf in itertools.product((2, 3), (1, 7, 40), (False, True)):
+        pts = rng.standard_normal((500, dim))
+        base = rng.standard_normal((m, dim))
+        np.testing.assert_array_equal(
+            min_dist(pts, base, linf), _min_dist_brute_force(pts, base, linf)
         )
-        np.testing.assert_allclose(_min_dist_linf_numba(pts, base), linf_numpy, rtol=1e-14)
 
 
 def test_mcconfig_validation():

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
 from parset import InvalidArgumentError, Verdict
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
+from parset import suite as suite_mod
 from parset.suite import (
     FULL,
     SUITES,
@@ -85,3 +88,12 @@ def test_verify_experiment_not_compared():
     by_name = {r.bound_name: r for r in reports}
     assert by_name["union-in-ball"].verdict is Verdict.NOT_COMPARED
     assert by_name["volume-constrained"].verdict is Verdict.PASS
+
+
+def test_nan_instance_fails_its_check(monkeypatch):
+    perimeters = iter([1.0, math.nan, 2.0, 3.0])
+    monkeypatch.setattr(suite_mod.ex2, "square_union_perimeter", lambda *a: next(perimeters))
+    prof = dataclasses.replace(FULL, random_configs=4)
+    (rep,) = suite_mod.check_c_puzzle(0, prof)
+    assert math.isnan(rep.measured)
+    assert rep.verdict is Verdict.FAIL

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from parset import (
     BallUnionRegion,
@@ -25,6 +26,7 @@ from parset import (
     w1_empirical,
 )
 from parset._rng import single_generator
+from parset.transport import _threshold_csr
 
 
 def uniform(points):
@@ -55,6 +57,20 @@ def test_dr_threshold_tie_matchable():
     x = PointSet([[0.0]])
     y = PointSet([[1.0]])
     assert d_r_uniform(x, y, 0.5).value == 0.0
+    # the threshold graph is exactly the dense d2 <= (2r)^2 test, ties and
+    # r = 0 with coincident points included
+    rng = np.random.default_rng(3)
+    lattice = rng.integers(-4, 5, (60, 2)) * 0.25
+    cases = [
+        (lattice, lattice[rng.permutation(60)], r) for r in (0.0, 0.125, 0.25, 0.375)
+    ] + [(rng.standard_normal((80, 3)), rng.standard_normal((70, 3)), 0.4)]
+    for xs, ys, r in cases:
+        dense = ((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=2) <= (2.0 * r) ** 2
+        indptr, indices = _threshold_csr(xs, ys, (2.0 * r) ** 2)
+        got = np.zeros_like(dense)
+        got[np.repeat(np.arange(len(xs)), np.diff(indptr)), indices] = True
+        assert indptr[-1] == dense.sum()
+        np.testing.assert_array_equal(got, dense)
 
 
 def test_dr_brute_force_sweep():
@@ -66,6 +82,21 @@ def test_dr_brute_force_sweep():
         y = PointSet(rng.standard_normal((n, dim)))
         r = float(rng.uniform(0.05, 1.5))
         assert d_r_uniform(x, y, r).value == d_r_brute_force(x, y, r)
+
+
+def test_dr_certificate_is_a_maximum_matching():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((300, 2))
+    y = rng.standard_normal((300, 2))
+    r = 0.1
+    res = d_r_uniform(PointSet(x), PointSet(y), r)
+    pairs = np.asarray(res.certificate)
+    assert len(set(pairs[:, 0])) == len(set(pairs[:, 1])) == len(pairs)
+    assert (np.linalg.norm(x[pairs[:, 0]] - y[pairs[:, 1]], axis=1) <= 2.0 * r).all()
+    far = (np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) > 2.0 * r).astype(float)
+    rows, cols = linear_sum_assignment(far)
+    assert len(pairs) == 300 - int(far[rows, cols].sum())
+    assert res.value_exact == Fraction(300 - len(pairs), 300)
 
 
 def test_dr_certificate_validity():
