@@ -16,7 +16,8 @@ from parset import (
     square_union_perimeter,
     star_shaped_check,
 )
-from parset.exact2d import _ray_membership_prefix
+from parset import _kernels, exact2d
+from parset.exact2d import _marching_cells, _ray_membership_prefix
 
 
 def equality_config():
@@ -259,3 +260,89 @@ def test_raster_matches_exact_random():
     area, perim = rasterized_measures(pts, r, NormKind.L2, 2048)
     assert area == pytest.approx(disk_union_area(pts, r), rel=2e-3)
     assert perim == pytest.approx(disk_union_perimeter(pts, r), rel=5e-3)
+
+
+# -- narrow band against the dense lattice -----------------------------------
+
+
+def dense_rasterized_measures(centers, r, norm=NormKind.L2, grid=4096):
+    """The grid oracle sampled at every lattice point: the reference that the
+    narrow band must reproduce bit for bit."""
+    pts = exact2d._require_planar(centers)
+    r = exact2d._require_radius(r)
+    lo = pts.min(axis=0) - r
+    hi = pts.max(axis=0) + r
+    pad = 2.5 * (hi - lo + 1e-9) / grid
+    lo = lo - pad
+    hi = hi + pad
+    xs = np.linspace(lo[0], hi[0], grid)
+    ys = np.linspace(lo[1], hi[1], grid)
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    field = np.empty((grid, grid), dtype=np.float64)
+    block = max(1, (1 << 22) // grid)
+    linf = norm is NormKind.LINF
+    for s in range(0, grid, block):
+        yy = ys[s : s + block]
+        gx, gy = np.meshgrid(xs, yy, indexing="xy")
+        samples = np.column_stack([gx.ravel(), gy.ravel()])
+        field[s : s + block, :] = (
+            _kernels.min_dist(samples, pts, linf).reshape(len(yy), grid) - r
+        )
+    a = field[:-1, :-1]
+    b = field[:-1, 1:]
+    c = field[1:, 1:]
+    d = field[1:, :-1]
+    case = (
+        (a <= 0.0).astype(np.int8)
+        + 2 * (b <= 0.0).astype(np.int8)
+        + 4 * (c <= 0.0).astype(np.int8)
+        + 8 * (d <= 0.0).astype(np.int8)
+    )
+    full_cells = int((case == 15).sum())
+    mixed = (case > 0) & (case < 15)
+    idx = np.nonzero(mixed)
+    unit_area, length = _marching_cells(
+        a[idx], b[idx], c[idx], d[idx], case[idx], hx, hy
+    )
+    area = (full_cells + unit_area) * hx * hy
+    return float(area), float(length)
+
+
+def _band_instances():
+    rng = np.random.default_rng(5)
+    yield "single", np.array([[0.3, -0.2]]), 0.9
+    yield "coincident", np.array([[0.1, 0.1], [0.1, 0.1], [0.7, -0.4], [0.7, -0.4]]), 0.6
+    yield "quarter-lattice", np.round(rng.uniform(-1, 1, (15, 2)) * 4) / 4, 0.75
+    yield "touching", np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), 0.5
+    for k in range(3):
+        yield f"random-{k}", rng.uniform(-1, 1, (int(rng.integers(2, 21)), 2)), rng.uniform(0.3, 1.4)
+
+
+@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
+@pytest.mark.parametrize("grid", [2, 64, 257, 1000])
+def test_raster_band_matches_dense_lattice(grid, norm):
+    # 257 - 1 is a whole number of blocks; for 2, 64 and 1000 the last block
+    # row and column are partial
+    for name, centers, r in _band_instances():
+        pts = PointSet(centers)
+        want = dense_rasterized_measures(pts, r, norm, grid)
+        assert rasterized_measures(pts, r, norm, grid) == want, name
+
+
+def test_raster_band_samples_a_small_share(monkeypatch):
+    evaluated = []
+    dense_min_dist = _kernels.min_dist
+
+    def counting_min_dist(points, base, linf):
+        evaluated.append(len(points))
+        return dense_min_dist(points, base, linf)
+
+    monkeypatch.setattr(_kernels, "min_dist", counting_min_dist)
+    rng = np.random.default_rng(9)
+    pts = PointSet(rng.uniform(-1, 1, (20, 2)))
+    grid = 1024
+    got = rasterized_measures(pts, 0.9, NormKind.L2, grid)
+    band_points = sum(evaluated)
+    assert 0 < band_points < 0.1 * grid * grid
+    assert got == dense_rasterized_measures(pts, 0.9, NormKind.L2, grid)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import parset
 from parset import InvalidArgumentError, Verdict
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
 from parset import suite as suite_mod
@@ -21,8 +22,15 @@ def test_profile_full_and_smoke():
     smoke = profile_from_samples(100)
     assert smoke.mc_samples == 100
     assert smoke.raster_instances == 2
-    assert smoke.halfspace_samples >= 1000
+    # expected hits in the delta = 1e-3 shell of check_gaussian_calibration
+    assert smoke.halfspace_samples * 0.5 * math.erf(1e-3 / math.sqrt(2.0)) >= 100.0
     assert profile_from_samples(10**6) is FULL
+
+
+def test_smoke_gaussian_calibration_passes():
+    reports = suite_mod.check_gaussian_calibration(0, profile_from_samples(100))
+    assert reports[0].bound_value > 0.0  # 3 std_error: the shell is not empty
+    assert reports[0].verdict is not Verdict.FAIL
 
 
 def test_suites_cover_all_checks():
@@ -46,6 +54,7 @@ def test_run_suite_writes_outputs(tmp_path):
     assert rows and rows[0]["suite"] == "brunn-minkowski"
     meta = json.loads((tmp_path / "manifest.json").read_text())
     assert meta["all_pass"] is True
+    assert meta["version"] == parset.__version__
     assert meta["wall_time_s"] > 0.0
 
 
