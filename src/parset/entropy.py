@@ -39,8 +39,8 @@ class GaussianMixture:
         if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise InvalidArgumentError("atoms must form a nonempty (k, d) array")
         w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.shape != (atoms.shape[0],) or (w <= 0.0).any():
-            raise InvalidArgumentError("need one positive weight per atom")
+        if w.shape != (atoms.shape[0],) or not (np.isfinite(w).all() and (w > 0.0).all()):
+            raise InvalidArgumentError("need one finite positive weight per atom")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12")
         if not (self.variance > 0.0):

@@ -258,14 +258,12 @@ def inscribed_angle_check(
     trials: int,
     seed: int,
     directions: int = 200_000,
-    apex_mode: str = "ball",
 ) -> BoundReport:
     """Solid angle of a spherical cap from an interior apex vs from the centre.
 
     For every sampled apex the cap's solid angle must be at least the central
     one over 2^(d-1), within 4 combined standard errors.  The report carries
-    the worst deficit; apex_mode "antipode" pins the apex to -e_0 on the
-    sphere (the planar equal-ratio configuration).
+    the worst deficit.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -274,13 +272,7 @@ def inscribed_angle_check(
     worst_se = 0.0
     for k in range(trials):
         sub = derive_seed(seed, "inscribed-angle", k)
-        if apex_mode == "antipode":
-            apex = np.zeros(dim)
-            apex[0] = -1.0
-        elif apex_mode == "ball":
-            apex = uniform_in_ball(chunk_generator(sub, 1), 1, dim)[0]
-        else:
-            raise InvalidArgumentError("apex_mode must be 'ball' or 'antipode'")
+        apex = uniform_in_ball(chunk_generator(sub, 1), 1, dim)[0]
         fa, fc, se_a, se_c = cap_solid_angle_fractions(
             dim, cap_half_angle, apex, directions, sub
         )

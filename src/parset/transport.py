@@ -3,10 +3,11 @@ and the plug-in convergence experiment.
 
 The thresholded cost 1{dist > 2r} turns optimal transport into maximum
 matching (uniform case) or maximum flow (weighted case): the optimal cost is
-one minus the largest mass matchable within distance 2r.  Matching runs as a
-unit-capacity max flow in scipy; the weighted flow runs Dinic on exact rational
-capacities so that inequalities between transport values can be checked
-exactly rather than modulo solver tolerance.
+one minus the largest mass matchable within distance 2r.  Both cases share
+one KD-tree threshold graph.  Matching runs on it as a unit-capacity max flow
+in scipy; the weighted flow runs Dinic in Python integers, the weights scaled
+to one common denominator, so that inequalities between transport values can
+be checked exactly rather than modulo solver tolerance.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class EmpiricalMeasure:
         w = np.array(self.weights, dtype=np.float64, copy=True)
         if w.ndim != 1 or len(w) != len(self.points):
             raise InvalidArgumentError("need one weight per point")
-        if (w <= 0.0).any():
-            raise InvalidArgumentError("weights must be strictly positive")
+        if not (np.isfinite(w).all() and (w > 0.0).all()):
+            raise InvalidArgumentError("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12")
         w.flags.writeable = False
@@ -119,101 +120,101 @@ def d_r_brute_force(x: PointSet, y: PointSet, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weighted case: Dinic max-flow on exact rational capacities
+# weighted case: Dinic max-flow on exact integer capacities
 # ---------------------------------------------------------------------------
 
 
-class _FlowNetwork:
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
+def _max_flow(indptr: np.ndarray, indices: np.ndarray, supply: list, demand: list):
+    """Dinic max flow on source -> left -> right -> sink, in Python integers.
 
-    def add_edge(self, u: int, v: int, cap: Fraction) -> int:
-        eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(Fraction(0))
-        return eid
-
-    def max_flow(self, s: int, t: int) -> Fraction:
-        total = Fraction(0)
-        n = len(self.adj)
+    Left node i takes up to supply[i] from the source, right node j passes up
+    to demand[j] to the sink, and the CSR edges (left i to right nodes
+    indices[indptr[i]:indptr[i + 1]]) carry twice the total supply, more than
+    any flow.  Returns the flow value and the flow on each CSR edge, in CSR
+    order.
+    """
+    n, m = len(supply), len(demand)
+    src, snk = n + m, n + m + 1
+    rows = np.repeat(np.arange(n), np.diff(indptr)).tolist()
+    tails = [src] * n + list(range(n, n + m)) + rows
+    heads = list(range(n)) + [snk] * m + (n + np.asarray(indices)).tolist()
+    caps = [*supply, *demand] + [2 * sum(supply)] * len(indices)
+    # edge 2e is the e-th edge above and 2e + 1 its residual twin
+    adj: list[list[int]] = [[] for _ in range(n + m + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c in zip(tails, heads, caps):
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+    total = 0
+    while True:
+        level = [-1] * len(adj)
+        level[src] = 0
+        queue = [src]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[snk] < 0:
+            return total, cap[2 * (n + m) + 1 :: 2]
+        # blocking flow: advance along the level graph, retreat from dead ends
+        cursor = [0] * len(adj)
+        path: list[int] = []
+        u = src
         while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            cursor = [0] * n
-
-            def dfs(u: int, pushed: Fraction) -> Fraction:
-                if u == t:
-                    return pushed
-                while cursor[u] < len(self.adj[u]):
-                    eid = self.adj[u][cursor[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got > 0:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    cursor[u] += 1
-                return Fraction(0)
-
-            while True:
-                pushed = dfs(s, Fraction(1))
-                if pushed == 0:
-                    break
+            if u == snk:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
                 total += pushed
+                path.clear()
+                u = src
+                continue
+            edges = adj[u]
+            while cursor[u] < len(edges):
+                e = edges[cursor[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                    break
+                cursor[u] += 1
+            else:
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                cursor[u] += 1
 
 
-def _exact_weights(weights: np.ndarray) -> list[Fraction]:
-    fracs = [Fraction(float(w)) for w in weights]
-    total = sum(fracs)
-    return [f / total for f in fracs]
+def _integer_weights(weights: np.ndarray) -> list[int]:
+    """Weights as integers over one common power-of-two denominator."""
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
 
 
 def d_r_weighted(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> TransportResult:
     """Thresholded transport between weighted empirical measures via max flow.
 
-    Weights are renormalized exactly in rational arithmetic, so the returned
-    value_exact is the true optimum for the given atoms; reduces to
-    d_r_uniform on uniform equal-size inputs.
+    Weights are renormalized exactly: with integer weights a, b of totals
+    ta, tb, the source and sink capacities a_i * tb and b_j * ta put both
+    measures over the common denominator ta * tb.  So the returned value_exact
+    is the true optimum for the given atoms; reduces to d_r_uniform on
+    uniform equal-size inputs.
     """
     _check_pair(mu.points, nu.points, r)
-    n, m = len(mu.points), len(nu.points)
-    wx = _exact_weights(mu.weights)
-    wy = _exact_weights(nu.weights)
-    d2 = _pair_dist_sq(mu.points.points, nu.points.points)
-    ok = d2 <= (2.0 * r) ** 2
-    net = _FlowNetwork(n + m + 2)
-    src, snk = n + m, n + m + 1
-    for i in range(n):
-        net.add_edge(src, i, wx[i])
-    for j in range(m):
-        net.add_edge(n + j, snk, wy[j])
-    edge_ids = {}
-    for i in range(n):
-        for j in np.nonzero(ok[i])[0]:
-            edge_ids[(i, int(j))] = net.add_edge(i, n + int(j), Fraction(2))
-    flow = net.max_flow(src, snk)
-    exact = Fraction(1) - flow
-    cert = tuple(
-        (i, j, float(net.cap[eid ^ 1]))
-        for (i, j), eid in sorted(edge_ids.items())
-        if net.cap[eid ^ 1] > 0
-    )
+    a = _integer_weights(mu.weights)
+    b = _integer_weights(nu.weights)
+    ta, tb = sum(a), sum(b)
+    indptr, indices = _threshold_csr(mu.points.points, nu.points.points, (2.0 * r) ** 2)
+    flow, edge_flow = _max_flow(indptr, indices, [w * tb for w in a], [w * ta for w in b])
+    scale = ta * tb
+    exact = 1 - Fraction(flow, scale)
+    rows = np.repeat(np.arange(len(a)), np.diff(indptr)).tolist()
+    cert = tuple((i, j, f / scale) for i, j, f in zip(rows, indices.tolist(), edge_flow) if f > 0)
     return TransportResult(
         value=float(exact), certificate=cert, threshold_r=r, value_exact=exact
     )
@@ -520,7 +521,7 @@ def coupling_sandwich_check(
 ) -> BoundReport:
     """Both chain inequalities linking the cost at r +- 2*eta to plug-ins.
 
-    All five transport values are computed exactly (rational max flow), so a
+    All five transport values are computed exactly (integer max flow), so a
     violation can only mean a solver bug.  The report's measured field is the
     worse of the two exact violations (at most 0 when everything is correct).
     """

@@ -165,6 +165,18 @@ def test_dr_weighted_command(tmp_path):
     assert json.loads(out.read_text())["value"] == pytest.approx(0.5)
 
 
+def test_nan_weights_exit_2(tmp_path):
+    # json reads NaN; a NaN weight is an invalid argument, not a crash or a NaN result
+    (tmp_path / "mu0.json").write_text('{"points": [[0.0], [1.0]], "weights": [NaN, 1.0]}')
+    (tmp_path / "mu1.json").write_text(json.dumps({"points": [[0.5]], "weights": [1.0]}))
+    (tmp_path / "x.json").write_text('{"atoms": [[0.0], [2.0]], "weights": [NaN, 1.0]}')
+    (tmp_path / "y.json").write_text(json.dumps({"atoms": [[0.0]]}))
+    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
+                 "--radius", "0.5", "--weighted"]) == 2
+    assert main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+                 "--smoothing", "0.5", "--samples", "1000", "--seed", "1"]) == 2
+
+
 def test_dr_converge_command(tmp_path):
     cfg = tmp_path / "conv.json"
     cfg.write_text(

@@ -332,3 +332,9 @@ def test_mixture_validation():
         GaussianMixture(atoms=[[0.0]], weights=[1.0], variance=0.0)
     with pytest.raises(InvalidArgumentError):
         GaussianMixture(atoms=[[0.0], [1.0]], weights=[1.0], variance=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mixture_rejects_non_finite_weights(bad):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        GaussianMixture(atoms=[[0.0], [2.0]], weights=[bad, 1.0], variance=1.0)

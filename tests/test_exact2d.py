@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parset import (
     InvalidArgumentError,
@@ -130,6 +132,38 @@ def test_subadditivity_and_monotonicity():
 
 
 # -- squares ----------------------------------------------------------------
+
+
+@st.composite
+def _dyadic_union(draw):
+    """Centres and radius on a 1/8 grid, a translation by a grid vector, a
+    permutation and duplicates: every transformed coordinate is exact, so
+    tangencies and triple points survive the transformation unchanged."""
+    eighths = st.integers(-16, 16).map(lambda k: k / 8)
+    centers = np.array(draw(st.lists(st.tuples(eighths, eighths), min_size=1, max_size=8)))
+    r = draw(st.integers(1, 12)) / 8
+    shift = np.array(draw(st.tuples(st.integers(-64, 64), st.integers(-64, 64)))) / 8
+    order = draw(st.permutations(range(len(centers))))
+    dups = draw(st.lists(st.integers(0, len(centers) - 1), max_size=4))
+    return centers, r, shift, np.asarray(order), np.asarray(dups, dtype=np.int64)
+
+
+@given(_dyadic_union())
+@settings(max_examples=150, deadline=None)
+def test_exact_measures_invariant(case):
+    centers, r, shift, order, dups = case
+    variants = {
+        "translated": centers + shift,
+        "permuted": centers[order],
+        "duplicated": np.concatenate([centers, centers[dups]]),
+    }
+    for measure in (disk_union_perimeter, disk_union_area, square_union_perimeter, square_union_area):
+        want = measure(PointSet(centers), r)
+        for name, moved in variants.items():
+            assert measure(PointSet(moved), r) == pytest.approx(want, rel=1e-12), (
+                measure.__name__,
+                name,
+            )
 
 
 def test_single_square():

@@ -115,13 +115,22 @@ def test_dr_properties():
     rng = np.random.default_rng(3)
     x = PointSet(rng.standard_normal((15, 2)))
     y = PointSet(rng.standard_normal((15, 2)) + 0.5)
-    prev = 1.1
-    for r in [0.1, 0.3, 0.6, 1.0, 2.0]:
+    wx = rng.random(15) + 0.1
+    wy = rng.random(12) + 0.1
+    mu = EmpiricalMeasure(points=x, weights=wx / wx.sum())
+    nu = EmpiricalMeasure(points=PointSet(y.points[:12]), weights=wy / wy.sum())
+    prev = prev_weighted = 1.1
+    for r in [0.0, 0.1, 0.3, 0.6, 1.0, 2.0]:
         val = d_r_uniform(x, y, r).value
         assert 0.0 <= val <= 1.0
         assert val <= prev + 1e-12  # non-increasing in r
         assert val == d_r_uniform(y, x, r).value  # symmetric
         prev = val
+        weighted = d_r_weighted(mu, nu, r).value_exact
+        assert 0 <= weighted <= 1
+        assert weighted <= prev_weighted
+        assert weighted == d_r_weighted(nu, mu, r).value_exact
+        prev_weighted = weighted
 
 
 def test_dr_zero_radius_disjoint_supports():
@@ -182,6 +191,138 @@ def test_dr_weighted_flow_certificate():
     assert (sent <= mu.weights + 1e-9).all()
     assert (received <= nu.weights + 1e-9).all()
     assert sent.sum() == pytest.approx(1.0 - res.value, abs=1e-9)
+
+
+# -- integer flow against the rational reference ------------------------------
+
+
+class RationalFlowNetwork:
+    """Dinic on Fraction capacities, the weighted solver's former
+    implementation, kept as the reference the integer flow must reproduce."""
+
+    def __init__(self, n_nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.to: list[int] = []
+        self.cap: list[Fraction] = []
+
+    def add_edge(self, u: int, v: int, cap: Fraction) -> int:
+        eid = len(self.to)
+        self.adj[u].append(eid)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[v].append(eid + 1)
+        self.to.append(u)
+        self.cap.append(Fraction(0))
+        return eid
+
+    def max_flow(self, s: int, t: int) -> Fraction:
+        total = Fraction(0)
+        n = len(self.adj)
+        while True:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for eid in self.adj[u]:
+                    v = self.to[eid]
+                    if self.cap[eid] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return total
+            cursor = [0] * n
+
+            def dfs(u: int, pushed: Fraction) -> Fraction:
+                if u == t:
+                    return pushed
+                while cursor[u] < len(self.adj[u]):
+                    eid = self.adj[u][cursor[u]]
+                    v = self.to[eid]
+                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[eid]))
+                        if got > 0:
+                            self.cap[eid] -= got
+                            self.cap[eid ^ 1] += got
+                            return got
+                    cursor[u] += 1
+                return Fraction(0)
+
+            while True:
+                pushed = dfs(s, Fraction(1))
+                if pushed == 0:
+                    break
+                total += pushed
+
+
+def rational_d_r_weighted(mu, nu, r):
+    """(value_exact, value, certificate) from the dense threshold matrix and
+    the rational flow."""
+
+    def exact_weights(weights):
+        fracs = [Fraction(float(w)) for w in weights]
+        total = sum(fracs)
+        return [f / total for f in fracs]
+
+    n, m = len(mu.points), len(nu.points)
+    wx = exact_weights(mu.weights)
+    wy = exact_weights(nu.weights)
+    x, y = mu.points.points, nu.points.points
+    ok = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) <= (2.0 * r) ** 2
+    net = RationalFlowNetwork(n + m + 2)
+    src, snk = n + m, n + m + 1
+    for i in range(n):
+        net.add_edge(src, i, wx[i])
+    for j in range(m):
+        net.add_edge(n + j, snk, wy[j])
+    edge_ids = {}
+    for i in range(n):
+        for j in np.nonzero(ok[i])[0]:
+            edge_ids[(i, int(j))] = net.add_edge(i, n + int(j), Fraction(2))
+    flow = net.max_flow(src, snk)
+    exact = Fraction(1) - flow
+    cert = tuple(
+        (i, j, float(net.cap[eid ^ 1]))
+        for (i, j), eid in sorted(edge_ids.items())
+        if net.cap[eid ^ 1] > 0
+    )
+    return exact, float(exact), cert
+
+
+def _weighted_instances():
+    rng = np.random.default_rng(14)
+
+    def random_weights(k):
+        w = rng.random(k) + 0.05
+        return w / w.sum()
+
+    for _ in range(120):
+        n, m, dim = int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        mu = EmpiricalMeasure(PointSet(rng.standard_normal((n, dim))), random_weights(n))
+        nu = EmpiricalMeasure(PointSet(rng.standard_normal((m, dim))), random_weights(m))
+        yield mu, nu, float(rng.uniform(0.05, 1.5))
+    for _ in range(120):
+        n, m, dim = int(rng.integers(1, 16)), int(rng.integers(1, 16)), int(rng.integers(1, 4))
+        yield uniform(rng.standard_normal((n, dim))), uniform(rng.standard_normal((m, dim))), float(
+            rng.uniform(0.05, 1.5)
+        )
+    # points on a 0.25 lattice: many pairs at exactly 2r, coincident points at r = 0
+    for k in range(120):
+        n, m, dim = int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        xs = rng.integers(-3, 4, (n, dim)) * 0.25
+        ys = rng.integers(-3, 4, (m, dim)) * 0.25
+        r = (0.0, 0.125, 0.25)[k % 3]
+        if k % 2:
+            yield uniform(xs), uniform(ys), r
+        else:
+            yield EmpiricalMeasure(PointSet(xs), random_weights(n)), EmpiricalMeasure(
+                PointSet(ys), random_weights(m)
+            ), r
+
+
+def test_dr_weighted_matches_rational_reference():
+    for mu, nu, r in _weighted_instances():
+        res = d_r_weighted(mu, nu, r)
+        assert (res.value_exact, res.value, res.certificate) == rational_d_r_weighted(mu, nu, r)
 
 
 def test_w1_identity_and_point_masses():
@@ -254,6 +395,28 @@ def test_w1_certificate_marginals():
     np.testing.assert_allclose(sent, mu.weights, atol=1e-7)
     np.testing.assert_allclose(received, nu.weights, atol=1e-7)
     assert cost == pytest.approx(res.value, abs=1e-7)
+
+
+def test_w1_1d_certificate_marginals():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        wx = rng.random(n) + 0.1
+        wy = rng.random(m) + 0.1
+        mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((n, 1))), weights=wx / wx.sum())
+        nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((m, 1))), weights=wy / wy.sum())
+        res = w1_empirical(mu, nu)
+        sent = np.zeros(n)
+        received = np.zeros(m)
+        cost = 0.0
+        for i, j, mass in res.certificate:
+            assert mass >= 0.0
+            sent[i] += mass
+            received[j] += mass
+            cost += mass * abs(mu.points.points[i, 0] - nu.points.points[j, 0])
+        np.testing.assert_allclose(sent, mu.weights, atol=1e-12)
+        np.testing.assert_allclose(received, nu.weights, atol=1e-12)
+        assert cost == pytest.approx(res.value, abs=1e-12)
 
 
 def test_w1_domination_cases():
@@ -410,3 +573,9 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(points=PointSet([[0.0]]), weights=np.array([0.5, 0.5]))
     with pytest.raises(InvalidArgumentError):
         EmpiricalMeasure(points=PointSet([[0.0], [1.0]]), weights=np.array([1.0, -1e-13]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_empirical_measure_rejects_non_finite_weights(bad):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        EmpiricalMeasure(points=PointSet([[0.0], [1.0]]), weights=np.array([bad, 1.0]))
