@@ -330,7 +330,9 @@ def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
 def _cmd_epi(args) -> int:
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
-    rep, h_x, h_y = ent._reverse_epi(gm_x, gm_y, n=args.samples, seed=args.seed)
+    rep, h_x, h_y = ent._reverse_epi(
+        gm_x, gm_y, n=args.samples, seed=args.seed, workers=args.workers
+    )
     _emit(
         {
             "h_x": h_x.value,

@@ -159,10 +159,10 @@ def entropy_quadrature(
     return EntropyEstimate(value, tail_bound, EntropyMethod.QUADRATURE)
 
 
-def _entropy_auto(gm: GaussianMixture, n: int, seed: int) -> EntropyEstimate:
+def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> EntropyEstimate:
     if gm.dim == 1:
         return entropy_quadrature(gm)
-    return entropy_mc(gm, n=n, seed=seed)
+    return entropy_mc(gm, n=n, seed=seed, workers=workers)
 
 
 def reverse_epi_check(
@@ -185,13 +185,16 @@ def reverse_epi_check(
 
 
 def _reverse_epi(
-    gm_x: GaussianMixture, gm_y: GaussianMixture, n: int, seed: int
+    gm_x: GaussianMixture, gm_y: GaussianMixture, n: int, seed: int, workers: int = 1
 ) -> tuple[BoundReport, EntropyEstimate, EntropyEstimate]:
     """The reverse-EPI report for two mixtures of one variance r, plus the
-    estimates of h(X) and h(Y) that it used."""
-    h_x = _entropy_auto(gm_x, n, seed)
-    h_y = _entropy_auto(gm_y, n, seed + 1)
-    h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2)
+    estimates of h(X) and h(Y) that it used.  ``workers`` threads share the
+    Monte Carlo chunks; the estimates do not depend on it."""
+    if workers < 1:
+        raise InvalidArgumentError("workers must be >= 1")
+    h_x = _entropy_auto(gm_x, n, seed, workers)
+    h_y = _entropy_auto(gm_y, n, seed + 1, workers)
+    h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2, workers)
     bound = h_x.value + h_y.value + reverse_epi_constant(gm_x.dim, gm_x.variance)
     combined = math.sqrt(h_x.std_error**2 + h_y.std_error**2 + h_sum.std_error**2)
     report = BoundReport.compare(

@@ -239,6 +239,34 @@ def test_epi_entropies_are_the_direct_estimates(tmp_path):
         assert payload[key] == entropy_mc(gm, n=5000, seed=seed).value
 
 
+def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch):
+    from parset import entropy
+
+    seen = []
+    map_reduce_chunks = entropy.map_reduce_chunks
+
+    def recording(seed, total, workers, chunk_fn):
+        seen.append(workers)
+        return map_reduce_chunks(seed, total, workers, chunk_fn)
+
+    monkeypatch.setattr(entropy, "map_reduce_chunks", recording)
+    (tmp_path / "x.json").write_text(json.dumps({"atoms": [[0.0, 0.0], [2.0, 1.0]], "weights": [0.3, 0.7]}))
+    (tmp_path / "y.json").write_text(json.dumps({"atoms": [[1.0, -1.0], [0.0, 0.5]]}))
+    written = []
+    for workers in (1, 2):
+        out = tmp_path / f"epi-{workers}.json"
+        # three 65 536-sample chunks per entropy, so two threads share them
+        rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+                   "--smoothing", "0.5", "--samples", "140000", "--seed", "3",
+                   "--workers", str(workers), "--out", str(out)])
+        assert rc == 0
+        written.append(out.read_bytes())
+    assert seen == [1, 1, 1, 2, 2, 2]
+    assert written[0] == written[1]
+    assert main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+                 "--smoothing", "0.5", "--samples", "1000", "--workers", "0"]) == 2
+
+
 def test_suite_smoke_exit_code(tmp_path):
     proc = run_cli(
         "suite", "gaussian", "--seed", "11", "--samples", "2000", "--out", str(tmp_path / "g")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from parset import (
     InvalidArgumentError,
@@ -225,22 +226,52 @@ def test_inscribed_angle_3d_sweep():
     assert rep.verdict is Verdict.PASS
 
 
-def _min_dist_brute_force(points, base, linf):
-    diff = np.abs(points[:, None, :] - base[None, :, :])
-    if linf:
-        return diff.max(axis=2).min(axis=1)
-    return np.sqrt((diff**2).sum(axis=2).min(axis=1))
-
-
 def test_min_dist_matches_brute_force():
+    # min_dist scans bases of at most 64 points and builds a KD-tree above
+    # that; m = 64 and 65 sit on either side of the cutoff, and the scan must
+    # reproduce cKDTree's rounding bit for bit
     rng = np.random.default_rng(21)
-    # m = 40 is past the KD-tree's leaf size, so the tree really prunes
-    for dim, m, linf in itertools.product((2, 3), (1, 7, 40), (False, True)):
-        pts = rng.standard_normal((500, dim))
+    for dim, m, linf in itertools.product((1, 2, 3, 5, 8, 12), (1, 7, 40, 64, 65, 200), (False, True)):
         base = rng.standard_normal((m, dim))
-        np.testing.assert_array_equal(
-            min_dist(pts, base, linf), _min_dist_brute_force(pts, base, linf)
-        )
+        pts = np.concatenate([rng.standard_normal((500, dim)), base[rng.integers(0, m, 20)]])
+        want = cKDTree(base).query(pts, p=np.inf if linf else 2)[0]
+        got = min_dist(pts, base, linf)
+        np.testing.assert_array_equal(got, want)
+        assert (got[-20:] == 0.0).all()
+
+
+@pytest.mark.parametrize("m", [64, 65])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_min_dist_rejects_non_finite_points(m, bad):
+    # a NaN distance would otherwise be counted as a miss
+    pts = np.ones((10, 3))
+    pts[4, 1] = bad
+    base = np.zeros((m, 3))
+    bad_base = base.copy()
+    bad_base[m - 1, 2] = bad
+    for linf in (False, True):
+        with pytest.raises(ValueError):
+            min_dist(pts, base, linf)
+        with pytest.raises(ValueError):
+            min_dist(np.ones((10, 3)), bad_base, linf)
+
+
+def test_small_bases_build_no_kd_tree(monkeypatch):
+    # against a silent return to the per-chunk KD-tree for small bases
+    from parset import _kernels
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("cKDTree built")
+
+    monkeypatch.setattr(_kernels, "cKDTree", no_tree)
+    rng = np.random.default_rng(22)
+    base = PointSet(rng.uniform(-1, 1, (64, 3)))
+    cfg = McConfig(samples=70_000, seed=23)
+    for norm in NormKind:
+        mc_volume(ParallelSetSpec(base=base, norm=norm, radius=0.5), cfg)
+        kneser_shell_check(base, norm, 0.5, 1.0, 1.5, cfg)
+    with pytest.raises(AssertionError, match="cKDTree built"):
+        min_dist(np.zeros((1, 3)), rng.uniform(-1, 1, (65, 3)), False)
 
 
 def test_mcconfig_validation():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from parset import (
@@ -131,6 +133,23 @@ def test_dr_properties():
         assert weighted <= prev_weighted
         assert weighted == d_r_weighted(nu, mu, r).value_exact
         prev_weighted = weighted
+
+
+def _quarter_lattice_points(n):
+    quarter = st.integers(-8, 8).map(lambda k: k / 4)
+    return st.lists(st.tuples(quarter, quarter), min_size=n, max_size=n)
+
+
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(_quarter_lattice_points(n), _quarter_lattice_points(n))),
+    st.integers(0, 8).map(lambda k: k / 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_dr_uniform_equals_weighted_on_uniform_inputs(xy, r):
+    # lattice points and radii make distances of exactly 2r common
+    x, y = (np.array(p) for p in xy)
+    want = d_r_weighted(uniform(x), uniform(y), r).value_exact
+    assert d_r_uniform(PointSet(x), PointSet(y), r).value_exact == want
 
 
 def test_dr_zero_radius_disjoint_supports():
