@@ -20,7 +20,12 @@ from . import mc as mcmod
 from . import transport as tp
 from .bounds import BOUND_CATALOG, Verdict, gaussian_constant
 from .errors import InvalidArgumentError
-from .experiment import load_experiment_config, run_verify_experiment
+from .experiment import (
+    load_experiment_config,
+    load_json_object,
+    points_from_dict,
+    run_verify_experiment,
+)
 from .geometry import NormKind, ParallelSetSpec, PointSet, load_points
 from .mc import McConfig
 from .suite import SUITES, SuiteConfig, run_suite, write_reports_csv, write_reports_json
@@ -38,25 +43,9 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_spec_file(path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(data, dict):
-        raise InvalidArgumentError(f"{path}: expected a JSON object")
-    return data
-
-
 def _spec_from_dict(data: dict, path) -> ParallelSetSpec:
-    if "points_file" in data:
-        points = load_points(data["points_file"])
-    elif "points" in data:
-        points = PointSet(np.asarray(data["points"], dtype=np.float64))
-    else:
-        raise InvalidArgumentError(f"{path}: need 'points' or 'points_file'")
     return ParallelSetSpec(
-        base=points,
+        base=points_from_dict(data, path),
         norm=NormKind.parse(data.get("norm", "l2")),
         radius=float(data.get("radius", 1.0)),
     )
@@ -76,27 +65,23 @@ def _load_measure(path, weighted: bool) -> tp.EmpiricalMeasure:
     return tp.EmpiricalMeasure.uniform(load_points(path))
 
 
+_SHAPE_NORMS = {"disk": NormKind.L2, "square": NormKind.LINF}
+
+
 def _cmd_exact2d(args) -> int:
     centers = load_points(args.centers)
-    if args.shape == "disk":
-        decomp = ex2.disk_union_boundary(centers, args.radius)
-        payload = {"shape": "disk", "perimeter": decomp.perimeter()}
-        if args.area:
-            payload["area"] = decomp.area()
-        if args.boundary_out:
-            with open(args.boundary_out, "w", newline="") as fh:
-                writer = csv.writer(fh)
+    decomp = ex2.union_boundary(centers, args.radius, _SHAPE_NORMS[args.shape])
+    payload = {"shape": args.shape, "perimeter": decomp.perimeter()}
+    if args.area:
+        payload["area"] = decomp.area()
+    if args.boundary_out:
+        with open(args.boundary_out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if args.shape == "disk":
                 writer.writerow(["center_index", "theta_start", "theta_end"])
                 for i, t0, t1 in decomp.arcs:
                     writer.writerow([i, _fmt(t0), _fmt(t1)])
-    else:
-        decomp = ex2.square_union_boundary(centers, args.radius)
-        payload = {"shape": "square", "perimeter": decomp.perimeter()}
-        if args.area:
-            payload["area"] = ex2.square_union_area(centers, args.radius)
-        if args.boundary_out:
-            with open(args.boundary_out, "w", newline="") as fh:
-                writer = csv.writer(fh)
+            else:
                 writer.writerow(
                     ["orientation", "fixed_coord", "span_start", "span_end", "outward_sign"]
                 )
@@ -109,7 +94,7 @@ def _cmd_exact2d(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    data = _load_spec_file(args.spec)
+    data = load_json_object(args.spec)
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,
@@ -287,7 +272,7 @@ def _gen_from_dict(data: dict, path) -> tp.DistributionSpec:
 
 
 def _cmd_dr_converge(args) -> int:
-    data = _load_spec_file(args.config)
+    data = load_json_object(args.config)
     for key in data:
         if key not in _CONVERGE_KEYS:
             raise InvalidArgumentError(f"{args.config}: unknown key {key!r}")
@@ -319,7 +304,7 @@ def _cmd_dr_converge(args) -> int:
 
 
 def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
-    data = _load_spec_file(path)
+    data = load_json_object(path)
     atoms = np.asarray(data["atoms"], dtype=np.float64)
     weights = data.get("weights")
     if weights is None:
@@ -372,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact2d", parents=[common], help="exact planar union measures")
-    p.add_argument("--shape", choices=("disk", "square"), required=True)
+    p.add_argument("--shape", choices=tuple(_SHAPE_NORMS), required=True)
     p.add_argument("--centers", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--area", action="store_true")

@@ -6,12 +6,18 @@ Disk unions: on each circle, every other disk covers an angular interval
 all covered intervals is the exposed part of the boundary.  Because all radii
 are equal, a circle can only be swallowed whole by a coincident twin, so
 deduplicating centres first removes the lone degenerate case.  Tangencies
-cover a single angle, which has measure zero and is dropped.
+cover a single angle, which has measure zero and is dropped.  Square unions:
+on each face, the other squares cover open intervals, and the rest is exposed.
+Both complements come from one interval routine, ``_subtract_open_intervals``;
+on a circle it runs over one turn starting at the first covered angle.
 
-Areas come from the divergence theorem.  Each exposed arc, parameterised
-counterclockwise about its own centre, keeps the union locally on its left,
-so summing (1/2) * integral(x dy - y dx) over the exposed arcs yields the
-enclosed area with holes subtracted automatically.
+Both areas come from the divergence theorem over the same decomposition that
+gives the perimeter, so ``union_boundary`` builds one decomposition per
+instance for both measures.  Each exposed arc, parameterised counterclockwise
+about its own centre, keeps the union locally on its left, so summing
+(1/2) * integral(x dy - y dx) over the exposed arcs yields the enclosed area
+with holes subtracted automatically.  For squares, integral(x dy) reduces to
+the vertical segments, each at a fixed x with its outward sign.
 
 The grid oracle runs marching squares on the field d(x, centres) - r, which
 needs exact values only at the corners of cells the boundary crosses.  It
@@ -91,6 +97,14 @@ class SegmentDecomposition:
     def perimeter(self) -> float:
         return sum(s.length() for s in self.segments)
 
+    def area(self) -> float:
+        """Divergence theorem: sum of outward_sign * (x - x0) * length over the
+        vertical segments.  The boundary is closed, so x0 drops out; taking it
+        from the first vertical segment keeps the digits of far-off centres."""
+        vertical = [s for s in self.segments if s.orientation == "vertical"]
+        x0 = vertical[0].fixed_coord if vertical else 0.0
+        return sum(s.outward_sign * (s.fixed_coord - x0) * s.length() for s in vertical)
+
 
 def _require_planar(centers: PointSet) -> np.ndarray:
     if centers.dim != 2:
@@ -115,41 +129,6 @@ def _dedup_preserve_order(points: np.ndarray, tol: float = _EPS) -> np.ndarray:
     return kept[:k]
 
 
-def _exposed_angular_intervals(covered: list[tuple[float, float]]):
-    """Complement of a union of angular intervals on the circle.
-
-    Output intervals start in [0, 2*pi) and may extend past 2*pi when they
-    wrap through angle zero.
-    """
-    if not covered:
-        return [(0.0, _TWO_PI)]
-    parts: list[tuple[float, float]] = []
-    for lo, hi in covered:
-        width = hi - lo
-        lo = lo % _TWO_PI
-        hi = lo + width
-        if hi <= _TWO_PI:
-            parts.append((lo, hi))
-        else:
-            parts.append((lo, _TWO_PI))
-            parts.append((0.0, hi - _TWO_PI))
-    parts.sort()
-    merged = [list(parts[0])]
-    for lo, hi in parts[1:]:
-        if lo <= merged[-1][1] + _EPS:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    exposed = []
-    for k in range(1, len(merged)):
-        if merged[k][0] - merged[k - 1][1] > _EPS:
-            exposed.append((merged[k - 1][1], merged[k][0]))
-    wrap = merged[0][0] + _TWO_PI - merged[-1][1]
-    if wrap > _EPS:
-        exposed.append((merged[-1][1], merged[0][0] + _TWO_PI))
-    return exposed
-
-
 def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
     pts = _dedup_preserve_order(_require_planar(centers))
     r = _require_radius(r)
@@ -158,7 +137,7 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
     for i in range(n):
         diffs = pts - pts[i]
         dists = np.hypot(diffs[:, 0], diffs[:, 1])
-        covered = []
+        covered = []  # in [0, 2*pi], split at 2*pi where they wrap
         for j in range(n):
             if j == i:
                 continue
@@ -169,8 +148,16 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
             phi = math.atan2(diffs[j, 1], diffs[j, 0])
             alpha = math.acos(dij / (2.0 * r))
             if alpha > 0.0:
-                covered.append((phi - alpha, phi + alpha))
-        for t0, t1 in _exposed_angular_intervals(covered):
+                lo, hi = phi - alpha, phi + alpha
+                start = lo % _TWO_PI
+                end = start + (hi - lo)
+                if end <= _TWO_PI:
+                    covered.append((start, end))
+                else:
+                    covered += [(start, _TWO_PI), (0.0, end - _TWO_PI)]
+        # one turn from the first covered angle, so a wrapping gap stays whole
+        a0 = min((a for a, _ in covered), default=0.0)
+        for t0, t1 in _subtract_open_intervals(a0, a0 + _TWO_PI, covered):
             arcs.append((i, t0, t1))
     return ArcDecomposition(arcs=tuple(arcs), radius=r, centers=pts)
 
@@ -242,29 +229,18 @@ def square_union_perimeter(centers: PointSet, r: float) -> float:
 
 
 def square_union_area(centers: PointSet, r: float) -> float:
-    """Exact area of a union of congruent axis-aligned squares (slab sweep)."""
-    pts = _dedup_preserve_order(_require_planar(centers))
-    r = _require_radius(r)
-    xs = np.unique(np.concatenate([pts[:, 0] - r, pts[:, 0] + r]))
-    total = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        mid = 0.5 * (x0 + x1)
-        active = np.abs(pts[:, 0] - mid) < r
-        if not active.any():
-            continue
-        ys = np.stack([pts[active, 1] - r, pts[active, 1] + r], axis=1)
-        ys = ys[np.argsort(ys[:, 0])]
-        covered = 0.0
-        cur_lo, cur_hi = ys[0]
-        for lo, hi in ys[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-        covered += cur_hi - cur_lo
-        total += covered * (x1 - x0)
-    return total
+    return square_union_boundary(centers, r).area()
+
+
+def union_boundary(
+    centers: PointSet, r: float, norm: NormKind
+) -> ArcDecomposition | SegmentDecomposition:
+    """Exact boundary of the r-parallel set of ``centers`` in the plane: the
+    exposed arcs for L2 (disks), the exposed segments for L-inf (squares).
+    Both decompositions give ``perimeter()`` and ``area()``."""
+    if norm is NormKind.L2:
+        return disk_union_boundary(centers, r)
+    return square_union_boundary(centers, r)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,28 @@ class ExperimentConfig:
             )
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def load_json_object(path) -> dict:
+    """The JSON object in a spec or config file."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise InvalidArgumentError(f"{path}: expected a JSON object")
+    return data
+
+
+def points_from_dict(data: dict, where) -> PointSet:
+    """The base points of a spec, inline as 'points' or in a 'points_file'."""
+    if "points_file" in data:
+        return load_points(data["points_file"])
+    if "points" in data:
+        return PointSet(np.asarray(data["points"], dtype=np.float64))
+    raise InvalidArgumentError(f"{where}: need 'points' or 'points_file'")
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    data = load_json_object(path)
     for key in data:
         if key not in _TOP_KEYS:
             raise InvalidArgumentError(f"{path}: unknown key {key!r}")
@@ -87,15 +103,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
 
 
-def _experiment_points(cfg: ExperimentConfig) -> PointSet:
-    params = cfg.parameters
-    if "points_file" in params:
-        return load_points(params["points_file"])
-    if "points" in params:
-        return PointSet(np.asarray(params["points"], dtype=np.float64))
-    raise InvalidArgumentError(f"{cfg.name}: need 'points' or 'points_file'")
-
-
 def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
     center = 0.5 * (points.min(axis=0) + points.max(axis=0))
     diffs = points - center
@@ -107,7 +114,7 @@ def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
 def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     """Measure the configured instance and compare against the named bounds."""
     params = cfg.parameters
-    points = _experiment_points(cfg)
+    points = points_from_dict(params, cfg.name)
     norm = NormKind.parse(params.get("norm", "l2"))
     radius = float(params.get("radius", 1.0))
     if not (radius > 0.0):
@@ -120,13 +127,14 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
             raise InvalidArgumentError(f"{cfg.name}: unknown check {name!r}")
     spec = ParallelSetSpec(base=points, norm=norm, radius=radius)
     d = points.dim
-    exact2d_available = d == 2
+
+    @cache
+    def exact_boundary():
+        return ex2.union_boundary(points, radius, norm)
 
     def surface_estimate():
-        if exact2d_available:
-            if norm is NormKind.L2:
-                return ex2.disk_union_boundary(points, radius).perimeter(), 0.0
-            return ex2.square_union_perimeter(points, radius), 0.0
+        if d == 2:
+            return exact_boundary().perimeter(), 0.0
         est = mcmod.mc_shell_lebesgue(
             spec,
             McConfig(samples=samples, seed=derive_seed(cfg.seed, "shell"), shell_delta=delta),
@@ -134,10 +142,8 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
         return est.value, est.std_error
 
     def volume_estimate():
-        if exact2d_available:
-            if norm is NormKind.L2:
-                return ex2.disk_union_area(points, radius), 0.0
-            return ex2.square_union_area(points, radius), 0.0
+        if d == 2:
+            return exact_boundary().area(), 0.0
         est = mcmod.mc_volume(
             spec, McConfig(samples=samples, seed=derive_seed(cfg.seed, "volume"))
         )

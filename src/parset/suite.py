@@ -148,23 +148,22 @@ def check_c_puzzle(seed: int, prof: Profile) -> list[BoundReport]:
     return [BoundReport.compare("c-puzzle-bound", 16.0 + 1e-9, worst)]
 
 
+# the planar r-parallel sets the exact checks alternate between
+_PLANAR_SHAPES = ((NormKind.L2, _ball_config), (NormKind.LINF, _cube_config))
+
+
 def check_exact_vs_raster(seed: int, prof: Profile) -> list[BoundReport]:
     """Exact perimeter/area vs the marching-squares grid oracle."""
     g = chunk_generator(derive_seed(seed, "raster"), 0)
     worst_perim = 0.0
     worst_area = 0.0
     for k in range(prof.raster_instances):
-        disk = k % 2 == 0
+        norm, config = _PLANAR_SHAPES[k % 2]
         r = float(g.uniform(0.6, 1.4))
-        centers = PointSet(_ball_config(g, 20) if disk else _cube_config(g, 20))
-        if disk:
-            exact_p = ex2.disk_union_boundary(centers, r).perimeter()
-            exact_a = ex2.disk_union_area(centers, r)
-            area, perim = ex2.rasterized_measures(centers, r, NormKind.L2, prof.raster_grid)
-        else:
-            exact_p = ex2.square_union_perimeter(centers, r)
-            exact_a = ex2.square_union_area(centers, r)
-            area, perim = ex2.rasterized_measures(centers, r, NormKind.LINF, prof.raster_grid)
+        centers = PointSet(config(g, 20))
+        decomp = ex2.union_boundary(centers, r, norm)
+        exact_p, exact_a = decomp.perimeter(), decomp.area()
+        area, perim = ex2.rasterized_measures(centers, r, norm, prof.raster_grid)
         worst_perim = _worse(worst_perim, abs(perim - exact_p) / exact_p)
         worst_area = _worse(worst_area, abs(area - exact_a) / exact_a)
     return [
@@ -178,16 +177,11 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
     g = chunk_generator(derive_seed(seed, "volume-constrained"), 0)
     worst2d = -math.inf
     for k in range(100):
-        disk = k % 2 == 0
+        norm, config = _PLANAR_SHAPES[k % 2]
         r = float(g.uniform(0.4, 1.2))
-        centers = PointSet((_ball_config(g, 30) if disk else _cube_config(g, 30)) * 1.5)
-        if disk:
-            perim = ex2.disk_union_boundary(centers, r).perimeter()
-            vol = ex2.disk_union_area(centers, r)
-        else:
-            perim = ex2.square_union_perimeter(centers, r)
-            vol = ex2.square_union_area(centers, r)
-        worst2d = _worse(worst2d, perim - bound_volume_constrained(2, r, vol))
+        decomp = ex2.union_boundary(PointSet(config(g, 30) * 1.5), r, norm)
+        bound = bound_volume_constrained(2, r, decomp.area())
+        worst2d = _worse(worst2d, decomp.perimeter() - bound)
     reports = [BoundReport.compare("volume-constrained-2d", 0.0, worst2d)]
     worst3d = -math.inf
     for k in range(20):

@@ -112,10 +112,9 @@ def d_r_brute_force(x: PointSet, y: PointSet, r: float) -> float:
         raise InvalidArgumentError("brute force limited to equal counts with n <= 8")
     d2 = _pair_dist_sq(x.points, y.points)
     ok = d2 <= (2.0 * r) ** 2
-    best = 0
-    for perm in permutations(range(n)):
-        hits = sum(1 for i, j in enumerate(perm) if ok[i, j])
-        best = max(best, hits)
+    # every assignment at once: row k of ok[i, perms[k, i]] is one permutation
+    perms = np.array(list(permutations(range(n))))
+    best = int(ok[np.arange(n), perms].sum(axis=1).max())
     return float(Fraction(n - best, n))
 
 

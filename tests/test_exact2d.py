@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from parset import (
     star_shaped_check,
 )
 from parset import _kernels, exact2d
+from parset.cli import main
 from parset.exact2d import _marching_cells, _ray_membership_prefix
 
 
@@ -380,3 +382,159 @@ def test_raster_band_samples_a_small_share(monkeypatch):
     band_points = sum(evaluated)
     assert 0 < band_points < 0.1 * grid * grid
     assert got == dense_rasterized_measures(pts, 0.9, NormKind.L2, grid)
+
+
+# -- one decomposition, both areas from the boundary --------------------------
+
+_TWO_PI = 2.0 * math.pi
+_EPS = 1e-12
+
+
+def reference_exposed_angular_intervals(covered: list[tuple[float, float]]):
+    """Complement of a union of angular intervals on the circle.
+
+    Output intervals start in [0, 2*pi) and may extend past 2*pi when they
+    wrap through angle zero.
+    """
+    if not covered:
+        return [(0.0, _TWO_PI)]
+    parts: list[tuple[float, float]] = []
+    for lo, hi in covered:
+        width = hi - lo
+        lo = lo % _TWO_PI
+        hi = lo + width
+        if hi <= _TWO_PI:
+            parts.append((lo, hi))
+        else:
+            parts.append((lo, _TWO_PI))
+            parts.append((0.0, hi - _TWO_PI))
+    parts.sort()
+    merged = [list(parts[0])]
+    for lo, hi in parts[1:]:
+        if lo <= merged[-1][1] + _EPS:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    exposed = []
+    for k in range(1, len(merged)):
+        if merged[k][0] - merged[k - 1][1] > _EPS:
+            exposed.append((merged[k - 1][1], merged[k][0]))
+    wrap = merged[0][0] + _TWO_PI - merged[-1][1]
+    if wrap > _EPS:
+        exposed.append((merged[-1][1], merged[0][0] + _TWO_PI))
+    return exposed
+
+
+def reference_disk_arcs(centers, r):
+    """Exposed arcs with the circle's own merge loop above, as the exact disk
+    decomposition computed them before it shared the segment routine."""
+    pts = exact2d._dedup_preserve_order(exact2d._require_planar(centers))
+    n = len(pts)
+    arcs = []
+    for i in range(n):
+        diffs = pts - pts[i]
+        dists = np.hypot(diffs[:, 0], diffs[:, 1])
+        covered = []
+        for j in range(n):
+            if j == i:
+                continue
+            dij = dists[j]
+            if dij >= 2.0 * r:
+                continue
+            phi = math.atan2(diffs[j, 1], diffs[j, 0])
+            alpha = math.acos(dij / (2.0 * r))
+            if alpha > 0.0:
+                covered.append((phi - alpha, phi + alpha))
+        for t0, t1 in reference_exposed_angular_intervals(covered):
+            arcs.append((i, t0, t1))
+    return tuple(arcs)
+
+
+def reference_square_union_area(centers, r: float) -> float:
+    """Exact area of a union of congruent axis-aligned squares (slab sweep)."""
+    pts = exact2d._dedup_preserve_order(exact2d._require_planar(centers))
+    r = exact2d._require_radius(r)
+    xs = np.unique(np.concatenate([pts[:, 0] - r, pts[:, 0] + r]))
+    total = 0.0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        mid = 0.5 * (x0 + x1)
+        active = np.abs(pts[:, 0] - mid) < r
+        if not active.any():
+            continue
+        ys = np.stack([pts[active, 1] - r, pts[active, 1] + r], axis=1)
+        ys = ys[np.argsort(ys[:, 0])]
+        covered = 0.0
+        cur_lo, cur_hi = ys[0]
+        for lo, hi in ys[1:]:
+            if lo <= cur_hi:
+                cur_hi = max(cur_hi, hi)
+            else:
+                covered += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+        covered += cur_hi - cur_lo
+        total += covered * (x1 - x0)
+    return total
+
+
+def _reference_instances():
+    rng = np.random.default_rng(43)
+    for k in range(40):
+        n = int(rng.integers(1, 31))
+        yield f"random-{k}", rng.uniform(-1, 1, (n, 2)), float(rng.uniform(0.2, 1.4))
+    for k in range(20):
+        n = int(rng.integers(2, 26))
+        yield f"quarter-lattice-{k}", np.round(rng.uniform(-1, 1, (n, 2)) * 4) / 4, 0.25 * int(rng.integers(1, 6))
+    for k in range(10):
+        pts = rng.uniform(-1, 1, (int(rng.integers(1, 12)), 2))
+        yield f"coincident-{k}", np.concatenate([pts, pts[rng.integers(0, len(pts), len(pts))]]), 0.7
+    for k in range(20):
+        # integer centres at r = 0.5: neighbouring disks and squares touch
+        yield f"touching-{k}", rng.integers(-3, 4, (int(rng.integers(2, 16)), 2)).astype(float), 0.5
+
+
+def test_disk_arcs_match_merge_loop_reference():
+    for name, centers, r in _reference_instances():
+        assert disk_union_boundary(PointSet(centers), r).arcs == reference_disk_arcs(PointSet(centers), r), name
+
+
+def test_square_area_matches_slab_sweep():
+    for name, centers, r in _reference_instances():
+        want = reference_square_union_area(PointSet(centers), r)
+        assert square_union_area(PointSet(centers), r) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+def test_square_area_far_from_origin():
+    # both methods lose digits to the shifted coordinates themselves; taking x
+    # from the first vertical face must not lose more than the sweep does
+    rng = np.random.default_rng(47)
+    centers = rng.uniform(-1, 1, (20, 2))
+    r = 0.6
+    want = reference_square_union_area(PointSet(centers), r)
+    far = PointSet(centers + 1e6)
+    sweep_err = abs(reference_square_union_area(far, r) - want)
+    assert abs(square_union_area(far, r) - want) <= sweep_err
+    assert sweep_err < 1e-9 * want
+
+
+def test_union_boundary_is_the_shape_decomposition():
+    for name, centers, r in _reference_instances():
+        pts = PointSet(centers)
+        disk = exact2d.union_boundary(pts, r, NormKind.L2)
+        want = disk_union_boundary(pts, r)
+        assert (disk.arcs, disk.radius) == (want.arcs, want.radius), name
+        np.testing.assert_array_equal(disk.centers, want.centers)
+        assert exact2d.union_boundary(pts, r, NormKind.LINF) == square_union_boundary(pts, r), name
+
+
+def test_cli_square_area_matches_slab_sweep(tmp_path):
+    rng = np.random.default_rng(53)
+    centers = rng.uniform(-1, 1, (15, 2))
+    path = tmp_path / "centers.json"
+    path.write_text(json.dumps(centers.tolist()))
+    out = tmp_path / "res.json"
+    argv = ["exact2d", "--shape", "square", "--centers", str(path), "--radius", "0.7", "--area", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    want = reference_square_union_area(PointSet(centers), 0.7)
+    assert payload["area"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert payload["perimeter"] == square_union_perimeter(PointSet(centers), 0.7)
