@@ -5,6 +5,9 @@ Work is split into fixed-size chunks; chunk k always starts at the same
 counter offset, and partial results are combined in chunk order.  Estimates
 are therefore bit-identical for a given seed regardless of how many worker
 threads execute the chunks.
+
+The package's two Monte Carlo reductions run on map_reduce_chunks: band
+counts (mc._band_estimates) and moment means (entropy._moment_means).
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ def map_reduce_chunks(
         for i, v in enumerate(part):
             acc[i] = acc[i] + v
     return tuple(acc)
+
+
+def atom_indices(g: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
+    """n atom indices drawn with probabilities weights (inverse CDF, one uniform each)."""
+    idx = np.searchsorted(np.cumsum(weights), g.random(n), side="right")
+    return idx.clip(0, len(weights) - 1)
 
 
 def uniform_in_ball(g: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .experiment import (
     points_from_dict,
     run_verify_experiment,
 )
-from .geometry import NormKind, ParallelSetSpec, PointSet, load_points
+from .geometry import NormKind, ParallelSetSpec, PointSet, load_points, points_from_json, read_json
 from .mc import McConfig
 from .suite import SUITES, SuiteConfig, run_suite, write_reports_csv, write_reports_json
 
@@ -52,17 +52,17 @@ def _spec_from_dict(data: dict, path) -> ParallelSetSpec:
 
 
 def _load_measure(path, weighted: bool) -> tp.EmpiricalMeasure:
-    p = Path(path)
-    if p.suffix.lower() == ".json":
-        data = json.loads(p.read_text())
-        if isinstance(data, dict) and "points" in data:
-            points = PointSet(np.asarray(data["points"], dtype=np.float64))
-            if "weights" in data and weighted:
-                return tp.EmpiricalMeasure(
-                    points=points, weights=np.asarray(data["weights"], dtype=np.float64)
-                )
-            return tp.EmpiricalMeasure.uniform(points)
-    return tp.EmpiricalMeasure.uniform(load_points(path))
+    if Path(path).suffix.lower() != ".json":
+        return tp.EmpiricalMeasure.uniform(load_points(path))
+    data = read_json(path)
+    if not (isinstance(data, dict) and "points" in data):
+        return tp.EmpiricalMeasure.uniform(points_from_json(data, path))
+    points = PointSet(np.asarray(data["points"], dtype=np.float64))
+    if "weights" in data and weighted:
+        return tp.EmpiricalMeasure(
+            points=points, weights=np.asarray(data["weights"], dtype=np.float64)
+        )
+    return tp.EmpiricalMeasure.uniform(points)
 
 
 _SHAPE_NORMS = {"disk": NormKind.L2, "square": NormKind.LINF}

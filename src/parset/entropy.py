@@ -4,6 +4,8 @@ smoothed-sum entropy inequality checks.
 A discrete variable smoothed with N(0, var * I) noise has a Gaussian-mixture
 density; everything here works with that class (isotropic, one shared
 variance per mixture).  Entropies are in nats.
+Every Monte Carlo estimate here is a mean of per-sample values with its
+standard error, taken by one chunked reduction, _moment_means.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
-from ._rng import map_reduce_chunks
+from ._rng import atom_indices, map_reduce_chunks
 from .bounds import BoundReport, reverse_epi_constant
 from .errors import InvalidArgumentError
 from .geometry import group_rows
@@ -107,22 +109,31 @@ def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianM
 
 
 def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.ndarray:
-    idx = np.searchsorted(np.cumsum(gm.weights), g.random(n), side="right")
-    idx = idx.clip(0, len(gm.weights) - 1)
+    idx = atom_indices(g, gm.weights, n)
     return gm.atoms[idx] + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
+
+
+def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[tuple[float, float]]:
+    """(mean, std error) of each per-sample array that chunk_fn(g, m) returns;
+    sums of v and v * v add in chunk order, so workers do not change them."""
+
+    def chunk(g, m):
+        return tuple(s for v in chunk_fn(g, m) for s in (float(v.sum()), float((v * v).sum())))
+
+    sums = map_reduce_chunks(seed, n, workers, chunk)
+    out = []
+    for s1, s2 in zip(sums[::2], sums[1::2]):
+        mean = s1 / n
+        out.append((mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)))
+    return out
 
 
 def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: int = 1) -> EntropyEstimate:
     """Unbiased estimator: mean of -log p over samples of the mixture."""
-
-    def chunk(g, m):
-        v = -_log_density(gm, _sample_mixture(gm, g, m))
-        return float(v.sum()), float((v * v).sum())
-
-    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+    ((mean, se),) = _moment_means(
+        seed, n, workers, lambda g, m: (-_log_density(gm, _sample_mixture(gm, g, m)),)
+    )
+    return EntropyEstimate(mean, se, EntropyMethod.MC)
 
 
 def entropy_quadrature(
@@ -247,14 +258,10 @@ def fisher_information_mc(
     """Mean squared score norm; for smoothed variables this never exceeds d/var."""
 
     def chunk(g, m):
-        x = _sample_mixture(gm, g, m)
-        s2 = (_score_batch(gm, x) ** 2).sum(axis=1)
-        return float(s2.sum()), float((s2 * s2).sum())
+        return ((_score_batch(gm, _sample_mixture(gm, g, m)) ** 2).sum(axis=1),)
 
-    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+    ((mean, se),) = _moment_means(seed, n, workers, chunk)
+    return EntropyEstimate(mean, se, EntropyMethod.MC)
 
 
 def de_bruijn_check(
@@ -280,28 +287,16 @@ def de_bruijn_check(
     gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
     gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)
 
-    cum = np.cumsum(gm_mid.weights)
-
     def chunk(g, m):
-        idx = np.searchsorted(cum, g.random(m), side="right").clip(0, len(cum) - 1)
+        base = gm_mid.atoms[atom_indices(g, gm_mid.weights, m)]
         eps = g.standard_normal((m, gm_mid.dim))
-        base = gm_mid.atoms[idx]
         v_plus = -_log_density(gm_plus, base + eps * math.sqrt(t0 + dt))
         v_minus = -_log_density(gm_minus, base + eps * math.sqrt(t0 - dt))
         fd = (v_plus - v_minus) / (2.0 * dt)
         s2 = (_score_batch(gm_mid, base + eps * math.sqrt(t0)) ** 2).sum(axis=1)
-        return (
-            float(fd.sum()),
-            float((fd * fd).sum()),
-            float(s2.sum()),
-            float((s2 * s2).sum()),
-        )
+        return fd, s2
 
-    f1, f2, j1, j2 = map_reduce_chunks(seed, n, workers=1, chunk_fn=chunk)
-    fd_mean = f1 / n
-    fd_se = math.sqrt(max(f2 / n - fd_mean * fd_mean, 0.0) / n)
-    j_mean = j1 / n
-    j_se = math.sqrt(max(j2 / n - j_mean * j_mean, 0.0) / n)
+    (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, 1, chunk)
     combined = math.sqrt(fd_se**2 + (j_se / 2.0) ** 2)
     allowance = 4.0 * combined + curvature_budget * dt * dt * (1.0 + t0**-3)
     return BoundReport.compare(

@@ -6,10 +6,8 @@ and a seed is mandatory because every experiment may sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .bounds import (
     gaussian_surface_bound,
 )
 from .errors import InvalidArgumentError
-from .geometry import NormKind, ParallelSetSpec, PointSet, load_points
+from .geometry import NormKind, ParallelSetSpec, PointSet, load_points, read_json
 from .mc import McConfig
 
 _MODULES = ("core-geometry", "exact2d", "mc-measure", "bounds", "robust-risk", "entropy")
@@ -62,10 +60,7 @@ class ExperimentConfig:
 
 def load_json_object(path) -> dict:
     """The JSON object in a spec or config file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InvalidArgumentError(f"{path}: expected a JSON object")
     return data

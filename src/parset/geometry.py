@@ -183,14 +183,26 @@ def save_points_json(ps: PointSet, path) -> None:
         fh.write("\n")
 
 
-def load_points_json(path) -> PointSet:
-    data = json.loads(Path(path).read_text())
+def read_json(path):
+    """The parsed contents of a JSON file; malformed JSON is an InvalidArgumentError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
+
+
+def points_from_json(data, path) -> PointSet:
+    """The point set in parsed JSON: a nonempty array of equal-length arrays."""
     if not isinstance(data, list) or not data:
         raise InvalidArgumentError(f"{path}: expected a nonempty JSON array of arrays")
     widths = {len(row) if isinstance(row, list) else -1 for row in data}
     if len(widths) != 1 or -1 in widths:
         raise InvalidArgumentError(f"{path}: ragged or non-array rows")
     return PointSet(np.asarray(data, dtype=np.float64))
+
+
+def load_points_json(path) -> PointSet:
+    return points_from_json(read_json(path), path)
 
 
 def load_points(path) -> PointSet:

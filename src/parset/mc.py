@@ -1,6 +1,9 @@
 """Monte Carlo estimators for volume, Lebesgue and Gaussian shell measures,
 solid angles, and the shell-scaling check, in arbitrary dimension.
 
+Every estimator but the solid angles is one band count, _band_estimates:
+the share p of draws (uniform in a padded bounding box, or Gaussian) whose
+distance to the set lies in (lo, hi], reported as scale * p / delta.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  Shell
 estimators carry an O(delta) bias that callers fold into tolerances; the
@@ -50,135 +53,104 @@ class MembershipPredicate:
     """Closed set given through its L2 distance function.
 
     distance_fn maps an (n, d) batch to the distance from each point to the
-    set; membership is distance <= 0.  bounding_radius None marks a set that
-    is only usable under a Gaussian weight.
+    set; membership is distance <= 0.  Predicates are measured under a
+    Gaussian weight only.
     """
 
     dim: int
     distance_fn: Callable[[np.ndarray], np.ndarray]
-    bounding_radius: float | None = None
 
 
 def halfspace_predicate(dim: int) -> MembershipPredicate:
     """The halfspace x_0 <= 0."""
-    return MembershipPredicate(
-        dim=dim,
-        distance_fn=lambda x: np.maximum(x[:, 0], 0.0),
-        bounding_radius=None,
-    )
+    return MembershipPredicate(dim=dim, distance_fn=lambda x: np.maximum(x[:, 0], 0.0))
 
 
 def ball_predicate(dim: int, rho: float) -> MembershipPredicate:
     if not (rho > 0.0):
         raise InvalidArgumentError("ball radius must be positive")
     return MembershipPredicate(
-        dim=dim,
-        distance_fn=lambda x: np.maximum(np.linalg.norm(x, axis=1) - rho, 0.0),
-        bounding_radius=rho,
+        dim=dim, distance_fn=lambda x: np.maximum(np.linalg.norm(x, axis=1) - rho, 0.0)
     )
 
 
 def full_space_predicate(dim: int) -> MembershipPredicate:
-    return MembershipPredicate(
-        dim=dim, distance_fn=lambda x: np.zeros(len(x)), bounding_radius=None
-    )
+    return MembershipPredicate(dim=dim, distance_fn=lambda x: np.zeros(len(x)))
 
 
-def _spec_distances(spec: ParallelSetSpec, x: np.ndarray) -> np.ndarray:
-    return _kernels.min_dist(x, spec.base.points, spec.norm is NormKind.LINF)
+def _target(target):
+    """(dim, inner radius, distance fn) of a ParallelSetSpec or MembershipPredicate."""
+    if isinstance(target, ParallelSetSpec):
+        points, linf = target.base.points, target.norm is NormKind.LINF
+        return target.base.dim, target.radius, lambda x: _kernels.min_dist(x, points, linf)
+    if isinstance(target, MembershipPredicate):
+        return target.dim, 0.0, target.distance_fn
+    raise InvalidArgumentError("target must be a ParallelSetSpec or MembershipPredicate")
 
 
-def _bounding_box(spec: ParallelSetSpec, extra: float = 0.0):
-    reach = spec.radius + extra
-    lo = spec.base.points.min(axis=0) - reach
-    hi = spec.base.points.max(axis=0) + reach
-    return lo, hi, float(np.prod(hi - lo))
+def _band_estimates(
+    cfg: McConfig, dim: int, dist_fn, bands, box=None, sigma: float = 1.0
+) -> list[MeasureEstimate]:
+    """scale * P(lo < dist_fn(X) <= hi) / delta for each band (lo, hi, delta).
 
+    All bands are counted on one sample stream.  With box = (points, reach)
+    X is uniform in the bounding box of points padded by reach and scale is
+    the box volume; with box None X ~ N(0, sigma^2 I) and scale is 1.
+    """
+    if box is None:
+        if not (sigma > 0.0):
+            raise InvalidArgumentError("sigma must be positive")
+        scale = 1.0
+        draw = lambda g, m: g.standard_normal((m, dim)) * sigma
+    else:
+        points, reach = box
+        lo = points.min(axis=0) - reach
+        span = (points.max(axis=0) + reach) - lo
+        scale = float(np.prod(span))
+        draw = lambda g, m: lo + g.random((m, dim)) * span
 
-def _proportion_estimate(hits: int, n: int, scale: float) -> MeasureEstimate:
-    p = hits / n
-    return MeasureEstimate(
-        value=scale * p,
-        std_error=scale * math.sqrt(p * (1.0 - p) / n),
-        samples_used=n,
-    )
+    def chunk(g, m):
+        d = dist_fn(draw(g, m))
+        return tuple(int(((d > a) & (d <= b)).sum()) for a, b, _ in bands)
 
-
-def mc_volume(spec: ParallelSetSpec, cfg: McConfig) -> MeasureEstimate:
-    """Hit-or-miss volume over the tight per-axis bounding box."""
-    lo, hi, box_vol = _bounding_box(spec)
-    span = hi - lo
-
-    def chunk(g, n):
-        x = lo + g.random((n, spec.base.dim)) * span
-        return (int((_spec_distances(spec, x) <= spec.radius).sum()),)
-
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    return _proportion_estimate(hits, cfg.samples, box_vol)
+    n = cfg.samples
+    estimates = []
+    for hits, (_, _, delta) in zip(map_reduce_chunks(cfg.seed, n, cfg.workers, chunk), bands):
+        p = hits / n
+        se = scale * math.sqrt(p * (1.0 - p) / n)
+        estimates.append(MeasureEstimate(scale * p / delta, se / delta, n))
+    return estimates
 
 
 def _resolve_delta(cfg: McConfig, r: float) -> float:
     return cfg.shell_delta if cfg.shell_delta is not None else r / 1000.0
 
 
+def mc_volume(spec: ParallelSetSpec, cfg: McConfig) -> MeasureEstimate:
+    """Hit-or-miss volume over the tight per-axis bounding box."""
+    dim, r, dist_fn = _target(spec)
+    return _band_estimates(cfg, dim, dist_fn, [(-math.inf, r, 1.0)], box=(spec.base.points, r))[0]
+
+
 def mc_shell_lebesgue(spec: ParallelSetSpec, cfg: McConfig) -> MeasureEstimate:
     """(volume between radii r and r+delta) / delta."""
-    delta = _resolve_delta(cfg, spec.radius)
-    lo, hi, box_vol = _bounding_box(spec, extra=delta)
-    span = hi - lo
-    r = spec.radius
-
-    def chunk(g, n):
-        x = lo + g.random((n, spec.base.dim)) * span
-        d = _spec_distances(spec, x)
-        return (int(((d > r) & (d <= r + delta)).sum()),)
-
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    est = _proportion_estimate(hits, cfg.samples, box_vol)
-    return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
-
-
-def _gaussian_shell_counter(target, sigma: float):
-    if isinstance(target, ParallelSetSpec):
-        dim = target.base.dim
-        inner = target.radius
-        dist_fn = lambda x: _spec_distances(target, x)
-    elif isinstance(target, MembershipPredicate):
-        dim = target.dim
-        inner = 0.0
-        dist_fn = target.distance_fn
-    else:
-        raise InvalidArgumentError("target must be a ParallelSetSpec or MembershipPredicate")
-    if not (sigma > 0.0):
-        raise InvalidArgumentError("sigma must be positive")
-    return dim, inner, dist_fn
+    dim, r, dist_fn = _target(spec)
+    delta = _resolve_delta(cfg, r)
+    box = (spec.base.points, r + delta)
+    return _band_estimates(cfg, dim, dist_fn, [(r, r + delta, delta)], box=box)[0]
 
 
 def mc_gaussian_shell(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
     """Gaussian measure of the delta-shell around the dilated set, over delta."""
-    dim, inner, dist_fn = _gaussian_shell_counter(target, sigma)
+    dim, inner, dist_fn = _target(target)
     delta = _resolve_delta(cfg, inner if inner > 0.0 else 1.0)
-
-    def chunk(g, n):
-        x = g.standard_normal((n, dim)) * sigma
-        d = dist_fn(x)
-        return (int(((d > inner) & (d <= inner + delta)).sum()),)
-
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    est = _proportion_estimate(hits, cfg.samples, 1.0)
-    return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
+    return _band_estimates(cfg, dim, dist_fn, [(inner, inner + delta, delta)], sigma=sigma)[0]
 
 
 def mc_gaussian_measure(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
     """Gaussian mass of the (dilated) set itself."""
-    dim, inner, dist_fn = _gaussian_shell_counter(target, sigma)
-
-    def chunk(g, n):
-        x = g.standard_normal((n, dim)) * sigma
-        return (int((dist_fn(x) <= inner).sum()),)
-
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    return _proportion_estimate(hits, cfg.samples, 1.0)
+    dim, inner, dist_fn = _target(target)
+    return _band_estimates(cfg, dim, dist_fn, [(-math.inf, inner, 1.0)], sigma=sigma)[0]
 
 
 def kneser_shell_check(
@@ -194,21 +166,9 @@ def kneser_shell_check(
         raise InvalidArgumentError("need 0 < a_k <= b_k")
     if not (t >= 1.0):
         raise InvalidArgumentError("need t >= 1")
-    outer = ParallelSetSpec(base=base, norm=norm, radius=t * b_k)
-    lo, hi, box_vol = _bounding_box(outer)
-    span = hi - lo
-    dim = base.dim
-
-    def chunk(g, n):
-        x = lo + g.random((n, dim)) * span
-        d = _kernels.min_dist(x, base.points, norm is NormKind.LINF)
-        lhs = int(((d > t * a_k) & (d <= t * b_k)).sum())
-        rhs = int(((d > a_k) & (d <= b_k)).sum())
-        return lhs, rhs
-
-    lhs_hits, rhs_hits = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    lhs = _proportion_estimate(lhs_hits, cfg.samples, box_vol)
-    rhs = _proportion_estimate(rhs_hits, cfg.samples, box_vol)
+    dim, reach, dist_fn = _target(ParallelSetSpec(base=base, norm=norm, radius=t * b_k))
+    bands = [(t * a_k, t * b_k, 1.0), (a_k, b_k, 1.0)]
+    lhs, rhs = _band_estimates(cfg, dim, dist_fn, bands, box=(base.points, reach))
     scale = t**dim
     combined = math.sqrt(lhs.std_error**2 + (scale * rhs.std_error) ** 2)
     return BoundReport.compare(

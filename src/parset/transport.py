@@ -18,11 +18,12 @@ from fractions import Fraction
 from itertools import chain, permutations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
 from . import _kernels
-from ._rng import chunk_generator, derive_seed, single_generator, uniform_in_ball
+from ._rng import atom_indices, chunk_generator, derive_seed, single_generator, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
 from .geometry import PointSet
@@ -291,11 +292,11 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
         value = float(dist[rows, cols].mean())
         flows = tuple((int(i), int(j), 1.0 / n) for i, j in zip(rows, cols))
         return TransportResult(value=value, certificate=flows)
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    # plan[i, j] is variable i * m + j: row i sums plan[i, :], row n + j plan[:, j]
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))],
+        format="csr",
+    )
     res = linprog(
         dist.ravel(),
         A_eq=a_eq,
@@ -455,8 +456,7 @@ def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) 
         w = w / w.sum()
     else:
         w = np.full(len(atoms), 1.0 / len(atoms))
-    idx = np.searchsorted(np.cumsum(w), g.random(n), side="right").clip(0, len(atoms) - 1)
-    out = atoms[idx]
+    out = atoms[atom_indices(g, w, n)]
     if spec.sigma > 0.0:
         out = out + g.standard_normal(out.shape) * spec.sigma
     return out

@@ -177,6 +177,22 @@ def test_nan_weights_exit_2(tmp_path):
                  "--smoothing", "0.5", "--samples", "1000", "--seed", "1"]) == 2
 
 
+def test_truncated_json_exit_2(tmp_path, capsys):
+    # a malformed input file is a usage error (2), not a traceback (1)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"points": [[0.0], [1.0')
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([[0.5]]))
+    commands = (
+        ["dr", "--mu0", str(bad), "--mu1", str(good), "--radius", "0.5"],
+        ["dr", "--mu0", str(good), "--mu1", str(bad), "--radius", "0.5", "--weighted"],
+        ["exact2d", "--shape", "disk", "--centers", str(bad), "--radius", "1.0"],
+    )
+    for argv in commands:
+        assert main(argv) == 2
+        assert f"error: {bad}: not valid JSON (" in capsys.readouterr().err
+
+
 def test_dr_converge_command(tmp_path):
     cfg = tmp_path / "conv.json"
     cfg.write_text(

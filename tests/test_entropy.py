@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,14 @@ from parset import (
     pointwise_lemma_check,
     reverse_epi_check,
 )
-from parset.entropy import pointwise_lemma_log_ratio
+from parset._rng import CHUNK, map_reduce_chunks
+from parset.bounds import BoundReport
+from parset.entropy import (
+    EntropyEstimate,
+    _log_density,
+    _score_batch,
+    pointwise_lemma_log_ratio,
+)
 
 
 def gaussian_entropy(var, dim=1):
@@ -338,3 +346,94 @@ def test_mixture_validation():
 def test_mixture_rejects_non_finite_weights(bad):
     with pytest.raises(InvalidArgumentError, match="finite"):
         GaussianMixture(atoms=[[0.0], [2.0]], weights=[bad, 1.0], variance=1.0)
+
+
+# The three moment reductions as they were before they shared
+# entropy._moment_means, kept verbatim as the reference for that core.
+
+
+def reference_sample_mixture(gm, g, n):
+    idx = np.searchsorted(np.cumsum(gm.weights), g.random(n), side="right")
+    idx = idx.clip(0, len(gm.weights) - 1)
+    return gm.atoms[idx] + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
+
+
+def reference_entropy_mc(gm, n=1_000_000, seed=0, workers=1):
+    def chunk(g, m):
+        v = -_log_density(gm, reference_sample_mixture(gm, g, m))
+        return float(v.sum()), float((v * v).sum())
+
+    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0)
+    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+
+
+def reference_fisher_information_mc(gm, n=200_000, seed=0, workers=1):
+    def chunk(g, m):
+        x = reference_sample_mixture(gm, g, m)
+        s2 = (_score_batch(gm, x) ** 2).sum(axis=1)
+        return float(s2.sum()), float((s2 * s2).sum())
+
+    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0)
+    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+
+
+def reference_de_bruijn_check(atoms, weights, t0, dt=1e-3, n=200_000, seed=0, curvature_budget=100.0):
+    gm_plus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 + dt)
+    gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
+    gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)
+
+    cum = np.cumsum(gm_mid.weights)
+
+    def chunk(g, m):
+        idx = np.searchsorted(cum, g.random(m), side="right").clip(0, len(cum) - 1)
+        eps = g.standard_normal((m, gm_mid.dim))
+        base = gm_mid.atoms[idx]
+        v_plus = -_log_density(gm_plus, base + eps * math.sqrt(t0 + dt))
+        v_minus = -_log_density(gm_minus, base + eps * math.sqrt(t0 - dt))
+        fd = (v_plus - v_minus) / (2.0 * dt)
+        s2 = (_score_batch(gm_mid, base + eps * math.sqrt(t0)) ** 2).sum(axis=1)
+        return (
+            float(fd.sum()),
+            float((fd * fd).sum()),
+            float(s2.sum()),
+            float((s2 * s2).sum()),
+        )
+
+    f1, f2, j1, j2 = map_reduce_chunks(seed, n, workers=1, chunk_fn=chunk)
+    fd_mean = f1 / n
+    fd_se = math.sqrt(max(f2 / n - fd_mean * fd_mean, 0.0) / n)
+    j_mean = j1 / n
+    j_se = math.sqrt(max(j2 / n - j_mean * j_mean, 0.0) / n)
+    combined = math.sqrt(fd_se**2 + (j_se / 2.0) ** 2)
+    allowance = 4.0 * combined + curvature_budget * dt * dt * (1.0 + t0**-3)
+    return BoundReport.compare(
+        "de-bruijn",
+        bound_value=allowance,
+        measured=abs(fd_mean - j_mean / 2.0),
+        std_error=0.0,
+    )
+
+
+def test_moment_core_matches_reference_estimators():
+    # two chunks, the last one partial, so two workers split the stream
+    n = CHUNK + 2345
+    rng = np.random.default_rng(25)
+    for dim, workers in itertools.product(range(1, 5), (1, 2)):
+        k = int(rng.integers(1, 5))
+        w = rng.random(k) + 0.1
+        atoms, weights = rng.uniform(-2.0, 2.0, (k, dim)), w / w.sum()
+        gm = GaussianMixture(atoms=atoms, weights=weights, variance=float(rng.uniform(0.3, 1.5)))
+        seed = int(rng.integers(1 << 32))
+        assert entropy_mc(gm, n, seed, workers) == reference_entropy_mc(gm, n, seed, workers)
+        assert fisher_information_mc(gm, n, seed, workers) == reference_fisher_information_mc(
+            gm, n, seed, workers
+        )
+        if workers == 1:
+            t0 = float(rng.uniform(0.3, 1.5))
+            assert de_bruijn_check(atoms, weights, t0, 1e-3, n, seed) == reference_de_bruijn_check(
+                atoms, weights, t0, 1e-3, n, seed
+            )

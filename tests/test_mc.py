@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from parset import (
+    GaussianMixture,
     InvalidArgumentError,
     McConfig,
     NormKind,
@@ -15,6 +16,8 @@ from parset import (
     ball_predicate,
     disk_union_area,
     disk_union_perimeter,
+    entropy_mc,
+    fisher_information_mc,
     full_space_predicate,
     halfspace_predicate,
     inscribed_angle_check,
@@ -26,7 +29,9 @@ from parset import (
 )
 from parset import Verdict
 from parset._kernels import min_dist
-from parset.mc import cap_solid_angle_fractions
+from parset._rng import CHUNK, map_reduce_chunks
+from parset.bounds import BoundReport
+from parset.mc import MeasureEstimate, MembershipPredicate, cap_solid_angle_fractions
 
 
 def spec_point(dim, norm=NormKind.L2, radius=1.0):
@@ -135,9 +140,23 @@ def test_determinism_same_seed():
 
 def test_determinism_across_workers():
     spec = spec_point(3)
-    a = mc_volume(spec, McConfig(samples=300_000, seed=42, workers=1))
-    b = mc_volume(spec, McConfig(samples=300_000, seed=42, workers=4))
-    assert a.value == b.value and a.std_error == b.std_error
+    base = PointSet([[0.0, 0.0, 0.0], [0.7, -0.2, 0.1]])
+    estimators = (
+        lambda cfg: mc_volume(spec, cfg),
+        lambda cfg: mc_shell_lebesgue(spec, cfg),
+        lambda cfg: mc_gaussian_shell(spec, cfg),
+        lambda cfg: mc_gaussian_measure(ball_predicate(3, 0.5), cfg, sigma=1.5),
+        lambda cfg: kneser_shell_check(base, NormKind.LINF, 0.2, 0.5, 1.3, cfg),
+    )
+    for estimate in estimators:
+        a = estimate(McConfig(samples=300_000, seed=42, workers=1))
+        b = estimate(McConfig(samples=300_000, seed=42, workers=4))
+        assert a == b
+    gm = GaussianMixture(atoms=[[0.0, 0.0], [1.0, 0.5]], weights=[0.3, 0.7], variance=0.4)
+    for estimate in (entropy_mc, fisher_information_mc):
+        assert estimate(gm, n=150_000, seed=43, workers=1) == estimate(
+            gm, n=150_000, seed=43, workers=2
+        )
 
 
 def test_unbiasedness_pooled():
@@ -281,3 +300,168 @@ def test_mcconfig_validation():
         McConfig(samples=10, seed=1, shell_delta=0.0)
     with pytest.raises(InvalidArgumentError):
         McConfig(samples=10, seed=1, workers=0)
+
+
+# The estimators as they were before they shared mc._band_estimates, kept
+# verbatim as the reference for that core: same draws, counts and float order.
+
+
+def reference_spec_distances(spec, x):
+    return min_dist(x, spec.base.points, spec.norm is NormKind.LINF)
+
+
+def reference_bounding_box(spec, extra=0.0):
+    reach = spec.radius + extra
+    lo = spec.base.points.min(axis=0) - reach
+    hi = spec.base.points.max(axis=0) + reach
+    return lo, hi, float(np.prod(hi - lo))
+
+
+def reference_proportion_estimate(hits, n, scale):
+    p = hits / n
+    return MeasureEstimate(
+        value=scale * p,
+        std_error=scale * math.sqrt(p * (1.0 - p) / n),
+        samples_used=n,
+    )
+
+
+def reference_mc_volume(spec, cfg):
+    lo, hi, box_vol = reference_bounding_box(spec)
+    span = hi - lo
+
+    def chunk(g, n):
+        x = lo + g.random((n, spec.base.dim)) * span
+        return (int((reference_spec_distances(spec, x) <= spec.radius).sum()),)
+
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    return reference_proportion_estimate(hits, cfg.samples, box_vol)
+
+
+def reference_resolve_delta(cfg, r):
+    return cfg.shell_delta if cfg.shell_delta is not None else r / 1000.0
+
+
+def reference_mc_shell_lebesgue(spec, cfg):
+    delta = reference_resolve_delta(cfg, spec.radius)
+    lo, hi, box_vol = reference_bounding_box(spec, extra=delta)
+    span = hi - lo
+    r = spec.radius
+
+    def chunk(g, n):
+        x = lo + g.random((n, spec.base.dim)) * span
+        d = reference_spec_distances(spec, x)
+        return (int(((d > r) & (d <= r + delta)).sum()),)
+
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    est = reference_proportion_estimate(hits, cfg.samples, box_vol)
+    return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
+
+
+def reference_gaussian_shell_counter(target, sigma):
+    if isinstance(target, ParallelSetSpec):
+        dim = target.base.dim
+        inner = target.radius
+        dist_fn = lambda x: reference_spec_distances(target, x)
+    elif isinstance(target, MembershipPredicate):
+        dim = target.dim
+        inner = 0.0
+        dist_fn = target.distance_fn
+    else:
+        raise InvalidArgumentError("target must be a ParallelSetSpec or MembershipPredicate")
+    if not (sigma > 0.0):
+        raise InvalidArgumentError("sigma must be positive")
+    return dim, inner, dist_fn
+
+
+def reference_mc_gaussian_shell(target, cfg, sigma=1.0):
+    dim, inner, dist_fn = reference_gaussian_shell_counter(target, sigma)
+    delta = reference_resolve_delta(cfg, inner if inner > 0.0 else 1.0)
+
+    def chunk(g, n):
+        x = g.standard_normal((n, dim)) * sigma
+        d = dist_fn(x)
+        return (int(((d > inner) & (d <= inner + delta)).sum()),)
+
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    est = reference_proportion_estimate(hits, cfg.samples, 1.0)
+    return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
+
+
+def reference_mc_gaussian_measure(target, cfg, sigma=1.0):
+    dim, inner, dist_fn = reference_gaussian_shell_counter(target, sigma)
+
+    def chunk(g, n):
+        x = g.standard_normal((n, dim)) * sigma
+        return (int((dist_fn(x) <= inner).sum()),)
+
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    return reference_proportion_estimate(hits, cfg.samples, 1.0)
+
+
+def reference_kneser_shell_check(base, norm, a_k, b_k, t, cfg):
+    outer = ParallelSetSpec(base=base, norm=norm, radius=t * b_k)
+    lo, hi, box_vol = reference_bounding_box(outer)
+    span = hi - lo
+    dim = base.dim
+
+    def chunk(g, n):
+        x = lo + g.random((n, dim)) * span
+        d = min_dist(x, base.points, norm is NormKind.LINF)
+        lhs = int(((d > t * a_k) & (d <= t * b_k)).sum())
+        rhs = int(((d > a_k) & (d <= b_k)).sum())
+        return lhs, rhs
+
+    lhs_hits, rhs_hits = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    lhs = reference_proportion_estimate(lhs_hits, cfg.samples, box_vol)
+    rhs = reference_proportion_estimate(rhs_hits, cfg.samples, box_vol)
+    scale = t**dim
+    combined = math.sqrt(lhs.std_error**2 + (scale * rhs.std_error) ** 2)
+    return BoundReport.compare(
+        "kneser-shell", bound_value=scale * rhs.value, measured=lhs.value, std_error=combined
+    )
+
+
+def test_band_core_matches_reference_estimators():
+    # two chunks, the last one partial, so two workers split the stream
+    samples = CHUNK + 4321
+    rng = np.random.default_rng(24)
+    for dim, norm, delta, workers in itertools.product(
+        range(1, 5), NormKind, (None, 0.03), (1, 2)
+    ):
+        seed = int(rng.integers(1 << 32))
+        cfg = McConfig(samples=samples, seed=seed, shell_delta=delta, workers=workers)
+        base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
+        spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
+        sigma = float(rng.uniform(0.5, 2.0))
+        pairs = [
+            (mc_volume(spec, cfg), reference_mc_volume(spec, cfg)),
+            (mc_shell_lebesgue(spec, cfg), reference_mc_shell_lebesgue(spec, cfg)),
+            (
+                kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+                reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+            ),
+        ]
+        targets = [spec, halfspace_predicate(dim), ball_predicate(dim, 0.8), full_space_predicate(dim)]
+        for target in targets:
+            pairs.append(
+                (mc_gaussian_shell(target, cfg, sigma), reference_mc_gaussian_shell(target, cfg, sigma))
+            )
+            pairs.append(
+                (
+                    mc_gaussian_measure(target, cfg, sigma),
+                    reference_mc_gaussian_measure(target, cfg, sigma),
+                )
+            )
+        for got, want in pairs:
+            assert got == want, (dim, norm, delta, workers)
+
+
+def test_band_core_argument_errors():
+    cfg = McConfig(samples=10, seed=1)
+    with pytest.raises(InvalidArgumentError, match="target must be"):
+        mc_gaussian_shell(object(), cfg)
+    with pytest.raises(InvalidArgumentError, match="sigma must be positive"):
+        mc_gaussian_measure(halfspace_predicate(2), cfg, sigma=0.0)
+    with pytest.raises(InvalidArgumentError, match="sigma must be positive"):
+        mc_gaussian_shell(spec_point(2), cfg, sigma=-1.0)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from parset import (
     BallUnionRegion,
@@ -28,7 +29,7 @@ from parset import (
     w1_empirical,
 )
 from parset._rng import single_generator
-from parset.transport import _threshold_csr
+from parset.transport import _pair_dist_sq, _threshold_csr
 
 
 def uniform(points):
@@ -389,6 +390,55 @@ def test_w1_hungarian_matches_lp():
         EmpiricalMeasure.uniform(PointSet(y)),
     ).value
     assert uni == pytest.approx(lp, abs=1e-6)
+
+
+def reference_w1_dense_lp(mu, nu):
+    # the transportation LP with the dense constraint matrix it was first built with
+    n, m = len(mu.points), len(nu.points)
+    dist = np.sqrt(_pair_dist_sq(mu.points.points, nu.points.points))
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    res = linprog(
+        dist.ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([mu.weights, nu.weights]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    plan = res.x.reshape(n, m)
+    flows = tuple(
+        (int(i), int(j), float(plan[i, j]))
+        for i, j in zip(*np.nonzero(plan > 1e-12))
+    )
+    return float(res.fun), flows
+
+
+def test_w1_sparse_lp_matches_dense_build():
+    rng = np.random.default_rng(26)
+
+    def measure(n, d):
+        w = rng.random(n) + 0.1
+        return EmpiricalMeasure(points=PointSet(rng.standard_normal((n, d))), weights=w / w.sum())
+
+    for n, m, d in ((37, 91, 2), (91, 37, 3), (60, 60, 2)):
+        mu, nu = measure(n, d), measure(m, d)
+        res = w1_empirical(mu, nu)
+        assert (res.value, res.certificate) == reference_w1_dense_lp(mu, nu)
+    # the dense (n + m) x (n * m) matrix alone is 32 MB at n = m = 100
+    mu, nu = measure(100, 2), measure(100, 2)
+    tracemalloc.start()
+    try:
+        res = w1_empirical(mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert (res.value, res.certificate) == reference_w1_dense_lp(mu, nu)
 
 
 def test_w1_size_guard():
