@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, dimension_constants
+from .geometry import NormKind
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
@@ -85,13 +85,17 @@ def _check_radius(r: float) -> None:
         raise InvalidArgumentError("radius must be a positive finite real")
 
 
+def _log_omega(d: int) -> float:
+    """log of the unit-ball volume pi^(d/2) / Gamma(1 + d/2), itself 0.0 from d = 453 on."""
+    return 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
+
+
 def bound_union_in_ball(d: int, r: float) -> float:
     """2^(d-1) * Omega_d * r^(d-1): surface cap for unions centred inside a ball."""
     _check_dim(d)
     _check_radius(r)
-    dc = dimension_constants(d)
     return _exp_checked(
-        (d - 1) * math.log(2.0) + math.log(dc.big_omega_d) + (d - 1) * math.log(r),
+        (d - 1) * math.log(2.0) + math.log(d) + _log_omega(d) + (d - 1) * math.log(r),
         "bound_union_in_ball",
     )
 
@@ -143,17 +147,17 @@ def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]
     _check_radius(r)
     if big_r < 0.0:
         raise InvalidArgumentError("enclosing radius must be nonnegative")
-    dc = dimension_constants(d)
+    log_omega = _log_omega(d)
     ball = _exp_checked(
         d * (math.log(big_r + r / 2.0) - math.log(r / 2.0))
         + (d - 1) * math.log(2.0)
         + math.log(d)
-        + math.log(dc.omega_d)
+        + log_omega
         + (d - 1) * math.log(r),
         "bound_bounded_support (ball)",
     )
     cube = _exp_checked(
-        math.log(dc.omega_d)
+        log_omega
         + d * math.log(big_r + r * math.sqrt(d) / 2.0)
         + math.log(d)
         - math.log(r)
@@ -188,11 +192,11 @@ def gaussian_constant(d: int, norm: NormKind = NormKind.L2) -> GaussianConstantB
         if norm is NormKind.LINF:
             v += 0.5 * i * math.log(d)
         log_coeffs.append(v)
-    dc = dimension_constants(d)
     log_prefactor = (
         -0.5 * d * math.log(2.0 * math.pi)
         + (2 * d - 1) * math.log(2.0)
-        + math.log(dc.big_omega_d)
+        + math.log(d)
+        + _log_omega(d)
     )
     log_c = log_prefactor + _log_sum_exp(log_coeffs)
     constant = _exp_checked(log_c, "gaussian_constant")
@@ -226,9 +230,8 @@ def reverse_bm_bound(d: int, r: float) -> float:
     """2^(4d) / (omega_d * r^d): Minkowski-sum volume inflation factor."""
     _check_dim(d)
     _check_radius(r)
-    dc = dimension_constants(d)
     return _exp_checked(
-        4 * d * math.log(2.0) - math.log(dc.omega_d) - d * math.log(r),
+        4 * d * math.log(2.0) - _log_omega(d) - d * math.log(r),
         "reverse_bm_bound",
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -19,16 +20,20 @@ from . import exact2d as ex2
 from . import mc as mcmod
 from . import transport as tp
 from .bounds import BOUND_CATALOG, Verdict, gaussian_constant
-from .errors import InvalidArgumentError
-from .experiment import (
-    load_experiment_config,
+from .errors import InvalidArgumentError, RangeOverflowError
+from .experiment import load_experiment_config, run_verify_experiment
+from .geometry import (
+    NormKind,
+    json_object,
     load_json_object,
-    points_from_dict,
-    run_verify_experiment,
+    load_points,
+    points_from_json,
+    read_json,
+    reading,
+    spec_from_dict,
 )
-from .geometry import NormKind, ParallelSetSpec, PointSet, load_points, points_from_json, read_json
 from .mc import McConfig
-from .suite import SUITES, SuiteConfig, run_suite, write_reports_csv, write_reports_json
+from .suite import SUITES, SuiteConfig, report_line, run_suite, write_reports
 
 
 def _fmt(x) -> str:
@@ -43,25 +48,16 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _spec_from_dict(data: dict, path) -> ParallelSetSpec:
-    return ParallelSetSpec(
-        base=points_from_dict(data, path),
-        norm=NormKind.parse(data.get("norm", "l2")),
-        radius=float(data.get("radius", 1.0)),
-    )
-
-
 def _load_measure(path, weighted: bool) -> tp.EmpiricalMeasure:
     if Path(path).suffix.lower() != ".json":
         return tp.EmpiricalMeasure.uniform(load_points(path))
     data = read_json(path)
     if not (isinstance(data, dict) and "points" in data):
         return tp.EmpiricalMeasure.uniform(points_from_json(data, path))
-    points = PointSet(np.asarray(data["points"], dtype=np.float64))
+    points = points_from_json(data["points"], f"{path}: points")
     if "weights" in data and weighted:
-        return tp.EmpiricalMeasure(
-            points=points, weights=np.asarray(data["weights"], dtype=np.float64)
-        )
+        with reading(f"{path}: weights"):
+            return tp.EmpiricalMeasure(points=points, weights=data["weights"])
     return tp.EmpiricalMeasure.uniform(points)
 
 
@@ -101,62 +97,40 @@ def _cmd_mc(args) -> int:
         shell_delta=args.delta,
         workers=args.workers,
     )
-    if args.op == "volume":
-        est = mcmod.mc_volume(_spec_from_dict(data, args.spec), cfg)
-    elif args.op == "shell":
-        est = mcmod.mc_shell_lebesgue(_spec_from_dict(data, args.spec), cfg)
-    elif args.op == "gshell":
-        if data.get("predicate") == "halfspace":
+    with reading(args.spec):
+        if args.op == "angle":
+            dim = int(data.get("dim", 2))
+            cap = float(data.get("cap_half_angle", 0.9))
+            trials = int(data.get("trials", 10))
+        elif args.op == "gshell" and data.get("predicate") == "halfspace":
             target = mcmod.halfspace_predicate(int(data.get("dim", 2)))
         else:
-            target = _spec_from_dict(data, args.spec)
-        est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
-    elif args.op == "kneser":
-        spec = _spec_from_dict(data, args.spec)
-        rep = mcmod.kneser_shell_check(
-            spec.base,
-            spec.norm,
-            float(data.get("a_k", spec.radius / 2.0)),
-            float(data.get("b_k", spec.radius)),
-            float(data.get("t", 1.5)),
-            cfg,
-        )
-        _emit(
-            {
-                "value": rep.measured,
-                "bound": rep.bound_value,
-                "std_error": rep.std_error,
-                "samples": args.samples,
-                "verdict": rep.verdict.value,
-            },
-            args.out,
-        )
-        return 0 if rep.verdict is not Verdict.FAIL else 1
+            target = spec_from_dict(data, args.spec)
+        if args.op == "kneser":
+            a_k = float(data.get("a_k", target.radius / 2.0))
+            b_k = float(data.get("b_k", target.radius))
+            t = float(data.get("t", 1.5))
+    if args.op == "kneser":
+        rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
+        payload = {"value": rep.measured, "bound": rep.bound_value}
     elif args.op == "angle":
-        rep = mcmod.inscribed_angle_check(
-            int(data.get("dim", 2)),
-            float(data.get("cap_half_angle", 0.9)),
-            int(data.get("trials", 10)),
-            args.seed,
-            directions=args.samples,
-        )
+        rep = mcmod.inscribed_angle_check(dim, cap, trials, args.seed, directions=args.samples)
+        payload = {"worst_deficit": rep.measured}
+    else:
+        if args.op == "volume":
+            est = mcmod.mc_volume(target, cfg)
+        elif args.op == "shell":
+            est = mcmod.mc_shell_lebesgue(target, cfg)
+        else:
+            est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
         _emit(
-            {
-                "worst_deficit": rep.measured,
-                "std_error": rep.std_error,
-                "samples": args.samples,
-                "verdict": rep.verdict.value,
-            },
+            {"value": est.value, "std_error": est.std_error, "samples": est.samples_used},
             args.out,
         )
-        return 0 if rep.verdict is not Verdict.FAIL else 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidArgumentError(f"unknown op {args.op}")
-    _emit(
-        {"value": est.value, "std_error": est.std_error, "samples": est.samples_used},
-        args.out,
-    )
-    return 0
+        return 0
+    payload.update(std_error=rep.std_error, samples=args.samples, verdict=rep.verdict.value)
+    _emit(payload, args.out)
+    return 0 if rep.verdict is not Verdict.FAIL else 1
 
 
 def _parse_kv_params(text: str) -> dict:
@@ -166,15 +140,14 @@ def _parse_kv_params(text: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise InvalidArgumentError(f"malformed parameter {item!r}, expected k=v")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key == "norm":
-            params[key] = NormKind.parse(value)
-        elif key in ("d",):
-            params[key] = int(value)
-        else:
-            params[key] = float(value)
+        key, value = (part.strip() for part in item.split("=", 1))
+        with reading("--params"):
+            if key == "norm":
+                params[key] = NormKind.parse(value)
+            elif key == "d":
+                params[key] = int(value)
+            else:
+                params[key] = float(value)
     return params
 
 
@@ -191,11 +164,10 @@ def _cmd_bounds(args) -> int:
         raise InvalidArgumentError(
             f"unknown bound {args.eval!r}; see 'parset bounds --list'"
         )
-    fn, sig = BOUND_CATALOG[args.eval]
+    fn, _ = BOUND_CATALOG[args.eval]
     params = _parse_kv_params(args.params or "")
-    unknown = set(params) - set(sig)
-    if unknown:
-        raise InvalidArgumentError(f"unknown parameter(s) {sorted(unknown)} for {args.eval}")
+    with reading("--params"):
+        inspect.signature(fn).bind(**params)
     value = fn(**params)
     payload: dict = {"name": args.eval, "parameters": {k: getattr(v, "value", v) for k, v in params.items()}}
     if args.eval == "bounded-support":
@@ -214,16 +186,10 @@ def _cmd_verify(args) -> int:
     cfg = load_experiment_config(args.experiment)
     reports = run_verify_experiment(cfg)
     out_path = args.out or cfg.output_path
-    rows = [("verify", rep) for rep in reports]
     if out_path:
-        if args.format == "json":
-            write_reports_json(out_path, cfg.name, rows)
-        else:
-            write_reports_csv(out_path, cfg.name, rows)
+        write_reports(out_path, cfg.name, [("verify", rep) for rep in reports], args.format)
     for rep in reports:
-        print(f"[{rep.verdict.value.upper()}] {rep.bound_name}: "
-              f"measured={'' if rep.measured is None else _fmt(rep.measured)} "
-              f"bound={_fmt(rep.bound_value)}")
+        print(report_line(None, rep))
     return 0 if all(r.verdict is not Verdict.FAIL for r in reports) else 1
 
 
@@ -256,38 +222,33 @@ _CONVERGE_KEYS = {"gen0", "gen1", "r", "sigma", "n_grid", "trials", "seed"}
 _GEN_KEYS = {"kind", "dim", "atoms", "weights", "sigma", "center", "radius"}
 
 
-def _gen_from_dict(data: dict, path) -> tp.DistributionSpec:
-    for key in data:
-        if key not in _GEN_KEYS:
-            raise InvalidArgumentError(f"{path}: unknown generator key {key!r}")
-    return tp.DistributionSpec(
-        kind=data.get("kind", "gaussian-mixture"),
-        dim=int(data.get("dim", 2)),
-        atoms=tuple(tuple(a) for a in data.get("atoms", ())),
-        weights=tuple(data.get("weights", ())),
-        sigma=float(data.get("sigma", 0.0)),
-        center=tuple(data.get("center", ())),
-        radius=float(data.get("radius", 1.0)),
-    )
+def _gen_from_dict(data, where) -> tp.DistributionSpec:
+    json_object(data, where, _GEN_KEYS, kind="generator key")
+    atoms = points_from_json(data["atoms"], f"{where}: atoms").points if "atoms" in data else ()
+    with reading(where):
+        return tp.DistributionSpec(
+            kind=data.get("kind", "gaussian-mixture"),
+            dim=int(data.get("dim", 2)),
+            atoms=tuple(map(tuple, atoms)),
+            weights=tuple(map(float, data.get("weights", ()))),
+            sigma=float(data.get("sigma", 0.0)),
+            center=tuple(map(float, data.get("center", ()))),
+            radius=float(data.get("radius", 1.0)),
+        )
 
 
 def _cmd_dr_converge(args) -> int:
-    data = load_json_object(args.config)
-    for key in data:
-        if key not in _CONVERGE_KEYS:
-            raise InvalidArgumentError(f"{args.config}: unknown key {key!r}")
-    for key in ("gen0", "gen1", "r", "n_grid"):
-        if key not in data:
-            raise InvalidArgumentError(f"{args.config}: missing required key {key!r}")
-    seed = int(data.get("seed", args.seed))
+    data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
+    gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
+    gen1 = _gen_from_dict(data["gen1"], f"{args.config}: gen1")
+    with reading(args.config):
+        r = float(data["r"])
+        sigma = float(data.get("sigma", 0.0))
+        n_grid = [int(n) for n in data["n_grid"]]
+        trials = int(data.get("trials", 10))
+        seed = int(data.get("seed", args.seed))
     result = tp.convergence_experiment(
-        _gen_from_dict(data["gen0"], args.config),
-        _gen_from_dict(data["gen1"], args.config),
-        r=float(data["r"]),
-        sigma=float(data.get("sigma", 0.0)),
-        n_grid=data["n_grid"],
-        trials=int(data.get("trials", 10)),
-        seed=seed,
+        gen0, gen1, r=r, sigma=sigma, n_grid=n_grid, trials=trials, seed=seed
     )
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -304,12 +265,13 @@ def _cmd_dr_converge(args) -> int:
 
 
 def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
-    data = load_json_object(path)
-    atoms = np.asarray(data["atoms"], dtype=np.float64)
+    data = load_json_object(path, required=("atoms",))
+    atoms = points_from_json(data["atoms"], f"{path}: atoms")
     weights = data.get("weights")
     if weights is None:
         weights = np.full(len(atoms), 1.0 / len(atoms))
-    return ent.GaussianMixture(atoms=atoms, weights=np.asarray(weights, dtype=np.float64), variance=variance)
+    with reading(f"{path}: weights"):
+        return ent.GaussianMixture(atoms=atoms.points, weights=weights, variance=variance)
 
 
 def _cmd_epi(args) -> int:
@@ -413,10 +375,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidArgumentError, RangeOverflowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

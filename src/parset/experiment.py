@@ -1,7 +1,10 @@
 """Experiment configuration files and the measured-vs-bound verify runner.
 
 Configs are JSON with a strict schema: unknown keys are rejected by name,
-and a seed is mandatory because every experiment may sample.
+and a seed is mandatory because every experiment may sample.  The file
+format itself (JSON objects, point arrays, spec objects) is read through
+geometry's IO section; run_verify_experiment casts every parameter before it
+measures anything, so a malformed value fails before any sampling starts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .bounds import (
     gaussian_surface_bound,
 )
 from .errors import InvalidArgumentError
-from .geometry import NormKind, ParallelSetSpec, PointSet, load_points, read_json
+from .geometry import NormKind, json_object, load_json_object, reading, spec_from_dict
 from .mc import McConfig
 
 _MODULES = ("core-geometry", "exact2d", "mc-measure", "bounds", "robust-risk", "entropy")
@@ -58,44 +61,19 @@ class ExperimentConfig:
             )
 
 
-def load_json_object(path) -> dict:
-    """The JSON object in a spec or config file."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise InvalidArgumentError(f"{path}: expected a JSON object")
-    return data
-
-
-def points_from_dict(data: dict, where) -> PointSet:
-    """The base points of a spec, inline as 'points' or in a 'points_file'."""
-    if "points_file" in data:
-        return load_points(data["points_file"])
-    if "points" in data:
-        return PointSet(np.asarray(data["points"], dtype=np.float64))
-    raise InvalidArgumentError(f"{where}: need 'points' or 'points_file'")
-
-
 def load_experiment_config(path) -> ExperimentConfig:
-    data = load_json_object(path)
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise InvalidArgumentError(f"{path}: unknown key {key!r}")
-    for key in ("name", "module", "seed"):
-        if key not in data:
-            raise InvalidArgumentError(f"{path}: missing required key {key!r}")
-    params = data.get("parameters", {})
-    if not isinstance(params, dict):
-        raise InvalidArgumentError(f"{path}: 'parameters' must be an object")
-    for key in params:
-        if key not in _PARAM_KEYS:
-            raise InvalidArgumentError(f"{path}: unknown parameter key {key!r}")
-    return ExperimentConfig(
-        name=str(data["name"]),
-        module=str(data["module"]),
-        parameters=params,
-        seed=int(data["seed"]),
-        output_path=data.get("output_path"),
+    data = load_json_object(path, _TOP_KEYS, required=("name", "module", "seed"))
+    params = json_object(
+        data.get("parameters", {}), f"{path}: parameters", _PARAM_KEYS, kind="parameter key"
     )
+    with reading(path):
+        return ExperimentConfig(
+            name=str(data["name"]),
+            module=str(data["module"]),
+            parameters=params,
+            seed=int(data["seed"]),
+            output_path=None if data.get("output_path") is None else str(data["output_path"]),
+        )
 
 
 def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
@@ -109,18 +87,19 @@ def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
 def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     """Measure the configured instance and compare against the named bounds."""
     params = cfg.parameters
-    points = points_from_dict(params, cfg.name)
-    norm = NormKind.parse(params.get("norm", "l2"))
-    radius = float(params.get("radius", 1.0))
-    if not (radius > 0.0):
-        raise InvalidArgumentError(f"{cfg.name}: radius must be positive")
-    samples = int(params.get("samples", 200_000))
-    delta = params.get("delta")
-    checks = params.get("checks", list(_CHECK_NAMES[:3]))
+    spec = spec_from_dict(params, cfg.name)
+    points, norm, radius = spec.base, spec.norm, spec.radius
+    with reading(cfg.name):
+        samples = int(params.get("samples", 200_000))
+        delta = None if params.get("delta") is None else float(params["delta"])
+        sigma = float(params.get("sigma", 1.0))
+        a_k = float(params.get("a_k", radius / 2.0))
+        b_k = float(params.get("b_k", radius))
+        t = float(params.get("t", 1.5))
+        checks = list(params.get("checks", _CHECK_NAMES[:3]))
     for name in checks:
         if name not in _CHECK_NAMES:
             raise InvalidArgumentError(f"{cfg.name}: unknown check {name!r}")
-    spec = ParallelSetSpec(base=points, norm=norm, radius=radius)
     d = points.dim
 
     @cache
@@ -168,7 +147,6 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
             bound = bound_volume_constrained(d, radius, vol + 4.0 * vol_se)
             reports.append(BoundReport.compare(name, bound, measured, se))
         elif name == "gaussian-surface":
-            sigma = float(params.get("sigma", 1.0))
             est = mcmod.mc_gaussian_shell(
                 spec,
                 McConfig(samples=samples, seed=derive_seed(cfg.seed, "gshell"), shell_delta=delta),
@@ -177,9 +155,6 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
             bound = gaussian_surface_bound(d, radius, sigma, norm)
             reports.append(BoundReport.compare(name, bound, est.value, est.std_error))
         elif name == "kneser":
-            a_k = float(params.get("a_k", radius / 2.0))
-            b_k = float(params.get("b_k", radius))
-            t = float(params.get("t", 1.5))
             reports.append(
                 mcmod.kneser_shell_check(
                     points,

@@ -1,6 +1,14 @@
 """Core types: point sets, norm bodies, parallel-set membership, packings.
 
 All types are immutable after construction; operations are pure functions.
+
+The IO section at the end holds every input format the CLI reads: point
+files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for unknown
+and required keys, JSON point arrays (a nonempty array of equal-length
+numeric arrays) and spec objects.  Every cast of a JSON value runs inside
+`reading(where)` (CSV rows have their own per-line check), so a malformed
+input is an InvalidArgumentError that names its file, never a bare
+ValueError or TypeError.
 """
 
 from __future__ import annotations
@@ -8,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -137,7 +146,7 @@ def greedy_packing(a: PointSet, r: float, norm: NormKind) -> PackingResult:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV (header x0..x{d-1}) and JSON array-of-arrays
+# IO: point files, JSON objects, point arrays and spec objects
 # ---------------------------------------------------------------------------
 
 
@@ -183,6 +192,17 @@ def save_points_json(ps: PointSet, path) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def reading(where):
+    """Report a malformed input value as InvalidArgumentError("WHERE: ...")."""
+    try:
+        yield
+    except InvalidArgumentError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{where}: {exc}") from exc
+
+
 def read_json(path):
     """The parsed contents of a JSON file; malformed JSON is an InvalidArgumentError."""
     try:
@@ -191,14 +211,55 @@ def read_json(path):
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
 
 
-def points_from_json(data, path) -> PointSet:
-    """The point set in parsed JSON: a nonempty array of equal-length arrays."""
+def json_object(data, where, keys=None, required=(), kind="key") -> dict:
+    """data, checked to be a JSON object with only `keys` (if given) and every required key."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{where}: expected a JSON object")
+    for key in data:
+        if keys is not None and key not in keys:
+            raise InvalidArgumentError(f"{where}: unknown {kind} {key!r}")
+    for key in required:
+        if key not in data:
+            raise InvalidArgumentError(f"{where}: missing required key {key!r}")
+    return data
+
+
+def load_json_object(path, keys=None, required=()) -> dict:
+    """The JSON object in a spec or config file, checked as json_object does."""
+    return json_object(read_json(path), path, keys, required)
+
+
+def points_from_json(data, where) -> PointSet:
+    """The point set in parsed JSON: a nonempty array of equal-length numeric arrays."""
     if not isinstance(data, list) or not data:
-        raise InvalidArgumentError(f"{path}: expected a nonempty JSON array of arrays")
+        raise InvalidArgumentError(f"{where}: expected a nonempty JSON array of arrays")
     widths = {len(row) if isinstance(row, list) else -1 for row in data}
     if len(widths) != 1 or -1 in widths:
-        raise InvalidArgumentError(f"{path}: ragged or non-array rows")
-    return PointSet(np.asarray(data, dtype=np.float64))
+        raise InvalidArgumentError(f"{where}: ragged or non-array rows")
+    with reading(where):
+        return PointSet(np.asarray(data, dtype=np.float64))
+
+
+def points_from_dict(data: dict, where) -> PointSet:
+    """The base points of a spec, inline as 'points' or in a 'points_file'."""
+    if "points_file" in data:
+        with reading(f"{where}: points_file"):
+            path = Path(data["points_file"])
+        return load_points(path)
+    if "points" in data:
+        return points_from_json(data["points"], f"{where}: points")
+    raise InvalidArgumentError(f"{where}: need 'points' or 'points_file'")
+
+
+def spec_from_dict(data: dict, where) -> ParallelSetSpec:
+    """A parallel set from a spec object: points, 'norm' (default l2), 'radius' (default 1)."""
+    base = points_from_dict(data, where)
+    with reading(where):
+        return ParallelSetSpec(
+            base=base,
+            norm=NormKind.parse(data.get("norm", "l2")),
+            radius=float(data.get("radius", 1.0)),
+        )
 
 
 def load_points_json(path) -> PointSet:

@@ -574,42 +574,34 @@ def _fmt_float(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
-def _report_rows(suite: str, reports: list[tuple[str, BoundReport]]):
-    for check, rep in reports:
-        yield {
-            "suite": suite,
-            "check": check,
-            "bound_name": rep.bound_name,
-            "bound_value": _fmt_float(rep.bound_value),
-            "measured": _fmt_float(rep.measured),
-            "std_error": _fmt_float(rep.std_error),
-            "slack": _fmt_float(rep.slack),
-            "verdict": rep.verdict.value,
-        }
+_REPORT_FIELDS = (
+    "suite", "check", "bound_name", "bound_value", "measured", "std_error", "slack", "verdict"
+)
 
 
-def write_reports_csv(path, suite: str, reports) -> None:
-    fields = [
-        "suite",
-        "check",
-        "bound_name",
-        "bound_value",
-        "measured",
-        "std_error",
-        "slack",
-        "verdict",
-    ]
+def _report_row(suite: str, check: str, rep: BoundReport) -> dict:
+    floats = map(_fmt_float, (rep.bound_value, rep.measured, rep.std_error, rep.slack))
+    return dict(zip(_REPORT_FIELDS, (suite, check, rep.bound_name, *floats, rep.verdict.value)))
+
+
+def write_reports(path, suite: str, reports, fmt: str = "csv") -> None:
+    """Write (check, BoundReport) pairs as CSV, or as a JSON list when fmt is "json"."""
+    rows = [_report_row(suite, check, rep) for check, rep in reports]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in _report_rows(suite, reports):
-            writer.writerow(row)
+        if fmt == "json":
+            json.dump(rows, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
 
 
-def write_reports_json(path, suite: str, reports) -> None:
-    with open(path, "w") as fh:
-        json.dump(list(_report_rows(suite, reports)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def report_line(check: str | None, rep: BoundReport) -> str:
+    """The console line for one report: [VERDICT] check/bound: measured=... bound=..."""
+    name = rep.bound_name if check is None else f"{check}/{rep.bound_name}"
+    return (f"[{rep.verdict.value.upper()}] {name}: "
+            f"measured={_fmt_float(rep.measured)} bound={_fmt_float(rep.bound_value)}")
 
 
 def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
@@ -625,9 +617,7 @@ def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
         for rep in CHECKS[check_name](config.seed, prof):
             collected.append((check_name, rep))
             if log is not None:
-                status = rep.verdict.value.upper()
-                log(f"[{status}] {check_name}/{rep.bound_name}: "
-                    f"measured={_fmt_float(rep.measured)} bound={_fmt_float(rep.bound_value)}")
+                log(report_line(check_name, rep))
     wall = time.monotonic() - started
     manifest = RunManifest(
         suite=suite_name,
@@ -641,21 +631,9 @@ def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if config.fmt == "json":
-            write_reports_json(out / "results.json", suite_name, collected)
-        else:
-            write_reports_csv(out / "results.csv", suite_name, collected)
-        manifest_payload = {
-            "suite": suite_name,
-            "seed": config.seed,
-            "samples": config.samples,
-            "workers": config.workers,
-            "version": __version__,
-            "wall_time_s": wall,
-            "n_reports": len(collected),
-            "all_pass": manifest.all_pass(),
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest_payload, indent=2, sort_keys=True) + "\n"
-        )
+        results = "results.json" if config.fmt == "json" else "results.csv"
+        write_reports(out / results, suite_name, collected, config.fmt)
+        summary = {key: value for key, value in vars(manifest).items() if key != "reports"}
+        summary.update(n_reports=len(collected), all_pass=manifest.all_pass())
+        (out / "manifest.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -439,6 +439,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian-mixture", "uniform-ball"):
             raise InvalidArgumentError(f"unknown distribution kind {self.kind!r}")
+        if any(len(a) != self.dim for a in self.atoms) or len(self.center) not in (0, self.dim):
+            raise InvalidArgumentError(f"atoms and center need {self.dim} coordinates each")
         if self.kind == "gaussian-mixture":
             if not self.atoms:
                 raise InvalidArgumentError("gaussian-mixture needs atoms")
@@ -481,10 +483,11 @@ def convergence_experiment(
 ) -> ConvergenceResult:
     """Deviation of the plug-in transport cost from a large-sample reference.
 
-    The reference is computed once at n_ref = 8 * max(n_grid); it stands in
-    for the population value with an extra O(n_ref^(-1/d)) error of its own.
+    n_grid holds integer sample sizes.  The reference is computed once at
+    n_ref = 8 * max(n_grid); it stands in for the population value with an
+    extra O(n_ref^(-1/d)) error of its own.
     """
-    n_grid = sorted(int(n) for n in n_grid)
+    n_grid = sorted(n_grid)
     if not n_grid or trials < 1:
         raise InvalidArgumentError("need a nonempty n_grid and trials >= 1")
 

@@ -170,6 +170,14 @@ def test_overflow_raises():
         gaussian_constant(400)
 
 
+def test_union_in_ball_past_omega_underflow():
+    # omega_453 underflows to 0.0 in double precision; the bound itself is 4.94e-186
+    d = 453
+    omega = mp.pi ** (mp.mpf(d) / 2) / mp.gamma(1 + mp.mpf(d) / 2)
+    expected = float(mp.mpf(2) ** (d - 1) * d * omega)
+    assert bound_union_in_ball(d, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
 def test_monotonicity():
     assert bound_volume_constrained(2, 1.0, 2.0) > bound_volume_constrained(2, 1.0, 1.0)
     assert bound_volume_constrained(2, 2.0, 1.0) < bound_volume_constrained(2, 1.0, 1.0)

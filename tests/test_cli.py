@@ -97,6 +97,12 @@ def test_bounds_unknown_name():
     assert main(["bounds", "--eval", "nope"]) == 2
 
 
+def test_bound_overflow_exit_2(capsys):
+    # 2^800 / omega_200 is past double range: a usage error, not a traceback
+    assert main(["bounds", "--eval", "reverse-bm", "--params", "d=200,r=1"]) == 2
+    assert capsys.readouterr().err.startswith("error: reverse_bm_bound exceeds double range")
+
+
 def test_verify_experiment(tmp_path, centers_csv):
     cfg = tmp_path / "exp.json"
     cfg.write_text(
@@ -222,6 +228,13 @@ def test_dr_converge_rejects_unknown_key(tmp_path):
     assert main(["dr-converge", "--config", str(cfg)]) == 2
 
 
+def test_dr_converge_atom_width_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({**_CONV, "gen0": {"atoms": [[0.0]]}}))
+    assert main(["dr-converge", "--config", str(cfg)]) == 2
+    assert "atoms and center need 2 coordinates each" in capsys.readouterr().err
+
+
 def test_epi_command(tmp_path):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
@@ -308,3 +321,208 @@ def test_suite_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setitem(suite_mod.CHECKS, "reverse-bm", failing_check)
     rc = main(["suite", "brunn-minkowski", "--seed", "1", "--samples", "1000"])
     assert rc == 1
+
+
+# --- CLI outputs pinned against the library calls they wrap -----------------
+
+
+def _mc_payload(tmp_path, spec: dict, *flags):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "mc.json"
+    rc = main(["mc", "--spec", str(path), "--seed", "3", "--out", str(out), *flags])
+    return rc, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("op", ["shell", "gshell"])
+def test_mc_shell_ops_match_library(tmp_path, op):
+    from parset.geometry import NormKind, ParallelSetSpec
+    from parset.mc import McConfig, mc_gaussian_shell, mc_shell_lebesgue
+
+    spec = {"points": [[0.0, 0.0], [0.7, 0.2]], "norm": "linf", "radius": 0.5}
+    rc, payload = _mc_payload(tmp_path, spec, "--op", op, "--samples", "20000",
+                              "--delta", "0.05", "--sigma", "0.7")
+    target = ParallelSetSpec(PointSet(spec["points"]), NormKind.LINF, 0.5)
+    cfg = McConfig(samples=20000, seed=3, shell_delta=0.05)
+    est = (mc_shell_lebesgue(target, cfg) if op == "shell"
+           else mc_gaussian_shell(target, cfg, sigma=0.7))
+    assert rc == 0
+    assert payload == {"value": est.value, "std_error": est.std_error, "samples": 20000}
+
+
+def test_mc_halfspace_predicate_matches_library(tmp_path):
+    from parset.mc import McConfig, halfspace_predicate, mc_gaussian_shell
+
+    rc, payload = _mc_payload(tmp_path, {"predicate": "halfspace", "dim": 3},
+                              "--op", "gshell", "--samples", "30000", "--delta", "0.1")
+    est = mc_gaussian_shell(halfspace_predicate(3), McConfig(samples=30000, seed=3, shell_delta=0.1))
+    assert rc == 0
+    assert payload == {"value": est.value, "std_error": est.std_error, "samples": 30000}
+
+
+def test_mc_kneser_matches_library(tmp_path):
+    from parset.geometry import NormKind
+    from parset.mc import McConfig, kneser_shell_check
+
+    spec = {"points": [[0.0, 0.0], [1.0, 0.5]], "norm": "l2", "radius": 1.0,
+            "a_k": 0.3, "b_k": 0.8, "t": 1.25}
+    rc, payload = _mc_payload(tmp_path, spec, "--op", "kneser", "--samples", "20000")
+    rep = kneser_shell_check(PointSet(spec["points"]), NormKind.L2, 0.3, 0.8, 1.25,
+                             McConfig(samples=20000, seed=3))
+    assert rc == (1 if rep.verdict.value == "fail" else 0)
+    assert payload == {"value": rep.measured, "bound": rep.bound_value,
+                       "std_error": rep.std_error, "samples": 20000,
+                       "verdict": rep.verdict.value}
+
+
+def test_mc_angle_matches_library(tmp_path):
+    from parset.mc import inscribed_angle_check
+
+    rc, payload = _mc_payload(tmp_path, {"dim": 3, "cap_half_angle": 0.8, "trials": 3},
+                              "--op", "angle", "--samples", "4000")
+    rep = inscribed_angle_check(3, 0.8, 3, 3, directions=4000)
+    assert rc == (1 if rep.verdict.value == "fail" else 0)
+    assert payload == {"worst_deficit": rep.measured, "std_error": rep.std_error,
+                       "samples": 4000, "verdict": rep.verdict.value}
+
+
+def test_bounds_gaussian_surface_payload(tmp_path):
+    from parset.bounds import gaussian_constant, gaussian_surface_bound
+    from parset.geometry import NormKind
+
+    out = tmp_path / "g.json"
+    assert main(["bounds", "--eval", "gaussian-surface",
+                 "--params", "d=3,r=0.5,sigma=2,norm=linf", "--out", str(out)]) == 0
+    c = gaussian_constant(3, NormKind.LINF)
+    assert json.loads(out.read_text()) == {
+        "name": "gaussian-surface",
+        "parameters": {"d": 3, "r": 0.5, "sigma": 2.0, "norm": "linf"},
+        "value": gaussian_surface_bound(3, 0.5, 2.0, NormKind.LINF),
+        "constant_C": c.constant_C,
+        "sandwich": [c.lower_sandwich, c.upper_sandwich],
+    }
+
+
+def test_bounds_bounded_support_payload(tmp_path):
+    from parset.bounds import bound_bounded_support
+
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--eval", "bounded-support",
+                 "--params", "d=4,big_r=1.5,r=0.25", "--out", str(out)]) == 0
+    ball, cube = bound_bounded_support(4, 1.5, 0.25)
+    assert json.loads(out.read_text()) == {
+        "name": "bounded-support",
+        "parameters": {"d": 4, "big_r": 1.5, "r": 0.25},
+        "ball": ball,
+        "cube": cube,
+    }
+
+
+def test_verify_json_and_printout_match_reports(tmp_path, capsys):
+    from parset.experiment import load_experiment_config, run_verify_experiment
+
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "name": "cube",
+        "module": "bounds",
+        "seed": 4,
+        "parameters": {
+            "points": [[0.0, 0.0], [0.5, 0.25], [0.25, -0.5]],
+            "norm": "linf",
+            "radius": 1.0,
+            "samples": 20000,
+            "delta": 0.05,
+            "sigma": 1.5,
+            "checks": ["union-in-cube", "gaussian-surface", "union-in-ball", "kneser"],
+        },
+    }))
+    reports = run_verify_experiment(load_experiment_config(cfg))
+    capsys.readouterr()
+    out_json = tmp_path / "table.json"
+    out_csv = tmp_path / "table.csv"
+    rc = main(["verify", "--experiment", str(cfg), "--format", "json", "--out", str(out_json)])
+    printed = capsys.readouterr().out
+    assert main(["verify", "--experiment", str(cfg), "--out", str(out_csv)]) == rc
+    assert rc == (1 if any(r.verdict.value == "fail" for r in reports) else 0)
+
+    def fmt(x):
+        return "" if x is None else f"{x:.17g}"
+
+    expected = [
+        {"suite": "cube", "check": "verify", "bound_name": r.bound_name,
+         "bound_value": fmt(r.bound_value), "measured": fmt(r.measured),
+         "std_error": fmt(r.std_error), "slack": fmt(r.slack), "verdict": r.verdict.value}
+        for r in reports
+    ]
+    assert [r["bound_name"] for r in expected] == [
+        "union-in-cube", "gaussian-surface", "union-in-ball", "kneser-shell"]
+    assert expected[0]["verdict"] == "pass" and expected[2]["verdict"] == "not-compared"
+    assert json.loads(out_json.read_text()) == expected
+    assert list(csv.DictReader(out_csv.open())) == expected
+    assert out_csv.read_text().splitlines()[0] == (
+        "suite,check,bound_name,bound_value,measured,std_error,slack,verdict")
+    assert printed.splitlines() == [
+        f"[{r['verdict'].upper()}] {r['bound_name']}: measured={r['measured']} "
+        f"bound={r['bound_value']}" for r in expected
+    ]
+
+
+# --- malformed input files and --params: exit 2 with the place, no traceback ---
+
+_CONV = {"gen0": {"atoms": [[0.0, 0.0]]}, "gen1": {"atoms": [[1.0, 0.0]]}, "r": 0.5, "n_grid": [4]}
+_EPI = ["epi", "--x", "x.json", "--y", "y.json", "--smoothing", "0.5", "--samples", "1000"]
+_DR = ["dr", "--mu0", "mu0.json", "--mu1", "mu1.json", "--radius", "0.5", "--weighted"]
+_MU1 = {"points": [[0.5]], "weights": [1.0]}
+_MC = ["mc", "--op", "volume", "--spec", "spec.json", "--samples", "1000"]
+_VERIFY = ["verify", "--experiment", "exp.json"]
+_CONVERGE = ["dr-converge", "--config", "conv.json"]
+
+# name: (files to write, argv, where the error is reported)
+MALFORMED = {
+    "epi-missing-atoms": ({"x.json": {"weights": [1.0]}, "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
+    "epi-atoms-string": ({"x.json": {"atoms": "zz"}, "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
+    "dr-ragged-points": ({"mu0.json": {"points": [[0.0], [1.0, 2.0]], "weights": [0.5, 0.5]},
+                          "mu1.json": _MU1}, _DR, "mu0.json"),
+    "dr-weights-string": ({"mu0.json": {"points": [[0.0], [1.0]], "weights": "ab"},
+                           "mu1.json": _MU1}, _DR, "mu0.json"),
+    "mc-ragged-points": ({"spec.json": {"points": [[0.0, 0.0], [1.0]]}}, _MC, "spec.json"),
+    "mc-radius-string": ({"spec.json": {"points": [[0.0, 0.0]], "radius": "abc"}}, _MC, "spec.json"),
+    "mc-points-file-number": ({"spec.json": {"points_file": 5}}, _MC, "spec.json"),
+    "exact2d-string-centers": ({"centers.json": [["a", "b"]]},
+                               ["exact2d", "--shape", "disk", "--centers", "centers.json",
+                                "--radius", "1.0"], "centers.json"),
+    "bounds-params-int": ({}, ["bounds", "--eval", "reverse-bm", "--params", "d=x,r=1"], "--params"),
+    "bounds-params-missing": ({}, ["bounds", "--eval", "reverse-bm", "--params", "d=2"], "--params"),
+    "verify-ragged-points": ({"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+                                           "parameters": {"points": [[0.0, 0.0], [1.0]]}}},
+                             _VERIFY, "demo"),
+    "verify-seed-string": ({"exp.json": {"name": "demo", "module": "bounds", "seed": "abc",
+                                         "parameters": {"points": [[0.0, 0.0]]}}},
+                           _VERIFY, "exp.json"),
+    "converge-n-grid-string": ({"conv.json": {**_CONV, "n_grid": ["a"]}}, _CONVERGE, "conv.json"),
+    "converge-trials-string": ({"conv.json": {**_CONV, "trials": "x"}}, _CONVERGE, "conv.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    files, argv, where = MALFORMED[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    where = str(tmp_path / where) if where in files else where
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: "), err
+    assert "Traceback" not in err
+
+
+def test_flat_point_arrays_exit_2(tmp_path, capsys):
+    # a flat list is not an array of points (it used to be read as one point or as 1-d atoms)
+    spec, mix = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(json.dumps({"points": [0.0, 0.0]}))
+    mix.write_text(json.dumps({"atoms": [0.0, 2.0]}))
+    assert main(["mc", "--op", "volume", "--spec", str(spec), "--samples", "1000"]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: points: ragged or non-array rows\n"
+    assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {mix}: atoms: ragged or non-array rows\n"

@@ -79,6 +79,13 @@ def test_experiment_config_validation(tmp_path):
         load_experiment_config(path)
 
 
+def test_experiment_output_path_is_a_path(tmp_path):
+    # a number used to reach open() as a file descriptor
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"name": "x", "module": "bounds", "seed": 1, "output_path": 5}))
+    assert load_experiment_config(path).output_path == "5"
+
+
 def test_verify_experiment_not_compared():
     # premise violated: points spread wider than the dilation radius
     cfg = ExperimentConfig(

@@ -603,6 +603,18 @@ def test_sample_distribution_kinds():
         DistributionSpec(kind="mystery", dim=2)
 
 
+def test_distribution_spec_rejects_wrong_widths():
+    # a width other than dim used to fail inside sample_distribution's reshape,
+    # or (a 1-coordinate centre) broadcast silently
+    for kw in (
+        {"kind": "gaussian-mixture", "atoms": ((0.0,),)},
+        {"kind": "gaussian-mixture", "atoms": ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0))},
+        {"kind": "uniform-ball", "center": (0.5,)},
+    ):
+        with pytest.raises(InvalidArgumentError, match="coordinates"):
+            DistributionSpec(dim=2, **kw)
+
+
 def test_convergence_identical_generators():
     gen = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),))
     result = convergence_experiment(
