@@ -97,15 +97,17 @@ def _cmd_mc(args) -> int:
         shell_delta=args.delta,
         workers=args.workers,
     )
+    halfspace = args.op == "gshell" and data.get("predicate") == "halfspace"
+    if args.op != "angle" and not halfspace:
+        # outside the guard below: its errors name their place already
+        target = spec_from_dict(data, args.spec)
     with reading(args.spec):
         if args.op == "angle":
             dim = int(data.get("dim", 2))
             cap = float(data.get("cap_half_angle", 0.9))
             trials = int(data.get("trials", 10))
-        elif args.op == "gshell" and data.get("predicate") == "halfspace":
+        elif halfspace:
             target = mcmod.halfspace_predicate(int(data.get("dim", 2)))
-        else:
-            target = spec_from_dict(data, args.spec)
         if args.op == "kneser":
             a_k = float(data.get("a_k", target.radius / 2.0))
             b_k = float(data.get("b_k", target.radius))

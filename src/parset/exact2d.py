@@ -8,8 +8,22 @@ are equal, a circle can only be swallowed whole by a coincident twin, so
 deduplicating centres first removes the lone degenerate case.  Tangencies
 cover a single angle, which has measure zero and is dropped.  Square unions:
 on each face, the other squares cover open intervals, and the rest is exposed.
-Both complements come from one interval routine, ``_subtract_open_intervals``;
-on a circle it runs over one turn starting at the first covered angle.
+
+Both complements come from one grouped sweep, ``_exposed_pieces``, whose
+groups are the (centre, face) pairs of a square union and the centres of a
+disk union; on a circle the span is one turn from the first covered angle.
+The holes of all groups sit in one padded array: each row is clipped to its
+span and sorted by hole start, and the running maximum of the hole ends gives
+the cursor before each hole.  The sweep only takes max, min and differences,
+and every float before it is the same elementwise operation on the same
+inputs as a loop over one group at a time would do, so the pieces are the
+same bits in the same order (group first, then ascending along the span).  The
+angles phi = atan2 and alpha = acos stay scalar ``math`` calls over the near
+pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
+a share of inputs.  The pairwise temporaries (coverage tests, distances, the
+dedup test) are built in blocks of rows with at most ``_BLOCK_PAIRS`` (row,
+centre) pairs each, so memory grows with the number of centres, not with its
+square.
 
 Both areas come from the divergence theorem over the same decomposition that
 gives the perimeter, so ``union_boundary`` builds one decomposition per
@@ -17,7 +31,9 @@ instance for both measures.  Each exposed arc, parameterised counterclockwise
 about its own centre, keeps the union locally on its left, so summing
 (1/2) * integral(x dy - y dx) over the exposed arcs yields the enclosed area
 with holes subtracted automatically.  For squares, integral(x dy) reduces to
-the vertical segments, each at a fixed x with its outward sign.
+the vertical segments, each at a fixed x with its outward sign.  Both sums run
+over Python floats in segment order, not through numpy's pairwise sum, so
+their bits do not depend on how the pieces were computed.
 
 The grid oracle runs marching squares on the field d(x, centres) - r, which
 needs exact values only at the corners of cells the boundary crosses.  It
@@ -42,6 +58,7 @@ from .geometry import NormKind, PointSet
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 1e-12
+_BLOCK_PAIRS = 1 << 16  # (row, centre) pairs per block of the pairwise temporaries
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,10 @@ class ArcDecomposition:
 
     def area(self) -> float:
         r = self.radius
+        centers = self.centers.tolist()
         total = 0.0
         for i, t0, t1 in self.arcs:
-            cx, cy = self.centers[i]
+            cx, cy = centers[i]
             total += (
                 r * r * (t1 - t0)
                 + cx * r * (math.sin(t1) - math.sin(t0))
@@ -118,15 +136,58 @@ def _require_radius(r: float) -> float:
     return float(r)
 
 
+def _row_blocks(n: int):
+    """Slices of rows 0..n-1, each of at most _BLOCK_PAIRS // n rows (one at least)."""
+    step = max(1, _BLOCK_PAIRS // n)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 def _dedup_preserve_order(points: np.ndarray, tol: float = _EPS) -> np.ndarray:
     """Rows in input order, dropping each row within tol of an already kept one."""
-    kept = np.empty_like(points)
-    k = 0
-    for p in points:
-        if not (np.abs(kept[:k] - p).max(axis=1) <= tol).any():
-            kept[k] = p
-            k += 1
-    return kept[:k]
+    n = len(points)
+    keep = np.ones(n, dtype=bool)
+    for blk in _row_blocks(n):
+        rows = np.arange(blk.start, blk.stop)
+        close = np.abs(points[None, : blk.stop] - points[blk, None]).max(axis=2) <= tol
+        close &= np.arange(blk.stop) < rows[:, None]  # earlier rows only
+        # greedy: a row goes when an earlier row that was kept is close to it
+        for k in np.flatnonzero(close.any(axis=1)):
+            keep[rows[k]] = not (close[k] & keep[: blk.stop]).any()
+    return points[keep]
+
+
+def _exposed_pieces(lo, hi, group, a, b):
+    """Closed pieces of each span [lo[g], hi[g]] left after removing open holes.
+
+    Hole m is (a[m], b[m]) in group[m], with group ascending.  Returns the
+    pieces as (group, start, end) arrays, group first and then ascending along
+    the span.  A group with no hole at all keeps its whole span.
+    """
+    lo, hi = lo[:, None], hi[:, None]
+    counts = np.bincount(group, minlength=len(lo))
+    rank = np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+    width = int(counts.max(initial=0))
+    starts = np.full((len(lo), width), np.inf)
+    ends = np.full((len(lo), width), -np.inf)
+    starts[group, rank] = a
+    ends[group, rank] = b
+    inside = (ends > lo) & (starts < hi)
+    starts = np.where(inside, np.maximum(starts, lo), np.inf)
+    ends = np.where(inside, np.minimum(ends, hi), -np.inf)
+    order = np.argsort(starts, axis=1, kind="stable")
+    starts = np.take_along_axis(starts, order, axis=1)
+    ends = np.take_along_axis(ends, order, axis=1)
+    # the cursor before each hole, and after the last one: lo or the farthest end so far
+    cursor = np.maximum.accumulate(np.concatenate([lo, ends], axis=1), axis=1)
+    emit = np.concatenate(
+        [
+            np.isfinite(starts) & (starts - cursor[:, :-1] > _EPS),
+            (hi - cursor[:, -1:] > _EPS) | (counts == 0)[:, None],
+        ],
+        axis=1,
+    )
+    g, k = np.nonzero(emit)
+    return g, cursor[g, k], np.concatenate([starts, hi], axis=1)[g, k]
 
 
 def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
@@ -134,31 +195,32 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
     r = _require_radius(r)
     n = len(pts)
     arcs: list[tuple[int, float, float]] = []
-    for i in range(n):
-        diffs = pts - pts[i]
-        dists = np.hypot(diffs[:, 0], diffs[:, 1])
-        covered = []  # in [0, 2*pi], split at 2*pi where they wrap
-        for j in range(n):
-            if j == i:
-                continue
-            dij = dists[j]
-            if dij >= 2.0 * r:
-                continue
-            # points of circle i strictly inside disk j: |theta - phi| < alpha
-            phi = math.atan2(diffs[j, 1], diffs[j, 0])
-            alpha = math.acos(dij / (2.0 * r))
-            if alpha > 0.0:
-                lo, hi = phi - alpha, phi + alpha
-                start = lo % _TWO_PI
-                end = start + (hi - lo)
-                if end <= _TWO_PI:
-                    covered.append((start, end))
-                else:
-                    covered += [(start, _TWO_PI), (0.0, end - _TWO_PI)]
+    for blk in _row_blocks(n):
+        rows = np.arange(blk.start, blk.stop)
+        diffs = pts[None, :] - pts[blk, None]
+        dists = np.hypot(diffs[..., 0], diffs[..., 1])
+        near = dists < 2.0 * r
+        near[np.arange(len(rows)), rows] = False
+        i, j = np.nonzero(near)
+        # points of circle i strictly inside disk j: |theta - phi| < alpha
+        phi = np.array(list(map(math.atan2, diffs[i, j, 1].tolist(), diffs[i, j, 0].tolist())))
+        alpha = np.array(list(map(math.acos, (dists[i, j] / (2.0 * r)).tolist())))
+        cut = alpha > 0.0
+        i, lo, hi = i[cut], phi[cut] - alpha[cut], phi[cut] + alpha[cut]
+        start = np.remainder(lo, _TWO_PI)
+        end = start + (hi - lo)
+        # in [0, 2*pi]: (start, end), or (start, 2*pi) and (0, end - 2*pi) where it wraps
+        wraps = end > _TWO_PI
+        pieces = np.stack([np.ones_like(wraps), wraps], axis=1).ravel()
+        group = np.repeat(i, 2)[pieces]
+        a = np.stack([start, np.zeros_like(start)], axis=1).ravel()[pieces]
+        b = np.stack([np.minimum(end, _TWO_PI), end - _TWO_PI], axis=1).ravel()[pieces]
         # one turn from the first covered angle, so a wrapping gap stays whole
-        a0 = min((a for a, _ in covered), default=0.0)
-        for t0, t1 in _subtract_open_intervals(a0, a0 + _TWO_PI, covered):
-            arcs.append((i, t0, t1))
+        a0 = np.full(len(rows), np.inf)
+        np.minimum.at(a0, group, a)
+        a0[a0 == np.inf] = 0.0
+        g, t0, t1 = _exposed_pieces(a0, a0 + _TWO_PI, group, a, b)
+        arcs += zip(rows[g].tolist(), t0.tolist(), t1.tolist())
     return ArcDecomposition(arcs=tuple(arcs), radius=r, centers=pts)
 
 
@@ -170,20 +232,8 @@ def disk_union_area(centers: PointSet, r: float) -> float:
     return disk_union_boundary(centers, r).area()
 
 
-def _subtract_open_intervals(lo: float, hi: float, holes: list[tuple[float, float]]):
-    """Closed remainder pieces of [lo, hi] after removing open intervals."""
-    if not holes:
-        return [(lo, hi)]
-    holes = sorted((max(a, lo), min(b, hi)) for a, b in holes if b > lo and a < hi)
-    pieces = []
-    cursor = lo
-    for a, b in holes:
-        if a - cursor > _EPS:
-            pieces.append((cursor, a))
-        cursor = max(cursor, b)
-    if hi - cursor > _EPS:
-        pieces.append((cursor, hi))
-    return pieces
+# (normal axis, outward sign, orientation) of top, bottom, right and left faces
+_FACES = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
 
 
 def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
@@ -197,30 +247,40 @@ def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
     pts = _dedup_preserve_order(_require_planar(centers))
     r = _require_radius(r)
     n = len(pts)
-    # (normal axis, sign): top/bottom are horizontal faces, left/right vertical
-    faces = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
+    axis, sign, orientation = zip(*_FACES)
+    # (face, centre) tables: the coordinate along the normal, the face's line
+    # and the span along the face
+    cn = pts[:, list(axis)].T
+    fixed = cn + (np.array(sign) * r)[:, None]
+    tang = pts[:, [1 - k for k in axis]].T
+    span_lo, span_hi = tang - r, tang + r
     index = np.arange(n)
     segments: list[BoundarySegment] = []
-    for i in range(n):
-        for axis, sign, orientation in faces:
-            tang = 1 - axis
-            fixed = pts[i, axis] + sign * r
-            span = (pts[i, tang] - r, pts[i, tang] + r)
-            cn = pts[:, axis]
-            coplanar = np.abs(fixed - (cn + sign * r)) <= _EPS
-            covers = (cn - r - _EPS < fixed) & (fixed < cn + r + _EPS) & ~coplanar
-            hit = (covers | (coplanar & (index < i))) & (index != i)
-            holes = list(zip(pts[hit, tang] - r, pts[hit, tang] + r))
-            for a, b in _subtract_open_intervals(span[0], span[1], holes):
-                segments.append(
-                    BoundarySegment(
-                        orientation=orientation,
-                        fixed_coord=float(fixed),
-                        span_start=float(a),
-                        span_end=float(b),
-                        outward_sign=sign,
-                    )
-                )
+    for blk in _row_blocks(n):
+        rows = index[blk, None, None]
+        own = fixed[:, blk].T[:, :, None]  # (row, face, 1) against (face, centre)
+        coplanar = np.abs(own - fixed) <= _EPS
+        covers = (cn - r - _EPS < own) & (own < cn + r + _EPS) & ~coplanar
+        hit = (covers | (coplanar & (index < rows))) & (index != rows)
+        # groups are (row, face) pairs, row-major
+        group, j = np.nonzero(hit.reshape(-1, n))
+        face = group % 4
+        g, a, b = _exposed_pieces(
+            span_lo[:, blk].T.ravel(),
+            span_hi[:, blk].T.ravel(),
+            group,
+            span_lo[face, j],
+            span_hi[face, j],
+        )
+        i, f = blk.start + g // 4, g % 4
+        segments += map(
+            BoundarySegment,
+            [orientation[k] for k in f.tolist()],
+            fixed[f, i].tolist(),
+            a.tolist(),
+            b.tolist(),
+            [sign[k] for k in f.tolist()],
+        )
     return SegmentDecomposition(segments=tuple(segments))
 
 
@@ -271,12 +331,9 @@ def _ray_membership_prefix(b: np.ndarray, q: np.ndarray) -> bool:
     t_hi = t_hi[order]
     if t_lo[0] > 1e-9:
         return False
-    reach = t_hi[0]
-    for lo, hi in zip(t_lo[1:], t_hi[1:]):
-        if lo > reach + 1e-9:
-            return False
-        reach = max(reach, hi)
-    return True
+    # a gap opens where an interval starts past every earlier one's end
+    reach = np.maximum.accumulate(t_hi)
+    return not (t_lo[1:] > reach[:-1] + 1e-9).any()
 
 
 def star_shaped_check(

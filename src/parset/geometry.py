@@ -192,15 +192,23 @@ def save_points_json(ps: PointSet, path) -> None:
         fh.write("\n")
 
 
+class _PlacedError(InvalidArgumentError):
+    """An InvalidArgumentError whose message already starts with its place."""
+
+
 @contextmanager
 def reading(where):
-    """Report a malformed input value as InvalidArgumentError("WHERE: ...")."""
+    """Report a malformed input value as InvalidArgumentError("WHERE: ...").
+
+    A constructor's InvalidArgumentError gets the prefix too; one that an
+    inner `reading` block has prefixed already passes through unchanged.
+    """
     try:
         yield
-    except InvalidArgumentError:
+    except _PlacedError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
-        raise InvalidArgumentError(f"{where}: {exc}") from exc
+        raise _PlacedError(f"{where}: {exc}") from exc
 
 
 def read_json(path):

@@ -501,6 +501,10 @@ MALFORMED = {
                            _VERIFY, "exp.json"),
     "converge-n-grid-string": ({"conv.json": {**_CONV, "n_grid": ["a"]}}, _CONVERGE, "conv.json"),
     "converge-trials-string": ({"conv.json": {**_CONV, "trials": "x"}}, _CONVERGE, "conv.json"),
+    # values that cast but that a constructor rejects
+    "epi-weights-unnormalised": ({"x.json": {"atoms": [[0.0]], "weights": [0.5]},
+                                  "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
+    "mc-radius-negative": ({"spec.json": {"points": [[0.0, 0.0]], "radius": -1}}, _MC, "spec.json"),
 }
 
 
@@ -515,6 +519,17 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
     assert "Traceback" not in err
+
+
+def test_constructor_errors_name_their_place_once(tmp_path, capsys):
+    mix, spec = tmp_path / "x.json", tmp_path / "spec.json"
+    mix.write_text(json.dumps({"atoms": [[0.0]], "weights": [0.5]}))
+    spec.write_text(json.dumps({"points": [[0.0, 0.0]], "radius": -1}))
+    assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {mix}: weights: weights must sum to 1 within 1e-12\n"
+    for op in ("volume", "kneser"):
+        assert main(["mc", "--op", op, "--spec", str(spec), "--samples", "1000"]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: radius must be a positive finite real\n"
 
 
 def test_flat_point_arrays_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from parset import (
     star_shaped_check,
 )
 from parset import _kernels, exact2d
+from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
 from parset.exact2d import _marching_cells, _ray_membership_prefix
 
@@ -272,6 +274,50 @@ def test_ray_prefix_detects_gap():
     assert not _ray_membership_prefix(b, q)
     # single interval containing zero is a prefix
     assert _ray_membership_prefix(np.array([0.0]), np.array([-1.0]))
+    # against the reach loop, on random rays and on rays whose gap is 2e-9 wide
+    rng = np.random.default_rng(71)
+    cases = [(rng.uniform(-2, 6, n), rng.uniform(-4, 20, n)) for n in rng.integers(1, 9, 300)]
+    for _ in range(100):
+        lo = np.sort(rng.uniform(0, 5, 4))
+        hi = lo + rng.uniform(0.1, 2, 4)
+        lo[0] = 0.0
+        k = int(rng.integers(1, 4))
+        lo[k] = np.maximum.accumulate(hi)[k - 1] + rng.choice([0.0, 0.5e-9, 2e-9])
+        # the disk whose ray interval is [lo, hi]: b = midpoint, q = lo * hi
+        cases.append(((lo + hi) / 2, lo * hi))
+    outcomes = set()
+    for b, q in cases:
+        want = reference_ray_membership_prefix(b, q)
+        assert _ray_membership_prefix(b, q) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def reference_ray_membership_prefix(b: np.ndarray, q: np.ndarray) -> bool:
+    """_ray_membership_prefix with its reach loop in Python."""
+    disc = b * b - q
+    ok = disc >= 0.0
+    if not ok.any():
+        return False
+    root = np.sqrt(disc[ok])
+    t_lo = b[ok] - root
+    t_hi = b[ok] + root
+    keep = t_hi >= 0.0
+    if not keep.any():
+        return False
+    t_lo = np.maximum(t_lo[keep], 0.0)
+    t_hi = t_hi[keep]
+    order = np.argsort(t_lo)
+    t_lo = t_lo[order]
+    t_hi = t_hi[order]
+    if t_lo[0] > 1e-9:
+        return False
+    reach = t_hi[0]
+    for lo, hi in zip(t_lo[1:], t_hi[1:]):
+        if lo > reach + 1e-9:
+            return False
+        reach = max(reach, hi)
+    return True
 
 
 # -- grid oracle self-test ---------------------------------------------------
@@ -428,7 +474,7 @@ def reference_exposed_angular_intervals(covered: list[tuple[float, float]]):
 def reference_disk_arcs(centers, r):
     """Exposed arcs with the circle's own merge loop above, as the exact disk
     decomposition computed them before it shared the segment routine."""
-    pts = exact2d._dedup_preserve_order(exact2d._require_planar(centers))
+    pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
     n = len(pts)
     arcs = []
     for i in range(n):
@@ -538,3 +584,186 @@ def test_cli_square_area_matches_slab_sweep(tmp_path):
     want = reference_square_union_area(PointSet(centers), 0.7)
     assert payload["area"] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert payload["perimeter"] == square_union_perimeter(PointSet(centers), 0.7)
+
+
+# -- grouped array sweep against the per-centre loops ---------------------------
+
+
+def reference_dedup_preserve_order(points: np.ndarray, tol: float = _EPS) -> np.ndarray:
+    """Rows in input order, dropping each row within tol of an already kept one."""
+    kept = np.empty_like(points)
+    k = 0
+    for p in points:
+        if not (np.abs(kept[:k] - p).max(axis=1) <= tol).any():
+            kept[k] = p
+            k += 1
+    return kept[:k]
+
+
+def reference_subtract_open_intervals(lo: float, hi: float, holes: list[tuple[float, float]]):
+    """Closed remainder pieces of [lo, hi] after removing open intervals."""
+    if not holes:
+        return [(lo, hi)]
+    holes = sorted((max(a, lo), min(b, hi)) for a, b in holes if b > lo and a < hi)
+    pieces = []
+    cursor = lo
+    for a, b in holes:
+        if a - cursor > _EPS:
+            pieces.append((cursor, a))
+        cursor = max(cursor, b)
+    if hi - cursor > _EPS:
+        pieces.append((cursor, hi))
+    return pieces
+
+
+def reference_disk_union_boundary(centers, r: float) -> exact2d.ArcDecomposition:
+    pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
+    r = exact2d._require_radius(r)
+    n = len(pts)
+    arcs: list[tuple[int, float, float]] = []
+    for i in range(n):
+        diffs = pts - pts[i]
+        dists = np.hypot(diffs[:, 0], diffs[:, 1])
+        covered = []  # in [0, 2*pi], split at 2*pi where they wrap
+        for j in range(n):
+            if j == i:
+                continue
+            dij = dists[j]
+            if dij >= 2.0 * r:
+                continue
+            # points of circle i strictly inside disk j: |theta - phi| < alpha
+            phi = math.atan2(diffs[j, 1], diffs[j, 0])
+            alpha = math.acos(dij / (2.0 * r))
+            if alpha > 0.0:
+                lo, hi = phi - alpha, phi + alpha
+                start = lo % _TWO_PI
+                end = start + (hi - lo)
+                if end <= _TWO_PI:
+                    covered.append((start, end))
+                else:
+                    covered += [(start, _TWO_PI), (0.0, end - _TWO_PI)]
+        # one turn from the first covered angle, so a wrapping gap stays whole
+        a0 = min((a for a, _ in covered), default=0.0)
+        for t0, t1 in reference_subtract_open_intervals(a0, a0 + _TWO_PI, covered):
+            arcs.append((i, t0, t1))
+    return exact2d.ArcDecomposition(arcs=tuple(arcs), radius=r, centers=pts)
+
+
+def reference_square_union_boundary(centers, r: float) -> exact2d.SegmentDecomposition:
+    """Exposed boundary of a union of squares [c - r, c + r]^2.
+
+    A point of square i's face with outward normal s is exposed iff points
+    just outside it are outside every other square.  Pieces where two faces
+    with the same outward normal coincide are assigned to the lower index so
+    segment interiors stay pairwise disjoint.
+    """
+    pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
+    r = exact2d._require_radius(r)
+    n = len(pts)
+    # (normal axis, sign): top/bottom are horizontal faces, left/right vertical
+    faces = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
+    index = np.arange(n)
+    segments: list[exact2d.BoundarySegment] = []
+    for i in range(n):
+        for axis, sign, orientation in faces:
+            tang = 1 - axis
+            fixed = pts[i, axis] + sign * r
+            span = (pts[i, tang] - r, pts[i, tang] + r)
+            cn = pts[:, axis]
+            coplanar = np.abs(fixed - (cn + sign * r)) <= _EPS
+            covers = (cn - r - _EPS < fixed) & (fixed < cn + r + _EPS) & ~coplanar
+            hit = (covers | (coplanar & (index < i))) & (index != i)
+            holes = list(zip(pts[hit, tang] - r, pts[hit, tang] + r))
+            for a, b in reference_subtract_open_intervals(span[0], span[1], holes):
+                segments.append(
+                    exact2d.BoundarySegment(
+                        orientation=orientation,
+                        fixed_coord=float(fixed),
+                        span_start=float(a),
+                        span_end=float(b),
+                        outward_sign=sign,
+                    )
+                )
+    return exact2d.SegmentDecomposition(segments=tuple(segments))
+
+
+def reference_arc_area(decomp) -> float:
+    """ArcDecomposition.area() as it read the centres before, one numpy row per arc."""
+    r = decomp.radius
+    total = 0.0
+    for i, t0, t1 in decomp.arcs:
+        cx, cy = decomp.centers[i]
+        total += (
+            r * r * (t1 - t0)
+            + cx * r * (math.sin(t1) - math.sin(t0))
+            + cy * r * (math.cos(t0) - math.cos(t1))
+        )
+    return 0.5 * total
+
+
+def _sweep_instances():
+    yield from _reference_instances()
+    g = np.random.default_rng(59)
+    for k in range(12):
+        # c-puzzle and b-puzzle shaped: the origin plus up to 50 confined centres
+        yield f"c-puzzle-{k}", np.vstack([[0.0, 0.0], uniform_in_cube(g, int(g.integers(1, 51)), 2)]), 1.0
+        yield f"b-puzzle-{k}", np.vstack([[0.0, 0.0], uniform_in_ball(g, int(g.integers(1, 51)), 2)]), 1.0
+    yield "single", np.array([[0.3, -0.7]]), 0.4
+    yield "all-coincident", np.full((6, 2), 0.25), 0.8
+    yield "near-coincident-chain", np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0], [3.0, 0.0]]), 1.0
+    yield "pair-2r-apart", np.array([[0.0, 0.0], [2.0, 0.0]]), 1.0
+    yield "pair-2r-apart-diagonal", np.array([[-0.5, 0.5], [1.0, 0.5], [1.0, 2.0]]), 0.75
+    yield "tiny-radius", np.array([[0.0, 0.0], [3e-13, 1e-12], [1.0, 1.0]]), 2e-13
+
+
+@pytest.mark.parametrize("block_pairs", [exact2d._BLOCK_PAIRS, 1, 40])
+def test_boundaries_match_per_centre_loops(monkeypatch, block_pairs):
+    # the row blocking must not show in the output: one row per block, a few,
+    # and the module's own block size give the same decomposition
+    monkeypatch.setattr(exact2d, "_BLOCK_PAIRS", block_pairs)
+    for name, centers, r in _sweep_instances():
+        pts = PointSet(centers)
+        got, want = square_union_boundary(pts, r), reference_square_union_boundary(pts, r)
+        assert got.segments == want.segments, name
+        assert got.perimeter() == want.perimeter(), name
+        assert got.area() == want.area(), name
+        got, want = disk_union_boundary(pts, r), reference_disk_union_boundary(pts, r)
+        assert got.arcs == want.arcs, name
+        np.testing.assert_array_equal(got.centers, want.centers)
+        assert got.perimeter() == want.perimeter(), name
+        assert got.area() == reference_arc_area(want), name
+
+
+@pytest.mark.parametrize("block_pairs", [exact2d._BLOCK_PAIRS, 1, 40])
+def test_dedup_matches_greedy_loop(monkeypatch, block_pairs):
+    monkeypatch.setattr(exact2d, "_BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        pts = rng.uniform(-1, 1, (n, 2))
+        # exact repeats, and steps of 0.6 tol along a line: the greedy rule keeps
+        # every other point of such a chain, where "close to any earlier row" would keep one
+        extra = pts[rng.integers(0, n, n)]
+        chain = pts[0] + np.outer(np.arange(int(rng.integers(0, 6))), [0.6e-12, 0.0])
+        mixed = np.concatenate([pts, extra, chain])[rng.permutation(2 * n + len(chain))]
+        want = reference_dedup_preserve_order(mixed)
+        np.testing.assert_array_equal(exact2d._dedup_preserve_order(mixed), want)
+
+
+def test_boundaries_memory_stays_bounded():
+    # a full (4, n, n) broadcast would take 4 * 2500**2 * 8 bytes = 200 MB
+    rng = np.random.default_rng(67)
+    centers = rng.uniform(-20, 20, (2500, 2))
+    for build, reference, pieces in (
+        (square_union_boundary, reference_square_union_boundary, "segments"),
+        (disk_union_boundary, reference_disk_union_boundary, "arcs"),
+    ):
+        tracemalloc.start()
+        try:
+            build(PointSet(centers), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, (build.__name__, peak)
+        part = PointSet(centers[:300])
+        assert getattr(build(part, 0.5), pieces) == getattr(reference(part, 0.5), pieces)

@@ -20,6 +20,7 @@ from parset import (
     save_points_csv,
     save_points_json,
 )
+from parset.geometry import reading
 
 
 def test_distance_identity():
@@ -214,3 +215,17 @@ def test_json_rejects_ragged(tmp_path):
     path.write_text("[[1.0, 2.0], [3.0]]")
     with pytest.raises(InvalidArgumentError, match="ragged"):
         load_points_json(path)
+
+
+def test_reading_prefixes_each_message_once():
+    # a constructor's InvalidArgumentError gets the place; an inner guard's
+    # message is not prefixed again by the outer one
+    with pytest.raises(InvalidArgumentError) as err:
+        with reading("a.json"):
+            ParallelSetSpec(base=PointSet([[0.0]]), norm=NormKind.L2, radius=-1.0)
+    assert str(err.value) == "a.json: radius must be a positive finite real"
+    with pytest.raises(InvalidArgumentError) as err:
+        with reading("a.json"):
+            with reading("a.json: weights"):
+                float("x")
+    assert str(err.value) == "a.json: weights: could not convert string to float: 'x'"
