@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind
+from .geometry import NormKind, _log_omega
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
@@ -83,11 +83,6 @@ def _check_dim(d: int) -> None:
 def _check_radius(r: float) -> None:
     if not (r > 0.0 and math.isfinite(r)):
         raise InvalidArgumentError("radius must be a positive finite real")
-
-
-def _log_omega(d: int) -> float:
-    """log of the unit-ball volume pi^(d/2) / Gamma(1 + d/2), itself 0.0 from d = 453 on."""
-    return 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
 
 
 def bound_union_in_ball(d: int, r: float) -> float:
@@ -288,17 +283,15 @@ def sample_complexity_n0(
     return math.ceil(value)
 
 
+# name -> function; `parset bounds` reads each bound's parameters from its signature
 BOUND_CATALOG = {
-    "union-in-ball": (bound_union_in_ball, ("d", "r")),
-    "union-in-cube": (bound_union_in_cube, ("d", "r")),
-    "volume-constrained": (bound_volume_constrained, ("d", "r", "volume")),
-    "shell-volume": (bound_shell_volume, ("d", "r", "delta", "volume")),
-    "bounded-support": (bound_bounded_support, ("d", "big_r", "r")),
-    "gaussian-surface": (gaussian_surface_bound, ("d", "r", "sigma", "norm")),
-    "reverse-bm": (reverse_bm_bound, ("d", "r")),
-    "reverse-epi-constant": (reverse_epi_constant, ("d", "r")),
-    "sample-complexity-n0": (
-        sample_complexity_n0,
-        ("d", "sigma", "r", "eps", "delta", "c0", "c1"),
-    ),
+    "union-in-ball": bound_union_in_ball,
+    "union-in-cube": bound_union_in_cube,
+    "volume-constrained": bound_volume_constrained,
+    "shell-volume": bound_shell_volume,
+    "bounded-support": bound_bounded_support,
+    "gaussian-surface": gaussian_surface_bound,
+    "reverse-bm": reverse_bm_bound,
+    "reverse-epi-constant": reverse_epi_constant,
+    "sample-complexity-n0": sample_complexity_n0,
 }

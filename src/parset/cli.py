@@ -154,11 +154,9 @@ def _parse_kv_params(text: str) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    if args.list:
-        payload = {
-            name: {"parameters": list(sig)} for name, (_, sig) in sorted(BOUND_CATALOG.items())
-        }
-        _emit(payload, args.out)
+    if args.list:  # _emit sorts the names
+        _emit({name: {"parameters": list(inspect.signature(fn).parameters)}
+               for name, fn in BOUND_CATALOG.items()}, args.out)
         return 0
     if not args.eval:
         raise InvalidArgumentError("bounds: need --list or --eval NAME")
@@ -166,7 +164,7 @@ def _cmd_bounds(args) -> int:
         raise InvalidArgumentError(
             f"unknown bound {args.eval!r}; see 'parset bounds --list'"
         )
-    fn, _ = BOUND_CATALOG[args.eval]
+    fn = BOUND_CATALOG[args.eval]
     params = _parse_kv_params(args.params or "")
     with reading("--params"):
         inspect.signature(fn).bind(**params)
@@ -310,64 +308,70 @@ def _cmd_suite(args) -> int:
     return 0 if manifest.all_pass() else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--workers", type=int, default=1, help="worker threads")
-    common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+# the flags several subcommands share; each subcommand takes those its handler reads
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "workers": dict(type=int, default=1, help="worker threads"),
+    "out": dict(type=str, default=None, help="output path"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+# dr and dr-converge run on one thread; their --workers only keeps old scripts parsing
+_INERT_WORKERS = dict(_SHARED_FLAGS["workers"], help="has no effect")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact2d", parents=[common], help="exact planar union measures")
+    def command(name: str, fn, help: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("exact2d", _cmd_exact2d, "exact planar union measures", "out")
     p.add_argument("--shape", choices=tuple(_SHAPE_NORMS), required=True)
     p.add_argument("--centers", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--area", action="store_true")
     p.add_argument("--boundary-out", type=str, default=None)
-    p.set_defaults(fn=_cmd_exact2d)
 
-    p = sub.add_parser("mc", parents=[common], help="Monte Carlo measures")
+    p = command("mc", _cmd_mc, "Monte Carlo measures", "seed", "workers", "out")
     p.add_argument("--op", choices=("volume", "shell", "gshell", "kneser", "angle"), required=True)
     p.add_argument("--spec", required=True, help="JSON instance description")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_mc)
 
-    p = sub.add_parser("bounds", parents=[common], help="closed-form constants")
+    p = command("bounds", _cmd_bounds, "closed-form constants", "out")
     p.add_argument("--list", action="store_true")
     p.add_argument("--eval", type=str, default=None)
     p.add_argument("--params", type=str, default=None, help="k=v,k=v parameter list")
-    p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common], help="measured-vs-bound experiment")
+    p = command("verify", _cmd_verify, "measured-vs-bound experiment", "out", "format")
     p.add_argument("--experiment", required=True, help="ExperimentConfig JSON file")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("dr", parents=[common], help="thresholded transport cost")
+    p = command("dr", _cmd_dr, "thresholded transport cost", "out")
+    p.add_argument("--workers", **_INERT_WORKERS)
     p.add_argument("--mu0", required=True)
     p.add_argument("--mu1", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--weighted", action="store_true")
-    p.set_defaults(fn=_cmd_dr)
 
-    p = sub.add_parser("dr-converge", parents=[common], help="plug-in convergence experiment")
+    p = command("dr-converge", _cmd_dr_converge, "plug-in convergence experiment", "seed", "out")
+    p.add_argument("--workers", **_INERT_WORKERS)
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_dr_converge)
 
-    p = sub.add_parser("epi", parents=[common], help="smoothed-sum entropy inequality")
+    p = command("epi", _cmd_epi, "smoothed-sum entropy inequality", "seed", "workers", "out")
     p.add_argument("--x", required=True, help="mixture JSON for the first variable")
     p.add_argument("--y", required=True, help="mixture JSON for the second variable")
     p.add_argument("--smoothing", type=float, required=True)
     p.add_argument("--samples", type=int, default=200_000)
-    p.set_defaults(fn=_cmd_epi)
 
-    p = sub.add_parser("suite", parents=[common], help="run a verification suite")
+    p = command("suite", _cmd_suite, "run a verification suite", "seed", "workers", "out", "format")
     p.add_argument("name", choices=tuple(SUITES))
     p.add_argument("--samples", type=int, default=None, help="smoke-mode sample budget")
-    p.set_defaults(fn=_cmd_suite)
 
     return parser
 

@@ -100,7 +100,7 @@ def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianM
         raise InvalidArgumentError("mixtures must share a dimension")
     sums = (gm_x.atoms[:, None, :] + gm_y.atoms[None, :, :]).reshape(-1, gm_x.dim)
     w = (gm_x.weights[:, None] * gm_y.weights[None, :]).ravel()
-    uniq, groups = group_rows(sums, tol=1e-12)
+    uniq, groups = group_rows(sums)
     merged = np.zeros(len(uniq))
     np.add.at(merged, groups, w)
     return GaussianMixture(
@@ -136,12 +136,14 @@ def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: 
     return EntropyEstimate(mean, se, EntropyMethod.MC)
 
 
-def entropy_quadrature(
-    gm: GaussianMixture, grid_span: float = 12.0, points: int = 8193
-) -> EntropyEstimate:
+# standard deviations the quadrature window reaches past the extreme atoms
+_GRID_SPAN = 12.0
+
+
+def entropy_quadrature(gm: GaussianMixture, points: int = 8193) -> EntropyEstimate:
     """Composite-Simpson integral of -p log p on a window around the atoms.
 
-    Dimension 1 only.  The window extends grid_span standard deviations past
+    Dimension 1 only.  The window extends _GRID_SPAN standard deviations past
     the extreme atoms; the reported std_error is a crude bound on the
     truncated tail contribution (mass 2*Phi(-span) times a log-density bound).
     """
@@ -152,8 +154,8 @@ def entropy_quadrature(
     if points % 2 == 0:
         points += 1
     sd = math.sqrt(gm.variance)
-    lo = gm.atoms.min() - grid_span * sd
-    hi = gm.atoms.max() + grid_span * sd
+    lo = gm.atoms.min() - _GRID_SPAN * sd
+    hi = gm.atoms.max() + _GRID_SPAN * sd
     xs = np.linspace(lo, hi, points)
     p = mixture_density(gm, xs[:, None])
     integrand = -xlogy(p, p)
@@ -162,8 +164,8 @@ def entropy_quadrature(
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     value = float(h / 3.0 * (weights * integrand).sum())
-    tail_mass = math.erfc(grid_span / math.sqrt(2.0))
-    log_p_at_edge = 0.5 * grid_span**2 + 0.5 * math.log(2.0 * math.pi * gm.variance) + abs(
+    tail_mass = math.erfc(_GRID_SPAN / math.sqrt(2.0))
+    log_p_at_edge = 0.5 * _GRID_SPAN**2 + 0.5 * math.log(2.0 * math.pi * gm.variance) + abs(
         math.log(gm.weights.min())
     )
     tail_bound = tail_mass * (log_p_at_edge + 1.0)
@@ -264,6 +266,10 @@ def fisher_information_mc(
     return EntropyEstimate(mean, se, EntropyMethod.MC)
 
 
+# weight of the dt^2 * (1 + 1/t0^3) finite-difference curvature allowance
+_CURVATURE_BUDGET = 100.0
+
+
 def de_bruijn_check(
     atoms,
     weights,
@@ -271,14 +277,14 @@ def de_bruijn_check(
     dt: float = 1e-3,
     n: int = 200_000,
     seed: int = 0,
-    curvature_budget: float = 100.0,
+    workers: int = 1,
 ) -> BoundReport:
     """Heat-flow entropy slope vs half the Fisher information at variance t0.
 
     The slope is a central difference of the smoothed entropy at t0 +- dt,
     estimated with common random numbers (shared atom picks and base noise),
     so its standard error reflects the difference, not two independent
-    entropies.  Allowance: 4 combined sigma plus curvature_budget * dt^2 *
+    entropies.  Allowance: 4 combined sigma plus _CURVATURE_BUDGET * dt^2 *
     (1 + 1/t0^3) for the finite-difference curvature term.
     """
     if not (t0 > 0.0 and dt > 0.0 and dt < t0):
@@ -296,9 +302,9 @@ def de_bruijn_check(
         s2 = (_score_batch(gm_mid, base + eps * math.sqrt(t0)) ** 2).sum(axis=1)
         return fd, s2
 
-    (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, 1, chunk)
+    (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, workers, chunk)
     combined = math.sqrt(fd_se**2 + (j_se / 2.0) ** 2)
-    allowance = 4.0 * combined + curvature_budget * dt * dt * (1.0 + t0**-3)
+    allowance = 4.0 * combined + _CURVATURE_BUDGET * dt * dt * (1.0 + t0**-3)
     return BoundReport.compare(
         "de-bruijn",
         bound_value=allowance,

@@ -142,13 +142,13 @@ def _row_blocks(n: int):
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def _dedup_preserve_order(points: np.ndarray, tol: float = _EPS) -> np.ndarray:
-    """Rows in input order, dropping each row within tol of an already kept one."""
+def _dedup_preserve_order(points: np.ndarray) -> np.ndarray:
+    """Rows in input order, dropping each row within _EPS of an already kept one."""
     n = len(points)
     keep = np.ones(n, dtype=bool)
     for blk in _row_blocks(n):
         rows = np.arange(blk.start, blk.stop)
-        close = np.abs(points[None, : blk.stop] - points[blk, None]).max(axis=2) <= tol
+        close = np.abs(points[None, : blk.stop] - points[blk, None]).max(axis=2) <= _EPS
         close &= np.arange(blk.stop) < rows[:, None]  # earlier rows only
         # greedy: a row goes when an earlier row that was kept is close to it
         for k in np.flatnonzero(close.any(axis=1)):

@@ -91,11 +91,16 @@ class PackingResult:
     norm: NormKind
 
 
+def _log_omega(d: int) -> float:
+    """log of the unit-ball volume pi^(d/2) / Gamma(1 + d/2), itself 0.0 from d = 453 on."""
+    return 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
+
+
 def dimension_constants(d: int) -> DimensionConstants:
     """Unit L2-ball volume pi^(d/2)/Gamma(1+d/2) and sphere area d * volume."""
     if d < 1:
         raise InvalidArgumentError("dimension must be a positive integer")
-    omega = math.exp(0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d))
+    omega = math.exp(_log_omega(d))
     return DimensionConstants(dim=d, omega_d=omega, big_omega_d=d * omega)
 
 
@@ -281,14 +286,17 @@ def load_points(path) -> PointSet:
     return load_points_csv(p)
 
 
-def group_rows(points: np.ndarray, tol: float = 1e-12):
-    """Group nearly identical rows; returns (unique rows, group index per row)."""
+_GROUP_TOL = 1e-12
+
+
+def group_rows(points: np.ndarray):
+    """Group rows within _GROUP_TOL (Chebyshev); returns (unique rows, group index per row)."""
     n = points.shape[0]
     order = np.lexsort(points.T[::-1])
     group = np.empty(n, dtype=np.int64)
     uniques: list[np.ndarray] = []
     for idx in order:
-        if uniques and np.abs(points[idx] - uniques[-1]).max() <= tol:
+        if uniques and np.abs(points[idx] - uniques[-1]).max() <= _GROUP_TOL:
             group[idx] = len(uniques) - 1
         else:
             uniques.append(points[idx])

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,9 @@ from .mc import McConfig
 
 @dataclass(frozen=True)
 class Profile:
-    """Sample budgets; the defaults match the stated tolerances."""
+    """Sample budgets, and the threads that share each Monte Carlo estimate's
+    chunks; the default budgets match the stated tolerances, and the results
+    do not depend on the thread count."""
 
     mc_samples: int = 1_000_000
     halfspace_samples: int = 10_000_000
@@ -59,6 +61,7 @@ class Profile:
     sandwich_count: int = 100
     convergence_grid: tuple = (25, 50, 100, 200, 400)
     convergence_trials: int = 20
+    workers: int = 1
 
 
 FULL = Profile()
@@ -190,10 +193,9 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2)
         spec = ParallelSetSpec(base=centers, norm=NormKind.L2, radius=r)
         sub = derive_seed(seed, "volume-constrained-3d", k)
-        vol = mcmod.mc_volume(spec, McConfig(samples=prof.shell3d_samples, seed=sub))
-        shell = mcmod.mc_shell_lebesgue(
-            spec, McConfig(samples=prof.shell3d_samples, seed=sub + 1)
-        )
+        cfg = McConfig(samples=prof.shell3d_samples, seed=sub, workers=prof.workers)
+        vol = mcmod.mc_volume(spec, cfg)
+        shell = mcmod.mc_shell_lebesgue(spec, replace(cfg, seed=sub + 1))
         bound = bound_volume_constrained(3, r, vol.value + 4.0 * vol.std_error)
         worst3d = _worse(worst3d, shell.value - 4.0 * shell.std_error - bound)
     reports.append(BoundReport.compare("volume-constrained-3d", 0.0, worst3d))
@@ -216,7 +218,9 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
                 b_k=1.0,
                 t=t,
                 cfg=McConfig(
-                    samples=prof.kneser_samples, seed=derive_seed(seed, "kneser", k, t)
+                    samples=prof.kneser_samples,
+                    seed=derive_seed(seed, "kneser", k, t),
+                    workers=prof.workers,
                 ),
             )
             worst = _worse(worst, rep.measured - 4.0 * rep.std_error - rep.bound_value)
@@ -262,6 +266,7 @@ def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
             samples=prof.halfspace_samples,
             seed=derive_seed(seed, "halfspace"),
             shell_delta=1e-3,
+            workers=prof.workers,
         ),
     )
     target = 1.0 / math.sqrt(2.0 * math.pi)
@@ -284,7 +289,11 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
             spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
             est = mcmod.mc_gaussian_shell(
                 spec,
-                McConfig(samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k)),
+                McConfig(
+                    samples=prof.mc_samples,
+                    seed=derive_seed(seed, "gsurf", k),
+                    workers=prof.workers,
+                ),
             )
             bound = gaussian_surface_bound(dim, r, 1.0, norm)
             worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
@@ -319,7 +328,7 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
         sum_set = PointSet((k_pts[:, None, :] + l_pts[None, :, :]).reshape(-1, 2))
         est = mcmod.mc_volume(
             ParallelSetSpec(base=sum_set, norm=NormKind.L2, radius=2.0 * r),
-            McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k)),
+            McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k), workers=prof.workers),
         )
         bound = vol_k * vol_l * reverse_bm_bound(2, r)
         worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
@@ -487,7 +496,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             variance=float(g.uniform(0.3, 1.5)),
         )
         est = ent.fisher_information_mc(
-            gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k)
+            gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k), workers=prof.workers
         )
         worst = _worse(worst, est.value - 4.0 * est.std_error - gm.dim / gm.variance)
     reports = [BoundReport.compare("fisher-bound-sweep", 0.0, worst)]
@@ -502,6 +511,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             dt=1e-3,
             n=prof.entropy_samples,
             seed=derive_seed(seed, "de-bruijn", k),
+            workers=prof.workers,
         )
         worst_db = _worse(worst_db, rep.measured - rep.bound_value)
     reports.append(BoundReport.compare("de-bruijn-sweep", 0.0, worst_db))
@@ -610,7 +620,9 @@ def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
         raise InvalidArgumentError(
             f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
         )
-    prof = profile_from_samples(config.samples)
+    if config.workers < 1:
+        raise InvalidArgumentError("workers must be >= 1")
+    prof = replace(profile_from_samples(config.samples), workers=config.workers)
     started = time.monotonic()
     collected: list[tuple[str, BoundReport]] = []
     for check_name in SUITES[suite_name]:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 from parset import PointSet, save_points_csv
-from parset.cli import main
+from parset.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -86,8 +88,18 @@ def test_mc_determinism(tmp_path):
 def test_bounds_list_and_eval(tmp_path):
     out = tmp_path / "l.json"
     assert main(["bounds", "--list", "--out", str(out)]) == 0
-    listing = json.loads(out.read_text())
-    assert "reverse-bm" in listing
+    # each bound's parameters in its signature's order
+    assert {name: entry["parameters"] for name, entry in json.loads(out.read_text()).items()} == {
+        "bounded-support": ["d", "big_r", "r"],
+        "gaussian-surface": ["d", "r", "sigma", "norm"],
+        "reverse-bm": ["d", "r"],
+        "reverse-epi-constant": ["d", "r"],
+        "sample-complexity-n0": ["d", "sigma", "r", "eps", "delta", "c0", "c1"],
+        "shell-volume": ["d", "r", "delta", "volume"],
+        "union-in-ball": ["d", "r"],
+        "union-in-cube": ["d", "r"],
+        "volume-constrained": ["d", "r", "volume"],
+    }
     out2 = tmp_path / "e.json"
     assert main(["bounds", "--eval", "reverse-bm", "--params", "d=1,r=1", "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["value"] == pytest.approx(8.0)
@@ -541,3 +553,57 @@ def test_flat_point_arrays_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {spec}: points: ragged or non-array rows\n"
     assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5"]) == 2
     assert capsys.readouterr().err == f"error: {mix}: atoms: ragged or non-array rows\n"
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# dr and dr-converge run on one thread, so their handlers never read --workers;
+# the flag stays only so that existing command lines that pass it still parse
+_INERT_FLAGS = {("dr", "workers"), ("dr-converge", "workers")}
+
+
+def test_every_flag_is_read_by_its_handler():
+    flags = set()
+    for name, p in _subparsers().items():
+        source = inspect.getsource(p.get_default("fn"))
+        for action in p._actions:
+            if action.dest == "help":
+                continue
+            flags.add((name, action.dest))
+            read = f"args.{action.dest}" in source
+            assert read != ((name, action.dest) in _INERT_FLAGS), (name, action.dest)
+    assert _INERT_FLAGS <= flags
+
+
+_REMOVED_FLAGS = [
+    ("exact2d", "--seed"), ("exact2d", "--workers"), ("exact2d", "--format"),
+    ("bounds", "--seed"), ("bounds", "--workers"), ("bounds", "--format"),
+    ("dr", "--seed"), ("dr", "--format"),
+    ("verify", "--seed"), ("verify", "--workers"),
+    ("dr-converge", "--format"),
+    ("mc", "--format"),
+    ("epi", "--format"),
+]
+_WELL_FORMED = {
+    "exact2d": ["--shape", "disk", "--centers", "c.csv", "--radius", "1"],
+    "bounds": ["--list"],
+    "dr": ["--mu0", "a.csv", "--mu1", "b.csv", "--radius", "1"],
+    "verify": ["--experiment", "e.json"],
+    "dr-converge": ["--config", "c.json"],
+    "mc": ["--op", "volume", "--spec", "s.json"],
+    "epi": ["--x", "x.json", "--y", "y.json", "--smoothing", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
+def test_removed_flags_exit_2(command, flag, capsys):
+    value = "json" if flag == "--format" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_WELL_FORMED[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+

@@ -7,6 +7,8 @@ import pytest
 import parset
 from parset import InvalidArgumentError, Verdict
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
+from parset import entropy as ent
+from parset import mc as mcmod
 from parset import suite as suite_mod
 from parset.suite import (
     FULL,
@@ -113,3 +115,24 @@ def test_nan_instance_fails_its_check(monkeypatch):
     (rep,) = suite_mod.check_c_puzzle(0, prof)
     assert math.isnan(rep.measured)
     assert rep.verdict is Verdict.FAIL
+
+
+def test_suite_workers_reach_every_chunked_estimate(tmp_path, monkeypatch):
+    seen = []
+    for module in (mcmod, ent):
+
+        def recording(seed, total, workers, chunk_fn, real=module.map_reduce_chunks):
+            seen.append(workers)
+            return real(seed, total, workers, chunk_fn)
+
+        monkeypatch.setattr(module, "map_reduce_chunks", recording)
+    written = []
+    for workers in (1, 2):
+        seen.clear()
+        out = tmp_path / str(workers)
+        run_suite("all", SuiteConfig(seed=0, samples=100, workers=workers, out_dir=str(out)))
+        assert seen and set(seen) == {workers}
+        written.append((out / "results.csv").read_bytes())
+    assert written[0] == written[1]
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        run_suite("epi", SuiteConfig(seed=0, workers=0))
