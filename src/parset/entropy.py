@@ -6,6 +6,11 @@ density; everything here works with that class (isotropic, one shared
 variance per mixture).  Entropies are in nats.
 Every Monte Carlo estimate here is a mean of per-sample values with its
 standard error, taken by one chunked reduction, _moment_means.
+The log-density and the score share one kernel, _mixture_blocks: the (n, k)
+log terms log w_k - |x - a_k|^2 / (2 var), with squared distances summed one
+coordinate column at a time, and their row log-sum-exp, _row_logsumexp,
+which follows scipy.special.logsumexp step for step (a test pins the two
+equal).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from ._rng import atom_indices, map_reduce_chunks
 from .bounds import BoundReport, reverse_epi_constant
@@ -38,7 +43,7 @@ class GaussianMixture:
         atoms = np.array(self.atoms, dtype=np.float64, copy=True)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] < 1:
+        if atoms.ndim != 2 or atoms.size == 0:
             raise InvalidArgumentError("atoms must form a nonempty (k, d) array")
         w = np.array(self.weights, dtype=np.float64, copy=True)
         if w.shape != (atoms.shape[0],) or not (np.isfinite(w).all() and (w > 0.0).all()):
@@ -64,19 +69,51 @@ class EntropyEstimate:
     method: EntropyMethod
 
 
-def _log_density(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    d = gm.dim
-    # (n, k) squared distances, done in blocks to bound the temporary
-    n = x.shape[0]
-    out = np.empty(n)
-    log_norm = -0.5 * d * math.log(2.0 * math.pi * gm.variance)
+# log terms the mixture kernel holds at once, so its (rows, k) temporaries
+# stay in cache
+_KERNEL_TERMS = 1 << 16
+
+
+def _row_logsumexp(t: np.ndarray) -> np.ndarray:
+    """log(sum(exp(t), axis=1)), computed as scipy 1.17's _logsumexp does.
+
+    The m entries tied at the row max leave the sum, the rest give s, and the
+    result is log1p(s / m) + log(m) + max.  Where s == 0, s / m is s again,
+    so scipy's guard on that division is left out.  scipy sets the tied
+    terms to -inf before the shift, so an all -inf row turns to NaN there and
+    takes its fallback, log(sum(exp(t))).  Zeroing their exp after the shift
+    gives that row's -inf directly, and rows holding +inf or NaN come out as
+    inf or NaN either way, so the fallback is left out too.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = t.max(axis=1)
+        tied = t == top[:, None]
+        m = np.count_nonzero(tied, axis=1)
+        e = np.exp(t - top[:, None])
+        e[tied] = 0.0
+        return np.log1p(e.sum(axis=1) / m) + np.log(m) + top
+
+
+def _mixture_blocks(gm: GaussianMixture, x: np.ndarray):
+    """Yield (rows, terms, lse) over row blocks of the (n, d) batch x: the
+    (rows, k) log terms log w_k - |x - a_k|^2 / (2 var) and their row
+    log-sum-exp."""
     logw = np.log(gm.weights)
-    block = max(1, (1 << 22) // max(len(gm.weights), 1))
-    for s in range(0, n, block):
-        diff = x[s : s + block, None, :] - gm.atoms[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        out[s : s + block] = logsumexp(logw[None, :] - d2 / (2.0 * gm.variance), axis=1)
-    return out + log_norm
+    step = max(1, _KERNEL_TERMS // len(logw))
+    for s in range(0, len(x), step):
+        xb = x[s : s + step]
+        d2 = (xb[:, :1] - gm.atoms[:, 0]) ** 2
+        for j in range(1, gm.dim):
+            d2 += (xb[:, j : j + 1] - gm.atoms[:, j]) ** 2
+        terms = logw - d2 / (2.0 * gm.variance)
+        yield slice(s, s + step), terms, _row_logsumexp(terms)
+
+
+def _log_density(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
+    out = np.empty(len(x))
+    for rows, _, lse in _mixture_blocks(gm, x):
+        out[rows] = lse
+    return out - 0.5 * gm.dim * math.log(2.0 * math.pi * gm.variance)
 
 
 def mixture_density(gm: GaussianMixture, x) -> float | np.ndarray:
@@ -85,8 +122,8 @@ def mixture_density(gm: GaussianMixture, x) -> float | np.ndarray:
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    if pts.shape[1] != gm.dim:
-        raise InvalidArgumentError("dimension mismatch")
+    if pts.ndim != 2 or pts.shape[1] != gm.dim:
+        raise InvalidArgumentError(f"x must be a {gm.dim}-vector or an (n, {gm.dim}) batch")
     vals = np.exp(_log_density(gm, pts))
     return float(vals[0]) if single else vals
 
@@ -245,13 +282,17 @@ def pointwise_lemma_check(a, b, r: float) -> bool:
 
 
 def _score_batch(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """Gradient of log density: responsibility-weighted (atom - x) / variance."""
-    logw = np.log(gm.weights)
-    diff = gm.atoms[None, :, :] - x[:, None, :]            # (n, k, d)
-    log_resp = logw[None, :] - (diff * diff).sum(axis=2) / (2.0 * gm.variance)
-    log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
-    resp = np.exp(log_resp)
-    return (resp[:, :, None] * diff).sum(axis=1) / gm.variance
+    """Gradient of log density: responsibility-weighted (atom - x) / variance,
+    summed over the atoms in order."""
+    out = np.empty_like(x)
+    for rows, terms, lse in _mixture_blocks(gm, x):
+        resp = np.exp(terms - lse[:, None])
+        xb = x[rows]
+        acc = resp[:, :1] * (gm.atoms[0] - xb)
+        for i in range(1, len(gm.weights)):
+            acc += resp[:, i : i + 1] * (gm.atoms[i] - xb)
+        out[rows] = acc
+    return out / gm.variance
 
 
 def fisher_information_mc(

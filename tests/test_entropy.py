@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from parset import (
     EntropyMethod,
@@ -24,6 +25,7 @@ from parset.bounds import BoundReport
 from parset.entropy import (
     EntropyEstimate,
     _log_density,
+    _row_logsumexp,
     _score_batch,
     pointwise_lemma_log_ratio,
 )
@@ -340,6 +342,15 @@ def test_mixture_validation():
         GaussianMixture(atoms=[[0.0]], weights=[1.0], variance=0.0)
     with pytest.raises(InvalidArgumentError):
         GaussianMixture(atoms=[[0.0], [1.0]], weights=[1.0], variance=1.0)
+    with pytest.raises(InvalidArgumentError):
+        GaussianMixture(atoms=np.zeros((1, 0)), weights=[1.0], variance=1.0)
+
+
+@pytest.mark.parametrize("x", [0.5, np.zeros((2, 1, 1))], ids=["scalar", "3-d"])
+def test_mixture_density_rejects_other_shapes(x):
+    gm = GaussianMixture(atoms=[[0.0]], weights=[1.0], variance=1.0)
+    with pytest.raises(InvalidArgumentError, match="1-vector or an"):
+        mixture_density(gm, x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -437,3 +448,106 @@ def test_moment_core_matches_reference_estimators():
         assert de_bruijn_check(
             atoms, weights, t0, 1e-3, n, seed, workers
         ) == reference_de_bruijn_check(atoms, weights, t0, 1e-3, n, seed)
+
+
+# The log-density and score as they were before they shared the mixture
+# kernel, kept verbatim as the reference for it.
+
+
+def reference_log_density(gm, x):
+    d = gm.dim
+    # (n, k) squared distances, done in blocks to bound the temporary
+    n = x.shape[0]
+    out = np.empty(n)
+    log_norm = -0.5 * d * math.log(2.0 * math.pi * gm.variance)
+    logw = np.log(gm.weights)
+    block = max(1, (1 << 22) // max(len(gm.weights), 1))
+    for s in range(0, n, block):
+        diff = x[s : s + block, None, :] - gm.atoms[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        out[s : s + block] = logsumexp(logw[None, :] - d2 / (2.0 * gm.variance), axis=1)
+    return out + log_norm
+
+
+def reference_score_batch(gm, x):
+    """Gradient of log density: responsibility-weighted (atom - x) / variance."""
+    logw = np.log(gm.weights)
+    diff = gm.atoms[None, :, :] - x[:, None, :]            # (n, k, d)
+    log_resp = logw[None, :] - (diff * diff).sum(axis=2) / (2.0 * gm.variance)
+    log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
+    resp = np.exp(log_resp)
+    return (resp[:, :, None] * diff).sum(axis=1) / gm.variance
+
+
+def _random_mixture(rng, k, d):
+    w = rng.random(k) + 0.1
+    return GaussianMixture(
+        atoms=rng.uniform(-2.0, 2.0, (k, d)),
+        weights=w / w.sum(),
+        variance=float(rng.uniform(0.3, 1.5)),
+    )
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (4, 1), (16, 1), (4, 2), (16, 2), (3, 3), (16, 7)])
+def test_mixture_kernel_matches_reference_bits(k, d):
+    rng = np.random.default_rng(100 * k + d)
+    gm = _random_mixture(rng, k, d)
+    x = reference_sample_mixture(gm, rng, CHUNK)
+    assert np.array_equal(_log_density(gm, x), reference_log_density(gm, x))
+    want = reference_score_batch(gm, x)
+    if d == 1 and k >= 8:
+        # numpy summed this one over the atoms pairwise; the kernel sums in order
+        np.testing.assert_allclose(_score_batch(gm, x), want, rtol=1e-13, atol=1e-13)
+    else:
+        assert np.array_equal(_score_batch(gm, x), want)
+
+
+@pytest.mark.parametrize("k, d", [(8, 8), (5, 12)])
+def test_mixture_kernel_matches_reference_high_dim(k, d):
+    # from d = 8 numpy sums |x - a|^2 over the last axis pairwise, the kernel
+    # column by column, so only the last bits may differ
+    rng = np.random.default_rng(100 * k + d)
+    gm = _random_mixture(rng, k, d)
+    x = reference_sample_mixture(gm, rng, CHUNK)
+    np.testing.assert_allclose(_log_density(gm, x), reference_log_density(gm, x), rtol=1e-13)
+    # scores near zero lose their relative digits to cancellation
+    np.testing.assert_allclose(
+        _score_batch(gm, x), reference_score_batch(gm, x), rtol=1e-13, atol=1e-13
+    )
+
+
+def _lse_rows():
+    inf, nan = math.inf, math.nan
+    rng = np.random.default_rng(26)
+    yield np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [-3.0, 5.0, 5.0]])
+    yield np.array([[0.0], [-inf], [inf], [nan], [1e308], [-745.0]])
+    yield np.array([[0.0, -800.0, -1000.0], [700.0, -100.0, 0.0], [1e308, 1e308, 0.0]])
+    yield np.array([[-inf, 0.0, 1.0], [-inf, -inf, 2.0], [-inf, -inf, -inf]])
+    yield np.array([[inf, 0.0, 1.0], [inf, inf, 0.0], [inf, -inf, 0.0]])
+    yield np.array([[nan, 0.0, 1.0], [inf, nan, 0.0], [-inf, nan, 1.0], [nan, nan, nan]])
+    for k in (2, 7, 8, 9, 16, 33):
+        t = rng.normal(0.0, 20.0, (500, k))
+        t[::7, 1] = t[::7, 0] = t[::7].max(axis=1)  # tied maxima
+        t[::11, -1] = -inf
+        t[::13] = t[::13, :1]  # all-equal rows
+        yield t
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_logsumexp_is_scipys():
+    for t in _lse_rows():
+        np.testing.assert_array_equal(_row_logsumexp(t), logsumexp(t, axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_score_is_the_gradient_of_log_density(d):
+    rng = np.random.default_rng(40 + d)
+    gm = _random_mixture(rng, int(rng.integers(2, 6)), d)
+    x = reference_sample_mixture(gm, rng, 200)
+    h = 1e-5
+    fd = np.empty_like(x)
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = h
+        fd[:, j] = (_log_density(gm, x + step) - _log_density(gm, x - step)) / (2.0 * h)
+    np.testing.assert_allclose(_score_batch(gm, x), fd, rtol=1e-6, atol=1e-6)
