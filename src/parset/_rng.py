@@ -7,7 +7,8 @@ are therefore bit-identical for a given seed regardless of how many worker
 threads execute the chunks.
 
 The package's two Monte Carlo reductions run on map_reduce_chunks: band
-counts (mc._band_estimates) and moment means (entropy._moment_means).
+counts (mc._band_estimates, behind every estimate in mc, solid angles
+included) and moment means (entropy._moment_means).
 """
 
 from __future__ import annotations

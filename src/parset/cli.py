@@ -116,7 +116,9 @@ def _cmd_mc(args) -> int:
         rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
         payload = {"value": rep.measured, "bound": rep.bound_value}
     elif args.op == "angle":
-        rep = mcmod.inscribed_angle_check(dim, cap, trials, args.seed, directions=args.samples)
+        rep = mcmod.inscribed_angle_check(
+            dim, cap, trials, args.seed, directions=args.samples, workers=args.workers
+        )
         payload = {"worst_deficit": rep.measured}
     else:
         if args.op == "volume":

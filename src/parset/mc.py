@@ -1,9 +1,11 @@
 """Monte Carlo estimators for volume, Lebesgue and Gaussian shell measures,
 solid angles, and the shell-scaling check, in arbitrary dimension.
 
-Every estimator but the solid angles is one band count, _band_estimates:
-the share p of draws (uniform in a padded bounding box, or Gaussian) whose
-distance to the set lies in (lo, hi], reported as scale * p / delta.
+Every estimator is one band count, _band_estimates: the share p of draws
+(uniform in a padded bounding box, or Gaussian) whose distance to the set
+lies in (lo, hi], reported as scale * p / delta.  A solid angle is the
+Gaussian measure of a cone, so it is a band count too; the central cap's
+solid angle has a closed form and is not sampled.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  Shell
 estimators carry an O(delta) bias that callers fold into tolerances; the
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import betainc
 
 from . import _kernels
-from ._rng import chunk_generator, derive_seed, map_reduce_chunks, uniform_in_ball
+from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
 from .geometry import NormKind, ParallelSetSpec
@@ -176,18 +179,28 @@ def kneser_shell_check(
     )
 
 
+def central_cap_fraction(dim: int, cap_half_angle: float) -> float:
+    """Share of the unit sphere S^(dim-1) within angle theta = cap_half_angle
+    of e_0: (1/2) I_{sin^2 theta}((d-1)/2, 1/2) up to pi/2, one minus the
+    share at pi - theta past it."""
+    half = 0.5 * float(betainc(0.5 * (dim - 1), 0.5, math.sin(cap_half_angle) ** 2))
+    return half if cap_half_angle <= 0.5 * math.pi else 1.0 - half
+
+
 def cap_solid_angle_fractions(
     dim: int,
     cap_half_angle: float,
     apex: np.ndarray,
     directions: int,
     seed: int,
-) -> tuple[float, float, float, float]:
-    """(fraction at apex, fraction at centre, se at apex, se at centre).
+    workers: int = 1,
+) -> tuple[MeasureEstimate, float]:
+    """(fraction at apex, exact fraction at centre) of the full sphere.
 
     The cap sits on the unit sphere around axis e_0 with the given half
-    angle; both solid angles (as fractions of the full sphere) are estimated
-    with the same direction sample so their ratio is tightly coupled.
+    angle.  The apex fraction is the Gaussian measure of the cone of
+    directions whose ray from the apex meets the cap, one band count over
+    `directions` draws; the central one is central_cap_fraction.
     """
     if dim < 2:
         raise InvalidArgumentError("dim must be >= 2")
@@ -196,20 +209,19 @@ def cap_solid_angle_fractions(
     apex = np.asarray(apex, dtype=np.float64)
     if apex.shape != (dim,) or np.linalg.norm(apex) > 1.0 + 1e-9:
         raise InvalidArgumentError("apex must be a d-vector inside the closed unit ball")
+    cfg = McConfig(samples=directions, seed=seed, workers=workers)
     cos_cap = math.cos(cap_half_angle)
-    g = chunk_generator(seed, 0)
-    u = g.standard_normal((directions, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    # ray from apex: |apex + t u| = 1, positive root
-    b = u @ apex
-    t = -b + np.sqrt(np.maximum(b * b + 1.0 - apex @ apex, 0.0))
-    q = apex[None, :] + t[:, None] * u
-    hit_apex = (q[:, 0] >= cos_cap) & (t > 1e-12)
-    hit_center = u[:, 0] >= cos_cap
-    fa = hit_apex.mean()
-    fc = hit_center.mean()
-    se = lambda p: math.sqrt(p * (1.0 - p) / directions)
-    return float(fa), float(fc), se(fa), se(fc)
+
+    def misses(x):
+        u = x / np.linalg.norm(x, axis=1, keepdims=True)
+        # ray from apex: |apex + t u| = 1, positive root
+        b = u @ apex
+        t = -b + np.sqrt(np.maximum(b * b + 1.0 - apex @ apex, 0.0))
+        height = apex[0] + t * u[:, 0]
+        return np.where((height >= cos_cap) & (t > 1e-12), 0.0, 1.0)
+
+    (apex_fraction,) = _band_estimates(cfg, dim, misses, [(-math.inf, 0.0, 1.0)])
+    return apex_fraction, central_cap_fraction(dim, cap_half_angle)
 
 
 def inscribed_angle_check(
@@ -218,12 +230,13 @@ def inscribed_angle_check(
     trials: int,
     seed: int,
     directions: int = 200_000,
+    workers: int = 1,
 ) -> BoundReport:
     """Solid angle of a spherical cap from an interior apex vs from the centre.
 
     For every sampled apex the cap's solid angle must be at least the central
-    one over 2^(d-1), within 4 combined standard errors.  The report carries
-    the worst deficit.
+    one over 2^(d-1), within 4 standard errors of the apex estimate.  The
+    report carries the worst deficit.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -232,15 +245,12 @@ def inscribed_angle_check(
     worst_se = 0.0
     for k in range(trials):
         sub = derive_seed(seed, "inscribed-angle", k)
-        apex = uniform_in_ball(chunk_generator(sub, 1), 1, dim)[0]
-        fa, fc, se_a, se_c = cap_solid_angle_fractions(
-            dim, cap_half_angle, apex, directions, sub
-        )
-        deficit = fc / shrink - fa
-        se = math.sqrt(se_a**2 + (se_c / shrink) ** 2)
+        apex = uniform_in_ball(single_generator(derive_seed(sub, "apex")), 1, dim)[0]
+        fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub, workers)
+        deficit = fc / shrink - fa.value
         if deficit > worst or math.isnan(deficit):
             worst = deficit
-            worst_se = se
+            worst_se = fa.std_error
     return BoundReport.compare(
         "inscribed-angle", bound_value=0.0, measured=worst, std_error=worst_se
     )

@@ -230,14 +230,15 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
 def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
     """Cap solid angle from an interior apex vs the central one."""
     # the 1% ratio tolerance needs ~1e6 directions; cheap even in smoke runs
-    fa, fc, _, _ = mcmod.cap_solid_angle_fractions(
+    fa, fc = mcmod.cap_solid_angle_fractions(
         2,
         cap_half_angle=0.9,
         apex=np.array([-1.0, 0.0]),
         directions=max(5 * prof.angle_directions, 1_000_000),
         seed=derive_seed(seed, "angle-antipode"),
+        workers=prof.workers,
     )
-    reports = [BoundReport.compare("inscribed-angle-2d-ratio", 0.01, abs(fa / fc - 0.5))]
+    reports = [BoundReport.compare("inscribed-angle-2d-ratio", 0.01, abs(fa.value / fc - 0.5))]
     g = chunk_generator(derive_seed(seed, "angle-3d"), 0)
     worst = -math.inf
     for k in range(prof.angle_pairs):
@@ -247,6 +248,7 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
             trials=1,
             seed=derive_seed(seed, "angle-3d", k),
             directions=prof.angle_directions,
+            workers=prof.workers,
         )
         worst = _worse(worst, rep.measured - 4.0 * rep.std_error)
     reports.append(BoundReport.compare("inscribed-angle-3d-sweep", 0.0, worst))

@@ -446,6 +446,12 @@ class DistributionSpec:
                 raise InvalidArgumentError("gaussian-mixture needs atoms")
             if self.weights and len(self.weights) != len(self.atoms):
                 raise InvalidArgumentError("need one weight per atom")
+        if not all(0.0 < w < math.inf for w in self.weights):
+            raise InvalidArgumentError("weights must be positive finite reals")
+        if not (0.0 <= self.sigma < math.inf):
+            raise InvalidArgumentError("sigma must be a nonnegative finite real")
+        if not (0.0 < self.radius < math.inf):
+            raise InvalidArgumentError("radius must be a positive finite real")
 
 
 def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) -> np.ndarray:
@@ -488,8 +494,10 @@ def convergence_experiment(
     extra O(n_ref^(-1/d)) error of its own.
     """
     n_grid = sorted(n_grid)
-    if not n_grid or trials < 1:
-        raise InvalidArgumentError("need a nonempty n_grid and trials >= 1")
+    if not n_grid or n_grid[0] < 1 or trials < 1:
+        raise InvalidArgumentError("need a nonempty n_grid of sizes >= 1 and trials >= 1")
+    if not (0.0 <= sigma < math.inf):
+        raise InvalidArgumentError("noise sigma must be a nonnegative finite real")
 
     def draw(spec, n, tag):
         g = chunk_generator(derive_seed(seed, "draw", tag), 0)

@@ -247,6 +247,32 @@ def test_dr_converge_atom_width_exit_2(tmp_path, capsys):
     assert "atoms and center need 2 coordinates each" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gen0",
+    [
+        {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [-1.0, 2.0]},
+        {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.0, 1.0]},
+        {"atoms": [[0.0, 0.0]], "sigma": -1.0},
+        {"kind": "uniform-ball", "radius": -1.0},
+        {"kind": "uniform-ball", "radius": 0.0},
+    ],
+)
+def test_dr_converge_rejects_bad_generator(tmp_path, capsys, gen0):
+    # weights (-1, 2) used to draw only atom 1; the others drew without complaint
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({**_CONV, "gen0": gen0}))
+    assert main(["dr-converge", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: gen0: "), err
+
+
+def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({**_CONV, "sigma": -0.5}))
+    assert main(["dr-converge", "--config", str(cfg)]) == 2
+    assert "sigma must be a nonnegative finite real" in capsys.readouterr().err
+
+
 def test_epi_command(tmp_path):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
@@ -387,6 +413,18 @@ def test_mc_kneser_matches_library(tmp_path):
                        "verdict": rep.verdict.value}
 
 
+def test_mc_angle_workers_do_not_change_output(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": 3, "cap_half_angle": 1.1, "trials": 2}))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"angle-{workers}.json"
+        rc = main(["mc", "--op", "angle", "--spec", str(spec), "--samples", "200000",
+                   "--seed", "8", "--workers", workers, "--out", str(out)])
+        outputs.append((rc, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_mc_angle_matches_library(tmp_path):
     from parset.mc import inscribed_angle_check
 
@@ -477,6 +515,27 @@ def test_verify_json_and_printout_match_reports(tmp_path, capsys):
         f"[{r['verdict'].upper()}] {r['bound_name']}: measured={r['measured']} "
         f"bound={r['bound_value']}" for r in expected
     ]
+
+
+
+@pytest.mark.parametrize("sep", [1e3, 1e4])
+def test_epi_far_atoms_in_one_dimension(tmp_path, sep):
+    # the quadrature grid cannot resolve bumps 1e5 sd apart, so these
+    # entropies are Monte Carlo; the quadrature returned -4.247 at sep = 1e4
+    from parset.entropy import GaussianMixture, entropy_mc
+
+    mix = {"atoms": [[0.0], [sep]], "weights": [0.5, 0.5]}
+    for side in ("x", "y"):
+        (tmp_path / f"{side}.json").write_text(json.dumps(mix))
+    out = tmp_path / "epi.json"
+    rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+               "--smoothing", "0.01", "--samples", "20000", "--seed", "6", "--out", str(out)])
+    assert rc == 0
+    h_x = json.loads(out.read_text())["h_x"]
+    est = entropy_mc(GaussianMixture(variance=0.01, **mix), n=20000, seed=6)
+    assert h_x == est.value
+    want = math.log(2.0) + 0.5 * math.log(2.0 * math.pi * math.e * 0.01)
+    assert abs(h_x - want) <= 4.0 * est.std_error
 
 
 # --- malformed input files and --params: exit 2 with the place, no traceback ---

@@ -156,6 +156,22 @@ def test_entropy_quadrature_refinement():
     assert abs(coarse - fine) < 1e-8
 
 
+@pytest.mark.parametrize("sep", [1e3, 1e4])
+def test_entropy_quadrature_rejects_coarse_grid(sep):
+    # 8193 points over 1e4 + 2.4 returned -4.247 with std_error 2.6e-31
+    gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=0.01)
+    with pytest.raises(InvalidArgumentError, match="quadrature step"):
+        entropy_quadrature(gm)
+
+
+@pytest.mark.parametrize("sep, points", [(200.0, 8193), (1e3, 65537)])
+def test_entropy_quadrature_fine_enough_grid(sep, points):
+    # steps of 0.247 and 0.153 sd, both within the sd / 4 limit
+    gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=0.01)
+    want = math.log(2.0) + gaussian_entropy(0.01)
+    assert entropy_quadrature(gm, points=points).value == pytest.approx(want, abs=1e-12)
+
+
 def test_entropy_quadrature_dim_guard():
     gm = GaussianMixture(atoms=[[0.0, 0.0]], weights=[1.0], variance=1.0)
     with pytest.raises(InvalidArgumentError):

@@ -29,9 +29,14 @@ from parset import (
 )
 from parset import Verdict
 from parset._kernels import min_dist
-from parset._rng import CHUNK, map_reduce_chunks
+from parset._rng import CHUNK, chunk_generator, map_reduce_chunks
 from parset.bounds import BoundReport
-from parset.mc import MeasureEstimate, MembershipPredicate, cap_solid_angle_fractions
+from parset.mc import (
+    MeasureEstimate,
+    MembershipPredicate,
+    cap_solid_angle_fractions,
+    central_cap_fraction,
+)
 
 
 def spec_point(dim, norm=NormKind.L2, radius=1.0):
@@ -216,24 +221,98 @@ def test_kneser_validates_arguments():
         kneser_shell_check(pts, NormKind.L2, 0.5, 1.0, 0.9, cfg)
 
 
+def _parent_cap_fractions(dim, cap_half_angle, apex, directions, seed):
+    """The one-batch estimator that cap_solid_angle_fractions replaced, verbatim."""
+    cos_cap = math.cos(cap_half_angle)
+    g = chunk_generator(seed, 0)
+    u = g.standard_normal((directions, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # ray from apex: |apex + t u| = 1, positive root
+    b = u @ apex
+    t = -b + np.sqrt(np.maximum(b * b + 1.0 - apex @ apex, 0.0))
+    q = apex[None, :] + t[:, None] * u
+    hit_apex = (q[:, 0] >= cos_cap) & (t > 1e-12)
+    hit_center = u[:, 0] >= cos_cap
+    fa = hit_apex.mean()
+    fc = hit_center.mean()
+    se = lambda p: math.sqrt(p * (1.0 - p) / directions)
+    return float(fa), float(fc), se(fa), se(fc)
+
+
+@pytest.mark.parametrize("directions", [1, 777, 4000, 40_000, CHUNK])
+def test_cap_apex_fraction_matches_one_batch_estimator(directions):
+    # up to one chunk the band count sees the one-batch estimator's draws
+    cases = [
+        (2, 0.9, np.array([-1.0, 0.0])),
+        (3, 1.3, np.array([0.2, -0.3, 0.5])),
+        (3, 2.4, np.zeros(3)),
+        # apex on the sphere inside the cap: outward rays stay at the apex
+        (3, 0.7, np.array([0.8, 0.6, 0.0])),
+        (5, 0.4, np.array([0.0, 0.1, 0.0, -0.6, 0.3])),
+    ]
+    for dim, cap, apex in cases:
+        fa, _ = cap_solid_angle_fractions(dim, cap, apex, directions, seed=23)
+        want_fa, _, want_se, _ = _parent_cap_fractions(dim, cap, apex, directions, 23)
+        assert (fa.value, fa.std_error, fa.samples_used) == (want_fa, want_se, directions)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_central_cap_fraction_matches_quadrature(dim):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    whole = mpmath.quad(lambda phi: mpmath.sin(phi) ** (dim - 2), [0, mpmath.pi])
+    for theta in (0.05, 0.6, 1.2, math.pi / 2, 1.9, 2.6, 3.1):
+        want = mpmath.quad(lambda phi: mpmath.sin(phi) ** (dim - 2), [0, theta]) / whole
+        assert central_cap_fraction(dim, theta) == pytest.approx(float(want), rel=1e-13, abs=1e-15)
+
+
 def test_inscribed_angle_same_apex():
-    fa, fc, _, _ = cap_solid_angle_fractions(
-        3, 1.0, np.zeros(3), directions=50_000, seed=18
-    )
-    assert fa == fc  # identical rays, identical hits
+    # from the centre the apex fraction estimates the exact central one
+    fa, fc = cap_solid_angle_fractions(3, 1.0, np.zeros(3), directions=50_000, seed=18)
+    assert fc == central_cap_fraction(3, 1.0)
+    assert abs(fa.value - fc) <= 4.0 * fa.std_error
 
 
 def test_inscribed_angle_2d_on_circle():
-    fa, fc, _, _ = cap_solid_angle_fractions(
+    fa, fc = cap_solid_angle_fractions(
         2, 0.9, np.array([-1.0, 0.0]), directions=1_000_000, seed=19
     )
-    assert fa / fc == pytest.approx(0.5, abs=0.01)
+    assert fc == pytest.approx(0.9 / math.pi, rel=1e-15)
+    assert fa.value / fc == pytest.approx(0.5, abs=0.01)
+
+
+def test_cap_fractions_do_not_depend_on_workers():
+    apex = np.array([0.1, -0.4, 0.2])
+    one = cap_solid_angle_fractions(3, 1.1, apex, 200_000, seed=24)
+    two = cap_solid_angle_fractions(3, 1.1, apex, 200_000, seed=24, workers=2)
+    assert one == two
+
+
+def test_cap_fractions_memory_is_one_chunk():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cap_solid_angle_fractions(3, 0.9, np.zeros(3), 1_000_000, seed=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+@pytest.mark.parametrize("directions", [0, -5])
+def test_cap_fractions_reject_no_directions(directions):
+    with pytest.raises(InvalidArgumentError):
+        cap_solid_angle_fractions(3, 0.9, np.zeros(3), directions, seed=0)
+    with pytest.raises(InvalidArgumentError):
+        inscribed_angle_check(3, 0.9, trials=1, seed=0, directions=directions)
 
 
 def test_inscribed_angle_nan_trial_fails(monkeypatch):
     from parset import mc
 
-    results = iter([(0.5, 0.5, 0.01, 0.01), (math.nan, 0.5, 0.01, 0.01), (0.5, 0.5, 0.01, 0.01)])
+    est = lambda v: MeasureEstimate(v, 0.01, 100)
+    results = iter([(est(0.5), 0.5), (est(math.nan), 0.5), (est(0.5), 0.5)])
     monkeypatch.setattr(mc, "cap_solid_angle_fractions", lambda *a: next(results))
     rep = inscribed_angle_check(2, 0.9, trials=3, seed=0)
     assert math.isnan(rep.measured)

@@ -615,6 +615,41 @@ def test_distribution_spec_rejects_wrong_widths():
             DistributionSpec(dim=2, **kw)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"weights": (-1.0, 2.0)}, "weights"),
+        ({"weights": (0.0, 1.0)}, "weights"),
+        ({"weights": (math.nan, 1.0)}, "weights"),
+        ({"weights": (math.inf, 1.0)}, "weights"),
+        ({"sigma": -1.0}, "sigma"),
+        ({"sigma": math.nan}, "sigma"),
+        ({"radius": -1.0}, "radius"),
+        ({"radius": 0.0}, "radius"),
+        ({"radius": math.inf}, "radius"),
+    ],
+)
+def test_distribution_spec_rejects_bad_parameters(kw, match):
+    # weights (-1, 2) used to draw only atom 1; the rest drew without complaint
+    with pytest.raises(InvalidArgumentError, match=match):
+        DistributionSpec(kind="gaussian-mixture", dim=1, atoms=((0.0,), (1.0,)), **kw)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+def test_convergence_rejects_bad_noise(sigma):
+    gen = DistributionSpec(kind="uniform-ball", dim=1)
+    with pytest.raises(InvalidArgumentError, match="sigma"):
+        convergence_experiment(gen, gen, r=0.3, sigma=sigma, n_grid=(4,), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("n_grid", [(), (4, 0), (-3,)])
+def test_convergence_rejects_bad_grid(n_grid):
+    # a negative size used to end in numpy's "negative dimensions" ValueError
+    gen = DistributionSpec(kind="uniform-ball", dim=1)
+    with pytest.raises(InvalidArgumentError, match="n_grid"):
+        convergence_experiment(gen, gen, r=0.3, sigma=0.0, n_grid=n_grid, trials=1, seed=0)
+
+
 def test_convergence_identical_generators():
     gen = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),))
     result = convergence_experiment(
