@@ -4,17 +4,14 @@
 decides membership in an r-parallel set (Monte Carlo and rasterization).
 A base of at most ``_SCAN_MAX_BASE`` points is scanned in numpy, one base
 point and one coordinate column at a time, in the floating-point order of
-``cKDTree``; a larger base is queried through a ``cKDTree``.  Both give the
-same bits.
+``cKDTree``, accumulating in two or three scratch rows allocated once per
+call.  A larger base is queried through a ``cKDTree``.  Both give the same
+bits.
 ``max_matching``: maximum bipartite matching on a threshold graph, which
 gives the thresholded transport cost (robust risk).
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from itertools import chain
-from operator import iadd
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,32 +40,48 @@ def min_dist(points: np.ndarray, base: np.ndarray, linf: bool) -> np.ndarray:
         raise ValueError("points and base must be finite, check for nan or inf values")
     cols = np.ascontiguousarray(points.T)
     best = np.full(len(points), np.inf)
+    # scratch rows shared by every base point: the distance and one term, plus
+    # a lane's partial sum for L2 in d >= 4
+    rows = np.empty((3 if not linf and base.shape[1] >= 4 else 2, len(points)))
+    dist = _chebyshev if linf else _sq_euclidean
     for p in base:
-        np.minimum(best, _chebyshev(cols, p) if linf else _sq_euclidean(cols, p), out=best)
-    return best if linf else np.sqrt(best)
+        np.minimum(best, dist(cols, p, rows), out=best)
+    return best if linf else np.sqrt(best, out=best)
 
 
-def _chebyshev(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
-    dist = np.abs(cols[0] - p[0])
+def _chebyshev(cols: np.ndarray, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    dist, term = rows[0], rows[1]
+    np.abs(np.subtract(cols[0], p[0], out=dist), out=dist)
     for col, c in zip(cols[1:], p[1:]):
-        np.maximum(dist, np.abs(col - c), out=dist)
+        np.maximum(dist, np.abs(np.subtract(col, c, out=term), out=term), out=dist)
     return dist
 
 
-def _sq_euclidean(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _sq_euclidean(cols: np.ndarray, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Squared L2 distances, summed as cKDTree sums them: four strided partial
     sums over the first 4*floor(d/4) coordinates, added as ((s0+s1)+s2)+s3,
     then the remaining coordinates in sequence (plain left to right for d < 8)."""
-
-    def sq(k):
-        return np.square(cols[k] - p[k])
-
+    total, term = rows[0], rows[1]
     head = len(p) - len(p) % 4
-    terms = map(sq, range(head, len(p)))
-    if head:
-        lanes = [reduce(iadd, map(sq, range(j, head, 4))) for j in range(4)]
-        terms = chain([reduce(iadd, lanes)], terms)
-    return reduce(iadd, terms)
+    if not head:
+        return _sum_squares(cols, p, range(len(p)), total, term)
+    _sum_squares(cols, p, range(0, head, 4), total, term)
+    for j in (1, 2, 3):
+        total += _sum_squares(cols, p, range(j, head, 4), rows[2], term)
+    for k in range(head, len(p)):
+        total += np.square(np.subtract(cols[k], p[k], out=term), out=term)
+    return total
+
+
+def _sum_squares(
+    cols: np.ndarray, p: np.ndarray, ks: range, out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
+    """out = the sum of (cols[k] - p[k])**2 over ks, left to right; term is scratch."""
+    first, *rest = ks
+    np.square(np.subtract(cols[first], p[first], out=out), out=out)
+    for k in rest:
+        out += np.square(np.subtract(cols[k], p[k], out=term), out=term)
+    return out
 
 
 def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int):

@@ -10,6 +10,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -239,13 +240,24 @@ def _gen_from_dict(data, where) -> tp.DistributionSpec:
         )
 
 
+def _nonnegative_real(value, where, what) -> float:
+    with reading(where):
+        x = float(value)
+        if not 0.0 <= x < math.inf:
+            raise InvalidArgumentError(f"{what} must be a nonnegative finite real")
+    return x
+
+
 def _cmd_dr_converge(args) -> int:
     data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
     gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
     gen1 = _gen_from_dict(data["gen1"], f"{args.config}: gen1")
+    with reading(f"{args.config}: gen1"):
+        if gen1.dim != gen0.dim:
+            raise InvalidArgumentError(f"dim {gen1.dim} differs from gen0's dim {gen0.dim}")
+    r = _nonnegative_real(data["r"], f"{args.config}: r", "radius")
+    sigma = _nonnegative_real(data.get("sigma", 0.0), f"{args.config}: sigma", "noise sigma")
     with reading(args.config):
-        r = float(data["r"])
-        sigma = float(data.get("sigma", 0.0))
         n_grid = [int(n) for n in data["n_grid"]]
         trials = int(data.get("trials", 10))
         seed = int(data.get("seed", args.seed))

@@ -7,9 +7,11 @@ lies in (lo, hi], reported as scale * p / delta.  A solid angle is the
 Gaussian measure of a cone, so it is a band count too; the central cap's
 solid angle has a closed form and is not sampled.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
-reproduces estimates bit-for-bit no matter the worker count.  Shell
-estimators carry an O(delta) bias that callers fold into tolerances; the
-default shell width is r / 1000.
+reproduces estimates bit-for-bit no matter the worker count.  A box draw is
+scaled one coordinate column at a time into a (d, m) buffer and handed on as
+its transpose, which min_dist scans without a copy.  Shell estimators carry
+an O(delta) bias that callers fold into tolerances; the default shell width
+is r / 1000.
 """
 
 from __future__ import annotations
@@ -110,11 +112,19 @@ def _band_estimates(
         lo = points.min(axis=0) - reach
         span = (points.max(axis=0) + reach) - lo
         scale = float(np.prod(span))
-        draw = lambda g, m: lo + g.random((m, dim)) * span
+
+        def draw(g, m):
+            # lo + u * span one column at a time, not broadcast over rows only
+            # dim long; min_dist scans the rows of cols without a copy
+            u = g.random((m, dim))
+            cols = np.empty((dim, m))
+            for k, row in enumerate(cols):
+                np.add(np.multiply(u[:, k], span[k], out=row), lo[k], out=row)
+            return cols.T
 
     def chunk(g, m):
         d = dist_fn(draw(g, m))
-        return tuple(int(((d > a) & (d <= b)).sum()) for a, b, _ in bands)
+        return tuple(int(np.count_nonzero((d > a) & (d <= b))) for a, b, _ in bands)
 
     n = cfg.samples
     estimates = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, permutations
 
 import numpy as np
@@ -114,9 +115,19 @@ def d_r_brute_force(x: PointSet, y: PointSet, r: float) -> float:
     d2 = _pair_dist_sq(x.points, y.points)
     ok = d2 <= (2.0 * r) ** 2
     # every assignment at once: row k of ok[i, perms[k, i]] is one permutation
-    perms = np.array(list(permutations(range(n))))
-    best = int(ok[np.arange(n), perms].sum(axis=1).max())
+    best = int(ok[np.arange(n), _permutations(n)].sum(axis=1).max())
     return float(Fraction(n - best, n))
+
+
+@cache
+def _permutations(n: int) -> np.ndarray:
+    """All permutations of range(n), one per row; read-only, shared by every call.
+
+    uint8 entries keep the tables that stay cached small: 35 KB at n = 7
+    against 282 KB as int64."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    perms.flags.writeable = False
+    return perms
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +452,8 @@ class DistributionSpec:
             raise InvalidArgumentError(f"unknown distribution kind {self.kind!r}")
         if any(len(a) != self.dim for a in self.atoms) or len(self.center) not in (0, self.dim):
             raise InvalidArgumentError(f"atoms and center need {self.dim} coordinates each")
+        if not all(map(math.isfinite, self.center)):
+            raise InvalidArgumentError("center must be finite")
         if self.kind == "gaussian-mixture":
             if not self.atoms:
                 raise InvalidArgumentError("gaussian-mixture needs atoms")

@@ -273,6 +273,24 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
     assert "sigma must be a nonnegative finite real" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"r": -0.5}, "r: radius must be a nonnegative finite real"),
+        ({"sigma": -0.5}, "sigma: noise sigma must be a nonnegative finite real"),
+        ({"gen0": {"kind": "uniform-ball", "center": [math.nan, 0.0]}}, "gen0: center must be finite"),
+        ({"gen1": {"dim": 3, "atoms": [[1.0, 0.0, 0.0]]}}, "gen1: dim 3 differs from gen0's dim 2"),
+    ],
+    ids=["r", "sigma", "center", "dim"],
+)
+def test_dr_converge_errors_name_file_and_key(tmp_path, capsys, entry, message):
+    # each of these used to print the library's message without its place
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(json.dumps({**_CONV, **entry}))
+    assert main(["dr-converge", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
 def test_epi_command(tmp_path):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"

@@ -333,9 +333,31 @@ def test_min_dist_matches_brute_force():
         base = rng.standard_normal((m, dim))
         pts = np.concatenate([rng.standard_normal((500, dim)), base[rng.integers(0, m, 20)]])
         want = cKDTree(base).query(pts, p=np.inf if linf else 2)[0]
-        got = min_dist(pts, base, linf)
-        np.testing.assert_array_equal(got, want)
-        assert (got[-20:] == 0.0).all()
+        # column-major rows are what the box draw hands over
+        for batch in (pts, np.asfortranarray(pts)):
+            got = min_dist(batch, base, linf)
+            np.testing.assert_array_equal(got, want)
+            assert (got[-20:] == 0.0).all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("linf", [False, True])
+def test_min_dist_scan_holds_three_rows(dim, linf):
+    # best and two scratch rows; a fresh array per coordinate and base point
+    # used to lift the peak to four or five rows
+    import tracemalloc
+
+    n = 1_000_000
+    rng = np.random.default_rng(26)
+    pts = np.asfortranarray(rng.standard_normal((n, dim)))
+    base = rng.standard_normal((8, dim))
+    tracemalloc.start()
+    try:
+        min_dist(pts, base, linf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 3 * 8 * n
 
 
 @pytest.mark.parametrize("m", [64, 65])
@@ -534,6 +556,29 @@ def test_band_core_matches_reference_estimators():
             )
         for got, want in pairs:
             assert got == want, (dim, norm, delta, workers)
+
+
+def test_box_draws_are_the_broadcast_formula():
+    # a last-bit change in the draws seldom moves a band count, so the draws
+    # themselves are compared with lo + u * span
+    from parset.mc import _band_estimates
+
+    rng = np.random.default_rng(27)
+    for dim in (1, 2, 3, 5):
+        points, reach = rng.uniform(-1.0, 1.0, (4, dim)), 0.7
+        seen = []
+
+        def record(x):
+            seen.append(np.array(x))
+            return np.zeros(len(x))
+
+        _band_estimates(McConfig(samples=CHUNK + 100, seed=28), dim, record,
+                        [(-math.inf, 0.0, 1.0)], box=(points, reach))
+        lo = points.min(axis=0) - reach
+        span = (points.max(axis=0) + reach) - lo
+        assert [len(x) for x in seen] == [CHUNK, 100]
+        for k, x in enumerate(seen):
+            np.testing.assert_array_equal(x, lo + chunk_generator(28, k).random((len(x), dim)) * span)
 
 
 def test_band_core_argument_errors():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import parset
 from parset import InvalidArgumentError, Verdict
+from parset.cli import main
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
 from parset import entropy as ent
 from parset import mc as mcmod
@@ -17,6 +19,25 @@ from parset.suite import (
     profile_from_samples,
     run_suite,
 )
+
+
+# sha256 of results.csv for `parset suite all --samples 100 --seed 0 --workers 1`,
+# taken with these numpy and scipy versions; others may round differently
+_RESULTS_SHA256 = "ce603834886e186d2451aea9253d4bdd77bdfcb24016806bf6a9ba9d088b09da"
+_RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_results_csv_digest_is_pinned(tmp_path):
+    import numpy
+    import scipy
+
+    have = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    if have != _RESULTS_VERSIONS:
+        pytest.skip(f"digest taken with {_RESULTS_VERSIONS}, running with {have}")
+    argv = ["suite", "all", "--samples", "100", "--seed", "0", "--workers", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == _RESULTS_SHA256
 
 
 def test_profile_full_and_smoke():

@@ -29,7 +29,7 @@ from parset import (
     w1_empirical,
 )
 from parset._rng import single_generator
-from parset.transport import _pair_dist_sq, _threshold_csr
+from parset.transport import _pair_dist_sq, _permutations, _threshold_csr
 
 
 def uniform(points):
@@ -79,12 +79,16 @@ def test_dr_threshold_tie_matchable():
 def test_dr_brute_force_sweep():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        n = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 9))
         dim = int(rng.integers(1, 4))
         x = PointSet(rng.standard_normal((n, dim)))
         y = PointSet(rng.standard_normal((n, dim)))
         r = float(rng.uniform(0.05, 1.5))
         assert d_r_uniform(x, y, r).value == d_r_brute_force(x, y, r)
+    # one shared table per n, which no caller can change
+    perms = _permutations(8)
+    assert not perms.flags.writeable
+    assert _permutations(8) is perms
 
 
 def test_dr_certificate_is_a_maximum_matching():
