@@ -14,9 +14,6 @@ gives the thresholded transport cost (robust risk).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
-from scipy.spatial import cKDTree
 
 
 # Largest base that is scanned instead of put in a KD-tree.  Per 65 536-point
@@ -31,6 +28,8 @@ def min_dist(points: np.ndarray, base: np.ndarray, linf: bool) -> np.ndarray:
     Non-finite coordinates raise ValueError, as they do in ``cKDTree``.
     """
     if len(base) > _SCAN_MAX_BASE:
+        from scipy.spatial import cKDTree
+
         return cKDTree(base).query(points, p=np.inf if linf else 2)[0]
     points = np.asarray(points, dtype=np.float64)
     base = np.asarray(base, dtype=np.float64)
@@ -91,6 +90,9 @@ def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: 
     nodes indices[indptr[i]:indptr[i + 1]].  It is solved as a unit-capacity
     max flow (Dinic) on source -> left -> right -> sink.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     n_edges = len(indices)
     source, sink = n_left + n_right, n_left + n_right + 1
     # rows: left nodes, right nodes (one edge to the sink), source, sink

@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 CHUNK = 1 << 16
 # Counter blocks reserved per chunk slot; far larger than any chunk can consume,
 # so streams never overlap.
@@ -51,7 +53,7 @@ def map_reduce_chunks(
 ):
     """Run chunk_fn(gen, n) over all chunks; add the tuples in chunk order."""
     if total < 1:
-        raise ValueError("total samples must be >= 1")
+        raise InvalidArgumentError("total samples must be >= 1")
     sizes = [CHUNK] * (total // CHUNK)
     if total % CHUNK:
         sizes.append(total % CHUNK)

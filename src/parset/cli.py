@@ -257,9 +257,15 @@ def _cmd_dr_converge(args) -> int:
             raise InvalidArgumentError(f"dim {gen1.dim} differs from gen0's dim {gen0.dim}")
     r = _nonnegative_real(data["r"], f"{args.config}: r", "radius")
     sigma = _nonnegative_real(data.get("sigma", 0.0), f"{args.config}: sigma", "noise sigma")
-    with reading(args.config):
+    with reading(f"{args.config}: n_grid"):
         n_grid = [int(n) for n in data["n_grid"]]
+        if not n_grid or min(n_grid) < 1:
+            raise InvalidArgumentError("need a nonempty list of sizes >= 1")
+    with reading(f"{args.config}: trials"):
         trials = int(data.get("trials", 10))
+        if trials < 1:
+            raise InvalidArgumentError("need an integer >= 1")
+    with reading(args.config):
         seed = int(data.get("seed", args.seed))
     result = tp.convergence_experiment(
         gen0, gen1, r=r, sigma=sigma, n_grid=n_grid, trials=trials, seed=seed
@@ -289,6 +295,8 @@ def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
 
 
 def _cmd_epi(args) -> int:
+    if not 0.0 < args.smoothing < math.inf:
+        raise InvalidArgumentError("--smoothing must be a positive finite real")
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
     rep, h_x, h_y = ent._reverse_epi(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import xlogy
 
 from ._rng import atom_indices, map_reduce_chunks
 from .bounds import BoundReport, reverse_epi_constant
@@ -196,6 +195,8 @@ def entropy_quadrature(gm: GaussianMixture, points: int = _QUADRATURE_POINTS) ->
     A grid step above _MAX_STEP_SD standard deviations is rejected, since the
     tail bound says nothing of the error of an undersampled bump.
     """
+    from scipy.special import xlogy
+
     if gm.dim != 1:
         raise InvalidArgumentError("quadrature entropy requires dim == 1")
     if points < 3:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc
 
 from . import _kernels
 from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
@@ -193,6 +192,8 @@ def central_cap_fraction(dim: int, cap_half_angle: float) -> float:
     """Share of the unit sphere S^(dim-1) within angle theta = cap_half_angle
     of e_0: (1/2) I_{sin^2 theta}((d-1)/2, 1/2) up to pi/2, one minus the
     share at pi - theta past it."""
+    from scipy.special import betainc
+
     half = 0.5 * float(betainc(0.5 * (dim - 1), 0.5, math.sin(cap_half_angle) ** 2))
     return half if cap_half_angle <= 0.5 * math.pi else 1.0 - half
 
@@ -248,6 +249,8 @@ def inscribed_angle_check(
     one over 2^(d-1), within 4 standard errors of the apex estimate.  The
     report carries the worst deficit.
     """
+    if dim < 2:
+        raise InvalidArgumentError("dim must be >= 2")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     shrink = 2.0 ** (dim - 1)

@@ -19,9 +19,6 @@ from functools import cache
 from itertools import chain, permutations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial import cKDTree
 
 from . import _kernels
 from ._rng import atom_indices, chunk_generator, derive_seed, single_generator, uniform_in_ball
@@ -70,6 +67,8 @@ def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
     The KD-tree proposes candidates within a radius widened by 1e-9 relative,
     so rounding in the tree cannot drop a pair; the exact test below decides.
     """
+    from scipy.spatial import cKDTree
+
     radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
     near = cKDTree(y).query_ball_point(x, radius, return_sorted=True)
     rows = np.repeat(np.arange(len(x)), [len(cols) for cols in near])
@@ -281,6 +280,9 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
     uniform equal-size inputs, otherwise the transportation LP.  Inputs are
     capped at 500 points per side; subsample or bin larger clouds first.
     """
+    from scipy import sparse
+    from scipy.optimize import linear_sum_assignment, linprog
+
     if mu.points.dim != nu.points.dim:
         raise InvalidArgumentError("measures must share a dimension")
     n, m = len(mu.points), len(nu.points)

@@ -280,8 +280,11 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
         ({"sigma": -0.5}, "sigma: noise sigma must be a nonnegative finite real"),
         ({"gen0": {"kind": "uniform-ball", "center": [math.nan, 0.0]}}, "gen0: center must be finite"),
         ({"gen1": {"dim": 3, "atoms": [[1.0, 0.0, 0.0]]}}, "gen1: dim 3 differs from gen0's dim 2"),
+        ({"n_grid": [0]}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"n_grid": []}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"trials": 0}, "trials: need an integer >= 1"),
     ],
-    ids=["r", "sigma", "center", "dim"],
+    ids=["r", "sigma", "center", "dim", "n-grid-zero", "n-grid-empty", "trials-zero"],
 )
 def test_dr_converge_errors_name_file_and_key(tmp_path, capsys, entry, message):
     # each of these used to print the library's message without its place
@@ -684,3 +687,46 @@ def test_removed_flags_exit_2(command, flag, capsys):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+
+def test_fresh_import_loads_no_scipy():
+    # scipy is imported where a primitive calls it, so neither the package,
+    # the CLI, the suite nor a command that needs no scipy primitive loads it
+    code = (
+        "import sys\n"
+        "import parset, parset.cli, parset.suite\n"
+        "def scipy_modules():\n"
+        "    return sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+        "assert parset.cli.main(['bounds', '--list']) == 0\n"
+        "assert parset.cli.main(['bounds', '--eval', 'union-in-ball', '--params', 'd=3,r=0.5']) == 0\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1])
+def test_mc_angle_small_dim_exit_2(tmp_path, capsys, dim):
+    # the apex used to be drawn before the dimension was checked: a traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": dim}))
+    assert main(["mc", "--op", "angle", "--spec", str(spec), "--samples", "100"]) == 2
+    assert capsys.readouterr().err == "error: dim must be >= 2\n"
+
+
+def test_epi_zero_samples_exit_2(tmp_path, capsys):
+    # two-dimensional mixtures take the Monte Carlo path, which needs samples
+    mix = tmp_path / "x.json"
+    mix.write_text(json.dumps({"atoms": [[0.0, 0.0], [1.0, 0.0]]}))
+    assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5",
+                 "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "error: total samples must be >= 1\n"
+
+
+@pytest.mark.parametrize("smoothing", ["-1", "0", "nan", "inf"])
+def test_epi_bad_smoothing_names_the_flag(tmp_path, capsys, smoothing):
+    # checked before the files load, so the weights are not blamed
+    mix = tmp_path / "x.json"
+    mix.write_text(json.dumps({"atoms": [[0.0]]}))
+    assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", smoothing]) == 2
+    assert capsys.readouterr().err == "error: --smoothing must be a positive finite real\n"

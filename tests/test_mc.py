@@ -377,13 +377,14 @@ def test_min_dist_rejects_non_finite_points(m, bad):
 
 
 def test_small_bases_build_no_kd_tree(monkeypatch):
-    # against a silent return to the per-chunk KD-tree for small bases
-    from parset import _kernels
+    # against a silent return to the per-chunk KD-tree for small bases;
+    # min_dist imports cKDTree at the call, so patch it where it is looked up
+    import scipy.spatial
 
     def no_tree(*args, **kwargs):
         raise AssertionError("cKDTree built")
 
-    monkeypatch.setattr(_kernels, "cKDTree", no_tree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
     rng = np.random.default_rng(22)
     base = PointSet(rng.uniform(-1, 1, (64, 3)))
     cfg = McConfig(samples=70_000, seed=23)
