@@ -55,8 +55,26 @@ class BoundReport:
         )
 
     @classmethod
+    def sweep(cls, name: str, bound_value: float, values) -> "BoundReport":
+        """compare the worst of a sweep's per-instance values (see worst_excess)."""
+        return cls.compare(name, bound_value, worst_excess(values)[0])
+
+    @classmethod
     def uncompared(cls, name: str, bound_value: float) -> "BoundReport":
         return cls(bound_name=name, bound_value=bound_value)
+
+
+def worst_excess(values) -> tuple[float, int]:
+    """(largest value, its index) over per-instance values, in order.
+
+    A NaN value is kept as the worst, so a sweep with a NaN instance fails;
+    no values give (-inf, -1), so an empty sweep fails too.
+    """
+    worst, at = -math.inf, -1
+    for k, value in enumerate(values):
+        if value > worst or math.isnan(value):
+            worst, at = value, k
+    return worst, at
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,11 @@ def _nonnegative_real(value, where, what) -> float:
     return x
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 1; JSON's true, 2.0 and "2" are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _cmd_dr_converge(args) -> int:
     data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
     gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
@@ -257,14 +262,12 @@ def _cmd_dr_converge(args) -> int:
             raise InvalidArgumentError(f"dim {gen1.dim} differs from gen0's dim {gen0.dim}")
     r = _nonnegative_real(data["r"], f"{args.config}: r", "radius")
     sigma = _nonnegative_real(data.get("sigma", 0.0), f"{args.config}: sigma", "noise sigma")
-    with reading(f"{args.config}: n_grid"):
-        n_grid = [int(n) for n in data["n_grid"]]
-        if not n_grid or min(n_grid) < 1:
-            raise InvalidArgumentError("need a nonempty list of sizes >= 1")
-    with reading(f"{args.config}: trials"):
-        trials = int(data.get("trials", 10))
-        if trials < 1:
-            raise InvalidArgumentError("need an integer >= 1")
+    n_grid = data["n_grid"]
+    if not (isinstance(n_grid, list) and n_grid and all(map(_is_count, n_grid))):
+        raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
+    trials = data.get("trials", 10)
+    if not _is_count(trials):
+        raise InvalidArgumentError(f"{args.config}: trials: need an integer >= 1")
     with reading(args.config):
         seed = int(data.get("seed", args.seed))
     result = tp.convergence_experiment(

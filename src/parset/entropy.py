@@ -130,17 +130,20 @@ def mixture_density(gm: GaussianMixture, x) -> float | np.ndarray:
 def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianMixture:
     """Mixture of the independent sum: atom sums, weight products, variances add.
 
-    Coinciding atom sums (within 1e-12) are merged by adding their weights.
+    Coinciding atom sums (within 1e-12, Chebyshev) are merged by adding their
+    weights; the merged atoms come in lexicographic order.
     """
     if gm_x.dim != gm_y.dim:
         raise InvalidArgumentError("mixtures must share a dimension")
     sums = (gm_x.atoms[:, None, :] + gm_y.atoms[None, :, :]).reshape(-1, gm_x.dim)
     w = (gm_x.weights[:, None] * gm_y.weights[None, :]).ravel()
-    uniq, groups = group_rows(sums)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, groups, w)
+    order = np.lexsort(sums.T[::-1])
+    kept, groups = group_rows(sums[order])
+    groups = groups[np.argsort(order)]  # back to input order
+    merged = np.zeros(len(kept))
+    np.add.at(merged, groups, w)  # in input order, as the weights come
     return GaussianMixture(
-        atoms=uniq, weights=merged, variance=gm_x.variance + gm_y.variance
+        atoms=sums[order[kept]], weights=merged, variance=gm_x.variance + gm_y.variance
     )
 
 
@@ -260,6 +263,8 @@ def _reverse_epi(
     """The reverse-EPI report for two mixtures of one variance r, plus the
     estimates of h(X) and h(Y) that it used.  ``workers`` threads share the
     Monte Carlo chunks; the estimates do not depend on it."""
+    if n < 1:  # checked here: quadrature would not read n for 1-d mixtures
+        raise InvalidArgumentError("samples must be >= 1")
     if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
     h_x = _entropy_auto(gm_x, n, seed, workers)

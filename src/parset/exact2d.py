@@ -20,10 +20,10 @@ inputs as a loop over one group at a time would do, so the pieces are the
 same bits in the same order (group first, then ascending along the span).  The
 angles phi = atan2 and alpha = acos stay scalar ``math`` calls over the near
 pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
-a share of inputs.  The pairwise temporaries (coverage tests, distances, the
-dedup test) are built in blocks of rows with at most ``_BLOCK_PAIRS`` (row,
-centre) pairs each, so memory grows with the number of centres, not with its
-square.
+a share of inputs.  The pairwise temporaries (coverage tests, distances) are
+built in blocks of rows with at most ``_BLOCK_PAIRS`` (row, centre) pairs
+each, so memory grows with the number of centres, not with its square; the
+deduplication, ``geometry.group_rows``, is blocked the same way.
 
 Both areas come from the divergence theorem over the same decomposition that
 gives the perimeter, so ``union_boundary`` builds one decomposition per
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidArgumentError
-from .geometry import NormKind, PointSet
+from .geometry import NormKind, PointSet, group_rows
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 1e-12
@@ -142,20 +142,6 @@ def _row_blocks(n: int):
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def _dedup_preserve_order(points: np.ndarray) -> np.ndarray:
-    """Rows in input order, dropping each row within _EPS of an already kept one."""
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
-    for blk in _row_blocks(n):
-        rows = np.arange(blk.start, blk.stop)
-        close = np.abs(points[None, : blk.stop] - points[blk, None]).max(axis=2) <= _EPS
-        close &= np.arange(blk.stop) < rows[:, None]  # earlier rows only
-        # greedy: a row goes when an earlier row that was kept is close to it
-        for k in np.flatnonzero(close.any(axis=1)):
-            keep[rows[k]] = not (close[k] & keep[: blk.stop]).any()
-    return points[keep]
-
-
 def _exposed_pieces(lo, hi, group, a, b):
     """Closed pieces of each span [lo[g], hi[g]] left after removing open holes.
 
@@ -191,7 +177,8 @@ def _exposed_pieces(lo, hi, group, a, b):
 
 
 def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
-    pts = _dedup_preserve_order(_require_planar(centers))
+    pts = _require_planar(centers)
+    pts = pts[group_rows(pts)[0]]
     r = _require_radius(r)
     n = len(pts)
     arcs: list[tuple[int, float, float]] = []
@@ -244,7 +231,8 @@ def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
     with the same outward normal coincide are assigned to the lower index so
     segment interiors stay pairwise disjoint.
     """
-    pts = _dedup_preserve_order(_require_planar(centers))
+    pts = _require_planar(centers)
+    pts = pts[group_rows(pts)[0]]
     r = _require_radius(r)
     n = len(pts)
     axis, sign, orientation = zip(*_FACES)

@@ -44,6 +44,11 @@ _PARAM_KEYS = {
     "t",
 }
 _CHECK_NAMES = ("union-in-ball", "union-in-cube", "volume-constrained", "gaussian-surface", "kneser")
+# containment checks: the norm whose unions the cap is for, and the cap
+_CONTAINMENT = {
+    "union-in-ball": (NormKind.L2, bound_union_in_ball),
+    "union-in-cube": (NormKind.LINF, bound_union_in_cube),
+}
 
 
 @dataclass(frozen=True)
@@ -125,22 +130,13 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
 
     reports: list[BoundReport] = []
     for name in checks:
-        if name == "union-in-ball":
-            if norm is not NormKind.L2 or _enclosing_radius(points.points, norm) > radius:
-                reports.append(BoundReport.uncompared(name, bound_union_in_ball(d, radius)))
-                continue
-            measured, se = surface_estimate()
-            reports.append(
-                BoundReport.compare(name, bound_union_in_ball(d, radius), measured, se)
-            )
-        elif name == "union-in-cube":
-            if norm is not NormKind.LINF or _enclosing_radius(points.points, norm) > radius:
-                reports.append(BoundReport.uncompared(name, bound_union_in_cube(d, radius)))
-                continue
-            measured, se = surface_estimate()
-            reports.append(
-                BoundReport.compare(name, bound_union_in_cube(d, radius), measured, se)
-            )
+        if name in _CONTAINMENT:
+            cap_norm, cap = _CONTAINMENT[name]
+            bound = cap(d, radius)
+            if norm is not cap_norm or _enclosing_radius(points.points, norm) > radius:
+                reports.append(BoundReport.uncompared(name, bound))
+            else:
+                reports.append(BoundReport.compare(name, bound, *surface_estimate()))
         elif name == "volume-constrained":
             vol, vol_se = volume_estimate()
             measured, se = surface_estimate()

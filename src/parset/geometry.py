@@ -287,18 +287,27 @@ def load_points(path) -> PointSet:
 
 
 _GROUP_TOL = 1e-12
+_GROUP_BLOCK_PAIRS = 1 << 16  # (row, earlier row) pairs compared per block
 
 
-def group_rows(points: np.ndarray):
-    """Group rows within _GROUP_TOL (Chebyshev); returns (unique rows, group index per row)."""
-    n = points.shape[0]
-    order = np.lexsort(points.T[::-1])
-    group = np.empty(n, dtype=np.int64)
-    uniques: list[np.ndarray] = []
-    for idx in order:
-        if uniques and np.abs(points[idx] - uniques[-1]).max() <= _GROUP_TOL:
-            group[idx] = len(uniques) - 1
-        else:
-            uniques.append(points[idx])
-            group[idx] = len(uniques) - 1
-    return np.asarray(uniques), group
+def group_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy grouping of rows in input order: a row joins the first earlier
+    kept row within _GROUP_TOL (Chebyshev), or is kept itself.
+
+    Returns (indices of the kept rows, ascending; each row's group, an index
+    into them).  The pairwise comparisons run in blocks of at most
+    _GROUP_BLOCK_PAIRS pairs.
+    """
+    n = len(points)
+    rep = np.arange(n)  # the kept row each row joins; itself when kept
+    step = max(1, _GROUP_BLOCK_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        close = np.abs(points[None, :stop] - points[start:stop, None]).max(axis=2) <= _GROUP_TOL
+        close &= np.arange(stop) < np.arange(start, stop)[:, None]  # earlier rows only
+        for k in np.flatnonzero(close.any(axis=1)):
+            earlier_kept = np.flatnonzero(close[k] & (rep[:stop] == np.arange(stop)))
+            if len(earlier_kept):
+                rep[start + k] = earlier_kept[0]
+    kept = np.flatnonzero(rep == np.arange(n))
+    return kept, np.searchsorted(kept, rep)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
-from .bounds import BoundReport
+from .bounds import BoundReport, worst_excess
 from .errors import InvalidArgumentError
 from .geometry import NormKind, ParallelSetSpec
 
@@ -247,23 +247,22 @@ def inscribed_angle_check(
 
     For every sampled apex the cap's solid angle must be at least the central
     one over 2^(d-1), within 4 standard errors of the apex estimate.  The
-    report carries the worst deficit.
+    report carries the worst deficit and that apex's standard error.
     """
     if dim < 2:
         raise InvalidArgumentError("dim must be >= 2")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     shrink = 2.0 ** (dim - 1)
-    worst = -math.inf
-    worst_se = 0.0
-    for k in range(trials):
+
+    def deficit(k):
         sub = derive_seed(seed, "inscribed-angle", k)
         apex = uniform_in_ball(single_generator(derive_seed(sub, "apex")), 1, dim)[0]
         fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub, workers)
-        deficit = fc / shrink - fa.value
-        if deficit > worst or math.isnan(deficit):
-            worst = deficit
-            worst_se = fa.std_error
+        return fc / shrink - fa.value, fa.std_error
+
+    deficits = [deficit(k) for k in range(trials)]
+    worst, at = worst_excess(d for d, _ in deficits)
     return BoundReport.compare(
-        "inscribed-angle", bound_value=0.0, measured=worst, std_error=worst_se
+        "inscribed-angle", bound_value=0.0, measured=worst, std_error=deficits[at][1]
     )

@@ -103,11 +103,6 @@ def profile_from_samples(samples: int | None) -> Profile:
     )
 
 
-def _worse(worst: float, value: float) -> float:
-    """max(worst, value), except that a NaN on either side is kept."""
-    return value if value > worst or math.isnan(value) else worst
-
-
 def _ball_config(g, max_points: int, dim: int = 2) -> np.ndarray:
     return uniform_in_ball(g, int(g.integers(1, max_points + 1)), dim)
 
@@ -127,29 +122,24 @@ def check_b_puzzle(seed: int, prof: Profile) -> list[BoundReport]:
     angles = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
     pts = PointSet([[0.0, 0.0]] + [[math.cos(a), math.sin(a)] for a in angles])
     decomp = ex2.disk_union_boundary(pts, 1.0)
-    reports = [
+    g = chunk_generator(derive_seed(seed, "b-puzzle"), 0)
+    configs = (np.vstack([[0.0, 0.0], _ball_config(g, 50)]) for _ in range(prof.random_configs))
+    perimeters = (ex2.disk_union_boundary(PointSet(c), 1.0).perimeter() for c in configs)
+    return [
         BoundReport.compare(
             "b-puzzle-equality-gap", 1e-9, abs(decomp.perimeter() - four_pi)
         ),
         BoundReport.compare("b-puzzle-center-arc", 1e-9, decomp.arc_length_of(0)),
+        BoundReport.sweep("b-puzzle-bound", four_pi + 1e-9, perimeters),
     ]
-    g = chunk_generator(derive_seed(seed, "b-puzzle"), 0)
-    worst = 0.0
-    for _ in range(prof.random_configs):
-        centers = np.vstack([[0.0, 0.0], _ball_config(g, 50)])
-        worst = _worse(worst, ex2.disk_union_boundary(PointSet(centers), 1.0).perimeter())
-    reports.append(BoundReport.compare("b-puzzle-bound", four_pi + 1e-9, worst))
-    return reports
 
 
 def check_c_puzzle(seed: int, prof: Profile) -> list[BoundReport]:
     """Perimeter of confined unit-square unions never beats the doubled square."""
     g = chunk_generator(derive_seed(seed, "c-puzzle"), 0)
-    worst = 0.0
-    for _ in range(prof.random_configs):
-        centers = np.vstack([[0.0, 0.0], _cube_config(g, 50)])
-        worst = _worse(worst, ex2.square_union_perimeter(PointSet(centers), 1.0))
-    return [BoundReport.compare("c-puzzle-bound", 16.0 + 1e-9, worst)]
+    configs = (np.vstack([[0.0, 0.0], _cube_config(g, 50)]) for _ in range(prof.random_configs))
+    perimeters = (ex2.square_union_perimeter(PointSet(c), 1.0) for c in configs)
+    return [BoundReport.sweep("c-puzzle-bound", 16.0 + 1e-9, perimeters)]
 
 
 # the planar r-parallel sets the exact checks alternate between
@@ -159,36 +149,34 @@ _PLANAR_SHAPES = ((NormKind.L2, _ball_config), (NormKind.LINF, _cube_config))
 def check_exact_vs_raster(seed: int, prof: Profile) -> list[BoundReport]:
     """Exact perimeter/area vs the marching-squares grid oracle."""
     g = chunk_generator(derive_seed(seed, "raster"), 0)
-    worst_perim = 0.0
-    worst_area = 0.0
-    for k in range(prof.raster_instances):
+
+    def rel_errors(k):
         norm, config = _PLANAR_SHAPES[k % 2]
         r = float(g.uniform(0.6, 1.4))
         centers = PointSet(config(g, 20))
         decomp = ex2.union_boundary(centers, r, norm)
         exact_p, exact_a = decomp.perimeter(), decomp.area()
         area, perim = ex2.rasterized_measures(centers, r, norm, RASTER_GRID)
-        worst_perim = _worse(worst_perim, abs(perim - exact_p) / exact_p)
-        worst_area = _worse(worst_area, abs(area - exact_a) / exact_a)
+        return abs(perim - exact_p) / exact_p, abs(area - exact_a) / exact_a
+
+    errs = [rel_errors(k) for k in range(prof.raster_instances)]
     return [
-        BoundReport.compare("raster-perimeter-rel-err", 0.01, worst_perim),
-        BoundReport.compare("raster-area-rel-err", 0.001, worst_area),
+        BoundReport.sweep("raster-perimeter-rel-err", 0.01, (p for p, _ in errs)),
+        BoundReport.sweep("raster-area-rel-err", 0.001, (a for _, a in errs)),
     ]
 
 
 def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
     """Measured surface vs the volume-budget cap (V/r) * 2^(2d-1) * d."""
     g = chunk_generator(derive_seed(seed, "volume-constrained"), 0)
-    worst2d = -math.inf
-    for k in range(100):
+
+    def planar_excess(k):
         norm, config = _PLANAR_SHAPES[k % 2]
         r = float(g.uniform(0.4, 1.2))
         decomp = ex2.union_boundary(PointSet(config(g, 30) * 1.5), r, norm)
-        bound = bound_volume_constrained(2, r, decomp.area())
-        worst2d = _worse(worst2d, decomp.perimeter() - bound)
-    reports = [BoundReport.compare("volume-constrained-2d", 0.0, worst2d)]
-    worst3d = -math.inf
-    for k in range(20):
+        return decomp.perimeter() - bound_volume_constrained(2, r, decomp.area())
+
+    def spatial_excess(k):
         r = float(g.uniform(0.4, 1.0))
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2)
         spec = ParallelSetSpec(base=centers, norm=NormKind.L2, radius=r)
@@ -197,34 +185,33 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
         vol = mcmod.mc_volume(spec, cfg)
         shell = mcmod.mc_shell_lebesgue(spec, replace(cfg, seed=sub + 1))
         bound = bound_volume_constrained(3, r, vol.value + 4.0 * vol.std_error)
-        worst3d = _worse(worst3d, shell.value - 4.0 * shell.std_error - bound)
-    reports.append(BoundReport.compare("volume-constrained-3d", 0.0, worst3d))
-    return reports
+        return shell.value - 4.0 * shell.std_error - bound
+
+    return [
+        BoundReport.sweep("volume-constrained-2d", 0.0, map(planar_excess, range(100))),
+        BoundReport.sweep("volume-constrained-3d", 0.0, map(spatial_excess, range(20))),
+    ]
 
 
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
     """Shell scaling inequality over random configurations and scale factors."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
-    worst = -math.inf
-    for k in range(20):
-        dim = 2 if k % 2 == 0 else 3
-        centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim))
-        norm = NormKind.L2 if k % 3 else NormKind.LINF
-        for t in (1.2, 1.5, 2.0):
-            rep = mcmod.kneser_shell_check(
-                centers,
-                norm,
-                a_k=0.5,
-                b_k=1.0,
-                t=t,
-                cfg=McConfig(
+
+    def excesses():
+        for k in range(20):
+            dim = 2 if k % 2 == 0 else 3
+            centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim))
+            norm = NormKind.L2 if k % 3 else NormKind.LINF
+            for t in (1.2, 1.5, 2.0):
+                cfg = McConfig(
                     samples=prof.kneser_samples,
                     seed=derive_seed(seed, "kneser", k, t),
                     workers=prof.workers,
-                ),
-            )
-            worst = _worse(worst, rep.measured - 4.0 * rep.std_error - rep.bound_value)
-    return [BoundReport.compare("kneser-shell-sweep", 0.0, worst)]
+                )
+                rep = mcmod.kneser_shell_check(centers, norm, a_k=0.5, b_k=1.0, t=t, cfg=cfg)
+                yield rep.measured - 4.0 * rep.std_error - rep.bound_value
+
+    return [BoundReport.sweep("kneser-shell-sweep", 0.0, excesses())]
 
 
 def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
@@ -238,10 +225,9 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
         seed=derive_seed(seed, "angle-antipode"),
         workers=prof.workers,
     )
-    reports = [BoundReport.compare("inscribed-angle-2d-ratio", 0.01, abs(fa.value / fc - 0.5))]
     g = chunk_generator(derive_seed(seed, "angle-3d"), 0)
-    worst = -math.inf
-    for k in range(prof.angle_pairs):
+
+    def excess(k):
         rep = mcmod.inscribed_angle_check(
             3,
             cap_half_angle=float(g.uniform(0.2, 2.5)),
@@ -250,9 +236,12 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
             directions=prof.angle_directions,
             workers=prof.workers,
         )
-        worst = _worse(worst, rep.measured - 4.0 * rep.std_error)
-    reports.append(BoundReport.compare("inscribed-angle-3d-sweep", 0.0, worst))
-    return reports
+        return rep.measured - 4.0 * rep.std_error
+
+    return [
+        BoundReport.compare("inscribed-angle-2d-ratio", 0.01, abs(fa.value / fc - 0.5)),
+        BoundReport.sweep("inscribed-angle-3d-sweep", 0.0, map(excess, range(prof.angle_pairs))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +271,20 @@ def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
 def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
     """Gaussian shell estimates stay under max(C, C/r) (loose by design)."""
     g = chunk_generator(derive_seed(seed, "gaussian-surface"), 0)
-    worst = -math.inf
-    k = 0
-    for dim in (2, 3):
-        for norm in (NormKind.L2, NormKind.LINF):
-            r = float(g.uniform(0.3, 1.5))
-            centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim) * 1.5)
-            spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
-            est = mcmod.mc_gaussian_shell(
-                spec,
-                McConfig(
-                    samples=prof.mc_samples,
-                    seed=derive_seed(seed, "gsurf", k),
-                    workers=prof.workers,
-                ),
-            )
-            bound = gaussian_surface_bound(dim, r, 1.0, norm)
-            worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
-            k += 1
-    return [BoundReport.compare("gaussian-surface-bound", 0.0, worst)]
+    shapes = [(dim, norm) for dim in (2, 3) for norm in (NormKind.L2, NormKind.LINF)]
+
+    def excess(k):
+        dim, norm = shapes[k]
+        r = float(g.uniform(0.3, 1.5))
+        centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim) * 1.5)
+        spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
+        cfg = McConfig(
+            samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k), workers=prof.workers
+        )
+        est = mcmod.mc_gaussian_shell(spec, cfg)
+        return est.value - 4.0 * est.std_error - gaussian_surface_bound(dim, r, 1.0, norm)
+
+    return [BoundReport.sweep("gaussian-surface-bound", 0.0, map(excess, range(len(shapes))))]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +303,8 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
     """
     g = chunk_generator(derive_seed(seed, "reverse-bm"), 0)
     samples = max(1000, prof.mc_samples // 5)
-    worst = -math.inf
-    worst_consistency = -math.inf
-    for k in range(50):
+
+    def excesses(k):
         r = float(g.uniform(0.5, 1.2))
         k_pts = _ball_config(g, 8)
         l_pts = _ball_config(g, 8)
@@ -333,14 +316,14 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
             McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k), workers=prof.workers),
         )
         bound = vol_k * vol_l * reverse_bm_bound(2, r)
-        worst = _worse(worst, est.value - 4.0 * est.std_error - bound)
         exact_sum = ex2.disk_union_area(sum_set, 2.0 * r)
-        worst_consistency = _worse(
-            worst_consistency, abs(est.value - exact_sum) - 4.0 * est.std_error
-        )
+        return (est.value - 4.0 * est.std_error - bound,
+                abs(est.value - exact_sum) - 4.0 * est.std_error)
+
+    rows = [excesses(k) for k in range(50)]
     return [
-        BoundReport.compare("reverse-bm", 0.0, worst),
-        BoundReport.compare("reverse-bm-mc-vs-exact", 0.0, worst_consistency),
+        BoundReport.sweep("reverse-bm", 0.0, (bm for bm, _ in rows)),
+        BoundReport.sweep("reverse-bm-mc-vs-exact", 0.0, (gap for _, gap in rows)),
     ]
 
 
@@ -353,39 +336,35 @@ def check_dr_oracle(seed: int, prof: Profile) -> list[BoundReport]:
     """Matching cost equals brute force; weighted solver agrees on uniform
     inputs (both comparisons exact)."""
     g = chunk_generator(derive_seed(seed, "dr-oracle"), 0)
-    mismatches = 0
-    for _ in range(prof.dr_draws):
-        n = int(g.integers(1, 8))
-        dim = int(g.integers(1, 4))
+
+    def draw(max_n, max_dim):
+        n = int(g.integers(1, max_n))
+        dim = int(g.integers(1, max_dim))
         x = PointSet(g.standard_normal((n, dim)))
         y = PointSet(g.standard_normal((n, dim)))
-        r = float(g.uniform(0.05, 1.5))
-        if tp.d_r_uniform(x, y, r).value != tp.d_r_brute_force(x, y, r):
-            mismatches += 1
-    reports = [BoundReport.compare("dr-brute-force-agreement", 0.0, float(mismatches))]
-    disagreements = 0
-    for _ in range(50):
-        n = int(g.integers(1, 12))
-        dim = int(g.integers(1, 3))
-        x = PointSet(g.standard_normal((n, dim)))
-        y = PointSet(g.standard_normal((n, dim)))
-        r = float(g.uniform(0.05, 1.5))
-        uni = tp.d_r_uniform(x, y, r)
-        wei = tp.d_r_weighted(
-            tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y), r
-        )
-        if uni.value_exact != wei.value_exact:
-            disagreements += 1
-    reports.append(
-        BoundReport.compare("dr-weighted-uniform-agreement", 0.0, float(disagreements))
-    )
-    return reports
+        return x, y, float(g.uniform(0.05, 1.5))
+
+    def brute_force_mismatch(_):
+        x, y, r = draw(8, 4)
+        return tp.d_r_uniform(x, y, r).value != tp.d_r_brute_force(x, y, r)
+
+    def weighted_disagreement(_):
+        x, y, r = draw(12, 3)
+        mu, nu = tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y)
+        return tp.d_r_uniform(x, y, r).value_exact != tp.d_r_weighted(mu, nu, r).value_exact
+
+    mismatches = sum(map(brute_force_mismatch, range(prof.dr_draws)))
+    disagreements = sum(map(weighted_disagreement, range(50)))
+    return [
+        BoundReport.compare("dr-brute-force-agreement", 0.0, float(mismatches)),
+        BoundReport.compare("dr-weighted-uniform-agreement", 0.0, float(disagreements)),
+    ]
 
 
 def check_w1_domination_sweep(seed: int, prof: Profile) -> list[BoundReport]:
     g = chunk_generator(derive_seed(seed, "w1-dom"), 0)
-    worst = -math.inf
-    for _ in range(prof.w1_pairs):
+
+    def excess(_):
         n = int(g.integers(2, 51))
         dim = int(g.integers(1, 4))
         x = PointSet(g.standard_normal((n, dim)) * float(g.uniform(0.5, 2.0)))
@@ -394,30 +373,31 @@ def check_w1_domination_sweep(seed: int, prof: Profile) -> list[BoundReport]:
         rep = tp.check_w1_domination(
             tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y), r
         )
-        worst = _worse(worst, rep.measured - rep.bound_value)
-    return [BoundReport.compare("w1-domination-sweep", 1e-12, worst)]
+        return rep.measured - rep.bound_value
+
+    return [BoundReport.sweep("w1-domination-sweep", 1e-12, map(excess, range(prof.w1_pairs)))]
 
 
 def check_coupling_sandwich(seed: int, prof: Profile) -> list[BoundReport]:
     g = chunk_generator(derive_seed(seed, "sandwich"), 0)
-    worst = -math.inf
-    for _ in range(prof.sandwich_count):
+
+    def measure(dim, scale, shift):
+        n = int(g.integers(2, 31))
+        pts = PointSet(g.standard_normal((n, dim)) * scale + shift)
+        return tp.EmpiricalMeasure.uniform(pts)
+
+    def excess(_):
         dim = int(g.integers(1, 4))
         r = float(g.uniform(0.3, 1.2))
         eta = min(float(g.uniform(0.02, 0.33)) * r, r / 3.0 * 0.95)
+        mu0 = measure(dim, 1.0, 0.0)
+        mu1 = measure(dim, float(g.uniform(0.5, 1.5)), float(g.uniform(-1, 1)))
+        mu0n = measure(dim, 1.0, float(g.uniform(-0.2, 0.2)))
+        mu1n = measure(dim, 1.0, float(g.uniform(-0.2, 0.2)))
+        return tp.coupling_sandwich_check(mu0, mu1, mu0n, mu1n, r, eta).measured
 
-        def measure(scale, shift):
-            n = int(g.integers(2, 31))
-            pts = PointSet(g.standard_normal((n, dim)) * scale + shift)
-            return tp.EmpiricalMeasure.uniform(pts)
-
-        mu0 = measure(1.0, 0.0)
-        mu1 = measure(float(g.uniform(0.5, 1.5)), float(g.uniform(-1, 1)))
-        mu0n = measure(1.0, float(g.uniform(-0.2, 0.2)))
-        mu1n = measure(1.0, float(g.uniform(-0.2, 0.2)))
-        rep = tp.coupling_sandwich_check(mu0, mu1, mu0n, mu1n, r, eta)
-        worst = _worse(worst, rep.measured)
-    return [BoundReport.compare("coupling-sandwich-sweep", 0.0, worst)]
+    excesses = map(excess, range(prof.sandwich_count))
+    return [BoundReport.sweep("coupling-sandwich-sweep", 0.0, excesses)]
 
 
 def check_convergence(seed: int, prof: Profile) -> list[BoundReport]:
@@ -455,8 +435,8 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
     rhs = d * math.log(2.0 * math.pi * math.e * r) + reverse_epi_constant(d, r)
     reports = [BoundReport.compare("reverse-epi-analytic", rhs, lhs)]
     g = chunk_generator(derive_seed(seed, "epi"), 0)
-    worst = -math.inf
-    for _ in range(20):
+
+    def excess(_):
         r = float(g.uniform(0.2, 1.5))
         kx = int(g.integers(1, 5))
         ky = int(g.integers(1, 5))
@@ -469,8 +449,9 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
             y_weights=wy / wy.sum(),
             r=r,
         )
-        worst = _worse(worst, rep.measured - rep.bound_value)
-    reports.append(BoundReport.compare("reverse-epi-random", 1e-6, worst))
+        return rep.measured - rep.bound_value
+
+    reports.append(BoundReport.sweep("reverse-epi-random", 1e-6, map(excess, range(20))))
     # widely separated atoms: the gap approaches -(d/2) ln(pi e r)
     r = 0.3
     sep = 40.0 * math.sqrt(r)
@@ -487,8 +468,8 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
 
 def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
     g = chunk_generator(derive_seed(seed, "fisher"), 0)
-    worst = -math.inf
-    for k in range(20):
+
+    def fisher_excess(k):
         dim = int(g.integers(1, 4))
         n_atoms = int(g.integers(1, 5))
         w = g.random(n_atoms) + 0.1
@@ -500,10 +481,9 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
         est = ent.fisher_information_mc(
             gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k), workers=prof.workers
         )
-        worst = _worse(worst, est.value - 4.0 * est.std_error - gm.dim / gm.variance)
-    reports = [BoundReport.compare("fisher-bound-sweep", 0.0, worst)]
-    worst_db = -math.inf
-    for k in range(10):
+        return est.value - 4.0 * est.std_error - gm.dim / gm.variance
+
+    def de_bruijn_excess(k):
         n_atoms = int(g.integers(1, 4))
         w = g.random(n_atoms) + 0.1
         rep = ent.de_bruijn_check(
@@ -515,48 +495,44 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             seed=derive_seed(seed, "de-bruijn", k),
             workers=prof.workers,
         )
-        worst_db = _worse(worst_db, rep.measured - rep.bound_value)
-    reports.append(BoundReport.compare("de-bruijn-sweep", 0.0, worst_db))
-    return reports
+        return rep.measured - rep.bound_value
+
+    return [
+        BoundReport.sweep("fisher-bound-sweep", 0.0, map(fisher_excess, range(20))),
+        BoundReport.sweep("de-bruijn-sweep", 0.0, map(de_bruijn_excess, range(10))),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
 
-CHECKS = {
-    "b-puzzle": check_b_puzzle,
-    "c-puzzle": check_c_puzzle,
-    "exact-vs-raster": check_exact_vs_raster,
-    "volume-constrained": check_volume_constrained,
-    "kneser": check_kneser,
-    "inscribed-angle": check_inscribed_angle,
-    "gaussian-calibration": check_gaussian_calibration,
-    "gaussian-surface-bound": check_gaussian_surface_bound,
-    "reverse-bm": check_reverse_bm,
-    "dr-oracle": check_dr_oracle,
-    "w1-domination": check_w1_domination_sweep,
-    "coupling-sandwich": check_coupling_sandwich,
-    "convergence": check_convergence,
-    "reverse-epi": check_reverse_epi,
-    "fisher-de-bruijn": check_fisher_de_bruijn,
+# suite -> {check name -> check(seed, prof)}; "all" runs every suite in this order
+_SUITE_CHECKS = {
+    "euclidean": {
+        "b-puzzle": check_b_puzzle,
+        "c-puzzle": check_c_puzzle,
+        "exact-vs-raster": check_exact_vs_raster,
+        "volume-constrained": check_volume_constrained,
+        "kneser": check_kneser,
+        "inscribed-angle": check_inscribed_angle,
+    },
+    "gaussian": {
+        "gaussian-calibration": check_gaussian_calibration,
+        "gaussian-surface-bound": check_gaussian_surface_bound,
+    },
+    "brunn-minkowski": {"reverse-bm": check_reverse_bm},
+    "robust-risk": {
+        "dr-oracle": check_dr_oracle,
+        "w1-domination": check_w1_domination_sweep,
+        "coupling-sandwich": check_coupling_sandwich,
+        "convergence": check_convergence,
+    },
+    "epi": {"reverse-epi": check_reverse_epi, "fisher-de-bruijn": check_fisher_de_bruijn},
 }
-
-SUITES = {
-    "euclidean": (
-        "b-puzzle",
-        "c-puzzle",
-        "exact-vs-raster",
-        "volume-constrained",
-        "kneser",
-        "inscribed-angle",
-    ),
-    "gaussian": ("gaussian-calibration", "gaussian-surface-bound"),
-    "brunn-minkowski": ("reverse-bm",),
-    "robust-risk": ("dr-oracle", "w1-domination", "coupling-sandwich", "convergence"),
-    "epi": ("reverse-epi", "fisher-de-bruijn"),
-}
-SUITES["all"] = tuple(name for suite in SUITES.values() for name in suite)
+CHECKS = {name: fn for checks in _SUITE_CHECKS.values() for name, fn in checks.items()}
+SUITES = {suite: tuple(checks) for suite, checks in _SUITE_CHECKS.items()}
+SUITES["all"] = tuple(CHECKS)
 
 
 @dataclass(frozen=True)

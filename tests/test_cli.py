@@ -283,8 +283,16 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
         ({"n_grid": [0]}, "n_grid: need a nonempty list of sizes >= 1"),
         ({"n_grid": []}, "n_grid: need a nonempty list of sizes >= 1"),
         ({"trials": 0}, "trials: need an integer >= 1"),
+        ({"n_grid": 5}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"n_grid": "25"}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"n_grid": [2.7]}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"n_grid": [True]}, "n_grid: need a nonempty list of sizes >= 1"),
+        ({"trials": "3"}, "trials: need an integer >= 1"),
+        ({"trials": 2.0}, "trials: need an integer >= 1"),
     ],
-    ids=["r", "sigma", "center", "dim", "n-grid-zero", "n-grid-empty", "trials-zero"],
+    ids=["r", "sigma", "center", "dim", "n-grid-zero", "n-grid-empty", "trials-zero",
+         "n-grid-scalar", "n-grid-string", "n-grid-fraction", "n-grid-bool",
+         "trials-string", "trials-float"],
 )
 def test_dr_converge_errors_name_file_and_key(tmp_path, capsys, entry, message):
     # each of these used to print the library's message without its place
@@ -715,12 +723,13 @@ def test_mc_angle_small_dim_exit_2(tmp_path, capsys, dim):
 
 
 def test_epi_zero_samples_exit_2(tmp_path, capsys):
-    # two-dimensional mixtures take the Monte Carlo path, which needs samples
-    mix = tmp_path / "x.json"
-    mix.write_text(json.dumps({"atoms": [[0.0, 0.0], [1.0, 0.0]]}))
-    assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5",
-                 "--samples", "0"]) == 2
-    assert capsys.readouterr().err == "error: total samples must be >= 1\n"
+    # 1-d mixtures take the quadrature, which reads no samples; they fail too
+    for atoms in ([[0.0, 0.0], [1.0, 0.0]], [[0.0], [1.0]]):
+        mix = tmp_path / "x.json"
+        mix.write_text(json.dumps({"atoms": atoms}))
+        assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5",
+                     "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: samples must be >= 1\n"
 
 
 @pytest.mark.parametrize("smoothing", ["-1", "0", "nan", "inf"])

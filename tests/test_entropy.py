@@ -81,6 +81,15 @@ def test_convolve_merges_duplicates():
     assert c.weights[mid[0]] == pytest.approx(0.5)
 
 
+def test_convolve_merges_near_sums_that_sort_apart():
+    # (0, 5) sorts between the sums (0, 0) and (1e-13, 0), which still merge
+    a = GaussianMixture(atoms=[[0.0, 0.0], [0.0, 5.0]], weights=[0.5, 0.5], variance=0.2)
+    b = GaussianMixture(atoms=[[0.0, 0.0], [1e-13, -5.0]], weights=[0.5, 0.5], variance=0.2)
+    c = convolve_mixtures(a, b)
+    np.testing.assert_array_equal(c.atoms, [[0.0, 0.0], [0.0, 5.0], [1e-13, -5.0]])
+    np.testing.assert_array_equal(c.weights, [0.5, 0.25, 0.25])
+
+
 def test_convolve_density_matches_quadrature():
     a = GaussianMixture(atoms=[[0.0], [1.5]], weights=[0.3, 0.7], variance=0.4)
     b = GaussianMixture(atoms=[[-1.0]], weights=[1.0], variance=0.6)

@@ -20,7 +20,7 @@ from parset import (
     square_union_perimeter,
     star_shaped_check,
 )
-from parset import _kernels, exact2d
+from parset import _kernels, exact2d, geometry
 from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
 from parset.exact2d import _marching_cells, _ray_membership_prefix
@@ -498,7 +498,7 @@ def reference_disk_arcs(centers, r):
 
 def reference_square_union_area(centers, r: float) -> float:
     """Exact area of a union of congruent axis-aligned squares (slab sweep)."""
-    pts = exact2d._dedup_preserve_order(exact2d._require_planar(centers))
+    pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
     r = exact2d._require_radius(r)
     xs = np.unique(np.concatenate([pts[:, 0] - r, pts[:, 0] + r]))
     total = 0.0
@@ -734,9 +734,9 @@ def test_boundaries_match_per_centre_loops(monkeypatch, block_pairs):
         assert got.area() == reference_arc_area(want), name
 
 
-@pytest.mark.parametrize("block_pairs", [exact2d._BLOCK_PAIRS, 1, 40])
+@pytest.mark.parametrize("block_pairs", [geometry._GROUP_BLOCK_PAIRS, 1, 40])
 def test_dedup_matches_greedy_loop(monkeypatch, block_pairs):
-    monkeypatch.setattr(exact2d, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(geometry, "_GROUP_BLOCK_PAIRS", block_pairs)
     rng = np.random.default_rng(61)
     for _ in range(40):
         n = int(rng.integers(1, 25))
@@ -746,8 +746,12 @@ def test_dedup_matches_greedy_loop(monkeypatch, block_pairs):
         extra = pts[rng.integers(0, n, n)]
         chain = pts[0] + np.outer(np.arange(int(rng.integers(0, 6))), [0.6e-12, 0.0])
         mixed = np.concatenate([pts, extra, chain])[rng.permutation(2 * n + len(chain))]
-        want = reference_dedup_preserve_order(mixed)
-        np.testing.assert_array_equal(exact2d._dedup_preserve_order(mixed), want)
+        kept, group = geometry.group_rows(mixed)
+        np.testing.assert_array_equal(mixed[kept], reference_dedup_preserve_order(mixed))
+        # each row joins the first kept row within tol, itself when it is kept
+        for i, row in enumerate(mixed):
+            near = np.abs(mixed[kept] - row).max(axis=1) <= _EPS
+            assert group[i] == np.flatnonzero(near & (kept <= i))[0]
 
 
 def test_boundaries_memory_stays_bounded():

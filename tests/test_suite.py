@@ -6,7 +6,7 @@ import math
 import pytest
 
 import parset
-from parset import InvalidArgumentError, Verdict
+from parset import BoundReport, InvalidArgumentError, Verdict
 from parset.cli import main
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
 from parset import entropy as ent
@@ -62,6 +62,7 @@ def test_suites_cover_all_checks():
         if name != "all":
             named.update(checks)
     assert set(SUITES["all"]) == named
+    assert SUITES["all"] == tuple(suite_mod.CHECKS)
 
 
 def test_run_suite_unknown_name():
@@ -129,12 +130,24 @@ def test_verify_experiment_not_compared():
     assert by_name["volume-constrained"].verdict is Verdict.PASS
 
 
-def test_nan_instance_fails_its_check(monkeypatch):
-    perimeters = iter([1.0, math.nan, 2.0, 3.0])
-    monkeypatch.setattr(suite_mod.ex2, "square_union_perimeter", lambda *a: next(perimeters))
-    prof = dataclasses.replace(FULL, random_configs=4)
-    (rep,) = suite_mod.check_c_puzzle(0, prof)
-    assert math.isnan(rep.measured)
+@pytest.mark.parametrize(
+    "check, module, primitive, wrap, count, values",
+    [
+        ("c-puzzle", suite_mod.ex2, "square_union_perimeter", float, "random_configs",
+         [1.0, math.nan, 2.0, 3.0]),
+        ("w1-domination", suite_mod.tp, "check_w1_domination",
+         lambda v: BoundReport.compare("w1-domination", 0.0, v), "w1_pairs",
+         [0.0, math.nan, 1.0, 2.0]),
+        ("c-puzzle", suite_mod.ex2, "square_union_perimeter", float, "random_configs", []),
+    ],
+    ids=["c-puzzle", "w1-domination", "c-puzzle-no-instances"],
+)
+def test_nan_instance_fails_its_check(monkeypatch, check, module, primitive, wrap, count, values):
+    # a NaN instance is kept as the worst, and a sweep of no instances reads -inf
+    left = iter(values)
+    monkeypatch.setattr(module, primitive, lambda *a: wrap(next(left)))
+    (rep,) = suite_mod.CHECKS[check](0, dataclasses.replace(FULL, **{count: len(values)}))
+    assert math.isnan(rep.measured) if values else rep.measured == -math.inf
     assert rep.verdict is Verdict.FAIL
 
 
