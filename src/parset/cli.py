@@ -24,7 +24,11 @@ from .bounds import BOUND_CATALOG, Verdict, gaussian_constant
 from .errors import InvalidArgumentError, RangeOverflowError
 from .experiment import load_experiment_config, run_verify_experiment
 from .geometry import (
+    SPEC_KEYS,
     NormKind,
+    is_count,
+    is_json_int,
+    json_count,
     json_object,
     load_json_object,
     load_points,
@@ -49,17 +53,17 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_measure(path, weighted: bool) -> tp.EmpiricalMeasure:
+def _load_measure(path) -> tp.EmpiricalMeasure:
     if Path(path).suffix.lower() != ".json":
         return tp.EmpiricalMeasure.uniform(load_points(path))
     data = read_json(path)
-    if not (isinstance(data, dict) and "points" in data):
+    if not isinstance(data, dict):
         return tp.EmpiricalMeasure.uniform(points_from_json(data, path))
+    json_object(data, path, {"points", "weights"}, required=("points",))
     points = points_from_json(data["points"], f"{path}: points")
-    if "weights" in data and weighted:
-        with reading(f"{path}: weights"):
-            return tp.EmpiricalMeasure(points=points, weights=data["weights"])
-    return tp.EmpiricalMeasure.uniform(points)
+    weights = data.get("weights", np.full(len(points), 1.0 / len(points)))
+    with reading(f"{path}: weights"):
+        return tp.EmpiricalMeasure(points, weights)
 
 
 _SHAPE_NORMS = {"disk": NormKind.L2, "square": NormKind.LINF}
@@ -90,25 +94,38 @@ def _cmd_exact2d(args) -> int:
     return 0
 
 
+# the keys each mc op reads from its spec file
+_MC_KEYS = {
+    "volume": SPEC_KEYS,
+    "shell": SPEC_KEYS,
+    "gshell": SPEC_KEYS | {"predicate", "dim"},
+    "kneser": SPEC_KEYS | {"a_k", "b_k", "t"},
+    "angle": {"dim", "cap_half_angle", "trials"},
+}
+
+
 def _cmd_mc(args) -> int:
-    data = load_json_object(args.spec)
+    data = load_json_object(args.spec, _MC_KEYS[args.op])
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,
         shell_delta=args.delta,
         workers=args.workers,
     )
-    halfspace = args.op == "gshell" and data.get("predicate") == "halfspace"
-    if args.op != "angle" and not halfspace:
+    if args.op == "gshell" and data.get("predicate") == "halfspace":
+        target = mcmod.halfspace_predicate(json_count(data, "dim", 2, args.spec))
+    elif args.op != "angle":
         # outside the guard below: its errors name their place already
         target = spec_from_dict(data, args.spec)
+    else:
+        # inscribed_angle_check names a dimension below 2 itself
+        dim = data.get("dim", 2)
+        if not is_json_int(dim):
+            raise InvalidArgumentError(f"{args.spec}: dim: need an integer")
+        trials = json_count(data, "trials", 10, args.spec)
     with reading(args.spec):
         if args.op == "angle":
-            dim = int(data.get("dim", 2))
             cap = float(data.get("cap_half_angle", 0.9))
-            trials = int(data.get("trials", 10))
-        elif halfspace:
-            target = mcmod.halfspace_predicate(int(data.get("dim", 2)))
         if args.op == "kneser":
             a_k = float(data.get("a_k", target.radius / 2.0))
             b_k = float(data.get("b_k", target.radius))
@@ -197,16 +214,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dr(args) -> int:
-    mu0 = _load_measure(args.mu0, args.weighted)
-    mu1 = _load_measure(args.mu1, args.weighted)
-    if args.weighted:
-        result = tp.d_r_weighted(mu0, mu1, args.radius)
-    else:
-        if len(mu0.points) != len(mu1.points):
-            raise InvalidArgumentError(
-                "uniform transport needs equal sample counts; pass --weighted otherwise"
-            )
+    mu0, mu1 = _load_measure(args.mu0), _load_measure(args.mu1)
+    # uniform measures of equal counts take the matching, all others the exact flow
+    equal_counts = len(mu0.points) == len(mu1.points)
+    if equal_counts and all(m.weights.min() == m.weights.max() for m in (mu0, mu1)):
         result = tp.d_r_uniform(mu0.points, mu1.points, args.radius)
+    else:
+        result = tp.d_r_weighted(mu0, mu1, args.radius)
     _emit(
         {
             "value": result.value,
@@ -222,16 +236,24 @@ def _cmd_dr(args) -> int:
 
 
 _CONVERGE_KEYS = {"gen0", "gen1", "r", "sigma", "n_grid", "trials", "seed"}
-_GEN_KEYS = {"kind", "dim", "atoms", "weights", "sigma", "center", "radius"}
+# the keys each generator kind reads
+_GEN_KEYS = {
+    "gaussian-mixture": {"kind", "dim", "atoms", "weights", "sigma"},
+    "uniform-ball": {"kind", "dim", "center", "radius"},
+}
 
 
 def _gen_from_dict(data, where) -> tp.DistributionSpec:
-    json_object(data, where, _GEN_KEYS, kind="generator key")
+    kind = data.get("kind", "gaussian-mixture") if isinstance(data, dict) else None
+    # an unknown kind is checked against every key here and named by DistributionSpec
+    keys = _GEN_KEYS[kind] if kind in tuple(_GEN_KEYS) else set().union(*_GEN_KEYS.values())
+    json_object(data, where, keys, kind="generator key")
     atoms = points_from_json(data["atoms"], f"{where}: atoms").points if "atoms" in data else ()
+    dim = json_count(data, "dim", 2, where)
     with reading(where):
         return tp.DistributionSpec(
-            kind=data.get("kind", "gaussian-mixture"),
-            dim=int(data.get("dim", 2)),
+            kind=kind,
+            dim=dim,
             atoms=tuple(map(tuple, atoms)),
             weights=tuple(map(float, data.get("weights", ()))),
             sigma=float(data.get("sigma", 0.0)),
@@ -248,11 +270,6 @@ def _nonnegative_real(value, where, what) -> float:
     return x
 
 
-def _is_count(value) -> bool:
-    """A JSON integer >= 1; JSON's true, 2.0 and "2" are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _cmd_dr_converge(args) -> int:
     data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
     gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
@@ -263,13 +280,12 @@ def _cmd_dr_converge(args) -> int:
     r = _nonnegative_real(data["r"], f"{args.config}: r", "radius")
     sigma = _nonnegative_real(data.get("sigma", 0.0), f"{args.config}: sigma", "noise sigma")
     n_grid = data["n_grid"]
-    if not (isinstance(n_grid, list) and n_grid and all(map(_is_count, n_grid))):
+    if not (isinstance(n_grid, list) and n_grid and all(map(is_count, n_grid))):
         raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
-    trials = data.get("trials", 10)
-    if not _is_count(trials):
-        raise InvalidArgumentError(f"{args.config}: trials: need an integer >= 1")
-    with reading(args.config):
-        seed = int(data.get("seed", args.seed))
+    trials = json_count(data, "trials", 10, args.config)
+    seed = data.get("seed", args.seed)
+    if not is_json_int(seed):
+        raise InvalidArgumentError(f"{args.config}: seed: need an integer")
     result = tp.convergence_experiment(
         gen0, gen1, r=r, sigma=sigma, n_grid=n_grid, trials=trials, seed=seed
     )
@@ -288,7 +304,7 @@ def _cmd_dr_converge(args) -> int:
 
 
 def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
-    data = load_json_object(path, required=("atoms",))
+    data = load_json_object(path, {"atoms", "weights"}, required=("atoms",))
     atoms = points_from_json(data["atoms"], f"{path}: atoms")
     weights = data.get("weights")
     if weights is None:
@@ -340,7 +356,8 @@ _SHARED_FLAGS = {
     "out": dict(type=str, default=None, help="output path"),
     "format": dict(choices=("csv", "json"), default="csv"),
 }
-# dr and dr-converge run on one thread; their --workers only keeps old scripts parsing
+# dr and dr-converge run on one thread, and dr's measures pick its flow; their
+# --workers and dr's --weighted only keep old scripts parsing
 _INERT_WORKERS = dict(_SHARED_FLAGS["workers"], help="has no effect")
 
 
@@ -382,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", required=True)
     p.add_argument("--mu1", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--weighted", action="store_true", help="has no effect")
 
     p = command("dr-converge", _cmd_dr_converge, "plug-in convergence experiment", "seed", "out")
     p.add_argument("--workers", **_INERT_WORKERS)

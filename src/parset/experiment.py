@@ -25,24 +25,21 @@ from .bounds import (
     gaussian_surface_bound,
 )
 from .errors import InvalidArgumentError
-from .geometry import NormKind, json_object, load_json_object, reading, spec_from_dict
+from .geometry import (
+    SPEC_KEYS,
+    NormKind,
+    is_json_int,
+    json_count,
+    json_object,
+    load_json_object,
+    reading,
+    spec_from_dict,
+)
 from .mc import McConfig
 
 _MODULES = ("core-geometry", "exact2d", "mc-measure", "bounds", "robust-risk", "entropy")
 _TOP_KEYS = {"name", "module", "parameters", "seed", "output_path"}
-_PARAM_KEYS = {
-    "points",
-    "points_file",
-    "norm",
-    "radius",
-    "samples",
-    "delta",
-    "sigma",
-    "checks",
-    "a_k",
-    "b_k",
-    "t",
-}
+_PARAM_KEYS = SPEC_KEYS | {"samples", "delta", "sigma", "checks", "a_k", "b_k", "t"}
 _CHECK_NAMES = ("union-in-ball", "union-in-cube", "volume-constrained", "gaussian-surface", "kneser")
 # containment checks: the norm whose unions the cap is for, and the cap
 _CONTAINMENT = {
@@ -71,12 +68,14 @@ def load_experiment_config(path) -> ExperimentConfig:
     params = json_object(
         data.get("parameters", {}), f"{path}: parameters", _PARAM_KEYS, kind="parameter key"
     )
+    if not is_json_int(data["seed"]):
+        raise InvalidArgumentError(f"{path}: seed: need an integer")
     with reading(path):
         return ExperimentConfig(
             name=str(data["name"]),
             module=str(data["module"]),
             parameters=params,
-            seed=int(data["seed"]),
+            seed=data["seed"],
             output_path=None if data.get("output_path") is None else str(data["output_path"]),
         )
 
@@ -94,8 +93,8 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     params = cfg.parameters
     spec = spec_from_dict(params, cfg.name)
     points, norm, radius = spec.base, spec.norm, spec.radius
+    samples = json_count(params, "samples", 200_000, cfg.name)
     with reading(cfg.name):
-        samples = int(params.get("samples", 200_000))
         delta = None if params.get("delta") is None else float(params["delta"])
         sigma = float(params.get("sigma", 1.0))
         a_k = float(params.get("a_k", radius / 2.0))

@@ -224,12 +224,12 @@ def read_json(path):
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
 
 
-def json_object(data, where, keys=None, required=(), kind="key") -> dict:
-    """data, checked to be a JSON object with only `keys` (if given) and every required key."""
+def json_object(data, where, keys, required=(), kind="key") -> dict:
+    """data, checked to be a JSON object with only `keys` and every required key."""
     if not isinstance(data, dict):
         raise InvalidArgumentError(f"{where}: expected a JSON object")
     for key in data:
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise InvalidArgumentError(f"{where}: unknown {kind} {key!r}")
     for key in required:
         if key not in data:
@@ -237,9 +237,27 @@ def json_object(data, where, keys=None, required=(), kind="key") -> dict:
     return data
 
 
-def load_json_object(path, keys=None, required=()) -> dict:
+def load_json_object(path, keys, required=()) -> dict:
     """The JSON object in a spec or config file, checked as json_object does."""
     return json_object(read_json(path), path, keys, required)
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer; JSON's true, 2.0 and "2" are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """A JSON integer >= 1."""
+    return is_json_int(value) and value >= 1
+
+
+def json_count(data: dict, key: str, default: int, where) -> int:
+    """data[key], or default when it is absent, checked to be a count."""
+    value = data.get(key, default)
+    if not is_count(value):
+        raise InvalidArgumentError(f"{where}: {key}: need an integer >= 1")
+    return value
 
 
 def points_from_json(data, where) -> PointSet:
@@ -262,6 +280,10 @@ def points_from_dict(data: dict, where) -> PointSet:
     if "points" in data:
         return points_from_json(data["points"], f"{where}: points")
     raise InvalidArgumentError(f"{where}: need 'points' or 'points_file'")
+
+
+# the keys spec_from_dict reads
+SPEC_KEYS = frozenset({"points", "points_file", "norm", "radius"})
 
 
 def spec_from_dict(data: dict, where) -> ParallelSetSpec:

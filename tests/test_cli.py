@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from parset import PointSet, save_points_csv
+from parset import PointSet, save_points_csv, transport
 from parset.cli import build_parser, main
+from parset.transport import EmpiricalMeasure, d_r_weighted
 
 
 def run_cli(*args):
@@ -173,14 +174,62 @@ def test_dr_command(tmp_path):
 
 
 def test_dr_weighted_command(tmp_path):
+    # unequal counts take the exact flow, with or without --weighted
     mu0 = tmp_path / "mu0.json"
     mu1 = tmp_path / "mu1.json"
     mu0.write_text(json.dumps({"points": [[0.0]], "weights": [1.0]}))
     mu1.write_text(json.dumps({"points": [[1.0], [1.5]], "weights": [0.5, 0.5]}))
+    want = d_r_weighted(
+        EmpiricalMeasure.uniform(PointSet([[0.0]])),
+        EmpiricalMeasure.uniform(PointSet([[1.0], [1.5]])),
+        0.5,
+    ).value
+    assert want == 0.5
     out = tmp_path / "dr.json"
-    rc = main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.5", "--weighted", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text())["value"] == pytest.approx(0.5)
+    for flag in ([], ["--weighted"]):
+        rc = main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.5", *flag,
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["value"] == want
+
+
+def test_dr_reads_weights_without_the_flag(tmp_path):
+    # equal counts with unequal weights: without --weighted the weights used to
+    # be dropped, and the matching gave 0.0 where the weighted cost is 0.8
+    mu0 = tmp_path / "mu0.json"
+    mu1 = tmp_path / "mu1.json"
+    mu0.write_text(json.dumps({"points": [[0.0], [1.0]], "weights": [0.9, 0.1]}))
+    mu1.write_text(json.dumps({"points": [[0.0], [1.0]], "weights": [0.1, 0.9]}))
+    texts = []
+    for flag in ([], ["--weighted"]):
+        out = tmp_path / f"dr{len(texts)}.json"
+        assert main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.1", *flag,
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["value"] == pytest.approx(0.8)
+
+
+def test_dr_uniform_json_takes_the_matching(tmp_path, monkeypatch):
+    # equal counts and all-equal weights, given or not, never reach the flow
+    def no_flow(*args):
+        raise AssertionError("max flow called")
+
+    monkeypatch.setattr(transport, "_max_flow", no_flow)
+    files = {
+        "mu0.json": {"points": [[0.0], [1.0], [5.0]]},
+        "mu1.json": {"points": [[0.1], [3.0], [5.1]], "weights": [1.0 / 3.0] * 3},
+        "mu2.json": {"points": [[0.1], [3.0], [5.1]]},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    values = []
+    for other in ("mu1.json", "mu2.json"):
+        out = tmp_path / "dr.json"
+        assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / other),
+                     "--radius", "0.1", "--weighted", "--out", str(out)]) == 0
+        values.append(json.loads(out.read_text())["value"])
+    assert values == [1.0 / 3.0] * 2
 
 
 def test_nan_weights_exit_2(tmp_path):
@@ -289,10 +338,27 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
         ({"n_grid": [True]}, "n_grid: need a nonempty list of sizes >= 1"),
         ({"trials": "3"}, "trials: need an integer >= 1"),
         ({"trials": 2.0}, "trials: need an integer >= 1"),
+        ({"seed": 2.7}, "seed: need an integer"),
+        ({"seed": True}, "seed: need an integer"),
+        ({"gen0": {"dim": True, "atoms": [[0.0]]}}, "gen0: dim: need an integer >= 1"),
+        ({"gen0": {"dim": 2.0, "atoms": [[0.0, 0.0]]}}, "gen0: dim: need an integer >= 1"),
+        ({"gen0": {"kind": "cube"}}, "gen0: unknown distribution kind 'cube'"),
+        # each generator kind takes only the keys it reads
+        ({"gen0": {"kind": "uniform-ball", "sigma": 5.0}}, "gen0: unknown generator key 'sigma'"),
+        ({"gen0": {"kind": "uniform-ball", "atoms": [[0.0, 0.0]]}},
+         "gen0: unknown generator key 'atoms'"),
+        ({"gen0": {"kind": "uniform-ball", "weights": [1.0]}},
+         "gen0: unknown generator key 'weights'"),
+        ({"gen1": {"atoms": [[1.0, 0.0]], "center": [0.0, 0.0]}},
+         "gen1: unknown generator key 'center'"),
+        ({"gen1": {"kind": "gaussian-mixture", "atoms": [[1.0, 0.0]], "radius": 2.0}},
+         "gen1: unknown generator key 'radius'"),
     ],
     ids=["r", "sigma", "center", "dim", "n-grid-zero", "n-grid-empty", "trials-zero",
          "n-grid-scalar", "n-grid-string", "n-grid-fraction", "n-grid-bool",
-         "trials-string", "trials-float"],
+         "trials-string", "trials-float", "seed-fraction", "seed-bool", "gen-dim-bool",
+         "gen-dim-float", "gen-kind", "ball-sigma", "ball-atoms", "ball-weights",
+         "mixture-center", "mixture-radius"],
 )
 def test_dr_converge_errors_name_file_and_key(tmp_path, capsys, entry, message):
     # each of these used to print the library's message without its place
@@ -571,9 +637,11 @@ def test_epi_far_atoms_in_one_dimension(tmp_path, sep):
 
 _CONV = {"gen0": {"atoms": [[0.0, 0.0]]}, "gen1": {"atoms": [[1.0, 0.0]]}, "r": 0.5, "n_grid": [4]}
 _EPI = ["epi", "--x", "x.json", "--y", "y.json", "--smoothing", "0.5", "--samples", "1000"]
-_DR = ["dr", "--mu0", "mu0.json", "--mu1", "mu1.json", "--radius", "0.5", "--weighted"]
+_DR = ["dr", "--mu0", "mu0.json", "--mu1", "mu1.json", "--radius", "0.5"]
 _MU1 = {"points": [[0.5]], "weights": [1.0]}
 _MC = ["mc", "--op", "volume", "--spec", "spec.json", "--samples", "1000"]
+_ANGLE = ["mc", "--op", "angle", "--spec", "spec.json", "--samples", "100"]
+_GSHELL = ["mc", "--op", "gshell", "--spec", "spec.json", "--samples", "1000"]
 _VERIFY = ["verify", "--experiment", "exp.json"]
 _CONVERGE = ["dr-converge", "--config", "conv.json"]
 
@@ -582,9 +650,32 @@ MALFORMED = {
     "epi-missing-atoms": ({"x.json": {"weights": [1.0]}, "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
     "epi-atoms-string": ({"x.json": {"atoms": "zz"}, "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
     "dr-ragged-points": ({"mu0.json": {"points": [[0.0], [1.0, 2.0]], "weights": [0.5, 0.5]},
-                          "mu1.json": _MU1}, _DR, "mu0.json"),
+                          "mu1.json": _MU1}, [*_DR, "--weighted"], "mu0.json"),
     "dr-weights-string": ({"mu0.json": {"points": [[0.0], [1.0]], "weights": "ab"},
-                           "mu1.json": _MU1}, _DR, "mu0.json"),
+                           "mu1.json": _MU1}, [*_DR, "--weighted"], "mu0.json"),
+    # the weights are read without --weighted too
+    "dr-weights-string-no-flag": ({"mu0.json": {"points": [[0.0], [1.0]], "weights": "ab"},
+                                   "mu1.json": _MU1}, _DR, "mu0.json"),
+    # every JSON object is checked against the keys its reader takes
+    "dr-unknown-key": ({"mu0.json": {"points": [[0.0]], "weight": [1.0]}, "mu1.json": _MU1},
+                       _DR, "mu0.json"),
+    "dr-missing-points": ({"mu0.json": {"weights": [1.0]}, "mu1.json": _MU1}, _DR, "mu0.json"),
+    "epi-unknown-key": ({"x.json": {"atoms": [[0.0], [1.0]], "weight": [0.9, 0.1]},
+                         "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
+    "mc-unknown-key": ({"spec.json": {"points": [[0.0, 0.0]], "radious": 0.5}}, _MC, "spec.json"),
+    "mc-key-of-another-op": ({"spec.json": {"points": [[0.0, 0.0]], "t": 1.5}}, _MC, "spec.json"),
+    "mc-angle-unknown-key": ({"spec.json": {"dims": 3}}, _ANGLE, "spec.json"),
+    # JSON counts and seeds are JSON integers
+    "mc-angle-trials-fraction": ({"spec.json": {"dim": 3, "trials": 1.9}}, _ANGLE, "spec.json"),
+    "mc-angle-dim-fraction": ({"spec.json": {"dim": 2.5}}, _ANGLE, "spec.json"),
+    "mc-halfspace-dim-bool": ({"spec.json": {"predicate": "halfspace", "dim": True}},
+                              _GSHELL, "spec.json"),
+    "converge-seed-fraction": ({"conv.json": {**_CONV, "seed": 2.7}}, _CONVERGE, "conv.json"),
+    "converge-seed-bool": ({"conv.json": {**_CONV, "seed": True}}, _CONVERGE, "conv.json"),
+    "verify-samples-fraction": ({"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+                                              "parameters": {"points": [[0.0, 0.0]],
+                                                             "samples": 2.5}}},
+                                _VERIFY, "demo"),
     "mc-ragged-points": ({"spec.json": {"points": [[0.0, 0.0], [1.0]]}}, _MC, "spec.json"),
     "mc-radius-string": ({"spec.json": {"points": [[0.0, 0.0]], "radius": "abc"}}, _MC, "spec.json"),
     "mc-points-file-number": ({"spec.json": {"points_file": 5}}, _MC, "spec.json"),
@@ -649,9 +740,10 @@ def _subparsers() -> dict:
     return action.choices
 
 
-# dr and dr-converge run on one thread, so their handlers never read --workers;
-# the flag stays only so that existing command lines that pass it still parse
-_INERT_FLAGS = {("dr", "workers"), ("dr-converge", "workers")}
+# dr and dr-converge run on one thread, so their handlers never read --workers,
+# and dr's measures pick its flow, so it never reads --weighted; the flags stay
+# only so that existing command lines that pass them still parse
+_INERT_FLAGS = {("dr", "workers"), ("dr-converge", "workers"), ("dr", "weighted")}
 
 
 def test_every_flag_is_read_by_its_handler():

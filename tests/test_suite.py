@@ -101,6 +101,11 @@ def test_experiment_config_validation(tmp_path):
     path.write_text(json.dumps({"name": "x", "module": "bounds"}))
     with pytest.raises(InvalidArgumentError, match="seed"):
         load_experiment_config(path)
+    # a seed is a JSON integer: 1.5 used to run at seed 1, true at seed 1
+    for seed in (1.5, True, "1"):
+        path.write_text(json.dumps({"name": "x", "module": "bounds", "seed": seed}))
+        with pytest.raises(InvalidArgumentError, match="seed: need an integer"):
+            load_experiment_config(path)
 
 
 def test_experiment_output_path_is_a_path(tmp_path):
