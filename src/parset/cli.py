@@ -94,25 +94,36 @@ def _cmd_exact2d(args) -> int:
     return 0
 
 
-# the keys each mc op reads from its spec file
+# the keys each mc op reads from its spec file; a gshell spec that names a
+# predicate reads the "halfspace" keys instead
 _MC_KEYS = {
     "volume": SPEC_KEYS,
     "shell": SPEC_KEYS,
-    "gshell": SPEC_KEYS | {"predicate", "dim"},
+    "gshell": SPEC_KEYS,
+    "halfspace": {"predicate", "dim"},
     "kneser": SPEC_KEYS | {"a_k", "b_k", "t"},
     "angle": {"dim", "cap_half_angle", "trials"},
 }
 
 
 def _cmd_mc(args) -> int:
-    data = load_json_object(args.spec, _MC_KEYS[args.op])
+    data = read_json(args.spec)
+    kind = args.op
+    if args.op == "gshell" and isinstance(data, dict) and "predicate" in data:
+        if data["predicate"] != "halfspace":
+            raise InvalidArgumentError(
+                f"{args.spec}: predicate: unknown predicate {data['predicate']!r}; "
+                "the one predicate is 'halfspace' (leave it out for the spec's points)"
+            )
+        kind = "halfspace"
+    data = json_object(data, args.spec, _MC_KEYS[kind])
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,
         shell_delta=args.delta,
         workers=args.workers,
     )
-    if args.op == "gshell" and data.get("predicate") == "halfspace":
+    if kind == "halfspace":
         target = mcmod.halfspace_predicate(json_count(data, "dim", 2, args.spec))
     elif args.op != "angle":
         # outside the guard below: its errors name their place already

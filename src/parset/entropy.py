@@ -4,6 +4,10 @@ smoothed-sum entropy inequality checks.
 A discrete variable smoothed with N(0, var * I) noise has a Gaussian-mixture
 density; everything here works with that class (isotropic, one shared
 variance per mixture).  Entropies are in nats.
+In 1-d, entropy, Fisher information and the de Bruijn slope are integrals
+on one composite-Simpson grid (_simpson) with a step of at most 1/16 sd,
+sized to the mixture; a mixture whose window would need more than
+_MAX_POINTS points, and every mixture of dim >= 2, goes to Monte Carlo.
 Every Monte Carlo estimate here is a mean of per-sample values with its
 standard error, taken by one chunked reduction, _moment_means.
 The log-density and the score share one kernel, _mixture_blocks: the (n, k)
@@ -177,63 +181,78 @@ def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: 
 
 # standard deviations the quadrature window reaches past the extreme atoms
 _GRID_SPAN = 12.0
-# largest grid step, in standard deviations, that the quadrature accepts; up
-# to 0.37 sd its error stayed below 6e-15, at 0.74 sd it was 3.6e-4
-_MAX_STEP_SD = 0.25
-_QUADRATURE_POINTS = 8193
+# largest grid step, in standard deviations: at 1/16 sd the suite's
+# reverse-epi entropies equal a 65537-point reference within 8.9e-16, at
+# 1/4 sd one was off by 4.9e-7
+_STEP_SD = 1.0 / 16.0
+# most grid points; a 1-d mixture whose window needs more goes to Monte Carlo
+_MAX_POINTS = 32769
 
 
-def _grid_step_sd(gm: GaussianMixture, points: int) -> float:
-    """The quadrature grid's step over `points` points, in standard deviations."""
+def _window_sd(gm: GaussianMixture) -> float:
+    """The quadrature window's width in standard deviations."""
     spread = float(gm.atoms.max() - gm.atoms.min())
-    return (spread / math.sqrt(gm.variance) + 2.0 * _GRID_SPAN) / (points - 1)
+    return spread / math.sqrt(gm.variance) + 2.0 * _GRID_SPAN
 
 
-def entropy_quadrature(gm: GaussianMixture, points: int = _QUADRATURE_POINTS) -> EntropyEstimate:
-    """Composite-Simpson integral of -p log p on a window around the atoms.
+def _uses_quadrature(gm: GaussianMixture) -> bool:
+    """Whether gm is integrated on the 1-d grid rather than by Monte Carlo:
+    it is 1-d and its window takes at most _MAX_POINTS points."""
+    return gm.dim == 1 and _window_sd(gm) <= (_MAX_POINTS - 1) * _STEP_SD
 
-    Dimension 1 only.  The window extends _GRID_SPAN standard deviations past
-    the extreme atoms; the reported std_error is a crude bound on the
-    truncated tail contribution (mass 2*Phi(-span) times a log-density bound).
-    A grid step above _MAX_STEP_SD standard deviations is rejected, since the
-    tail bound says nothing of the error of an undersampled bump.
+
+def _simpson(gm: GaussianMixture, integrand) -> tuple[float, float]:
+    """Composite-Simpson integral of integrand(x, p) on the 1-d grid, with a
+    bound on the floating-point error of its sum (n eps sum |w_i f_i|).
+
+    x is the (n, 1) grid and p the mixture density on it.  The window extends
+    _GRID_SPAN standard deviations past the extreme atoms.  It is cut into
+    the fewest power-of-two intervals of at most _STEP_SD standard
+    deviations, so a window's grids are nested: each is every other point of
+    the next finer one.
+    """
+    if gm.dim != 1:
+        raise InvalidArgumentError("quadrature requires dim == 1")
+    if not _uses_quadrature(gm):
+        raise InvalidArgumentError(
+            f"quadrature window {_window_sd(gm):.4g} sd exceeds "
+            f"{(_MAX_POINTS - 1) * _STEP_SD:g} sd; the atoms spread too far for "
+            "the grid, use Monte Carlo"
+        )
+    intervals = 1 << (math.ceil(_window_sd(gm) / _STEP_SD) - 1).bit_length()
+    sd = math.sqrt(gm.variance)
+    lo = float(gm.atoms.min()) - _GRID_SPAN * sd
+    hi = float(gm.atoms.max()) + _GRID_SPAN * sd
+    x = np.linspace(lo, hi, intervals + 1)[:, None]
+    terms = np.full(intervals + 1, 2.0)
+    terms[1::2] = 4.0
+    terms[[0, -1]] = 1.0
+    terms *= integrand(x, mixture_density(gm, x))
+    scale = (hi - lo) / intervals / 3.0
+    rounding = len(terms) * math.ulp(1.0) * scale * float(np.abs(terms).sum())
+    return scale * float(terms.sum()), rounding
+
+
+def entropy_quadrature(gm: GaussianMixture) -> EntropyEstimate:
+    """Composite-Simpson integral of -p log p on the 1-d grid (_simpson).
+
+    The reported std_error bounds the sum's rounding plus, crudely, the
+    truncated tails (mass 2*Phi(-span) times a log-density bound).
     """
     from scipy.special import xlogy
 
-    if gm.dim != 1:
-        raise InvalidArgumentError("quadrature entropy requires dim == 1")
-    if points < 3:
-        raise InvalidArgumentError("need at least 3 quadrature points")
-    if points % 2 == 0:
-        points += 1
-    step = _grid_step_sd(gm, points)
-    if step > _MAX_STEP_SD:
-        raise InvalidArgumentError(
-            f"quadrature step {step:.3g} sd exceeds {_MAX_STEP_SD} sd; "
-            "the atoms spread too far for the grid, use entropy_mc"
-        )
-    sd = math.sqrt(gm.variance)
-    lo = gm.atoms.min() - _GRID_SPAN * sd
-    hi = gm.atoms.max() + _GRID_SPAN * sd
-    xs = np.linspace(lo, hi, points)
-    p = mixture_density(gm, xs[:, None])
-    integrand = -xlogy(p, p)
-    h = (hi - lo) / (points - 1)
-    weights = np.ones(points)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    value = float(h / 3.0 * (weights * integrand).sum())
+    value, rounding = _simpson(gm, lambda x, p: -xlogy(p, p))
     tail_mass = math.erfc(_GRID_SPAN / math.sqrt(2.0))
     log_p_at_edge = 0.5 * _GRID_SPAN**2 + 0.5 * math.log(2.0 * math.pi * gm.variance) + abs(
         math.log(gm.weights.min())
     )
     tail_bound = tail_mass * (log_p_at_edge + 1.0)
-    return EntropyEstimate(value, tail_bound, EntropyMethod.QUADRATURE)
+    return EntropyEstimate(value, rounding + tail_bound, EntropyMethod.QUADRATURE)
 
 
 def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> EntropyEstimate:
     """Quadrature for 1-d mixtures its grid resolves, Monte Carlo otherwise."""
-    if gm.dim == 1 and _grid_step_sd(gm, _QUADRATURE_POINTS) <= _MAX_STEP_SD:
+    if _uses_quadrature(gm):
         return entropy_quadrature(gm)
     return entropy_mc(gm, n=n, seed=seed, workers=workers)
 
@@ -332,6 +351,28 @@ def fisher_information_mc(
     return EntropyEstimate(mean, se, EntropyMethod.MC)
 
 
+def fisher_information_quadrature(gm: GaussianMixture) -> EntropyEstimate:
+    """J = integral of p s^2, with s the score, on the 1-d grid (_simpson).
+
+    The reported std_error bounds the sum's rounding plus the truncated
+    tails: past the window p s^2 <= phi(z) (z + spread/sd)^2 / var, with z
+    the distance from the nearer extreme atom in standard deviations.
+    """
+    value, rounding = _simpson(gm, lambda x, p: p * _score_batch(gm, x)[:, 0] ** 2)
+    c, s = _GRID_SPAN, float(gm.atoms.max() - gm.atoms.min()) / math.sqrt(gm.variance)
+    phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    q = 0.5 * math.erfc(c / math.sqrt(2.0))
+    tail_bound = 2.0 / gm.variance * ((c + 2.0 * s) * phi + (1.0 + s * s) * q)
+    return EntropyEstimate(value, rounding + tail_bound, EntropyMethod.QUADRATURE)
+
+
+def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> EntropyEstimate:
+    """Quadrature for 1-d mixtures its grid resolves, Monte Carlo otherwise."""
+    if _uses_quadrature(gm):
+        return fisher_information_quadrature(gm)
+    return fisher_information_mc(gm, n=n, seed=seed, workers=workers)
+
+
 # weight of the dt^2 * (1 + 1/t0^3) finite-difference curvature allowance
 _CURVATURE_BUDGET = 100.0
 
@@ -347,17 +388,31 @@ def de_bruijn_check(
 ) -> BoundReport:
     """Heat-flow entropy slope vs half the Fisher information at variance t0.
 
-    The slope is a central difference of the smoothed entropy at t0 +- dt,
+    The slope is a central difference of the smoothed entropy at t0 +- dt.
+    In 1-d, where the grid resolves the mixture, both entropies and J come
+    from quadrature and the allowance is the finite-difference curvature
+    term alone, _CURVATURE_BUDGET * dt^2 * (1 + 1/t0^3).  Otherwise they are
     estimated with common random numbers (shared atom picks and base noise),
-    so its standard error reflects the difference, not two independent
-    entropies.  Allowance: 4 combined sigma plus _CURVATURE_BUDGET * dt^2 *
-    (1 + 1/t0^3) for the finite-difference curvature term.
+    so the slope's standard error reflects the difference, not two
+    independent entropies, and the allowance adds 4 combined sigma.
     """
     if not (t0 > 0.0 and dt > 0.0 and dt < t0):
         raise InvalidArgumentError("need 0 < dt < t0")
     gm_plus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 + dt)
     gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
     gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)
+    curvature = _CURVATURE_BUDGET * dt * dt * (1.0 + t0**-3)
+    # the smallest variance needs the widest window in sd
+    if _uses_quadrature(gm_minus):
+        h_plus = entropy_quadrature(gm_plus).value
+        h_minus = entropy_quadrature(gm_minus).value
+        j = fisher_information_quadrature(gm_mid).value
+        return BoundReport.compare(
+            "de-bruijn",
+            bound_value=curvature,
+            measured=abs((h_plus - h_minus) / (2.0 * dt) - j / 2.0),
+            std_error=0.0,
+        )
 
     def chunk(g, m):
         base = gm_mid.atoms[atom_indices(g, gm_mid.weights, m)]
@@ -370,10 +425,9 @@ def de_bruijn_check(
 
     (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, workers, chunk)
     combined = math.sqrt(fd_se**2 + (j_se / 2.0) ** 2)
-    allowance = 4.0 * combined + _CURVATURE_BUDGET * dt * dt * (1.0 + t0**-3)
     return BoundReport.compare(
         "de-bruijn",
-        bound_value=allowance,
+        bound_value=4.0 * combined + curvature,
         measured=abs(fd_mean - j_mean / 2.0),
         std_error=0.0,
     )

@@ -478,7 +478,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             weights=w / w.sum(),
             variance=float(g.uniform(0.3, 1.5)),
         )
-        est = ent.fisher_information_mc(
+        est = ent._fisher_auto(
             gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k), workers=prof.workers
         )
         return est.value - 4.0 * est.std_error - gm.dim / gm.variance

@@ -670,6 +670,17 @@ MALFORMED = {
     "mc-angle-dim-fraction": ({"spec.json": {"dim": 2.5}}, _ANGLE, "spec.json"),
     "mc-halfspace-dim-bool": ({"spec.json": {"predicate": "halfspace", "dim": True}},
                               _GSHELL, "spec.json"),
+    # a gshell spec is a halfspace {predicate, dim} or a parallel set without either
+    "mc-gshell-unknown-predicate": ({"spec.json": {"predicate": "halfpsace",
+                                                   "points": [[0, 0]], "dim": 7}},
+                                    _GSHELL, "spec.json"),
+    "mc-gshell-predicate-null": ({"spec.json": {"predicate": None, "points": [[0, 0]]}},
+                                 _GSHELL, "spec.json"),
+    "mc-halfspace-with-points": ({"spec.json": {"predicate": "halfspace", "points": [[0, 0]]}},
+                                 _GSHELL, "spec.json"),
+    "mc-halfspace-with-radius": ({"spec.json": {"predicate": "halfspace", "radius": 0.5}},
+                                 _GSHELL, "spec.json"),
+    "mc-union-with-dim": ({"spec.json": {"points": [[0, 0]], "dim": 7}}, _GSHELL, "spec.json"),
     "converge-seed-fraction": ({"conv.json": {**_CONV, "seed": 2.7}}, _CONVERGE, "conv.json"),
     "converge-seed-bool": ({"conv.json": {**_CONV, "seed": True}}, _CONVERGE, "conv.json"),
     "verify-samples-fraction": ({"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
@@ -710,6 +721,16 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
     assert "Traceback" not in err
+
+
+def test_mc_unknown_predicate_names_the_key(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"predicate": "halfpsace", "points": [[0, 0]], "dim": 7}))
+    assert main(["mc", "--op", "gshell", "--spec", str(spec), "--samples", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: predicate: unknown predicate 'halfpsace'; "
+        "the one predicate is 'halfspace' (leave it out for the spec's points)\n"
+    )
 
 
 def test_constructor_errors_name_their_place_once(tmp_path, capsys):

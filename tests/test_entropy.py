@@ -16,14 +16,17 @@ from parset import (
     entropy_mc,
     entropy_quadrature,
     fisher_information_mc,
+    fisher_information_quadrature,
     mixture_density,
     pointwise_lemma_check,
     reverse_epi_check,
 )
 from parset._rng import CHUNK, map_reduce_chunks
 from parset.bounds import BoundReport
+from parset import entropy
 from parset.entropy import (
     EntropyEstimate,
+    _fisher_auto,
     _log_density,
     _row_logsumexp,
     _score_batch,
@@ -158,27 +161,43 @@ def test_entropy_quadrature_separated_limit():
     assert entropy_quadrature(gm).value == pytest.approx(want, abs=1e-8)
 
 
-def test_entropy_quadrature_refinement():
+def test_entropy_quadrature_refinement(monkeypatch):
     gm = GaussianMixture(atoms=[[0.0], [2.0]], weights=[0.4, 0.6], variance=0.3)
-    coarse = entropy_quadrature(gm, points=8193).value
-    fine = entropy_quadrature(gm, points=16385).value
-    assert abs(coarse - fine) < 1e-8
+    coarse = entropy_quadrature(gm).value
+    monkeypatch.setattr(entropy, "_STEP_SD", entropy._STEP_SD / 4.0)
+    fine = entropy_quadrature(gm).value
+    assert abs(coarse - fine) < 1e-14
 
 
 @pytest.mark.parametrize("sep", [1e3, 1e4])
 def test_entropy_quadrature_rejects_coarse_grid(sep):
     # 8193 points over 1e4 + 2.4 returned -4.247 with std_error 2.6e-31
     gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=0.01)
-    with pytest.raises(InvalidArgumentError, match="quadrature step"):
+    with pytest.raises(InvalidArgumentError, match="quadrature window .* exceeds 2048 sd"):
         entropy_quadrature(gm)
+    with pytest.raises(InvalidArgumentError, match="quadrature window"):
+        fisher_information_quadrature(gm)
 
 
-@pytest.mark.parametrize("sep, points", [(200.0, 8193), (1e3, 65537)])
-def test_entropy_quadrature_fine_enough_grid(sep, points):
-    # steps of 0.247 and 0.153 sd, both within the sd / 4 limit
-    gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=0.01)
-    want = math.log(2.0) + gaussian_entropy(0.01)
-    assert entropy_quadrature(gm, points=points).value == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize(
+    "sep, variance", [(200.0, 0.01), (2024.0, 1.0)], ids=["2024-sd", "2048-sd"]
+)
+def test_entropy_quadrature_fine_enough_grid(sep, variance):
+    # windows of 2024 sd and of 2048 sd, the widest that 32769 points cover
+    gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=variance)
+    want = math.log(2.0) + gaussian_entropy(variance)
+    assert entropy_quadrature(gm).value == pytest.approx(want, abs=1e-12)
+    assert fisher_information_quadrature(gm).value == pytest.approx(1.0 / variance, rel=1e-12)
+
+
+def test_quadrature_window_limit():
+    # just past a 2048 sd window, 1-d mixtures go to Monte Carlo
+    gm = GaussianMixture(atoms=[[0.0], [2024.0]], weights=[0.5, 0.5], variance=1.0)
+    wider = GaussianMixture(atoms=[[0.0], [2024.0 + 1e-9]], weights=[0.5, 0.5], variance=1.0)
+    assert entropy._uses_quadrature(gm) and not entropy._uses_quadrature(wider)
+    assert _fisher_auto(wider, n=1000, seed=0).method is EntropyMethod.MC
+    with pytest.raises(InvalidArgumentError, match="quadrature window"):
+        entropy_quadrature(wider)
 
 
 def test_entropy_quadrature_dim_guard():
@@ -310,6 +329,92 @@ def test_fisher_bound_sweep():
         assert est.value <= gm.dim / gm.variance + 4.0 * est.std_error
 
 
+def reference_fisher_quad(atoms, weights, var):
+    """J = integral of p'^2 / p by scipy's adaptive quadrature, with p and p'
+    summed over the atoms directly."""
+    atoms = [float(a) for a in np.ravel(atoms)]
+    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+
+    def integrand(x):
+        g = [w * norm * math.exp(-((x - a) ** 2) / (2.0 * var)) for a, w in zip(atoms, weights)]
+        p = sum(g)
+        dp = sum(gi * (a - x) / var for gi, a in zip(g, atoms))
+        return dp * dp / p if p > 0.0 else 0.0
+
+    sd = math.sqrt(var)
+    lo, hi = min(atoms) - 15.0 * sd, max(atoms) + 15.0 * sd
+    want, _ = quad(integrand, lo, hi, points=atoms, limit=400, epsabs=0.0, epsrel=1e-13)
+    return want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fisher_quadrature_matches_scipy_quad(k):
+    rng = np.random.default_rng(60 + k)
+    for _ in range(3):
+        gm = _random_mixture(rng, k, 1)
+        est = fisher_information_quadrature(gm)
+        assert est.method is EntropyMethod.QUADRATURE
+        want = reference_fisher_quad(gm.atoms, gm.weights, gm.variance)
+        assert est.value == pytest.approx(want, rel=1e-10)
+
+
+def test_fisher_quadrature_single_atom_is_one_over_var():
+    # the equality case of J <= 1/var: the std_error must cover the rounding,
+    # which moves 8 of these 20 values off 1/var, by up to 8.9e-16
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        var = float(rng.uniform(0.3, 1.5))
+        gm = GaussianMixture(atoms=[[rng.uniform(-2.0, 2.0)]], weights=[1.0], variance=var)
+        est = fisher_information_quadrature(gm)
+        assert abs(est.value - 1.0 / var) <= est.std_error < 1e-11
+
+
+def test_fisher_quadrature_two_atoms_below_bound():
+    gm = GaussianMixture(atoms=[[-0.5], [0.7]], weights=[0.3, 0.7], variance=0.8)
+    est = fisher_information_quadrature(gm)
+    assert est.value + est.std_error < 1.0 / 0.8
+
+
+def test_fisher_quadrature_translation_invariance():
+    atoms = np.array([[0.0], [1.5], [-0.4]])
+    w = np.array([0.3, 0.5, 0.2])
+    a = fisher_information_quadrature(GaussianMixture(atoms=atoms, weights=w, variance=0.5))
+    b = fisher_information_quadrature(GaussianMixture(atoms=atoms + 10.0, weights=w, variance=0.5))
+    assert b.value == pytest.approx(a.value, rel=1e-12)
+
+
+def test_one_dimension_never_reaches_monte_carlo(monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo reached")
+
+    monkeypatch.setattr(entropy, "_moment_means", no_monte_carlo)
+    rep = de_bruijn_check([[0.0], [1.1]], [0.4, 0.6], t0=0.7, dt=1e-3)
+    assert rep.verdict is Verdict.PASS
+    gm = GaussianMixture(atoms=[[0.0], [1.1]], weights=[0.4, 0.6], variance=0.7)
+    assert _fisher_auto(gm, n=1000, seed=0).method is EntropyMethod.QUADRATURE
+    rep = reverse_epi_check([[0.0], [1.0]], [0.5, 0.5], [[0.5]], [1.0], r=0.6)
+    assert rep.verdict is Verdict.PASS
+    # a 2-d mixture still takes the Monte Carlo path
+    with pytest.raises(AssertionError, match="Monte Carlo reached"):
+        de_bruijn_check([[0.0, 0.0]], [1.0], t0=0.7)
+    with pytest.raises(AssertionError, match="Monte Carlo reached"):
+        _fisher_auto(GaussianMixture(atoms=[[0.0, 0.0]], weights=[1.0], variance=0.7), 1000, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_de_bruijn_quadrature_slope_is_half_fisher(k):
+    # in 1-d the slope and J come from quadrature: only the O(dt^2)
+    # finite-difference term separates them
+    rng = np.random.default_rng(70 + k)
+    for _ in range(3):
+        w = rng.random(k) + 0.1
+        t0 = float(rng.uniform(0.5, 1.5))
+        rep = de_bruijn_check(rng.uniform(-2, 2, (k, 1)), w / w.sum(), t0=t0, dt=1e-3)
+        assert rep.verdict is Verdict.PASS
+        assert rep.bound_value == pytest.approx(100.0 * 1e-6 * (1.0 + t0**-3))
+        assert rep.measured < rep.bound_value / 100.0
+
+
 def test_de_bruijn_single_gaussian():
     rep = de_bruijn_check([[0.0]], [1.0], t0=0.8, dt=1e-3, n=150_000, seed=14)
     assert rep.verdict is Verdict.PASS
@@ -341,9 +446,7 @@ def test_de_bruijn_dt_halving():
     atoms = [[0.0], [1.2]]
     w = [0.5, 0.5]
     t0 = 0.9
-    h = lambda t: entropy_quadrature(
-        GaussianMixture(atoms=atoms, weights=w, variance=t), points=32769
-    ).value
+    h = lambda t: entropy_quadrature(GaussianMixture(atoms=atoms, weights=w, variance=t)).value
     gm = GaussianMixture(atoms=atoms, weights=w, variance=t0)
     dx = 1e-5
 
@@ -468,11 +571,13 @@ def test_moment_core_matches_reference_estimators():
         assert fisher_information_mc(gm, n, seed, workers) == reference_fisher_information_mc(
             gm, n, seed, workers
         )
-        # the reference runs on one thread, so two workers must not change the report
+        # the reference runs on one thread, so two workers must not change the
+        # report; in 1-d the check takes the quadrature instead
         t0 = float(rng.uniform(0.3, 1.5))
-        assert de_bruijn_check(
-            atoms, weights, t0, 1e-3, n, seed, workers
-        ) == reference_de_bruijn_check(atoms, weights, t0, 1e-3, n, seed)
+        if dim >= 2:
+            assert de_bruijn_check(
+                atoms, weights, t0, 1e-3, n, seed, workers
+            ) == reference_de_bruijn_check(atoms, weights, t0, 1e-3, n, seed)
 
 
 # The log-density and score as they were before they shared the mixture

@@ -23,7 +23,7 @@ from parset.suite import (
 
 # sha256 of results.csv for `parset suite all --samples 100 --seed 0 --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
-_RESULTS_SHA256 = "ce603834886e186d2451aea9253d4bdd77bdfcb24016806bf6a9ba9d088b09da"
+_RESULTS_SHA256 = "a352aeedc18d5ca40c09d070cda748442fd0e90178b083046125a6c2a2692760"
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
@@ -54,6 +54,12 @@ def test_smoke_gaussian_calibration_passes():
     reports = suite_mod.check_gaussian_calibration(0, profile_from_samples(100))
     assert reports[0].bound_value > 0.0  # 3 std_error: the shell is not empty
     assert reports[0].verdict is not Verdict.FAIL
+
+
+def test_de_bruijn_sweep_passes_at_seed_4_smoke():
+    # Monte Carlo put |slope - J/2| at 0.00775 here, past its 4-sigma allowance
+    reports = suite_mod.check_fisher_de_bruijn(4, profile_from_samples(100))
+    assert [r.verdict for r in reports] == [Verdict.PASS, Verdict.PASS]
 
 
 def test_suites_cover_all_checks():
