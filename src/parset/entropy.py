@@ -10,11 +10,14 @@ sized to the mixture; a mixture whose window would need more than
 _MAX_POINTS points, and every mixture of dim >= 2, goes to Monte Carlo.
 Every Monte Carlo estimate here is a mean of per-sample values with its
 standard error, taken by one chunked reduction, _moment_means.
-The log-density and the score share one kernel, _mixture_blocks: the (n, k)
-log terms log w_k - |x - a_k|^2 / (2 var), with squared distances summed one
-coordinate column at a time, and their row log-sum-exp, _row_logsumexp,
-which follows scipy.special.logsumexp step for step (a test pins the two
-equal).
+The log-density and the score share one kernel, _mixture_blocks.  It takes
+a batch in blocks of _BLOCK_TERMS // k rows and holds a block's log terms
+log w_j - |x - a_j|^2 / (2 var) column-major, one contiguous column per
+atom j, with squared distances summed one coordinate at a time.  Their
+log-sum-exp over the atoms, _row_logsumexp, follows
+scipy.special.logsumexp step for step (a test pins the two equal): the max
+and the tie count go column by column, and the exp sum reproduces numpy's
+pairwise order for a row of k numbers (_pairwise_sum).
 """
 
 from __future__ import annotations
@@ -48,13 +51,15 @@ class GaussianMixture:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.size == 0:
             raise InvalidArgumentError("atoms must form a nonempty (k, d) array")
+        if not np.isfinite(atoms).all():
+            raise InvalidArgumentError("atom coordinates must be finite")
         w = np.array(self.weights, dtype=np.float64, copy=True)
         if w.shape != (atoms.shape[0],) or not (np.isfinite(w).all() and (w > 0.0).all()):
             raise InvalidArgumentError("need one finite positive weight per atom")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12")
-        if not (self.variance > 0.0):
-            raise InvalidArgumentError("variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise InvalidArgumentError("variance must be a positive finite real")
         atoms.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -72,49 +77,86 @@ class EntropyEstimate:
     method: EntropyMethod
 
 
-# log terms the mixture kernel holds at once, so its (rows, k) temporaries
-# stay in cache
-_KERNEL_TERMS = 1 << 16
+# log terms the mixture kernel takes at once: a block is _BLOCK_TERMS // k
+# rows of the batch, long enough that its numpy calls are cheap against their
+# work, while each of its (k, rows) arrays stays at 1 MB whatever k (up to
+# 2**17 atoms)
+_BLOCK_TERMS = 1 << 17
+
+
+def _pairwise_sum(e: np.ndarray) -> np.ndarray:
+    """Sum of the k rows of e, added in the order numpy's pairwise sum adds
+    a contiguous run of k numbers: in order below 8; from 8 to 128, in eight
+    running sums combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    and then the k % 8 rows left over in order; above 128, as the sums of the
+    two parts split at the multiple of 8 at or below k / 2.  numpy starts
+    from 0.0, which changes no sum of non-negative terms, so that is left out.
+    """
+    k = len(e)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(e[:half]) + _pairwise_sum(e[half:])
+    if k < 8:
+        total, rest = e[0].copy(), e[1:]
+    else:
+        r = e[:8].copy()
+        for i in range(8, k - k % 8, 8):
+            r += e[i : i + 8]
+        while len(r) > 1:
+            r = r[0::2] + r[1::2]
+        total, rest = r[0], e[k - k % 8 :]
+    for row in rest:
+        total += row
+    return total
 
 
 def _row_logsumexp(t: np.ndarray) -> np.ndarray:
-    """log(sum(exp(t), axis=1)), computed as scipy 1.17's _logsumexp does.
+    """log(sum(exp(t), axis=0)) of the (k, n) terms t, computed as scipy
+    1.17's _logsumexp computes log(sum(exp(t.T), axis=1)).
 
-    The m entries tied at the row max leave the sum, the rest give s, and the
-    result is log1p(s / m) + log(m) + max.  Where s == 0, s / m is s again,
-    so scipy's guard on that division is left out.  scipy sets the tied
-    terms to -inf before the shift, so an all -inf row turns to NaN there and
-    takes its fallback, log(sum(exp(t))).  Zeroing their exp after the shift
-    gives that row's -inf directly, and rows holding +inf or NaN come out as
-    inf or NaN either way, so the fallback is left out too.
+    The m entries tied at the max leave the sum, the rest give s, and the
+    result is log1p(s / m) + log(m) + max, with s summed in numpy's pairwise
+    order (_pairwise_sum).  Where s == 0, s / m is s again, so scipy's guard
+    on that division is left out.  scipy sets the tied terms to -inf before
+    the shift, so an all -inf row turns to NaN there and takes its fallback,
+    log(sum(exp(t))).  Zeroing their exp after the shift gives that row's
+    -inf directly, and rows holding +inf or NaN come out as inf or NaN either
+    way, so the fallback is left out too.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = t.max(axis=1)
-        tied = t == top[:, None]
-        m = np.count_nonzero(tied, axis=1)
-        e = np.exp(t - top[:, None])
+        top = t.max(axis=0)
+        tied = t == top
+        m = np.count_nonzero(tied, axis=0)
+        e = t - top
+        np.exp(e, out=e)
         e[tied] = 0.0
-        return np.log1p(e.sum(axis=1) / m) + np.log(m) + top
+        return np.log1p(_pairwise_sum(e) / m) + np.log(m) + top
 
 
 def _mixture_blocks(gm: GaussianMixture, x: np.ndarray):
-    """Yield (rows, terms, lse) over row blocks of the (n, d) batch x: the
-    (rows, k) log terms log w_k - |x - a_k|^2 / (2 var) and their row
-    log-sum-exp."""
-    logw = np.log(gm.weights)
-    step = max(1, _KERNEL_TERMS // len(logw))
+    """Yield (rows, xt, terms, lse) over blocks of _BLOCK_TERMS // k rows of
+    the (n, d) batch x: the block's (d, rows) coordinates xt, its (k, rows)
+    log terms log w_j - |x - a_j|^2 / (2 var), one contiguous row per atom j,
+    and their log-sum-exp over the atoms.  terms is the caller's to reuse."""
+    logw = np.log(gm.weights)[:, None]
+    atoms = gm.atoms.T[:, :, None]  # (d, k, 1)
+    step = max(1, _BLOCK_TERMS // len(gm.weights))
     for s in range(0, len(x), step):
-        xb = x[s : s + step]
-        d2 = (xb[:, :1] - gm.atoms[:, 0]) ** 2
-        for j in range(1, gm.dim):
-            d2 += (xb[:, j : j + 1] - gm.atoms[:, j]) ** 2
-        terms = logw - d2 / (2.0 * gm.variance)
-        yield slice(s, s + step), terms, _row_logsumexp(terms)
+        xt = np.ascontiguousarray(x[s : s + step].T)
+        terms = np.subtract(xt[0], atoms[0])
+        np.square(terms, out=terms)
+        for c in range(1, gm.dim):
+            d2 = np.subtract(xt[c], atoms[c])
+            np.square(d2, out=d2)
+            terms += d2
+        terms /= 2.0 * gm.variance
+        np.subtract(logw, terms, out=terms)
+        yield slice(s, s + step), xt, terms, _row_logsumexp(terms)
 
 
 def _log_density(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     out = np.empty(len(x))
-    for rows, _, lse in _mixture_blocks(gm, x):
+    for rows, _, _, lse in _mixture_blocks(gm, x):
         out[rows] = lse
     return out - 0.5 * gm.dim * math.log(2.0 * math.pi * gm.variance)
 
@@ -327,15 +369,16 @@ def pointwise_lemma_check(a, b, r: float) -> bool:
 
 def _score_batch(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of log density: responsibility-weighted (atom - x) / variance,
-    summed over the atoms in order."""
-    out = np.empty_like(x)
-    for rows, terms, lse in _mixture_blocks(gm, x):
-        resp = np.exp(terms - lse[:, None])
-        xb = x[rows]
-        acc = resp[:, :1] * (gm.atoms[0] - xb)
-        for i in range(1, len(gm.weights)):
-            acc += resp[:, i : i + 1] * (gm.atoms[i] - xb)
-        out[rows] = acc
+    summed over the atoms in order, one coordinate at a time."""
+    out = np.empty(x.shape)
+    for rows, xt, resp, lse in _mixture_blocks(gm, x):
+        resp -= lse
+        np.exp(resp, out=resp)
+        for c in range(gm.dim):
+            acc = resp[0] * (gm.atoms[0, c] - xt[c])
+            for j in range(1, len(resp)):
+                acc += resp[j] * (gm.atoms[j, c] - xt[c])
+            out[rows, c] = acc
     return out / gm.variance
 
 

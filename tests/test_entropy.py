@@ -487,6 +487,24 @@ def test_mixture_rejects_non_finite_weights(bad):
         GaussianMixture(atoms=[[0.0], [2.0]], weights=[bad, 1.0], variance=1.0)
 
 
+@pytest.mark.parametrize(
+    "atoms, variance, match",
+    [
+        ([[math.nan, 0.0]], 1.0, "atom coordinates must be finite"),
+        ([[0.0], [-math.inf]], 1.0, "atom coordinates must be finite"),
+        ([[0.0, 1.0]], math.inf, "variance must be a positive finite real"),
+    ],
+    ids=["nan-atom", "inf-atom", "inf-variance"],
+)
+def test_mixture_rejects_non_finite_atoms_and_variance(atoms, variance, match):
+    weights = np.full(len(atoms), 1.0 / len(atoms))
+    with pytest.raises(InvalidArgumentError, match=match):
+        GaussianMixture(atoms=atoms, weights=weights, variance=variance)
+    # a NaN atom used to give a nan entropy and a FAIL measured nan
+    with pytest.raises(InvalidArgumentError, match=match):
+        reverse_epi_check(atoms, weights, [[0.0] * len(atoms[0])], [1.0], variance, n=100)
+
+
 # The three moment reductions as they were before they shared
 # entropy._moment_means, kept verbatim as the reference for that core.
 
@@ -618,7 +636,9 @@ def _random_mixture(rng, k, d):
     )
 
 
-@pytest.mark.parametrize("k, d", [(1, 1), (4, 1), (16, 1), (4, 2), (16, 2), (3, 3), (16, 7)])
+@pytest.mark.parametrize(
+    "k, d", [(1, 1), (4, 1), (16, 1), (4, 2), (16, 2), (33, 2), (129, 2), (3, 3), (16, 7)]
+)
 def test_mixture_kernel_matches_reference_bits(k, d):
     rng = np.random.default_rng(100 * k + d)
     gm = _random_mixture(rng, k, d)
@@ -646,6 +666,22 @@ def test_mixture_kernel_matches_reference_high_dim(k, d):
     )
 
 
+@pytest.mark.parametrize("k, d", [(4, 1), (16, 2)])
+def test_mixture_kernel_block_edges(k, d):
+    # batches that end just before, at and just after a block boundary
+    rng = np.random.default_rng(30 + k)
+    gm = _random_mixture(rng, k, d)
+    block = entropy._BLOCK_TERMS // k
+    for n in (0, 1, block - 1, block, block + 1):
+        x = reference_sample_mixture(gm, rng, n)
+        assert np.array_equal(_log_density(gm, x), reference_log_density(gm, x)), n
+        score = _score_batch(gm, x)
+        assert score.shape == (n, d) and score.flags.c_contiguous
+        assert np.array_equal(score, reference_score_batch(gm, x)), n
+    point = reference_sample_mixture(gm, rng, 1)
+    assert mixture_density(gm, point[0]) == np.exp(reference_log_density(gm, point))[0]
+
+
 def _lse_rows():
     inf, nan = math.inf, math.nan
     rng = np.random.default_rng(26)
@@ -655,8 +691,10 @@ def _lse_rows():
     yield np.array([[-inf, 0.0, 1.0], [-inf, -inf, 2.0], [-inf, -inf, -inf]])
     yield np.array([[inf, 0.0, 1.0], [inf, inf, 0.0], [inf, -inf, 0.0]])
     yield np.array([[nan, 0.0, 1.0], [inf, nan, 0.0], [-inf, nan, 1.0], [nan, nan, nan]])
-    for k in (2, 7, 8, 9, 16, 33):
-        t = rng.normal(0.0, 20.0, (500, k))
+    # at a spread of 1 many terms add comparable amounts, so the order of the
+    # sum shows in the last bits; 129 and 200 are where numpy splits a row
+    for k, spread in itertools.product((2, 7, 8, 9, 16, 33, 128, 129, 200), (20.0, 1.0)):
+        t = rng.normal(0.0, spread, (500, k))
         t[::7, 1] = t[::7, 0] = t[::7].max(axis=1)  # tied maxima
         t[::11, -1] = -inf
         t[::13] = t[::13, :1]  # all-equal rows
@@ -665,8 +703,9 @@ def _lse_rows():
 
 @pytest.mark.filterwarnings("error")
 def test_row_logsumexp_is_scipys():
+    # the kernel holds the (n, k) rows as k columns
     for t in _lse_rows():
-        np.testing.assert_array_equal(_row_logsumexp(t), logsumexp(t, axis=1))
+        np.testing.assert_array_equal(_row_logsumexp(t.T), logsumexp(t, axis=1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
