@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, _log_omega
+from .geometry import NormKind, _log_omega, positive_radius
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
@@ -98,15 +98,10 @@ def _check_dim(d: int) -> None:
         raise InvalidArgumentError("dimension must be >= 1")
 
 
-def _check_radius(r: float) -> None:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidArgumentError("radius must be a positive finite real")
-
-
 def bound_union_in_ball(d: int, r: float) -> float:
     """2^(d-1) * Omega_d * r^(d-1): surface cap for unions centred inside a ball."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     return _exp_checked(
         (d - 1) * math.log(2.0) + math.log(d) + _log_omega(d) + (d - 1) * math.log(r),
         "bound_union_in_ball",
@@ -116,7 +111,7 @@ def bound_union_in_ball(d: int, r: float) -> float:
 def bound_union_in_cube(d: int, r: float) -> float:
     """2d * (4r)^(d-1): surface cap for cube unions centred inside a cube."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     return _exp_checked(
         math.log(2.0 * d) + (d - 1) * math.log(4.0 * r), "bound_union_in_cube"
     )
@@ -125,7 +120,7 @@ def bound_union_in_cube(d: int, r: float) -> float:
 def bound_volume_constrained(d: int, r: float, volume: float) -> float:
     """(V/r) * 2^(2d-1) * d: surface cap given a volume budget."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     if volume < 0.0:
         raise InvalidArgumentError("volume must be nonnegative")
     if volume == 0.0:
@@ -139,7 +134,7 @@ def bound_volume_constrained(d: int, r: float, volume: float) -> float:
 def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
     """(V/r^d) * 2^(2d-1) * ((r+delta)^d - r^d): shell volume cap."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     if delta <= 0.0:
         raise InvalidArgumentError("delta must be positive")
     if volume < 0.0:
@@ -157,7 +152,7 @@ def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
 def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]:
     """Surface caps for a base set inside B(R): (ball variant, cube variant)."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     if big_r < 0.0:
         raise InvalidArgumentError("enclosing radius must be nonnegative")
     log_omega = _log_omega(d)
@@ -232,7 +227,7 @@ def gaussian_surface_bound(
     d: int, r: float, sigma: float = 1.0, norm: NormKind = NormKind.L2
 ) -> float:
     """max(C/sigma, C/r) with C = gaussian_constant(d, norm)."""
-    _check_radius(r)
+    positive_radius(r)
     if not (sigma > 0.0):
         raise InvalidArgumentError("sigma must be positive")
     c = gaussian_constant(d, norm).constant_C
@@ -242,7 +237,7 @@ def gaussian_surface_bound(
 def reverse_bm_bound(d: int, r: float) -> float:
     """2^(4d) / (omega_d * r^d): Minkowski-sum volume inflation factor."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     return _exp_checked(
         4 * d * math.log(2.0) - _log_omega(d) - d * math.log(r),
         "reverse_bm_bound",
@@ -252,7 +247,7 @@ def reverse_bm_bound(d: int, r: float) -> float:
 def reverse_epi_constant(d: int, r: float) -> float:
     """-(d/2) * ln(pi * r): additive entropy slack for smoothed sums."""
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     return -0.5 * d * math.log(math.pi * r)
 
 
@@ -272,7 +267,7 @@ def sample_complexity_n0(
     tail constants not pinned by theory; defaults of 1.0 are placeholders.
     """
     _check_dim(d)
-    _check_radius(r)
+    positive_radius(r)
     if not (eps > 0.0):
         raise InvalidArgumentError("eps must be positive")
     if not (0.0 < delta < 1.0):

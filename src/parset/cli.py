@@ -53,17 +53,22 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _weighted_points(data, path, key: str, build):
+    """build(points, weights) of a JSON object {key, "weights"}; no "weights" is uniform."""
+    json_object(data, path, {key, "weights"}, required=(key,))
+    points = points_from_json(data[key], f"{path}: {key}")
+    weights = data["weights"] if "weights" in data else np.full(len(points), 1.0 / len(points))
+    with reading(f"{path}: weights"):
+        return build(points, weights)
+
+
 def _load_measure(path) -> tp.EmpiricalMeasure:
     if Path(path).suffix.lower() != ".json":
         return tp.EmpiricalMeasure.uniform(load_points(path))
     data = read_json(path)
     if not isinstance(data, dict):
         return tp.EmpiricalMeasure.uniform(points_from_json(data, path))
-    json_object(data, path, {"points", "weights"}, required=("points",))
-    points = points_from_json(data["points"], f"{path}: points")
-    weights = data.get("weights", np.full(len(points), 1.0 / len(points)))
-    with reading(f"{path}: weights"):
-        return tp.EmpiricalMeasure(points, weights)
+    return _weighted_points(data, path, "points", tp.EmpiricalMeasure)
 
 
 _SHAPE_NORMS = {"disk": NormKind.L2, "square": NormKind.LINF}
@@ -315,13 +320,9 @@ def _cmd_dr_converge(args) -> int:
 
 
 def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
-    data = load_json_object(path, {"atoms", "weights"}, required=("atoms",))
-    atoms = points_from_json(data["atoms"], f"{path}: atoms")
-    weights = data.get("weights")
-    if weights is None:
-        weights = np.full(len(atoms), 1.0 / len(atoms))
-    with reading(f"{path}: weights"):
-        return ent.GaussianMixture(atoms=atoms.points, weights=weights, variance=variance)
+    return _weighted_points(
+        read_json(path), path, "atoms", lambda a, w: ent.GaussianMixture(a.points, w, variance)
+    )
 
 
 def _cmd_epi(args) -> int:

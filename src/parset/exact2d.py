@@ -21,9 +21,9 @@ same bits in the same order (group first, then ascending along the span).  The
 angles phi = atan2 and alpha = acos stay scalar ``math`` calls over the near
 pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
 a share of inputs.  The pairwise temporaries (coverage tests, distances) are
-built in blocks of rows with at most ``_BLOCK_PAIRS`` (row, centre) pairs
-each, so memory grows with the number of centres, not with its square; the
-deduplication, ``geometry.group_rows``, is blocked the same way.
+built in the row blocks of ``geometry.row_blocks``, as is the deduplication
+``geometry.group_rows``, so memory grows with the number of centres, not with
+its square.  Every radius is checked by ``geometry.positive_radius``.
 
 Both areas come from the divergence theorem over the same decomposition that
 gives the perimeter, so ``union_boundary`` builds one decomposition per
@@ -54,11 +54,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidArgumentError
-from .geometry import NormKind, PointSet, group_rows
+from .geometry import NormKind, PointSet, group_rows, positive_radius, row_blocks
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 1e-12
-_BLOCK_PAIRS = 1 << 16  # (row, centre) pairs per block of the pairwise temporaries
 
 
 @dataclass(frozen=True)
@@ -130,18 +129,6 @@ def _require_planar(centers: PointSet) -> np.ndarray:
     return centers.points
 
 
-def _require_radius(r: float) -> float:
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidArgumentError("radius must be a positive finite real")
-    return float(r)
-
-
-def _row_blocks(n: int):
-    """Slices of rows 0..n-1, each of at most _BLOCK_PAIRS // n rows (one at least)."""
-    step = max(1, _BLOCK_PAIRS // n)
-    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
-
-
 def _exposed_pieces(lo, hi, group, a, b):
     """Closed pieces of each span [lo[g], hi[g]] left after removing open holes.
 
@@ -179,10 +166,10 @@ def _exposed_pieces(lo, hi, group, a, b):
 def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
     pts = _require_planar(centers)
     pts = pts[group_rows(pts)[0]]
-    r = _require_radius(r)
+    r = positive_radius(r)
     n = len(pts)
     arcs: list[tuple[int, float, float]] = []
-    for blk in _row_blocks(n):
+    for blk in row_blocks(n):
         rows = np.arange(blk.start, blk.stop)
         diffs = pts[None, :] - pts[blk, None]
         dists = np.hypot(diffs[..., 0], diffs[..., 1])
@@ -233,7 +220,7 @@ def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
     """
     pts = _require_planar(centers)
     pts = pts[group_rows(pts)[0]]
-    r = _require_radius(r)
+    r = positive_radius(r)
     n = len(pts)
     axis, sign, orientation = zip(*_FACES)
     # (face, centre) tables: the coordinate along the normal, the face's line
@@ -244,7 +231,7 @@ def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
     span_lo, span_hi = tang - r, tang + r
     index = np.arange(n)
     segments: list[BoundarySegment] = []
-    for blk in _row_blocks(n):
+    for blk in row_blocks(n):
         rows = index[blk, None, None]
         own = fixed[:, blk].T[:, :, None]  # (row, face, 1) against (face, centre)
         coplanar = np.abs(own - fixed) <= _EPS
@@ -333,17 +320,16 @@ def star_shaped_check(
     centre within L2 distance r of x0.
     """
     pts = _require_planar(centers)
-    r = _require_radius(r)
+    r = positive_radius(r)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (2,):
         raise InvalidArgumentError("x0 must be a 2-vector")
     if num_rays < 1:
         raise InvalidArgumentError("num_rays must be >= 1")
-    dv = pts - x0
-    dist2 = (dv * dv).sum(axis=1)
-    if (np.sqrt(dist2) > r + 1e-9).any():
+    if _kernels.min_dist(pts, x0[None, :], False).max() > r + 1e-9:
         raise InvalidArgumentError("every centre must lie within distance r of x0")
-    q = dist2 - r * r
+    dv = pts - x0
+    q = (dv * dv).sum(axis=1) - r * r
     angles = _TWO_PI * np.arange(num_rays) / num_rays
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     b_all = dirs @ dv.T  # (num_rays, n)
@@ -470,7 +456,7 @@ def rasterized_measures(
     result is bit-for-bit the one the whole lattice would give.
     """
     pts = _require_planar(centers)
-    r = _require_radius(r)
+    r = positive_radius(r)
     lo = pts.min(axis=0) - r
     hi = pts.max(axis=0) + r
     pad = 2.5 * (hi - lo + 1e-9) / grid

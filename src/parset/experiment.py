@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from . import _kernels
 from . import exact2d as ex2
 from . import mc as mcmod
 from ._rng import derive_seed
@@ -82,10 +83,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
     center = 0.5 * (points.min(axis=0) + points.max(axis=0))
-    diffs = points - center
-    if norm is NormKind.L2:
-        return float(np.sqrt((diffs * diffs).sum(axis=1)).max())
-    return float(np.abs(diffs).max())
+    return float(_kernels.min_dist(points, center[None, :], norm is NormKind.LINF).max())
 
 
 def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:

@@ -1,6 +1,8 @@
 """Core types: point sets, norm bodies, parallel-set membership, packings.
 
 All types are immutable after construction; operations are pure functions.
+Every point-to-set distance is `_kernels.min_dist`, every radius is checked by
+`positive_radius`, and every pairwise temporary is cut by `row_blocks`.
 
 The IO section at the end holds every input format the CLI reads: point
 files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for unknown
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidArgumentError
 
 
@@ -72,8 +75,7 @@ class ParallelSetSpec:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise InvalidArgumentError("radius must be a positive finite real")
+        positive_radius(self.radius)
 
 
 @dataclass(frozen=True)
@@ -104,23 +106,21 @@ def dimension_constants(d: int) -> DimensionConstants:
     return DimensionConstants(dim=d, omega_d=omega, big_omega_d=d * omega)
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (dim,):
-        raise InvalidArgumentError(f"expected a vector of dimension {dim}, got shape {v.shape}")
-    return v
-
-
-def norm_distances(diffs: np.ndarray, norm: NormKind) -> np.ndarray:
-    if norm is NormKind.L2:
-        return np.sqrt((diffs * diffs).sum(axis=-1))
-    return np.abs(diffs).max(axis=-1)
+def positive_radius(r) -> float:
+    """r as a float, checked to be a positive finite real."""
+    if not (r > 0.0 and math.isfinite(r)):
+        raise InvalidArgumentError("radius must be a positive finite real")
+    return float(r)
 
 
 def distance_to_set(x, a: PointSet, norm: NormKind) -> float:
     """Distance from x to the nearest member of a under the chosen norm."""
-    v = _as_vector(x, a.dim)
-    return float(norm_distances(a.points - v, norm).min())
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (a.dim,):
+        raise InvalidArgumentError(f"expected a vector of dimension {a.dim}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("query coordinates must be finite")
+    return float(_kernels.min_dist(v[None, :], a.points, norm is NormKind.LINF)[0])
 
 
 def contains(spec: ParallelSetSpec, x) -> bool:
@@ -138,15 +138,15 @@ def greedy_packing(a: PointSet, r: float, norm: NormKind) -> PackingResult:
     """
     if not (r > 0.0):
         raise InvalidArgumentError("packing radius must be positive")
-    accepted: list[np.ndarray] = []
-    for p in a.points:
-        if not accepted:
-            accepted.append(p)
-            continue
-        d = norm_distances(np.asarray(accepted) - p, norm).min()
-        if d > r:
-            accepted.append(p)
-    reps = PointSet(np.asarray(accepted))
+    pts, linf = a.points, norm is NormKind.LINF
+    nearest = np.full(len(pts), np.inf)  # distance to the representatives so far
+    accepted, i = [], 0
+    while not accepted or nearest[i] > r:
+        accepted.append(i)
+        np.minimum(nearest, _kernels.min_dist(pts, pts[i : i + 1], linf), out=nearest)
+        # the next point farther than r (all before it are within r), or 0 when none is
+        i = int(np.argmax(nearest > r))
+    reps = PointSet(pts[accepted])
     return PackingResult(representatives=reps, count=len(reps), radius=r, norm=norm)
 
 
@@ -309,7 +309,13 @@ def load_points(path) -> PointSet:
 
 
 _GROUP_TOL = 1e-12
-_GROUP_BLOCK_PAIRS = 1 << 16  # (row, earlier row) pairs compared per block
+_BLOCK_PAIRS = 1 << 16  # (row, other row) pairs in one block of a pairwise temporary
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of rows 0..n-1, each of at most _BLOCK_PAIRS // n rows (one at least)."""
+    step = max(1, _BLOCK_PAIRS // max(n, 1))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def group_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,15 +323,13 @@ def group_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kept row within _GROUP_TOL (Chebyshev), or is kept itself.
 
     Returns (indices of the kept rows, ascending; each row's group, an index
-    into them).  The pairwise comparisons run in blocks of at most
-    _GROUP_BLOCK_PAIRS pairs.
+    into them).  The pairwise comparisons run in the blocks of row_blocks.
     """
     n = len(points)
     rep = np.arange(n)  # the kept row each row joins; itself when kept
-    step = max(1, _GROUP_BLOCK_PAIRS // max(n, 1))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        close = np.abs(points[None, :stop] - points[start:stop, None]).max(axis=2) <= _GROUP_TOL
+    for blk in row_blocks(n):
+        start, stop = blk.start, blk.stop
+        close = np.abs(points[None, :stop] - points[blk, None]).max(axis=2) <= _GROUP_TOL
         close &= np.arange(stop) < np.arange(start, stop)[:, None]  # earlier rows only
         for k in np.flatnonzero(close.any(axis=1)):
             earlier_kept = np.flatnonzero(close[k] & (rep[:stop] == np.arange(stop)))

@@ -24,7 +24,7 @@ from . import _kernels
 from ._rng import atom_indices, chunk_generator, derive_seed, single_generator, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
-from .geometry import PointSet
+from .geometry import PointSet, positive_radius
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,8 @@ def robust_risk(d_r_value: float) -> float:
 
 @dataclass(frozen=True)
 class HalfspaceRegion:
-    """Decide class 1 on {x . normal <= offset}; normal is normalized."""
+    """Decide class 1 on {x . normal <= offset}; normal is normalized.  An
+    offset of +inf or -inf decides class 1 everywhere or nowhere."""
 
     normal: np.ndarray
     offset: float
@@ -361,11 +362,17 @@ class HalfspaceRegion:
     def __post_init__(self):
         nvec = np.array(self.normal, dtype=np.float64, copy=True)
         norm = np.linalg.norm(nvec)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise InvalidArgumentError("halfspace normal must be nonzero and finite")
+        if nvec.ndim != 1 or norm == 0.0 or not np.isfinite(norm):
+            raise InvalidArgumentError("halfspace normal must be a nonzero finite vector")
+        if math.isnan(self.offset):
+            raise InvalidArgumentError("halfspace offset must not be NaN")
         nvec /= norm
         nvec.flags.writeable = False
         object.__setattr__(self, "normal", nvec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.normal)
 
 
 @dataclass(frozen=True)
@@ -381,10 +388,16 @@ class BallUnionRegion:
             c = np.zeros((0, 0))
         elif c.ndim != 2:
             raise InvalidArgumentError("centers must form a (k, d) array")
-        if self.rho < 0.0:
-            raise InvalidArgumentError("rho must be nonnegative")
+        if not np.isfinite(c).all():
+            raise InvalidArgumentError("centers must be finite")
+        if not 0.0 <= self.rho < math.inf:
+            raise InvalidArgumentError("rho must be a nonnegative finite real")
         c.flags.writeable = False
         object.__setattr__(self, "centers", c)
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]  # 0 for an empty union, which fits any samples
 
 
 def decision_region_risk(
@@ -399,25 +412,26 @@ def decision_region_risk(
     """
     if not (r >= 0.0):
         raise InvalidArgumentError("radius must be nonnegative")
+    if not isinstance(region, (HalfspaceRegion, BallUnionRegion)):
+        raise InvalidArgumentError("unsupported decision region type")
     x0 = mu0_samples.points
     x1 = mu1_samples.points
+    if len({x0.shape[1], x1.shape[1], region.dim} - {0}) != 1:
+        raise InvalidArgumentError("the region and both sample sets need one dimension")
     if isinstance(region, HalfspaceRegion):
         in_dilated = (x0 @ region.normal) <= region.offset + r
         in_comp_dilated = (x1 @ region.normal) >= region.offset - r
-    elif isinstance(region, BallUnionRegion):
-        if region.centers.size == 0:
-            in_dilated = np.zeros(len(x0), dtype=bool)
+    elif region.centers.size == 0:
+        in_dilated = np.zeros(len(x0), dtype=bool)
+        in_comp_dilated = np.ones(len(x1), dtype=bool)
+    else:
+        d0 = _kernels.min_dist(x0, region.centers, False)
+        d1 = _kernels.min_dist(x1, region.centers, False)
+        in_dilated = d0 <= region.rho + r
+        if region.rho - r <= 0.0:
             in_comp_dilated = np.ones(len(x1), dtype=bool)
         else:
-            d0 = _kernels.min_dist(x0, region.centers, False)
-            d1 = _kernels.min_dist(x1, region.centers, False)
-            in_dilated = d0 <= region.rho + r
-            if region.rho - r <= 0.0:
-                in_comp_dilated = np.ones(len(x1), dtype=bool)
-            else:
-                in_comp_dilated = ~(d1 <= region.rho - r)
-    else:
-        raise InvalidArgumentError("unsupported decision region type")
+            in_comp_dilated = ~(d1 <= region.rho - r)
     return float((in_dilated.mean() + in_comp_dilated.mean()) / 2.0)
 
 
@@ -465,8 +479,7 @@ class DistributionSpec:
             raise InvalidArgumentError("weights must be positive finite reals")
         if not (0.0 <= self.sigma < math.inf):
             raise InvalidArgumentError("sigma must be a nonnegative finite real")
-        if not (0.0 < self.radius < math.inf):
-            raise InvalidArgumentError("radius must be a positive finite real")
+        positive_radius(self.radius)
 
 
 def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) -> np.ndarray:

@@ -660,6 +660,11 @@ MALFORMED = {
     "dr-unknown-key": ({"mu0.json": {"points": [[0.0]], "weight": [1.0]}, "mu1.json": _MU1},
                        _DR, "mu0.json"),
     "dr-missing-points": ({"mu0.json": {"weights": [1.0]}, "mu1.json": _MU1}, _DR, "mu0.json"),
+    # "weights": null is not "weights" left out, for either reader
+    "dr-weights-null": ({"mu0.json": {"points": [[0.0], [1.0]], "weights": None},
+                         "mu1.json": _MU1}, _DR, "mu0.json"),
+    "epi-weights-null": ({"x.json": {"atoms": [[0.0], [1.0]], "weights": None},
+                          "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
     "epi-unknown-key": ({"x.json": {"atoms": [[0.0], [1.0]], "weight": [0.9, 0.1]},
                          "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
     "mc-unknown-key": ({"spec.json": {"points": [[0.0, 0.0]], "radious": 0.5}}, _MC, "spec.json"),
@@ -721,6 +726,15 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["dr-weights-null", "epi-weights-null"])
+def test_weights_null_names_the_key(tmp_path, capsys, case):
+    files, argv, where = MALFORMED[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / where}: weights: ")
 
 
 def test_mc_unknown_predicate_names_the_key(tmp_path, capsys):

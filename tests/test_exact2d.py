@@ -24,6 +24,7 @@ from parset import _kernels, exact2d, geometry
 from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
 from parset.exact2d import _marching_cells, _ray_membership_prefix
+from parset.geometry import positive_radius
 
 
 def equality_config():
@@ -351,7 +352,7 @@ def dense_rasterized_measures(centers, r, norm=NormKind.L2, grid=4096):
     """The grid oracle sampled at every lattice point: the reference that the
     narrow band must reproduce bit for bit."""
     pts = exact2d._require_planar(centers)
-    r = exact2d._require_radius(r)
+    r = positive_radius(r)
     lo = pts.min(axis=0) - r
     hi = pts.max(axis=0) + r
     pad = 2.5 * (hi - lo + 1e-9) / grid
@@ -499,7 +500,7 @@ def reference_disk_arcs(centers, r):
 def reference_square_union_area(centers, r: float) -> float:
     """Exact area of a union of congruent axis-aligned squares (slab sweep)."""
     pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
-    r = exact2d._require_radius(r)
+    r = positive_radius(r)
     xs = np.unique(np.concatenate([pts[:, 0] - r, pts[:, 0] + r]))
     total = 0.0
     for x0, x1 in zip(xs[:-1], xs[1:]):
@@ -618,7 +619,7 @@ def reference_subtract_open_intervals(lo: float, hi: float, holes: list[tuple[fl
 
 def reference_disk_union_boundary(centers, r: float) -> exact2d.ArcDecomposition:
     pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
-    r = exact2d._require_radius(r)
+    r = positive_radius(r)
     n = len(pts)
     arcs: list[tuple[int, float, float]] = []
     for i in range(n):
@@ -658,7 +659,7 @@ def reference_square_union_boundary(centers, r: float) -> exact2d.SegmentDecompo
     segment interiors stay pairwise disjoint.
     """
     pts = reference_dedup_preserve_order(exact2d._require_planar(centers))
-    r = exact2d._require_radius(r)
+    r = positive_radius(r)
     n = len(pts)
     # (normal axis, sign): top/bottom are horizontal faces, left/right vertical
     faces = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
@@ -716,11 +717,11 @@ def _sweep_instances():
     yield "tiny-radius", np.array([[0.0, 0.0], [3e-13, 1e-12], [1.0, 1.0]]), 2e-13
 
 
-@pytest.mark.parametrize("block_pairs", [exact2d._BLOCK_PAIRS, 1, 40])
+@pytest.mark.parametrize("block_pairs", [geometry._BLOCK_PAIRS, 1, 40])
 def test_boundaries_match_per_centre_loops(monkeypatch, block_pairs):
     # the row blocking must not show in the output: one row per block, a few,
     # and the module's own block size give the same decomposition
-    monkeypatch.setattr(exact2d, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
     for name, centers, r in _sweep_instances():
         pts = PointSet(centers)
         got, want = square_union_boundary(pts, r), reference_square_union_boundary(pts, r)
@@ -734,9 +735,9 @@ def test_boundaries_match_per_centre_loops(monkeypatch, block_pairs):
         assert got.area() == reference_arc_area(want), name
 
 
-@pytest.mark.parametrize("block_pairs", [geometry._GROUP_BLOCK_PAIRS, 1, 40])
+@pytest.mark.parametrize("block_pairs", [geometry._BLOCK_PAIRS, 1, 40])
 def test_dedup_matches_greedy_loop(monkeypatch, block_pairs):
-    monkeypatch.setattr(geometry, "_GROUP_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", block_pairs)
     rng = np.random.default_rng(61)
     for _ in range(40):
         n = int(rng.integers(1, 25))

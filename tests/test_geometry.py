@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,10 @@ from parset import (
     save_points_csv,
     save_points_json,
 )
+from parset import _kernels
+from parset.experiment import ExperimentConfig, run_verify_experiment
 from parset.geometry import reading
+from parset.mc import ball_predicate
 
 
 def test_distance_identity():
@@ -44,6 +47,53 @@ def test_distance_zero_iff_member():
     a = PointSet([[1.0, 2.0], [3.0, 4.0]])
     assert distance_to_set([3.0, 4.0], a, NormKind.L2) == 0.0
     assert distance_to_set([3.0, 4.0 + 1e-9], a, NormKind.L2) > 0.0
+
+
+@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12, 16])
+def test_distance_to_set_is_min_dist_bits(d, norm):
+    # one distance everywhere: membership by contains and by Monte Carlo share
+    # their bits, also from d = 8 where numpy's pairwise sum leaves cKDTree's order
+    rng = np.random.default_rng(500 + d)
+    for m in (1, 5, 64, 65, 90):
+        a = PointSet(rng.standard_normal((m, d)))
+        for x in rng.standard_normal((40, d)):
+            want = float(_kernels.min_dist(x[None, :], a.points, norm is NormKind.LINF)[0])
+            assert distance_to_set(x, a, norm) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distance_rejects_non_finite_query(bad):
+    a = PointSet([[0.0, 0.0]])
+    spec = ParallelSetSpec(base=a, norm=NormKind.L2, radius=1.0)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        distance_to_set([0.0, bad], a, NormKind.L2)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        contains(spec, [bad, 0.0])
+
+
+def test_point_set_distances_reach_min_dist(monkeypatch):
+    # every point-to-set distance is _kernels.min_dist, looked up at call time
+    def no_min_dist(*args, **kwargs):
+        raise AssertionError("min_dist reached")
+
+    monkeypatch.setattr(_kernels, "min_dist", no_min_dist)
+    a = PointSet([[0.0, 0.0], [0.5, 0.0]])
+    verify = ExperimentConfig(
+        name="demo",
+        module="bounds",
+        parameters={"points": [[0.0, 0.0], [0.5, 0.0]], "checks": ["union-in-ball"]},
+        seed=1,
+    )
+    calls = [
+        lambda: distance_to_set([1.0, 1.0], a, NormKind.L2),
+        lambda: greedy_packing(a, 0.1, NormKind.LINF),
+        lambda: ball_predicate(2, 0.5).distance_fn(np.zeros((3, 2))),
+        lambda: run_verify_experiment(verify),
+    ]
+    for call in calls:
+        with pytest.raises(AssertionError, match="min_dist reached"):
+            call()
 
 
 def test_contains_boundary_closed():
@@ -156,6 +206,39 @@ def test_packing_invariants_random(norm, seed):
         assert dist(reps[a], reps[b]) > r
     for p in pts.points:
         assert min(dist(p, q) for q in reps) <= r
+
+
+def reference_first_fit(points, r, norm):
+    """First-fit packing as a loop over the accepted list: a point joins when
+    its distance to every accepted one exceeds r."""
+    accepted = []
+    for p in points:
+        if accepted:
+            diffs = np.asarray(accepted) - p
+            if norm is NormKind.L2:
+                d = np.sqrt((diffs * diffs).sum(axis=-1)).min()
+            else:
+                d = np.abs(diffs).max(axis=-1).min()
+            if not d > r:
+                continue
+        accepted.append(p)
+    return np.asarray(accepted)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_packing_matches_first_fit_loop(d):
+    rng = np.random.default_rng(800 + d)
+    for _ in range(30):
+        n = int(rng.integers(1, 120))
+        pts = rng.uniform(-2, 2, (n, d))
+        # repeats, and lattice points at exactly r apart in one coordinate
+        lattice = np.outer(np.arange(4), np.eye(d)[0])
+        pts = np.concatenate([pts, pts[rng.integers(0, n, n // 4)], lattice])
+        pts = pts[rng.permutation(len(pts))]
+        for r, norm in product((1.0, float(rng.uniform(0.05, 2.0)), math.inf), NormKind):
+            res = greedy_packing(PointSet(pts), r, norm)
+            np.testing.assert_array_equal(res.representatives.points, reference_first_fit(pts, r, norm))
+            assert res.count == len(res.representatives)
 
 
 @pytest.mark.parametrize("seed", range(4))

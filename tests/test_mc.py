@@ -319,6 +319,19 @@ def test_inscribed_angle_nan_trial_fails(monkeypatch):
     assert rep.verdict is Verdict.FAIL
 
 
+def test_inscribed_angle_picks_the_trial_worst_at_4_sigma(monkeypatch):
+    from parset import mc
+
+    # deficits fc / 2 - fa: 0.010 with se 0.01 passes at 4 sigma, but 0.005
+    # with se 0.0005 fails; the larger raw deficit must not hide it
+    est = lambda v, se: MeasureEstimate(v, se, 100)
+    results = iter([(est(0.24, 0.01), 0.5), (est(0.245, 0.0005), 0.5)])
+    monkeypatch.setattr(mc, "cap_solid_angle_fractions", lambda *a: next(results))
+    rep = inscribed_angle_check(2, 0.9, trials=2, seed=0)
+    assert rep.verdict is Verdict.FAIL
+    assert (rep.measured, rep.std_error) == (0.25 - 0.245, 0.0005)
+
+
 def test_inscribed_angle_3d_sweep():
     rep = inscribed_angle_check(3, 1.2, trials=25, seed=20, directions=100_000)
     assert rep.verdict is Verdict.PASS

@@ -551,6 +551,27 @@ def test_decision_region_ball_union():
         decision_region_risk(object(), x0, x1, 0.25)
 
 
+# regions that once gave a silent risk (rho NaN: 0.5; offset NaN: 0.0) or a
+# bare ValueError from min_dist or matmul
+_BAD_REGIONS = {
+    "halfspace-nan-offset": lambda: HalfspaceRegion(normal=[1.0, 0.0], offset=math.nan),
+    "ball-nan-rho": lambda: BallUnionRegion(centers=[[0.0, 0.0]], rho=math.nan),
+    "ball-inf-rho": lambda: BallUnionRegion(centers=[[0.0, 0.0]], rho=math.inf),
+    "ball-nan-center": lambda: BallUnionRegion(centers=[[math.nan, 0.0]], rho=1.0),
+    "ball-inf-center": lambda: BallUnionRegion(centers=[[0.0, -math.inf]], rho=1.0),
+    "halfspace-3d": lambda: HalfspaceRegion(normal=[1.0, 0.0, 0.0], offset=0.0),
+    "ball-3d": lambda: BallUnionRegion(centers=[[0.0, 0.0, 0.0]], rho=1.0),
+    "ball-3d-kd-tree": lambda: BallUnionRegion(centers=np.zeros((70, 3)), rho=1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_REGIONS))
+def test_decision_region_rejects_bad_input(case):
+    x = PointSet(np.random.default_rng(12).standard_normal((20, 2)))
+    with pytest.raises(InvalidArgumentError):
+        decision_region_risk(_BAD_REGIONS[case](), x, x, 0.25)
+
+
 def test_gaussian_smooth():
     pts = PointSet(np.zeros((4000, 3)))
     assert gaussian_smooth(pts, 0.0, 1) is pts
