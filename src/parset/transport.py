@@ -4,10 +4,12 @@ and the plug-in convergence experiment.
 The thresholded cost 1{dist > 2r} turns optimal transport into maximum
 matching (uniform case) or maximum flow (weighted case): the optimal cost is
 one minus the largest mass matchable within distance 2r.  Both cases share
-one KD-tree threshold graph.  Matching runs on it as a unit-capacity max flow
-in scipy; the weighted flow runs Dinic in Python integers, the weights scaled
-to one common denominator, so that inequalities between transport values can
-be checked exactly rather than modulo solver tolerance.
+one threshold graph, built from one pair query between two KD-trees, an
+exact squared-distance test and one sort, with no Python object per pair.
+Matching runs on it as a unit-capacity max flow in scipy; the weighted flow
+runs Dinic in Python integers, the weights scaled to one common denominator,
+so that inequalities between transport values can be checked exactly rather
+than modulo solver tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -64,19 +66,22 @@ def _pair_dist_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
     """CSR adjacency of pairs with squared distance <= threshold_sq.
 
-    The KD-tree proposes candidates within a radius widened by 1e-9 relative,
-    so rounding in the tree cannot drop a pair; the exact test below decides.
+    One pair query between two KD-trees proposes the candidates, as arrays
+    (24 bytes a pair), within a radius widened by 1e-9 relative, so rounding
+    in the trees cannot drop a pair; the exact test below decides.  One sort
+    on the key i * len(y) + j puts the kept pairs in row-major order with
+    ascending columns: row i's edges are the keys in [i * len(y), (i + 1) *
+    len(y)), and key % len(y) is the column.
     """
     from scipy.spatial import cKDTree
 
     radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
-    near = cKDTree(y).query_ball_point(x, radius, return_sorted=True)
-    rows = np.repeat(np.arange(len(x)), [len(cols) for cols in near])
-    cols = np.fromiter(chain.from_iterable(near), np.int64, len(rows))
-    keep = ((x[rows] - y[cols]) ** 2).sum(axis=1) <= threshold_sq
-    indptr = np.zeros(len(x) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=len(x)), out=indptr[1:])
-    return indptr, cols[keep]
+    near = cKDTree(x).sparse_distance_matrix(cKDTree(y), radius, output_type="ndarray")
+    i, j = near["i"], near["j"]
+    keep = ((np.take(x, i, axis=0) - np.take(y, j, axis=0)) ** 2).sum(axis=1) <= threshold_sq
+    m = len(y)
+    key = np.sort(i[keep] * m + j[keep])
+    return np.searchsorted(key, np.arange(0, (len(x) + 1) * m, m)), key % m
 
 
 def _check_pair(x: PointSet, y: PointSet, r: float):
@@ -98,7 +103,8 @@ def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
         raise InvalidArgumentError("uniform transport needs equal sample counts")
     indptr, indices = _threshold_csr(x.points, y.points, (2.0 * r) ** 2)
     matched, match_l = _kernels.max_matching(indptr, indices, n, n)
-    pairs = tuple((i, int(match_l[i])) for i in range(n) if match_l[i] >= 0)
+    left = np.flatnonzero(match_l >= 0)
+    pairs = tuple(zip(left.tolist(), match_l[left].tolist()))
     exact = Fraction(n - int(matched), n)
     return TransportResult(
         value=float(exact), certificate=pairs, threshold_r=r, value_exact=exact
@@ -134,21 +140,19 @@ def _permutations(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _max_flow(indptr: np.ndarray, indices: np.ndarray, supply: list, demand: list):
+def _max_flow(rows: list, cols: np.ndarray, supply: list, demand: list):
     """Dinic max flow on source -> left -> right -> sink, in Python integers.
 
     Left node i takes up to supply[i] from the source, right node j passes up
-    to demand[j] to the sink, and the CSR edges (left i to right nodes
-    indices[indptr[i]:indptr[i + 1]]) carry twice the total supply, more than
-    any flow.  Returns the flow value and the flow on each CSR edge, in CSR
-    order.
+    to demand[j] to the sink, and the edges (left rows[e] to right cols[e])
+    carry twice the total supply, more than any flow.  Returns the flow value
+    and the flow on each edge, in edge order.
     """
     n, m = len(supply), len(demand)
     src, snk = n + m, n + m + 1
-    rows = np.repeat(np.arange(n), np.diff(indptr)).tolist()
     tails = [src] * n + list(range(n, n + m)) + rows
-    heads = list(range(n)) + [snk] * m + (n + np.asarray(indices)).tolist()
-    caps = [*supply, *demand] + [2 * sum(supply)] * len(indices)
+    heads = list(range(n)) + [snk] * m + (n + cols).tolist()
+    caps = [*supply, *demand] + [2 * sum(supply)] * len(cols)
     # edge 2e is the e-th edge above and 2e + 1 its residual twin
     adj: list[list[int]] = [[] for _ in range(n + m + 2)]
     to: list[int] = []
@@ -220,10 +224,10 @@ def d_r_weighted(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> Transp
     b = _integer_weights(nu.weights)
     ta, tb = sum(a), sum(b)
     indptr, indices = _threshold_csr(mu.points.points, nu.points.points, (2.0 * r) ** 2)
-    flow, edge_flow = _max_flow(indptr, indices, [w * tb for w in a], [w * ta for w in b])
+    rows = np.repeat(np.arange(len(a)), np.diff(indptr)).tolist()
+    flow, edge_flow = _max_flow(rows, indices, [w * tb for w in a], [w * ta for w in b])
     scale = ta * tb
     exact = 1 - Fraction(flow, scale)
-    rows = np.repeat(np.arange(len(a)), np.diff(indptr)).tolist()
     cert = tuple((i, j, f / scale) for i, j, f in zip(rows, indices.tolist(), edge_flow) if f > 0)
     return TransportResult(
         value=float(exact), certificate=cert, threshold_r=r, value_exact=exact

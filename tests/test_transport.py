@@ -1,12 +1,16 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 
 from parset import (
     BallUnionRegion,
@@ -29,6 +33,7 @@ from parset import (
     w1_empirical,
 )
 from parset._rng import single_generator
+from parset.cli import main
 from parset.transport import _pair_dist_sq, _permutations, _threshold_csr
 
 
@@ -74,6 +79,96 @@ def test_dr_threshold_tie_matchable():
         got[np.repeat(np.arange(len(xs)), np.diff(indptr)), indices] = True
         assert indptr[-1] == dense.sum()
         np.testing.assert_array_equal(got, dense)
+        # row-major order with ascending columns, not just the same set
+        np.testing.assert_array_equal(indices, np.nonzero(dense)[1])
+
+
+def reference_threshold_csr(x, y, threshold_sq):
+    """The threshold graph from one KD-tree ball query per row of x, each a
+    Python list of columns; the pair query must give the same arrays."""
+    radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
+    near = cKDTree(y).query_ball_point(x, radius, return_sorted=True)
+    rows = np.repeat(np.arange(len(x)), [len(cols) for cols in near])
+    cols = np.fromiter(chain.from_iterable(near), np.int64, len(rows))
+    keep = ((x[rows] - y[cols]) ** 2).sum(axis=1) <= threshold_sq
+    indptr = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(x)), out=indptr[1:])
+    return indptr, cols[keep]
+
+
+def _graph_instances():
+    for d in (1, 2, 3, 8, 9):
+        rng = np.random.default_rng(d)
+        # d2 <= 0.5 d keeps 1-40% of the pairs; the trees visit rows out of order
+        for n, m in ((1, 1), (1, 40), (40, 1), (2000, 1500)):
+            yield f"normal-{d}d-{n}x{m}", rng.standard_normal((n, d)), rng.standard_normal((m, d)), 0.5 * d
+    rng = np.random.default_rng(10)
+    lattice = rng.integers(-3, 4, (500, 2)) * 0.5
+    ys = np.concatenate([lattice[rng.permutation(500)], rng.integers(-3, 4, (300, 2)) * 0.5])
+    yield "lattice-r0", lattice, ys, 0.0
+    yield "lattice-ties", lattice, ys, 0.25
+    cube = rng.uniform(0.0, 1.0, (500, 3))
+    yield "every-pair", cube[:300], cube[300:], 3.0
+    dup = np.repeat(rng.standard_normal((100, 2)), 3, axis=0)
+    yield "duplicates", dup, dup[rng.permutation(300)], 0.25
+    yield "no-edges", rng.standard_normal((200, 2)), 100.0 + rng.standard_normal((150, 2)), 1.0
+
+
+@pytest.mark.parametrize(
+    "name,xs,ys,threshold_sq", [pytest.param(*case, id=case[0]) for case in _graph_instances()]
+)
+def test_threshold_csr_matches_reference(name, xs, ys, threshold_sq):
+    indptr, indices = _threshold_csr(xs, ys, threshold_sq)
+    want_indptr, want_indices = reference_threshold_csr(xs, ys, threshold_sq)
+    assert indptr.dtype == indices.dtype == np.int64
+    np.testing.assert_array_equal(indptr, want_indptr)
+    np.testing.assert_array_equal(indices, want_indices)
+    if name == "every-pair":
+        assert len(indices) == len(xs) * len(ys)
+    if name == "no-edges":
+        assert len(indices) == 0
+
+
+def test_threshold_csr_memory_stays_bounded():
+    # a Python int per candidate pair, as per-row ball queries give, peaks at about 40 MB
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2400, 2)), rng.standard_normal((2400, 2))
+    tracemalloc.start()
+    try:
+        indptr, indices = _threshold_csr(x, y, 0.6**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == 490_743
+    assert peak < 25e6, peak
+
+
+# sha256 of what `parset dr` writes and of repr(d_r_uniform(...).certificate)
+# for two seeded 1500-point clouds at r = 0.3, taken with these numpy and scipy
+# versions; the certificate is the matching that Dinic finds, so it pins the
+# edge order of the threshold graph as well as its edge set
+_DR_SHA256 = "522fb2dc46118e15332b308890055bd738c6baa5183148458540d359bb440a01"
+_CERTIFICATE_SHA256 = "44cb56fd24e1acbd0c311e2c9ec25b4b9eeb6212c81f3d7296715ea17433c552"
+_TRANSPORT_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_transport_digest_is_pinned(tmp_path):
+    import scipy
+
+    have = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if have != _TRANSPORT_VERSIONS:
+        pytest.skip(f"digest taken with {_TRANSPORT_VERSIONS}, running with {have}")
+    rng = np.random.default_rng(1500)
+    x = rng.standard_normal((1500, 2))
+    y = rng.standard_normal((1500, 2)) + [1.0, 0.0]
+    (tmp_path / "mu0.json").write_text(json.dumps({"points": x.tolist()}))
+    (tmp_path / "mu1.json").write_text(json.dumps({"points": y.tolist()}))
+    out = tmp_path / "dr.json"
+    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
+                 "--radius", "0.3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DR_SHA256
+    cert = d_r_uniform(PointSet(x), PointSet(y), 0.3).certificate
+    assert hashlib.sha256(repr(cert).encode()).hexdigest() == _CERTIFICATE_SHA256
 
 
 def test_dr_brute_force_sweep():
