@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, _log_omega, positive_radius
+from .geometry import NormKind, _log_omega, nonnegative_real, positive_radius, positive_real
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 
@@ -93,15 +93,17 @@ def _exp_checked(log_value: float, what: str) -> float:
     return math.exp(log_value)
 
 
-def _check_dim(d: int) -> None:
+def _check_dim(d: int, r: float | None = None) -> None:
+    """d >= 1, and r, when given, a positive finite radius."""
     if d < 1:
         raise InvalidArgumentError("dimension must be >= 1")
+    if r is not None:
+        positive_radius(r)
 
 
 def bound_union_in_ball(d: int, r: float) -> float:
     """2^(d-1) * Omega_d * r^(d-1): surface cap for unions centred inside a ball."""
-    _check_dim(d)
-    positive_radius(r)
+    _check_dim(d, r)
     return _exp_checked(
         (d - 1) * math.log(2.0) + math.log(d) + _log_omega(d) + (d - 1) * math.log(r),
         "bound_union_in_ball",
@@ -110,8 +112,7 @@ def bound_union_in_ball(d: int, r: float) -> float:
 
 def bound_union_in_cube(d: int, r: float) -> float:
     """2d * (4r)^(d-1): surface cap for cube unions centred inside a cube."""
-    _check_dim(d)
-    positive_radius(r)
+    _check_dim(d, r)
     return _exp_checked(
         math.log(2.0 * d) + (d - 1) * math.log(4.0 * r), "bound_union_in_cube"
     )
@@ -119,11 +120,8 @@ def bound_union_in_cube(d: int, r: float) -> float:
 
 def bound_volume_constrained(d: int, r: float, volume: float) -> float:
     """(V/r) * 2^(2d-1) * d: surface cap given a volume budget."""
-    _check_dim(d)
-    positive_radius(r)
-    if volume < 0.0:
-        raise InvalidArgumentError("volume must be nonnegative")
-    if volume == 0.0:
+    _check_dim(d, r)
+    if nonnegative_real(volume, "volume") == 0.0:
         return 0.0
     return _exp_checked(
         math.log(volume) - math.log(r) + (2 * d - 1) * math.log(2.0) + math.log(d),
@@ -133,13 +131,9 @@ def bound_volume_constrained(d: int, r: float, volume: float) -> float:
 
 def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
     """(V/r^d) * 2^(2d-1) * ((r+delta)^d - r^d): shell volume cap."""
-    _check_dim(d)
-    positive_radius(r)
-    if delta <= 0.0:
-        raise InvalidArgumentError("delta must be positive")
-    if volume < 0.0:
-        raise InvalidArgumentError("volume must be nonnegative")
-    if volume == 0.0:
+    _check_dim(d, r)
+    positive_real(delta, "delta")
+    if nonnegative_real(volume, "volume") == 0.0:
         return 0.0
     # (r+delta)^d - r^d = r^d * expm1(d * log1p(delta/r)), stable for tiny delta
     growth = math.expm1(d * math.log1p(delta / r))
@@ -151,10 +145,8 @@ def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
 
 def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]:
     """Surface caps for a base set inside B(R): (ball variant, cube variant)."""
-    _check_dim(d)
-    positive_radius(r)
-    if big_r < 0.0:
-        raise InvalidArgumentError("enclosing radius must be nonnegative")
+    _check_dim(d, r)
+    nonnegative_real(big_r, "enclosing radius")
     log_omega = _log_omega(d)
     ball = _exp_checked(
         d * (math.log(big_r + r / 2.0) - math.log(r / 2.0))
@@ -228,16 +220,14 @@ def gaussian_surface_bound(
 ) -> float:
     """max(C/sigma, C/r) with C = gaussian_constant(d, norm)."""
     positive_radius(r)
-    if not (sigma > 0.0):
-        raise InvalidArgumentError("sigma must be positive")
+    positive_real(sigma, "sigma")
     c = gaussian_constant(d, norm).constant_C
     return max(c / sigma, c / r)
 
 
 def reverse_bm_bound(d: int, r: float) -> float:
     """2^(4d) / (omega_d * r^d): Minkowski-sum volume inflation factor."""
-    _check_dim(d)
-    positive_radius(r)
+    _check_dim(d, r)
     return _exp_checked(
         4 * d * math.log(2.0) - _log_omega(d) - d * math.log(r),
         "reverse_bm_bound",
@@ -246,8 +236,7 @@ def reverse_bm_bound(d: int, r: float) -> float:
 
 def reverse_epi_constant(d: int, r: float) -> float:
     """-(d/2) * ln(pi * r): additive entropy slack for smoothed sums."""
-    _check_dim(d)
-    positive_radius(r)
+    _check_dim(d, r)
     return -0.5 * d * math.log(math.pi * r)
 
 
@@ -266,18 +255,14 @@ def sample_complexity_n0(
     is ceil((log(2/delta) + log c0) / (c1 * (eta*eps/2)^d)).  c0 and c1 are
     tail constants not pinned by theory; defaults of 1.0 are placeholders.
     """
-    _check_dim(d)
-    positive_radius(r)
-    if not (eps > 0.0):
-        raise InvalidArgumentError("eps must be positive")
+    _check_dim(d, r)
+    positive_real(eps, "eps")
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError("delta must lie in (0, 1)")
-    if c0 < 1.0:
-        raise InvalidArgumentError("c0 must be >= 1")
-    if not (c1 > 0.0):
-        raise InvalidArgumentError("c1 must be positive")
-    if not (sigma > 0.0):
-        raise InvalidArgumentError("sigma must be positive")
+    if not (1.0 <= c0 < math.inf):
+        raise InvalidArgumentError("c0 must be a finite real >= 1")
+    positive_real(c1, "c1")
+    positive_real(sigma, "sigma")
     c = gaussian_constant(d, NormKind.L2).constant_C
     c_sr = max(c / sigma, c / (2.0 * r / 3.0))
     eta = eps / (2.0 * c_sr)

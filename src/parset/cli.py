@@ -10,7 +10,6 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,9 +29,12 @@ from .geometry import (
     is_json_int,
     json_count,
     json_object,
+    kneser_params,
     load_json_object,
     load_points,
+    nonnegative_real,
     points_from_json,
+    positive_real,
     read_json,
     reading,
     spec_from_dict,
@@ -46,7 +48,10 @@ def _fmt(x) -> str:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # strict JSON has no NaN or infinity
+        raise RangeOverflowError("the result holds a NaN or infinite value") from None
     if out:
         Path(out).write_text(text)
     else:
@@ -131,7 +136,6 @@ def _cmd_mc(args) -> int:
     if kind == "halfspace":
         target = mcmod.halfspace_predicate(json_count(data, "dim", 2, args.spec))
     elif args.op != "angle":
-        # outside the guard below: its errors name their place already
         target = spec_from_dict(data, args.spec)
     else:
         # inscribed_angle_check names a dimension below 2 itself
@@ -139,14 +143,10 @@ def _cmd_mc(args) -> int:
         if not is_json_int(dim):
             raise InvalidArgumentError(f"{args.spec}: dim: need an integer")
         trials = json_count(data, "trials", 10, args.spec)
-    with reading(args.spec):
-        if args.op == "angle":
+        with reading(args.spec):
             cap = float(data.get("cap_half_angle", 0.9))
-        if args.op == "kneser":
-            a_k = float(data.get("a_k", target.radius / 2.0))
-            b_k = float(data.get("b_k", target.radius))
-            t = float(data.get("t", 1.5))
     if args.op == "kneser":
+        a_k, b_k, t = kneser_params(data, target.radius, args.spec)
         rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
         payload = {"value": rep.measured, "bound": rep.bound_value}
     elif args.op == "angle":
@@ -278,14 +278,6 @@ def _gen_from_dict(data, where) -> tp.DistributionSpec:
         )
 
 
-def _nonnegative_real(value, where, what) -> float:
-    with reading(where):
-        x = float(value)
-        if not 0.0 <= x < math.inf:
-            raise InvalidArgumentError(f"{what} must be a nonnegative finite real")
-    return x
-
-
 def _cmd_dr_converge(args) -> int:
     data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
     gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
@@ -293,8 +285,10 @@ def _cmd_dr_converge(args) -> int:
     with reading(f"{args.config}: gen1"):
         if gen1.dim != gen0.dim:
             raise InvalidArgumentError(f"dim {gen1.dim} differs from gen0's dim {gen0.dim}")
-    r = _nonnegative_real(data["r"], f"{args.config}: r", "radius")
-    sigma = _nonnegative_real(data.get("sigma", 0.0), f"{args.config}: sigma", "noise sigma")
+    with reading(f"{args.config}: r"):
+        r = nonnegative_real(data["r"], "radius")
+    with reading(f"{args.config}: sigma"):
+        sigma = nonnegative_real(data.get("sigma", 0.0), "noise sigma")
     n_grid = data["n_grid"]
     if not (isinstance(n_grid, list) and n_grid and all(map(is_count, n_grid))):
         raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
@@ -326,8 +320,7 @@ def _load_mixture_file(path, variance: float) -> ent.GaussianMixture:
 
 
 def _cmd_epi(args) -> int:
-    if not 0.0 < args.smoothing < math.inf:
-        raise InvalidArgumentError("--smoothing must be a positive finite real")
+    positive_real(args.smoothing, "--smoothing")
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
     rep, h_x, h_y = ent._reverse_epi(

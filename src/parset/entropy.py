@@ -31,7 +31,7 @@ import numpy as np
 from ._rng import atom_indices, map_reduce_chunks
 from .bounds import BoundReport, reverse_epi_constant
 from .errors import InvalidArgumentError
-from .geometry import group_rows
+from .geometry import group_rows, positive_real
 
 
 class EntropyMethod(Enum):
@@ -58,8 +58,7 @@ class GaussianMixture:
             raise InvalidArgumentError("need one finite positive weight per atom")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must sum to 1 within 1e-12")
-        if not 0.0 < self.variance < math.inf:
-            raise InvalidArgumentError("variance must be a positive finite real")
+        positive_real(self.variance, "variance")
         atoms.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -350,8 +349,7 @@ def pointwise_lemma_log_ratio(a, b, r: float) -> tuple[float, float]:
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape:
         raise InvalidArgumentError("a and b must share a shape")
-    if not (r > 0.0):
-        raise InvalidArgumentError("r must be positive")
+    positive_real(r, "r")
     d = a.size
 
     def log_gauss(v, var):
@@ -439,8 +437,8 @@ def de_bruijn_check(
     so the slope's standard error reflects the difference, not two
     independent entropies, and the allowance adds 4 combined sigma.
     """
-    if not (t0 > 0.0 and dt > 0.0 and dt < t0):
-        raise InvalidArgumentError("need 0 < dt < t0")
+    if not (0.0 < dt < t0 < math.inf):
+        raise InvalidArgumentError("need 0 < dt < t0 < inf")
     gm_plus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 + dt)
     gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
     gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)

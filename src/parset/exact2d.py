@@ -23,7 +23,8 @@ pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
 a share of inputs.  The pairwise temporaries (coverage tests, distances) are
 built in the row blocks of ``geometry.row_blocks``, as is the deduplication
 ``geometry.group_rows``, so memory grows with the number of centres, not with
-its square.  Every radius is checked by ``geometry.positive_radius``.
+its square.  Every radius, like every other real parameter of the package,
+goes through ``geometry.positive_real`` (here as ``positive_radius``).
 
 Both areas come from the divergence theorem over the same decomposition that
 gives the perimeter, so ``union_boundary`` builds one decomposition per

@@ -32,7 +32,9 @@ from .geometry import (
     is_json_int,
     json_count,
     json_object,
+    kneser_params,
     load_json_object,
+    positive_real,
     reading,
     spec_from_dict,
 )
@@ -93,12 +95,10 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     points, norm, radius = spec.base, spec.norm, spec.radius
     samples = json_count(params, "samples", 200_000, cfg.name)
     with reading(cfg.name):
-        delta = None if params.get("delta") is None else float(params["delta"])
-        sigma = float(params.get("sigma", 1.0))
-        a_k = float(params.get("a_k", radius / 2.0))
-        b_k = float(params.get("b_k", radius))
-        t = float(params.get("t", 1.5))
+        delta = None if params.get("delta") is None else positive_real(params["delta"], "delta")
+        sigma = positive_real(params.get("sigma", 1.0), "sigma")
         checks = list(params.get("checks", _CHECK_NAMES[:3]))
+    a_k, b_k, t = kneser_params(params, radius, cfg.name)
     for name in checks:
         if name not in _CHECK_NAMES:
             raise InvalidArgumentError(f"{cfg.name}: unknown check {name!r}")

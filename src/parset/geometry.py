@@ -1,8 +1,9 @@
 """Core types: point sets, norm bodies, parallel-set membership, packings.
 
 All types are immutable after construction; operations are pure functions.
-Every point-to-set distance is `_kernels.min_dist`, every radius is checked by
-`positive_radius`, and every pairwise temporary is cut by `row_blocks`.
+Every point-to-set distance is `_kernels.min_dist`, every pairwise temporary
+is cut by `row_blocks`, and every open-ended real parameter of the package,
+a radius or any other, is checked by `positive_real` or `nonnegative_real`.
 
 The IO section at the end holds every input format the CLI reads: point
 files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for unknown
@@ -106,11 +107,25 @@ def dimension_constants(d: int) -> DimensionConstants:
     return DimensionConstants(dim=d, omega_d=omega, big_omega_d=d * omega)
 
 
+def positive_real(x, name: str) -> float:
+    """x as a float, checked to be a positive finite real."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise InvalidArgumentError(f"{name} must be a positive finite real")
+    return x
+
+
+def nonnegative_real(x, name: str) -> float:
+    """x as a float, checked to be a nonnegative finite real."""
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise InvalidArgumentError(f"{name} must be a nonnegative finite real")
+    return x
+
+
 def positive_radius(r) -> float:
-    """r as a float, checked to be a positive finite real."""
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidArgumentError("radius must be a positive finite real")
-    return float(r)
+    """The radius check: positive_real(r, "radius")."""
+    return positive_real(r, "radius")
 
 
 def distance_to_set(x, a: PointSet, norm: NormKind) -> float:
@@ -136,8 +151,8 @@ def greedy_packing(a: PointSet, r: float, norm: NormKind) -> PackingResult:
     some representative.  Any maximal packing witnesses the volume bounds, so
     no canonicalization or optimality is attempted.
     """
-    if not (r > 0.0):
-        raise InvalidArgumentError("packing radius must be positive")
+    if not r > 0.0:  # +inf is valid: it keeps the first point alone
+        raise InvalidArgumentError("packing radius must be a positive real or +inf")
     pts, linf = a.points, norm is NormKind.LINF
     nearest = np.full(len(pts), np.inf)  # distance to the representatives so far
     accepted, i = [], 0
@@ -188,7 +203,8 @@ def load_points_csv(path) -> PointSet:
                 raise InvalidArgumentError(f"{path}:{lineno}: non-numeric coordinate")
     if not rows:
         raise InvalidArgumentError(f"{path}: no points")
-    return PointSet(np.asarray(rows))
+    with reading(path):
+        return PointSet(np.asarray(rows))
 
 
 def save_points_json(ps: PointSet, path) -> None:
@@ -295,6 +311,13 @@ def spec_from_dict(data: dict, where) -> ParallelSetSpec:
             norm=NormKind.parse(data.get("norm", "l2")),
             radius=float(data.get("radius", 1.0)),
         )
+
+
+def kneser_params(data: dict, radius: float, where) -> tuple[float, float, float]:
+    """(a_k, b_k, t) of a kneser spec; defaults radius / 2, radius and 1.5."""
+    defaults = {"a_k": radius / 2.0, "b_k": radius, "t": 1.5}
+    with reading(where):
+        return tuple(float(data.get(key, value)) for key, value in defaults.items())
 
 
 def load_points_json(path) -> PointSet:

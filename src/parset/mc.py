@@ -26,7 +26,7 @@ from . import _kernels
 from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
 from .bounds import BoundReport, worst_excess
 from .errors import InvalidArgumentError
-from .geometry import NormKind, ParallelSetSpec
+from .geometry import NormKind, ParallelSetSpec, positive_real
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InvalidArgumentError("samples must be >= 1")
-        if self.shell_delta is not None and not (self.shell_delta > 0.0):
-            raise InvalidArgumentError("shell_delta must be positive")
+        if self.shell_delta is not None:
+            positive_real(self.shell_delta, "shell_delta")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
 
@@ -71,8 +71,7 @@ def halfspace_predicate(dim: int) -> MembershipPredicate:
 
 
 def ball_predicate(dim: int, rho: float) -> MembershipPredicate:
-    if not (rho > 0.0):
-        raise InvalidArgumentError("ball radius must be positive")
+    positive_real(rho, "ball radius")
     origin = np.zeros((1, dim))
     return MembershipPredicate(
         dim=dim, distance_fn=lambda x: np.maximum(_kernels.min_dist(x, origin, False) - rho, 0.0)
@@ -100,18 +99,21 @@ def _band_estimates(
 
     All bands are counted on one sample stream.  With box = (points, reach)
     X is uniform in the bounding box of points padded by reach and scale is
-    the box volume; with box None X ~ N(0, sigma^2 I) and scale is 1.
+    the box volume, which must be finite; with box None X ~ N(0, sigma^2 I)
+    and scale is 1.
     """
     if box is None:
-        if not (sigma > 0.0):
-            raise InvalidArgumentError("sigma must be positive")
+        positive_real(sigma, "sigma")
         scale = 1.0
         draw = lambda g, m: g.standard_normal((m, dim)) * sigma
     else:
         points, reach = box
-        lo = points.min(axis=0) - reach
-        span = (points.max(axis=0) + reach) - lo
-        scale = float(np.prod(span))
+        with np.errstate(over="ignore"):  # an infinite box is rejected below
+            lo = points.min(axis=0) - reach
+            span = (points.max(axis=0) + reach) - lo
+            scale = float(np.prod(span))
+        if not math.isfinite(scale):
+            raise InvalidArgumentError("the sampling box's volume exceeds double range")
 
         def draw(g, m):
             # lo + u * span one column at a time, not broadcast over rows only
@@ -175,10 +177,10 @@ def kneser_shell_check(
     the largest dilation, so the two estimates are positively correlated and
     the comparison is sharp even at modest sample counts.
     """
-    if not (0.0 < a_k <= b_k):
-        raise InvalidArgumentError("need 0 < a_k <= b_k")
-    if not (t >= 1.0):
-        raise InvalidArgumentError("need t >= 1")
+    if not (0.0 < a_k <= b_k < math.inf):
+        raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
+    if not (1.0 <= t < math.inf):
+        raise InvalidArgumentError("need 1 <= t < inf")
     dim, reach, dist_fn = _target(ParallelSetSpec(base=base, norm=norm, radius=t * b_k))
     bands = [(t * a_k, t * b_k, 1.0), (a_k, b_k, 1.0)]
     lhs, rhs = _band_estimates(cfg, dim, dist_fn, bands, box=(base.points, reach))

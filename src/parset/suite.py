@@ -598,6 +598,8 @@ def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
         raise InvalidArgumentError(
             f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
         )
+    if config.samples is not None and config.samples < 1:
+        raise InvalidArgumentError("samples must be >= 1")
     if config.workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
     prof = replace(profile_from_samples(config.samples), workers=config.workers)

@@ -26,7 +26,7 @@ from . import _kernels
 from ._rng import atom_indices, chunk_generator, derive_seed, single_generator, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
-from .geometry import PointSet, positive_radius
+from .geometry import PointSet, nonnegative_real, positive_radius
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
 def _check_pair(x: PointSet, y: PointSet, r: float):
     if x.dim != y.dim:
         raise InvalidArgumentError("point sets must share a dimension")
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise InvalidArgumentError("radius must be a nonnegative finite real")
+    nonnegative_real(r, "radius")
 
 
 def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
@@ -333,8 +332,7 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
 
 def check_w1_domination(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> BoundReport:
     """Transport cost at threshold 2r never exceeds W1 / (2r)."""
-    if not (r > 0.0):
-        raise InvalidArgumentError("radius must be positive")
+    positive_radius(r)
     d_val = d_r_weighted(mu, nu, r).value
     w1 = w1_empirical(mu, nu).value
     # std_error 2.5e-13 encodes the spec'd 1e-12 comparison margin as 4 sigma
@@ -394,8 +392,7 @@ class BallUnionRegion:
             raise InvalidArgumentError("centers must form a (k, d) array")
         if not np.isfinite(c).all():
             raise InvalidArgumentError("centers must be finite")
-        if not 0.0 <= self.rho < math.inf:
-            raise InvalidArgumentError("rho must be a nonnegative finite real")
+        nonnegative_real(self.rho, "rho")
         c.flags.writeable = False
         object.__setattr__(self, "centers", c)
 
@@ -414,8 +411,7 @@ def decision_region_risk(
     one ball and otherwise overestimates the risk, keeping the reported value
     a valid upper bound on the optimal robust risk.
     """
-    if not (r >= 0.0):
-        raise InvalidArgumentError("radius must be nonnegative")
+    nonnegative_real(r, "radius")
     if not isinstance(region, (HalfspaceRegion, BallUnionRegion)):
         raise InvalidArgumentError("unsupported decision region type")
     x0 = mu0_samples.points
@@ -446,9 +442,7 @@ def decision_region_risk(
 
 def gaussian_smooth(samples: PointSet, sigma: float, seed: int) -> PointSet:
     """Add independent N(0, sigma^2 I) noise to every point."""
-    if sigma < 0.0:
-        raise InvalidArgumentError("sigma must be nonnegative")
-    if sigma == 0.0:
+    if nonnegative_real(sigma, "sigma") == 0.0:
         return samples
     g = single_generator(seed)
     noise = g.standard_normal(samples.points.shape) * sigma
@@ -481,8 +475,7 @@ class DistributionSpec:
                 raise InvalidArgumentError("need one weight per atom")
         if not all(0.0 < w < math.inf for w in self.weights):
             raise InvalidArgumentError("weights must be positive finite reals")
-        if not (0.0 <= self.sigma < math.inf):
-            raise InvalidArgumentError("sigma must be a nonnegative finite real")
+        nonnegative_real(self.sigma, "sigma")
         positive_radius(self.radius)
 
 
@@ -528,8 +521,7 @@ def convergence_experiment(
     n_grid = sorted(n_grid)
     if not n_grid or n_grid[0] < 1 or trials < 1:
         raise InvalidArgumentError("need a nonempty n_grid of sizes >= 1 and trials >= 1")
-    if not (0.0 <= sigma < math.inf):
-        raise InvalidArgumentError("noise sigma must be a nonnegative finite real")
+    nonnegative_real(sigma, "noise sigma")
 
     def draw(spec, n, tag):
         g = chunk_generator(derive_seed(seed, "draw", tag), 0)

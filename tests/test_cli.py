@@ -13,6 +13,15 @@ from parset.cli import build_parser, main
 from parset.transport import EmpiricalMeasure, d_r_weighted
 
 
+def _no_constant(name):
+    raise ValueError(f"CLI output holds {name}, which strict JSON lacks")
+
+
+def strict_loads(text):
+    """json.loads that fails on NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "parset", *args], capture_output=True, text=True
@@ -47,7 +56,7 @@ def test_exact2d_disk(tmp_path, centers_csv):
         ]
     )
     assert rc == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     lens = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
     assert payload["area"] == pytest.approx(2.0 * math.pi - lens)
     rows = list(csv.DictReader(boundary.open()))
@@ -60,7 +69,7 @@ def test_exact2d_square(tmp_path, centers_csv):
         ["exact2d", "--shape", "square", "--centers", str(centers_csv), "--radius", "1.0", "--out", str(out)]
     )
     assert rc == 0
-    assert json.loads(out.read_text())["perimeter"] == pytest.approx(10.0)
+    assert strict_loads(out.read_text())["perimeter"] == pytest.approx(10.0)
 
 
 def test_mc_volume(tmp_path):
@@ -71,7 +80,7 @@ def test_mc_volume(tmp_path):
         ["mc", "--op", "volume", "--spec", str(spec), "--samples", "50000", "--seed", "7", "--out", str(out)]
     )
     assert rc == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     assert abs(payload["value"] - math.pi) <= 4.0 * payload["std_error"]
     assert payload["samples"] == 50000
 
@@ -90,7 +99,7 @@ def test_bounds_list_and_eval(tmp_path):
     out = tmp_path / "l.json"
     assert main(["bounds", "--list", "--out", str(out)]) == 0
     # each bound's parameters in its signature's order
-    assert {name: entry["parameters"] for name, entry in json.loads(out.read_text()).items()} == {
+    assert {name: entry["parameters"] for name, entry in strict_loads(out.read_text()).items()} == {
         "bounded-support": ["d", "big_r", "r"],
         "gaussian-surface": ["d", "r", "sigma", "norm"],
         "reverse-bm": ["d", "r"],
@@ -103,7 +112,7 @@ def test_bounds_list_and_eval(tmp_path):
     }
     out2 = tmp_path / "e.json"
     assert main(["bounds", "--eval", "reverse-bm", "--params", "d=1,r=1", "--out", str(out2)]) == 0
-    assert json.loads(out2.read_text())["value"] == pytest.approx(8.0)
+    assert strict_loads(out2.read_text())["value"] == pytest.approx(8.0)
 
 
 def test_bounds_unknown_name():
@@ -168,7 +177,7 @@ def test_dr_command(tmp_path):
     out = tmp_path / "dr.json"
     rc = main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.3", "--out", str(out)])
     assert rc == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     assert payload["value"] == pytest.approx(1.0 / 3.0)
     assert payload["robust_risk"] == pytest.approx(1.0 / 3.0)
 
@@ -190,7 +199,7 @@ def test_dr_weighted_command(tmp_path):
         rc = main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.5", *flag,
                    "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["value"] == want
+        assert strict_loads(out.read_text())["value"] == want
 
 
 def test_dr_reads_weights_without_the_flag(tmp_path):
@@ -207,7 +216,7 @@ def test_dr_reads_weights_without_the_flag(tmp_path):
                      "--out", str(out)]) == 0
         texts.append(out.read_text())
     assert texts[0] == texts[1]
-    assert json.loads(texts[0])["value"] == pytest.approx(0.8)
+    assert strict_loads(texts[0])["value"] == pytest.approx(0.8)
 
 
 def test_dr_uniform_json_takes_the_matching(tmp_path, monkeypatch):
@@ -228,7 +237,7 @@ def test_dr_uniform_json_takes_the_matching(tmp_path, monkeypatch):
         out = tmp_path / "dr.json"
         assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / other),
                      "--radius", "0.1", "--weighted", "--out", str(out)]) == 0
-        values.append(json.loads(out.read_text())["value"])
+        values.append(strict_loads(out.read_text())["value"])
     assert values == [1.0 / 3.0] * 2
 
 
@@ -376,7 +385,7 @@ def test_epi_command(tmp_path):
     out = tmp_path / "epi.json"
     rc = main(["epi", "--x", str(x), "--y", str(y), "--smoothing", "0.5", "--samples", "10000", "--seed", "1", "--out", str(out)])
     assert rc == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     assert set(payload) == {"h_x", "h_y", "h_sum", "bound", "slack", "verdict"}
     assert payload["verdict"] == "pass"
     assert payload["h_sum"] <= payload["bound"]
@@ -395,7 +404,7 @@ def test_epi_entropies_are_the_direct_estimates(tmp_path):
     rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
                "--smoothing", "0.5", "--samples", "5000", "--seed", "3", "--out", str(out)])
     assert rc == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     for key, side, seed in (("h_x", "x", 3), ("h_y", "y", 4)):
         gm = GaussianMixture(variance=0.5, **mixtures[side])
         assert payload[key] == entropy_mc(gm, n=5000, seed=seed).value
@@ -464,7 +473,7 @@ def _mc_payload(tmp_path, spec: dict, *flags):
     path.write_text(json.dumps(spec))
     out = tmp_path / "mc.json"
     rc = main(["mc", "--spec", str(path), "--seed", "3", "--out", str(out), *flags])
-    return rc, json.loads(out.read_text())
+    return rc, strict_loads(out.read_text())
 
 
 @pytest.mark.parametrize("op", ["shell", "gshell"])
@@ -539,7 +548,7 @@ def test_bounds_gaussian_surface_payload(tmp_path):
     assert main(["bounds", "--eval", "gaussian-surface",
                  "--params", "d=3,r=0.5,sigma=2,norm=linf", "--out", str(out)]) == 0
     c = gaussian_constant(3, NormKind.LINF)
-    assert json.loads(out.read_text()) == {
+    assert strict_loads(out.read_text()) == {
         "name": "gaussian-surface",
         "parameters": {"d": 3, "r": 0.5, "sigma": 2.0, "norm": "linf"},
         "value": gaussian_surface_bound(3, 0.5, 2.0, NormKind.LINF),
@@ -555,7 +564,7 @@ def test_bounds_bounded_support_payload(tmp_path):
     assert main(["bounds", "--eval", "bounded-support",
                  "--params", "d=4,big_r=1.5,r=0.25", "--out", str(out)]) == 0
     ball, cube = bound_bounded_support(4, 1.5, 0.25)
-    assert json.loads(out.read_text()) == {
+    assert strict_loads(out.read_text()) == {
         "name": "bounded-support",
         "parameters": {"d": 4, "big_r": 1.5, "r": 0.25},
         "ball": ball,
@@ -602,7 +611,7 @@ def test_verify_json_and_printout_match_reports(tmp_path, capsys):
     assert [r["bound_name"] for r in expected] == [
         "union-in-cube", "gaussian-surface", "union-in-ball", "kneser-shell"]
     assert expected[0]["verdict"] == "pass" and expected[2]["verdict"] == "not-compared"
-    assert json.loads(out_json.read_text()) == expected
+    assert strict_loads(out_json.read_text()) == expected
     assert list(csv.DictReader(out_csv.open())) == expected
     assert out_csv.read_text().splitlines()[0] == (
         "suite,check,bound_name,bound_value,measured,std_error,slack,verdict")
@@ -626,7 +635,7 @@ def test_epi_far_atoms_in_one_dimension(tmp_path, sep):
     rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
                "--smoothing", "0.01", "--samples", "20000", "--seed", "6", "--out", str(out)])
     assert rc == 0
-    h_x = json.loads(out.read_text())["h_x"]
+    h_x = strict_loads(out.read_text())["h_x"]
     est = entropy_mc(GaussianMixture(variance=0.01, **mix), n=20000, seed=6)
     assert h_x == est.value
     want = math.log(2.0) + 0.5 * math.log(2.0 * math.pi * math.e * 0.01)
@@ -644,6 +653,8 @@ _ANGLE = ["mc", "--op", "angle", "--spec", "spec.json", "--samples", "100"]
 _GSHELL = ["mc", "--op", "gshell", "--spec", "spec.json", "--samples", "1000"]
 _VERIFY = ["verify", "--experiment", "exp.json"]
 _CONVERGE = ["dr-converge", "--config", "conv.json"]
+_KNESER = ["mc", "--op", "kneser", "--spec", "spec.json", "--samples", "1000"]
+_CSV = ["exact2d", "--shape", "disk", "--centers", "c.csv", "--radius", "1.0"]
 
 # name: (files to write, argv, where the error is reported)
 MALFORMED = {
@@ -712,27 +723,105 @@ MALFORMED = {
     "epi-weights-unnormalised": ({"x.json": {"atoms": [[0.0]], "weights": [0.5]},
                                   "y.json": {"atoms": [[0.0]]}}, _EPI, "x.json"),
     "mc-radius-negative": ({"spec.json": {"points": [[0.0, 0.0]], "radius": -1}}, _MC, "spec.json"),
+    # CSV point files, given as text; a row's error names its line
+    "csv-empty": ({"c.csv": ""}, _CSV, "c.csv"),
+    "csv-wrong-header": ({"c.csv": "x,y\n0,0\n"}, _CSV, "c.csv"),
+    "csv-no-points": ({"c.csv": "x0,x1\n"}, _CSV, "c.csv"),
+    "csv-ragged-row": ({"c.csv": "x0,x1\n0,0\n1\n"}, _CSV, "c.csv:3"),
+    "csv-non-numeric": ({"c.csv": "x0,x1\n0,0\n1,abc\n"}, _CSV, "c.csv:3"),
+    "csv-nan": ({"c.csv": "x0,x1\n0,nan\n"}, _CSV, "c.csv"),
+    "csv-inf": ({"c.csv": "x0,x1\n-inf,0\n"}, _CSV, "c.csv"),
 }
+
+
+def _write_files(tmp_path, files):
+    """Write each file: a string as it is, anything else as JSON."""
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(tmp_path, capsys, case):
     files, argv, where = MALFORMED[case]
-    for name, content in files.items():
-        (tmp_path / name).write_text(json.dumps(content))
+    _write_files(tmp_path, files)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    where = str(tmp_path / where) if where in files else where
+    where = str(tmp_path / where) if where.split(":")[0] in files else where
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: "), err
     assert "Traceback" not in err
 
 
+_SPEC = {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0}}
+_N0 = "d=2,sigma=1,r=1,eps=0.01,delta=0.1"
+
+
+def _kneser(**params):
+    return {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0, **params}}
+
+
+def _verify(**params):
+    return {"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+                         "parameters": {"points": [[0.0, 0.0]], "checks": ["gaussian-surface"],
+                                        **params}}}
+
+
+def _bounds(name, params):
+    return ["bounds", "--eval", name, "--params", params]
+
+
+# name: (files to write, argv); each value is NaN, +-inf or a result past double range
+NON_FINITE = {
+    "verify-delta-inf": (_verify(delta=math.inf), _VERIFY),
+    "verify-sigma-nan": (_verify(sigma=math.nan), _VERIFY),
+    "mc-gshell-delta-inf": (_SPEC, [*_GSHELL, "--delta", "inf"]),
+    "mc-gshell-sigma-inf": (_SPEC, [*_GSHELL, "--sigma", "inf"]),
+    "mc-gshell-sigma-nan": (_SPEC, [*_GSHELL, "--sigma", "nan"]),
+    "mc-shell-box-overflow": (_SPEC, ["mc", "--op", "shell", "--spec", "spec.json",
+                                      "--samples", "1000", "--delta", "1e308"]),
+    "mc-kneser-t-huge": (_kneser(t=1e300), _KNESER),
+    "mc-kneser-t-inf": (_kneser(t=math.inf), _KNESER),
+    "mc-kneser-b-inf": (_kneser(b_k=math.inf), _KNESER),
+    "mc-kneser-a-nan": (_kneser(a_k=math.nan), _KNESER),
+    "bounds-volume-nan": ({}, _bounds("volume-constrained", "d=2,r=1,volume=nan")),
+    "bounds-shell-delta-inf": ({}, _bounds("shell-volume", "d=2,r=1,delta=inf,volume=1")),
+    "bounds-big-r-inf": ({}, _bounds("bounded-support", "d=2,big_r=inf,r=1")),
+    "bounds-sigma-inf": ({}, _bounds("gaussian-surface", "d=2,r=1,sigma=inf")),
+    "bounds-radius-nan": ({}, _bounds("reverse-bm", "d=2,r=nan")),
+    "bounds-n0-c0-nan": ({}, _bounds("sample-complexity-n0", f"{_N0},c0=nan")),
+    "bounds-n0-c0-inf": ({}, _bounds("sample-complexity-n0", f"{_N0},c0=inf")),
+    "bounds-n0-c1-nan": ({}, _bounds("sample-complexity-n0", f"{_N0},c1=nan")),
+    "bounds-n0-eps-inf": ({}, _bounds("sample-complexity-n0", "d=2,sigma=1,r=1,eps=inf,delta=0.1")),
+    # a finite input whose bound is past double range: strict JSON out refuses it
+    "bounds-result-inf": ({}, _bounds("gaussian-surface", "d=2,r=1,sigma=1e-320")),
+    "converge-r-inf": ({"conv.json": {**_CONV, "r": math.inf}}, _CONVERGE),
+    "converge-sigma-nan": ({"conv.json": {**_CONV, "sigma": math.nan}}, _CONVERGE),
+    "epi-smoothing-inf": ({"x.json": {"atoms": [[0.0]]}, "y.json": {"atoms": [[0.0]]}},
+                          [*_EPI[:5], "--smoothing", "inf"]),
+    "dr-radius-nan": ({"mu0.json": _MU1, "mu1.json": _MU1}, [*_DR[:-1], "nan"]),
+    "exact2d-radius-inf": ({"c.csv": "x0,x1\n0,0\n"}, [*_CSV[:-1], "inf"]),
+    "csv-nan": ({"c.csv": "x0,x1\n0,nan\n"}, _CSV),
+    "suite-samples-negative": ({}, ["suite", "gaussian", "--samples", "-5"]),
+    "suite-samples-zero": ({}, ["suite", "gaussian", "--samples", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_scalars_exit_2(tmp_path, capsys, case):
+    # each of these printed a verdict, a NaN or a zero, or ended in a traceback
+    files, argv = NON_FINITE[case]
+    _write_files(tmp_path, files)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert "[PASS]" not in captured.out
+
+
 @pytest.mark.parametrize("case", ["dr-weights-null", "epi-weights-null"])
 def test_weights_null_names_the_key(tmp_path, capsys, case):
     files, argv, where = MALFORMED[case]
-    for name, content in files.items():
-        (tmp_path / name).write_text(json.dumps(content))
+    _write_files(tmp_path, files)
     assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / where}: weights: ")
 

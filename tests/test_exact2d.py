@@ -25,6 +25,7 @@ from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
 from parset.exact2d import _marching_cells, _ray_membership_prefix
 from parset.geometry import positive_radius
+from test_cli import strict_loads
 
 
 def equality_config():
@@ -581,7 +582,7 @@ def test_cli_square_area_matches_slab_sweep(tmp_path):
     out = tmp_path / "res.json"
     argv = ["exact2d", "--shape", "square", "--centers", str(path), "--radius", "0.7", "--area", "--out", str(out)]
     assert main(argv) == 0
-    payload = json.loads(out.read_text())
+    payload = strict_loads(out.read_text())
     want = reference_square_union_area(PointSet(centers), 0.7)
     assert payload["area"] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert payload["perimeter"] == square_union_perimeter(PointSet(centers), 0.7)

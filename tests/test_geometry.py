@@ -20,10 +20,11 @@ from parset import (
     save_points_csv,
     save_points_json,
 )
-from parset import _kernels
+from parset import _kernels, bounds, entropy, mc, transport
 from parset.experiment import ExperimentConfig, run_verify_experiment
-from parset.geometry import reading
+from parset.geometry import nonnegative_real, positive_real, reading
 from parset.mc import ball_predicate
+from parset.transport import EmpiricalMeasure
 
 
 def test_distance_identity():
@@ -312,3 +313,86 @@ def test_reading_prefixes_each_message_once():
             with reading("a.json: weights"):
                 float("x")
     assert str(err.value) == "a.json: weights: could not convert string to float: 'x'"
+
+
+# -- one checked-real rule: NaN and +-inf fail every real parameter ------------
+
+_ONE = PointSet([[0.0, 0.0]])
+_UNIFORM = EmpiricalMeasure.uniform(_ONE)
+_CFG = mc.McConfig(samples=10, seed=0)
+_BALL = transport.BallUnionRegion(np.zeros((1, 2)), 1.0)
+_BALL_GEN = transport.DistributionSpec("uniform-ball", 1)
+_POS = "must be a positive finite real"
+_NONNEG = "must be a nonnegative finite real"
+# name: (a call that takes the parameter, the message it fails with)
+ROUTED = {
+    "positive_real": (lambda x: positive_real(x, "x"), f"x {_POS}"),
+    "nonnegative_real": (lambda x: nonnegative_real(x, "x"), f"x {_NONNEG}"),
+    "spec-radius": (lambda x: ParallelSetSpec(_ONE, NormKind.L2, x), f"radius {_POS}"),
+    "bound-radius": (lambda x: bounds.reverse_bm_bound(2, x), f"radius {_POS}"),
+    "volume-constrained-volume": (lambda x: bounds.bound_volume_constrained(2, 1.0, x),
+                                  f"volume {_NONNEG}"),
+    "shell-volume-volume": (lambda x: bounds.bound_shell_volume(2, 1.0, 0.1, x),
+                            f"volume {_NONNEG}"),
+    "shell-volume-delta": (lambda x: bounds.bound_shell_volume(2, 1.0, x, 1.0), f"delta {_POS}"),
+    "bounded-support-big-r": (lambda x: bounds.bound_bounded_support(2, x, 1.0),
+                              f"enclosing radius {_NONNEG}"),
+    "gaussian-surface-sigma": (lambda x: bounds.gaussian_surface_bound(2, 1.0, x), f"sigma {_POS}"),
+    "n0-sigma": (lambda x: bounds.sample_complexity_n0(2, x, 1.0, 0.01, 0.1), f"sigma {_POS}"),
+    "n0-eps": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, x, 0.1), f"eps {_POS}"),
+    "n0-delta": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, 0.01, x),
+                 r"delta must lie in \(0, 1\)"),
+    "n0-c0": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, 0.01, 0.1, c0=x),
+              "c0 must be a finite real >= 1"),
+    "n0-c1": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, 0.01, 0.1, c1=x), f"c1 {_POS}"),
+    "mc-shell-delta": (lambda x: mc.McConfig(samples=1, seed=0, shell_delta=x),
+                       f"shell_delta {_POS}"),
+    "mc-ball-rho": (lambda x: ball_predicate(2, x), f"ball radius {_POS}"),
+    "mc-sigma": (lambda x: mc.mc_gaussian_measure(mc.halfspace_predicate(2), _CFG, sigma=x),
+                 f"sigma {_POS}"),
+    "kneser-a": (lambda x: mc.kneser_shell_check(_ONE, NormKind.L2, x, 1.0, 1.5, _CFG),
+                 "need 0 < a_k <= b_k < inf"),
+    "kneser-b": (lambda x: mc.kneser_shell_check(_ONE, NormKind.L2, 0.5, x, 1.5, _CFG),
+                 "need 0 < a_k <= b_k < inf"),
+    "kneser-t": (lambda x: mc.kneser_shell_check(_ONE, NormKind.L2, 0.5, 1.0, x, _CFG),
+                 "need 1 <= t < inf"),
+    "cap-half-angle": (lambda x: mc.cap_solid_angle_fractions(3, x, np.zeros(3), 10, 0),
+                       r"cap_half_angle must lie in \(0, pi\)"),
+    "mixture-variance": (lambda x: entropy.GaussianMixture([[0.0]], [1.0], x),
+                         f"variance {_POS}"),
+    "lemma-r": (lambda x: entropy.pointwise_lemma_log_ratio([0.0], [1.0], x), f"r {_POS}"),
+    "de-bruijn-t0": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], x),
+                     "need 0 < dt < t0 < inf"),
+    "de-bruijn-dt": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], 1.0, dt=x),
+                     "need 0 < dt < t0 < inf"),
+    "d-r-radius": (lambda x: transport.d_r_uniform(_ONE, _ONE, x), f"radius {_NONNEG}"),
+    "w1-domination-radius": (lambda x: transport.check_w1_domination(_UNIFORM, _UNIFORM, x),
+                             f"radius {_POS}"),
+    "region-risk-radius": (lambda x: transport.decision_region_risk(_BALL, _ONE, _ONE, x),
+                           f"radius {_NONNEG}"),
+    "ball-union-rho": (lambda x: transport.BallUnionRegion(np.zeros((1, 2)), x), f"rho {_NONNEG}"),
+    "smooth-sigma": (lambda x: transport.gaussian_smooth(_ONE, x, 0), f"sigma {_NONNEG}"),
+    "generator-sigma": (lambda x: transport.DistributionSpec("gaussian-mixture", 1, ((0.0,),),
+                                                             sigma=x), f"sigma {_NONNEG}"),
+    "convergence-sigma": (lambda x: transport.convergence_experiment(
+        _BALL_GEN, _BALL_GEN, 0.5, x, [2], 1, 0), f"noise sigma {_NONNEG}"),
+    "sandwich-eta": (lambda x: transport.coupling_sandwich_check(
+        _UNIFORM, _UNIFORM, _UNIFORM, _UNIFORM, 0.3, x), r"eta must lie in \(0, r/3\)"),
+    "robust-risk": (transport.robust_risk, r"transport cost must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_non_finite_parameters_are_rejected(name, bad):
+    call, message = ROUTED[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 0.0])
+def test_packing_radius_takes_only_positive_values_and_inf(bad):
+    # +inf stays valid: it packs the first point alone
+    with pytest.raises(InvalidArgumentError, match=r"packing radius must be a positive real or \+inf"):
+        greedy_packing(_ONE, bad, NormKind.L2)
+    assert greedy_packing(PointSet([[0.0], [5.0]]), math.inf, NormKind.L2).count == 1

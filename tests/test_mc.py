@@ -599,7 +599,7 @@ def test_band_core_argument_errors():
     cfg = McConfig(samples=10, seed=1)
     with pytest.raises(InvalidArgumentError, match="target must be"):
         mc_gaussian_shell(object(), cfg)
-    with pytest.raises(InvalidArgumentError, match="sigma must be positive"):
+    with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
         mc_gaussian_measure(halfspace_predicate(2), cfg, sigma=0.0)
-    with pytest.raises(InvalidArgumentError, match="sigma must be positive"):
+    with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
         mc_gaussian_shell(spec_point(2), cfg, sigma=-1.0)
