@@ -149,7 +149,8 @@ def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]
     nonnegative_real(big_r, "enclosing radius")
     log_omega = _log_omega(d)
     ball = _exp_checked(
-        d * (math.log(big_r + r / 2.0) - math.log(r / 2.0))
+        # log(r) - log 2, not log(r / 2): r / 2 underflows to 0 at r = 5e-324
+        d * (math.log(big_r + r / 2.0) - math.log(r) + math.log(2.0))
         + (d - 1) * math.log(2.0)
         + math.log(d)
         + log_omega
@@ -222,7 +223,10 @@ def gaussian_surface_bound(
     positive_radius(r)
     positive_real(sigma, "sigma")
     c = gaussian_constant(d, norm).constant_C
-    return max(c / sigma, c / r)
+    bound = max(c / sigma, c / r)
+    if bound == math.inf:
+        raise RangeOverflowError("gaussian_surface_bound exceeds double range")
+    return bound
 
 
 def reverse_bm_bound(d: int, r: float) -> float:

@@ -51,6 +51,8 @@ class Profile:
     halfspace_samples: int = 10_000_000
     shell3d_samples: int = 400_000
     kneser_samples: int = 1_000_000
+    # no suite check reads angle_directions: the cap fractions the suite
+    # takes are exact; benchmarks/perf/workloads.py still sets it
     angle_directions: int = 200_000
     angle_pairs: int = 100
     entropy_samples: int = 200_000
@@ -215,15 +217,15 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
-    """Cap solid angle from an interior apex vs the central one."""
-    # the 1% ratio tolerance needs ~1e6 directions; cheap even in smoke runs
+    """Cap solid angle from an interior apex vs the central one.
+
+    Both fractions are exact in 2-d and 3-d, so no direction is drawn
+    (directions=1 only satisfies the argument check).  At the antipode the
+    inscribed-angle theorem makes the 2-d ratio exactly 1/2, compared within
+    the apex fraction's rounding allowance.
+    """
     fa, fc = mcmod.cap_solid_angle_fractions(
-        2,
-        cap_half_angle=0.9,
-        apex=np.array([-1.0, 0.0]),
-        directions=max(5 * prof.angle_directions, 1_000_000),
-        seed=derive_seed(seed, "angle-antipode"),
-        workers=prof.workers,
+        2, cap_half_angle=0.9, apex=np.array([-1.0, 0.0]), directions=1, seed=seed
     )
     g = chunk_generator(derive_seed(seed, "angle-3d"), 0)
 
@@ -233,13 +235,14 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
             cap_half_angle=float(g.uniform(0.2, 2.5)),
             trials=1,
             seed=derive_seed(seed, "angle-3d", k),
-            directions=prof.angle_directions,
-            workers=prof.workers,
+            directions=1,
         )
         return rep.measured - 4.0 * rep.std_error
 
     return [
-        BoundReport.compare("inscribed-angle-2d-ratio", 0.01, abs(fa.value / fc - 0.5)),
+        BoundReport.compare(
+            "inscribed-angle-2d-ratio", 0.0, abs(fa.value / fc - 0.5), fa.std_error / fc
+        ),
         BoundReport.sweep("inscribed-angle-3d-sweep", 0.0, map(excess, range(prof.angle_pairs))),
     ]
 

@@ -84,10 +84,18 @@ def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
     return np.searchsorted(key, np.arange(0, (len(x) + 1) * m, m)), key % m
 
 
-def _check_pair(x: PointSet, y: PointSet, r: float):
+def _check_pair(x: PointSet, y: PointSet, r: float) -> float:
+    """(2r)^2, the squared distance up to which a pair is matchable."""
     if x.dim != y.dim:
         raise InvalidArgumentError("point sets must share a dimension")
     nonnegative_real(r, "radius")
+    try:
+        threshold_sq = (2.0 * r) ** 2
+    except OverflowError:  # float ** raises where float * returns inf
+        threshold_sq = math.inf
+    if threshold_sq == math.inf:
+        raise InvalidArgumentError("radius must be below 6.7e153, so that (2 * radius)^2 is finite")
+    return threshold_sq
 
 
 def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
@@ -96,11 +104,11 @@ def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
     Pairs within distance 2r are matchable at zero cost; the optimal cost is
     1 - |maximum matching| / n.  Ties at exactly 2r count as matchable.
     """
-    _check_pair(x, y, r)
+    threshold_sq = _check_pair(x, y, r)
     n = len(x)
     if n != len(y):
         raise InvalidArgumentError("uniform transport needs equal sample counts")
-    indptr, indices = _threshold_csr(x.points, y.points, (2.0 * r) ** 2)
+    indptr, indices = _threshold_csr(x.points, y.points, threshold_sq)
     matched, match_l = _kernels.max_matching(indptr, indices, n, n)
     left = np.flatnonzero(match_l >= 0)
     pairs = tuple(zip(left.tolist(), match_l[left].tolist()))
@@ -112,12 +120,12 @@ def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
 
 def d_r_brute_force(x: PointSet, y: PointSet, r: float) -> float:
     """Exhaustive minimum over assignments; oracle for small n only."""
-    _check_pair(x, y, r)
+    threshold_sq = _check_pair(x, y, r)
     n = len(x)
     if n != len(y) or n > 8:
         raise InvalidArgumentError("brute force limited to equal counts with n <= 8")
     d2 = _pair_dist_sq(x.points, y.points)
-    ok = d2 <= (2.0 * r) ** 2
+    ok = d2 <= threshold_sq
     # every assignment at once: row k of ok[i, perms[k, i]] is one permutation
     best = int(ok[np.arange(n), _permutations(n)].sum(axis=1).max())
     return float(Fraction(n - best, n))
@@ -218,11 +226,11 @@ def d_r_weighted(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> Transp
     is the true optimum for the given atoms; reduces to d_r_uniform on
     uniform equal-size inputs.
     """
-    _check_pair(mu.points, nu.points, r)
+    threshold_sq = _check_pair(mu.points, nu.points, r)
     a = _integer_weights(mu.weights)
     b = _integer_weights(nu.weights)
     ta, tb = sum(a), sum(b)
-    indptr, indices = _threshold_csr(mu.points.points, nu.points.points, (2.0 * r) ** 2)
+    indptr, indices = _threshold_csr(mu.points.points, nu.points.points, threshold_sq)
     rows = np.repeat(np.arange(len(a)), np.diff(indptr)).tolist()
     flow, edge_flow = _max_flow(rows, indices, [w * tb for w in a], [w * ta for w in b])
     scale = ta * tb

@@ -170,6 +170,24 @@ def test_overflow_raises():
         gaussian_constant(400)
 
 
+def test_bounded_support_subnormal_radius():
+    # r / 2 underflowed to 0 at the smallest subnormal, and log(0) raised a
+    # math domain error; the bound itself is past double range there
+    with pytest.raises(RangeOverflowError):
+        bound_bounded_support(2, 1.0, 5e-324)
+    # at r = 1e-300 it is finite: ((R + r/2) / (r/2))^2 * 2 * 2 * pi * r = 16 pi / r
+    ball, cube = bound_bounded_support(2, 1.0, 1e-300)
+    assert ball == pytest.approx(16.0 * math.pi * 1e300, rel=1e-12)
+    assert math.isfinite(cube)
+
+
+@pytest.mark.parametrize("sigma, r", [(1e-320, 1.0), (1.0, 1e-320)])
+def test_gaussian_surface_bound_past_double_range_raises(sigma, r):
+    # max(C / sigma, C / r) used to come back as inf
+    with pytest.raises(RangeOverflowError, match="gaussian_surface_bound exceeds double range"):
+        gaussian_surface_bound(2, r, sigma)
+
+
 def test_union_in_ball_past_omega_underflow():
     # omega_453 underflows to 0.0 in double precision; the bound itself is 4.94e-186
     d = 453

@@ -519,7 +519,8 @@ def test_mc_kneser_matches_library(tmp_path):
 
 def test_mc_angle_workers_do_not_change_output(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"dim": 3, "cap_half_angle": 1.1, "trials": 2}))
+    # 2-d and 3-d are exact; from 4-d up the directions are drawn in chunks
+    spec.write_text(json.dumps({"dim": 4, "cap_half_angle": 1.1, "trials": 2}))
     outputs = []
     for workers in ("1", "2"):
         out = tmp_path / f"angle-{workers}.json"
@@ -799,6 +800,13 @@ NON_FINITE = {
     "epi-smoothing-inf": ({"x.json": {"atoms": [[0.0]]}, "y.json": {"atoms": [[0.0]]}},
                           [*_EPI[:5], "--smoothing", "inf"]),
     "dr-radius-nan": ({"mu0.json": _MU1, "mu1.json": _MU1}, [*_DR[:-1], "nan"]),
+    # (2r)^2 past double range ended in an OverflowError traceback
+    "dr-radius-huge": ({"mu0.json": {"points": [[0.0], [1.0]]}, "mu1.json": {"points": [[5.0], [7.0]]}},
+                       [*_DR[:-1], "1e200"]),
+    "dr-weighted-radius-huge": ({"mu0.json": {"points": [[0.0], [1.0]], "weights": [0.25, 0.75]},
+                                 "mu1.json": {"points": [[5.0], [7.0]]}}, [*_DR[:-1], "1e200"]),
+    # r / 2 underflowed to 0 and log(0) ended in a math domain error
+    "bounds-bounded-support-subnormal-r": ({}, _bounds("bounded-support", "d=2,big_r=1,r=5e-324")),
     "exact2d-radius-inf": ({"c.csv": "x0,x1\n0,0\n"}, [*_CSV[:-1], "inf"]),
     "csv-nan": ({"c.csv": "x0,x1\n0,nan\n"}, _CSV),
     "suite-samples-negative": ({}, ["suite", "gaussian", "--samples", "-5"]),

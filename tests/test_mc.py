@@ -241,19 +241,127 @@ def _parent_cap_fractions(dim, cap_half_angle, apex, directions, seed):
 
 @pytest.mark.parametrize("directions", [1, 777, 4000, 40_000, CHUNK])
 def test_cap_apex_fraction_matches_one_batch_estimator(directions):
-    # up to one chunk the band count sees the one-batch estimator's draws
+    # up to one chunk the band count sees the one-batch estimator's draws;
+    # 2-d and 3-d are exact and have their own oracles below
     cases = [
-        (2, 0.9, np.array([-1.0, 0.0])),
-        (3, 1.3, np.array([0.2, -0.3, 0.5])),
-        (3, 2.4, np.zeros(3)),
-        # apex on the sphere inside the cap: outward rays stay at the apex
-        (3, 0.7, np.array([0.8, 0.6, 0.0])),
         (5, 0.4, np.array([0.0, 0.1, 0.0, -0.6, 0.3])),
+        # apex on the sphere inside the cap: outward rays stay at the apex
+        (4, 0.7, np.array([0.8, 0.6, 0.0, 0.0])),
     ]
     for dim, cap, apex in cases:
         fa, _ = cap_solid_angle_fractions(dim, cap, apex, directions, seed=23)
         want_fa, _, want_se, _ = _parent_cap_fractions(dim, cap, apex, directions, 23)
         assert (fa.value, fa.std_error, fa.samples_used) == (want_fa, want_se, directions)
+
+
+def _green_cap_fraction(theta, apex):
+    """40-digit oracle for the 3-d apex fraction: the rim disk's solid angle by
+    Green's theorem, the integral over the rim of (1 - h / sqrt(h^2 + |u|^2))
+    (u x dl) / |u|^2 with u from the apex's foot on the rim plane; a fraction
+    Omega / (4 pi) below the plane and 1 - Omega / (4 pi) above it."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        c, s = mpmath.cos(th), mpmath.sin(th)
+        a = [mpmath.mpf(float(v)) for v in apex]
+        h = a[0] - c
+        rho = mpmath.sqrt(a[1] ** 2 + a[2] ** 2)
+
+        def integrand(phi):
+            x, y = s * mpmath.cos(phi) - rho, s * mpmath.sin(phi)
+            u2 = x * x + y * y
+            return (1 - abs(h) / mpmath.sqrt(h * h + u2)) * s * (x * mpmath.cos(phi) + y * mpmath.sin(phi)) / u2
+
+        # the integrand peaks over a width of about the distance to the rim
+        near = abs(rho - s) + abs(h)
+        breaks = sorted({-mpmath.pi, -10 * near, -near, mpmath.mpf(0), near, 10 * near, mpmath.pi})
+        omega = mpmath.quad(integrand, [b for b in breaks if abs(b) <= mpmath.pi]) / (4 * mpmath.pi)
+        return float(omega if h <= 0 else 1 - omega)
+
+
+def _near_rim_apexes():
+    """Apexes 1e-3 and 1e-6 from the rim circle, on both sides of the rim plane
+    and of the rim's cylinder and on the cylinder itself, and from the rim
+    plane, on both sides."""
+    for theta in (0.4, 1.3, 2.2):
+        c, s = math.cos(theta), math.sin(theta)
+        for dist in (1e-3, 1e-6):
+            # from the rim point (c, s) along four directions (cos a, sin a)
+            # in the (x_0, radius) plane that point into the ball, whose
+            # inward directions are pi / 2 + theta < a < 3 pi / 2 + theta
+            for k in range(1, 5):
+                a = 0.5 * math.pi + theta + 0.2 * k * math.pi
+                x0, r = c + dist * math.cos(a), s + dist * math.sin(a)
+                yield theta, np.array([x0, 0.6 * r, -0.8 * r])
+            for side in (-1.0, 1.0):
+                yield theta, np.array([c + side * dist, 0.3 * s, 0.4 * s])
+            # rho == s exactly, on the side of the plane that is in the ball
+            yield theta, np.array([c - math.copysign(dist, c), s, 0.0])
+
+
+def test_cap_fraction_matches_green_quadrature_near_the_rim():
+    seen = set()
+    for theta, apex in _near_rim_apexes():
+        assert apex @ apex < 1.0
+        fa, _ = cap_solid_angle_fractions(3, theta, apex, 1, seed=0)
+        assert abs(fa.value - _green_cap_fraction(theta, apex)) <= fa.std_error
+        seen.add((apex[0] > math.cos(theta), math.hypot(apex[1], apex[2]) < math.sin(theta)))
+    assert len(seen) == 4  # above and below the plane, inside and outside the rim
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 1.9, 2.8])
+def test_cap_fraction_on_axis_closed_form(theta):
+    # on the axis the rim disk's solid angle is 2 pi (1 - h / sqrt(h^2 + s^2))
+    c, s = math.cos(theta), math.sin(theta)
+    for x0 in (-0.99, -0.5, c - 1e-3, c + 1e-3, 0.0, 0.5, 0.99):
+        h = abs(x0 - c)
+        disk = 0.5 * (1.0 - h / math.hypot(h, s))
+        fa, _ = cap_solid_angle_fractions(3, theta, np.array([x0, 0.0, 0.0]), 1, seed=0)
+        assert abs(fa.value - (disk if x0 < c else 1.0 - disk)) <= fa.std_error
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cap_fraction_at_centre_is_central(dim):
+    for theta in (0.05, 0.6, 1.2, math.pi / 2, 1.9, 2.6, 3.1):
+        fa, fc = cap_solid_angle_fractions(dim, theta, np.zeros(dim), 1, seed=0)
+        assert fa.samples_used == 0
+        assert abs(fa.value - fc) <= fa.std_error
+
+
+def test_cap_fraction_2d_on_the_circle_is_half_central():
+    # inscribed-angle theorem: from any point of the circle the arc, or the
+    # rest of it, is seen at half its central angle
+    for theta in (0.3, 0.9, 2.0, 3.0):
+        for phi in (math.pi, 2.5, -1.0, 0.5 * theta, 0.0):
+            apex = np.array([math.cos(phi), math.sin(phi)])
+            fa, fc = cap_solid_angle_fractions(2, theta, apex, 1, seed=0)
+            assert abs(fa.value - fc / 2.0) <= fa.std_error
+
+
+def test_cap_fractions_agree_with_monte_carlo():
+    # the exact fractions against the one-batch Monte Carlo estimator at 40
+    # random apexes and three fixed ones, among them an apex on the sphere
+    # inside the cap (outward rays leave at once and miss)
+    g = np.random.default_rng(41)
+    cases = [
+        (3, 1.3, np.array([0.2, -0.3, 0.5])),
+        (3, 2.4, np.zeros(3)),
+        (3, 0.7, np.array([0.8, 0.6, 0.0])),
+    ]
+    for k in range(40):
+        dim = 2 + k % 2
+        apex = g.standard_normal(dim)
+        apex *= g.random() ** (1.0 / dim) / np.linalg.norm(apex)
+        cases.append((dim, float(g.uniform(0.1, 3.0)), apex))
+    z = []
+    for k, (dim, theta, apex) in enumerate(cases):
+        fa, _ = cap_solid_angle_fractions(dim, theta, apex, 1, seed=0)
+        mc_fa, _, mc_se, _ = _parent_cap_fractions(dim, theta, apex, 100_000, 100 + k)
+        z.append((mc_fa - fa.value) / mc_se)
+    z = np.array(z)
+    assert np.abs(z).max() < 4.5
+    assert abs(z.mean()) < 0.5  # 3 sigma for 43 standard normals
+    assert 0.6 < z.std() < 1.4
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -267,24 +375,26 @@ def test_central_cap_fraction_matches_quadrature(dim):
 
 
 def test_inscribed_angle_same_apex():
-    # from the centre the apex fraction estimates the exact central one
+    # from the centre the exact apex fraction is the central one; from 4-d
+    # up the estimate is within 4 standard errors of it
     fa, fc = cap_solid_angle_fractions(3, 1.0, np.zeros(3), directions=50_000, seed=18)
     assert fc == central_cap_fraction(3, 1.0)
+    assert abs(fa.value - fc) <= fa.std_error
+    fa, fc = cap_solid_angle_fractions(5, 1.0, np.zeros(5), directions=50_000, seed=18)
     assert abs(fa.value - fc) <= 4.0 * fa.std_error
 
 
 def test_inscribed_angle_2d_on_circle():
-    fa, fc = cap_solid_angle_fractions(
-        2, 0.9, np.array([-1.0, 0.0]), directions=1_000_000, seed=19
-    )
+    # at the antipode the inscribed-angle theorem makes the ratio exactly 1/2
+    fa, fc = cap_solid_angle_fractions(2, 0.9, np.array([-1.0, 0.0]), directions=1, seed=19)
     assert fc == pytest.approx(0.9 / math.pi, rel=1e-15)
-    assert fa.value / fc == pytest.approx(0.5, abs=0.01)
+    assert abs(fa.value / fc - 0.5) <= 1e-15
 
 
 def test_cap_fractions_do_not_depend_on_workers():
-    apex = np.array([0.1, -0.4, 0.2])
-    one = cap_solid_angle_fractions(3, 1.1, apex, 200_000, seed=24)
-    two = cap_solid_angle_fractions(3, 1.1, apex, 200_000, seed=24, workers=2)
+    apex = np.array([0.1, -0.4, 0.2, 0.3])
+    one = cap_solid_angle_fractions(4, 1.1, apex, 200_000, seed=24)
+    two = cap_solid_angle_fractions(4, 1.1, apex, 200_000, seed=24, workers=2)
     assert one == two
 
 
@@ -293,7 +403,7 @@ def test_cap_fractions_memory_is_one_chunk():
 
     tracemalloc.start()
     try:
-        cap_solid_angle_fractions(3, 0.9, np.zeros(3), 1_000_000, seed=25)
+        cap_solid_angle_fractions(4, 0.9, np.zeros(4), 1_000_000, seed=25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

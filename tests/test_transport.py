@@ -252,6 +252,24 @@ def test_dr_uniform_equals_weighted_on_uniform_inputs(xy, r):
     assert d_r_uniform(PointSet(x), PointSet(y), r).value_exact == want
 
 
+@pytest.mark.parametrize("r", [1e154, 1e200, 1.7e308])
+def test_dr_radius_past_double_range_is_rejected(r):
+    # (2r)^2 used to raise a bare OverflowError from float **
+    x, y = PointSet([[0.0], [1.0]]), PointSet([[5.0], [7.0]])
+    for call in (d_r_uniform, d_r_brute_force):
+        with pytest.raises(InvalidArgumentError, match=r"radius must be below 6.7e153"):
+            call(x, y, r)
+    with pytest.raises(InvalidArgumentError, match=r"radius must be below 6.7e153"):
+        d_r_weighted(uniform([[0.0], [1.0]]), uniform([[5.0], [7.0]]), r)
+
+
+def test_dr_radius_just_inside_double_range():
+    x, y = PointSet([[0.0], [1.0]]), PointSet([[5.0], [7.0]])
+    r = 6.7e153
+    assert d_r_uniform(x, y, r).value == d_r_brute_force(x, y, r) == 0.0
+    assert d_r_weighted(uniform([[0.0], [1.0]]), uniform([[5.0], [7.0]]), r).value == 0.0
+
+
 def test_dr_zero_radius_disjoint_supports():
     x = PointSet([[0.0], [1.0]])
     y = PointSet([[0.25], [0.75]])
