@@ -8,7 +8,9 @@ point and one coordinate column at a time, in the floating-point order of
 call.  A larger base is queried through a ``cKDTree``.  Both give the same
 bits.
 ``max_matching``: maximum bipartite matching on a threshold graph, which
-gives the thresholded transport cost (robust risk).
+gives the thresholded transport cost (robust risk).  Its cost on small graphs
+is scipy's per-call set-up, so ``transport.d_r_uniform_many`` hands it a
+whole sweep's graphs at once as one disjoint union.
 """
 
 from __future__ import annotations

@@ -277,7 +277,8 @@ def sample_complexity_n0(
     log_n0 = (
         math.log(math.log(2.0 / delta) + math.log(c0))
         - math.log(c1)
-        - d * math.log(eta * eps / 2.0)
+        # summed logs: the product eta * eps / 2 underflows to 0 for tiny eps
+        - d * (math.log(eta) + math.log(eps) - math.log(2.0))
     )
     value = _exp_checked(log_n0, "sample_complexity_n0")
     if value >= 2**63:

@@ -352,7 +352,12 @@ def group_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rep = np.arange(n)  # the kept row each row joins; itself when kept
     for blk in row_blocks(n):
         start, stop = blk.start, blk.stop
-        close = np.abs(points[None, :stop] - points[blk, None]).max(axis=2) <= _GROUP_TOL
+        # Chebyshev distance as a running maximum over the coordinate columns
+        first, *rest = points[:stop].T
+        dist = np.abs(first - first[blk, None])
+        for col in rest:
+            np.maximum(dist, np.abs(col - col[blk, None]), out=dist)
+        close = dist <= _GROUP_TOL
         close &= np.arange(stop) < np.arange(start, stop)[:, None]  # earlier rows only
         for k in np.flatnonzero(close.any(axis=1)):
             earlier_kept = np.flatnonzero(close[k] & (rep[:stop] == np.arange(stop)))

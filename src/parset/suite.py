@@ -347,17 +347,19 @@ def check_dr_oracle(seed: int, prof: Profile) -> list[BoundReport]:
         y = PointSet(g.standard_normal((n, dim)))
         return x, y, float(g.uniform(0.05, 1.5))
 
-    def brute_force_mismatch(_):
-        x, y, r = draw(8, 4)
-        return tp.d_r_uniform(x, y, r).value != tp.d_r_brute_force(x, y, r)
-
-    def weighted_disagreement(_):
-        x, y, r = draw(12, 3)
-        mu, nu = tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y)
-        return tp.d_r_uniform(x, y, r).value_exact != tp.d_r_weighted(mu, nu, r).value_exact
-
-    mismatches = sum(map(brute_force_mismatch, range(prof.dr_draws)))
-    disagreements = sum(map(weighted_disagreement, range(50)))
+    # every instance is drawn first, in the order of the two sweeps, and each
+    # sweep's matchings are one solve
+    brute = [draw(8, 4) for _ in range(prof.dr_draws)]
+    weighted = [draw(12, 3) for _ in range(50)]
+    mismatches = sum(
+        res.value != tp.d_r_brute_force(x, y, r)
+        for res, (x, y, r) in zip(tp.d_r_uniform_many(brute), brute)
+    )
+    uniform = tp.EmpiricalMeasure.uniform
+    disagreements = sum(
+        res.value_exact != tp.d_r_weighted(uniform(x), uniform(y), r).value_exact
+        for res, (x, y, r) in zip(tp.d_r_uniform_many(weighted), weighted)
+    )
     return [
         BoundReport.compare("dr-brute-force-agreement", 0.0, float(mismatches)),
         BoundReport.compare("dr-weighted-uniform-agreement", 0.0, float(disagreements)),

@@ -6,8 +6,10 @@ matching (uniform case) or maximum flow (weighted case): the optimal cost is
 one minus the largest mass matchable within distance 2r.  Both cases share
 one threshold graph, built from one pair query between two KD-trees, an
 exact squared-distance test and one sort, with no Python object per pair.
-Matching runs on it as a unit-capacity max flow in scipy; the weighted flow
-runs Dinic in Python integers, the weights scaled to one common denominator,
+Matching runs on it as a unit-capacity max flow in scipy, one solve per sweep:
+a sweep's graphs are offset into one disjoint union, whose maximum matching
+is the union of the parts' maximum matchings.  The weighted flow runs Dinic
+in Python integers, the weights scaled to one common denominator,
 so that inequalities between transport values can be checked exactly rather
 than modulo solver tolerance.
 """
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -98,24 +100,89 @@ def _check_pair(x: PointSet, y: PointSet, r: float) -> float:
     return threshold_sq
 
 
+# Most threshold-graph edges that one max_matching call takes: the pending
+# graphs of a batch are solved before the next instance would push their total
+# past it, so a batch of any length holds about this many edges plus one graph.
+_BATCH_MAX_EDGES = 1 << 20
+
+
 def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
     """Thresholded transport cost between equal-size uniform empirical measures.
 
     Pairs within distance 2r are matchable at zero cost; the optimal cost is
-    1 - |maximum matching| / n.  Ties at exactly 2r count as matchable.
+    1 - |maximum matching| / n.  Ties at exactly 2r count as matchable.  This
+    is d_r_uniform_many on one instance: a batch of one is the instance's own
+    network, so the certificate depends on nothing else.  A sweep of many
+    instances should pass them to d_r_uniform_many together.
     """
-    threshold_sq = _check_pair(x, y, r)
-    n = len(x)
-    if n != len(y):
-        raise InvalidArgumentError("uniform transport needs equal sample counts")
-    indptr, indices = _threshold_csr(x.points, y.points, threshold_sq)
-    matched, match_l = _kernels.max_matching(indptr, indices, n, n)
-    left = np.flatnonzero(match_l >= 0)
-    pairs = tuple(zip(left.tolist(), match_l[left].tolist()))
-    exact = Fraction(n - int(matched), n)
-    return TransportResult(
-        value=float(exact), certificate=pairs, threshold_r=r, value_exact=exact
-    )
+    return d_r_uniform_many([(x, y, r)])[0]
+
+
+def d_r_uniform_many(instances) -> list[TransportResult]:
+    """d_r_uniform on each (x, y, r) triple, with one matching solve per batch.
+
+    A maximum matching of a disjoint union of bipartite graphs is the union
+    of maximum matchings of its parts.  So the instances' threshold graphs
+    are offset into one block-diagonal graph, solved by one max_matching
+    call, and the matching is split back into per-instance certificates in
+    local indices.  A sweep of small graphs then pays scipy's per-call set-up
+    once, not once per instance.  The pending graphs go to the solver early
+    when the next one would take their edges past _BATCH_MAX_EDGES.
+
+    Every triple is checked, with d_r_uniform's messages, before any graph is
+    built.  Values never depend on the batch.  In a batch of more than one
+    instance, each certificate is still a maximum matching within 2r, but it
+    may differ from the one a lone call returns, because Dinic's phases share
+    the sink across the parts.
+    """
+    instances = list(instances)
+    thresholds = []
+    for x, y, r in instances:
+        thresholds.append(_check_pair(x, y, r))
+        if len(x) != len(y):
+            raise InvalidArgumentError("uniform transport needs equal sample counts")
+    results: list[TransportResult] = []
+    pending: list = []  # (indptr, indices, r) per instance
+    edges = 0
+    for (x, y, r), threshold_sq in zip(instances, thresholds):
+        indptr, indices = _threshold_csr(x.points, y.points, threshold_sq)
+        if pending and edges + len(indices) > _BATCH_MAX_EDGES:
+            results += _match_disjoint_union(pending)
+            edges = 0
+        pending.append((indptr, indices, r))
+        edges += len(indices)
+    if pending:
+        results += _match_disjoint_union(pending)
+    return results
+
+
+def _match_disjoint_union(graphs: list) -> list[TransportResult]:
+    """One max_matching on the block-diagonal union of (indptr, indices, r)
+    graphs of n_k points a side; instance k's left and right nodes both start
+    at node offset n_0 + ... + n_(k-1).  Empties graphs, so that the parts'
+    arrays are freed once their union is built, before the solve."""
+    sizes = [len(indptr) - 1 for indptr, _, _ in graphs]
+    starts = list(accumulate(sizes, initial=0))
+    indptr, indices, _ = graphs[0]  # a lone graph is solved as it is, uncopied
+    if len(graphs) > 1:
+        edge_starts = accumulate((len(ind) for _, ind, _ in graphs), initial=0)
+        indptr = np.concatenate(
+            [indptr[:1], *(ip[1:] + e for (ip, _, _), e in zip(graphs, edge_starts))]
+        )
+        indices = np.concatenate([ind + s for (_, ind, _), s in zip(graphs, starts)])
+    radii = [r for _, _, r in graphs]
+    graphs.clear()
+    _, match_l = _kernels.max_matching(indptr, indices, starts[-1], starts[-1])
+    results = []
+    for r, lo, n in zip(radii, starts, sizes):
+        part = match_l[lo : lo + n]
+        left = np.flatnonzero(part >= 0)
+        pairs = tuple(zip(left.tolist(), (part[left] - lo).tolist()))
+        exact = Fraction(n - len(left), n)
+        results.append(
+            TransportResult(value=float(exact), certificate=pairs, threshold_r=r, value_exact=exact)
+        )
+    return results
 
 
 def d_r_brute_force(x: PointSet, y: PointSet, r: float) -> float:
@@ -539,14 +606,13 @@ def convergence_experiment(
         return PointSet(raw)
 
     n_ref = 8 * max(n_grid)
-    ref = d_r_uniform(draw(gen0, n_ref, "ref0"), draw(gen1, n_ref, "ref1"), r).value
-    rows = []
-    for n in n_grid:
-        for trial in range(trials):
-            x0 = draw(gen0, n, (n, trial, 0))
-            x1 = draw(gen1, n, (n, trial, 1))
-            val = d_r_uniform(x0, x1, r).value
-            rows.append((n, trial, val, abs(val - ref)))
+    cells = [(n, trial) for n in n_grid for trial in range(trials)]
+    # the reference and every trial are drawn from their own streams, then
+    # matched in one sweep
+    pairs = [(draw(gen0, n_ref, "ref0"), draw(gen1, n_ref, "ref1"), r)]
+    pairs += [(draw(gen0, n, (n, t, 0)), draw(gen1, n, (n, t, 1)), r) for n, t in cells]
+    ref, *values = (res.value for res in d_r_uniform_many(pairs))
+    rows = [(n, t, val, abs(val - ref)) for (n, t), val in zip(cells, values)]
     medians = {
         n: float(np.median([row[3] for row in rows if row[0] == n])) for n in n_grid
     }

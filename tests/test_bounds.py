@@ -135,6 +135,12 @@ def test_sample_complexity_regression():
     assert sample_complexity_n0(3, 1.0, 1.0, 0.3, 0.1) == 219801122752967
 
 
+def test_sample_complexity_tiny_eps_is_past_double_range():
+    # eta * eps / 2 underflowed to 0 and log(0) raised a math domain error
+    with pytest.raises(RangeOverflowError, match="sample_complexity_n0"):
+        sample_complexity_n0(2, 1.0, 1.0, 1e-300, 0.1)
+
+
 def test_sample_complexity_delta_doubling():
     n1 = sample_complexity_n0(3, 1.0, 1.0, 0.3, 0.1)
     n2 = sample_complexity_n0(3, 1.0, 1.0, 0.3, 0.05)

@@ -793,6 +793,8 @@ NON_FINITE = {
     "bounds-n0-c0-inf": ({}, _bounds("sample-complexity-n0", f"{_N0},c0=inf")),
     "bounds-n0-c1-nan": ({}, _bounds("sample-complexity-n0", f"{_N0},c1=nan")),
     "bounds-n0-eps-inf": ({}, _bounds("sample-complexity-n0", "d=2,sigma=1,r=1,eps=inf,delta=0.1")),
+    # eta * eps / 2 underflowed to 0 and log(0) ended in a math domain error
+    "bounds-n0-eps-tiny": ({}, _bounds("sample-complexity-n0", "d=2,sigma=1,r=1,eps=1e-300,delta=0.1")),
     # a finite input whose bound is past double range: strict JSON out refuses it
     "bounds-result-inf": ({}, _bounds("gaussian-surface", "d=2,r=1,sigma=1e-320")),
     "converge-r-inf": ({"conv.json": {**_CONV, "r": math.inf}}, _CONVERGE),

@@ -181,3 +181,27 @@ def test_suite_workers_reach_every_chunked_estimate(tmp_path, monkeypatch):
     assert written[0] == written[1]
     with pytest.raises(InvalidArgumentError, match="workers"):
         run_suite("epi", SuiteConfig(seed=0, workers=0))
+
+
+def test_each_transport_sweep_is_one_matching_solve(monkeypatch):
+    # each max_matching call pays about 0.7 ms of scipy set-up, so a sweep's
+    # instances share one solve
+    from parset import _kernels
+
+    calls = []
+
+    def counting(*args, real=_kernels.max_matching):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "max_matching", counting)
+    reports = suite_mod.CHECKS["dr-oracle"](0, profile_from_samples(100))
+    assert [rep.verdict for rep in reports] == [Verdict.PASS] * 2
+    assert len(calls) <= 2
+    calls.clear()
+    gen = suite_mod.tp.DistributionSpec(kind="uniform-ball", dim=2)
+    result = suite_mod.tp.convergence_experiment(
+        gen, gen, r=0.2, sigma=0.0, n_grid=(5, 10, 20), trials=4, seed=0
+    )
+    assert len(result.rows) == 12
+    assert calls == [8 * 20 + 4 * (5 + 10 + 20)]  # the reference joins the trials

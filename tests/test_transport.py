@@ -25,6 +25,7 @@ from parset import (
     coupling_sandwich_check,
     d_r_brute_force,
     d_r_uniform,
+    d_r_uniform_many,
     d_r_weighted,
     decision_region_risk,
     gaussian_smooth,
@@ -32,6 +33,7 @@ from parset import (
     sample_distribution,
     w1_empirical,
 )
+from parset import _kernels
 from parset._rng import single_generator
 from parset.cli import main
 from parset.transport import _pair_dist_sq, _permutations, _threshold_csr
@@ -184,6 +186,83 @@ def test_dr_brute_force_sweep():
     perms = _permutations(8)
     assert not perms.flags.writeable
     assert _permutations(8) is perms
+
+
+def _batch_instances(seed, count):
+    """Mixed sizes 1-11, dims 1-3, radii from none matchable to all."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 12))
+        dim = int(rng.integers(1, 4))
+        shift = 50.0 if k % 7 == 0 else 0.0  # a graph with no edges
+        x = PointSet(rng.standard_normal((n, dim)))
+        y = PointSet(rng.standard_normal((n, dim)) + shift)
+        yield x, y, float(rng.choice([0.0, rng.uniform(0.05, 1.5), 4.0]))
+
+
+def test_d_r_uniform_many_matches_lone_calls_and_brute_force():
+    instances = list(_batch_instances(11, 300))
+    results = d_r_uniform_many(instances)
+    assert len(results) == len(instances)
+    assert any(res.certificate == () for res in results)
+    for res, (x, y, r) in zip(results, instances):
+        n = len(x)
+        lone = d_r_uniform(x, y, r)
+        assert res.value_exact == lone.value_exact and res.value == lone.value
+        assert res.threshold_r == r
+        if n <= 8:
+            assert res.value == d_r_brute_force(x, y, r)
+        pairs = np.asarray(res.certificate, dtype=np.int64).reshape(-1, 2)
+        assert len(set(pairs[:, 0])) == len(set(pairs[:, 1])) == len(pairs)
+        assert ((0 <= pairs) & (pairs < n)).all()
+        gaps = np.linalg.norm(x.points[pairs[:, 0]] - y.points[pairs[:, 1]], axis=1)
+        assert (gaps <= 2.0 * r).all()
+        assert len(pairs) == n * (1 - res.value_exact)
+
+
+def test_d_r_uniform_many_batch_of_one_is_the_lone_network():
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((300, 2)), rng.standard_normal((300, 2))
+    (res,) = d_r_uniform_many([(PointSet(x), PointSet(y), 0.1)])
+    assert res == d_r_uniform(PointSet(x), PointSet(y), 0.1)
+    # the matching of this instance's own threshold graph, pair for pair
+    matched, match_l = _kernels.max_matching(*_threshold_csr(x, y, 0.2**2), 300, 300)
+    left = np.flatnonzero(match_l >= 0)
+    assert res.certificate == tuple(zip(left.tolist(), match_l[left].tolist()))
+    assert res.value_exact == Fraction(300 - matched, 300)
+    assert d_r_uniform_many([]) == []
+
+
+@pytest.mark.parametrize("bad, match", [
+    ((PointSet([[0.0]]), PointSet([[0.0], [1.0]]), 0.5), "equal sample counts"),
+    ((PointSet([[0.0]]), PointSet([[0.0, 1.0]]), 0.5), "share a dimension"),
+    ((PointSet([[0.0]]), PointSet([[1.0]]), 1e154), "radius must be below 6.7e153"),
+    ((PointSet([[0.0]]), PointSet([[1.0]]), math.nan), "radius"),
+])
+def test_d_r_uniform_many_checks_every_triple_before_solving(monkeypatch, bad, match):
+    calls = []
+    monkeypatch.setattr(_kernels, "max_matching", lambda *a: calls.append(a))
+    good = (PointSet([[0.0]]), PointSet([[1.0]]), 0.5)
+    with pytest.raises(InvalidArgumentError, match=match):
+        d_r_uniform_many([good, bad])
+    assert calls == []
+
+
+def test_d_r_uniform_many_memory_stays_bounded():
+    # 12 dense graphs of about 1.9e5 edges each would hold 2.3e6 edges at once,
+    # about 170 MB of solver arrays; batches of at most _BATCH_MAX_EDGES edges
+    # peak near 67 MB
+    rng = np.random.default_rng(13)
+    x, y = PointSet(rng.standard_normal((1500, 2))), PointSet(rng.standard_normal((1500, 2)))
+    lone = d_r_uniform(x, y, 0.3)
+    tracemalloc.start()
+    try:
+        results = d_r_uniform_many([(x, y, 0.3)] * 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(res.value_exact == lone.value_exact for res in results)
+    assert peak < 100e6, peak
 
 
 def test_dr_certificate_is_a_maximum_matching():
