@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._rng import atom_indices, map_reduce_chunks
+from ._rng import atom_rows, map_reduce_chunks
 from .bounds import BoundReport, reverse_epi_constant
 from .errors import InvalidArgumentError
 from .geometry import group_rows, positive_real
@@ -193,8 +193,8 @@ def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianM
 
 
 def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.ndarray:
-    idx = atom_indices(g, gm.weights, n)
-    return gm.atoms[idx] + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
+    rows = atom_rows(g, gm.atoms, gm.weights, n)  # the uniforms first, then the noise
+    return rows + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
 
 
 def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[tuple[float, float]]:
@@ -456,7 +456,7 @@ def de_bruijn_check(
         )
 
     def chunk(g, m):
-        base = gm_mid.atoms[atom_indices(g, gm_mid.weights, m)]
+        base = atom_rows(g, gm_mid.atoms, gm_mid.weights, m)
         eps = g.standard_normal((m, gm_mid.dim))
         v_plus = -_log_density(gm_plus, base + eps * math.sqrt(t0 + dt))
         v_minus = -_log_density(gm_minus, base + eps * math.sqrt(t0 - dt))

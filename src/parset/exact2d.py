@@ -12,12 +12,13 @@ on each face, the other squares cover open intervals, and the rest is exposed.
 Both complements come from one grouped sweep, ``_exposed_pieces``, whose
 groups are the (centre, face) pairs of a square union and the centres of a
 disk union; on a circle the span is one turn from the first covered angle.
-The holes of all groups sit in one padded array: each row is clipped to its
-span and sorted by hole start, and the running maximum of the hole ends gives
-the cursor before each hole.  The sweep only takes max, min and differences,
-and every float before it is the same elementwise operation on the same
-inputs as a loop over one group at a time would do, so the pieces are the
-same bits in the same order (group first, then ascending along the span).  The
+The holes are clipped to their spans and then sit in one padded array, one
+row per group closed by the span's end and sorted by hole start, and the
+running maximum of the hole ends gives the cursor before each hole.  The
+sweep only takes max, min and differences, and every float before it is the
+same elementwise operation on the same inputs as a loop over one group at a
+time would do, so the pieces are the same bits in the same order (group
+first, then ascending along the span).  The
 angles phi = atan2 and alpha = acos stay scalar ``math`` calls over the near
 pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
 a share of inputs.  The pairwise temporaries (coverage tests, distances) are
@@ -31,10 +32,15 @@ gives the perimeter, so ``union_boundary`` builds one decomposition per
 instance for both measures.  Each exposed arc, parameterised counterclockwise
 about its own centre, keeps the union locally on its left, so summing
 (1/2) * integral(x dy - y dx) over the exposed arcs yields the enclosed area
-with holes subtracted automatically.  For squares, integral(x dy) reduces to
-the vertical segments, each at a fixed x with its outward sign.  Both sums run
-over Python floats in segment order, not through numpy's pairwise sum, so
-their bits do not depend on how the pieces were computed.
+with holes subtracted automatically.  x and y are taken from the first
+centre, as the square sum takes x from its first vertical face: a closed
+boundary's integrals of dx and dy vanish, so the reference point drops out,
+and a union far from the origin keeps its digits.  For squares,
+integral(x dy) reduces to the vertical segments, each at a fixed x with its
+outward sign.  Both sums run over Python floats in segment order, not through
+numpy's pairwise sum, so their bits do not depend on how the pieces were
+computed.  ``mc.kneser_shell_check`` takes its planar shells from these
+areas.
 
 The grid oracle runs marching squares on the field d(x, centres) - r, which
 needs exact values only at the corners of cells the boundary crosses.  It
@@ -83,8 +89,9 @@ class ArcDecomposition:
         )
 
     def area(self) -> float:
+        """Divergence theorem about the first centre (see the module docstring)."""
         r = self.radius
-        centers = self.centers.tolist()
+        centers = (self.centers - self.centers[:1]).tolist()
         total = 0.0
         for i, t0, t1 in self.arcs:
             cx, cy = centers[i]
@@ -133,35 +140,45 @@ def _require_planar(centers: PointSet) -> np.ndarray:
 def _exposed_pieces(lo, hi, group, a, b):
     """Closed pieces of each span [lo[g], hi[g]] left after removing open holes.
 
-    Hole m is (a[m], b[m]) in group[m], with group ascending.  Returns the
-    pieces as (group, start, end) arrays, group first and then ascending along
-    the span.  A group with no hole at all keeps its whole span.
+    Hole m is (a[m], b[m]) in group[m], in any group order.  Returns the pieces
+    as (group, start, end) arrays, group first and then ascending along the
+    span.  A group with no hole at all keeps its whole span.
+
+    The holes are clipped to their spans flat, and those that miss their span
+    are dropped before padding; whether a group had no hole at all is read
+    from the counts before that.  Each padded row is closed by hi, which no
+    clipped start reaches, and sorted by start.  The sort need not be stable:
+    a clipped hole ends at or after its start, so of two equal starts the
+    second never emits (the cursor has reached the first one's end), and the
+    cursor after both is the same maximum in either order.
     """
-    lo, hi = lo[:, None], hi[:, None]
-    counts = np.bincount(group, minlength=len(lo))
-    rank = np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
-    width = int(counts.max(initial=0))
-    starts = np.full((len(lo), width), np.inf)
-    ends = np.full((len(lo), width), -np.inf)
-    starts[group, rank] = a
-    ends[group, rank] = b
-    inside = (ends > lo) & (starts < hi)
-    starts = np.where(inside, np.maximum(starts, lo), np.inf)
-    ends = np.where(inside, np.minimum(ends, hi), -np.inf)
-    order = np.argsort(starts, axis=1, kind="stable")
-    starts = np.take_along_axis(starts, order, axis=1)
-    ends = np.take_along_axis(ends, order, axis=1)
-    # the cursor before each hole, and after the last one: lo or the farthest end so far
-    cursor = np.maximum.accumulate(np.concatenate([lo, ends], axis=1), axis=1)
-    emit = np.concatenate(
-        [
-            np.isfinite(starts) & (starts - cursor[:, :-1] > _EPS),
-            (hi - cursor[:, -1:] > _EPS) | (counts == 0)[:, None],
-        ],
-        axis=1,
-    )
+    rows = len(lo)
+    bare = np.bincount(group, minlength=rows) == 0
+    lo_m, hi_m = lo[group], hi[group]
+    inside = (b > lo_m) & (a < hi_m)
+    group = group[inside]
+    a = np.maximum(a[inside], lo_m[inside])
+    b = np.minimum(b[inside], hi_m[inside])
+    # slot of each hole in its row: its rank among the row's holes in a stable group order
+    by_group = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=rows)
+    slot = np.empty_like(group)
+    slot[by_group] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[by_group]]
+    width = int(counts.max(initial=0)) + 1
+    starts = np.full((rows, width), np.inf)
+    ends = np.full((rows, width), -np.inf)
+    starts[group, slot] = a
+    ends[group, slot] = b
+    starts[np.arange(rows), counts] = hi
+    flat = (np.argsort(starts, axis=1) + (width * np.arange(rows))[:, None]).ravel()
+    starts = starts.ravel()[flat].reshape(rows, width)
+    ends = ends.ravel()[flat].reshape(rows, width)
+    # the cursor before each hole and before hi: lo or the farthest end so far
+    cursor = np.maximum.accumulate(np.concatenate([lo[:, None], ends[:, :-1]], axis=1), axis=1)
+    emit = np.isfinite(starts) & (starts - cursor > _EPS)
+    emit[bare, 0] = True
     g, k = np.nonzero(emit)
-    return g, cursor[g, k], np.concatenate([starts, hi], axis=1)[g, k]
+    return g, cursor[g, k], starts[g, k]
 
 
 def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
@@ -169,16 +186,18 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
     pts = pts[group_rows(pts)[0]]
     r = positive_radius(r)
     n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
     arcs: list[tuple[int, float, float]] = []
     for blk in row_blocks(n):
         rows = np.arange(blk.start, blk.stop)
-        diffs = pts[None, :] - pts[blk, None]
-        dists = np.hypot(diffs[..., 0], diffs[..., 1])
+        dx = x - x[blk, None]
+        dy = y - y[blk, None]
+        dists = np.hypot(dx, dy)
         near = dists < 2.0 * r
         near[np.arange(len(rows)), rows] = False
         i, j = np.nonzero(near)
         # points of circle i strictly inside disk j: |theta - phi| < alpha
-        phi = np.array(list(map(math.atan2, diffs[i, j, 1].tolist(), diffs[i, j, 0].tolist())))
+        phi = np.array(list(map(math.atan2, dy[i, j].tolist(), dx[i, j].tolist())))
         alpha = np.array(list(map(math.acos, (dists[i, j] / (2.0 * r)).tolist())))
         cut = alpha > 0.0
         i, lo, hi = i[cut], phi[cut] - alpha[cut], phi[cut] + alpha[cut]
@@ -186,10 +205,9 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
         end = start + (hi - lo)
         # in [0, 2*pi]: (start, end), or (start, 2*pi) and (0, end - 2*pi) where it wraps
         wraps = end > _TWO_PI
-        pieces = np.stack([np.ones_like(wraps), wraps], axis=1).ravel()
-        group = np.repeat(i, 2)[pieces]
-        a = np.stack([start, np.zeros_like(start)], axis=1).ravel()[pieces]
-        b = np.stack([np.minimum(end, _TWO_PI), end - _TWO_PI], axis=1).ravel()[pieces]
+        group = np.concatenate([i, i[wraps]])
+        a = np.concatenate([start, np.zeros(np.count_nonzero(wraps))])
+        b = np.concatenate([np.minimum(end, _TWO_PI), end[wraps] - _TWO_PI])
         # one turn from the first covered angle, so a wrapping gap stays whole
         a0 = np.full(len(rows), np.inf)
         np.minimum.at(a0, group, a)

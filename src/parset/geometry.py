@@ -347,9 +347,14 @@ def group_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices of the kept rows, ascending; each row's group, an index
     into them).  The pairwise comparisons run in the blocks of row_blocks.
+    When no two first coordinates lie within _GROUP_TOL, every row is kept:
+    a rounded difference is monotone in its operands, so two sorted
+    neighbours that far apart leave every pair that far apart.
     """
     n = len(points)
     rep = np.arange(n)  # the kept row each row joins; itself when kept
+    if n < 2 or np.diff(np.sort(points[:, 0])).min() > _GROUP_TOL:
+        return rep, rep.copy()
     for blk in row_blocks(n):
         start, stop = blk.start, blk.stop
         # Chebyshev distance as a running maximum over the coordinate columns

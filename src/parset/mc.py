@@ -7,7 +7,10 @@ lies in (lo, hi], reported as scale * p / delta.  A solid angle is the
 Gaussian measure of a cone, so from 4-d up a cap's solid angle seen from an
 apex is a band count too.  In 2-d and 3-d it is exact, as the central cap's
 is in every dimension: an arc's angle from two atan2 calls, a disk's solid
-angle from complete elliptic integrals.  The split is by dimension only.
+angle from complete elliptic integrals.  The shell-scaling check is exact in
+the plane, where both shells are differences of exact2d union areas, with a
+rounding allowance as std_error, and a band count in every other dimension.
+Both splits are by dimension only.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  A box draw is
 scaled one coordinate column at a time into a (d, m) buffer and handed on as
@@ -24,10 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, exact2d
 from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
 from .bounds import BoundReport, worst_excess
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, RangeOverflowError
 from .geometry import NormKind, ParallelSetSpec, positive_real
 
 
@@ -170,27 +173,85 @@ def mc_gaussian_measure(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEst
     return _band_estimates(cfg, dim, dist_fn, [(-math.inf, inner, 1.0)], sigma=sigma)[0]
 
 
+# rounding allowance of an exact planar area, in units of ulp(1) * n * L *
+# (rho + R): n boundary pieces of total length L, none farther than rho + R
+# from the point the area is summed about (R: the farthest centre from it).
+# An arc end's angle is within 17 ulp(1) (atan2, acos, the wrap at 2 pi and
+# two sums), and a segment within ulp(rho + R) of its place; moving a
+# piece end by delta moves the area by at most (rho + R) * delta / 2, and
+# L >= 2 pi rho, so the ends cost at most 3 units.  The n terms add up to at
+# most (rho + R) * L with at most 1 unit of error, and the sin and cos
+# differences and the products within a term take at most 1 more.  Pieces
+# the decomposition drops or merges within exact2d._EPS are its own
+# tolerance, not rounding, and are not covered.
+_AREA_ROUNDING = 8.0
+
+
+def _planar_area(base, norm: NormKind, rho: float) -> tuple[float, float]:
+    """(area, rounding allowance) of the rho-parallel set of a planar base.
+
+    A disk union's area is summed about its first centre, a square union's
+    from coordinates rounded at their own size, so R is the farthest centre
+    from the first one, or from the origin.
+    """
+    boundary = exact2d.union_boundary(base, rho, norm)
+    pts = base.points
+    if norm is NormKind.L2:
+        pieces, offsets = len(boundary.arcs), pts - pts[0]
+    else:
+        pieces, offsets = len(boundary.segments), pts
+    reach = rho + float(np.hypot(offsets[:, 0], offsets[:, 1]).max())
+    area = boundary.area()
+    allowance = _AREA_ROUNDING * pieces * math.ulp(1.0) * boundary.perimeter() * reach
+    if not (math.isfinite(area) and math.isfinite(allowance)):
+        raise RangeOverflowError(f"the area of the {rho:g}-parallel set exceeds double range")
+    return area, allowance
+
+
 def kneser_shell_check(
     base, norm: NormKind, a_k: float, b_k: float, t: float, cfg: McConfig
 ) -> BoundReport:
     """Shell-scaling check: vol(shell a..b scaled by t) <= t^d vol(shell a..b).
 
-    Both shells are estimated from one common sample stream over the box of
-    the largest dilation, so the two estimates are positively correlated and
-    the comparison is sharp even at modest sample counts.
+    In the plane both shells are differences of exact union areas
+    (exact2d.union_boundary at a, b, ta and tb); std_error is their summed
+    rounding allowance (_AREA_ROUNDING), and cfg is not read.  An area past
+    double range raises RangeOverflowError.  In other dimensions both shells
+    are band counts on one common sample stream over the box of the largest
+    dilation, so the two estimates are positively correlated and the
+    comparison is sharp even at modest sample counts.
     """
     if not (0.0 < a_k <= b_k < math.inf):
         raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
     if not (1.0 <= t < math.inf):
         raise InvalidArgumentError("need 1 <= t < inf")
+    if base.dim == 2:
+        (outer, e_outer), (inner, e_inner), (big, e_big), (small, e_small) = (
+            _planar_area(base, norm, rho) for rho in (t * b_k, t * a_k, b_k, a_k)
+        )
+        scale = _checked_power(t, 2)
+        measured, bound = outer - inner, scale * (big - small)
+        std_error = e_outer + e_inner + scale * (e_big + e_small)
+        if not (math.isfinite(bound) and math.isfinite(std_error)):
+            raise RangeOverflowError("t^2 times the shell's area exceeds double range")
+        return BoundReport.compare(
+            "kneser-shell", bound_value=bound, measured=measured, std_error=std_error
+        )
     dim, reach, dist_fn = _target(ParallelSetSpec(base=base, norm=norm, radius=t * b_k))
     bands = [(t * a_k, t * b_k, 1.0), (a_k, b_k, 1.0)]
     lhs, rhs = _band_estimates(cfg, dim, dist_fn, bands, box=(base.points, reach))
-    scale = t**dim
+    scale = _checked_power(t, dim)
     combined = math.sqrt(lhs.std_error**2 + (scale * rhs.std_error) ** 2)
     return BoundReport.compare(
         "kneser-shell", bound_value=scale * rhs.value, measured=lhs.value, std_error=combined
     )
+
+
+def _checked_power(t: float, dim: int) -> float:
+    try:
+        return t**dim
+    except OverflowError:
+        raise RangeOverflowError(f"t^{dim} exceeds double range") from None
 
 
 def central_cap_fraction(dim: int, cap_half_angle: float) -> float:

@@ -196,7 +196,9 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
-    """Shell scaling inequality over random configurations and scale factors."""
+    """Shell scaling inequality over random configurations and scale factors:
+    exact areas for the 2-d ones, band counts of kneser_samples draws for the
+    3-d ones."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
 
     def excesses():

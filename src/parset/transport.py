@@ -25,7 +25,7 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from . import _kernels
-from ._rng import atom_indices, chunk_generator, derive_seed, single_generator, uniform_in_ball
+from ._rng import atom_rows, chunk_generator, derive_seed, single_generator, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
 from .geometry import PointSet, nonnegative_real, positive_radius
@@ -564,7 +564,7 @@ def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) 
         w = w / w.sum()
     else:
         w = np.full(len(atoms), 1.0 / len(atoms))
-    out = atoms[atom_indices(g, w, n)]
+    out = atom_rows(g, atoms, w, n)
     if spec.sigma > 0.0:
         out = out + g.standard_normal(out.shape) * spec.sigma
     return out

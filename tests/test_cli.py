@@ -517,6 +517,19 @@ def test_mc_kneser_matches_library(tmp_path):
                        "verdict": rep.verdict.value}
 
 
+def test_mc_kneser_3d_is_the_band_count_it_was(tmp_path):
+    # the values the band count gave before the planar shells became exact
+    spec = {"points": [[0.0, 0.0, 0.0], [0.9, -0.4, 0.3], [-0.5, 0.6, 0.2]], "norm": "linf",
+            "radius": 1.0, "a_k": 0.4, "b_k": 0.9, "t": 1.7}
+    path, out = tmp_path / "spec.json", tmp_path / "mc.json"
+    path.write_text(json.dumps(spec))
+    argv = ["mc", "--op", "kneser", "--spec", str(path), "--samples", "70000", "--seed", "11"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert strict_loads(out.read_text()) == {
+        "bound": 57.17806720953601, "samples": 70000, "std_error": 0.4556400074091533,
+        "value": 45.08010151680001, "verdict": "pass"}
+
+
 def test_mc_angle_workers_do_not_change_output(tmp_path):
     spec = tmp_path / "spec.json"
     # 2-d and 3-d are exact; from 4-d up the directions are drawn in chunks
@@ -780,7 +793,11 @@ NON_FINITE = {
     "mc-gshell-sigma-nan": (_SPEC, [*_GSHELL, "--sigma", "nan"]),
     "mc-shell-box-overflow": (_SPEC, ["mc", "--op", "shell", "--spec", "spec.json",
                                       "--samples", "1000", "--delta", "1e308"]),
+    # the planar shells are exact areas, and A(t b) is past double range
     "mc-kneser-t-huge": (_kneser(t=1e300), _KNESER),
+    # a finite 3-d box whose t^3 overflowed ended in an OverflowError traceback
+    "mc-kneser-3d-t-cubed": ({"spec.json": {"points": [[0.0, 0.0, 0.0]], "radius": 1.0,
+                                            "a_k": 1e-200, "b_k": 1e-200, "t": 1e200}}, _KNESER),
     "mc-kneser-t-inf": (_kneser(t=math.inf), _KNESER),
     "mc-kneser-b-inf": (_kneser(b_k=math.inf), _KNESER),
     "mc-kneser-a-nan": (_kneser(a_k=math.nan), _KNESER),

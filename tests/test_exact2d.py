@@ -690,11 +690,11 @@ def reference_square_union_boundary(centers, r: float) -> exact2d.SegmentDecompo
 
 
 def reference_arc_area(decomp) -> float:
-    """ArcDecomposition.area() as it read the centres before, one numpy row per arc."""
+    """ArcDecomposition.area() summed about the first centre, one numpy row per arc."""
     r = decomp.radius
     total = 0.0
     for i, t0, t1 in decomp.arcs:
-        cx, cy = decomp.centers[i]
+        cx, cy = decomp.centers[i] - decomp.centers[0]
         total += (
             r * r * (t1 - t0)
             + cx * r * (math.sin(t1) - math.sin(t0))
@@ -773,3 +773,198 @@ def test_boundaries_memory_stays_bounded():
         assert peak < 24e6, (build.__name__, peak)
         part = PointSet(centers[:300])
         assert getattr(build(part, 0.5), pieces) == getattr(reference(part, 0.5), pieces)
+
+
+# -- the planar kernel against its previous version, bit for bit ----------------
+# The grouped sweep and the two boundaries as they were before the sweep took
+# flat clipping and an unstable row sort, kept verbatim as the reference the
+# leaner kernel must reproduce bit for bit.
+
+
+def previous_group_rows(points):
+    n = len(points)
+    rep = np.arange(n)  # the kept row each row joins; itself when kept
+    for blk in geometry.row_blocks(n):
+        start, stop = blk.start, blk.stop
+        # Chebyshev distance as a running maximum over the coordinate columns
+        first, *rest = points[:stop].T
+        dist = np.abs(first - first[blk, None])
+        for col in rest:
+            np.maximum(dist, np.abs(col - col[blk, None]), out=dist)
+        close = dist <= geometry._GROUP_TOL
+        close &= np.arange(stop) < np.arange(start, stop)[:, None]  # earlier rows only
+        for k in np.flatnonzero(close.any(axis=1)):
+            earlier_kept = np.flatnonzero(close[k] & (rep[:stop] == np.arange(stop)))
+            if len(earlier_kept):
+                rep[start + k] = earlier_kept[0]
+    kept = np.flatnonzero(rep == np.arange(n))
+    return kept, np.searchsorted(kept, rep)
+
+
+def previous_exposed_pieces(lo, hi, group, a, b):
+    lo, hi = lo[:, None], hi[:, None]
+    counts = np.bincount(group, minlength=len(lo))
+    rank = np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+    width = int(counts.max(initial=0))
+    starts = np.full((len(lo), width), np.inf)
+    ends = np.full((len(lo), width), -np.inf)
+    starts[group, rank] = a
+    ends[group, rank] = b
+    inside = (ends > lo) & (starts < hi)
+    starts = np.where(inside, np.maximum(starts, lo), np.inf)
+    ends = np.where(inside, np.minimum(ends, hi), -np.inf)
+    order = np.argsort(starts, axis=1, kind="stable")
+    starts = np.take_along_axis(starts, order, axis=1)
+    ends = np.take_along_axis(ends, order, axis=1)
+    # the cursor before each hole, and after the last one: lo or the farthest end so far
+    cursor = np.maximum.accumulate(np.concatenate([lo, ends], axis=1), axis=1)
+    emit = np.concatenate(
+        [
+            np.isfinite(starts) & (starts - cursor[:, :-1] > _EPS),
+            (hi - cursor[:, -1:] > _EPS) | (counts == 0)[:, None],
+        ],
+        axis=1,
+    )
+    g, k = np.nonzero(emit)
+    return g, cursor[g, k], np.concatenate([starts, hi], axis=1)[g, k]
+
+
+def previous_disk_union_boundary(centers, r):
+    pts = exact2d._require_planar(centers)
+    pts = pts[previous_group_rows(pts)[0]]
+    r = positive_radius(r)
+    n = len(pts)
+    arcs = []
+    for blk in geometry.row_blocks(n):
+        rows = np.arange(blk.start, blk.stop)
+        diffs = pts[None, :] - pts[blk, None]
+        dists = np.hypot(diffs[..., 0], diffs[..., 1])
+        near = dists < 2.0 * r
+        near[np.arange(len(rows)), rows] = False
+        i, j = np.nonzero(near)
+        # points of circle i strictly inside disk j: |theta - phi| < alpha
+        phi = np.array(list(map(math.atan2, diffs[i, j, 1].tolist(), diffs[i, j, 0].tolist())))
+        alpha = np.array(list(map(math.acos, (dists[i, j] / (2.0 * r)).tolist())))
+        cut = alpha > 0.0
+        i, lo, hi = i[cut], phi[cut] - alpha[cut], phi[cut] + alpha[cut]
+        start = np.remainder(lo, _TWO_PI)
+        end = start + (hi - lo)
+        # in [0, 2*pi]: (start, end), or (start, 2*pi) and (0, end - 2*pi) where it wraps
+        wraps = end > _TWO_PI
+        pieces = np.stack([np.ones_like(wraps), wraps], axis=1).ravel()
+        group = np.repeat(i, 2)[pieces]
+        a = np.stack([start, np.zeros_like(start)], axis=1).ravel()[pieces]
+        b = np.stack([np.minimum(end, _TWO_PI), end - _TWO_PI], axis=1).ravel()[pieces]
+        # one turn from the first covered angle, so a wrapping gap stays whole
+        a0 = np.full(len(rows), np.inf)
+        np.minimum.at(a0, group, a)
+        a0[a0 == np.inf] = 0.0
+        g, t0, t1 = previous_exposed_pieces(a0, a0 + _TWO_PI, group, a, b)
+        arcs += zip(rows[g].tolist(), t0.tolist(), t1.tolist())
+    return exact2d.ArcDecomposition(arcs=tuple(arcs), radius=r, centers=pts)
+
+
+def previous_square_union_boundary(centers, r):
+    pts = exact2d._require_planar(centers)
+    pts = pts[previous_group_rows(pts)[0]]
+    r = positive_radius(r)
+    n = len(pts)
+    axis, sign, orientation = zip(*exact2d._FACES)
+    # (face, centre) tables: the coordinate along the normal, the face's line
+    # and the span along the face
+    cn = pts[:, list(axis)].T
+    fixed = cn + (np.array(sign) * r)[:, None]
+    tang = pts[:, [1 - k for k in axis]].T
+    span_lo, span_hi = tang - r, tang + r
+    index = np.arange(n)
+    segments = []
+    for blk in geometry.row_blocks(n):
+        rows = index[blk, None, None]
+        own = fixed[:, blk].T[:, :, None]  # (row, face, 1) against (face, centre)
+        coplanar = np.abs(own - fixed) <= _EPS
+        covers = (cn - r - _EPS < own) & (own < cn + r + _EPS) & ~coplanar
+        hit = (covers | (coplanar & (index < rows))) & (index != rows)
+        # groups are (row, face) pairs, row-major
+        group, j = np.nonzero(hit.reshape(-1, n))
+        face = group % 4
+        g, a, b = previous_exposed_pieces(
+            span_lo[:, blk].T.ravel(),
+            span_hi[:, blk].T.ravel(),
+            group,
+            span_lo[face, j],
+            span_hi[face, j],
+        )
+        i, f = blk.start + g // 4, g % 4
+        segments += map(
+            exact2d.BoundarySegment,
+            [orientation[k] for k in f.tolist()],
+            fixed[f, i].tolist(),
+            a.tolist(),
+            b.tolist(),
+            [sign[k] for k in f.tolist()],
+        )
+    return exact2d.SegmentDecomposition(segments=tuple(segments))
+
+
+def _kernel_instances():
+    """2000 instances: random, quarter-lattice (tangencies and coincident
+    faces), ring, near-duplicate, x-ties (rows within _GROUP_TOL in x only),
+    and radii from 1e-13 to 3."""
+    rng = np.random.default_rng(83)
+    for k in range(400):
+        n = int(rng.integers(1, 25))
+        yield rng.uniform(-1, 1, (n, 2)), float(rng.uniform(0.05, 1.5))
+    for k in range(400):
+        n = int(rng.integers(2, 25))
+        yield np.round(rng.uniform(-1, 1, (n, 2)) * 4) / 4, 0.125 * int(rng.integers(1, 9))
+    for k in range(300):
+        m = int(rng.integers(3, 16))
+        angles = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False) + rng.uniform(0, 1)
+        ring = float(rng.uniform(0.5, 2.0)) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        yield ring, float(rng.uniform(0.2, 1.5))
+    for k in range(300):
+        pts = rng.uniform(-1, 1, (int(rng.integers(1, 10)), 2))
+        jitter = rng.uniform(-1, 1, pts.shape) * 10.0 ** rng.uniform(-13, -6)
+        yield np.concatenate([pts, pts + jitter])[rng.permutation(2 * len(pts))], float(rng.uniform(0.2, 1.2))
+    for k in range(300):
+        # x within _GROUP_TOL, y far apart: the group_rows short-cut must not fire
+        pts = rng.uniform(-1, 1, (int(rng.integers(2, 12)), 2))
+        pts[1::2, 0] = pts[::2, 0][: len(pts[1::2])] + rng.uniform(-0.9e-12, 0.9e-12, len(pts[1::2]))
+        yield pts, float(rng.uniform(0.1, 1.0))
+    for k in range(300):
+        r = 10.0 ** float(rng.uniform(-13, math.log10(3.0)))
+        yield rng.uniform(-1, 1, (int(rng.integers(1, 15)), 2)) * r * float(rng.uniform(0.5, 4)), r
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_kernel_matches_previous_version_bit_for_bit():
+    count = 0
+    for centers, r in _kernel_instances():
+        pts = PointSet(centers)
+        got, want = disk_union_boundary(pts, r), previous_disk_union_boundary(pts, r)
+        assert [i for i, _, _ in got.arcs] == [i for i, _, _ in want.arcs], count
+        assert _bits([a[1:] for a in got.arcs]) == _bits([a[1:] for a in want.arcs]), count
+        assert got.centers.tobytes() == want.centers.tobytes()
+        got, want = square_union_boundary(pts, r), previous_square_union_boundary(pts, r)
+        fields = lambda dec: [(s.orientation, s.outward_sign) for s in dec.segments]  # noqa: E731
+        coords = lambda dec: _bits([(s.fixed_coord, s.span_start, s.span_end) for s in dec.segments])  # noqa: E731
+        assert fields(got) == fields(want) and coords(got) == coords(want), count
+        kept, group = geometry.group_rows(centers)
+        want_kept, want_group = previous_group_rows(centers)
+        np.testing.assert_array_equal(kept, want_kept)
+        np.testing.assert_array_equal(group, want_group)
+        count += 1
+    assert count == 2000
+
+
+def test_disk_area_is_translation_exact():
+    # summed about the first centre, the area of three unit disks does not
+    # lose digits when their base point moves far from the origin (summed
+    # about the origin it was off by about 4e-9, 2e-5 and 1e-2 relative)
+    offsets = np.array([[0.0, 0.0], [0.7, 0.2], [-0.3, 1.1]])
+    for base in (1e8, 1e12, 1e14):
+        far = offsets + np.array([base, base])
+        assert disk_union_area(PointSet(far), 1.0) == disk_union_area(PointSet(far - far[0]), 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from parset import (
     NormKind,
     ParallelSetSpec,
     PointSet,
+    RangeOverflowError,
     ball_predicate,
     disk_union_area,
     disk_union_perimeter,
@@ -27,9 +29,9 @@ from parset import (
     mc_shell_lebesgue,
     mc_volume,
 )
-from parset import Verdict
+from parset import Verdict, exact2d
 from parset._kernels import min_dist
-from parset._rng import CHUNK, chunk_generator, map_reduce_chunks
+from parset._rng import CHUNK, chunk_generator, map_reduce_chunks, uniform_in_ball
 from parset.bounds import BoundReport
 from parset.mc import (
     MeasureEstimate,
@@ -219,6 +221,161 @@ def test_kneser_validates_arguments():
         kneser_shell_check(pts, NormKind.L2, 1.0, 0.5, 1.5, cfg)
     with pytest.raises(InvalidArgumentError):
         kneser_shell_check(pts, NormKind.L2, 0.5, 1.0, 0.9, cfg)
+
+
+# -- exact planar shells --------------------------------------------------------
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_kneser_planar_single_point_is_the_equality_case(norm):
+    # disks and squares scale exactly, so the two sides differ by rounding only
+    cfg = McConfig(samples=1, seed=0)
+    for t in (1.0, 1.2, 2.0):
+        for point in ([0.0, 0.0], [0.3, -0.7], [1e6, -2e6]):
+            rep = kneser_shell_check(PointSet([point]), norm, 0.5, 1.0, t, cfg)
+            assert rep.verdict is Verdict.PASS, (t, point)
+            assert abs(rep.measured - rep.bound_value) <= rep.std_error, (t, point)
+            # square coordinates are rounded at their own size, so far off
+            # the allowance grows with it
+            reach = 1.0 + (math.hypot(*point) if norm is NormKind.LINF else 0.0)
+            assert 0.0 < rep.std_error < 1e-12 * reach * rep.bound_value, (t, point)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
+    # the same equality case with one area raised by 1e-9 of itself must FAIL
+    import parset.mc as mcmod
+
+    exact = mcmod._planar_area
+    calls = []
+
+    def bumped(base, norm, rho):
+        area, allowance = exact(base, norm, rho)
+        calls.append(rho)
+        return area * (1.0 + 1e-9) if len(calls) == 1 else area, allowance
+
+    monkeypatch.setattr(mcmod, "_planar_area", bumped)
+    for t in (1.0, 1.2, 2.0):
+        calls.clear()
+        rep = kneser_shell_check(PointSet([[0.3, -0.7]]), norm, 0.5, 1.0, t, McConfig(samples=1, seed=0))
+        assert calls[0] == t * 1.0  # the outer area, A(t b), is the one raised
+        assert rep.verdict is Verdict.FAIL, t
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_kneser_planar_shells_are_exact_areas(norm):
+    # each side is a difference of union_boundary areas, and cfg is not read
+    rng = np.random.default_rng(71)
+    base = PointSet(rng.uniform(-1, 1, (5, 2)))
+    rep = kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=1, seed=0))
+    area = {rho: exact2d.union_boundary(base, rho, norm).area() for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
+    assert rep.measured == area[1.4 * 0.6] - area[1.4 * 0.3]
+    assert rep.bound_value == 1.4**2 * (area[0.6] - area[0.3])
+    assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_kneser_planar_shells_agree_with_band_counts(norm):
+    # on 20 random configurations, each exact shell lies within 4 sigma of a
+    # 10^6-draw band count over the box of the largest dilation
+    from parset.mc import _band_estimates
+
+    rng = np.random.default_rng(73)
+    for k in range(20):
+        base = PointSet(uniform_in_ball(rng, int(rng.integers(1, 9)), 2))
+        t = float(rng.uniform(1.0, 2.0))
+        rep = kneser_shell_check(base, norm, 0.5, 1.0, t, McConfig(samples=1, seed=0))
+        pts, linf = base.points, norm is NormKind.LINF
+        lhs, rhs = _band_estimates(
+            McConfig(samples=1_000_000, seed=100 + k),
+            2,
+            lambda x: min_dist(x, pts, linf),
+            [(0.5 * t, t, 1.0), (0.5, 1.0, 1.0)],
+            box=(pts, t),
+        )
+        assert abs(rep.measured - lhs.value) <= 4.0 * lhs.std_error, k
+        assert abs(rep.bound_value / t**2 - rhs.value) <= 4.0 * rhs.std_error, k
+
+
+def test_kneser_results_past_double_range_raise():
+    cfg = McConfig(samples=1000, seed=0)
+    for norm in NormKind:
+        with pytest.raises(RangeOverflowError):  # t^2 and A(t b) both overflow
+            kneser_shell_check(PointSet([[0.0, 0.0]]), norm, 0.5, 1.0, 1e300, cfg)
+        with pytest.raises(RangeOverflowError):  # A(t b) only
+            kneser_shell_check(PointSet([[0.0, 0.0]]), norm, 1e150, 1e160, 1.5, cfg)
+    # a finite box whose t^3 overflows ended in a bare OverflowError
+    with pytest.raises(RangeOverflowError):
+        kneser_shell_check(PointSet([[0.0, 0.0, 0.0]]), NormKind.L2, 1e-200, 1e-200, 1e200, cfg)
+
+
+def _mp_disk_area(dec):
+    """The area of an arc decomposition at 50 digits, each arc end snapped to
+    the exact intersection angle (or wrap point) it rounds."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        rho, pts = mp.mpf(dec.radius), [[mp.mpf(v) for v in row] for row in dec.centers.tolist()]
+        total = mp.mpf(0)
+        for i, t0, t1 in dec.arcs:
+            (xi, yi), ends = pts[i], [mp.mpf(0), 2 * mp.pi, 4 * mp.pi]
+            for j, (xj, yj) in enumerate(pts):
+                d = mp.hypot(xj - xi, yj - yi)
+                if j != i and d < 2 * rho:
+                    phi, alpha = mp.atan2(yj - yi, xj - xi), mp.acos(d / (2 * rho))
+                    ends += [(phi + s * alpha) % (2 * mp.pi) + w for s in (-1, 1) for w in (0, 2 * mp.pi)]
+            e0, e1 = (min(ends, key=lambda e: abs(e - t)) for t in (t0, t1))
+            assert abs(e0 - t0) < 1e-9 and abs(e1 - t1) < 1e-9
+            total += rho * rho * (e1 - e0) + xi * rho * (mp.sin(e1) - mp.sin(e0)) + yi * rho * (mp.cos(e0) - mp.cos(e1))
+        return total / 2
+
+
+def _fraction_square_area(points, rho) -> Fraction:
+    """The exact area of a union of squares, by slabs over rational coordinates."""
+    r = Fraction(rho)
+    boxes = [(Fraction(x) - r, Fraction(x) + r, Fraction(y) - r, Fraction(y) + r) for x, y in points.tolist()]
+    xs = sorted({v for b in boxes for v in b[:2]})
+    area = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        spans = sorted((b[2], b[3]) for b in boxes if b[0] <= x0 and x1 <= b[1])
+        covered, lo, hi = Fraction(0), None, None
+        for a, b in spans:
+            if hi is None or a > hi:
+                covered += (hi - lo) if hi is not None else 0
+                lo, hi = a, b
+            else:
+                hi = max(hi, b)
+        covered += (hi - lo) if hi is not None else 0
+        area += covered * (x1 - x0)
+    return area
+
+
+def test_planar_area_allowance_covers_the_rounding():
+    # against 50-digit references, on random, quarter-lattice (tangent and
+    # coincident faces), ring, near-duplicate, tiny-radius and far-off
+    # instances: the rounding stays below a quarter of the allowance
+    import mpmath as mp
+
+    from parset.mc import _planar_area
+
+    rng = np.random.default_rng(79)
+    cases = [(rng.uniform(-1, 1, (int(rng.integers(1, 16)), 2)), float(rng.uniform(0.05, 3))) for _ in range(20)]
+    cases += [(np.round(rng.uniform(-1, 1, (int(rng.integers(2, 14)), 2)) * 4) / 4, 0.25 * int(rng.integers(1, 6)))
+              for _ in range(10)]
+    ring = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    cases += [(1.3 * np.stack([np.cos(ring), np.sin(ring)], axis=1), 0.8)]
+    dup = rng.uniform(-1, 1, (5, 2))
+    cases += [(np.concatenate([dup, dup + rng.uniform(-1e-9, 1e-9, dup.shape)]), 0.6)]
+    cases += [(rng.uniform(-1, 1, (4, 2)) * 3e-9, 1e-9), (rng.uniform(-1, 1, (4, 2)) * 1e-13, 3e-13)]
+    cases += [(rng.uniform(-1, 1, (5, 2)) + off * rng.standard_normal(2), 0.7) for off in (1e3, 1e6, 1e10)]
+    for k, (points, rho) in enumerate(cases):
+        base = PointSet(points)
+        area, allowance = _planar_area(base, NormKind.L2, rho)
+        assert abs(mp.mpf(area) - _mp_disk_area(exact2d.disk_union_boundary(base, rho))) <= allowance / 4, k
+        if rho < 1e-12:
+            continue  # square faces within exact2d._EPS merge: a tolerance, not rounding
+        area, allowance = _planar_area(base, NormKind.LINF, rho)
+        assert abs(Fraction(area) - _fraction_square_area(points, rho)) <= allowance / 4, k
 
 
 def _parent_cap_fractions(dim, cap_half_angle, apex, directions, seed):
@@ -662,11 +819,14 @@ def test_band_core_matches_reference_estimators():
         pairs = [
             (mc_volume(spec, cfg), reference_mc_volume(spec, cfg)),
             (mc_shell_lebesgue(spec, cfg), reference_mc_shell_lebesgue(spec, cfg)),
-            (
-                kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
-                reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
-            ),
         ]
+        if dim != 2:  # planar shells are exact areas (test_kneser_planar_shells_are_exact_areas)
+            pairs.append(
+                (
+                    kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+                    reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+                )
+            )
         targets = [spec, halfspace_predicate(dim), ball_predicate(dim, 0.8), full_space_predicate(dim)]
         for target in targets:
             pairs.append(
