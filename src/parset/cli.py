@@ -145,15 +145,18 @@ def _cmd_mc(args) -> int:
         trials = json_count(data, "trials", 10, args.spec)
         with reading(args.spec):
             cap = float(data.get("cap_half_angle", 0.9))
+    # "samples" counts the draws made, none for an exact value
     if args.op == "kneser":
         a_k, b_k, t = kneser_params(data, target.radius, args.spec)
         rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
         payload = {"value": rep.measured, "bound": rep.bound_value}
+        samples = 0 if mcmod.kneser_is_exact(target.base.dim, target.norm) else args.samples
     elif args.op == "angle":
         rep = mcmod.inscribed_angle_check(
             dim, cap, trials, args.seed, directions=args.samples, workers=args.workers
         )
         payload = {"worst_deficit": rep.measured}
+        samples = trials * args.samples if dim > 3 else 0  # cap fractions are exact up to 3-d
     else:
         if args.op == "volume":
             est = mcmod.mc_volume(target, cfg)
@@ -166,7 +169,7 @@ def _cmd_mc(args) -> int:
             args.out,
         )
         return 0
-    payload.update(std_error=rep.std_error, samples=args.samples, verdict=rep.verdict.value)
+    payload.update(std_error=rep.std_error, samples=samples, verdict=rep.verdict.value)
     _emit(payload, args.out)
     return 0 if rep.verdict is not Verdict.FAIL else 1
 

@@ -144,21 +144,20 @@ def _exposed_pieces(lo, hi, group, a, b):
     as (group, start, end) arrays, group first and then ascending along the
     span.  A group with no hole at all keeps its whole span.
 
-    The holes are clipped to their spans flat, and those that miss their span
-    are dropped before padding; whether a group had no hole at all is read
-    from the counts before that.  Each padded row is closed by hi, which no
-    clipped start reaches, and sorted by start.  The sort need not be stable:
-    a clipped hole ends at or after its start, so of two equal starts the
-    second never emits (the cursor has reached the first one's end), and the
-    cursor after both is the same maximum in either order.
+    Holes that miss their span are dropped before padding; whether a group
+    had no hole at all is read from the counts before that.  The rest are
+    not clipped to their spans, since no piece depends on it: the cursor
+    starts at lo, so a start below lo never emits, and an end past hi takes
+    the cursor past every later start and past hi.  Each padded row is
+    closed by hi, which no kept start reaches, and sorted by start.  The sort
+    need not be stable: a hole ends at or after its start, so of two equal
+    starts the second never emits (the cursor has reached the first one's
+    end), and the cursor after both is the same maximum in either order.
     """
     rows = len(lo)
     bare = np.bincount(group, minlength=rows) == 0
-    lo_m, hi_m = lo[group], hi[group]
-    inside = (b > lo_m) & (a < hi_m)
-    group = group[inside]
-    a = np.maximum(a[inside], lo_m[inside])
-    b = np.minimum(b[inside], hi_m[inside])
+    inside = (b > lo[group]) & (a < hi[group])
+    group, a, b = group[inside], a[inside], b[inside]
     # slot of each hole in its row: its rank among the row's holes in a stable group order
     by_group = np.argsort(group, kind="stable")
     counts = np.bincount(group, minlength=rows)

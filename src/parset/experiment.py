@@ -108,21 +108,24 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     def exact_boundary():
         return ex2.union_boundary(points, radius, norm)
 
+    @cache
+    def volume_and_shell():
+        # off the plane both are counted on one draw, the shell's
+        seed = derive_seed(cfg.seed, "shell")
+        return mcmod.mc_volume_and_shell(
+            spec, McConfig(samples=samples, seed=seed, shell_delta=delta)
+        )
+
     def surface_estimate():
         if d == 2:
             return exact_boundary().perimeter(), 0.0
-        est = mcmod.mc_shell_lebesgue(
-            spec,
-            McConfig(samples=samples, seed=derive_seed(cfg.seed, "shell"), shell_delta=delta),
-        )
+        est = volume_and_shell()[1]
         return est.value, est.std_error
 
     def volume_estimate():
         if d == 2:
             return exact_boundary().area(), 0.0
-        est = mcmod.mc_volume(
-            spec, McConfig(samples=samples, seed=derive_seed(cfg.seed, "volume"))
-        )
+        est = volume_and_shell()[0]
         return est.value, est.std_error
 
     reports: list[BoundReport] = []

@@ -169,7 +169,13 @@ def check_exact_vs_raster(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
-    """Measured surface vs the volume-budget cap (V/r) * 2^(2d-1) * d."""
+    """Measured surface vs the volume-budget cap (V/r) * 2^(2d-1) * d.
+
+    The planar instances are exact (exact2d); each 3-d instance counts its
+    volume and its delta-shell on one draw of shell3d_samples points
+    (mc_volume_and_shell), and the volume enters the cap at its 4-sigma
+    upper end.
+    """
     g = chunk_generator(derive_seed(seed, "volume-constrained"), 0)
 
     def planar_excess(k):
@@ -183,9 +189,8 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2)
         spec = ParallelSetSpec(base=centers, norm=NormKind.L2, radius=r)
         sub = derive_seed(seed, "volume-constrained-3d", k)
-        cfg = McConfig(samples=prof.shell3d_samples, seed=sub, workers=prof.workers)
-        vol = mcmod.mc_volume(spec, cfg)
-        shell = mcmod.mc_shell_lebesgue(spec, replace(cfg, seed=sub + 1))
+        cfg = McConfig(samples=prof.shell3d_samples, seed=sub + 1, workers=prof.workers)
+        vol, shell = mcmod.mc_volume_and_shell(spec, cfg)
         bound = bound_volume_constrained(3, r, vol.value + 4.0 * vol.std_error)
         return shell.value - 4.0 * shell.std_error - bound
 
@@ -197,8 +202,8 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
 
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
     """Shell scaling inequality over random configurations and scale factors:
-    exact areas for the 2-d ones, band counts of kneser_samples draws for the
-    3-d ones."""
+    exact areas for the 2-d ones, exact cube-union volumes for the 3-d L-inf
+    ones, band counts of kneser_samples draws for the 3-d L2 ones."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
 
     def excesses():
@@ -274,7 +279,13 @@ def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
-    """Gaussian shell estimates stay under max(C, C/r) (loose by design)."""
+    """Gaussian shell estimates stay under max(C, C/r) (loose by design).
+
+    Every shell is (G(A_{r+delta}) - G(A_r)) / delta at delta = r / 1000:
+    exact for the L-inf instances, from cube_union_measures' Gaussian
+    measures with their rounding allowances over delta as std_error, and a
+    band count of mc_samples Gaussian draws for the L2 ones.
+    """
     g = chunk_generator(derive_seed(seed, "gaussian-surface"), 0)
     shapes = [(dim, norm) for dim in (2, 3) for norm in (NormKind.L2, NormKind.LINF)]
 
@@ -282,12 +293,18 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
         dim, norm = shapes[k]
         r = float(g.uniform(0.3, 1.5))
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim) * 1.5)
+        bound = gaussian_surface_bound(dim, r, 1.0, norm)
+        if norm is NormKind.LINF:
+            delta = r / 1000.0
+            inner, outer = (mcmod.cube_union_measures(centers, rho)[1] for rho in (r, r + delta))
+            shell = (outer.value - inner.value) / delta
+            return shell - 4.0 * (outer.std_error + inner.std_error) / delta - bound
         spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
         cfg = McConfig(
             samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k), workers=prof.workers
         )
         est = mcmod.mc_gaussian_shell(spec, cfg)
-        return est.value - 4.0 * est.std_error - gaussian_surface_bound(dim, r, 1.0, norm)
+        return est.value - 4.0 * est.std_error - bound
 
     return [BoundReport.sweep("gaussian-surface-bound", 0.0, map(excess, range(len(shapes))))]
 

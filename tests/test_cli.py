@@ -512,22 +512,68 @@ def test_mc_kneser_matches_library(tmp_path):
     rep = kneser_shell_check(PointSet(spec["points"]), NormKind.L2, 0.3, 0.8, 1.25,
                              McConfig(samples=20000, seed=3))
     assert rc == (1 if rep.verdict.value == "fail" else 0)
+    # planar shells are exact: nothing is drawn
     assert payload == {"value": rep.measured, "bound": rep.bound_value,
-                       "std_error": rep.std_error, "samples": 20000,
+                       "std_error": rep.std_error, "samples": 0,
                        "verdict": rep.verdict.value}
 
 
-def test_mc_kneser_3d_is_the_band_count_it_was(tmp_path):
-    # the values the band count gave before the planar shells became exact
-    spec = {"points": [[0.0, 0.0, 0.0], [0.9, -0.4, 0.3], [-0.5, 0.6, 0.2]], "norm": "linf",
-            "radius": 1.0, "a_k": 0.4, "b_k": 0.9, "t": 1.7}
+_KNESER_3D = {"points": [[0.0, 0.0, 0.0], [0.9, -0.4, 0.3], [-0.5, 0.6, 0.2]], "radius": 1.0,
+              "a_k": 0.4, "b_k": 0.9, "t": 1.7}
+
+
+def _mc_kneser_3d(tmp_path, norm):
     path, out = tmp_path / "spec.json", tmp_path / "mc.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(dict(_KNESER_3D, norm=norm)))
     argv = ["mc", "--op", "kneser", "--spec", str(path), "--samples", "70000", "--seed", "11"]
     assert main([*argv, "--out", str(out)]) == 0
-    assert strict_loads(out.read_text()) == {
-        "bound": 57.17806720953601, "samples": 70000, "std_error": 0.4556400074091533,
-        "value": 45.08010151680001, "verdict": "pass"}
+    return strict_loads(out.read_text())
+
+
+def test_mc_kneser_3d_is_the_band_count_it_was(tmp_path):
+    # L2 shells off the plane are the band count they were before the planar
+    # and L-inf shells became exact
+    assert _mc_kneser_3d(tmp_path, "l2") == {
+        "bound": 32.00946914135041, "samples": 70000, "std_error": 0.36712222016550167,
+        "value": 24.55564392960001, "verdict": "pass"}
+
+
+def test_mc_kneser_3d_linf_is_exact_within_the_old_band_count(tmp_path):
+    # the band count on these points read value 45.08010151680001 with
+    # std_error 0.4556400074091533 and bound 57.17806720953601 (0.4556 is the
+    # two sides' combined sigma; each side's alone is smaller)
+    payload = _mc_kneser_3d(tmp_path, "linf")
+    assert abs(payload["value"] - 45.08010151680001) <= 4.0 * 0.4556400074091533
+    assert abs(payload["bound"] - 57.17806720953601) <= 4.0 * 0.4556400074091533
+    assert payload["samples"] == 0 and payload["verdict"] == "pass"
+    assert 0.0 < payload["std_error"] < 1e-12 * payload["bound"]
+
+
+@pytest.mark.parametrize(("points", "norm", "samples"), [
+    ([[0.0, 0.0], [1.0, 0.5]], "l2", 0),
+    ([[0.0, 0.0], [1.0, 0.5]], "linf", 0),
+    ([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]], "linf", 0),
+    ([[0.0], [1.0]], "linf", 0),
+    ([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]], "l2", 3000),
+    ([[0.0], [1.0]], "l2", 3000),
+])
+def test_mc_kneser_reports_the_draws_it_made(tmp_path, points, norm, samples):
+    spec = {"points": points, "norm": norm, "radius": 1.0}
+    rc, payload = _mc_payload(tmp_path, spec, "--op", "kneser", "--samples", "3000")
+    assert rc == 0 and payload["samples"] == samples
+
+
+def test_mc_kneser_linf_past_the_cover_budget_exits_2(tmp_path, capsys):
+    # 8 cubes in 8-d make a grid of up to 16^8 cells; the cover refuses it
+    # rather than sample
+    import numpy as np
+
+    points = np.random.default_rng(5).uniform(-1, 1, (8, 8)).tolist()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"points": points, "norm": "linf", "radius": 1.0}))
+    assert main(["mc", "--op", "kneser", "--spec", str(path), "--samples", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the L-inf cover of 8 cubes in 8-d needs ") and err.count("\n") == 1
 
 
 def test_mc_angle_workers_do_not_change_output(tmp_path):
@@ -550,8 +596,16 @@ def test_mc_angle_matches_library(tmp_path):
                               "--op", "angle", "--samples", "4000")
     rep = inscribed_angle_check(3, 0.8, 3, 3, directions=4000)
     assert rc == (1 if rep.verdict.value == "fail" else 0)
+    # the 3-d fractions are exact: no direction is drawn
     assert payload == {"worst_deficit": rep.measured, "std_error": rep.std_error,
-                       "samples": 4000, "verdict": rep.verdict.value}
+                       "samples": 0, "verdict": rep.verdict.value}
+
+
+def test_mc_angle_reports_every_direction_drawn(tmp_path):
+    # from 4-d up each of the trials draws --samples directions
+    rc, payload = _mc_payload(tmp_path, {"dim": 4, "cap_half_angle": 0.8, "trials": 3},
+                              "--op", "angle", "--samples", "4000")
+    assert payload["samples"] == 12000
 
 
 def test_bounds_gaussian_surface_payload(tmp_path):

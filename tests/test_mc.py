@@ -16,6 +16,7 @@ from parset import (
     PointSet,
     RangeOverflowError,
     ball_predicate,
+    cube_union_measures,
     disk_union_area,
     disk_union_perimeter,
     entropy_mc,
@@ -28,6 +29,7 @@ from parset import (
     mc_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
+    mc_volume_and_shell,
 )
 from parset import Verdict, exact2d
 from parset._kernels import min_dist
@@ -307,6 +309,10 @@ def test_kneser_results_past_double_range_raise():
     # a finite box whose t^3 overflows ended in a bare OverflowError
     with pytest.raises(RangeOverflowError):
         kneser_shell_check(PointSet([[0.0, 0.0, 0.0]]), NormKind.L2, 1e-200, 1e-200, 1e200, cfg)
+    # t b itself past double range read as an invalid radius
+    for dim, norm in itertools.product((2, 3), NormKind):
+        with pytest.raises(RangeOverflowError, match="t \\* b_k"):
+            kneser_shell_check(PointSet([[0.0] * dim]), norm, 1e10, 1e10, 1e300, cfg)
 
 
 def _mp_disk_area(dec):
@@ -376,6 +382,217 @@ def test_planar_area_allowance_covers_the_rounding():
             continue  # square faces within exact2d._EPS merge: a tolerance, not rounding
         area, allowance = _planar_area(base, NormKind.LINF, rho)
         assert abs(Fraction(area) - _fraction_square_area(points, rho)) <= allowance / 4, k
+
+
+# -- the exact L-inf cover --------------------------------------------------------
+
+
+def _fraction_cube_union_volume(points, rho) -> Fraction:
+    """Inclusion-exclusion over every subset of cubes, in exact rationals."""
+    r = Fraction(rho)
+    cubes = [[(Fraction(c) - r, Fraction(c) + r) for c in row] for row in points.tolist()]
+    total = Fraction(0)
+    for size in range(1, len(cubes) + 1):
+        for subset in itertools.combinations(cubes, size):
+            part = Fraction(1)
+            for sides in zip(*subset):
+                part *= max(Fraction(0), min(b for _, b in sides) - max(a for a, _ in sides))
+            total += part if size % 2 else -part
+    return total
+
+
+def _mp_cube_union_gaussian(points, rho):
+    """Inclusion-exclusion of the standard Gaussian measure at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        r = mp.mpf(rho)
+        cubes = [[(mp.mpf(c) - r, mp.mpf(c) + r) for c in row] for row in points.tolist()]
+        total = mp.mpf(0)
+        for size in range(1, len(cubes) + 1):
+            for subset in itertools.combinations(cubes, size):
+                part = mp.mpf(1)
+                for sides in zip(*subset):
+                    lo, hi = max(a for a, _ in sides), min(b for _, b in sides)
+                    part *= mp.ncdf(hi) - mp.ncdf(lo) if hi > lo else 0
+                total += part if size % 2 else -part
+        return total
+
+
+def _cover_cases(rng, dims, max_points):
+    """Random instances, and quarter-lattice ones whose faces touch and coincide."""
+    cases = []
+    for dim in dims:
+        for _ in range(6):
+            n = int(rng.integers(1, max_points + 1))
+            cases.append((rng.uniform(-1, 1, (n, dim)), float(rng.uniform(0.05, 1.5))))
+            lattice = np.round(rng.uniform(-1, 1, (n, dim)) * 4) / 4
+            cases.append((np.concatenate([lattice, lattice[:1]]), 0.125 * int(rng.integers(1, 5))))
+    return cases
+
+
+def test_cover_volume_matches_exact_inclusion_exclusion():
+    rng = np.random.default_rng(81)
+    for k, (points, rho) in enumerate(_cover_cases(rng, (1, 2, 3, 4), 6)):
+        volume, _ = cube_union_measures(PointSet(points), rho)
+        exact = _fraction_cube_union_volume(points, rho)
+        assert abs(Fraction(volume.value) - exact) <= volume.std_error / 4, k
+        assert volume.samples_used == 0
+
+
+def test_cover_gaussian_matches_mpmath_inclusion_exclusion():
+    import mpmath as mp
+
+    rng = np.random.default_rng(83)
+    for k, (points, rho) in enumerate(_cover_cases(rng, (1, 2, 3), 4)):
+        _, gauss = cube_union_measures(PointSet(points * 1.5), rho)
+        assert abs(mp.mpf(gauss.value) - _mp_cube_union_gaussian(points * 1.5, rho)) <= gauss.std_error / 4, k
+        assert gauss.samples_used == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_cover_gaussian_of_one_cube_is_the_product(dim):
+    import mpmath as mp
+
+    rng = np.random.default_rng(85 + dim)
+    for _ in range(10):
+        center, rho = rng.uniform(-3, 3, dim), float(rng.uniform(0.01, 2))
+        _, gauss = cube_union_measures(PointSet([center]), rho)
+        with mp.workdps(40):
+            want = mp.fprod(mp.ncdf(mp.mpf(c) + rho) - mp.ncdf(mp.mpf(c) - rho) for c in center.tolist())
+            assert abs(mp.mpf(gauss.value) - want) <= gauss.std_error / 4
+
+
+def test_cover_matches_the_planar_square_areas():
+    from parset.mc import _planar_area
+
+    rng = np.random.default_rng(87)
+    for k in range(300):
+        points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 21)), 2))
+        rho = float(rng.uniform(0.05, 1.5))
+        if k % 3 == 0:  # tangent and coincident faces
+            points, rho = np.round(points * 4) / 4, 0.125 * int(rng.integers(1, 6))
+        volume, _ = cube_union_measures(PointSet(points), rho)
+        area, allowance = _planar_area(PointSet(points), NormKind.LINF, rho)
+        assert abs(volume.value - area) <= volume.std_error + allowance, k
+
+
+def test_cover_keeps_faces_apart_at_tiny_radii():
+    # exact2d.square_union_boundary merges these two squares' faces within
+    # its absolute _EPS and halves the area; the cover decides on indices
+    volume, _ = cube_union_measures(PointSet([[0.0, 0.0], [3e-13, 0.0]]), 1e-13)
+    assert abs(volume.value - 8e-26) <= volume.std_error
+
+
+def test_cover_volume_is_translation_exact():
+    # dyadic coordinates, so the translated points are exact
+    rng = np.random.default_rng(89)
+    for dim in (2, 3, 4):
+        points = rng.integers(-64, 64, (6, dim)) / 64.0
+        base, _ = cube_union_measures(PointSet(points), 0.3)
+        for offset in (1.0, -3.0 * 2**20, 2.0**40):
+            moved, _ = cube_union_measures(PointSet(points + offset), 0.3)
+            assert moved == base, (dim, offset)
+
+
+def test_cover_past_its_budget_raises_before_allocating(monkeypatch):
+    import tracemalloc
+
+    import parset.mc as mcmod
+
+    points = PointSet(np.random.default_rng(91).uniform(-1, 1, (64, 4)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match=r"needs 268435456 grid cells"):
+            cube_union_measures(points, 0.5)  # 128 lines an axis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the budget counts the grid's vertices: 4 squares in general position
+    # make 8 x 8 of them
+    squares = PointSet([[0.0, 0.0], [0.3, 0.1], [0.7, 0.45], [1.1, 0.8]])
+    monkeypatch.setattr(mcmod, "_COVER_MAX_CELLS", 64)
+    cube_union_measures(squares, 0.5)
+    monkeypatch.setattr(mcmod, "_COVER_MAX_CELLS", 63)
+    with pytest.raises(InvalidArgumentError, match="needs 64 grid cells"):
+        cube_union_measures(squares, 0.5)
+
+
+def test_cover_results_past_double_range_raise():
+    with pytest.raises(RangeOverflowError):  # the volume
+        cube_union_measures(PointSet([[0.0, 0.0, 0.0]]), 1e150)
+    with pytest.raises(RangeOverflowError):  # the faces themselves
+        cube_union_measures(PointSet([[-1e308, 0.0], [1e308, 0.0]]), 1.0)
+    with pytest.raises(RangeOverflowError):  # a 3-d L-inf Kneser shell
+        kneser_shell_check(PointSet([[0.0, 0.0, 0.0]]), NormKind.LINF, 1e100, 1e110, 1.5, McConfig(samples=1, seed=0))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_kneser_linf_single_point_is_the_equality_case(dim):
+    cfg = McConfig(samples=1, seed=0)
+    for t in (1.0, 1.2, 2.0):
+        for point in (np.zeros(dim), np.linspace(-0.7, 0.4, dim), np.full(dim, 1e6)):
+            rep = kneser_shell_check(PointSet([point]), NormKind.LINF, 0.5, 1.0, t, cfg)
+            assert rep.verdict is Verdict.PASS, (t, point)
+            assert abs(rep.measured - rep.bound_value) <= rep.std_error, (t, point)
+            assert 0.0 < rep.std_error < 1e-12 * rep.bound_value, (t, point)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_kneser_linf_allowance_catches_a_1e9_bump(monkeypatch, dim):
+    # the equality case with the outer volume raised by 1e-9 of itself FAILs
+    import parset.mc as mcmod
+
+    exact = mcmod.cube_union_measures
+    calls = []
+
+    def bumped(base, rho):
+        volume, gauss = exact(base, rho)
+        calls.append(rho)
+        if len(calls) == 1:
+            volume = MeasureEstimate(volume.value * (1.0 + 1e-9), volume.std_error, 0)
+        return volume, gauss
+
+    monkeypatch.setattr(mcmod, "cube_union_measures", bumped)
+    for t in (1.0, 1.2, 2.0):
+        calls.clear()
+        point = PointSet([np.linspace(-0.7, 0.4, dim)])
+        rep = kneser_shell_check(point, NormKind.LINF, 0.5, 1.0, t, McConfig(samples=1, seed=0))
+        assert calls[0] == t * 1.0  # the outer volume, V(t b), is the one raised
+        assert rep.verdict is Verdict.FAIL, t
+
+
+def test_kneser_linf_shells_are_cover_volumes():
+    # off the plane the L-inf shells are differences of cover volumes, and
+    # cfg is not read
+    rng = np.random.default_rng(93)
+    base = PointSet(rng.uniform(-1, 1, (5, 3)))
+    rep = kneser_shell_check(base, NormKind.LINF, 0.3, 0.6, 1.4, McConfig(samples=1, seed=0))
+    volume = {rho: cube_union_measures(base, rho)[0].value for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
+    assert rep.measured == volume[1.4 * 0.6] - volume[1.4 * 0.3]
+    assert rep.bound_value == 1.4**3 * (volume[0.6] - volume[0.3])
+    assert rep == kneser_shell_check(base, NormKind.LINF, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
+
+
+def test_volume_and_shell_share_one_draw():
+    # the shell is the reference shell estimator to the bit, and the volume
+    # the reference volume count over the shell's wider box
+    rng = np.random.default_rng(95)
+    for dim, norm, delta in itertools.product((1, 3), NormKind, (None, 0.05)):
+        base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
+        spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
+        cfg = McConfig(samples=CHUNK + 777, seed=int(rng.integers(1 << 32)), shell_delta=delta, workers=2)
+        volume, shell = mc_volume_and_shell(spec, cfg)
+        assert shell == reference_mc_shell_lebesgue(spec, cfg) == mc_shell_lebesgue(spec, cfg)
+        lo, hi, box_vol = reference_bounding_box(spec, reference_resolve_delta(cfg, spec.radius))
+
+        def chunk(g, n):
+            x = lo + g.random((n, dim)) * (hi - lo)
+            return (int((reference_spec_distances(spec, x) <= spec.radius).sum()),)
+
+        (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+        assert volume == reference_proportion_estimate(hits, cfg.samples, box_vol)
 
 
 def _parent_cap_fractions(dim, cap_half_angle, apex, directions, seed):
@@ -820,7 +1037,9 @@ def test_band_core_matches_reference_estimators():
             (mc_volume(spec, cfg), reference_mc_volume(spec, cfg)),
             (mc_shell_lebesgue(spec, cfg), reference_mc_shell_lebesgue(spec, cfg)),
         ]
-        if dim != 2:  # planar shells are exact areas (test_kneser_planar_shells_are_exact_areas)
+        # planar shells are exact areas (test_kneser_planar_shells_are_exact_areas),
+        # L-inf ones exact cube-union volumes in every dimension
+        if dim != 2 and norm is NormKind.L2:
             pairs.append(
                 (
                     kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),

@@ -23,7 +23,7 @@ from parset.suite import (
 
 # sha256 of results.csv for `parset suite all --samples 100 --seed 0 --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
-_RESULTS_SHA256 = "2e92ad8bd9f77ad9e1bf2212124237ff36573dab70c85aa302f4db1bd39c3221"
+_RESULTS_SHA256 = "56871d06b7282e9c794da74a0924703535555b321203ef8bf1a666d5a9d3246c"
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
@@ -139,6 +139,28 @@ def test_verify_experiment_not_compared():
     by_name = {r.bound_name: r for r in reports}
     assert by_name["union-in-ball"].verdict is Verdict.NOT_COMPARED
     assert by_name["volume-constrained"].verdict is Verdict.PASS
+
+
+def test_verify_volume_constrained_takes_one_draw():
+    # off the plane the volume and the shell come from the shell's draw, which
+    # the containment check shares
+    from parset._rng import derive_seed
+    from parset.bounds import bound_volume_constrained
+    from parset.geometry import NormKind, ParallelSetSpec, PointSet
+
+    points = [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2]]
+    params = {"points": points, "norm": "l2", "radius": 1.0, "samples": 6000, "delta": 0.01,
+              "checks": ["union-in-ball", "volume-constrained"]}
+    reports = run_verify_experiment(ExperimentConfig("one-draw", "bounds", params, seed=4))
+    by_name = {r.bound_name: r for r in reports}
+    spec = ParallelSetSpec(PointSet(points), NormKind.L2, 1.0)
+    vol, shell = mcmod.mc_volume_and_shell(
+        spec, mcmod.McConfig(samples=6000, seed=derive_seed(4, "shell"), shell_delta=0.01))
+    assert by_name["volume-constrained"] == BoundReport.compare(
+        "volume-constrained", bound_volume_constrained(3, 1.0, vol.value + 4.0 * vol.std_error),
+        shell.value, shell.std_error)
+    assert (by_name["union-in-ball"].measured, by_name["union-in-ball"].std_error) == (
+        shell.value, shell.std_error)
 
 
 @pytest.mark.parametrize(
