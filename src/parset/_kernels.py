@@ -1,4 +1,4 @@
-"""The two primitives every check reduces to, on numpy and scipy.
+"""The three primitives every check reduces to, on numpy and scipy.
 
 ``min_dist``: distance from a batch of points to a finite base set, which
 decides membership in an r-parallel set (Monte Carlo and rasterization).
@@ -11,11 +11,20 @@ bits.
 gives the thresholded transport cost (robust risk).  Its cost on small graphs
 is scipy's per-call set-up, so ``transport.d_r_uniform_many`` hands it a
 whole sweep's graphs at once as one disjoint union.
+``cube_cover``: which cells of the compressed grid a union of axis-aligned
+cubes covers (Klee's measure problem at small n), which decides the measures
+of an L-inf parallel set.  It streams the grid in slabs, so its memory is one
+slab whatever the number of boxes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+
+from .errors import InvalidArgumentError, RangeOverflowError
 
 
 # Largest base that is scanned instead of put in a KD-tree.  Per 65 536-point
@@ -117,3 +126,62 @@ def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: 
     match_l = np.full(n_left, -1, np.int64)
     match_l[flow.row[used]] = flow.col[used] - n_left
     return int(used.sum()), match_l
+
+
+# Work one cover may do, in cells of its whole grid, (2n)^d at most.  About
+# 2^26 cells took 0.7 s in 2-d (n = 4096), 1.2 s in 3-d (n = 203) and 1.5 s in
+# 4-d (n = 45) for cube_union_measures on a 2-core box.
+_COVER_MAX_CELLS = 1 << 26
+# Cells a slab holds, in whole first-axis rows and one row at least: 2 MB of counts.
+_COVER_SLAB_CELLS = 1 << 18
+
+
+def cube_cover(centers: np.ndarray, r: float):
+    """(lines, slabs) of the union of the cubes [c - r, c + r]^d about the rows c
+    of centers.  lines[k] holds the sorted unique faces on axis k, and a cell
+    spans two neighbouring lines on each axis.  +-1 at each cube's 2^d corners,
+    placed by its faces' indices, and one cumulative sum per axis count every
+    cell's cubes on integers, with no tolerance.  slabs yields (first row,
+    covered) over whole first-axis rows, each carrying the first axis's sum on
+    from the slab before; covered is 1.0 on covered cells and 0.0 elsewhere
+    (the last line of an axis bounds no cell), until the next slab is drawn.
+    A face past double range raises RangeOverflowError, and a grid past
+    _COVER_MAX_CELLS cells InvalidArgumentError, before the grid is allocated.
+    """
+    n, dim = centers.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        faces = np.concatenate([centers - r, centers + r]).T
+    if not np.isfinite(faces).all():
+        raise RangeOverflowError(f"the {r:g}-cubes reach past double range")
+    lines = list(map(np.unique, faces))
+    shape = tuple(map(len, lines))
+    if math.prod(shape) > _COVER_MAX_CELLS:
+        raise InvalidArgumentError(
+            f"the L-inf cover of {n} cubes in {dim}-d needs {math.prod(shape)} grid cells "
+            f"(at most (2n)^d), past its budget of {_COVER_MAX_CELLS}"
+        )
+    index = np.stack(list(map(np.searchsorted, lines, faces)), axis=1)
+    strides = np.array([math.prod(shape[k + 1 :]) for k in range(dim)])
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    flat = ((index[:n] @ strides)[:, None] + ((index[n:] - index[:n]) * strides) @ corners.T).ravel()
+    signs = np.broadcast_to(1.0 - 2.0 * (corners.sum(axis=1) % 2), (n, len(corners))).ravel()
+    row, rows = strides[0], max(1, _COVER_SLAB_CELLS // strides[0])
+    if rows < shape[0]:  # each slab's corners are then one run of the sorted flat indices
+        order = np.argsort(flat)
+        flat, signs = flat[order], signs[order]
+
+    def slabs():
+        carry = np.zeros(shape[1:])
+        for start in range(0, shape[0], rows):
+            size = min(rows, shape[0] - start)
+            a, b = np.searchsorted(flat, [start * row, (start + size) * row]) if rows < shape[0] else (0, len(flat))
+            count = np.bincount(flat[a:b] - start * row, signs[a:b], minlength=size * row)
+            count = count.reshape((size,) + shape[1:])
+            for axis in range(1, dim):
+                np.cumsum(count, axis=axis, out=count)
+            count[0] += carry
+            np.cumsum(count, axis=0, out=count)
+            carry = count[-1].copy()
+            yield start, np.minimum(count, 1.0, out=count)
+
+    return lines, slabs()

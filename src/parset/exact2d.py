@@ -6,26 +6,27 @@ Disk unions: on each circle, every other disk covers an angular interval
 all covered intervals is the exposed part of the boundary.  Because all radii
 are equal, a circle can only be swallowed whole by a coincident twin, so
 deduplicating centres first removes the lone degenerate case.  Tangencies
-cover a single angle, which has measure zero and is dropped.  Square unions:
-on each face, the other squares cover open intervals, and the rest is exposed.
+cover a single angle, which has measure zero and is dropped.
 
-Both complements come from one grouped sweep, ``_exposed_pieces``, whose
-groups are the (centre, face) pairs of a square union and the centres of a
-disk union; on a circle the span is one turn from the first covered angle.
-The holes are clipped to their spans and then sit in one padded array, one
-row per group closed by the span's end and sorted by hole start, and the
-running maximum of the hole ends gives the cursor before each hole.  The
-sweep only takes max, min and differences, and every float before it is the
-same elementwise operation on the same inputs as a loop over one group at a
-time would do, so the pieces are the same bits in the same order (group
-first, then ascending along the span).  The
+The complements come from one grouped sweep over all circles at once,
+``_exposed_pieces``, a circle's span one turn from its first covered angle.
+It only takes max, min and differences, and every float before it is the
+same elementwise operation on the same inputs as a loop over one circle at a
+time would do, so the arcs are the same bits in the same order.  The
 angles phi = atan2 and alpha = acos stay scalar ``math`` calls over the near
 pairs: numpy's ``arctan2`` and ``arccos`` differ from them in the last bit on
 a share of inputs.  The pairwise temporaries (coverage tests, distances) are
 built in the row blocks of ``geometry.row_blocks``, as is the deduplication
 ``geometry.group_rows``, so memory grows with the number of centres, not with
-its square.  Every radius, like every other real parameter of the package,
-goes through ``geometry.positive_real`` (here as ``positive_radius``).
+its square.
+
+Square unions come from the L-inf cover ``_kernels.cube_cover``, decided on
+integer indices, so faces however close stay apart.  Each segment is one
+maximal run of one step in cover between neighbouring cells along a grid
+line, its outward sign the negated step; a run along x may cross the cover's
+slabs of x rows, so each line's run starts and ends are paired in order.
+Every radius, like every other real parameter of the package, goes through
+``geometry.positive_real`` (here as ``positive_radius``).
 
 Both areas come from the divergence theorem over the same decomposition that
 gives the perimeter, so ``union_boundary`` builds one decomposition per
@@ -33,13 +34,13 @@ instance for both measures.  Each exposed arc, parameterised counterclockwise
 about its own centre, keeps the union locally on its left, so summing
 (1/2) * integral(x dy - y dx) over the exposed arcs yields the enclosed area
 with holes subtracted automatically.  x and y are taken from the first
-centre, as the square sum takes x from its first vertical face: a closed
-boundary's integrals of dx and dy vanish, so the reference point drops out,
-and a union far from the origin keeps its digits.  For squares,
+centre, as the square sum takes x from its first vertical face, the leftmost:
+a closed boundary's integrals of dx and dy vanish, so the reference point
+drops out, and a union far from the origin keeps its digits.  For squares,
 integral(x dy) reduces to the vertical segments, each at a fixed x with its
 outward sign.  Both sums run over Python floats in segment order, not through
 numpy's pairwise sum, so their bits do not depend on how the pieces were
-computed.  ``mc.kneser_shell_check`` takes its planar shells from these
+computed.  ``mc.kneser_shell_check`` takes its planar disk shells from these
 areas.
 
 The grid oracle runs marching squares on the field d(x, centres) - r, which
@@ -138,24 +139,20 @@ def _require_planar(centers: PointSet) -> np.ndarray:
 
 
 def _exposed_pieces(lo, hi, group, a, b):
-    """Closed pieces of each span [lo[g], hi[g]] left after removing open holes.
+    """Closed pieces of each circle's span [lo[g], hi[g]], a turn from its
+    first covered angle, left after removing the open holes (a[m], b[m]) of
+    group[m], in any group order.  Returns the pieces as (group, start, end)
+    arrays, group first and then ascending along the span.
 
-    Hole m is (a[m], b[m]) in group[m], in any group order.  Returns the pieces
-    as (group, start, end) arrays, group first and then ascending along the
-    span.  A group with no hole at all keeps its whole span.
-
-    Holes that miss their span are dropped before padding; whether a group
-    had no hole at all is read from the counts before that.  The rest are
-    not clipped to their spans, since no piece depends on it: the cursor
-    starts at lo, so a start below lo never emits, and an end past hi takes
-    the cursor past every later start and past hi.  Each padded row is
-    closed by hi, which no kept start reaches, and sorted by start.  The sort
-    need not be stable: a hole ends at or after its start, so of two equal
-    starts the second never emits (the cursor has reached the first one's
-    end), and the cursor after both is the same maximum in either order.
+    Every hole lies within its span but (2 pi, 2 pi), where np.remainder
+    rounds a start just below 0 up to 2 pi; it is dropped before padding.
+    Each padded row is closed by hi, which no kept start reaches, and sorted
+    by start.  The sort need not be stable: a hole ends at or after its
+    start, so of two equal starts the second never emits (the cursor has
+    reached the first one's end), and the cursor after both is the same
+    maximum in either order.
     """
     rows = len(lo)
-    bare = np.bincount(group, minlength=rows) == 0
     inside = (b > lo[group]) & (a < hi[group])
     group, a, b = group[inside], a[inside], b[inside]
     # slot of each hole in its row: its rank among the row's holes in a stable group order
@@ -175,7 +172,6 @@ def _exposed_pieces(lo, hi, group, a, b):
     # the cursor before each hole and before hi: lo or the farthest end so far
     cursor = np.maximum.accumulate(np.concatenate([lo[:, None], ends[:, :-1]], axis=1), axis=1)
     emit = np.isfinite(starts) & (starts - cursor > _EPS)
-    emit[bare, 0] = True
     g, k = np.nonzero(emit)
     return g, cursor[g, k], starts[g, k]
 
@@ -224,56 +220,41 @@ def disk_union_area(centers: PointSet, r: float) -> float:
     return disk_union_boundary(centers, r).area()
 
 
-# (normal axis, outward sign, orientation) of top, bottom, right and left faces
-_FACES = ((1, +1, "horizontal"), (1, -1, "horizontal"), (0, +1, "vertical"), (0, -1, "vertical"))
-
-
 def square_union_boundary(centers: PointSet, r: float) -> SegmentDecomposition:
-    """Exposed boundary of a union of squares [c - r, c + r]^2.
-
-    A point of square i's face with outward normal s is exposed iff points
-    just outside it are outside every other square.  Pieces where two faces
-    with the same outward normal coincide are assigned to the lower index so
-    segment interiors stay pairwise disjoint.
-    """
+    """Exposed boundary of a union of squares [c - r, c + r]^2 (see the module
+    docstring): the vertical faces, then the horizontal ones, each by line and
+    start.  The cover raises past its budget."""
     pts = _require_planar(centers)
-    pts = pts[group_rows(pts)[0]]
     r = positive_radius(r)
-    n = len(pts)
-    axis, sign, orientation = zip(*_FACES)
-    # (face, centre) tables: the coordinate along the normal, the face's line
-    # and the span along the face
-    cn = pts[:, list(axis)].T
-    fixed = cn + (np.array(sign) * r)[:, None]
-    tang = pts[:, [1 - k for k in axis]].T
-    span_lo, span_hi = tang - r, tang + r
-    index = np.arange(n)
-    segments: list[BoundarySegment] = []
-    for blk in row_blocks(n):
-        rows = index[blk, None, None]
-        own = fixed[:, blk].T[:, :, None]  # (row, face, 1) against (face, centre)
-        coplanar = np.abs(own - fixed) <= _EPS
-        covers = (cn - r - _EPS < own) & (own < cn + r + _EPS) & ~coplanar
-        hit = (covers | (coplanar & (index < rows))) & (index != rows)
-        # groups are (row, face) pairs, row-major
-        group, j = np.nonzero(hit.reshape(-1, n))
-        face = group % 4
-        g, a, b = _exposed_pieces(
-            span_lo[:, blk].T.ravel(),
-            span_hi[:, blk].T.ravel(),
-            group,
-            span_lo[face, j],
-            span_hi[face, j],
-        )
-        i, f = blk.start + g // 4, g % 4
-        segments += map(
-            BoundarySegment,
-            [orientation[k] for k in f.tolist()],
-            fixed[f, i].tolist(),
-            a.tolist(),
-            b.tolist(),
-            [sign[k] for k in f.tolist()],
-        )
+    (xs, ys), slabs = _kernels.cube_cover(pts, r)
+    vertical, horizontal = [], []
+    before = np.zeros(len(ys) + 1, np.int8)
+    for start, covered in slabs:
+        # the slab's cover after the x row before it, and after an uncovered y column
+        cover = np.zeros((len(covered) + 1, len(ys) + 1), np.int8)
+        cover[0], cover[1:, 1:] = before, covered
+        before = cover[-1]
+        here, back, left, corner = cover[1:, 1:], cover[:-1, 1:], cover[1:, :-1], cover[:-1, :-1]
+        # the steps in cover, and one cell back along the runs of vertical
+        # faces (along y) and of horizontal ones (along x)
+        for runs, step, prev, along_x in (
+            (vertical, here - back, left - corner, False),
+            (horizontal, here - left, back - corner, True),
+        ):
+            k = np.flatnonzero(step != prev)
+            now, was = step.ravel()[k], prev.ravel()[k]
+            x, y = np.divmod(k, step.shape[1])
+            line, at = (y, x + start) if along_x else (x + start, y)
+            # where runs open, their outward signs, and where runs close
+            opens, closes = now != 0, was != 0
+            runs.append((line[opens], at[opens], -now[opens], line[closes], at[closes]))
+    segments = []
+    for orientation, runs, lines, spans in (("vertical", vertical, xs, ys), ("horizontal", horizontal, ys, xs)):
+        # a line's k-th run start pairs with its k-th run end
+        line, at, sign, end_line, end = map(np.concatenate, zip(*runs))
+        first, last = np.lexsort((at, line)), np.lexsort((end, end_line))
+        segments += map(BoundarySegment, [orientation] * len(first), lines[line[first]].tolist(),
+                        spans[at[first]].tolist(), spans[end[last]].tolist(), sign[first].tolist())
     return SegmentDecomposition(segments=tuple(segments))
 
 

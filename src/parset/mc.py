@@ -9,11 +9,12 @@ apex is a band count too.  In 2-d and 3-d it is exact, as the central cap's
 is in every dimension: an arc's angle from two atan2 calls, a disk's solid
 angle from complete elliptic integrals.  The volume and the Gaussian measure
 of an L-inf parallel set, a union of cubes, are exact in every dimension
-(cube_union_measures, a prefix-sum cover on the compressed grid).  The
-shell-scaling check is exact where the volumes are, in the plane (exact2d
-union areas) and under L-inf, with a rounding allowance as std_error, and an
-L2 band count off the plane.  These splits are by dimension and norm only,
-with no fallback: a cube grid past the cover's budget raises.
+(cube_union_measures, on the prefix-sum cover _kernels.cube_cover).  The
+shell-scaling check is exact where the volumes are, under L-inf (cover
+volumes) and in the plane (exact2d disk-union areas), with a rounding
+allowance as std_error, and an L2 band count off the plane.  These splits
+are by dimension and norm only, with no fallback: a cube grid past the
+cover's budget raises.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  A box draw is
 scaled one coordinate column at a time into a (d, m) buffer and handed on as
@@ -24,7 +25,6 @@ is r / 1000.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -187,108 +187,74 @@ def mc_gaussian_measure(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEst
     return _band_estimates(cfg, dim, dist_fn, [(-math.inf, inner, 1.0)], sigma=sigma)[0]
 
 
-# rounding allowance of an exact planar area, in units of ulp(1) * n * L *
-# (rho + R): n boundary pieces of total length L, none farther than rho + R
-# from the point the area is summed about (R: the farthest centre from it).
-# An arc end's angle is within 17 ulp(1) (atan2, acos, the wrap at 2 pi and
-# two sums), and a segment within ulp(rho + R) of its place; moving a
-# piece end by delta moves the area by at most (rho + R) * delta / 2, and
+# rounding allowance of an exact planar disk-union area, in units of
+# ulp(1) * n * L * (rho + R): n exposed arcs of total length L, summed about
+# the first centre (R: the farthest centre from it).  An arc end's angle is
+# within 17 ulp(1) (atan2, acos, the wrap at 2 pi and two sums); moving an
+# arc end by delta moves the area by at most (rho + R) * delta / 2, and
 # L >= 2 pi rho, so the ends cost at most 3 units.  The n terms add up to at
 # most (rho + R) * L with at most 1 unit of error, and the sin and cos
-# differences and the products within a term take at most 1 more.  Pieces
-# the decomposition drops or merges within exact2d._EPS are its own
-# tolerance, not rounding, and are not covered.
+# differences and the products within a term take at most 1 more.  Gaps the
+# decomposition drops within exact2d._EPS of angle are its own tolerance,
+# not rounding, and are not covered.
 _AREA_ROUNDING = 8.0
 
 
-def _planar_area(base, norm: NormKind, rho: float) -> tuple[float, float]:
-    """(area, rounding allowance) of the rho-parallel set of a planar base.
-
-    A disk union's area is summed about its first centre, a square union's
-    from coordinates rounded at their own size, so R is the farthest centre
-    from the first one, or from the origin.
-    """
-    boundary = exact2d.union_boundary(base, rho, norm)
-    pts = base.points
-    if norm is NormKind.L2:
-        pieces, offsets = len(boundary.arcs), pts - pts[0]
-    else:
-        pieces, offsets = len(boundary.segments), pts
+def _planar_area(base, rho: float) -> tuple[float, float]:
+    """(area, rounding allowance) of the rho-parallel set of a planar base
+    under L2, a disk union."""
+    boundary = exact2d.disk_union_boundary(base, rho)
+    offsets = base.points - base.points[0]
     reach = rho + float(np.hypot(offsets[:, 0], offsets[:, 1]).max())
     area = boundary.area()
-    allowance = _AREA_ROUNDING * pieces * math.ulp(1.0) * boundary.perimeter() * reach
+    allowance = _AREA_ROUNDING * len(boundary.arcs) * math.ulp(1.0) * boundary.perimeter() * reach
     if not (math.isfinite(area) and math.isfinite(allowance)):
         raise RangeOverflowError(f"the area of the {rho:g}-parallel set exceeds double range")
     return area, allowance
-
-
-# The L-infinity cover's count array holds one float64 per vertex of its
-# grid, at most (2n)^d of them; 2^22 vertices cap it at 32 MB.
-_COVER_MAX_CELLS = 1 << 22
 
 
 def cube_union_measures(base: PointSet, r: float) -> tuple[MeasureEstimate, MeasureEstimate]:
     """(Lebesgue volume, standard Gaussian measure) of the union of the cubes
     [c - r, c + r]^d over the points c of base: its r-parallel set under L-inf.
 
-    A prefix-sum cover on the compressed grid (the small-n case of Klee's
-    measure problem).  Per axis the grid lines are the sorted unique
-    coordinates c +- r, taken about the first point so that an exact
-    translation gives the same volume to the bit.  Each cube's index range is
-    its faces' places among the lines; +-1 at its 2^d corners and one
-    cumulative sum per axis give every cell's cover count, decided on integers
-    with no tolerance.  The volume contracts the covered cells with the
-    widths between lines, the Gaussian measure with the differences of Phi
-    (_phi) at them.  Each std_error is a rounding allowance (see
-    _cover_allowances) and samples_used is 0.  A grid of more than
-    _COVER_MAX_CELLS vertices raises InvalidArgumentError before it is
+    Both contract the covered cells of _kernels.cube_cover, its faces taken
+    about the first point so that an exact translation gives the same volume
+    to the bit: the volume with the widths between grid lines, the Gaussian
+    measure with the differences of Phi (_phi) at them.  Each std_error is a
+    rounding allowance (see _cover_allowances) and samples_used is 0.  A
+    grid past the cover's budget raises InvalidArgumentError before it is
     allocated, and a result past double range RangeOverflowError.
     """
-    r = positive_radius(r)
-    pts = base.points
-    n, dim = pts.shape
+    r, pts, lines, slabs = _cube_cover(base, r)
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = pts - pts[0]
-        faces = np.concatenate([shifted - r, shifted + r])
-    if not np.isfinite(faces).all():
-        raise RangeOverflowError(f"the {r:g}-cubes reach past double range")
-    lines = [np.unique(faces[:, k]) for k in range(dim)]
-    shape = tuple(map(len, lines))
-    cells = math.prod(shape)
-    if cells > _COVER_MAX_CELLS:
-        raise InvalidArgumentError(
-            f"the L-inf cover of {n} cubes in {dim}-d needs {cells} grid cells "
-            f"(at most (2n)^d), past its budget of {_COVER_MAX_CELLS}"
-        )
-    index = np.stack([np.searchsorted(e, faces[:, k]) for k, e in enumerate(lines)], axis=1)
-    strides = np.array([math.prod(shape[k + 1 :]) for k in range(dim)])
-    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
-    flat = (index[:n] @ strides)[:, None] + ((index[n:] - index[:n]) * strides) @ corners.T
-    signs = np.where(corners.sum(axis=1) % 2, -1.0, 1.0)
-    count = np.bincount(flat.ravel(), np.tile(signs, n), minlength=cells).reshape(shape)
-    for k in range(dim):
-        np.cumsum(count, axis=k, out=count)
-    np.minimum(count, 1.0, out=count)  # 1 on covered cells, 0 elsewhere
-
-    def contract(weights):
-        # one dot product per axis with the differences between lines; the
-        # last line of each axis bounds no cell and its count is 0, so it
-        # takes the difference 0
-        v = count
-        for w in reversed(weights):
-            step = np.zeros_like(w)
-            np.subtract(w[1:], w[:-1], out=step[:-1])
-            v = v @ step
-        return float(v)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        volume = contract(lines)
-        gaussian = contract([_phi(e + c) for e, c in zip(lines, pts[0].tolist())])
-    reach = float(np.abs(shifted).max()) + r
-    e_volume, e_gaussian = _cover_allowances(n, dim, sum(shape), r, reach, volume, pts[0])
+        volume, gaussian = _contract(slabs, [lines, [_phi(e + c) for e, c in zip(lines, pts[0].tolist())]])
+    e_volume, e_gaussian = _cover_allowances(pts, r, lines, volume)
     if not all(map(math.isfinite, (volume, e_volume, e_gaussian))):
         raise RangeOverflowError(f"the volume of the {r:g}-parallel set exceeds double range")
     return MeasureEstimate(volume, e_volume, 0), MeasureEstimate(gaussian, e_gaussian, 0)
+
+
+def _cube_cover(base: PointSet, r: float):
+    """(r, points, lines, slabs): _kernels.cube_cover about the first point."""
+    r, pts = positive_radius(r), base.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (r, pts, *_kernels.cube_cover(pts - pts[0], r))
+
+
+def _contract(slabs, weights: list[list[np.ndarray]]) -> list[float]:
+    """For each list of per-axis line weights w, the sum over covered cells of
+    the product of their w[k + 1] - w[k].  Each first-axis row is contracted on
+    its own, one dot product per axis from the last, so the slab size does not
+    show in the bits; the rows' sums then make one dot product."""
+    steps = [[np.diff(w, append=w[-1]) for w in axes] for axes in weights]
+    rows = [np.empty(len(step[0])) for step in steps]
+    for start, covered in slabs:
+        for step, out in zip(steps, rows):
+            v = covered
+            for w in reversed(step[1:]):
+                v = (v[..., None, :] @ w)[..., 0]
+            out[start : start + len(v)] = v
+    return [float(out @ step[0]) for step, out in zip(steps, rows)]
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -299,9 +265,10 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in x.tolist()])
 
 
-def _cover_allowances(n, dim, lines, r, reach, volume, first) -> tuple[float, float]:
+def _cover_allowances(pts, r, lines, volume) -> tuple[float, float]:
     """Rounding allowances of cube_union_measures' volume and Gaussian measure
-    of n cubes in dim-d, over lines grid lines in all.  With u = ulp(1) / 2:
+    of the r-cubes about the n points pts in dim-d, over the grid lines
+    lines, m of them in all.  With u = ulp(1) / 2:
 
     - Faces.  A face c - c_0 +- r is within eps = 2 u reach of its place
       about the first point c_0 (reach: r plus the farthest coordinate
@@ -316,30 +283,39 @@ def _cover_allowances(n, dim, lines, r, reach, volume, first) -> tuple[float, fl
       Phi difference within 9 u, and one axis's differences, whose true sum
       is at most 1, within 9 u m_k in all (m_k lines on axis k).
     - Sums.  One dot product of m_k nonnegative terms per axis adds at most
-      m_k u of relative error, lines * u in all.
+      m_k u of relative error, m u in all.
 
-    So the volume is within placement + (lines + d) u V and the Gaussian
-    measure within placement' + (10 lines + d) u; both are doubled for the
+    So the volume is within placement + (m + d) u V and the Gaussian
+    measure within placement' + (10 m + d) u; both are doubled for the
     rounding of these expressions.
     """
+    n, dim = pts.shape
     ulp = math.ulp(1.0)
+    reach = float(np.abs(pts - pts[0]).max()) + r
     eps = ulp * reach
-    eps_g = eps + ulp * (reach + float(np.abs(first).max()))
+    eps_g = eps + ulp * (reach + float(np.abs(pts[0]).max()))
     with np.errstate(over="ignore"):
         side = float(np.float64(2.0 * r + 2.0 * eps) ** (dim - 1))
-    e_volume = 2.0 * (n * 4.0 * dim * eps * side + ulp * (lines + dim) * volume)
+    m = sum(map(len, lines))
+    e_volume = 2.0 * (n * 4.0 * dim * eps * side + ulp * (m + dim) * volume)
     placement = n * 4.0 * dim * eps_g / math.sqrt(2.0 * math.pi)
-    e_gaussian = 2.0 * (placement + 5.0 * ulp * (lines + dim))
+    e_gaussian = 2.0 * (placement + 5.0 * ulp * (m + dim))
     return e_volume, e_gaussian
 
 
 def _exact_volume(base, norm: NormKind, rho: float) -> tuple[float, float]:
     """(volume, rounding allowance) of the rho-parallel set where it is exact:
-    a planar area of either norm, or an L-inf cube union in any dimension."""
-    if base.dim == 2:
-        return _planar_area(base, norm, rho)
-    volume, _ = cube_union_measures(base, rho)
-    return volume.value, volume.std_error
+    a planar disk union, or an L-inf cube union in any dimension, the latter
+    cube_union_measures' volume to the bit without its Gaussian measure."""
+    if norm is NormKind.L2:
+        return _planar_area(base, rho)
+    rho, pts, lines, slabs = _cube_cover(base, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (volume,) = _contract(slabs, [lines])
+    allowance = _cover_allowances(pts, rho, lines, volume)[0]
+    if not (math.isfinite(volume) and math.isfinite(allowance)):
+        raise RangeOverflowError(f"the volume of the {rho:g}-parallel set exceeds double range")
+    return volume, allowance
 
 
 def kneser_is_exact(dim: int, norm: NormKind) -> bool:
@@ -353,9 +329,9 @@ def kneser_shell_check(
 ) -> BoundReport:
     """Shell-scaling check: vol(shell a..b scaled by t) <= t^d vol(shell a..b).
 
-    Where the volumes are exact, in the plane (exact2d.union_boundary) and
-    under L-inf in every other dimension (cube_union_measures), both shells
-    are differences of them at a, b, ta and tb; std_error is their summed
+    Where the volumes are exact, under L-inf in every dimension (the cover
+    volumes of cube_union_measures) and for planar disks (exact2d), both
+    shells are differences of them at a, b, ta and tb; std_error is their summed
     rounding allowance, and cfg is not read.  A volume past double range
     raises RangeOverflowError, and so does a cube grid past the cover's
     budget InvalidArgumentError.  L2 shells off the plane are band counts on

@@ -202,7 +202,7 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
 
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
     """Shell scaling inequality over random configurations and scale factors:
-    exact areas for the 2-d ones, exact cube-union volumes for the 3-d L-inf
+    exact cube-union volumes for the L-inf ones, exact areas for the 2-d L2
     ones, band counts of kneser_samples draws for the 3-d L2 ones."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
 

@@ -576,6 +576,18 @@ def test_mc_kneser_linf_past_the_cover_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error: the L-inf cover of 8 cubes in 8-d needs ") and err.count("\n") == 1
 
 
+def test_exact2d_square_past_the_cover_budget_exits_2(tmp_path, capsys):
+    # 4097 squares in general position make a grid of 8194^2 cells, past the
+    # cover's 2^26; the square boundary has no other path
+    import numpy as np
+
+    path = tmp_path / "centers.json"
+    path.write_text(json.dumps(np.random.default_rng(6).uniform(-50, 50, (4097, 2)).tolist()))
+    assert main(["exact2d", "--shape", "square", "--centers", str(path), "--radius", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the L-inf cover of 4097 cubes in 2-d needs 67141636 ") and err.count("\n") == 1
+
+
 def test_mc_angle_workers_do_not_change_output(tmp_path):
     spec = tmp_path / "spec.json"
     # 2-d and 3-d are exact; from 4-d up the directions are drawn in chunks

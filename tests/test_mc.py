@@ -31,7 +31,7 @@ from parset import (
     mc_volume,
     mc_volume_and_shell,
 )
-from parset import Verdict, exact2d
+from parset import Verdict, _kernels, exact2d
 from parset._kernels import min_dist
 from parset._rng import CHUNK, chunk_generator, map_reduce_chunks, uniform_in_ball
 from parset.bounds import BoundReport
@@ -41,6 +41,7 @@ from parset.mc import (
     cap_solid_angle_fractions,
     central_cap_fraction,
 )
+from test_exact2d import square_allowances
 
 
 def spec_point(dim, norm=NormKind.L2, radius=1.0):
@@ -248,7 +249,7 @@ def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
     # the same equality case with one area raised by 1e-9 of itself must FAIL
     import parset.mc as mcmod
 
-    exact = mcmod._planar_area
+    exact = mcmod._exact_volume
     calls = []
 
     def bumped(base, norm, rho):
@@ -256,7 +257,7 @@ def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
         calls.append(rho)
         return area * (1.0 + 1e-9) if len(calls) == 1 else area, allowance
 
-    monkeypatch.setattr(mcmod, "_planar_area", bumped)
+    monkeypatch.setattr(mcmod, "_exact_volume", bumped)
     for t in (1.0, 1.2, 2.0):
         calls.clear()
         rep = kneser_shell_check(PointSet([[0.3, -0.7]]), norm, 0.5, 1.0, t, McConfig(samples=1, seed=0))
@@ -266,11 +267,18 @@ def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
 
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_kneser_planar_shells_are_exact_areas(norm):
-    # each side is a difference of union_boundary areas, and cfg is not read
+    # each side is a difference of disk-union areas or of cover volumes, and
+    # cfg is not read
     rng = np.random.default_rng(71)
     base = PointSet(rng.uniform(-1, 1, (5, 2)))
     rep = kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=1, seed=0))
-    area = {rho: exact2d.union_boundary(base, rho, norm).area() for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
+
+    def exact(rho):
+        if norm is NormKind.L2:
+            return exact2d.disk_union_area(base, rho)
+        return cube_union_measures(base, rho)[0].value
+
+    area = {rho: exact(rho) for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
     assert rep.measured == area[1.4 * 0.6] - area[1.4 * 0.3]
     assert rep.bound_value == 1.4**2 * (area[0.6] - area[0.3])
     assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
@@ -362,7 +370,7 @@ def test_planar_area_allowance_covers_the_rounding():
     # instances: the rounding stays below a quarter of the allowance
     import mpmath as mp
 
-    from parset.mc import _planar_area
+    from parset.mc import _exact_volume
 
     rng = np.random.default_rng(79)
     cases = [(rng.uniform(-1, 1, (int(rng.integers(1, 16)), 2)), float(rng.uniform(0.05, 3))) for _ in range(20)]
@@ -376,11 +384,9 @@ def test_planar_area_allowance_covers_the_rounding():
     cases += [(rng.uniform(-1, 1, (5, 2)) + off * rng.standard_normal(2), 0.7) for off in (1e3, 1e6, 1e10)]
     for k, (points, rho) in enumerate(cases):
         base = PointSet(points)
-        area, allowance = _planar_area(base, NormKind.L2, rho)
+        area, allowance = _exact_volume(base, NormKind.L2, rho)
         assert abs(mp.mpf(area) - _mp_disk_area(exact2d.disk_union_boundary(base, rho))) <= allowance / 4, k
-        if rho < 1e-12:
-            continue  # square faces within exact2d._EPS merge: a tolerance, not rounding
-        area, allowance = _planar_area(base, NormKind.LINF, rho)
+        area, allowance = _exact_volume(base, NormKind.LINF, rho)
         assert abs(Fraction(area) - _fraction_square_area(points, rho)) <= allowance / 4, k
 
 
@@ -431,21 +437,34 @@ def _cover_cases(rng, dims, max_points):
     return cases
 
 
-def test_cover_volume_matches_exact_inclusion_exclusion():
+def _cover_in_slabs(monkeypatch, points, rho):
+    """cube_union_measures in the cover's own slabs, in slabs of one
+    first-axis row, and in slabs of 40 cells (several rows in 1-d and in small
+    planar grids), which must all give the same bits."""
+    results = []
+    for slab_cells in (_kernels._COVER_SLAB_CELLS, 1, 40):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_COVER_SLAB_CELLS", slab_cells)
+            results.append(cube_union_measures(PointSet(points), rho))
+    assert results[1:] == results[:-1]
+    return results[0]
+
+
+def test_cover_volume_matches_exact_inclusion_exclusion(monkeypatch):
     rng = np.random.default_rng(81)
     for k, (points, rho) in enumerate(_cover_cases(rng, (1, 2, 3, 4), 6)):
-        volume, _ = cube_union_measures(PointSet(points), rho)
+        volume, _ = _cover_in_slabs(monkeypatch, points, rho)
         exact = _fraction_cube_union_volume(points, rho)
         assert abs(Fraction(volume.value) - exact) <= volume.std_error / 4, k
         assert volume.samples_used == 0
 
 
-def test_cover_gaussian_matches_mpmath_inclusion_exclusion():
+def test_cover_gaussian_matches_mpmath_inclusion_exclusion(monkeypatch):
     import mpmath as mp
 
     rng = np.random.default_rng(83)
     for k, (points, rho) in enumerate(_cover_cases(rng, (1, 2, 3), 4)):
-        _, gauss = cube_union_measures(PointSet(points * 1.5), rho)
+        _, gauss = _cover_in_slabs(monkeypatch, points * 1.5, rho)
         assert abs(mp.mpf(gauss.value) - _mp_cube_union_gaussian(points * 1.5, rho)) <= gauss.std_error / 4, k
         assert gauss.samples_used == 0
 
@@ -464,7 +483,7 @@ def test_cover_gaussian_of_one_cube_is_the_product(dim):
 
 
 def test_cover_matches_the_planar_square_areas():
-    from parset.mc import _planar_area
+    from parset.mc import _exact_volume
 
     rng = np.random.default_rng(87)
     for k in range(300):
@@ -473,32 +492,52 @@ def test_cover_matches_the_planar_square_areas():
         if k % 3 == 0:  # tangent and coincident faces
             points, rho = np.round(points * 4) / 4, 0.125 * int(rng.integers(1, 6))
         volume, _ = cube_union_measures(PointSet(points), rho)
-        area, allowance = _planar_area(PointSet(points), NormKind.LINF, rho)
-        assert abs(volume.value - area) <= volume.std_error + allowance, k
+        boundary = exact2d.square_union_boundary(PointSet(points), rho)
+        allowance = square_allowances(boundary, points, rho)[0]
+        assert abs(volume.value - boundary.area()) <= volume.std_error + allowance, k
 
 
 def test_cover_keeps_faces_apart_at_tiny_radii():
-    # exact2d.square_union_boundary merges these two squares' faces within
-    # its absolute _EPS and halves the area; the cover decides on indices
-    volume, _ = cube_union_measures(PointSet([[0.0, 0.0], [3e-13, 0.0]]), 1e-13)
+    # a face sweep that merged faces within an absolute 1e-12 halved these
+    # measures; the cover decides on indices
+    points = np.array([[0.0, 0.0], [3e-13, 0.0]])
+    volume, _ = cube_union_measures(PointSet(points), 1e-13)
     assert abs(volume.value - 8e-26) <= volume.std_error
+    boundary = exact2d.square_union_boundary(PointSet(points), 1e-13)
+    e_area, e_perimeter = square_allowances(boundary, points, 1e-13)
+    assert abs(exact2d.square_union_area(PointSet(points), 1e-13) - 8e-26) <= e_area
+    assert abs(exact2d.square_union_perimeter(PointSet(points), 1e-13) - 1.6e-12) <= e_perimeter
 
 
-def test_cover_volume_is_translation_exact():
+def test_cover_volume_is_translation_exact(monkeypatch):
     # dyadic coordinates, so the translated points are exact
     rng = np.random.default_rng(89)
     for dim in (2, 3, 4):
         points = rng.integers(-64, 64, (6, dim)) / 64.0
-        base, _ = cube_union_measures(PointSet(points), 0.3)
+        base, _ = _cover_in_slabs(monkeypatch, points, 0.3)
         for offset in (1.0, -3.0 * 2**20, 2.0**40):
-            moved, _ = cube_union_measures(PointSet(points + offset), 0.3)
+            moved, _ = _cover_in_slabs(monkeypatch, points + offset, 0.3)
             assert moved == base, (dim, offset)
+
+
+def test_cover_past_the_old_grid_cap_holds_one_slab():
+    # 130 cubes in 3-d make 260^3 = 17.6M cells, past the 2^22 an unstreamed
+    # count array was capped at (141 MB of float64); a slab is 3 rows of 260^2
+    import tracemalloc
+
+    points = PointSet(np.random.default_rng(97).uniform(-1, 1, (130, 3)))
+    tracemalloc.start()
+    try:
+        volume, gauss = cube_union_measures(points, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert 0.0 < volume.value <= 130 * 0.2**3 and 0.0 < gauss.value < 1.0
 
 
 def test_cover_past_its_budget_raises_before_allocating(monkeypatch):
     import tracemalloc
-
-    import parset.mc as mcmod
 
     points = PointSet(np.random.default_rng(91).uniform(-1, 1, (64, 4)))
     tracemalloc.start()
@@ -512,9 +551,9 @@ def test_cover_past_its_budget_raises_before_allocating(monkeypatch):
     # the budget counts the grid's vertices: 4 squares in general position
     # make 8 x 8 of them
     squares = PointSet([[0.0, 0.0], [0.3, 0.1], [0.7, 0.45], [1.1, 0.8]])
-    monkeypatch.setattr(mcmod, "_COVER_MAX_CELLS", 64)
+    monkeypatch.setattr(_kernels, "_COVER_MAX_CELLS", 64)
     cube_union_measures(squares, 0.5)
-    monkeypatch.setattr(mcmod, "_COVER_MAX_CELLS", 63)
+    monkeypatch.setattr(_kernels, "_COVER_MAX_CELLS", 63)
     with pytest.raises(InvalidArgumentError, match="needs 64 grid cells"):
         cube_union_measures(squares, 0.5)
 
@@ -544,17 +583,15 @@ def test_kneser_linf_allowance_catches_a_1e9_bump(monkeypatch, dim):
     # the equality case with the outer volume raised by 1e-9 of itself FAILs
     import parset.mc as mcmod
 
-    exact = mcmod.cube_union_measures
+    exact = mcmod._exact_volume
     calls = []
 
-    def bumped(base, rho):
-        volume, gauss = exact(base, rho)
+    def bumped(base, norm, rho):
+        volume, allowance = exact(base, norm, rho)
         calls.append(rho)
-        if len(calls) == 1:
-            volume = MeasureEstimate(volume.value * (1.0 + 1e-9), volume.std_error, 0)
-        return volume, gauss
+        return volume * (1.0 + 1e-9) if len(calls) == 1 else volume, allowance
 
-    monkeypatch.setattr(mcmod, "cube_union_measures", bumped)
+    monkeypatch.setattr(mcmod, "_exact_volume", bumped)
     for t in (1.0, 1.2, 2.0):
         calls.clear()
         point = PointSet([np.linspace(-0.7, 0.4, dim)])
