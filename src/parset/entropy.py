@@ -16,8 +16,10 @@ log w_j - |x - a_j|^2 / (2 var) column-major, one contiguous column per
 atom j, with squared distances summed one coordinate at a time.  Their
 log-sum-exp over the atoms, _row_logsumexp, follows
 scipy.special.logsumexp step for step (a test pins the two equal): the max
-and the tie count go column by column, and the exp sum reproduces numpy's
-pairwise order for a row of k numbers (_pairwise_sum).
+and the tie count go column by column, the tied terms leave the exp sum by
+subtraction, and the sum reproduces numpy's pairwise order for a row of k
+numbers (_pairwise_sum).  Samples come from _rng.atom_rows, which counts or
+binary-searches the atoms by their number, to the same rows.
 """
 
 from __future__ import annotations
@@ -90,19 +92,24 @@ def _pairwise_sum(e: np.ndarray) -> np.ndarray:
     and then the k % 8 rows left over in order; above 128, as the sums of the
     two parts split at the multiple of 8 at or below k / 2.  numpy starts
     from 0.0, which changes no sum of non-negative terms, so that is left out.
+    The sums run in place in e's rows, so e is overwritten, and the result is
+    one of its rows.
     """
     k = len(e)
     if k > 128:
         half = k // 2 - k // 2 % 8
-        return _pairwise_sum(e[:half]) + _pairwise_sum(e[half:])
+        total = _pairwise_sum(e[:half])
+        total += _pairwise_sum(e[half:])
+        return total
     if k < 8:
-        total, rest = e[0].copy(), e[1:]
+        total, rest = e[0], e[1:]
     else:
-        r = e[:8].copy()
+        r = e[:8]
         for i in range(8, k - k % 8, 8):
             r += e[i : i + 8]
         while len(r) > 1:
-            r = r[0::2] + r[1::2]
+            r[0::2] += r[1::2]
+            r = r[0::2]
         total, rest = r[0], e[k - k % 8 :]
     for row in rest:
         total += row
@@ -116,20 +123,37 @@ def _row_logsumexp(t: np.ndarray) -> np.ndarray:
     The m entries tied at the max leave the sum, the rest give s, and the
     result is log1p(s / m) + log(m) + max, with s summed in numpy's pairwise
     order (_pairwise_sum).  Where s == 0, s / m is s again, so scipy's guard
-    on that division is left out.  scipy sets the tied terms to -inf before
-    the shift, so an all -inf row turns to NaN there and takes its fallback,
-    log(sum(exp(t))).  Zeroing their exp after the shift gives that row's
-    -inf directly, and rows holding +inf or NaN come out as inf or NaN either
-    way, so the fallback is left out too.
+    on that division is left out.  A tied term's exp(t - max) is exp(0) = 1
+    exactly, so subtracting the tie mask removes it.  Where no column has a
+    second tie, every m is 1, and dividing by 1 and adding log(1) = +0 to
+    log1p(s) >= +0 change no bit, so both are skipped.
+
+    scipy sets the tied terms to -inf before the shift, so an all -inf
+    column turns to NaN there and takes its fallback, log(sum(exp(t))),
+    which is -inf.  A column whose max is +inf comes out as +inf there.  The
+    shift makes NaN of both here, so the columns with an infinite max are
+    set to that max; a column holding NaN gives NaN either way, so the
+    fallback is left out.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         top = t.max(axis=0)
         tied = t == top
-        m = np.count_nonzero(tied, axis=0)
+        # below 256 atoms the counts fit a uint8 sum, several times cheaper
+        m = tied.sum(axis=0, dtype=np.uint8 if len(t) < 256 else np.intp)
         e = t - top
         np.exp(e, out=e)
-        e[tied] = 0.0
-        return np.log1p(_pairwise_sum(e) / m) + np.log(m) + top
+        e -= tied
+        s = _pairwise_sum(e)
+        if (m == 1).all():
+            lse = np.log1p(s, out=s)
+        else:
+            s /= m
+            lse = np.log1p(s, out=s) + np.log(m, dtype=np.float64)
+        lse += top
+        inf = np.isinf(top)
+        if inf.any():
+            lse[inf] = top[inf]
+        return lse
 
 
 def _mixture_blocks(gm: GaussianMixture, x: np.ndarray):
@@ -157,7 +181,8 @@ def _log_density(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     out = np.empty(len(x))
     for rows, _, _, lse in _mixture_blocks(gm, x):
         out[rows] = lse
-    return out - 0.5 * gm.dim * math.log(2.0 * math.pi * gm.variance)
+    out -= 0.5 * gm.dim * math.log(2.0 * math.pi * gm.variance)
+    return out
 
 
 def mixture_density(gm: GaussianMixture, x) -> float | np.ndarray:
@@ -194,7 +219,10 @@ def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianM
 
 def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.ndarray:
     rows = atom_rows(g, gm.atoms, gm.weights, n)  # the uniforms first, then the noise
-    return rows + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
+    noise = g.standard_normal((n, gm.dim))
+    noise *= math.sqrt(gm.variance)
+    rows += noise
+    return rows
 
 
 def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[tuple[float, float]]:
@@ -367,17 +395,30 @@ def pointwise_lemma_check(a, b, r: float) -> bool:
 
 def _score_batch(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of log density: responsibility-weighted (atom - x) / variance,
-    summed over the atoms in order, one coordinate at a time."""
+    summed over the atoms in order, one coordinate at a time, in two scratch
+    rows a block."""
     out = np.empty(x.shape)
     for rows, xt, resp, lse in _mixture_blocks(gm, x):
         resp -= lse
         np.exp(resp, out=resp)
+        acc, term = np.empty((2, len(lse)))
         for c in range(gm.dim):
-            acc = resp[0] * (gm.atoms[0, c] - xt[c])
+            np.subtract(gm.atoms[0, c], xt[c], out=acc)
+            acc *= resp[0]
             for j in range(1, len(resp)):
-                acc += resp[j] * (gm.atoms[j, c] - xt[c])
+                np.subtract(gm.atoms[j, c], xt[c], out=term)
+                term *= resp[j]
+                acc += term
             out[rows, c] = acc
-    return out / gm.variance
+    out /= gm.variance
+    return out
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """(v ** 2).sum(axis=1) of the (n, d) batch v, to the bit: numpy sums
+    each short row in its pairwise order, which _pairwise_sum takes over the
+    d coordinate rows at once."""
+    return _pairwise_sum(np.square(v).T)
 
 
 def fisher_information_mc(
@@ -386,7 +427,7 @@ def fisher_information_mc(
     """Mean squared score norm; for smoothed variables this never exceeds d/var."""
 
     def chunk(g, m):
-        return ((_score_batch(gm, _sample_mixture(gm, g, m)) ** 2).sum(axis=1),)
+        return (_squared_norms(_score_batch(gm, _sample_mixture(gm, g, m))),)
 
     ((mean, se),) = _moment_means(seed, n, workers, chunk)
     return EntropyEstimate(mean, se, EntropyMethod.MC)
@@ -461,7 +502,7 @@ def de_bruijn_check(
         v_plus = -_log_density(gm_plus, base + eps * math.sqrt(t0 + dt))
         v_minus = -_log_density(gm_minus, base + eps * math.sqrt(t0 - dt))
         fd = (v_plus - v_minus) / (2.0 * dt)
-        s2 = (_score_batch(gm_mid, base + eps * math.sqrt(t0)) ** 2).sum(axis=1)
+        s2 = _squared_norms(_score_batch(gm_mid, base + eps * math.sqrt(t0)))
         return fd, s2
 
     (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, workers, chunk)

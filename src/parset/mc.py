@@ -325,19 +325,22 @@ def kneser_is_exact(dim: int, norm: NormKind) -> bool:
 
 
 def kneser_shell_check(
-    base, norm: NormKind, a_k: float, b_k: float, t: float, cfg: McConfig
+    base, norm: NormKind, a_k: float, b_k: float, t: float, cfg: McConfig,
+    volumes: dict | None = None,
 ) -> BoundReport:
     """Shell-scaling check: vol(shell a..b scaled by t) <= t^d vol(shell a..b).
 
     Where the volumes are exact, under L-inf in every dimension (the cover
     volumes of cube_union_measures) and for planar disks (exact2d), both
     shells are differences of them at a, b, ta and tb; std_error is their summed
-    rounding allowance, and cfg is not read.  A volume past double range
-    raises RangeOverflowError, and so does a cube grid past the cover's
-    budget InvalidArgumentError.  L2 shells off the plane are band counts on
-    one common sample stream over the box of the largest dilation, so the
-    two estimates are positively correlated and the comparison is sharp even
-    at modest sample counts.
+    rounding allowance, and cfg is not read.  volumes, if given, maps radius
+    to (volume, allowance) for this base and norm; calls that pass one dict
+    compute each radius once (a sweep over t meets a and b in every call).
+    A volume past double range raises RangeOverflowError, and so does a cube
+    grid past the cover's budget InvalidArgumentError.  L2 shells off the
+    plane are band counts on one common sample stream over the box of the
+    largest dilation, so the two estimates are positively correlated and the
+    comparison is sharp even at modest sample counts.
     """
     if not (0.0 < a_k <= b_k < math.inf):
         raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
@@ -346,8 +349,16 @@ def kneser_shell_check(
     if math.isinf(t * b_k):
         raise RangeOverflowError("t * b_k exceeds double range")
     if kneser_is_exact(base.dim, norm):
+
+        def volume(rho):
+            if volumes is None:
+                return _exact_volume(base, norm, rho)
+            if rho not in volumes:
+                volumes[rho] = _exact_volume(base, norm, rho)
+            return volumes[rho]
+
         (outer, e_outer), (inner, e_inner), (big, e_big), (small, e_small) = (
-            _exact_volume(base, norm, rho) for rho in (t * b_k, t * a_k, b_k, a_k)
+            volume(rho) for rho in (t * b_k, t * a_k, b_k, a_k)
         )
         scale = _checked_power(t, base.dim)
         measured, bound = outer - inner, scale * (big - small)

@@ -203,7 +203,9 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
     """Shell scaling inequality over random configurations and scale factors:
     exact cube-union volumes for the L-inf ones, exact areas for the 2-d L2
-    ones, band counts of kneser_samples draws for the 3-d L2 ones."""
+    ones, band counts of kneser_samples draws for the 3-d L2 ones.  A
+    configuration's three scale factors share its exact volumes, seven radii
+    in all."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
 
     def excesses():
@@ -211,13 +213,16 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
             dim = 2 if k % 2 == 0 else 3
             centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim))
             norm = NormKind.L2 if k % 3 else NormKind.LINF
+            volumes = {}  # the exact volumes of this configuration, by radius
             for t in (1.2, 1.5, 2.0):
                 cfg = McConfig(
                     samples=prof.kneser_samples,
                     seed=derive_seed(seed, "kneser", k, t),
                     workers=prof.workers,
                 )
-                rep = mcmod.kneser_shell_check(centers, norm, a_k=0.5, b_k=1.0, t=t, cfg=cfg)
+                rep = mcmod.kneser_shell_check(
+                    centers, norm, a_k=0.5, b_k=1.0, t=t, cfg=cfg, volumes=volumes
+                )
                 yield rep.measured - 4.0 * rep.std_error - rep.bound_value
 
     return [BoundReport.sweep("kneser-shell-sweep", 0.0, excesses())]

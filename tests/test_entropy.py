@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,8 +23,9 @@ from parset import (
     pointwise_lemma_check,
     reverse_epi_check,
 )
-from parset._rng import CHUNK, map_reduce_chunks
+from parset._rng import _COUNT_MAX_ATOMS, CHUNK, atom_rows, map_reduce_chunks
 from parset.bounds import BoundReport
+from parset.cli import main
 from parset import entropy
 from parset.entropy import (
     EntropyEstimate,
@@ -598,6 +601,92 @@ def test_moment_core_matches_reference_estimators():
             ) == reference_de_bruijn_check(atoms, weights, t0, 1e-3, n, seed)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moment_core_matches_reference_past_the_count_split(dim):
+    # the reference draws every atom by binary search; at _COUNT_MAX_ATOMS
+    # atoms the sampler counts, one past it it searches too
+    n = CHUNK + 2345
+    rng = np.random.default_rng(28 + dim)
+    for k in (_COUNT_MAX_ATOMS, _COUNT_MAX_ATOMS + 1):
+        gm = _random_mixture(rng, k, dim)
+        seed = int(rng.integers(1 << 32))
+        assert entropy_mc(gm, n, seed) == reference_entropy_mc(gm, n, seed)
+        assert fisher_information_mc(gm, n, seed) == reference_fisher_information_mc(gm, n, seed)
+        assert de_bruijn_check(
+            gm.atoms, gm.weights, 0.7, 1e-3, n, seed
+        ) == reference_de_bruijn_check(gm.atoms, gm.weights, 0.7, 1e-3, n, seed)
+
+
+class _Uniforms:
+    """A generator stub whose random(n) hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def _normalized(w):
+    return w / w.sum()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.ones(1),
+        # ten weights of 0.1 add up to 0.9999999999999999, below 1, so the
+        # top uniforms pass every threshold and the last row is the clip
+        np.full(10, 0.1),
+        np.full(_COUNT_MAX_ATOMS, 1.0 / _COUNT_MAX_ATOMS),
+        np.full(_COUNT_MAX_ATOMS + 1, 1.0 / (_COUNT_MAX_ATOMS + 1)),
+        _normalized(np.random.default_rng(27).random(_COUNT_MAX_ATOMS) + 0.1),
+        _normalized(np.random.default_rng(27).random(1000) + 0.1),
+    ],
+    ids=lambda w: f"k{len(w)}",
+)
+def test_atom_rows_is_searchsorted_to_the_row(weights):
+    # u on every cumulative weight and one ulp to either side, the ends of
+    # [0, 1), and the uniforms of a real stream
+    cw = np.cumsum(weights)
+    u = np.concatenate([cw, np.nextafter(cw, 0.0), np.nextafter(cw, 1.0)])
+    u = np.concatenate([u[(0.0 <= u) & (u < 1.0)], [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([u, np.random.default_rng(len(cw)).random(5000)])
+    atoms = np.arange(len(cw), dtype=np.float64)[:, None] * [1.0, -1.0]
+    want = np.take(atoms, np.searchsorted(cw, u, side="right").clip(0, len(cw) - 1), axis=0)
+    got = atom_rows(_Uniforms(u), atoms, weights, len(u))
+    assert np.array_equal(got, want)
+    if len(cw) == 10:
+        assert cw[-1] < 1.0 and (u >= cw[-1]).any()  # the clip is reached
+
+
+# sha256 of what `parset epi` writes for two fixed 2-d mixtures of 70 and 3
+# atoms (so the sum's 210 and the 70 are drawn past _COUNT_MAX_ATOMS, the 3
+# below it) at seed 11 and 70000 samples, taken with these numpy and scipy
+# versions; it pins the sampler, the log-density kernel and the moment sums
+_EPI_SHA256 = "188888a197b5a9e74530349e5ab320210cd1b2fa723c550f787510a85e750af1"
+_EPI_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_epi_digest_is_pinned(tmp_path):
+    import scipy
+
+    have = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if have != _EPI_VERSIONS:
+        pytest.skip(f"digest taken with {_EPI_VERSIONS}, running with {have}")
+    rng = np.random.default_rng(2800)
+    for side, k in (("x", 70), ("y", 3)):
+        w = rng.random(k) + 0.1
+        mixture = {"atoms": rng.uniform(-3.0, 3.0, (k, 2)).tolist(), "weights": (w / w.sum()).tolist()}
+        (tmp_path / f"{side}.json").write_text(json.dumps(mixture))
+    out = tmp_path / "epi.json"
+    assert main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+                 "--smoothing", "0.5", "--samples", "70000", "--seed", "11",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _EPI_SHA256
+
+
 # The log-density and score as they were before they shared the mixture
 # kernel, kept verbatim as the reference for it.
 
@@ -699,6 +788,25 @@ def _lse_rows():
         t[::11, -1] = -inf
         t[::13] = t[::13, :1]  # all-equal rows
         yield t
+    yield rng.normal(0.0, 20.0, (500, 1))
+    # a whole block of 2**17 terms: with no tie every count is 1, so the
+    # division by the counts and their log are skipped; then the same block
+    # with one tie, beside an all -inf row, and with a +inf maximum
+    t = rng.normal(0.0, 1.0, (entropy._BLOCK_TERMS // 4, 4))
+    assert ((t == t.max(axis=1, keepdims=True)).sum(axis=1) == 1).all()
+    yield t
+    tied = t.copy()
+    tied[5, 2] = tied[5].max()
+    yield tied
+    yield np.where(np.arange(len(t))[:, None] == 7, -inf, t)
+    big = t.copy()
+    big[9, 1] = inf
+    yield big
+    # past 255 atoms the counts leave uint8, which 300 ties would wrap
+    t = rng.normal(0.0, 1.0, (400, 300))
+    t[::5, 1] = t[::5, 0] = t[::5].max(axis=1)
+    t[::13] = t[::13, :1]
+    yield t
 
 
 @pytest.mark.filterwarnings("error")

@@ -284,6 +284,48 @@ def test_kneser_planar_shells_are_exact_areas(norm):
     assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
 
 
+@pytest.mark.parametrize("norm, dim", [(NormKind.L2, 2), (NormKind.LINF, 2), (NormKind.LINF, 3)])
+def test_kneser_shared_volumes_compute_each_radius_once(monkeypatch, norm, dim):
+    # the suite's sweep, t in (1.2, 1.5, 2) at a = 0.5, b = 1: seven radii,
+    # against twelve volumes for three lone calls, with the same reports
+    import parset.mc as mcmod
+
+    base = PointSet(np.random.default_rng(72).uniform(-1, 1, (4, dim)))
+    cfg = McConfig(samples=1, seed=0)
+    alone = [kneser_shell_check(base, norm, 0.5, 1.0, t, cfg) for t in (1.2, 1.5, 2.0)]
+    exact, radii = mcmod._exact_volume, []
+
+    def counted(base, norm, rho):
+        radii.append(rho)
+        return exact(base, norm, rho)
+
+    monkeypatch.setattr(mcmod, "_exact_volume", counted)
+    volumes = {}
+    shared = [kneser_shell_check(base, norm, 0.5, 1.0, t, cfg, volumes) for t in (1.2, 1.5, 2.0)]
+    assert shared == alone
+    assert sorted(radii) == sorted(volumes) == [0.5, 0.6, 0.75, 1.0, 1.2, 1.5, 2.0]
+
+
+def test_kneser_check_computes_seven_volumes_per_exact_configuration(monkeypatch):
+    # 13 of the check's 20 configurations are exact (every planar one and the
+    # 3-d L-inf ones); each asks for seven radii, not twelve volumes
+    import parset.mc as mcmod
+    from parset import suite
+
+    exact, calls = mcmod._exact_volume, []
+
+    def counted(base, norm, rho):
+        if not calls or calls[-1][0] is not base:
+            calls.append((base, []))
+        calls[-1][1].append(rho)
+        return exact(base, norm, rho)
+
+    monkeypatch.setattr(mcmod, "_exact_volume", counted)
+    suite.check_kneser(0, suite.profile_from_samples(100))
+    assert len(calls) == 13
+    assert all(sorted(radii) == [0.5, 0.6, 0.75, 1.0, 1.2, 1.5, 2.0] for _, radii in calls)
+
+
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_kneser_planar_shells_agree_with_band_counts(norm):
     # on 20 random configurations, each exact shell lies within 4 sigma of a
