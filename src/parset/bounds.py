@@ -1,4 +1,5 @@
-"""Closed-form constants and bound comparisons.
+"""Closed-form constants, bound comparisons, and the one type of measured
+value they compare against, MeasureEstimate (exact where samples_used == 0).
 
 Every formula is evaluated in log space with one final exponentiation; a
 result past double range raises RangeOverflowError instead of returning inf.
@@ -21,6 +22,18 @@ class Verdict(Enum):
     PASS = "pass"
     FAIL = "fail"
     NOT_COMPARED = "not-compared"
+
+
+@dataclass(frozen=True)
+class MeasureEstimate:
+    """A measured value.  With samples_used > 0 it is a Monte Carlo estimate
+    from that many draws and std_error is its standard error; with
+    samples_used == 0 it is exact (a union volume, a quadrature integral, a
+    solid angle) and std_error is its rounding or truncation allowance."""
+
+    value: float
+    std_error: float
+    samples_used: int
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def _cmd_mc(args) -> int:
             dim, cap, trials, args.seed, directions=args.samples, workers=args.workers
         )
         payload = {"worst_deficit": rep.measured}
-        samples = trials * args.samples if dim > 3 else 0  # cap fractions are exact up to 3-d
+        samples = 0 if mcmod.cap_is_exact(dim) else trials * args.samples
     else:
         if args.op == "volume":
             est = mcmod.mc_volume(target, cfg)
@@ -236,7 +236,7 @@ def _cmd_dr(args) -> int:
     mu0, mu1 = _load_measure(args.mu0), _load_measure(args.mu1)
     # uniform measures of equal counts take the matching, all others the exact flow
     equal_counts = len(mu0.points) == len(mu1.points)
-    if equal_counts and all(m.weights.min() == m.weights.max() for m in (mu0, mu1)):
+    if equal_counts and mu0.is_uniform and mu1.is_uniform:
         result = tp.d_r_uniform(mu0.points, mu1.points, args.radius)
     else:
         result = tp.d_r_weighted(mu0, mu1, args.radius)

@@ -8,8 +8,10 @@ In 1-d, entropy, Fisher information and the de Bruijn slope are integrals
 on one composite-Simpson grid (_simpson) with a step of at most 1/16 sd,
 sized to the mixture; a mixture whose window would need more than
 _MAX_POINTS points, and every mixture of dim >= 2, goes to Monte Carlo.
-Every Monte Carlo estimate here is a mean of per-sample values with its
-standard error, taken by one chunked reduction, _moment_means.
+Every estimate is a bounds.MeasureEstimate: a quadrature value is exact
+(samples_used 0, std_error its rounding and tail allowance), a Monte Carlo
+one the mean of n per-sample values with its standard error, all taken by
+one chunked reduction, _moment_means.
 The log-density and the score share one kernel, _mixture_blocks.  It takes
 a batch in blocks of _BLOCK_TERMS // k rows and holds a block's log terms
 log w_j - |x - a_j|^2 / (2 var) column-major, one contiguous column per
@@ -26,19 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ._rng import atom_rows, map_reduce_chunks
-from .bounds import BoundReport, reverse_epi_constant
+from .bounds import BoundReport, MeasureEstimate, reverse_epi_constant
 from .errors import InvalidArgumentError
 from .geometry import group_rows, positive_real
-
-
-class EntropyMethod(Enum):
-    MC = "mc"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.atoms.shape[1]
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    value: float
-    std_error: float
-    method: EntropyMethod
 
 
 # log terms the mixture kernel takes at once: a block is _BLOCK_TERMS // k
@@ -225,27 +214,23 @@ def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.n
     return rows
 
 
-def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[tuple[float, float]]:
-    """(mean, std error) of each per-sample array that chunk_fn(g, m) returns;
-    sums of v and v * v add in chunk order, so workers do not change them."""
+def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[MeasureEstimate]:
+    """The mean of each per-sample array that chunk_fn(g, m) returns, over n
+    samples, with its standard error; sums of v and v * v add in chunk
+    order, so workers do not change them."""
 
     def chunk(g, m):
         return tuple(s for v in chunk_fn(g, m) for s in (float(v.sum()), float((v * v).sum())))
 
     sums = map_reduce_chunks(seed, n, workers, chunk)
-    out = []
-    for s1, s2 in zip(sums[::2], sums[1::2]):
-        mean = s1 / n
-        out.append((mean, math.sqrt(max(s2 / n - mean * mean, 0.0) / n)))
-    return out
+    moments = [(s1 / n, s2 / n) for s1, s2 in zip(sums[::2], sums[1::2])]
+    return [MeasureEstimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n) for m1, m2 in moments]
 
 
-def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: int = 1) -> EntropyEstimate:
+def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: int = 1) -> MeasureEstimate:
     """Unbiased estimator: mean of -log p over samples of the mixture."""
-    ((mean, se),) = _moment_means(
-        seed, n, workers, lambda g, m: (-_log_density(gm, _sample_mixture(gm, g, m)),)
-    )
-    return EntropyEstimate(mean, se, EntropyMethod.MC)
+    chunk = lambda g, m: (-_log_density(gm, _sample_mixture(gm, g, m)),)
+    return _moment_means(seed, n, workers, chunk)[0]
 
 
 # standard deviations the quadrature window reaches past the extreme atoms
@@ -270,9 +255,11 @@ def _uses_quadrature(gm: GaussianMixture) -> bool:
     return gm.dim == 1 and _window_sd(gm) <= (_MAX_POINTS - 1) * _STEP_SD
 
 
-def _simpson(gm: GaussianMixture, integrand) -> tuple[float, float]:
-    """Composite-Simpson integral of integrand(x, p) on the 1-d grid, with a
-    bound on the floating-point error of its sum (n eps sum |w_i f_i|).
+def _simpson(gm: GaussianMixture, integrand, tail_bound: float) -> MeasureEstimate:
+    """Composite-Simpson integral of integrand(x, p) on the 1-d grid, exact
+    (samples_used 0), its std_error a bound on the floating-point error of
+    the sum (n eps sum |w_i f_i|) plus tail_bound, the caller's bound on the
+    integral past the window.
 
     x is the (n, 1) grid and p the mixture density on it.  The window extends
     _GRID_SPAN standard deviations past the extreme atoms.  It is cut into
@@ -299,27 +286,25 @@ def _simpson(gm: GaussianMixture, integrand) -> tuple[float, float]:
     terms *= integrand(x, mixture_density(gm, x))
     scale = (hi - lo) / intervals / 3.0
     rounding = len(terms) * math.ulp(1.0) * scale * float(np.abs(terms).sum())
-    return scale * float(terms.sum()), rounding
+    return MeasureEstimate(scale * float(terms.sum()), rounding + tail_bound, 0)
 
 
-def entropy_quadrature(gm: GaussianMixture) -> EntropyEstimate:
+def entropy_quadrature(gm: GaussianMixture) -> MeasureEstimate:
     """Composite-Simpson integral of -p log p on the 1-d grid (_simpson).
 
-    The reported std_error bounds the sum's rounding plus, crudely, the
-    truncated tails (mass 2*Phi(-span) times a log-density bound).
+    Its truncated tails are bounded, crudely, by their mass 2*Phi(-span)
+    times a log-density bound.
     """
     from scipy.special import xlogy
 
-    value, rounding = _simpson(gm, lambda x, p: -xlogy(p, p))
     tail_mass = math.erfc(_GRID_SPAN / math.sqrt(2.0))
     log_p_at_edge = 0.5 * _GRID_SPAN**2 + 0.5 * math.log(2.0 * math.pi * gm.variance) + abs(
         math.log(gm.weights.min())
     )
-    tail_bound = tail_mass * (log_p_at_edge + 1.0)
-    return EntropyEstimate(value, rounding + tail_bound, EntropyMethod.QUADRATURE)
+    return _simpson(gm, lambda x, p: -xlogy(p, p), tail_mass * (log_p_at_edge + 1.0))
 
 
-def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> EntropyEstimate:
+def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> MeasureEstimate:
     """Quadrature for 1-d mixtures its grid resolves, Monte Carlo otherwise."""
     if _uses_quadrature(gm):
         return entropy_quadrature(gm)
@@ -347,7 +332,7 @@ def reverse_epi_check(
 
 def _reverse_epi(
     gm_x: GaussianMixture, gm_y: GaussianMixture, n: int, seed: int, workers: int = 1
-) -> tuple[BoundReport, EntropyEstimate, EntropyEstimate]:
+) -> tuple[BoundReport, MeasureEstimate, MeasureEstimate]:
     """The reverse-EPI report for two mixtures of one variance r, plus the
     estimates of h(X) and h(Y) that it used.  ``workers`` threads share the
     Monte Carlo chunks; the estimates do not depend on it."""
@@ -423,32 +408,30 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
 
 def fisher_information_mc(
     gm: GaussianMixture, n: int = 200_000, seed: int = 0, workers: int = 1
-) -> EntropyEstimate:
+) -> MeasureEstimate:
     """Mean squared score norm; for smoothed variables this never exceeds d/var."""
 
     def chunk(g, m):
         return (_squared_norms(_score_batch(gm, _sample_mixture(gm, g, m))),)
 
-    ((mean, se),) = _moment_means(seed, n, workers, chunk)
-    return EntropyEstimate(mean, se, EntropyMethod.MC)
+    return _moment_means(seed, n, workers, chunk)[0]
 
 
-def fisher_information_quadrature(gm: GaussianMixture) -> EntropyEstimate:
+def fisher_information_quadrature(gm: GaussianMixture) -> MeasureEstimate:
     """J = integral of p s^2, with s the score, on the 1-d grid (_simpson).
 
-    The reported std_error bounds the sum's rounding plus the truncated
-    tails: past the window p s^2 <= phi(z) (z + spread/sd)^2 / var, with z
-    the distance from the nearer extreme atom in standard deviations.
+    Past the window p s^2 <= phi(z) (z + spread/sd)^2 / var, with z the
+    distance from the nearer extreme atom in standard deviations, which
+    bounds the truncated tails.
     """
-    value, rounding = _simpson(gm, lambda x, p: p * _score_batch(gm, x)[:, 0] ** 2)
     c, s = _GRID_SPAN, float(gm.atoms.max() - gm.atoms.min()) / math.sqrt(gm.variance)
     phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
     q = 0.5 * math.erfc(c / math.sqrt(2.0))
     tail_bound = 2.0 / gm.variance * ((c + 2.0 * s) * phi + (1.0 + s * s) * q)
-    return EntropyEstimate(value, rounding + tail_bound, EntropyMethod.QUADRATURE)
+    return _simpson(gm, lambda x, p: p * _score_batch(gm, x)[:, 0] ** 2, tail_bound)
 
 
-def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> EntropyEstimate:
+def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> MeasureEstimate:
     """Quadrature for 1-d mixtures its grid resolves, Monte Carlo otherwise."""
     if _uses_quadrature(gm):
         return fisher_information_quadrature(gm)
@@ -505,11 +488,11 @@ def de_bruijn_check(
         s2 = _squared_norms(_score_batch(gm_mid, base + eps * math.sqrt(t0)))
         return fd, s2
 
-    (fd_mean, fd_se), (j_mean, j_se) = _moment_means(seed, n, workers, chunk)
-    combined = math.sqrt(fd_se**2 + (j_se / 2.0) ** 2)
+    fd, j = _moment_means(seed, n, workers, chunk)
+    combined = math.sqrt(fd.std_error**2 + (j.std_error / 2.0) ** 2)
     return BoundReport.compare(
         "de-bruijn",
         bound_value=4.0 * combined + curvature,
-        measured=abs(fd_mean - j_mean / 2.0),
+        measured=abs(fd.value - j.value / 2.0),
         std_error=0.0,
     )

@@ -20,6 +20,7 @@ from . import mc as mcmod
 from ._rng import derive_seed
 from .bounds import (
     BoundReport,
+    MeasureEstimate,
     bound_union_in_ball,
     bound_union_in_cube,
     bound_volume_constrained,
@@ -105,28 +106,16 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     d = points.dim
 
     @cache
-    def exact_boundary():
-        return ex2.union_boundary(points, radius, norm)
-
-    @cache
-    def volume_and_shell():
-        # off the plane both are counted on one draw, the shell's
+    def measures() -> tuple[MeasureEstimate, MeasureEstimate]:
+        """(volume, surface): exact in the plane; off it both are counted on
+        one draw, the shell's."""
+        if d == 2:
+            exact = ex2.union_boundary(points, radius, norm)
+            return MeasureEstimate(exact.area(), 0.0, 0), MeasureEstimate(exact.perimeter(), 0.0, 0)
         seed = derive_seed(cfg.seed, "shell")
         return mcmod.mc_volume_and_shell(
             spec, McConfig(samples=samples, seed=seed, shell_delta=delta)
         )
-
-    def surface_estimate():
-        if d == 2:
-            return exact_boundary().perimeter(), 0.0
-        est = volume_and_shell()[1]
-        return est.value, est.std_error
-
-    def volume_estimate():
-        if d == 2:
-            return exact_boundary().area(), 0.0
-        est = volume_and_shell()[0]
-        return est.value, est.std_error
 
     reports: list[BoundReport] = []
     for name in checks:
@@ -136,12 +125,12 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
             if norm is not cap_norm or _enclosing_radius(points.points, norm) > radius:
                 reports.append(BoundReport.uncompared(name, bound))
             else:
-                reports.append(BoundReport.compare(name, bound, *surface_estimate()))
+                surface = measures()[1]
+                reports.append(BoundReport.compare(name, bound, surface.value, surface.std_error))
         elif name == "volume-constrained":
-            vol, vol_se = volume_estimate()
-            measured, se = surface_estimate()
-            bound = bound_volume_constrained(d, radius, vol + 4.0 * vol_se)
-            reports.append(BoundReport.compare(name, bound, measured, se))
+            vol, surface = measures()
+            bound = bound_volume_constrained(d, radius, vol.value + 4.0 * vol.std_error)
+            reports.append(BoundReport.compare(name, bound, surface.value, surface.std_error))
         elif name == "gaussian-surface":
             est = mcmod.mc_gaussian_shell(
                 spec,

@@ -1,9 +1,11 @@
 """Monte Carlo estimators for volume, Lebesgue and Gaussian shell measures,
 solid angles, and the shell-scaling check, in arbitrary dimension.
 
-Every estimator is one band count, _band_estimates: the share p of draws
-(uniform in a padded bounding box, or Gaussian) whose distance to the set
-lies in (lo, hi], reported as scale * p / delta.  A solid angle is the
+Every estimate is a bounds.MeasureEstimate.  A sampled one is a band count,
+_band_estimates: the share p of samples_used draws (uniform in a padded
+bounding box, or Gaussian) whose distance to the set lies in (lo, hi],
+reported as scale * p / delta.  An exact one has samples_used 0 and its
+rounding allowance as std_error.  A solid angle is the
 Gaussian measure of a cone, so from 4-d up a cap's solid angle seen from an
 apex is a band count too.  In 2-d and 3-d it is exact, as the central cap's
 is in every dimension: an arc's angle from two atan2 calls, a disk's solid
@@ -11,10 +13,9 @@ angle from complete elliptic integrals.  The volume and the Gaussian measure
 of an L-inf parallel set, a union of cubes, are exact in every dimension
 (cube_union_measures, on the prefix-sum cover _kernels.cube_cover).  The
 shell-scaling check is exact where the volumes are, under L-inf (cover
-volumes) and in the plane (exact2d disk-union areas), with a rounding
-allowance as std_error, and an L2 band count off the plane.  These splits
-are by dimension and norm only, with no fallback: a cube grid past the
-cover's budget raises.
+volumes) and in the plane (exact2d disk-union areas), and an L2 band count
+off the plane.  These splits are by dimension and norm only, with no
+fallback: a cube grid past the cover's budget raises.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  A box draw is
 scaled one coordinate column at a time into a (d, m) buffer and handed on as
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _kernels, exact2d
 from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
-from .bounds import BoundReport, worst_excess
+from .bounds import BoundReport, MeasureEstimate, worst_excess
 from .errors import InvalidArgumentError, RangeOverflowError
 from .geometry import NormKind, ParallelSetSpec, PointSet, positive_radius, positive_real
 
@@ -52,13 +53,6 @@ class McConfig:
             positive_real(self.shell_delta, "shell_delta")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class MeasureEstimate:
-    value: float
-    std_error: float
-    samples_used: int
 
 
 @dataclass(frozen=True)
@@ -200,9 +194,9 @@ def mc_gaussian_measure(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEst
 _AREA_ROUNDING = 8.0
 
 
-def _planar_area(base, rho: float) -> tuple[float, float]:
-    """(area, rounding allowance) of the rho-parallel set of a planar base
-    under L2, a disk union."""
+def _planar_area(base, rho: float) -> MeasureEstimate:
+    """The exact area of the rho-parallel set of a planar base under L2, a
+    disk union, with its rounding allowance."""
     boundary = exact2d.disk_union_boundary(base, rho)
     offsets = base.points - base.points[0]
     reach = rho + float(np.hypot(offsets[:, 0], offsets[:, 1]).max())
@@ -210,7 +204,7 @@ def _planar_area(base, rho: float) -> tuple[float, float]:
     allowance = _AREA_ROUNDING * len(boundary.arcs) * math.ulp(1.0) * boundary.perimeter() * reach
     if not (math.isfinite(area) and math.isfinite(allowance)):
         raise RangeOverflowError(f"the area of the {rho:g}-parallel set exceeds double range")
-    return area, allowance
+    return MeasureEstimate(area, allowance, 0)
 
 
 def cube_union_measures(base: PointSet, r: float) -> tuple[MeasureEstimate, MeasureEstimate]:
@@ -303,10 +297,11 @@ def _cover_allowances(pts, r, lines, volume) -> tuple[float, float]:
     return e_volume, e_gaussian
 
 
-def _exact_volume(base, norm: NormKind, rho: float) -> tuple[float, float]:
-    """(volume, rounding allowance) of the rho-parallel set where it is exact:
-    a planar disk union, or an L-inf cube union in any dimension, the latter
-    cube_union_measures' volume to the bit without its Gaussian measure."""
+def _exact_volume(base, norm: NormKind, rho: float) -> MeasureEstimate:
+    """The volume of the rho-parallel set, with its rounding allowance, where
+    it is exact: a planar disk union, or an L-inf cube union in any
+    dimension, the latter cube_union_measures' volume to the bit without its
+    Gaussian measure."""
     if norm is NormKind.L2:
         return _planar_area(base, rho)
     rho, pts, lines, slabs = _cube_cover(base, rho)
@@ -315,13 +310,18 @@ def _exact_volume(base, norm: NormKind, rho: float) -> tuple[float, float]:
     allowance = _cover_allowances(pts, rho, lines, volume)[0]
     if not (math.isfinite(volume) and math.isfinite(allowance)):
         raise RangeOverflowError(f"the volume of the {rho:g}-parallel set exceeds double range")
-    return volume, allowance
+    return MeasureEstimate(volume, allowance, 0)
 
 
 def kneser_is_exact(dim: int, norm: NormKind) -> bool:
     """Whether kneser_shell_check's shells are exact, and so draw nothing: in
     the plane, and under L-inf in every dimension."""
     return dim == 2 or norm is NormKind.LINF
+
+
+def cap_is_exact(dim: int) -> bool:
+    """Whether cap_solid_angle_fractions' apex fraction is exact: in 2-d and 3-d."""
+    return dim <= 3
 
 
 def kneser_shell_check(
@@ -334,7 +334,7 @@ def kneser_shell_check(
     volumes of cube_union_measures) and for planar disks (exact2d), both
     shells are differences of them at a, b, ta and tb; std_error is their summed
     rounding allowance, and cfg is not read.  volumes, if given, maps radius
-    to (volume, allowance) for this base and norm; calls that pass one dict
+    to its exact volume for this base and norm; calls that pass one dict
     compute each radius once (a sweep over t meets a and b in every call).
     A volume past double range raises RangeOverflowError, and so does a cube
     grid past the cover's budget InvalidArgumentError.  L2 shells off the
@@ -357,12 +357,10 @@ def kneser_shell_check(
                 volumes[rho] = _exact_volume(base, norm, rho)
             return volumes[rho]
 
-        (outer, e_outer), (inner, e_inner), (big, e_big), (small, e_small) = (
-            volume(rho) for rho in (t * b_k, t * a_k, b_k, a_k)
-        )
+        outer, inner, big, small = (volume(rho) for rho in (t * b_k, t * a_k, b_k, a_k))
         scale = _checked_power(t, base.dim)
-        measured, bound = outer - inner, scale * (big - small)
-        std_error = e_outer + e_inner + scale * (e_big + e_small)
+        measured, bound = outer.value - inner.value, scale * (big.value - small.value)
+        std_error = outer.std_error + inner.std_error + scale * (big.std_error + small.std_error)
         if not (math.isfinite(bound) and math.isfinite(std_error)):
             raise RangeOverflowError(f"t^{base.dim} times the shell's volume exceeds double range")
         return BoundReport.compare(
@@ -484,7 +482,7 @@ def cap_solid_angle_fractions(
         raise InvalidArgumentError("apex must be a d-vector inside the closed unit ball")
     cfg = McConfig(samples=directions, seed=seed, workers=workers)
     central = central_cap_fraction(dim, cap_half_angle)
-    if dim <= 3:
+    if cap_is_exact(dim):
         return _exact_cap_fraction(dim, cap_half_angle, apex), central
     cos_cap = math.cos(cap_half_angle)
 

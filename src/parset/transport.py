@@ -52,6 +52,11 @@ class EmpiricalMeasure:
         n = len(points)
         return cls(points=points, weights=np.full(n, 1.0 / n))
 
+    @property
+    def is_uniform(self) -> bool:
+        """Whether every weight is the same, as in uniform(points)."""
+        return bool(self.weights.min() == self.weights.max())
+
 
 @dataclass(frozen=True)
 class TransportResult:
@@ -316,7 +321,10 @@ _W1_MAX_POINTS = 500
 
 
 def _w1_sorted_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Exact 1-d Wasserstein-1 as the area between the two CDFs."""
+    """Exact 1-d Wasserstein-1 as the area between the two CDFs, with the
+    monotone coupling as its certificate: the sorted union of the two
+    cumulative weight arrays cuts the mass into pieces, and each piece moves
+    from the atom of mu to the atom of nu whose CDF step holds it."""
     xs = mu.points.points[:, 0]
     ys = nu.points.points[:, 0]
     pos = np.concatenate([xs, ys])
@@ -326,28 +334,15 @@ def _w1_sorted_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     delta = delta[order]
     cdf_gap = np.cumsum(delta)[:-1]
     value = float(np.abs(cdf_gap * np.diff(pos)).sum())
-    # monotone coupling certificate by merging the two sorted weight lists
     ox = np.argsort(xs, kind="stable")
     oy = np.argsort(ys, kind="stable")
-    flows = []
-    i = j = 0
-    need_x = mu.weights[ox[0]]
-    need_y = nu.weights[oy[0]]
-    while True:
-        move = min(need_x, need_y)
-        flows.append((int(ox[i]), int(oy[j]), float(move)))
-        need_x -= move
-        need_y -= move
-        if need_x <= 1e-15:
-            i += 1
-            if i == len(ox):
-                break
-            need_x = mu.weights[ox[i]]
-        if need_y <= 1e-15:
-            j += 1
-            if j == len(oy):
-                break
-            need_y = nu.weights[oy[j]]
+    cx, cy = np.cumsum(mu.weights[ox]), np.cumsum(nu.weights[oy])
+    cuts = np.union1d(cx, cy)
+    # the piece ending at a cut past the last cumulative weight, which sums to 1
+    # only within rounding, belongs to the last atom
+    i = ox[np.searchsorted(cx, cuts).clip(max=len(cx) - 1)]
+    j = oy[np.searchsorted(cy, cuts).clip(max=len(cy) - 1)]
+    flows = zip(i.tolist(), j.tolist(), np.diff(cuts, prepend=0.0).tolist())
     return value, tuple(flows)
 
 
@@ -355,8 +350,9 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
     """Exact earth-mover distance with Euclidean ground cost.
 
     Dispatch: sorted/CDF computation in dimension 1, an assignment solve for
-    uniform equal-size inputs, otherwise the transportation LP.  Inputs are
-    capped at 500 points per side; subsample or bin larger clouds first.
+    equal-size inputs whose weights are all equal (is_uniform), otherwise the
+    transportation LP.  Inputs are capped at 500 points per side; subsample
+    or bin larger clouds first.
     """
     from scipy import sparse
     from scipy.optimize import linear_sum_assignment, linprog
@@ -373,12 +369,7 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
         value, flows = _w1_sorted_1d(mu, nu)
         return TransportResult(value=value, certificate=flows)
     dist = np.sqrt(_pair_dist_sq(mu.points.points, nu.points.points))
-    uniform = (
-        n == m
-        and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
-        and np.allclose(nu.weights, 1.0 / n, atol=1e-12)
-    )
-    if uniform:
+    if n == m and mu.is_uniform and nu.is_uniform:
         rows, cols = linear_sum_assignment(dist)
         value = float(dist[rows, cols].mean())
         flows = tuple((int(i), int(j), 1.0 / n) for i, j in zip(rows, cols))

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from parset import (
-    EntropyMethod,
     GaussianMixture,
     InvalidArgumentError,
+    MeasureEstimate,
     Verdict,
     convolve_mixtures,
     de_bruijn_check,
@@ -28,7 +28,6 @@ from parset.bounds import BoundReport
 from parset.cli import main
 from parset import entropy
 from parset.entropy import (
-    EntropyEstimate,
     _fisher_auto,
     _log_density,
     _row_logsumexp,
@@ -109,7 +108,7 @@ def test_convolve_density_matches_quadrature():
 def test_entropy_mc_single_gaussian():
     gm = GaussianMixture(atoms=[[0.0, 0.0]], weights=[1.0], variance=0.8)
     est = entropy_mc(gm, n=200_000, seed=2)
-    assert est.method is EntropyMethod.MC
+    assert est.samples_used == 200_000
     assert abs(est.value - gaussian_entropy(0.8, dim=2)) <= 3.0 * est.std_error
 
 
@@ -154,7 +153,7 @@ def test_entropy_mc_pooled_unbiasedness():
 def test_entropy_quadrature_single_gaussian():
     gm = GaussianMixture(atoms=[[0.3]], weights=[1.0], variance=0.6)
     est = entropy_quadrature(gm)
-    assert est.method is EntropyMethod.QUADRATURE
+    assert est.samples_used == 0
     assert est.value == pytest.approx(gaussian_entropy(0.6), abs=1e-8)
 
 
@@ -198,7 +197,7 @@ def test_quadrature_window_limit():
     gm = GaussianMixture(atoms=[[0.0], [2024.0]], weights=[0.5, 0.5], variance=1.0)
     wider = GaussianMixture(atoms=[[0.0], [2024.0 + 1e-9]], weights=[0.5, 0.5], variance=1.0)
     assert entropy._uses_quadrature(gm) and not entropy._uses_quadrature(wider)
-    assert _fisher_auto(wider, n=1000, seed=0).method is EntropyMethod.MC
+    assert _fisher_auto(wider, n=1000, seed=0).samples_used == 1000
     with pytest.raises(InvalidArgumentError, match="quadrature window"):
         entropy_quadrature(wider)
 
@@ -356,7 +355,7 @@ def test_fisher_quadrature_matches_scipy_quad(k):
     for _ in range(3):
         gm = _random_mixture(rng, k, 1)
         est = fisher_information_quadrature(gm)
-        assert est.method is EntropyMethod.QUADRATURE
+        assert est.samples_used == 0
         want = reference_fisher_quad(gm.atoms, gm.weights, gm.variance)
         assert est.value == pytest.approx(want, rel=1e-10)
 
@@ -394,7 +393,7 @@ def test_one_dimension_never_reaches_monte_carlo(monkeypatch):
     rep = de_bruijn_check([[0.0], [1.1]], [0.4, 0.6], t0=0.7, dt=1e-3)
     assert rep.verdict is Verdict.PASS
     gm = GaussianMixture(atoms=[[0.0], [1.1]], weights=[0.4, 0.6], variance=0.7)
-    assert _fisher_auto(gm, n=1000, seed=0).method is EntropyMethod.QUADRATURE
+    assert _fisher_auto(gm, n=1000, seed=0).samples_used == 0
     rep = reverse_epi_check([[0.0], [1.0]], [0.5, 0.5], [[0.5]], [1.0], r=0.6)
     assert rep.verdict is Verdict.PASS
     # a 2-d mixture still takes the Monte Carlo path
@@ -526,7 +525,7 @@ def reference_entropy_mc(gm, n=1_000_000, seed=0, workers=1):
     s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0)
-    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+    return MeasureEstimate(mean, math.sqrt(var / n), n)
 
 
 def reference_fisher_information_mc(gm, n=200_000, seed=0, workers=1):
@@ -538,7 +537,7 @@ def reference_fisher_information_mc(gm, n=200_000, seed=0, workers=1):
     s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0)
-    return EntropyEstimate(mean, math.sqrt(var / n), EntropyMethod.MC)
+    return MeasureEstimate(mean, math.sqrt(var / n), n)
 
 
 def reference_de_bruijn_check(atoms, weights, t0, dt=1e-3, n=200_000, seed=0, curvature_budget=100.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +21,9 @@ from parset import (
     disk_union_area,
     disk_union_perimeter,
     entropy_mc,
+    entropy_quadrature,
     fisher_information_mc,
+    fisher_information_quadrature,
     full_space_predicate,
     halfspace_predicate,
     inscribed_angle_check,
@@ -31,7 +34,9 @@ from parset import (
     mc_volume,
     mc_volume_and_shell,
 )
+import parset
 from parset import Verdict, _kernels, exact2d
+from parset import mc as mcmod
 from parset._kernels import min_dist
 from parset._rng import CHUNK, chunk_generator, map_reduce_chunks, uniform_in_ball
 from parset.bounds import BoundReport
@@ -139,6 +144,49 @@ def test_gaussian_total_mass():
     est = mc_gaussian_measure(full_space_predicate(3), McConfig(samples=10_000, seed=13))
     assert est.value == 1.0
     assert est.std_error == 0.0
+
+
+_PLANE = ParallelSetSpec(base=PointSet([[0.0, 0.0], [0.8, 0.3]]), norm=NormKind.L2, radius=0.5)
+_CFG = McConfig(samples=3000, seed=4)
+_LINE = GaussianMixture(atoms=[[0.0], [1.2]], weights=[0.4, 0.6], variance=0.5)
+_PLANAR_MIXTURE = GaussianMixture(atoms=[[0.0, 0.0], [1.2, 0.3]], weights=[0.4, 0.6], variance=0.5)
+
+
+def _apex_fraction(dim):
+    apex = np.full(dim, 0.2)
+    return [cap_solid_angle_fractions(dim, 0.9, apex, directions=2500, seed=3)[0]]
+
+
+# (estimator, the draws behind each of its estimates: 0 where the value is exact)
+_PROVENANCE = {
+    "mc_volume": (lambda: [mc_volume(_PLANE, _CFG)], 3000),
+    "mc_shell_lebesgue": (lambda: [mc_shell_lebesgue(_PLANE, _CFG)], 3000),
+    "mc_volume_and_shell": (lambda: list(mc_volume_and_shell(_PLANE, _CFG)), 3000),
+    "mc_gaussian_shell": (lambda: [mc_gaussian_shell(_PLANE, _CFG)], 3000),
+    "mc_gaussian_measure": (lambda: [mc_gaussian_measure(_PLANE, _CFG)], 3000),
+    "cube_union_measures": (lambda: list(cube_union_measures(_PLANE.base, 0.5)), 0),
+    "cap-2d": (lambda: _apex_fraction(2), 0),
+    "cap-3d": (lambda: _apex_fraction(3), 0),
+    "cap-4d": (lambda: _apex_fraction(4), 2500),
+    "entropy_mc": (lambda: [entropy_mc(_PLANAR_MIXTURE, n=2000, seed=1)], 2000),
+    "entropy_quadrature": (lambda: [entropy_quadrature(_LINE)], 0),
+    "fisher_information_mc": (lambda: [fisher_information_mc(_PLANAR_MIXTURE, n=2000, seed=1)], 2000),
+    "fisher_information_quadrature": (lambda: [fisher_information_quadrature(_LINE)], 0),
+    "exact_volume-l2": (lambda: [mcmod._exact_volume(_PLANE.base, NormKind.L2, 0.5)], 0),
+    "exact_volume-linf": (lambda: [mcmod._exact_volume(_PLANE.base, NormKind.LINF, 0.5)], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROVENANCE))
+def test_every_estimator_states_its_provenance(name):
+    # one estimate type throughout: samples_used is 0 exactly where the value
+    # is exact, and the number of draws elsewhere
+    assert MeasureEstimate is parset.MeasureEstimate is parset.bounds.MeasureEstimate
+    estimate, draws = _PROVENANCE[name]
+    for est in estimate():
+        assert type(est) is MeasureEstimate
+        assert est.samples_used == draws
+        assert math.isfinite(est.value) and 0.0 <= est.std_error < math.inf
 
 
 def test_determinism_same_seed():
@@ -253,9 +301,9 @@ def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
     calls = []
 
     def bumped(base, norm, rho):
-        area, allowance = exact(base, norm, rho)
+        area = exact(base, norm, rho)
         calls.append(rho)
-        return area * (1.0 + 1e-9) if len(calls) == 1 else area, allowance
+        return dataclasses.replace(area, value=area.value * (1.0 + 1e-9)) if len(calls) == 1 else area
 
     monkeypatch.setattr(mcmod, "_exact_volume", bumped)
     for t in (1.0, 1.2, 2.0):
@@ -426,10 +474,10 @@ def test_planar_area_allowance_covers_the_rounding():
     cases += [(rng.uniform(-1, 1, (5, 2)) + off * rng.standard_normal(2), 0.7) for off in (1e3, 1e6, 1e10)]
     for k, (points, rho) in enumerate(cases):
         base = PointSet(points)
-        area, allowance = _exact_volume(base, NormKind.L2, rho)
-        assert abs(mp.mpf(area) - _mp_disk_area(exact2d.disk_union_boundary(base, rho))) <= allowance / 4, k
-        area, allowance = _exact_volume(base, NormKind.LINF, rho)
-        assert abs(Fraction(area) - _fraction_square_area(points, rho)) <= allowance / 4, k
+        area = _exact_volume(base, NormKind.L2, rho)
+        assert abs(mp.mpf(area.value) - _mp_disk_area(exact2d.disk_union_boundary(base, rho))) <= area.std_error / 4, k
+        area = _exact_volume(base, NormKind.LINF, rho)
+        assert abs(Fraction(area.value) - _fraction_square_area(points, rho)) <= area.std_error / 4, k
 
 
 # -- the exact L-inf cover --------------------------------------------------------
@@ -629,9 +677,9 @@ def test_kneser_linf_allowance_catches_a_1e9_bump(monkeypatch, dim):
     calls = []
 
     def bumped(base, norm, rho):
-        volume, allowance = exact(base, norm, rho)
+        volume = exact(base, norm, rho)
         calls.append(rho)
-        return volume * (1.0 + 1e-9) if len(calls) == 1 else volume, allowance
+        return dataclasses.replace(volume, value=volume.value * (1.0 + 1e-9)) if len(calls) == 1 else volume
 
     monkeypatch.setattr(mcmod, "_exact_volume", bumped)
     for t in (1.0, 1.2, 2.0):

@@ -163,6 +163,34 @@ def test_verify_volume_constrained_takes_one_draw():
         shell.value, shell.std_error)
 
 
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_verify_plane_measures_one_exact_boundary(monkeypatch, norm):
+    # in the plane the area and perimeter are exact (std_error 0), from one
+    # boundary that the containment and volume checks share
+    from parset import experiment
+    from parset.bounds import bound_union_in_ball, bound_union_in_cube, bound_volume_constrained
+
+    union_boundary, boundaries = experiment.ex2.union_boundary, []
+
+    def counted(*args):
+        boundaries.append(union_boundary(*args))
+        return boundaries[-1]
+
+    monkeypatch.setattr(experiment.ex2, "union_boundary", counted)
+    points = [[0.0, 0.0], [0.5, -0.3], [0.1, 0.4]]
+    params = {"points": points, "norm": norm, "radius": 1.0, "samples": 10,
+              "checks": ["union-in-ball", "union-in-cube", "volume-constrained"]}
+    reports = run_verify_experiment(ExperimentConfig("plane", "bounds", params, seed=4))
+    assert len(boundaries) == 1
+    area, perimeter = boundaries[0].area(), boundaries[0].perimeter()
+    cap = bound_union_in_ball(2, 1.0) if norm == "l2" else bound_union_in_cube(2, 1.0)
+    name = "union-in-ball" if norm == "l2" else "union-in-cube"
+    by_name = {r.bound_name: r for r in reports}
+    assert by_name[name] == BoundReport.compare(name, cap, perimeter, 0.0)
+    assert by_name["volume-constrained"] == BoundReport.compare(
+        "volume-constrained", bound_volume_constrained(2, 1.0, area), perimeter, 0.0)
+
+
 @pytest.mark.parametrize(
     "check, module, primitive, wrap, count, values",
     [

@@ -173,6 +173,56 @@ def test_transport_digest_is_pinned(tmp_path):
     assert hashlib.sha256(repr(cert).encode()).hexdigest() == _CERTIFICATE_SHA256
 
 
+def _skip_unless_transport_versions():
+    import scipy
+
+    have = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if have != _TRANSPORT_VERSIONS:
+        pytest.skip(f"digest taken with {_TRANSPORT_VERSIONS}, running with {have}")
+
+
+# sha256 of what `parset dr` writes for two fixed weighted 2-d clouds of 120
+# and 90 points at r = 0.4, taken with _TRANSPORT_VERSIONS; unequal counts
+# take the exact flow, so it pins d_r_weighted's Dinic in Python integers
+_DR_WEIGHTED_SHA256 = "1799b3c921e3436a44ab807b2e5d4324eebe605b055827d38bb57a88af9be8f3"
+
+
+def test_dr_weighted_digest_is_pinned(tmp_path):
+    _skip_unless_transport_versions()
+    rng = np.random.default_rng(1200)
+    for side, n, shift in (("mu0", 120, 0.0), ("mu1", 90, 0.7)):
+        w = rng.random(n) + 0.1
+        cloud = {"points": (rng.standard_normal((n, 2)) + [shift, 0.0]).tolist(),
+                 "weights": (w / w.sum()).tolist()}
+        (tmp_path / f"{side}.json").write_text(json.dumps(cloud))
+    out = tmp_path / "dr.json"
+    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
+                 "--radius", "0.4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DR_WEIGHTED_SHA256
+
+
+# sha256 of the CSV and the reference line that `parset dr-converge` writes
+# for a small fixed config (a 3-atom mixture against a uniform ball), taken
+# with _TRANSPORT_VERSIONS; it pins the generators' streams and the sweep
+_DR_CONVERGE_SHA256 = "d5dfc240f5530aef6084f54af1ed019ec113d061baa35e1eca3b0e64cdcccad7"
+
+
+def test_dr_converge_digest_is_pinned(tmp_path, capsys):
+    _skip_unless_transport_versions()
+    config = {
+        "gen0": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]],
+                 "weights": [0.5, 0.3, 0.2], "sigma": 0.3},
+        "gen1": {"kind": "uniform-ball", "dim": 2, "center": [0.4, 0.2], "radius": 1.2},
+        "r": 0.25, "sigma": 0.1, "n_grid": [15, 40], "trials": 3, "seed": 21,
+    }
+    (tmp_path / "conv.json").write_text(json.dumps(config))
+    out = tmp_path / "conv.csv"
+    capsys.readouterr()
+    assert main(["dr-converge", "--config", str(tmp_path / "conv.json"), "--out", str(out)]) == 0
+    written = out.read_bytes() + capsys.readouterr().err.encode()
+    assert hashlib.sha256(written).hexdigest() == _DR_CONVERGE_SHA256
+
+
 def test_dr_brute_force_sweep():
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -588,6 +638,36 @@ def test_w1_hungarian_matches_lp():
     assert uni == pytest.approx(lp, abs=1e-6)
 
 
+def test_one_uniformity_rule_routes_w1_and_dr(tmp_path, monkeypatch):
+    # is_uniform, all weights equal, picks the assignment solve in w1_empirical
+    # and the matching in `parset dr`; weights within 1e-13 of 1/n, which a
+    # tolerance would have taken as uniform, go to the LP and the flow
+    import scipy.optimize
+
+    from parset import transport as tp
+
+    def refused(*args):
+        raise AssertionError("uniform route taken")
+
+    rng = np.random.default_rng(17)
+    x, y = PointSet(rng.standard_normal((8, 2))), PointSet(rng.standard_normal((8, 2)))
+    w = np.full(8, 1.0 / 8) + np.concatenate([[7e-14], np.full(7, -1e-14)])
+    near, mu1 = EmpiricalMeasure(points=x, weights=w), EmpiricalMeasure.uniform(y)
+    assert mu1.is_uniform and not near.is_uniform
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", refused)
+    monkeypatch.setattr(tp, "d_r_uniform", refused)
+    with pytest.raises(AssertionError, match="uniform route"):
+        w1_empirical(EmpiricalMeasure.uniform(x), mu1)
+    assert w1_empirical(near, mu1).value == pytest.approx(w1_empirical(mu1, near).value, abs=1e-9)
+    for side, (points, weights) in {"mu0": (x, w), "mu1": (y, mu1.weights)}.items():
+        payload = {"points": points.points.tolist(), "weights": weights.tolist()}
+        (tmp_path / f"{side}.json").write_text(json.dumps(payload))
+    out = tmp_path / "dr.json"
+    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
+                 "--radius", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["value"] == d_r_weighted(near, mu1, 0.5).value
+
+
 def reference_w1_dense_lp(mu, nu):
     # the transportation LP with the dense constraint matrix it was first built with
     n, m = len(mu.points), len(nu.points)
@@ -663,19 +743,26 @@ def test_w1_certificate_marginals():
 
 
 def test_w1_1d_certificate_marginals():
+    # random weights, then tied positions and cumulative weights that meet
+    # (1/4 and 2/4 against 1/2): every piece has positive mass
     rng = np.random.default_rng(15)
-    for _ in range(20):
-        n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        wx = rng.random(n) + 0.1
-        wy = rng.random(m) + 0.1
-        mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((n, 1))), weights=wx / wx.sum())
-        nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((m, 1))), weights=wy / wy.sum())
+    for k in range(220):
+        if k < 20:
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            wx = rng.random(n) + 0.1
+            wy = rng.random(m) + 0.1
+            mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((n, 1))), weights=wx / wx.sum())
+            nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((m, 1))), weights=wy / wy.sum())
+        else:
+            n, m = (int(v) for v in rng.choice([1, 2, 3, 4, 6, 8], 2))
+            mu = uniform(rng.integers(-2, 3, (n, 1)).astype(float))
+            nu = uniform(rng.integers(-2, 3, (m, 1)).astype(float))
         res = w1_empirical(mu, nu)
         sent = np.zeros(n)
         received = np.zeros(m)
         cost = 0.0
         for i, j, mass in res.certificate:
-            assert mass >= 0.0
+            assert mass > 0.0
             sent[i] += mass
             received[j] += mass
             cost += mass * abs(mu.points.points[i, 0] - nu.points.points[j, 0])
