@@ -1,4 +1,4 @@
-"""The three primitives every check reduces to, on numpy and scipy.
+"""The primitives every check reduces to, on numpy and scipy.
 
 ``min_dist``: distance from a batch of points to a finite base set, which
 decides membership in an r-parallel set (Monte Carlo and rasterization).
@@ -10,7 +10,11 @@ bits.
 ``max_matching``: maximum bipartite matching on a threshold graph, which
 gives the thresholded transport cost (robust risk).  Its cost on small graphs
 is scipy's per-call set-up, so ``transport.d_r_uniform_many`` hands it a
-whole sweep's graphs at once as one disjoint union.
+whole sweep's graphs at once as one disjoint union; the matching is read
+from the flow's left rows alone.
+``pairwise_sum``: the rows of an array summed in numpy's pairwise order,
+which the threshold graph's distance test and the mixture kernel share, so
+that both give the bits of ``.sum(axis=1)``.
 ``cube_cover``: which cells of the compressed grid a union of axis-aligned
 cubes covers (Klee's measure problem at small n), which decides the measures
 of an L-inf parallel set.  It streams the grid in slabs, so its memory is one
@@ -94,12 +98,46 @@ def _sum_squares(
     return out
 
 
+def pairwise_sum(e: np.ndarray) -> np.ndarray:
+    """Sum of the k rows of e, added in the order numpy's pairwise sum adds
+    a contiguous run of k numbers, so that it is ``.sum(axis=1)`` of e.T to
+    the bit: in order below 8; from 8 to 128, in eight running sums combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the k % 8
+    rows left over in order; above 128, as the sums of the two parts split at
+    the multiple of 8 at or below k / 2.  numpy starts from 0.0, which changes
+    no sum of non-negative terms, so that is left out.  The sums run in place
+    in e's rows, so e is overwritten, and the result is one of its rows.
+    """
+    k = len(e)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        total = pairwise_sum(e[:half])
+        total += pairwise_sum(e[half:])
+        return total
+    if k < 8:
+        total, rest = e[0], e[1:]
+    else:
+        r = e[:8]
+        for i in range(8, k - k % 8, 8):
+            r += e[i : i + 8]
+        while len(r) > 1:
+            r[0::2] += r[1::2]
+            r = r[0::2]
+        total, rest = r[0], e[k - k % 8 :]
+    for row in rest:
+        total += row
+    return total
+
+
 def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int):
     """Maximum matching size and the right partner of each left node (-1 = unmatched).
 
     The bipartite graph is given in CSR form, left node i adjacent to right
     nodes indices[indptr[i]:indptr[i + 1]].  It is solved as a unit-capacity
-    max flow (Dinic) on source -> left -> right -> sink.
+    max flow (Dinic) on source -> left -> right -> sink.  The matching is
+    read from the left nodes' rows of the flow's CSR alone, its first
+    entries, where each matched left node's one unit leaves to its partner;
+    the rest of the network is never converted.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
@@ -121,11 +159,15 @@ def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: 
     network = csr_matrix(
         (np.ones(len(net_indices), np.int32), net_indices, net_indptr), shape=(n_nodes, n_nodes)
     )
-    flow = maximum_flow(network, source, sink, method="dinic").flow.tocoo()
-    used = (flow.row < n_left) & (flow.col >= n_left) & (flow.col < source) & (flow.data > 0)
+    flow = maximum_flow(network, source, sink, method="dinic").flow
+    # a left row holds the flow on its edges to the right (0 or 1) and on the
+    # twin of its edge from the source (0 or -1): its one positive entry, if
+    # any, is the unit sent to its partner
+    left = flow.indptr[: n_left + 1]
+    used = np.flatnonzero(flow.data[: left[-1]] > 0)
     match_l = np.full(n_left, -1, np.int64)
-    match_l[flow.row[used]] = flow.col[used] - n_left
-    return int(used.sum()), match_l
+    match_l[np.searchsorted(left, used, side="right") - 1] = flow.indices[used] - n_left
+    return len(used), match_l
 
 
 # Work one cover may do, in cells of its whole grid, (2n)^d at most.  About

@@ -20,8 +20,8 @@ log-sum-exp over the atoms, _row_logsumexp, follows
 scipy.special.logsumexp step for step (a test pins the two equal): the max
 and the tie count go column by column, the tied terms leave the exp sum by
 subtraction, and the sum reproduces numpy's pairwise order for a row of k
-numbers (_pairwise_sum).  Samples come from _rng.atom_rows, which counts or
-binary-searches the atoms by their number, to the same rows.
+numbers (_kernels.pairwise_sum).  Samples come from _rng.atom_rows, which
+counts or binary-searches the atoms by their number, to the same rows.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._rng import atom_rows, map_reduce_chunks
 from .bounds import BoundReport, MeasureEstimate, reverse_epi_constant
 from .errors import InvalidArgumentError
@@ -74,48 +75,17 @@ class GaussianMixture:
 _BLOCK_TERMS = 1 << 17
 
 
-def _pairwise_sum(e: np.ndarray) -> np.ndarray:
-    """Sum of the k rows of e, added in the order numpy's pairwise sum adds
-    a contiguous run of k numbers: in order below 8; from 8 to 128, in eight
-    running sums combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    and then the k % 8 rows left over in order; above 128, as the sums of the
-    two parts split at the multiple of 8 at or below k / 2.  numpy starts
-    from 0.0, which changes no sum of non-negative terms, so that is left out.
-    The sums run in place in e's rows, so e is overwritten, and the result is
-    one of its rows.
-    """
-    k = len(e)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        total = _pairwise_sum(e[:half])
-        total += _pairwise_sum(e[half:])
-        return total
-    if k < 8:
-        total, rest = e[0], e[1:]
-    else:
-        r = e[:8]
-        for i in range(8, k - k % 8, 8):
-            r += e[i : i + 8]
-        while len(r) > 1:
-            r[0::2] += r[1::2]
-            r = r[0::2]
-        total, rest = r[0], e[k - k % 8 :]
-    for row in rest:
-        total += row
-    return total
-
-
 def _row_logsumexp(t: np.ndarray) -> np.ndarray:
     """log(sum(exp(t), axis=0)) of the (k, n) terms t, computed as scipy
     1.17's _logsumexp computes log(sum(exp(t.T), axis=1)).
 
     The m entries tied at the max leave the sum, the rest give s, and the
     result is log1p(s / m) + log(m) + max, with s summed in numpy's pairwise
-    order (_pairwise_sum).  Where s == 0, s / m is s again, so scipy's guard
-    on that division is left out.  A tied term's exp(t - max) is exp(0) = 1
-    exactly, so subtracting the tie mask removes it.  Where no column has a
-    second tie, every m is 1, and dividing by 1 and adding log(1) = +0 to
-    log1p(s) >= +0 change no bit, so both are skipped.
+    order (_kernels.pairwise_sum).  Where s == 0, s / m is s again, so
+    scipy's guard on that division is left out.  A tied term's exp(t - max)
+    is exp(0) = 1 exactly, so subtracting the tie mask removes it.  Where no
+    column has a second tie, every m is 1, and dividing by 1 and adding
+    log(1) = +0 to log1p(s) >= +0 change no bit, so both are skipped.
 
     scipy sets the tied terms to -inf before the shift, so an all -inf
     column turns to NaN there and takes its fallback, log(sum(exp(t))),
@@ -132,7 +102,7 @@ def _row_logsumexp(t: np.ndarray) -> np.ndarray:
         e = t - top
         np.exp(e, out=e)
         e -= tied
-        s = _pairwise_sum(e)
+        s = _kernels.pairwise_sum(e)
         if (m == 1).all():
             lse = np.log1p(s, out=s)
         else:
@@ -401,9 +371,9 @@ def _score_batch(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     """(v ** 2).sum(axis=1) of the (n, d) batch v, to the bit: numpy sums
-    each short row in its pairwise order, which _pairwise_sum takes over the
-    d coordinate rows at once."""
-    return _pairwise_sum(np.square(v).T)
+    each short row in its pairwise order, which _kernels.pairwise_sum takes
+    over the d coordinate rows at once."""
+    return _kernels.pairwise_sum(np.square(v).T)
 
 
 def fisher_information_mc(

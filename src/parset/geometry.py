@@ -179,6 +179,10 @@ def save_points_csv(ps: PointSet, path) -> None:
 
 
 def load_points_csv(path) -> PointSet:
+    """Points from a CSV file with the header x0,...,x(d-1), one point a row;
+    blank rows are skipped.  Every field goes through one float() pass at
+    the end, and a field float() rejects is traced back to its line only
+    then, so a bad file names the same first bad line as a row-by-row read."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -191,20 +195,35 @@ def load_points_csv(path) -> PointSet:
             raise InvalidArgumentError(
                 f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
             )
-        rows = []
+        fields: list[str] = []
+        lines: list[int] = []  # the line of each row
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != dim:
+                _csv_floats(path, fields, lines)  # a non-numeric row above comes first
                 raise InvalidArgumentError(f"{path}:{lineno}: ragged row of width {len(row)}")
+            fields += row
+            lines.append(lineno)
+    if not lines:
+        raise InvalidArgumentError(f"{path}: no points")
+    points = _csv_floats(path, fields, lines).reshape(len(lines), dim)
+    with reading(path):
+        return PointSet(points)
+
+
+def _csv_floats(path, fields: list[str], lines: list[int]) -> np.ndarray:
+    """The fields of the rows on lines, as one flat float array."""
+    try:
+        return np.array(list(map(float, fields)))
+    except ValueError:
+        dim = len(fields) // len(lines)
+        for k, lineno in enumerate(lines):
             try:
-                rows.append([float(v) for v in row])
+                list(map(float, fields[k * dim : (k + 1) * dim]))
             except ValueError:
                 raise InvalidArgumentError(f"{path}:{lineno}: non-numeric coordinate")
-    if not rows:
-        raise InvalidArgumentError(f"{path}: no points")
-    with reading(path):
-        return PointSet(np.asarray(rows))
+        raise
 
 
 def save_points_json(ps: PointSet, path) -> None:

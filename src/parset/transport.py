@@ -4,14 +4,17 @@ and the plug-in convergence experiment.
 The thresholded cost 1{dist > 2r} turns optimal transport into maximum
 matching (uniform case) or maximum flow (weighted case): the optimal cost is
 one minus the largest mass matchable within distance 2r.  Both cases share
-one threshold graph, built from one pair query between two KD-trees, an
-exact squared-distance test and one sort, with no Python object per pair.
+one threshold graph and one exact squared-distance test, with no Python
+object per pair: small inputs test every pair at once, larger ones test the
+candidates of one pair query between two KD-trees, one coordinate column at
+a time on int32 keys, and sort the kept keys.
 Matching runs on it as a unit-capacity max flow in scipy, one solve per sweep:
 a sweep's graphs are offset into one disjoint union, whose maximum matching
 is the union of the parts' maximum matchings.  The weighted flow runs Dinic
 in Python integers, the weights scaled to one common denominator,
 so that inequalities between transport values can be checked exactly rather
-than modulo solver tolerance.
+than modulo solver tolerance; each phase walks only the edges into the next
+level, which gives the same pushes as walking every edge.
 """
 
 from __future__ import annotations
@@ -70,25 +73,49 @@ def _pair_dist_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
 
 
+# Most pair-distance terms, len(x) * len(y) * d, that _threshold_csr tests
+# directly, every pair at once, with no KD-tree.  On a 2-core box the two trees
+# and their pair query took 60-100 us however small the graph, and the direct
+# test beat them up to about 4000-5000 terms in 2-d and 3-d, whatever share of
+# the pairs was kept (and past 8000 in 1-d).
+_DIRECT_MAX_TERMS = 4096
+
+
 def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
     """CSR adjacency of pairs with squared distance <= threshold_sq.
 
-    One pair query between two KD-trees proposes the candidates, as arrays
-    (24 bytes a pair), within a radius widened by 1e-9 relative, so rounding
-    in the trees cannot drop a pair; the exact test below decides.  One sort
-    on the key i * len(y) + j puts the kept pairs in row-major order with
-    ascending columns: row i's edges are the keys in [i * len(y), (i + 1) *
+    The exact test is (x_i - y_j)^2 summed over the coordinates in numpy's
+    pairwise order, which is .sum(axis=1) of the differences to the bit.  Up
+    to _DIRECT_MAX_TERMS terms, every pair is tested at once (_pair_dist_sq),
+    and the flat indices of the kept pairs are the keys i * len(y) + j,
+    already sorted.  Past it, one pair query between two KD-trees proposes
+    the candidates, as arrays (24 bytes a pair), within a radius widened by
+    1e-9 relative, so rounding in the trees cannot drop a pair; the exact
+    test then runs one coordinate column at a time (pairwise_sum), and one
+    sort puts the kept keys in row-major order with ascending columns.  The
+    keys are int32 wherever (len(x) + 1) * len(y) fits, which halves the
+    sort's traffic.  Row i's edges are the keys in [i * len(y), (i + 1) *
     len(y)), and key % len(y) is the column.
     """
-    from scipy.spatial import cKDTree
+    n, m = len(x), len(y)
+    if n * m * x.shape[1] <= _DIRECT_MAX_TERMS:
+        key = np.flatnonzero(_pair_dist_sq(x, y) <= threshold_sq)
+    else:
+        from scipy.spatial import cKDTree
 
-    radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
-    near = cKDTree(x).sparse_distance_matrix(cKDTree(y), radius, output_type="ndarray")
-    i, j = near["i"], near["j"]
-    keep = ((np.take(x, i, axis=0) - np.take(y, j, axis=0)) ** 2).sum(axis=1) <= threshold_sq
-    m = len(y)
-    key = np.sort(i[keep] * m + j[keep])
-    return np.searchsorted(key, np.arange(0, (len(x) + 1) * m, m)), key % m
+        radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
+        near = cKDTree(x).sparse_distance_matrix(cKDTree(y), radius, output_type="ndarray")
+        dtype = np.int32 if (n + 1) * m < 2**31 else np.int64
+        i, j = near["i"].astype(dtype), near["j"].astype(dtype)
+        del near  # 24 bytes a candidate, freed before its 8 * d bytes of terms
+        terms = np.empty((x.shape[1], len(i)))
+        for term, xk, yk in zip(terms, x.T, y.T):
+            np.take(xk, i, out=term)
+            np.square(np.subtract(term, np.take(yk, j), out=term), out=term)
+        keep = _kernels.pairwise_sum(terms) <= threshold_sq
+        key = np.sort(i[keep] * m + j[keep])
+    indptr = np.searchsorted(key, np.arange(0, (n + 1) * m, m, dtype=key.dtype))
+    return indptr, (key % m).astype(np.int64, copy=False)
 
 
 def _check_pair(x: PointSet, y: PointSet, r: float) -> float:
@@ -226,31 +253,44 @@ def _max_flow(rows: list, cols: np.ndarray, supply: list, demand: list):
     to demand[j] to the sink, and the edges (left rows[e] to right cols[e])
     carry twice the total supply, more than any flow.  Returns the flow value
     and the flow on each edge, in edge order.
+
+    Each phase levels the residual graph by BFS, which also keeps, for each
+    node in adjacency order, its edges that have capacity and enter the next
+    level.  The depth-first walk then moves each node's cursor along that
+    list alone.  An edge left out of it could never be taken within the
+    phase: pushing along a level edge only gives capacity to its twin, which
+    goes a level down.  So every push is the push that walking the whole
+    adjacency list with the level test would make.
     """
     n, m = len(supply), len(demand)
     src, snk = n + m, n + m + 1
     tails = [src] * n + list(range(n, n + m)) + rows
     heads = list(range(n)) + [snk] * m + (n + cols).tolist()
-    caps = [*supply, *demand] + [2 * sum(supply)] * len(cols)
     # edge 2e is the e-th edge above and 2e + 1 its residual twin
+    to = [0] * (2 * len(tails))
+    to[0::2], to[1::2] = heads, tails
+    cap = [0] * len(to)
+    cap[0::2] = [*supply, *demand] + [2 * sum(supply)] * len(cols)
     adj: list[list[int]] = [[] for _ in range(n + m + 2)]
-    to: list[int] = []
-    cap: list[int] = []
-    for u, v, c in zip(tails, heads, caps):
-        adj[u].append(len(to))
-        adj[v].append(len(to) + 1)
-        to += (v, u)
-        cap += (c, 0)
+    for e, v in enumerate(to):
+        adj[v].append(e ^ 1)  # the twin of the edge into v leaves v
     total = 0
     while True:
         level = [-1] * len(adj)
         level[src] = 0
         queue = [src]
+        ahead: list = [()] * len(adj)
         for u in queue:
+            nxt = level[u] + 1
+            ahead[u] = out = []
             for e in adj[u]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
+                if cap[e]:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = nxt
+                        queue.append(v)
+                    if level[v] == nxt:
+                        out.append(e)
         if level[snk] < 0:
             return total, cap[2 * (n + m) + 1 :: 2]
         # blocking flow: advance along the level graph, retreat from dead ends
@@ -259,7 +299,7 @@ def _max_flow(rows: list, cols: np.ndarray, supply: list, demand: list):
         u = src
         while True:
             if u == snk:
-                pushed = min(cap[e] for e in path)
+                pushed = min([cap[e] for e in path])
                 for e in path:
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
@@ -267,19 +307,19 @@ def _max_flow(rows: list, cols: np.ndarray, supply: list, demand: list):
                 path.clear()
                 u = src
                 continue
-            edges = adj[u]
-            while cursor[u] < len(edges):
-                e = edges[cursor[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                    break
-                cursor[u] += 1
-            else:
-                if not path:
-                    break
+            edges, c = ahead[u], cursor[u]
+            end = len(edges)
+            while c < end and not cap[edges[c]]:
+                c += 1
+            cursor[u] = c
+            if c < end:
+                path.append(edges[c])
+                u = to[edges[c]]
+            elif path:
                 u = to[path.pop() ^ 1]
                 cursor[u] += 1
+            else:
+                break
 
 
 def _integer_weights(weights: np.ndarray) -> list[int]:

@@ -286,6 +286,87 @@ def test_csv_rejects_bad_header(tmp_path):
         load_points_csv(path)
 
 
+def reference_load_points_csv(path):
+    """The row-by-row reader: every row's floats in turn, each error at its
+    line.  Returns the points or the error message."""
+    import csv
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return f"{path}: empty point file"
+        dim = len(header)
+        expected = [f"x{i}" for i in range(dim)]
+        if [h.strip() for h in header] != expected:
+            return f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim:
+                return f"{path}:{lineno}: ragged row of width {len(row)}"
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                return f"{path}:{lineno}: non-numeric coordinate"
+    if not rows:
+        return f"{path}: no points"
+    try:
+        return PointSet(np.asarray(rows)).points
+    except InvalidArgumentError as exc:
+        return f"{path}: {exc}"
+
+
+_CSV_TEXTS = {
+    "plain": "x0,x1\n1.5,-2\n0,3e-300\n",
+    "quoted": 'x0,x1\n"1.5","-2.25"\n"1e3",4\n',
+    "padded": "x0, x1\n 1.5 ,\t-2 \n  7,8\n",
+    "underscores": "x0\n1_0\n2_000.5\n",
+    "blank-rows": "x0,x1\n\n1,2\n\n\n3,4\n\n",
+    "one-column": "x0\n1\n2\n3\n",
+    "three-columns": "x0,x1,x2\n1,2,3\n4,5,6\n",
+    "inf": "x0,x1\n1,2\ninf,0\n",
+    "nan": "x0,x1\n1,nan\n",
+    "ragged": "x0,x1\n1,2\n3\n4,5\n",
+    "ragged-wide": "x0,x1\n1,2\n3,4,5\n",
+    "non-numeric": "x0,x1\n1,2\n3,four\n5,6\n",
+    "non-numeric-after-blanks": "x0,x1\n\n1,2\n\n\nx,2\n",
+    "non-numeric-before-ragged": "x0,x1\n1,2\n3,y\n4\n",
+    "ragged-before-non-numeric": "x0,x1\n1,2\n4\n3,y\n",
+    "empty-field": "x0,x1\n1,\n",
+    "header-only": "x0,x1\n",
+    "header-and-blanks": "x0,x1\n\n\n",
+    "empty": "",
+    "bad-header": "a,b\n1,2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_TEXTS))
+def test_csv_reader_matches_row_by_row_reader(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(_CSV_TEXTS[name])
+    want = reference_load_points_csv(path)
+    if isinstance(want, str):
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_points_csv(path)
+        assert str(exc.value) == want
+    else:
+        got = load_points_csv(path).points
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    # the cases that must fail, fail, and where
+    failing = {"ragged": ":3: ragged", "ragged-wide": ":3: ragged", "non-numeric": ":3: non-numeric",
+               "non-numeric-after-blanks": ":6: non-numeric",
+               "non-numeric-before-ragged": ":3: non-numeric", "ragged-before-non-numeric": ":3: ragged",
+               "empty-field": ":2: non-numeric", "header-only": ": no points",
+               "header-and-blanks": ": no points", "inf": "finite", "nan": "finite",
+               "empty": "empty point file", "bad-header": "header must be"}
+    assert isinstance(want, str) == (name in failing)
+    if name in failing:
+        assert failing[name] in want
+
+
 def test_json_round_trip(tmp_path):
     ps = PointSet([[1.0, 2.0, 3.0]])
     path = tmp_path / "pts.json"

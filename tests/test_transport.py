@@ -36,7 +36,7 @@ from parset import (
 from parset import _kernels
 from parset._rng import single_generator
 from parset.cli import main
-from parset.transport import _pair_dist_sq, _permutations, _threshold_csr
+from parset.transport import _DIRECT_MAX_TERMS, _pair_dist_sq, _permutations, _threshold_csr
 
 
 def uniform(points):
@@ -114,6 +114,54 @@ def _graph_instances():
     dup = np.repeat(rng.standard_normal((100, 2)), 3, axis=0)
     yield "duplicates", dup, dup[rng.permutation(300)], 0.25
     yield "no-edges", rng.standard_normal((200, 2)), 100.0 + rng.standard_normal((150, 2)), 1.0
+    # (n + 1) * m past 2**31, so the keys are int64
+    yield "int64-keys", rng.uniform(0.0, 1.0, (46341, 2)), rng.uniform(0.0, 1.0, (46341, 2)), 4e-6
+    yield from _split_instances()
+
+
+def _split_shapes(d):
+    """(n, m) shapes whose n * m * d straddle the direct test's cutoff: the
+    largest pair count at or below it, one pair fewer and one pair more,
+    plus the 1 x k and k x 1 shapes at the same counts."""
+    at = _DIRECT_MAX_TERMS // d
+    for pairs in (at - 1, at, at + 1):
+        m = max(k for k in range(1, math.isqrt(pairs) + 1) if pairs % k == 0)
+        yield pairs // m, m
+        yield 1, pairs
+        yield pairs, 1
+
+
+def _split_instances():
+    """Graphs on both sides of the direct test's cutoff, in the dimensions
+    where the sum of squares changes order (8, and past 8 the remainder)."""
+    for d in (1, 2, 3, 7, 8, 9, 20):
+        rng = np.random.default_rng(100 + d)
+        for n, m in _split_shapes(d):
+            xs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+            ys = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, d)
+            d2 = _pair_dist_sq(xs, ys)
+            # a threshold that is some pair's distance, so that pair is a tie
+            tie = float(np.quantile(d2, 0.3, method="lower"))
+            yield f"split-{d}d-{n}x{m}", xs, ys, tie
+    for d in (2, 3):
+        rng = np.random.default_rng(200 + d)
+        for n, m in list(_split_shapes(d))[::3]:
+            xs = rng.integers(-2, 3, (n, d)) * 0.5
+            ys = rng.integers(-2, 3, (m, d)) * 0.5
+            yield f"split-lattice-r0-{d}d-{n}x{m}", xs, ys, 0.0
+            yield f"split-lattice-ties-{d}d-{n}x{m}", xs, ys, 0.25 * d
+            yield f"split-no-edges-{d}d-{n}x{m}", xs, ys + 100.0, 1.0
+            yield f"split-every-pair-{d}d-{n}x{m}", xs, ys, 4.0 * d
+
+
+def test_split_instances_straddle_the_cutoff():
+    below = {name for name, xs, ys, _ in _split_instances()
+             if len(xs) * len(ys) * xs.shape[1] <= _DIRECT_MAX_TERMS}
+    names = [name for name, *_ in _split_instances()]
+    assert 0 < len(below) < len(names)
+    for d in (1, 2, 3, 7, 8, 9, 20):
+        terms = sorted(n * m * d for n, m in _split_shapes(d))
+        assert terms[0] < terms[3] <= _DIRECT_MAX_TERMS < terms[-1]
 
 
 @pytest.mark.parametrize(
@@ -125,10 +173,24 @@ def test_threshold_csr_matches_reference(name, xs, ys, threshold_sq):
     assert indptr.dtype == indices.dtype == np.int64
     np.testing.assert_array_equal(indptr, want_indptr)
     np.testing.assert_array_equal(indices, want_indices)
-    if name == "every-pair":
+    if "every-pair" in name:
         assert len(indices) == len(xs) * len(ys)
-    if name == "no-edges":
+    if "no-edges" in name:
         assert len(indices) == 0
+
+
+@pytest.mark.parametrize("d", [*range(1, 21), 127, 128, 129, 300])
+def test_pairwise_sum_is_numpy_row_sum(d):
+    # magnitudes over 30 binades, so that any other order of addition rounds
+    # differently somewhere
+    rng = np.random.default_rng(d)
+    diffs = rng.standard_normal((3000, d)) * np.exp2(rng.integers(-15, 15, (3000, d)))
+    want = (diffs**2).sum(axis=1)
+    np.testing.assert_array_equal(_kernels.pairwise_sum(np.square(diffs).T.copy()), want)
+    # the direct test gives the same bits as the candidates' test
+    x, y = diffs[:40], diffs[40:115] * 0.5
+    i, j = np.divmod(np.arange(40 * 75), 75)
+    np.testing.assert_array_equal(_pair_dist_sq(x, y).ravel(), ((x[i] - y[j]) ** 2).sum(axis=1))
 
 
 def test_threshold_csr_memory_stays_bounded():
@@ -199,6 +261,35 @@ def test_dr_weighted_digest_is_pinned(tmp_path):
     assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
                  "--radius", "0.4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _DR_WEIGHTED_SHA256
+
+
+# sha256 of repr((value_exact, certificate)) of every d_r_weighted call that
+# check_w1_domination_sweep and check_coupling_sandwich make at seed 0 of the
+# smoke profile (20 pairs and 20 quadruples, 2-50 points a side), taken with
+# _TRANSPORT_VERSIONS; the certificates are the flows Dinic pushes, so it pins
+# the push order beyond the rational reference's sizes
+_SUITE_FLOWS_SHA256 = "726ca09f1134437a7b1e96d45ada855c06000623fbc3fbd84e5b8db3c14950e6"
+
+
+def test_suite_weighted_flows_digest_is_pinned(monkeypatch):
+    from parset import suite, transport
+
+    _skip_unless_transport_versions()
+    calls = []
+    solve = transport.d_r_weighted
+
+    def recorded(mu, nu, r):
+        res = solve(mu, nu, r)
+        calls.append((res.value_exact, res.certificate))
+        return res
+
+    monkeypatch.setattr(transport, "d_r_weighted", recorded)
+    prof = suite.profile_from_samples(100)
+    suite.check_w1_domination_sweep(0, prof)
+    suite.check_coupling_sandwich(0, prof)
+    assert len(calls) == prof.w1_pairs + 5 * prof.sandwich_count
+    assert max(len(cert) for _, cert in calls) > 20
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == _SUITE_FLOWS_SHA256
 
 
 # sha256 of the CSV and the reference line that `parset dr-converge` writes
@@ -328,6 +419,70 @@ def test_dr_certificate_is_a_maximum_matching():
     rows, cols = linear_sum_assignment(far)
     assert len(pairs) == 300 - int(far[rows, cols].sum())
     assert res.value_exact == Fraction(300 - len(pairs), 300)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """(n_left, n_right, result, scipy flow) of every max_matching call."""
+    import scipy.sparse.csgraph as csgraph
+
+    calls, flows = [], []
+    solve, match = csgraph.maximum_flow, _kernels.max_matching
+
+    def flow(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        flows.append(res.flow)
+        return res
+
+    def matching(indptr, indices, n_left, n_right):
+        got = match(indptr, indices, n_left, n_right)
+        calls.append((n_left, n_right, got, flows[-1]))
+        return got
+
+    monkeypatch.setattr(csgraph, "maximum_flow", flow)
+    monkeypatch.setattr(_kernels, "max_matching", matching)
+    return calls
+
+
+def _tocoo_matching(flow, n_left, n_right):
+    """The matching read from the whole flow matrix in COO form."""
+    flow = flow.tocoo()
+    source = n_left + n_right
+    used = (flow.row < n_left) & (flow.col >= n_left) & (flow.col < source) & (flow.data > 0)
+    match_l = np.full(n_left, -1, np.int64)
+    match_l[flow.row[used]] = flow.col[used] - n_left
+    return int(used.sum()), match_l
+
+
+def test_max_matching_reads_the_flow_from_its_left_rows(matching_calls):
+    rng = np.random.default_rng(14)
+    graphs = [(np.zeros(2, np.int64), np.zeros(0, np.int64), 1, 1),  # one node a side, no edge
+              (np.array([0, 1]), np.array([0]), 1, 1),  # one edge
+              (np.array([0, 0, 0, 0]), np.zeros(0, np.int64), 3, 5)]  # no edges
+    for n_left, n_right, density in ((7, 3, 0.5), (3, 7, 0.5), (40, 40, 0.05), (200, 150, 0.02),
+                                     (150, 200, 0.2), (60, 90, 1.0)):
+        dense = rng.random((n_left, n_right)) < density
+        dense[rng.random(n_left) < 0.2] = False  # some left nodes with no edge
+        indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))])
+        graphs.append((indptr, np.nonzero(dense)[1], n_left, n_right))
+    for graph in graphs:
+        _kernels.max_matching(*graph)
+    # a block-diagonal union of unequal parts, some with no edge
+    parts = [(PointSet(rng.standard_normal((n, 2))), PointSet(rng.standard_normal((n, 2)) + shift), 0.3)
+             for n, shift in ((1, 0.0), (5, 50.0), (17, 0.0), (1, 50.0), (60, 0.0), (33, 0.0))]
+    d_r_uniform_many(parts)
+    assert len(matching_calls) == len(graphs) + 1
+    for (indptr, indices, *_), (_, _, (matched, match_l), _) in zip(graphs, matching_calls):
+        left = np.flatnonzero(match_l >= 0)
+        assert matched == len(left) == len(set(match_l[left]))
+        for i in left:  # every matched pair is an edge
+            assert match_l[i] in indices[indptr[i] : indptr[i + 1]]
+    assert [matched for _, _, (matched, _), _ in matching_calls[:3]] == [0, 1, 0]
+    for n_left, n_right, (matched, match_l), flow in matching_calls:
+        want_matched, want_match_l = _tocoo_matching(flow, n_left, n_right)
+        assert matched == want_matched
+        assert match_l.dtype == want_match_l.dtype
+        np.testing.assert_array_equal(match_l, want_match_l)
 
 
 def test_dr_certificate_validity():
