@@ -28,7 +28,6 @@ from .entropy import (
     fisher_information_mc,
     fisher_information_quadrature,
     mixture_density,
-    pointwise_lemma_check,
     reverse_epi_check,
 )
 from .errors import InvalidArgumentError, RangeOverflowError
@@ -43,35 +42,25 @@ from .exact2d import (
     square_union_area,
     square_union_boundary,
     square_union_perimeter,
-    star_shaped_check,
     union_boundary,
 )
 from .geometry import (
-    DimensionConstants,
     NormKind,
-    PackingResult,
     ParallelSetSpec,
     PointSet,
     contains,
-    dimension_constants,
     distance_to_set,
-    greedy_packing,
     load_points,
     load_points_csv,
     load_points_json,
-    save_points_csv,
-    save_points_json,
 )
 from .mc import (
     McConfig,
     MembershipPredicate,
-    ball_predicate,
     cube_union_measures,
-    full_space_predicate,
     halfspace_predicate,
     inscribed_angle_check,
     kneser_shell_check,
-    mc_gaussian_measure,
     mc_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
@@ -79,10 +68,8 @@ from .mc import (
 )
 from .suite import SUITES, Profile, RunManifest, SuiteConfig, run_suite
 from .transport import (
-    BallUnionRegion,
     DistributionSpec,
     EmpiricalMeasure,
-    HalfspaceRegion,
     TransportResult,
     check_w1_domination,
     convergence_experiment,
@@ -91,8 +78,6 @@ from .transport import (
     d_r_uniform,
     d_r_uniform_many,
     d_r_weighted,
-    decision_region_risk,
-    gaussian_smooth,
     robust_risk,
     sample_distribution,
     w1_empirical,

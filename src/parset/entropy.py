@@ -321,33 +321,6 @@ def _reverse_epi(
     return report, h_x, h_y
 
 
-def pointwise_lemma_log_ratio(a, b, r: float) -> tuple[float, float]:
-    """(log density ratio, log threshold) for the smoothed-sum product bound.
-
-    Evaluates log g_{2r}(a+b) - log g_r(a) - log g_r(b) numerically and the
-    threshold (d/2) log(pi r); the ratio is the threshold plus
-    |a - b|^2 / (4r), so it can never fall below it.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise InvalidArgumentError("a and b must share a shape")
-    positive_real(r, "r")
-    d = a.size
-
-    def log_gauss(v, var):
-        return -0.5 * d * math.log(2.0 * math.pi * var) - float(v @ v) / (2.0 * var)
-
-    log_ratio = log_gauss(a + b, 2.0 * r) - log_gauss(a, r) - log_gauss(b, r)
-    log_threshold = 0.5 * d * math.log(math.pi * r)
-    return log_ratio, log_threshold
-
-
-def pointwise_lemma_check(a, b, r: float) -> bool:
-    log_ratio, log_threshold = pointwise_lemma_log_ratio(a, b, r)
-    return log_ratio >= log_threshold - 1e-9
-
-
 def _score_batch(gm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Gradient of log density: responsibility-weighted (atom - x) / variance,
     summed over the atoms in order, one coordinate at a time, in two scratch

@@ -1,5 +1,5 @@
 """Exact perimeter and area of unions of congruent disks and axis-aligned
-squares in the plane, a star-shapedness checker, and a grid oracle.
+squares in the plane, and a grid oracle.
 
 Disk unions: on each circle, every other disk covers an angular interval
 (empty when the centres are 2r or more apart); what survives after removing
@@ -275,70 +275,6 @@ def union_boundary(
     if norm is NormKind.L2:
         return disk_union_boundary(centers, r)
     return square_union_boundary(centers, r)
-
-
-# ---------------------------------------------------------------------------
-# star-shapedness by ray casting
-# ---------------------------------------------------------------------------
-
-
-def _ray_membership_prefix(b: np.ndarray, q: np.ndarray) -> bool:
-    """True iff the union of [t-, t+] per disk meets t >= 0 in one prefix.
-
-    b holds (c - x0) . u per centre, q holds |c - x0|^2 - r^2; the membership
-    set along the ray is the union of the real root intervals.
-    """
-    disc = b * b - q
-    ok = disc >= 0.0
-    if not ok.any():
-        return False
-    root = np.sqrt(disc[ok])
-    t_lo = b[ok] - root
-    t_hi = b[ok] + root
-    keep = t_hi >= 0.0
-    if not keep.any():
-        return False
-    t_lo = np.maximum(t_lo[keep], 0.0)
-    t_hi = t_hi[keep]
-    order = np.argsort(t_lo)
-    t_lo = t_lo[order]
-    t_hi = t_hi[order]
-    if t_lo[0] > 1e-9:
-        return False
-    # a gap opens where an interval starts past every earlier one's end
-    reach = np.maximum.accumulate(t_hi)
-    return not (t_lo[1:] > reach[:-1] + 1e-9).any()
-
-
-def star_shaped_check(
-    centers: PointSet, r: float, x0, num_rays: int = 4096
-) -> tuple[bool, float | None]:
-    """Cast rays from x0; membership along each ray must be a single prefix.
-
-    Returns (True, None) or (False, first violating angle).  Requires every
-    centre within L2 distance r of x0.
-    """
-    pts = _require_planar(centers)
-    r = positive_radius(r)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (2,):
-        raise InvalidArgumentError("x0 must be a 2-vector")
-    if num_rays < 1:
-        raise InvalidArgumentError("num_rays must be >= 1")
-    if _kernels.min_dist(pts, x0[None, :], False).max() > r + 1e-9:
-        raise InvalidArgumentError("every centre must lie within distance r of x0")
-    dv = pts - x0
-    q = (dv * dv).sum(axis=1) - r * r
-    angles = _TWO_PI * np.arange(num_rays) / num_rays
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    b_all = dirs @ dv.T  # (num_rays, n)
-    # fast path: every interval already contains t = 0
-    starts = b_all - np.sqrt(np.maximum(b_all * b_all - q[None, :], 0.0))
-    suspect = np.nonzero(~(starts <= 1e-9).all(axis=1))[0]
-    for k in suspect:
-        if not _ray_membership_prefix(b_all[k], q):
-            return False, float(angles[k])
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core types: point sets, norm bodies, parallel-set membership, packings.
+"""Core types: point sets, norm bodies, parallel-set membership.
 
 All types are immutable after construction; operations are pure functions.
 Every point-to-set distance is `_kernels.min_dist`, every pairwise temporary
@@ -79,32 +79,9 @@ class ParallelSetSpec:
         positive_radius(self.radius)
 
 
-@dataclass(frozen=True)
-class DimensionConstants:
-    dim: int
-    omega_d: float      # unit-ball volume
-    big_omega_d: float  # unit-sphere surface area
-
-
-@dataclass(frozen=True)
-class PackingResult:
-    representatives: PointSet
-    count: int
-    radius: float
-    norm: NormKind
-
-
 def _log_omega(d: int) -> float:
     """log of the unit-ball volume pi^(d/2) / Gamma(1 + d/2), itself 0.0 from d = 453 on."""
     return 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
-
-
-def dimension_constants(d: int) -> DimensionConstants:
-    """Unit L2-ball volume pi^(d/2)/Gamma(1+d/2) and sphere area d * volume."""
-    if d < 1:
-        raise InvalidArgumentError("dimension must be a positive integer")
-    omega = math.exp(_log_omega(d))
-    return DimensionConstants(dim=d, omega_d=omega, big_omega_d=d * omega)
 
 
 def positive_real(x, name: str) -> float:
@@ -143,39 +120,9 @@ def contains(spec: ParallelSetSpec, x) -> bool:
     return distance_to_set(x, spec.base, spec.norm) <= spec.radius
 
 
-def greedy_packing(a: PointSet, r: float, norm: NormKind) -> PackingResult:
-    """Maximal packing by first-fit scan in input order.
-
-    A point is accepted iff its distance to every already accepted
-    representative strictly exceeds r; every input point is then within r of
-    some representative.  Any maximal packing witnesses the volume bounds, so
-    no canonicalization or optimality is attempted.
-    """
-    if not r > 0.0:  # +inf is valid: it keeps the first point alone
-        raise InvalidArgumentError("packing radius must be a positive real or +inf")
-    pts, linf = a.points, norm is NormKind.LINF
-    nearest = np.full(len(pts), np.inf)  # distance to the representatives so far
-    accepted, i = [], 0
-    while not accepted or nearest[i] > r:
-        accepted.append(i)
-        np.minimum(nearest, _kernels.min_dist(pts, pts[i : i + 1], linf), out=nearest)
-        # the next point farther than r (all before it are within r), or 0 when none is
-        i = int(np.argmax(nearest > r))
-    reps = PointSet(pts[accepted])
-    return PackingResult(representatives=reps, count=len(reps), radius=r, norm=norm)
-
-
 # ---------------------------------------------------------------------------
 # IO: point files, JSON objects, point arrays and spec objects
 # ---------------------------------------------------------------------------
-
-
-def save_points_csv(ps: PointSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ps.dim)])
-        for row in ps.points:
-            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def load_points_csv(path) -> PointSet:
@@ -224,12 +171,6 @@ def _csv_floats(path, fields: list[str], lines: list[int]) -> np.ndarray:
             except ValueError:
                 raise InvalidArgumentError(f"{path}:{lineno}: non-numeric coordinate")
         raise
-
-
-def save_points_json(ps: PointSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([list(map(float, row)) for row in ps.points], fh)
-        fh.write("\n")
 
 
 class _PlacedError(InvalidArgumentError):

@@ -73,18 +73,6 @@ def halfspace_predicate(dim: int) -> MembershipPredicate:
     return MembershipPredicate(dim=dim, distance_fn=lambda x: np.maximum(x[:, 0], 0.0))
 
 
-def ball_predicate(dim: int, rho: float) -> MembershipPredicate:
-    positive_real(rho, "ball radius")
-    origin = np.zeros((1, dim))
-    return MembershipPredicate(
-        dim=dim, distance_fn=lambda x: np.maximum(_kernels.min_dist(x, origin, False) - rho, 0.0)
-    )
-
-
-def full_space_predicate(dim: int) -> MembershipPredicate:
-    return MembershipPredicate(dim=dim, distance_fn=lambda x: np.zeros(len(x)))
-
-
 def _target(target):
     """(dim, inner radius, distance fn) of a ParallelSetSpec or MembershipPredicate."""
     if isinstance(target, ParallelSetSpec):
@@ -173,12 +161,6 @@ def mc_gaussian_shell(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEstim
     dim, inner, dist_fn = _target(target)
     delta = _resolve_delta(cfg, inner if inner > 0.0 else 1.0)
     return _band_estimates(cfg, dim, dist_fn, [(inner, inner + delta, delta)], sigma=sigma)[0]
-
-
-def mc_gaussian_measure(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
-    """Gaussian mass of the (dilated) set itself."""
-    dim, inner, dist_fn = _target(target)
-    return _band_estimates(cfg, dim, dist_fn, [(-math.inf, inner, 1.0)], sigma=sigma)[0]
 
 
 # rounding allowance of an exact planar disk-union area, in units of

@@ -28,7 +28,7 @@ from itertools import accumulate, permutations
 import numpy as np
 
 from . import _kernels
-from ._rng import atom_rows, chunk_generator, derive_seed, single_generator, uniform_in_ball
+from ._rng import atom_rows, chunk_generator, derive_seed, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
 from .geometry import PointSet, nonnegative_real, positive_radius
@@ -455,104 +455,8 @@ def robust_risk(d_r_value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plug-in risk of explicit decision regions
+# generators, convergence experiment
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HalfspaceRegion:
-    """Decide class 1 on {x . normal <= offset}; normal is normalized.  An
-    offset of +inf or -inf decides class 1 everywhere or nowhere."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        nvec = np.array(self.normal, dtype=np.float64, copy=True)
-        norm = np.linalg.norm(nvec)
-        if nvec.ndim != 1 or norm == 0.0 or not np.isfinite(norm):
-            raise InvalidArgumentError("halfspace normal must be a nonzero finite vector")
-        if math.isnan(self.offset):
-            raise InvalidArgumentError("halfspace offset must not be NaN")
-        nvec /= norm
-        nvec.flags.writeable = False
-        object.__setattr__(self, "normal", nvec)
-
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
-
-@dataclass(frozen=True)
-class BallUnionRegion:
-    """Decide class 1 on a union of balls B(c_i, rho); centers may be empty."""
-
-    centers: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        c = np.array(self.centers, dtype=np.float64, copy=True)
-        if c.size == 0:
-            c = np.zeros((0, 0))
-        elif c.ndim != 2:
-            raise InvalidArgumentError("centers must form a (k, d) array")
-        if not np.isfinite(c).all():
-            raise InvalidArgumentError("centers must be finite")
-        nonnegative_real(self.rho, "rho")
-        c.flags.writeable = False
-        object.__setattr__(self, "centers", c)
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]  # 0 for an empty union, which fits any samples
-
-
-def decision_region_risk(
-    region, mu0_samples: PointSet, mu1_samples: PointSet, r: float
-) -> float:
-    """Empirical risk (mu0(A dilated by r) + mu1(complement dilated by r)) / 2.
-
-    Halfspace dilations shift the boundary by +-r exactly.  For ball unions
-    the complement dilation uses the deflated-ball union, which is exact for
-    one ball and otherwise overestimates the risk, keeping the reported value
-    a valid upper bound on the optimal robust risk.
-    """
-    nonnegative_real(r, "radius")
-    if not isinstance(region, (HalfspaceRegion, BallUnionRegion)):
-        raise InvalidArgumentError("unsupported decision region type")
-    x0 = mu0_samples.points
-    x1 = mu1_samples.points
-    if len({x0.shape[1], x1.shape[1], region.dim} - {0}) != 1:
-        raise InvalidArgumentError("the region and both sample sets need one dimension")
-    if isinstance(region, HalfspaceRegion):
-        in_dilated = (x0 @ region.normal) <= region.offset + r
-        in_comp_dilated = (x1 @ region.normal) >= region.offset - r
-    elif region.centers.size == 0:
-        in_dilated = np.zeros(len(x0), dtype=bool)
-        in_comp_dilated = np.ones(len(x1), dtype=bool)
-    else:
-        d0 = _kernels.min_dist(x0, region.centers, False)
-        d1 = _kernels.min_dist(x1, region.centers, False)
-        in_dilated = d0 <= region.rho + r
-        if region.rho - r <= 0.0:
-            in_comp_dilated = np.ones(len(x1), dtype=bool)
-        else:
-            in_comp_dilated = ~(d1 <= region.rho - r)
-    return float((in_dilated.mean() + in_comp_dilated.mean()) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# smoothing, generators, convergence experiment
-# ---------------------------------------------------------------------------
-
-
-def gaussian_smooth(samples: PointSet, sigma: float, seed: int) -> PointSet:
-    """Add independent N(0, sigma^2 I) noise to every point."""
-    if nonnegative_real(sigma, "sigma") == 0.0:
-        return samples
-    g = single_generator(seed)
-    noise = g.standard_normal(samples.points.shape) * sigma
-    return PointSet(samples.points + noise)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from parset import PointSet, save_points_csv, transport
+from parset import PointSet, transport
 from parset.cli import build_parser, main
 from parset.transport import EmpiricalMeasure, d_r_weighted
 
@@ -32,7 +32,7 @@ def run_cli(*args):
 @pytest.fixture
 def centers_csv(tmp_path):
     path = tmp_path / "centers.csv"
-    save_points_csv(PointSet([[0.0, 0.0], [1.0, 0.0]]), path)
+    path.write_text("x0,x1\n0,0\n1,0\n")
     return path
 
 
@@ -172,8 +172,8 @@ def test_verify_rejects_unknown_key(tmp_path):
 def test_dr_command(tmp_path):
     mu0 = tmp_path / "mu0.csv"
     mu1 = tmp_path / "mu1.csv"
-    save_points_csv(PointSet([[0.0], [1.0], [2.0]]), mu0)
-    save_points_csv(PointSet([[0.5], [2.1], [9.0]]), mu1)
+    mu0.write_text("x0\n0\n1\n2\n")
+    mu1.write_text("x0\n0.5\n2.1\n9\n")
     out = tmp_path / "dr.json"
     rc = main(["dr", "--mu0", str(mu0), "--mu1", str(mu1), "--radius", "0.3", "--out", str(out)])
     assert rc == 0

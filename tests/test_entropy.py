@@ -20,20 +20,13 @@ from parset import (
     fisher_information_mc,
     fisher_information_quadrature,
     mixture_density,
-    pointwise_lemma_check,
     reverse_epi_check,
 )
 from parset._rng import _COUNT_MAX_ATOMS, CHUNK, atom_rows, map_reduce_chunks
 from parset.bounds import BoundReport
 from parset.cli import main
 from parset import entropy
-from parset.entropy import (
-    _fisher_auto,
-    _log_density,
-    _row_logsumexp,
-    _score_batch,
-    pointwise_lemma_log_ratio,
-)
+from parset.entropy import _fisher_auto, _log_density, _row_logsumexp, _score_batch
 
 
 def gaussian_entropy(var, dim=1):
@@ -260,27 +253,6 @@ def test_reverse_epi_far_separated_gap():
     h_sum = entropy_quadrature(convolve_mixtures(gm_x, gm_y)).value
     gap = h_sum - h_x - h_y
     assert gap == pytest.approx(-0.5 * math.log(math.pi * math.e * r), abs=0.02)
-
-
-def test_pointwise_lemma_equality_case():
-    log_ratio, log_threshold = pointwise_lemma_log_ratio([0.7, -0.2], [0.7, -0.2], 0.9)
-    assert log_ratio == pytest.approx(log_threshold, abs=1e-12)
-    assert pointwise_lemma_check([0.7, -0.2], [0.7, -0.2], 0.9)
-
-
-def test_pointwise_lemma_strict_case():
-    log_ratio, log_threshold = pointwise_lemma_log_ratio([1.0], [-1.0], 0.5)
-    assert log_ratio > log_threshold + 1.0  # |a-b|^2/(4r) = 2
-
-
-def test_pointwise_lemma_sweep():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        d = int(rng.integers(1, 5))
-        a = rng.standard_normal(d) * 3
-        b = rng.standard_normal(d) * 3
-        r = float(rng.uniform(0.05, 5.0))
-        assert pointwise_lemma_check(a, b, r)
 
 
 def test_fisher_single_gaussian():

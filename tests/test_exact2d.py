@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parset import (
-    InvalidArgumentError,
     NormKind,
     PointSet,
     disk_union_area,
@@ -22,12 +21,11 @@ from parset import (
     square_union_area,
     square_union_boundary,
     square_union_perimeter,
-    star_shaped_check,
 )
 from parset import _kernels, exact2d, geometry
 from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
-from parset.exact2d import _marching_cells, _ray_membership_prefix
+from parset.exact2d import _marching_cells
 from parset.geometry import positive_radius
 from test_cli import strict_loads
 
@@ -262,88 +260,6 @@ def test_segment_interiors_disjoint():
         spans.sort()
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert b0 >= a1 - 1e-9
-
-
-# -- star-shapedness ---------------------------------------------------------
-
-
-def test_star_shaped_single_disk():
-    ok, angle = star_shaped_check(PointSet([[0.0, 0.0]]), 1.0, [0.0, 0.0], 256)
-    assert ok and angle is None
-
-
-def test_star_shaped_equality_config():
-    ok, _ = star_shaped_check(equality_config(), 1.0, [0.0, 0.0], 4096)
-    assert ok
-
-
-def test_star_shaped_random_sweep():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        n = rng.integers(1, 12)
-        raw = rng.standard_normal((n, 2))
-        raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-        raw *= rng.random((n, 1)) ** 0.5
-        ok, _ = star_shaped_check(PointSet(raw), 1.0, [0.0, 0.0], 512)
-        assert ok
-
-
-def test_star_shaped_precondition():
-    with pytest.raises(InvalidArgumentError):
-        star_shaped_check(PointSet([[5.0, 0.0]]), 1.0, [0.0, 0.0], 64)
-
-
-def test_ray_prefix_detects_gap():
-    # two disjoint intervals along the ray: [t-, t+] pairs from two far disks
-    b = np.array([0.0, 5.0])
-    q = np.array([-1.0, 24.0])  # first disk contains t=0, second spans [1, 9]
-    assert not _ray_membership_prefix(b, q)
-    # single interval containing zero is a prefix
-    assert _ray_membership_prefix(np.array([0.0]), np.array([-1.0]))
-    # against the reach loop, on random rays and on rays whose gap is 2e-9 wide
-    rng = np.random.default_rng(71)
-    cases = [(rng.uniform(-2, 6, n), rng.uniform(-4, 20, n)) for n in rng.integers(1, 9, 300)]
-    for _ in range(100):
-        lo = np.sort(rng.uniform(0, 5, 4))
-        hi = lo + rng.uniform(0.1, 2, 4)
-        lo[0] = 0.0
-        k = int(rng.integers(1, 4))
-        lo[k] = np.maximum.accumulate(hi)[k - 1] + rng.choice([0.0, 0.5e-9, 2e-9])
-        # the disk whose ray interval is [lo, hi]: b = midpoint, q = lo * hi
-        cases.append(((lo + hi) / 2, lo * hi))
-    outcomes = set()
-    for b, q in cases:
-        want = reference_ray_membership_prefix(b, q)
-        assert _ray_membership_prefix(b, q) is want
-        outcomes.add(want)
-    assert outcomes == {True, False}
-
-
-def reference_ray_membership_prefix(b: np.ndarray, q: np.ndarray) -> bool:
-    """_ray_membership_prefix with its reach loop in Python."""
-    disc = b * b - q
-    ok = disc >= 0.0
-    if not ok.any():
-        return False
-    root = np.sqrt(disc[ok])
-    t_lo = b[ok] - root
-    t_hi = b[ok] + root
-    keep = t_hi >= 0.0
-    if not keep.any():
-        return False
-    t_lo = np.maximum(t_lo[keep], 0.0)
-    t_hi = t_hi[keep]
-    order = np.argsort(t_lo)
-    t_lo = t_lo[order]
-    t_hi = t_hi[order]
-    if t_lo[0] > 1e-9:
-        return False
-    reach = t_hi[0]
-    for lo, hi in zip(t_lo[1:], t_hi[1:]):
-        if lo > reach + 1e-9:
-            return False
-        reach = max(reach, hi)
-    return True
 
 
 # -- grid oracle self-test ---------------------------------------------------

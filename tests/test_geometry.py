@@ -1,5 +1,4 @@
 import math
-from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,18 +11,13 @@ from parset import (
     ParallelSetSpec,
     PointSet,
     contains,
-    dimension_constants,
     distance_to_set,
-    greedy_packing,
     load_points_csv,
     load_points_json,
-    save_points_csv,
-    save_points_json,
 )
 from parset import _kernels, bounds, entropy, mc, transport
 from parset.experiment import ExperimentConfig, run_verify_experiment
 from parset.geometry import nonnegative_real, positive_real, reading
-from parset.mc import ball_predicate
 from parset.transport import EmpiricalMeasure
 
 
@@ -88,8 +82,6 @@ def test_point_set_distances_reach_min_dist(monkeypatch):
     )
     calls = [
         lambda: distance_to_set([1.0, 1.0], a, NormKind.L2),
-        lambda: greedy_packing(a, 0.1, NormKind.LINF),
-        lambda: ball_predicate(2, 0.5).distance_fn(np.zeros((3, 2))),
         lambda: run_verify_experiment(verify),
     ]
     for call in calls:
@@ -135,124 +127,6 @@ def test_norm_sandwich(coords):
     assert dl2 <= math.sqrt(d) * dli + 1e-12
 
 
-def test_dimension_constants():
-    assert dimension_constants(1).omega_d == pytest.approx(2.0)
-    assert dimension_constants(2).omega_d == pytest.approx(math.pi)
-    assert dimension_constants(3).omega_d == pytest.approx(4.0 * math.pi / 3.0)
-    dc = dimension_constants(7)
-    assert dc.big_omega_d == pytest.approx(7 * dc.omega_d)
-    with pytest.raises(InvalidArgumentError):
-        dimension_constants(0)
-
-
-def _is_valid_packing(points, reps, r):
-    reps = np.asarray(reps)
-    for a, b in combinations(range(len(reps)), 2):
-        if np.linalg.norm(reps[a] - reps[b]) <= r:
-            return False
-    for p in points:
-        if np.linalg.norm(reps - p, axis=1).min() > r:
-            return False
-    return True
-
-
-def _maximal_packing_sizes(points, r):
-    """All sizes of maximal packings, by exhaustive subset enumeration."""
-    n = len(points)
-    sizes = set()
-    for mask in range(1, 1 << n):
-        subset = [points[i] for i in range(n) if mask & (1 << i)]
-        if _is_valid_packing(points, subset, r):
-            sizes.add(len(subset))
-    return sizes
-
-
-def test_packing_singleton():
-    res = greedy_packing(PointSet([[1.0, 1.0]]), 0.5, NormKind.L2)
-    assert res.count == 1
-
-
-def test_packing_three_points():
-    pts = PointSet([[0.0, 0.0], [0.4, 0.0], [3.0, 0.0]])
-    res = greedy_packing(pts, 1.0, NormKind.L2)
-    assert res.count == 2
-    np.testing.assert_allclose(res.representatives.points, [[0.0, 0.0], [3.0, 0.0]])
-    assert 2 in _maximal_packing_sizes(list(pts.points), 1.0)
-
-
-def test_packing_colinear():
-    pts = PointSet([[float(i), 0.0] for i in range(5)])
-    res = greedy_packing(pts, 2.5, NormKind.L2)
-    assert res.count == 2
-    # greedy's witness is one of the maximal packings of this instance
-    assert 2 in _maximal_packing_sizes(list(pts.points), 2.5)
-    assert _is_valid_packing(list(pts.points), res.representatives.points, 2.5)
-
-
-@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
-@pytest.mark.parametrize("seed", range(5))
-def test_packing_invariants_random(norm, seed):
-    rng = np.random.default_rng(seed)
-    pts = PointSet(rng.uniform(-2, 2, (30, 3)))
-    r = 0.8
-    res = greedy_packing(pts, r, norm)
-    reps = res.representatives.points
-
-    def dist(u, v):
-        return (
-            np.linalg.norm(u - v) if norm is NormKind.L2 else np.abs(u - v).max()
-        )
-
-    for a, b in combinations(range(len(reps)), 2):
-        assert dist(reps[a], reps[b]) > r
-    for p in pts.points:
-        assert min(dist(p, q) for q in reps) <= r
-
-
-def reference_first_fit(points, r, norm):
-    """First-fit packing as a loop over the accepted list: a point joins when
-    its distance to every accepted one exceeds r."""
-    accepted = []
-    for p in points:
-        if accepted:
-            diffs = np.asarray(accepted) - p
-            if norm is NormKind.L2:
-                d = np.sqrt((diffs * diffs).sum(axis=-1)).min()
-            else:
-                d = np.abs(diffs).max(axis=-1).min()
-            if not d > r:
-                continue
-        accepted.append(p)
-    return np.asarray(accepted)
-
-
-@pytest.mark.parametrize("d", range(1, 8))
-def test_packing_matches_first_fit_loop(d):
-    rng = np.random.default_rng(800 + d)
-    for _ in range(30):
-        n = int(rng.integers(1, 120))
-        pts = rng.uniform(-2, 2, (n, d))
-        # repeats, and lattice points at exactly r apart in one coordinate
-        lattice = np.outer(np.arange(4), np.eye(d)[0])
-        pts = np.concatenate([pts, pts[rng.integers(0, n, n // 4)], lattice])
-        pts = pts[rng.permutation(len(pts))]
-        for r, norm in product((1.0, float(rng.uniform(0.05, 2.0)), math.inf), NormKind):
-            res = greedy_packing(PointSet(pts), r, norm)
-            np.testing.assert_array_equal(res.representatives.points, reference_first_fit(pts, r, norm))
-            assert res.count == len(res.representatives)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_packing_count_volume_bound(seed):
-    # any maximal packing of a set inside B(R) has at most ((R+r/2)/(r/2))^d points
-    rng = np.random.default_rng(100 + seed)
-    big_r, r, d = 1.5, 0.6, 2
-    pts = rng.standard_normal((60, d))
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(0, big_r, (60, 1))
-    res = greedy_packing(PointSet(pts), r, NormKind.L2)
-    assert res.count <= ((big_r + r / 2.0) / (r / 2.0)) ** d
-
-
 def test_pointset_validation():
     with pytest.raises(InvalidArgumentError):
         PointSet(np.zeros((0, 2)))
@@ -263,13 +137,10 @@ def test_pointset_validation():
 
 
 def test_csv_round_trip(tmp_path):
-    ps = PointSet([[1.5, -2.25], [0.0, 1e-17]])
     path = tmp_path / "pts.csv"
-    save_points_csv(ps, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x0,x1"
+    path.write_text("x0,x1\n1.5,-2.25\n0,1e-17\n")
     back = load_points_csv(path)
-    np.testing.assert_array_equal(back.points, ps.points)
+    np.testing.assert_array_equal(back.points, [[1.5, -2.25], [0.0, 1e-17]])
 
 
 def test_csv_rejects_ragged(tmp_path):
@@ -368,11 +239,10 @@ def test_csv_reader_matches_row_by_row_reader(tmp_path, name):
 
 
 def test_json_round_trip(tmp_path):
-    ps = PointSet([[1.0, 2.0, 3.0]])
     path = tmp_path / "pts.json"
-    save_points_json(ps, path)
+    path.write_text("[[1.0, 2.0, 3.0], [-2.25, 0, 1e-17]]\n")
     back = load_points_json(path)
-    np.testing.assert_array_equal(back.points, ps.points)
+    np.testing.assert_array_equal(back.points, [[1.0, 2.0, 3.0], [-2.25, 0.0, 1e-17]])
 
 
 def test_json_rejects_ragged(tmp_path):
@@ -401,7 +271,6 @@ def test_reading_prefixes_each_message_once():
 _ONE = PointSet([[0.0, 0.0]])
 _UNIFORM = EmpiricalMeasure.uniform(_ONE)
 _CFG = mc.McConfig(samples=10, seed=0)
-_BALL = transport.BallUnionRegion(np.zeros((1, 2)), 1.0)
 _BALL_GEN = transport.DistributionSpec("uniform-ball", 1)
 _POS = "must be a positive finite real"
 _NONNEG = "must be a nonnegative finite real"
@@ -428,8 +297,7 @@ ROUTED = {
     "n0-c1": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, 0.01, 0.1, c1=x), f"c1 {_POS}"),
     "mc-shell-delta": (lambda x: mc.McConfig(samples=1, seed=0, shell_delta=x),
                        f"shell_delta {_POS}"),
-    "mc-ball-rho": (lambda x: ball_predicate(2, x), f"ball radius {_POS}"),
-    "mc-sigma": (lambda x: mc.mc_gaussian_measure(mc.halfspace_predicate(2), _CFG, sigma=x),
+    "mc-sigma": (lambda x: mc.mc_gaussian_shell(mc.halfspace_predicate(2), _CFG, sigma=x),
                  f"sigma {_POS}"),
     "kneser-a": (lambda x: mc.kneser_shell_check(_ONE, NormKind.L2, x, 1.0, 1.5, _CFG),
                  "need 0 < a_k <= b_k < inf"),
@@ -441,7 +309,6 @@ ROUTED = {
                        r"cap_half_angle must lie in \(0, pi\)"),
     "mixture-variance": (lambda x: entropy.GaussianMixture([[0.0]], [1.0], x),
                          f"variance {_POS}"),
-    "lemma-r": (lambda x: entropy.pointwise_lemma_log_ratio([0.0], [1.0], x), f"r {_POS}"),
     "de-bruijn-t0": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], x),
                      "need 0 < dt < t0 < inf"),
     "de-bruijn-dt": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], 1.0, dt=x),
@@ -449,10 +316,6 @@ ROUTED = {
     "d-r-radius": (lambda x: transport.d_r_uniform(_ONE, _ONE, x), f"radius {_NONNEG}"),
     "w1-domination-radius": (lambda x: transport.check_w1_domination(_UNIFORM, _UNIFORM, x),
                              f"radius {_POS}"),
-    "region-risk-radius": (lambda x: transport.decision_region_risk(_BALL, _ONE, _ONE, x),
-                           f"radius {_NONNEG}"),
-    "ball-union-rho": (lambda x: transport.BallUnionRegion(np.zeros((1, 2)), x), f"rho {_NONNEG}"),
-    "smooth-sigma": (lambda x: transport.gaussian_smooth(_ONE, x, 0), f"sigma {_NONNEG}"),
     "generator-sigma": (lambda x: transport.DistributionSpec("gaussian-mixture", 1, ((0.0,),),
                                                              sigma=x), f"sigma {_NONNEG}"),
     "convergence-sigma": (lambda x: transport.convergence_experiment(
@@ -469,11 +332,3 @@ def test_non_finite_parameters_are_rejected(name, bad):
     call, message = ROUTED[name]
     with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call(bad)
-
-
-@pytest.mark.parametrize("bad", [math.nan, -math.inf, 0.0])
-def test_packing_radius_takes_only_positive_values_and_inf(bad):
-    # +inf stays valid: it packs the first point alone
-    with pytest.raises(InvalidArgumentError, match=r"packing radius must be a positive real or \+inf"):
-        greedy_packing(_ONE, bad, NormKind.L2)
-    assert greedy_packing(PointSet([[0.0], [5.0]]), math.inf, NormKind.L2).count == 1

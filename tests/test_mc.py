@@ -16,7 +16,6 @@ from parset import (
     ParallelSetSpec,
     PointSet,
     RangeOverflowError,
-    ball_predicate,
     cube_union_measures,
     disk_union_area,
     disk_union_perimeter,
@@ -24,11 +23,9 @@ from parset import (
     entropy_quadrature,
     fisher_information_mc,
     fisher_information_quadrature,
-    full_space_predicate,
     halfspace_predicate,
     inscribed_angle_check,
     kneser_shell_check,
-    mc_gaussian_measure,
     mc_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
@@ -129,7 +126,7 @@ def test_gaussian_shell_ball_against_radial_quadrature():
     want, _ = quad(chi_pdf, rho, rho + delta)
     want /= delta
     est = mc_gaussian_shell(
-        ball_predicate(dim, rho), McConfig(samples=2_000_000, seed=11, shell_delta=delta)
+        spec_point(dim, radius=rho), McConfig(samples=2_000_000, seed=11, shell_delta=delta)
     )
     assert abs(est.value - want) <= 3.0 * est.std_error
 
@@ -138,12 +135,6 @@ def test_gaussian_shell_empty():
     spec = spec_point(2, radius=30.0)
     est = mc_gaussian_shell(spec, McConfig(samples=100_000, seed=12, shell_delta=1e-3))
     assert est.value == 0.0
-
-
-def test_gaussian_total_mass():
-    est = mc_gaussian_measure(full_space_predicate(3), McConfig(samples=10_000, seed=13))
-    assert est.value == 1.0
-    assert est.std_error == 0.0
 
 
 _PLANE = ParallelSetSpec(base=PointSet([[0.0, 0.0], [0.8, 0.3]]), norm=NormKind.L2, radius=0.5)
@@ -163,7 +154,6 @@ _PROVENANCE = {
     "mc_shell_lebesgue": (lambda: [mc_shell_lebesgue(_PLANE, _CFG)], 3000),
     "mc_volume_and_shell": (lambda: list(mc_volume_and_shell(_PLANE, _CFG)), 3000),
     "mc_gaussian_shell": (lambda: [mc_gaussian_shell(_PLANE, _CFG)], 3000),
-    "mc_gaussian_measure": (lambda: [mc_gaussian_measure(_PLANE, _CFG)], 3000),
     "cube_union_measures": (lambda: list(cube_union_measures(_PLANE.base, 0.5)), 0),
     "cap-2d": (lambda: _apex_fraction(2), 0),
     "cap-3d": (lambda: _apex_fraction(3), 0),
@@ -203,7 +193,7 @@ def test_determinism_across_workers():
         lambda cfg: mc_volume(spec, cfg),
         lambda cfg: mc_shell_lebesgue(spec, cfg),
         lambda cfg: mc_gaussian_shell(spec, cfg),
-        lambda cfg: mc_gaussian_measure(ball_predicate(3, 0.5), cfg, sigma=1.5),
+        lambda cfg: mc_gaussian_shell(halfspace_predicate(3), cfg, sigma=1.5),
         lambda cfg: kneser_shell_check(base, NormKind.LINF, 0.2, 0.5, 1.3, cfg),
     )
     for estimate in estimators:
@@ -1114,17 +1104,6 @@ def reference_mc_gaussian_shell(target, cfg, sigma=1.0):
     return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
 
 
-def reference_mc_gaussian_measure(target, cfg, sigma=1.0):
-    dim, inner, dist_fn = reference_gaussian_shell_counter(target, sigma)
-
-    def chunk(g, n):
-        x = g.standard_normal((n, dim)) * sigma
-        return (int((dist_fn(x) <= inner).sum()),)
-
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-    return reference_proportion_estimate(hits, cfg.samples, 1.0)
-
-
 def reference_kneser_shell_check(base, norm, a_k, b_k, t, cfg):
     outer = ParallelSetSpec(base=base, norm=norm, radius=t * b_k)
     lo, hi, box_vol = reference_bounding_box(outer)
@@ -1173,16 +1152,9 @@ def test_band_core_matches_reference_estimators():
                     reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
                 )
             )
-        targets = [spec, halfspace_predicate(dim), ball_predicate(dim, 0.8), full_space_predicate(dim)]
-        for target in targets:
+        for target in (spec, halfspace_predicate(dim)):
             pairs.append(
                 (mc_gaussian_shell(target, cfg, sigma), reference_mc_gaussian_shell(target, cfg, sigma))
-            )
-            pairs.append(
-                (
-                    mc_gaussian_measure(target, cfg, sigma),
-                    reference_mc_gaussian_measure(target, cfg, sigma),
-                )
             )
         for got, want in pairs:
             assert got == want, (dim, norm, delta, workers)
@@ -1216,6 +1188,6 @@ def test_band_core_argument_errors():
     with pytest.raises(InvalidArgumentError, match="target must be"):
         mc_gaussian_shell(object(), cfg)
     with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
-        mc_gaussian_measure(halfspace_predicate(2), cfg, sigma=0.0)
+        mc_gaussian_shell(halfspace_predicate(2), cfg, sigma=0.0)
     with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
         mc_gaussian_shell(spec_point(2), cfg, sigma=-1.0)

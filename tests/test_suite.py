@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import types
 
 import pytest
 
@@ -69,6 +70,42 @@ def test_suites_cover_all_checks():
             named.update(checks)
     assert set(SUITES["all"]) == named
     assert SUITES["all"] == tuple(suite_mod.CHECKS)
+
+
+# every public name of the package, so that adding or removing an export is a
+# deliberate change to this list
+_PUBLIC_NAMES = [
+    "ArcDecomposition", "BoundReport", "BoundarySegment", "DistributionSpec",
+    "EmpiricalMeasure", "GaussianConstantBreakdown", "GaussianMixture",
+    "InvalidArgumentError", "McConfig", "MeasureEstimate", "MembershipPredicate",
+    "NormKind", "ParallelSetSpec", "PointSet", "Profile", "RangeOverflowError",
+    "RunManifest", "SUITES", "SegmentDecomposition", "SuiteConfig",
+    "TransportResult", "Verdict", "bound_bounded_support", "bound_shell_volume",
+    "bound_union_in_ball", "bound_union_in_cube", "bound_volume_constrained",
+    "check_w1_domination", "contains", "convergence_experiment",
+    "convolve_mixtures", "coupling_sandwich_check", "cube_union_measures",
+    "d_r_brute_force", "d_r_uniform", "d_r_uniform_many", "d_r_weighted",
+    "de_bruijn_check", "disk_union_area", "disk_union_boundary",
+    "disk_union_perimeter", "distance_to_set", "entropy_mc", "entropy_quadrature",
+    "fisher_information_mc", "fisher_information_quadrature", "gaussian_constant",
+    "gaussian_surface_bound", "halfspace_predicate", "inscribed_angle_check",
+    "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",
+    "mc_gaussian_shell", "mc_shell_lebesgue", "mc_volume", "mc_volume_and_shell",
+    "mixture_density", "rasterized_measures", "reverse_bm_bound",
+    "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
+    "sample_complexity_n0", "sample_distribution", "square_union_area",
+    "square_union_boundary", "square_union_perimeter", "union_boundary",
+    "w1_empirical",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(parset).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == _PUBLIC_NAMES
 
 
 def test_run_suite_unknown_name():

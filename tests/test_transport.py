@@ -13,10 +13,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
 from parset import (
-    BallUnionRegion,
     DistributionSpec,
     EmpiricalMeasure,
-    HalfspaceRegion,
     InvalidArgumentError,
     PointSet,
     Verdict,
@@ -27,8 +25,6 @@ from parset import (
     d_r_uniform,
     d_r_uniform_many,
     d_r_weighted,
-    decision_region_risk,
-    gaussian_smooth,
     robust_risk,
     sample_distribution,
     w1_empirical,
@@ -949,74 +945,6 @@ def test_robust_risk():
     assert robust_risk(1.0 / 3.0) == pytest.approx(1.0 / 3.0)
     with pytest.raises(InvalidArgumentError):
         robust_risk(1.5)
-
-
-def test_decision_region_degenerate():
-    rng = np.random.default_rng(10)
-    x0 = PointSet(rng.standard_normal((50, 2)))
-    x1 = PointSet(rng.standard_normal((50, 2)))
-    empty = BallUnionRegion(centers=[], rho=0.0)
-    assert decision_region_risk(empty, x0, x1, 0.3) == 0.5
-    everything = HalfspaceRegion(normal=[1.0, 0.0], offset=math.inf)
-    assert decision_region_risk(everything, x0, x1, 0.3) == 0.5
-
-
-def test_decision_region_halfspace_dominates_optimum():
-    rng = np.random.default_rng(11)
-    n, r = 100, 0.2
-    x0 = PointSet(rng.standard_normal((n, 2)) + [0.0, 0.0])
-    x1 = PointSet(rng.standard_normal((n, 2)) + [4.0, 0.0])
-    region = HalfspaceRegion(normal=[-1.0, 0.0], offset=-2.0)  # decide 1 when x >= 2
-    risk = decision_region_risk(region, x0, x1, r)
-    optimal = robust_risk(d_r_uniform(x0, x1, r).value)
-    assert risk < 0.5
-    assert risk >= optimal - 1e-12
-
-
-def test_decision_region_ball_union():
-    x0 = PointSet([[0.0, 0.0], [3.0, 0.0]])
-    x1 = PointSet([[0.1, 0.0], [5.0, 0.0]])
-    region = BallUnionRegion(centers=[[0.0, 0.0]], rho=1.0)
-    risk = decision_region_risk(region, x0, x1, 0.25)
-    # mu0 mass in dilated ball: the origin point only -> 1/2
-    # mu1 mass outside the eroded ball: the far point only -> 1/2
-    assert risk == pytest.approx(0.5 * (0.5 + 0.5))
-    with pytest.raises(InvalidArgumentError):
-        decision_region_risk(object(), x0, x1, 0.25)
-
-
-# regions that once gave a silent risk (rho NaN: 0.5; offset NaN: 0.0) or a
-# bare ValueError from min_dist or matmul
-_BAD_REGIONS = {
-    "halfspace-nan-offset": lambda: HalfspaceRegion(normal=[1.0, 0.0], offset=math.nan),
-    "ball-nan-rho": lambda: BallUnionRegion(centers=[[0.0, 0.0]], rho=math.nan),
-    "ball-inf-rho": lambda: BallUnionRegion(centers=[[0.0, 0.0]], rho=math.inf),
-    "ball-nan-center": lambda: BallUnionRegion(centers=[[math.nan, 0.0]], rho=1.0),
-    "ball-inf-center": lambda: BallUnionRegion(centers=[[0.0, -math.inf]], rho=1.0),
-    "halfspace-3d": lambda: HalfspaceRegion(normal=[1.0, 0.0, 0.0], offset=0.0),
-    "ball-3d": lambda: BallUnionRegion(centers=[[0.0, 0.0, 0.0]], rho=1.0),
-    "ball-3d-kd-tree": lambda: BallUnionRegion(centers=np.zeros((70, 3)), rho=1.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_BAD_REGIONS))
-def test_decision_region_rejects_bad_input(case):
-    x = PointSet(np.random.default_rng(12).standard_normal((20, 2)))
-    with pytest.raises(InvalidArgumentError):
-        decision_region_risk(_BAD_REGIONS[case](), x, x, 0.25)
-
-
-def test_gaussian_smooth():
-    pts = PointSet(np.zeros((4000, 3)))
-    assert gaussian_smooth(pts, 0.0, 1) is pts
-    smoothed = gaussian_smooth(pts, 0.5, 1)
-    again = gaussian_smooth(pts, 0.5, 1)
-    np.testing.assert_array_equal(smoothed.points, again.points)
-    mean = smoothed.points.mean(axis=0)
-    se = 0.5 / math.sqrt(4000)
-    assert (np.abs(mean) <= 3.0 * se).all()
-    var = smoothed.points.var(axis=0)
-    assert np.allclose(var, 0.25, rtol=0.15)
 
 
 def test_coupling_sandwich_reduction():
