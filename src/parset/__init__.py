@@ -48,8 +48,6 @@ from .geometry import (
     NormKind,
     ParallelSetSpec,
     PointSet,
-    contains,
-    distance_to_set,
     load_points,
     load_points_csv,
     load_points_json,

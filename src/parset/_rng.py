@@ -8,7 +8,7 @@ threads execute the chunks.
 
 The package's two Monte Carlo reductions run on map_reduce_chunks: band
 counts (mc._band_estimates, behind every estimate in mc, solid angles
-included) and moment means (entropy._moment_means).  Mixture atoms are drawn
+included) and moment means (entropy._moment_mean).  Mixture atoms are drawn
 by one inverse-CDF routine, atom_rows: counted for mixtures of at most
 _COUNT_MAX_ATOMS atoms, binary-searched above, the same rows either way.
 """
@@ -41,10 +41,6 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     bg = np.random.Philox(key=int(seed) & _MASK64)
     bg.advance(int(chunk_index) * _CHUNK_STRIDE)
     return np.random.Generator(bg)
-
-
-def single_generator(seed: int) -> np.random.Generator:
-    return chunk_generator(seed, 0)
 
 
 def map_reduce_chunks(

@@ -326,7 +326,7 @@ def _cmd_epi(args) -> int:
     positive_real(args.smoothing, "--smoothing")
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
-    rep, h_x, h_y = ent._reverse_epi(
+    rep, h_x, h_y = ent.reverse_epi_check(
         gm_x, gm_y, n=args.samples, seed=args.seed, workers=args.workers
     )
     _emit(

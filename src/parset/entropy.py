@@ -6,12 +6,13 @@ density; everything here works with that class (isotropic, one shared
 variance per mixture).  Entropies are in nats.
 In 1-d, entropy, Fisher information and the de Bruijn slope are integrals
 on one composite-Simpson grid (_simpson) with a step of at most 1/16 sd,
-sized to the mixture; a mixture whose window would need more than
-_MAX_POINTS points, and every mixture of dim >= 2, goes to Monte Carlo.
+sized to the mixture.  Entropy and Fisher information of a mixture whose
+window would need more than _MAX_POINTS points, or of dim >= 2, go to Monte
+Carlo; the de Bruijn check takes only mixtures the grid resolves.
 Every estimate is a bounds.MeasureEstimate: a quadrature value is exact
 (samples_used 0, std_error its rounding and tail allowance), a Monte Carlo
 one the mean of n per-sample values with its standard error, all taken by
-one chunked reduction, _moment_means.
+one chunked reduction, _moment_mean.
 The log-density and the score share one kernel, _mixture_blocks.  It takes
 a batch in blocks of _BLOCK_TERMS // k rows and holds a block's log terms
 log w_j - |x - a_j|^2 / (2 var) column-major, one contiguous column per
@@ -184,23 +185,24 @@ def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.n
     return rows
 
 
-def _moment_means(seed: int, n: int, workers: int, chunk_fn) -> list[MeasureEstimate]:
-    """The mean of each per-sample array that chunk_fn(g, m) returns, over n
+def _moment_mean(seed: int, n: int, workers: int, chunk_fn) -> MeasureEstimate:
+    """The mean of the per-sample array that chunk_fn(g, m) returns, over n
     samples, with its standard error; sums of v and v * v add in chunk
     order, so workers do not change them."""
 
     def chunk(g, m):
-        return tuple(s for v in chunk_fn(g, m) for s in (float(v.sum()), float((v * v).sum())))
+        v = chunk_fn(g, m)
+        return float(v.sum()), float((v * v).sum())
 
-    sums = map_reduce_chunks(seed, n, workers, chunk)
-    moments = [(s1 / n, s2 / n) for s1, s2 in zip(sums[::2], sums[1::2])]
-    return [MeasureEstimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n) for m1, m2 in moments]
+    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    m1, m2 = s1 / n, s2 / n
+    return MeasureEstimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
 
 
 def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: int = 1) -> MeasureEstimate:
     """Unbiased estimator: mean of -log p over samples of the mixture."""
-    chunk = lambda g, m: (-_log_density(gm, _sample_mixture(gm, g, m)),)
-    return _moment_means(seed, n, workers, chunk)[0]
+    chunk = lambda g, m: -_log_density(gm, _sample_mixture(gm, g, m))
+    return _moment_mean(seed, n, workers, chunk)
 
 
 # standard deviations the quadrature window reaches past the extreme atoms
@@ -282,34 +284,26 @@ def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> M
 
 
 def reverse_epi_check(
-    x_atoms,
-    x_weights,
-    y_atoms,
-    y_weights,
-    r: float,
+    gm_x: GaussianMixture,
+    gm_y: GaussianMixture,
     n: int = 1_000_000,
     seed: int = 0,
-) -> BoundReport:
-    """h(sum of two var-r smoothed variables) <= h's sum - (d/2) ln(pi r).
+    workers: int = 1,
+) -> tuple[BoundReport, MeasureEstimate, MeasureEstimate]:
+    """h(X + Y) <= h(X) + h(Y) - (d/2) ln(pi r) for two mixtures of one
+    variance r, with the estimates of h(X) and h(Y) it used.
 
     Entropies come from quadrature for 1-d mixtures whose grid resolves them,
     Monte Carlo otherwise; the verdict allows 4 combined standard errors.
+    ``workers`` threads share the Monte Carlo chunks; the estimates do not
+    depend on it.
     """
-    gm_x = GaussianMixture(atoms=x_atoms, weights=x_weights, variance=r)
-    gm_y = GaussianMixture(atoms=y_atoms, weights=y_weights, variance=r)
-    return _reverse_epi(gm_x, gm_y, n, seed)[0]
-
-
-def _reverse_epi(
-    gm_x: GaussianMixture, gm_y: GaussianMixture, n: int, seed: int, workers: int = 1
-) -> tuple[BoundReport, MeasureEstimate, MeasureEstimate]:
-    """The reverse-EPI report for two mixtures of one variance r, plus the
-    estimates of h(X) and h(Y) that it used.  ``workers`` threads share the
-    Monte Carlo chunks; the estimates do not depend on it."""
     if n < 1:  # checked here: quadrature would not read n for 1-d mixtures
         raise InvalidArgumentError("samples must be >= 1")
     if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
+    if gm_x.variance != gm_y.variance:
+        raise InvalidArgumentError("the two mixtures must share one variance r")
     h_x = _entropy_auto(gm_x, n, seed, workers)
     h_y = _entropy_auto(gm_y, n, seed + 1, workers)
     h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2, workers)
@@ -355,9 +349,9 @@ def fisher_information_mc(
     """Mean squared score norm; for smoothed variables this never exceeds d/var."""
 
     def chunk(g, m):
-        return (_squared_norms(_score_batch(gm, _sample_mixture(gm, g, m))),)
+        return _squared_norms(_score_batch(gm, _sample_mixture(gm, g, m)))
 
-    return _moment_means(seed, n, workers, chunk)[0]
+    return _moment_mean(seed, n, workers, chunk)
 
 
 def fisher_information_quadrature(gm: GaussianMixture) -> MeasureEstimate:
@@ -385,57 +379,32 @@ def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> Me
 _CURVATURE_BUDGET = 100.0
 
 
-def de_bruijn_check(
-    atoms,
-    weights,
-    t0: float,
-    dt: float = 1e-3,
-    n: int = 200_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> BoundReport:
+def de_bruijn_check(atoms, weights, t0: float, dt: float = 1e-3) -> BoundReport:
     """Heat-flow entropy slope vs half the Fisher information at variance t0.
 
     The slope is a central difference of the smoothed entropy at t0 +- dt.
-    In 1-d, where the grid resolves the mixture, both entropies and J come
-    from quadrature and the allowance is the finite-difference curvature
-    term alone, _CURVATURE_BUDGET * dt^2 * (1 + 1/t0^3).  Otherwise they are
-    estimated with common random numbers (shared atom picks and base noise),
-    so the slope's standard error reflects the difference, not two
-    independent entropies, and the allowance adds 4 combined sigma.
+    Both entropies and J come from quadrature on the 1-d grid, and the
+    allowance is the finite-difference curvature term alone,
+    _CURVATURE_BUDGET * dt^2 * (1 + 1/t0^3).  A mixture the grid does not
+    resolve at t0 - dt, or of dim >= 2, is refused.
     """
     if not (0.0 < dt < t0 < math.inf):
         raise InvalidArgumentError("need 0 < dt < t0 < inf")
     gm_plus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 + dt)
     gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
     gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)
-    curvature = _CURVATURE_BUDGET * dt * dt * (1.0 + t0**-3)
     # the smallest variance needs the widest window in sd
-    if _uses_quadrature(gm_minus):
-        h_plus = entropy_quadrature(gm_plus).value
-        h_minus = entropy_quadrature(gm_minus).value
-        j = fisher_information_quadrature(gm_mid).value
-        return BoundReport.compare(
-            "de-bruijn",
-            bound_value=curvature,
-            measured=abs((h_plus - h_minus) / (2.0 * dt) - j / 2.0),
-            std_error=0.0,
+    if not _uses_quadrature(gm_minus):
+        raise InvalidArgumentError(
+            "de_bruijn_check needs a 1-d mixture whose window fits the "
+            f"{_MAX_POINTS}-point quadrature grid"
         )
-
-    def chunk(g, m):
-        base = atom_rows(g, gm_mid.atoms, gm_mid.weights, m)
-        eps = g.standard_normal((m, gm_mid.dim))
-        v_plus = -_log_density(gm_plus, base + eps * math.sqrt(t0 + dt))
-        v_minus = -_log_density(gm_minus, base + eps * math.sqrt(t0 - dt))
-        fd = (v_plus - v_minus) / (2.0 * dt)
-        s2 = _squared_norms(_score_batch(gm_mid, base + eps * math.sqrt(t0)))
-        return fd, s2
-
-    fd, j = _moment_means(seed, n, workers, chunk)
-    combined = math.sqrt(fd.std_error**2 + (j.std_error / 2.0) ** 2)
+    h_plus = entropy_quadrature(gm_plus).value
+    h_minus = entropy_quadrature(gm_minus).value
+    j = fisher_information_quadrature(gm_mid).value
     return BoundReport.compare(
         "de-bruijn",
-        bound_value=4.0 * combined + curvature,
-        measured=abs(fd.value - j.value / 2.0),
+        bound_value=_CURVATURE_BUDGET * dt * dt * (1.0 + t0**-3),
+        measured=abs((h_plus - h_minus) / (2.0 * dt) - j / 2.0),
         std_error=0.0,
     )

@@ -98,7 +98,9 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     with reading(cfg.name):
         delta = None if params.get("delta") is None else positive_real(params["delta"], "delta")
         sigma = positive_real(params.get("sigma", 1.0), "sigma")
-        checks = list(params.get("checks", _CHECK_NAMES[:3]))
+    checks = params.get("checks", list(_CHECK_NAMES[:3]))
+    if not (isinstance(checks, list) and all(isinstance(name, str) for name in checks)):
+        raise InvalidArgumentError(f"{cfg.name}: checks: need an array of check names")
     a_k, b_k, t = kneser_params(params, radius, cfg.name)
     for name in checks:
         if name not in _CHECK_NAMES:

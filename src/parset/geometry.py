@@ -1,9 +1,10 @@
-"""Core types: point sets, norm bodies, parallel-set membership.
+"""Core types: point sets, norm bodies, parallel-set specs.
 
 All types are immutable after construction; operations are pure functions.
-Every point-to-set distance is `_kernels.min_dist`, every pairwise temporary
-is cut by `row_blocks`, and every open-ended real parameter of the package,
-a radius or any other, is checked by `positive_real` or `nonnegative_real`.
+Every pairwise temporary is cut by `row_blocks`, and every open-ended real
+parameter of the package, a radius or any other, is checked by
+`positive_real` or `nonnegative_real`.  Point-to-set distances are
+`_kernels.min_dist`, called by the modules that measure.
 
 The IO section at the end holds every input format the CLI reads: point
 files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for unknown
@@ -26,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidArgumentError
 
 
@@ -103,21 +103,6 @@ def nonnegative_real(x, name: str) -> float:
 def positive_radius(r) -> float:
     """The radius check: positive_real(r, "radius")."""
     return positive_real(r, "radius")
-
-
-def distance_to_set(x, a: PointSet, norm: NormKind) -> float:
-    """Distance from x to the nearest member of a under the chosen norm."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (a.dim,):
-        raise InvalidArgumentError(f"expected a vector of dimension {a.dim}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidArgumentError("query coordinates must be finite")
-    return float(_kernels.min_dist(v[None, :], a.points, norm is NormKind.LINF)[0])
-
-
-def contains(spec: ParallelSetSpec, x) -> bool:
-    """Closed-set membership: boundary points count as inside."""
-    return distance_to_set(x, spec.base, spec.norm) <= spec.radius
 
 
 # ---------------------------------------------------------------------------

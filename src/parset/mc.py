@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels, exact2d
-from ._rng import derive_seed, map_reduce_chunks, single_generator, uniform_in_ball
+from ._rng import chunk_generator, derive_seed, map_reduce_chunks, uniform_in_ball
 from .bounds import BoundReport, MeasureEstimate, worst_excess
 from .errors import InvalidArgumentError, RangeOverflowError
 from .geometry import NormKind, ParallelSetSpec, PointSet, positive_radius, positive_real
@@ -504,7 +504,7 @@ def inscribed_angle_check(
 
     def deficit(k):
         sub = derive_seed(seed, "inscribed-angle", k)
-        apex = uniform_in_ball(single_generator(derive_seed(sub, "apex")), 1, dim)[0]
+        apex = uniform_in_ball(chunk_generator(derive_seed(sub, "apex"), 0), 1, dim)[0]
         fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub, workers)
         return fc / shrink - fa.value, fa.std_error
 

@@ -105,12 +105,12 @@ def profile_from_samples(samples: int | None) -> Profile:
     )
 
 
-def _ball_config(g, max_points: int, dim: int = 2) -> np.ndarray:
-    return uniform_in_ball(g, int(g.integers(1, max_points + 1)), dim)
+def _ball_config(g, max_points: int) -> np.ndarray:
+    return uniform_in_ball(g, int(g.integers(1, max_points + 1)), 2)
 
 
-def _cube_config(g, max_points: int, dim: int = 2) -> np.ndarray:
-    return uniform_in_cube(g, int(g.integers(1, max_points + 1)), dim)
+def _cube_config(g, max_points: int) -> np.ndarray:
+    return uniform_in_cube(g, int(g.integers(1, max_points + 1)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +471,9 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
         ky = int(g.integers(1, 5))
         wx = g.random(kx) + 0.1
         wy = g.random(ky) + 0.1
-        rep = ent.reverse_epi_check(
-            x_atoms=g.uniform(-3, 3, (kx, 1)),
-            x_weights=wx / wx.sum(),
-            y_atoms=g.uniform(-3, 3, (ky, 1)),
-            y_weights=wy / wy.sum(),
-            r=r,
-        )
+        gm_x = ent.GaussianMixture(g.uniform(-3, 3, (kx, 1)), wx / wx.sum(), r)
+        gm_y = ent.GaussianMixture(g.uniform(-3, 3, (ky, 1)), wy / wy.sum(), r)
+        rep = ent.reverse_epi_check(gm_x, gm_y)[0]
         return rep.measured - rep.bound_value
 
     reports.append(BoundReport.sweep("reverse-epi-random", 1e-6, map(excess, range(20))))
@@ -512,7 +508,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
         )
         return est.value - 4.0 * est.std_error - gm.dim / gm.variance
 
-    def de_bruijn_excess(k):
+    def de_bruijn_excess(_):
         n_atoms = int(g.integers(1, 4))
         w = g.random(n_atoms) + 0.1
         rep = ent.de_bruijn_check(
@@ -520,9 +516,6 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             weights=w / w.sum(),
             t0=float(g.uniform(0.5, 1.5)),
             dt=1e-3,
-            n=prof.entropy_samples,
-            seed=derive_seed(seed, "de-bruijn", k),
-            workers=prof.workers,
         )
         return rep.measured - rep.bound_value
 

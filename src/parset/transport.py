@@ -15,6 +15,8 @@ in Python integers, the weights scaled to one common denominator,
 so that inequalities between transport values can be checked exactly rather
 than modulo solver tolerance; each phase walks only the edges into the next
 level, which gives the same pushes as walking every edge.
+Wasserstein-1 is exact too: the area between the CDFs in 1-d, and from 2-d
+an assignment solve, which takes two uniform measures of equal size.
 """
 
 from __future__ import annotations
@@ -389,13 +391,13 @@ def _w1_sorted_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
 def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
     """Exact earth-mover distance with Euclidean ground cost.
 
-    Dispatch: sorted/CDF computation in dimension 1, an assignment solve for
-    equal-size inputs whose weights are all equal (is_uniform), otherwise the
-    transportation LP.  Inputs are capped at 500 points per side; subsample
-    or bin larger clouds first.
+    In dimension 1 it is the sorted/CDF computation, for any weights.  From
+    dimension 2 it is an assignment solve, so it takes two equal-size
+    measures whose weights are all equal (is_uniform) and refuses any other
+    pair.  Inputs are capped at 500 points per side; subsample or bin larger
+    clouds first.
     """
-    from scipy import sparse
-    from scipy.optimize import linear_sum_assignment, linprog
+    from scipy.optimize import linear_sum_assignment
 
     if mu.points.dim != nu.points.dim:
         raise InvalidArgumentError("measures must share a dimension")
@@ -408,32 +410,15 @@ def w1_empirical(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportResult:
     if mu.points.dim == 1:
         value, flows = _w1_sorted_1d(mu, nu)
         return TransportResult(value=value, certificate=flows)
+    if not (n == m and mu.is_uniform and nu.is_uniform):
+        raise InvalidArgumentError(
+            "w1_empirical takes 1-d measures, or two uniform measures of equal size"
+        )
     dist = np.sqrt(_pair_dist_sq(mu.points.points, nu.points.points))
-    if n == m and mu.is_uniform and nu.is_uniform:
-        rows, cols = linear_sum_assignment(dist)
-        value = float(dist[rows, cols].mean())
-        flows = tuple((int(i), int(j), 1.0 / n) for i, j in zip(rows, cols))
-        return TransportResult(value=value, certificate=flows)
-    # plan[i, j] is variable i * m + j: row i sums plan[i, :], row n + j plan[:, j]
-    a_eq = sparse.vstack(
-        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))],
-        format="csr",
-    )
-    res = linprog(
-        dist.ravel(),
-        A_eq=a_eq,
-        b_eq=np.concatenate([mu.weights, nu.weights]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    flows = tuple(
-        (int(i), int(j), float(plan[i, j]))
-        for i, j in zip(*np.nonzero(plan > 1e-12))
-    )
-    return TransportResult(value=float(res.fun), certificate=flows)
+    rows, cols = linear_sum_assignment(dist)
+    value = float(dist[rows, cols].mean())
+    flows = tuple((int(i), int(j), 1.0 / n) for i, j in zip(rows, cols))
+    return TransportResult(value=value, certificate=flows)
 
 
 def check_w1_domination(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> BoundReport:

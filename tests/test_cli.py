@@ -832,6 +832,17 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("checks", ["kneser", 5, {"kneser": 1}, ["kneser", 5]],
+                         ids=["string", "number", "object", "non-string-name"])
+def test_verify_checks_need_an_array_of_names(tmp_path, capsys, checks):
+    # a string was read letter by letter, and an object by its keys
+    exp = {"name": "demo", "module": "bounds", "seed": 1,
+           "parameters": {"points": [[0.0, 0.0]], "checks": checks}}
+    _write_files(tmp_path, {"exp.json": exp})
+    assert main(["verify", "--experiment", str(tmp_path / "exp.json")]) == 2
+    assert capsys.readouterr().err == "error: demo: checks: need an array of check names\n"
+
+
 _SPEC = {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0}}
 _N0 = "d=2,sigma=1,r=1,eps=0.01,delta=0.1"
 

@@ -10,8 +10,6 @@ from parset import (
     NormKind,
     ParallelSetSpec,
     PointSet,
-    contains,
-    distance_to_set,
     load_points_csv,
     load_points_json,
 )
@@ -22,49 +20,24 @@ from parset.transport import EmpiricalMeasure
 
 
 def test_distance_identity():
-    a = PointSet([[0.0, 0.0]])
-    assert distance_to_set([0.0, 0.0], a, NormKind.L2) == 0.0
+    assert _kernels.min_dist(np.zeros((1, 2)), np.zeros((1, 2)), False)[0] == 0.0
 
 
 def test_distance_pythagorean():
-    a = PointSet([[0.0, 0.0]])
-    assert distance_to_set([3.0, 4.0], a, NormKind.L2) == pytest.approx(5.0)
-    assert distance_to_set([3.0, 4.0], a, NormKind.LINF) == pytest.approx(4.0)
+    x, a = np.array([[3.0, 4.0]]), np.zeros((1, 2))
+    assert _kernels.min_dist(x, a, False)[0] == pytest.approx(5.0)
+    assert _kernels.min_dist(x, a, True)[0] == pytest.approx(4.0)
 
 
 def test_distance_dimension_mismatch():
-    a = PointSet([[0.0, 0.0]])
-    with pytest.raises(InvalidArgumentError):
-        distance_to_set([1.0, 2.0, 3.0], a, NormKind.L2)
+    with pytest.raises(ValueError, match="rows of length 2"):
+        _kernels.min_dist(np.array([[1.0, 2.0, 3.0]]), np.zeros((1, 2)), False)
 
 
 def test_distance_zero_iff_member():
-    a = PointSet([[1.0, 2.0], [3.0, 4.0]])
-    assert distance_to_set([3.0, 4.0], a, NormKind.L2) == 0.0
-    assert distance_to_set([3.0, 4.0 + 1e-9], a, NormKind.L2) > 0.0
-
-
-@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12, 16])
-def test_distance_to_set_is_min_dist_bits(d, norm):
-    # one distance everywhere: membership by contains and by Monte Carlo share
-    # their bits, also from d = 8 where numpy's pairwise sum leaves cKDTree's order
-    rng = np.random.default_rng(500 + d)
-    for m in (1, 5, 64, 65, 90):
-        a = PointSet(rng.standard_normal((m, d)))
-        for x in rng.standard_normal((40, d)):
-            want = float(_kernels.min_dist(x[None, :], a.points, norm is NormKind.LINF)[0])
-            assert distance_to_set(x, a, norm) == want
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_distance_rejects_non_finite_query(bad):
-    a = PointSet([[0.0, 0.0]])
-    spec = ParallelSetSpec(base=a, norm=NormKind.L2, radius=1.0)
-    with pytest.raises(InvalidArgumentError, match="finite"):
-        distance_to_set([0.0, bad], a, NormKind.L2)
-    with pytest.raises(InvalidArgumentError, match="finite"):
-        contains(spec, [bad, 0.0])
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert _kernels.min_dist(np.array([[3.0, 4.0]]), a, False)[0] == 0.0
+    assert _kernels.min_dist(np.array([[3.0, 4.0 + 1e-9]]), a, False)[0] > 0.0
 
 
 def test_point_set_distances_reach_min_dist(monkeypatch):
@@ -73,58 +46,24 @@ def test_point_set_distances_reach_min_dist(monkeypatch):
         raise AssertionError("min_dist reached")
 
     monkeypatch.setattr(_kernels, "min_dist", no_min_dist)
-    a = PointSet([[0.0, 0.0], [0.5, 0.0]])
     verify = ExperimentConfig(
         name="demo",
         module="bounds",
         parameters={"points": [[0.0, 0.0], [0.5, 0.0]], "checks": ["union-in-ball"]},
         seed=1,
     )
-    calls = [
-        lambda: distance_to_set([1.0, 1.0], a, NormKind.L2),
-        lambda: run_verify_experiment(verify),
-    ]
-    for call in calls:
-        with pytest.raises(AssertionError, match="min_dist reached"):
-            call()
-
-
-def test_contains_boundary_closed():
-    spec = ParallelSetSpec(base=PointSet([[0.0, 0.0]]), norm=NormKind.L2, radius=1.0)
-    assert contains(spec, [1.0, 0.0])
-    assert not contains(spec, [1.0001, 0.0])
-
-
-def test_contains_second_cube():
-    spec = ParallelSetSpec(
-        base=PointSet([[0.0, 0.0], [5.0, 0.0]]), norm=NormKind.LINF, radius=1.0
-    )
-    assert contains(spec, [4.5, 0.5])
-
-
-@given(
-    st.floats(0.1, 3.0),
-    st.floats(0.0, 3.0),
-    st.lists(st.floats(-2, 2), min_size=2, max_size=2),
-)
-@settings(max_examples=50, deadline=None)
-def test_contains_monotone_in_radius(r1, extra, x):
-    base = PointSet([[0.5, -0.25], [1.0, 1.0]])
-    small = ParallelSetSpec(base=base, norm=NormKind.L2, radius=r1)
-    large = ParallelSetSpec(base=base, norm=NormKind.L2, radius=r1 + extra)
-    if contains(small, x):
-        assert contains(large, x)
+    with pytest.raises(AssertionError, match="min_dist reached"):
+        run_verify_experiment(verify)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_norm_sandwich(coords):
-    d = len(coords)
-    a = PointSet(np.zeros((1, d)))
-    dl2 = distance_to_set(coords, a, NormKind.L2)
-    dli = distance_to_set(coords, a, NormKind.LINF)
+    x, a = np.array([coords]), np.zeros((1, len(coords)))
+    dl2 = _kernels.min_dist(x, a, False)[0]
+    dli = _kernels.min_dist(x, a, True)[0]
     assert dli <= dl2 + 1e-12
-    assert dl2 <= math.sqrt(d) * dli + 1e-12
+    assert dl2 <= math.sqrt(len(coords)) * dli + 1e-12
 
 
 def test_pointset_validation():
@@ -332,3 +271,29 @@ def test_non_finite_parameters_are_rejected(name, bad):
     call, message = ROUTED[name]
     with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call(bad)
+
+
+_W1_TAKES = "w1_empirical takes 1-d measures, or two uniform measures of equal size"
+_PLANE = PointSet([[0.0, 0.0], [1.0, 0.0]])
+
+# name: (call, message); each input lies outside what the function computes
+REFUSED = {
+    "w1-weighted-2d": (lambda: transport.w1_empirical(
+        EmpiricalMeasure(_PLANE, [0.25, 0.75]), EmpiricalMeasure.uniform(_PLANE)), _W1_TAKES),
+    "w1-unequal-size-2d": (lambda: transport.w1_empirical(
+        EmpiricalMeasure.uniform(_PLANE), EmpiricalMeasure.uniform(PointSet([[0.0, 1.0]]))),
+        _W1_TAKES),
+    "de-bruijn-2d": (lambda: entropy.de_bruijn_check([[0.0, 0.0]], [1.0], t0=0.7),
+                     "de_bruijn_check needs a 1-d mixture whose window fits the "
+                     "32769-point quadrature grid"),
+    "reverse-epi-two-variances": (lambda: entropy.reverse_epi_check(
+        entropy.GaussianMixture([[0.0]], [1.0], 0.5), entropy.GaussianMixture([[0.0]], [1.0], 0.6)),
+        "the two mixtures must share one variance r"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_inputs_are_named(name):
+    call, message = REFUSED[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        call()

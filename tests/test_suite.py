@@ -82,11 +82,11 @@ _PUBLIC_NAMES = [
     "RunManifest", "SUITES", "SegmentDecomposition", "SuiteConfig",
     "TransportResult", "Verdict", "bound_bounded_support", "bound_shell_volume",
     "bound_union_in_ball", "bound_union_in_cube", "bound_volume_constrained",
-    "check_w1_domination", "contains", "convergence_experiment",
+    "check_w1_domination", "convergence_experiment",
     "convolve_mixtures", "coupling_sandwich_check", "cube_union_measures",
     "d_r_brute_force", "d_r_uniform", "d_r_uniform_many", "d_r_weighted",
     "de_bruijn_check", "disk_union_area", "disk_union_boundary",
-    "disk_union_perimeter", "distance_to_set", "entropy_mc", "entropy_quadrature",
+    "disk_union_perimeter", "entropy_mc", "entropy_quadrature",
     "fisher_information_mc", "fisher_information_quadrature", "gaussian_constant",
     "gaussian_surface_bound", "halfspace_predicate", "inscribed_angle_check",
     "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",

@@ -30,7 +30,7 @@ from parset import (
     w1_empirical,
 )
 from parset import _kernels
-from parset._rng import single_generator
+from parset._rng import chunk_generator
 from parset.cli import main
 from parset.transport import _DIRECT_MAX_TERMS, _pair_dist_sq, _permutations, _threshold_csr
 
@@ -756,71 +756,9 @@ def test_w1_sorted_1d():
     assert w1_empirical(mu, nu).value == pytest.approx(2.0)
 
 
-def test_w1_1d_matches_lp():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        wx = rng.random(n) + 0.1
-        wy = rng.random(m) + 0.1
-        mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((n, 1))), weights=wx / wx.sum())
-        nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((m, 1))), weights=wy / wy.sum())
-        got = w1_empirical(mu, nu).value
-        # LP route on the same instance, forced by a 2-d embedding with zero column
-        mu2 = EmpiricalMeasure(
-            points=PointSet(np.hstack([mu.points.points, np.zeros((n, 1))])), weights=mu.weights
-        )
-        nu2 = EmpiricalMeasure(
-            points=PointSet(np.hstack([nu.points.points, np.zeros((m, 1))])), weights=nu.weights
-        )
-        assert got == pytest.approx(w1_empirical(mu2, nu2).value, abs=1e-8)
-
-
-def test_w1_hungarian_matches_lp():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((8, 2))
-    y = rng.standard_normal((8, 2))
-    uni = w1_empirical(uniform(x), uniform(y)).value
-    # near-uniform weights route through the LP
-    w = np.full(8, 1.0 / 8) + np.concatenate([[1e-9], np.full(7, -1e-9 / 7)])
-    lp = w1_empirical(
-        EmpiricalMeasure(points=PointSet(x), weights=w),
-        EmpiricalMeasure.uniform(PointSet(y)),
-    ).value
-    assert uni == pytest.approx(lp, abs=1e-6)
-
-
-def test_one_uniformity_rule_routes_w1_and_dr(tmp_path, monkeypatch):
-    # is_uniform, all weights equal, picks the assignment solve in w1_empirical
-    # and the matching in `parset dr`; weights within 1e-13 of 1/n, which a
-    # tolerance would have taken as uniform, go to the LP and the flow
-    import scipy.optimize
-
-    from parset import transport as tp
-
-    def refused(*args):
-        raise AssertionError("uniform route taken")
-
-    rng = np.random.default_rng(17)
-    x, y = PointSet(rng.standard_normal((8, 2))), PointSet(rng.standard_normal((8, 2)))
-    w = np.full(8, 1.0 / 8) + np.concatenate([[7e-14], np.full(7, -1e-14)])
-    near, mu1 = EmpiricalMeasure(points=x, weights=w), EmpiricalMeasure.uniform(y)
-    assert mu1.is_uniform and not near.is_uniform
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", refused)
-    monkeypatch.setattr(tp, "d_r_uniform", refused)
-    with pytest.raises(AssertionError, match="uniform route"):
-        w1_empirical(EmpiricalMeasure.uniform(x), mu1)
-    assert w1_empirical(near, mu1).value == pytest.approx(w1_empirical(mu1, near).value, abs=1e-9)
-    for side, (points, weights) in {"mu0": (x, w), "mu1": (y, mu1.weights)}.items():
-        payload = {"points": points.points.tolist(), "weights": weights.tolist()}
-        (tmp_path / f"{side}.json").write_text(json.dumps(payload))
-    out = tmp_path / "dr.json"
-    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
-                 "--radius", "0.5", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["value"] == d_r_weighted(near, mu1, 0.5).value
-
-
 def reference_w1_dense_lp(mu, nu):
-    # the transportation LP with the dense constraint matrix it was first built with
+    # the transportation LP with a dense constraint matrix, solved by HiGHS: an
+    # independent reference for the exact 1-d and assignment routes
     n, m = len(mu.points), len(nu.points)
     dist = np.sqrt(_pair_dist_sq(mu.points.points, nu.points.points))
     a_eq = np.zeros((n + m, n * m))
@@ -845,52 +783,63 @@ def reference_w1_dense_lp(mu, nu):
     return float(res.fun), flows
 
 
-def test_w1_sparse_lp_matches_dense_build():
-    rng = np.random.default_rng(26)
+def test_w1_1d_matches_lp():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        wx = rng.random(n) + 0.1
+        wy = rng.random(m) + 0.1
+        mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((n, 1))), weights=wx / wx.sum())
+        nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((m, 1))), weights=wy / wy.sum())
+        got = w1_empirical(mu, nu).value
+        assert got == pytest.approx(reference_w1_dense_lp(mu, nu)[0], abs=1e-8)
 
-    def measure(n, d):
-        w = rng.random(n) + 0.1
-        return EmpiricalMeasure(points=PointSet(rng.standard_normal((n, d))), weights=w / w.sum())
 
-    for n, m, d in ((37, 91, 2), (91, 37, 3), (60, 60, 2)):
-        mu, nu = measure(n, d), measure(m, d)
-        res = w1_empirical(mu, nu)
-        assert (res.value, res.certificate) == reference_w1_dense_lp(mu, nu)
-    # the dense (n + m) x (n * m) matrix alone is 32 MB at n = m = 100
-    mu, nu = measure(100, 2), measure(100, 2)
-    tracemalloc.start()
-    try:
-        res = w1_empirical(mu, nu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6
-    assert (res.value, res.certificate) == reference_w1_dense_lp(mu, nu)
+def test_w1_hungarian_matches_lp():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((8, 2))
+    y = rng.standard_normal((8, 2))
+    uni = w1_empirical(uniform(x), uniform(y)).value
+    assert uni == pytest.approx(reference_w1_dense_lp(uniform(x), uniform(y))[0], abs=1e-9)
+
+
+def test_one_uniformity_rule_routes_w1_and_dr(tmp_path, monkeypatch):
+    # is_uniform, all weights equal, picks the assignment solve in w1_empirical
+    # and the matching in `parset dr`; weights within 1e-13 of 1/n, which a
+    # tolerance would have taken as uniform, are refused by w1_empirical and
+    # go to the flow in `parset dr`
+    import scipy.optimize
+
+    from parset import transport as tp
+
+    def refused(*args):
+        raise AssertionError("uniform route taken")
+
+    rng = np.random.default_rng(17)
+    x, y = PointSet(rng.standard_normal((8, 2))), PointSet(rng.standard_normal((8, 2)))
+    w = np.full(8, 1.0 / 8) + np.concatenate([[7e-14], np.full(7, -1e-14)])
+    near, mu1 = EmpiricalMeasure(points=x, weights=w), EmpiricalMeasure.uniform(y)
+    assert mu1.is_uniform and not near.is_uniform
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", refused)
+    monkeypatch.setattr(tp, "d_r_uniform", refused)
+    with pytest.raises(AssertionError, match="uniform route"):
+        w1_empirical(EmpiricalMeasure.uniform(x), mu1)
+    for pair in ((near, mu1), (mu1, near)):
+        with pytest.raises(InvalidArgumentError, match="two uniform measures of equal size"):
+            w1_empirical(*pair)
+    for side, (points, weights) in {"mu0": (x, w), "mu1": (y, mu1.weights)}.items():
+        payload = {"points": points.points.tolist(), "weights": weights.tolist()}
+        (tmp_path / f"{side}.json").write_text(json.dumps(payload))
+    out = tmp_path / "dr.json"
+    assert main(["dr", "--mu0", str(tmp_path / "mu0.json"), "--mu1", str(tmp_path / "mu1.json"),
+                 "--radius", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["value"] == d_r_weighted(near, mu1, 0.5).value
 
 
 def test_w1_size_guard():
     pts = PointSet(np.random.default_rng(0).standard_normal((501, 2)))
     with pytest.raises(InvalidArgumentError, match="500"):
         w1_empirical(EmpiricalMeasure.uniform(pts), EmpiricalMeasure.uniform(pts))
-
-
-def test_w1_certificate_marginals():
-    rng = np.random.default_rng(8)
-    wx = rng.random(5) + 0.1
-    wy = rng.random(7) + 0.1
-    mu = EmpiricalMeasure(points=PointSet(rng.standard_normal((5, 3))), weights=wx / wx.sum())
-    nu = EmpiricalMeasure(points=PointSet(rng.standard_normal((7, 3))), weights=wy / wy.sum())
-    res = w1_empirical(mu, nu)
-    sent = np.zeros(5)
-    received = np.zeros(7)
-    cost = 0.0
-    for i, j, mass in res.certificate:
-        sent[i] += mass
-        received[j] += mass
-        cost += mass * np.linalg.norm(mu.points.points[i] - nu.points.points[j])
-    np.testing.assert_allclose(sent, mu.weights, atol=1e-7)
-    np.testing.assert_allclose(received, nu.weights, atol=1e-7)
-    assert cost == pytest.approx(res.value, abs=1e-7)
 
 
 def test_w1_1d_certificate_marginals():
@@ -975,7 +924,7 @@ def test_coupling_sandwich_eta_guard():
 
 
 def test_sample_distribution_kinds():
-    g = single_generator(1)
+    g = chunk_generator(1, 0)
     spec = DistributionSpec(kind="uniform-ball", dim=3, radius=2.0)
     pts = sample_distribution(spec, 5000, g)
     assert pts.shape == (5000, 3)
