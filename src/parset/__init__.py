@@ -54,12 +54,11 @@ from .geometry import (
 )
 from .mc import (
     McConfig,
-    MembershipPredicate,
     cube_union_measures,
-    halfspace_predicate,
     inscribed_angle_check,
     kneser_shell_check,
     mc_gaussian_shell,
+    mc_halfspace_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
     mc_volume_and_shell,

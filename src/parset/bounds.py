@@ -3,6 +3,8 @@ value they compare against, MeasureEstimate (exact where samples_used == 0).
 
 Every formula is evaluated in log space with one final exponentiation; a
 result past double range raises RangeOverflowError instead of returning inf.
+The Gaussian bounds exponentiate the constant C alone; gaussian_constant
+adds the sandwich `parset bounds` prints, whose upper end overflows first.
 All logarithms are natural, entropies are in nats.
 """
 
@@ -92,12 +94,11 @@ def worst_excess(values) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class GaussianConstantBreakdown:
-    dim: int
-    coefficients: tuple[float, ...]
+    """gaussian_constant's C between the two ends of its sandwich."""
+
     constant_C: float
     lower_sandwich: float
     upper_sandwich: float
-    norm: NormKind
 
 
 def _exp_checked(log_value: float, what: str) -> float:
@@ -186,14 +187,11 @@ def _log_sum_exp(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def gaussian_constant(d: int, norm: NormKind = NormKind.L2) -> GaussianConstantBreakdown:
-    """Dimension constant for the Gaussian surface-area cap, with its sandwich.
-
-    C = (2*pi)^(-d/2) * 2^(2d-1) * d * omega_d * sum_i C_i, where
-    C_i = binom(d,i) * 2^((d-i)/2) * Gamma(1+(d-i)/2) * (3/2)^i, and the cube
-    variant carries an extra (sqrt d)^i per coefficient.  Sandwich:
-    2^(2d-1)*d <= C <= 2^(2d-1)*d^2*3^d, the cube upper end gaining d^(d/2).
-    """
+def _log_gaussian_constant(d: int, norm: NormKind) -> float:
+    """log C, with C = (2*pi)^(-d/2) * 2^(2d-1) * d * omega_d * sum_i C_i and
+    C_i = binom(d,i) * 2^((d-i)/2) * Gamma(1+(d-i)/2) * (3/2)^i, the cube
+    variant carrying an extra (sqrt d)^i per coefficient; one log-sum-exp
+    over the log C_i, so no C_i is formed."""
     _check_dim(d)
     log_coeffs = []
     for i in range(d + 1):
@@ -212,30 +210,38 @@ def gaussian_constant(d: int, norm: NormKind = NormKind.L2) -> GaussianConstantB
         + math.log(d)
         + _log_omega(d)
     )
-    log_c = log_prefactor + _log_sum_exp(log_coeffs)
-    constant = _exp_checked(log_c, "gaussian_constant")
-    coeffs = tuple(_exp_checked(v, "gaussian_constant coefficient") for v in log_coeffs)
+    return log_prefactor + _log_sum_exp(log_coeffs)
+
+
+def _gaussian_c(d: int, norm: NormKind) -> float:
+    return _exp_checked(_log_gaussian_constant(d, norm), "gaussian_constant")
+
+
+def gaussian_constant(d: int, norm: NormKind = NormKind.L2) -> GaussianConstantBreakdown:
+    """Dimension constant C for the Gaussian surface-area cap (see
+    _log_gaussian_constant), with its sandwich
+    2^(2d-1)*d <= C <= 2^(2d-1)*d^2*3^d, the cube upper end gaining d^(d/2).
+    Raises RangeOverflowError where C or an end of the sandwich is past
+    double range."""
+    constant = _gaussian_c(d, norm)
     log_lower = (2 * d - 1) * math.log(2.0) + math.log(d)
     log_upper = (2 * d - 1) * math.log(2.0) + 2.0 * math.log(d) + d * math.log(3.0)
     if norm is NormKind.LINF:
         log_upper += 0.5 * d * math.log(d)
     return GaussianConstantBreakdown(
-        dim=d,
-        coefficients=coeffs,
         constant_C=constant,
         lower_sandwich=_exp_checked(log_lower, "gaussian_constant sandwich"),
         upper_sandwich=_exp_checked(log_upper, "gaussian_constant sandwich"),
-        norm=norm,
     )
 
 
 def gaussian_surface_bound(
     d: int, r: float, sigma: float = 1.0, norm: NormKind = NormKind.L2
 ) -> float:
-    """max(C/sigma, C/r) with C = gaussian_constant(d, norm)."""
+    """max(C/sigma, C/r) with gaussian_constant's C, taken without its sandwich."""
     positive_radius(r)
     positive_real(sigma, "sigma")
-    c = gaussian_constant(d, norm).constant_C
+    c = _gaussian_c(d, norm)
     bound = max(c / sigma, c / r)
     if bound == math.inf:
         raise RangeOverflowError("gaussian_surface_bound exceeds double range")
@@ -280,7 +286,7 @@ def sample_complexity_n0(
         raise InvalidArgumentError("c0 must be a finite real >= 1")
     positive_real(c1, "c1")
     positive_real(sigma, "sigma")
-    c = gaussian_constant(d, NormKind.L2).constant_C
+    c = _gaussian_c(d, NormKind.L2)
     c_sr = max(c / sigma, c / (2.0 * r / 3.0))
     eta = eps / (2.0 * c_sr)
     if not (0.0 < eta < r / 3.0):

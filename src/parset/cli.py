@@ -134,7 +134,7 @@ def _cmd_mc(args) -> int:
         workers=args.workers,
     )
     if kind == "halfspace":
-        target = mcmod.halfspace_predicate(json_count(data, "dim", 2, args.spec))
+        dim = json_count(data, "dim", 2, args.spec)
     elif args.op != "angle":
         target = spec_from_dict(data, args.spec)
     else:
@@ -162,6 +162,8 @@ def _cmd_mc(args) -> int:
             est = mcmod.mc_volume(target, cfg)
         elif args.op == "shell":
             est = mcmod.mc_shell_lebesgue(target, cfg)
+        elif kind == "halfspace":
+            est = mcmod.mc_halfspace_gaussian_shell(dim, cfg, sigma=args.sigma)
         else:
             est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
         _emit(
@@ -243,7 +245,7 @@ def _cmd_dr(args) -> int:
     _emit(
         {
             "value": result.value,
-            "threshold_r": result.threshold_r,
+            "threshold_r": args.radius,
             "matched_mass": 1.0 - result.value,
             "robust_risk": tp.robust_risk(result.value),
             "n0": len(mu0.points),

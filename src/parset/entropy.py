@@ -375,21 +375,24 @@ def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> Me
     return fisher_information_mc(gm, n=n, seed=seed, workers=workers)
 
 
+# half the step of de_bruijn_check's central difference
+_DT = 1e-3
 # weight of the dt^2 * (1 + 1/t0^3) finite-difference curvature allowance
 _CURVATURE_BUDGET = 100.0
 
 
-def de_bruijn_check(atoms, weights, t0: float, dt: float = 1e-3) -> BoundReport:
+def de_bruijn_check(atoms, weights, t0: float) -> BoundReport:
     """Heat-flow entropy slope vs half the Fisher information at variance t0.
 
-    The slope is a central difference of the smoothed entropy at t0 +- dt.
-    Both entropies and J come from quadrature on the 1-d grid, and the
-    allowance is the finite-difference curvature term alone,
+    The slope is a central difference of the smoothed entropy at t0 +- dt,
+    dt = _DT.  Both entropies and J come from quadrature on the 1-d grid, and
+    the allowance is the finite-difference curvature term alone,
     _CURVATURE_BUDGET * dt^2 * (1 + 1/t0^3).  A mixture the grid does not
     resolve at t0 - dt, or of dim >= 2, is refused.
     """
-    if not (0.0 < dt < t0 < math.inf):
-        raise InvalidArgumentError("need 0 < dt < t0 < inf")
+    dt = _DT
+    if not (dt < t0 < math.inf):
+        raise InvalidArgumentError(f"need {dt:g} < t0 < inf")
     gm_plus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 + dt)
     gm_minus = GaussianMixture(atoms=atoms, weights=weights, variance=t0 - dt)
     gm_mid = GaussianMixture(atoms=atoms, weights=weights, variance=t0)

@@ -1,6 +1,10 @@
 """Monte Carlo estimators for volume, Lebesgue and Gaussian shell measures,
 solid angles, and the shell-scaling check, in arbitrary dimension.
 
+Every set measured is a ParallelSetSpec, except the one calibration target,
+the halfspace x_0 <= 0 of mc_halfspace_gaussian_shell, whose standard
+Gaussian shell density tends to 1 / sqrt(2 pi) as the shell narrows.
+
 Every estimate is a bounds.MeasureEstimate.  A sampled one is a band count,
 _band_estimates: the share p of samples_used draws (uniform in a padded
 bounding box, or Gaussian) whose distance to the set lies in (lo, hi],
@@ -21,14 +25,13 @@ reproduces estimates bit-for-bit no matter the worker count.  A box draw is
 scaled one coordinate column at a time into a (d, m) buffer and handed on as
 its transpose, which min_dist scans without a copy.  Shell estimators carry
 an O(delta) bias that callers fold into tolerances; the default shell width
-is r / 1000.
+is r / 1000, and 1 / 1000 beside the halfspace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,32 +58,10 @@ class McConfig:
             raise InvalidArgumentError("workers must be >= 1")
 
 
-@dataclass(frozen=True)
-class MembershipPredicate:
-    """Closed set given through its L2 distance function.
-
-    distance_fn maps an (n, d) batch to the distance from each point to the
-    set; membership is distance <= 0.  Predicates are measured under a
-    Gaussian weight only.
-    """
-
-    dim: int
-    distance_fn: Callable[[np.ndarray], np.ndarray]
-
-
-def halfspace_predicate(dim: int) -> MembershipPredicate:
-    """The halfspace x_0 <= 0."""
-    return MembershipPredicate(dim=dim, distance_fn=lambda x: np.maximum(x[:, 0], 0.0))
-
-
-def _target(target):
-    """(dim, inner radius, distance fn) of a ParallelSetSpec or MembershipPredicate."""
-    if isinstance(target, ParallelSetSpec):
-        points, linf = target.base.points, target.norm is NormKind.LINF
-        return target.base.dim, target.radius, lambda x: _kernels.min_dist(x, points, linf)
-    if isinstance(target, MembershipPredicate):
-        return target.dim, 0.0, target.distance_fn
-    raise InvalidArgumentError("target must be a ParallelSetSpec or MembershipPredicate")
+def _target(spec: ParallelSetSpec):
+    """(dim, radius, distance fn) of a ParallelSetSpec."""
+    points, linf = spec.base.points, spec.norm is NormKind.LINF
+    return spec.base.dim, spec.radius, lambda x: _kernels.min_dist(x, points, linf)
 
 
 def _band_estimates(
@@ -156,11 +137,19 @@ def mc_volume_and_shell(
     return tuple(_band_estimates(cfg, dim, dist_fn, bands, box=(spec.base.points, r + delta)))
 
 
-def mc_gaussian_shell(target, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
+def mc_gaussian_shell(spec: ParallelSetSpec, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
     """Gaussian measure of the delta-shell around the dilated set, over delta."""
-    dim, inner, dist_fn = _target(target)
-    delta = _resolve_delta(cfg, inner if inner > 0.0 else 1.0)
-    return _band_estimates(cfg, dim, dist_fn, [(inner, inner + delta, delta)], sigma=sigma)[0]
+    dim, r, dist_fn = _target(spec)
+    delta = _resolve_delta(cfg, r)
+    return _band_estimates(cfg, dim, dist_fn, [(r, r + delta, delta)], sigma=sigma)[0]
+
+
+def mc_halfspace_gaussian_shell(dim: int, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
+    """Gaussian measure of the delta-shell 0 < x_0 <= delta beside the
+    halfspace x_0 <= 0, over delta."""
+    delta = _resolve_delta(cfg, 1.0)
+    dist_fn = lambda x: np.maximum(x[:, 0], 0.0)
+    return _band_estimates(cfg, dim, dist_fn, [(0.0, delta, delta)], sigma=sigma)[0]
 
 
 # rounding allowance of an exact planar disk-union area, in units of

@@ -51,8 +51,9 @@ class Profile:
     halfspace_samples: int = 10_000_000
     shell3d_samples: int = 400_000
     kneser_samples: int = 1_000_000
-    # no suite check reads angle_directions: the cap fractions the suite
-    # takes are exact; benchmarks/perf/workloads.py still sets it
+    # no suite check reads angle_directions, and profile_from_samples keeps
+    # it: the cap fractions the suite takes are exact;
+    # benchmarks/perf/workloads.py still sets it
     angle_directions: int = 200_000
     angle_pairs: int = 100
     entropy_samples: int = 200_000
@@ -92,7 +93,6 @@ def profile_from_samples(samples: int | None) -> Profile:
         halfspace_samples=shrink(FULL.halfspace_samples, floor=251_000),
         shell3d_samples=shrink(FULL.shell3d_samples),
         kneser_samples=shrink(FULL.kneser_samples),
-        angle_directions=shrink(FULL.angle_directions),
         angle_pairs=8,
         entropy_samples=shrink(FULL.entropy_samples),
         raster_instances=2,
@@ -266,8 +266,8 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
 
 def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
     """Halfspace shell estimate against the exact constant 1/sqrt(2 pi)."""
-    est = mcmod.mc_gaussian_shell(
-        mcmod.halfspace_predicate(3),
+    est = mcmod.mc_halfspace_gaussian_shell(
+        3,
         McConfig(
             samples=prof.halfspace_samples,
             seed=derive_seed(seed, "halfspace"),
@@ -515,7 +515,6 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             atoms=g.uniform(-2, 2, (n_atoms, 1)),
             weights=w / w.sum(),
             t0=float(g.uniform(0.5, 1.5)),
-            dt=1e-3,
         )
         return rep.measured - rep.bound_value
 

@@ -67,7 +67,6 @@ class EmpiricalMeasure:
 class TransportResult:
     value: float
     certificate: tuple
-    threshold_r: float | None = None
     value_exact: Fraction | None = field(default=None, repr=False)
 
 
@@ -176,14 +175,14 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
         if len(x) != len(y):
             raise InvalidArgumentError("uniform transport needs equal sample counts")
     results: list[TransportResult] = []
-    pending: list = []  # (indptr, indices, r) per instance
+    pending: list = []  # (indptr, indices) per instance
     edges = 0
-    for (x, y, r), threshold_sq in zip(instances, thresholds):
+    for (x, y, _), threshold_sq in zip(instances, thresholds):
         indptr, indices = _threshold_csr(x.points, y.points, threshold_sq)
         if pending and edges + len(indices) > _BATCH_MAX_EDGES:
             results += _match_disjoint_union(pending)
             edges = 0
-        pending.append((indptr, indices, r))
+        pending.append((indptr, indices))
         edges += len(indices)
     if pending:
         results += _match_disjoint_union(pending)
@@ -191,31 +190,28 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
 
 
 def _match_disjoint_union(graphs: list) -> list[TransportResult]:
-    """One max_matching on the block-diagonal union of (indptr, indices, r)
+    """One max_matching on the block-diagonal union of (indptr, indices)
     graphs of n_k points a side; instance k's left and right nodes both start
     at node offset n_0 + ... + n_(k-1).  Empties graphs, so that the parts'
     arrays are freed once their union is built, before the solve."""
-    sizes = [len(indptr) - 1 for indptr, _, _ in graphs]
+    sizes = [len(indptr) - 1 for indptr, _ in graphs]
     starts = list(accumulate(sizes, initial=0))
-    indptr, indices, _ = graphs[0]  # a lone graph is solved as it is, uncopied
+    indptr, indices = graphs[0]  # a lone graph is solved as it is, uncopied
     if len(graphs) > 1:
-        edge_starts = accumulate((len(ind) for _, ind, _ in graphs), initial=0)
+        edge_starts = accumulate((len(ind) for _, ind in graphs), initial=0)
         indptr = np.concatenate(
-            [indptr[:1], *(ip[1:] + e for (ip, _, _), e in zip(graphs, edge_starts))]
+            [indptr[:1], *(ip[1:] + e for (ip, _), e in zip(graphs, edge_starts))]
         )
-        indices = np.concatenate([ind + s for (_, ind, _), s in zip(graphs, starts)])
-    radii = [r for _, _, r in graphs]
+        indices = np.concatenate([ind + s for (_, ind), s in zip(graphs, starts)])
     graphs.clear()
     _, match_l = _kernels.max_matching(indptr, indices, starts[-1], starts[-1])
     results = []
-    for r, lo, n in zip(radii, starts, sizes):
+    for lo, n in zip(starts, sizes):
         part = match_l[lo : lo + n]
         left = np.flatnonzero(part >= 0)
         pairs = tuple(zip(left.tolist(), (part[left] - lo).tolist()))
         exact = Fraction(n - len(left), n)
-        results.append(
-            TransportResult(value=float(exact), certificate=pairs, threshold_r=r, value_exact=exact)
-        )
+        results.append(TransportResult(value=float(exact), certificate=pairs, value_exact=exact))
     return results
 
 
@@ -350,9 +346,7 @@ def d_r_weighted(mu: EmpiricalMeasure, nu: EmpiricalMeasure, r: float) -> Transp
     scale = ta * tb
     exact = 1 - Fraction(flow, scale)
     cert = tuple((i, j, f / scale) for i, j, f in zip(rows, indices.tolist(), edge_flow) if f > 0)
-    return TransportResult(
-        value=float(exact), certificate=cert, threshold_r=r, value_exact=exact
-    )
+    return TransportResult(value=float(exact), certificate=cert, value_exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +503,16 @@ def convergence_experiment(
 ) -> ConvergenceResult:
     """Deviation of the plug-in transport cost from a large-sample reference.
 
-    n_grid holds integer sample sizes.  The reference is computed once at
+    n_grid holds distinct integer sample sizes.  The reference is computed once at
     n_ref = 8 * max(n_grid); it stands in for the population value with an
     extra O(n_ref^(-1/d)) error of its own.
     """
     n_grid = sorted(n_grid)
     if not n_grid or n_grid[0] < 1 or trials < 1:
         raise InvalidArgumentError("need a nonempty n_grid of sizes >= 1 and trials >= 1")
+    for n, m in zip(n_grid, n_grid[1:]):
+        if n == m:
+            raise InvalidArgumentError(f"n_grid holds the size {n} twice")
     nonnegative_real(sigma, "noise sigma")
 
     def draw(spec, n, tag):

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+from parset import bounds
 from parset import (
     BoundReport,
     InvalidArgumentError,
@@ -83,16 +84,16 @@ def test_gaussian_constant_d1_high_precision():
     want = float(pref * total)
     got = gaussian_constant(1, NormKind.L2)
     assert got.constant_C == pytest.approx(want, rel=1e-14)
-    assert got.coefficients[0] == pytest.approx(math.sqrt(2.0) * math.gamma(1.5))
-    assert got.coefficients[1] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
 def test_gaussian_constant_sandwich(norm):
-    for d in range(1, 51):
+    # every d whose sandwich is in double range
+    for d in range(1, 282 if norm is NormKind.L2 else 142):
         bd = gaussian_constant(d, norm)
         assert bd.lower_sandwich <= bd.constant_C <= bd.upper_sandwich
         assert bd.lower_sandwich == pytest.approx(2.0 ** (2 * d - 1) * d, rel=1e-12)
+        assert bd.constant_C == gaussian_surface_bound(d, 1.0, norm=norm)
 
 
 def test_gaussian_constant_linf_vs_l2():
@@ -106,6 +107,27 @@ def test_gaussian_surface_bound_values():
     assert gaussian_surface_bound(3, 1.0, 1.0) == pytest.approx(c)
     assert gaussian_surface_bound(3, 0.1, 1.0) == pytest.approx(10.0 * c)
     assert gaussian_surface_bound(3, 2.0, 0.5) == pytest.approx(2.0 * c)
+
+
+# (d, norm) past the end of gaussian_constant's sandwich (L-inf from d = 142,
+# L2 from d = 282) with C still in double range (L-inf to d = 287, L2 to 484)
+_PAST_THE_SANDWICH = [
+    (150, NormKind.LINF), (280, NormKind.LINF), (300, NormKind.L2), (480, NormKind.L2)
+]
+
+
+@pytest.mark.parametrize("d, norm", _PAST_THE_SANDWICH, ids=str)
+def test_gaussian_surface_bound_needs_only_c(d, norm):
+    with pytest.raises(RangeOverflowError, match="gaussian_constant sandwich exceeds"):
+        gaussian_constant(d, norm)
+    want = math.exp(bounds._log_gaussian_constant(d, norm))
+    assert gaussian_surface_bound(d, 1.0, norm=norm) == want < math.inf
+
+
+@pytest.mark.parametrize("d, norm", [(288, NormKind.LINF), (485, NormKind.L2)], ids=str)
+def test_gaussian_surface_bound_raises_past_c(d, norm):
+    with pytest.raises(RangeOverflowError, match="gaussian_constant exceeds double range"):
+        gaussian_surface_bound(d, 1.0, norm=norm)
 
 
 def test_gaussian_surface_bound_monotone():
@@ -139,6 +161,17 @@ def test_sample_complexity_tiny_eps_is_past_double_range():
     # eta * eps / 2 underflowed to 0 and log(0) raised a math domain error
     with pytest.raises(RangeOverflowError, match="sample_complexity_n0"):
         sample_complexity_n0(2, 1.0, 1.0, 1e-300, 0.1)
+
+
+def test_sample_complexity_needs_only_c():
+    # at d = 300 gaussian_constant's sandwich is past double range, but C,
+    # the count and every step between are not
+    c = math.exp(bounds._log_gaussian_constant(300, NormKind.L2))
+    eta = 200.0 / (2.0 * max(c / 1e190, c / (2.0 * 1e190 / 3.0)))
+    want = math.log(20.0) / (eta * 200.0 / 2.0) ** 300
+    assert sample_complexity_n0(300, 1e190, 1e190, 200.0, 0.1) == math.ceil(want) == 26
+    with pytest.raises(RangeOverflowError, match="sample_complexity_n0 exceeds double range"):
+        sample_complexity_n0(300, 1.0, 1.0, 0.3, 0.1)
 
 
 def test_sample_complexity_delta_doubling():

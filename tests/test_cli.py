@@ -377,6 +377,16 @@ def test_dr_converge_errors_name_file_and_key(tmp_path, capsys, entry, message):
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
+def test_dr_converge_refuses_a_repeated_size(tmp_path, capsys):
+    # it printed the rows 10,0 and 10,1 twice
+    cfg = tmp_path / "conv.json"
+    out = tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({**_CONV, "n_grid": [10, 10], "trials": 2}))
+    assert main(["dr-converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n_grid holds the size 10 twice\n"
+    assert not out.exists()
+
+
 def test_epi_command(tmp_path):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
@@ -493,11 +503,11 @@ def test_mc_shell_ops_match_library(tmp_path, op):
 
 
 def test_mc_halfspace_predicate_matches_library(tmp_path):
-    from parset.mc import McConfig, halfspace_predicate, mc_gaussian_shell
+    from parset.mc import McConfig, mc_halfspace_gaussian_shell
 
     rc, payload = _mc_payload(tmp_path, {"predicate": "halfspace", "dim": 3},
                               "--op", "gshell", "--samples", "30000", "--delta", "0.1")
-    est = mc_gaussian_shell(halfspace_predicate(3), McConfig(samples=30000, seed=3, shell_delta=0.1))
+    est = mc_halfspace_gaussian_shell(3, McConfig(samples=30000, seed=3, shell_delta=0.1))
     assert rc == 0
     assert payload == {"value": est.value, "std_error": est.std_error, "samples": 30000}
 

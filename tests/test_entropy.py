@@ -359,7 +359,7 @@ def test_one_dimension_never_reaches_monte_carlo(monkeypatch):
         raise AssertionError("Monte Carlo reached")
 
     monkeypatch.setattr(entropy, "_moment_mean", no_monte_carlo)
-    rep = de_bruijn_check([[0.0], [1.1]], [0.4, 0.6], t0=0.7, dt=1e-3)
+    rep = de_bruijn_check([[0.0], [1.1]], [0.4, 0.6], t0=0.7)
     assert rep.verdict is Verdict.PASS
     gm = GaussianMixture(atoms=[[0.0], [1.1]], weights=[0.4, 0.6], variance=0.7)
     assert _fisher_auto(gm, n=1000, seed=0).samples_used == 0
@@ -379,14 +379,14 @@ def test_de_bruijn_quadrature_slope_is_half_fisher(k):
     for _ in range(3):
         w = rng.random(k) + 0.1
         t0 = float(rng.uniform(0.5, 1.5))
-        rep = de_bruijn_check(rng.uniform(-2, 2, (k, 1)), w / w.sum(), t0=t0, dt=1e-3)
+        rep = de_bruijn_check(rng.uniform(-2, 2, (k, 1)), w / w.sum(), t0=t0)
         assert rep.verdict is Verdict.PASS
         assert rep.bound_value == pytest.approx(100.0 * 1e-6 * (1.0 + t0**-3))
         assert rep.measured < rep.bound_value / 100.0
 
 
 def test_de_bruijn_single_gaussian():
-    rep = de_bruijn_check([[0.0]], [1.0], t0=0.8, dt=1e-3)
+    rep = de_bruijn_check([[0.0]], [1.0], t0=0.8)
     assert rep.verdict is Verdict.PASS
     # analytic slope: d/dt (1/2) ln(2 pi e t) = 1/(2t) = J/2
     gm = GaussianMixture(atoms=[[0.0]], weights=[1.0], variance=0.8)
@@ -398,7 +398,7 @@ def test_de_bruijn_two_atom_quadrature_oracle():
     atoms = [[0.0], [2.0]]
     w = [0.5, 0.5]
     t0 = 1.0
-    rep = de_bruijn_check(atoms, w, t0=t0, dt=1e-3)
+    rep = de_bruijn_check(atoms, w, t0=t0)
     assert rep.verdict is Verdict.PASS
     # independent oracle: quadrature entropies at t0 +- dt
     dt = 1e-3

@@ -236,7 +236,7 @@ ROUTED = {
     "n0-c1": (lambda x: bounds.sample_complexity_n0(2, 1.0, 1.0, 0.01, 0.1, c1=x), f"c1 {_POS}"),
     "mc-shell-delta": (lambda x: mc.McConfig(samples=1, seed=0, shell_delta=x),
                        f"shell_delta {_POS}"),
-    "mc-sigma": (lambda x: mc.mc_gaussian_shell(mc.halfspace_predicate(2), _CFG, sigma=x),
+    "mc-sigma": (lambda x: mc.mc_halfspace_gaussian_shell(2, _CFG, sigma=x),
                  f"sigma {_POS}"),
     "kneser-a": (lambda x: mc.kneser_shell_check(_ONE, NormKind.L2, x, 1.0, 1.5, _CFG),
                  "need 0 < a_k <= b_k < inf"),
@@ -249,9 +249,7 @@ ROUTED = {
     "mixture-variance": (lambda x: entropy.GaussianMixture([[0.0]], [1.0], x),
                          f"variance {_POS}"),
     "de-bruijn-t0": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], x),
-                     "need 0 < dt < t0 < inf"),
-    "de-bruijn-dt": (lambda x: entropy.de_bruijn_check([[0.0]], [1.0], 1.0, dt=x),
-                     "need 0 < dt < t0 < inf"),
+                     "need 0.001 < t0 < inf"),
     "d-r-radius": (lambda x: transport.d_r_uniform(_ONE, _ONE, x), f"radius {_NONNEG}"),
     "w1-domination-radius": (lambda x: transport.check_w1_domination(_UNIFORM, _UNIFORM, x),
                              f"radius {_POS}"),

@@ -23,10 +23,10 @@ from parset import (
     entropy_quadrature,
     fisher_information_mc,
     fisher_information_quadrature,
-    halfspace_predicate,
     inscribed_angle_check,
     kneser_shell_check,
     mc_gaussian_shell,
+    mc_halfspace_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
     mc_volume_and_shell,
@@ -39,7 +39,6 @@ from parset._rng import CHUNK, chunk_generator, map_reduce_chunks, uniform_in_ba
 from parset.bounds import BoundReport
 from parset.mc import (
     MeasureEstimate,
-    MembershipPredicate,
     cap_solid_angle_fractions,
     central_cap_fraction,
 )
@@ -107,10 +106,7 @@ def test_shell_richardson_consistency():
 
 
 def test_gaussian_shell_halfspace():
-    est = mc_gaussian_shell(
-        halfspace_predicate(3),
-        McConfig(samples=2_000_000, seed=10, shell_delta=1e-3),
-    )
+    est = mc_halfspace_gaussian_shell(3, McConfig(samples=2_000_000, seed=10, shell_delta=1e-3))
     assert abs(est.value - 1.0 / math.sqrt(2.0 * math.pi)) <= 3.0 * est.std_error
 
 
@@ -193,7 +189,7 @@ def test_determinism_across_workers():
         lambda cfg: mc_volume(spec, cfg),
         lambda cfg: mc_shell_lebesgue(spec, cfg),
         lambda cfg: mc_gaussian_shell(spec, cfg),
-        lambda cfg: mc_gaussian_shell(halfspace_predicate(3), cfg, sigma=1.5),
+        lambda cfg: mc_halfspace_gaussian_shell(3, cfg, sigma=1.5),
         lambda cfg: kneser_shell_check(base, NormKind.LINF, 0.2, 0.5, 1.3, cfg),
     )
     for estimate in estimators:
@@ -1074,25 +1070,9 @@ def reference_mc_shell_lebesgue(spec, cfg):
     return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
 
 
-def reference_gaussian_shell_counter(target, sigma):
-    if isinstance(target, ParallelSetSpec):
-        dim = target.base.dim
-        inner = target.radius
-        dist_fn = lambda x: reference_spec_distances(target, x)
-    elif isinstance(target, MembershipPredicate):
-        dim = target.dim
-        inner = 0.0
-        dist_fn = target.distance_fn
-    else:
-        raise InvalidArgumentError("target must be a ParallelSetSpec or MembershipPredicate")
+def reference_gaussian_shell(dim, inner, dist_fn, delta, cfg, sigma):
     if not (sigma > 0.0):
         raise InvalidArgumentError("sigma must be positive")
-    return dim, inner, dist_fn
-
-
-def reference_mc_gaussian_shell(target, cfg, sigma=1.0):
-    dim, inner, dist_fn = reference_gaussian_shell_counter(target, sigma)
-    delta = reference_resolve_delta(cfg, inner if inner > 0.0 else 1.0)
 
     def chunk(g, n):
         x = g.standard_normal((n, dim)) * sigma
@@ -1102,6 +1082,18 @@ def reference_mc_gaussian_shell(target, cfg, sigma=1.0):
     (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
     est = reference_proportion_estimate(hits, cfg.samples, 1.0)
     return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
+
+
+def reference_mc_gaussian_shell(spec, cfg, sigma=1.0):
+    delta = reference_resolve_delta(cfg, spec.radius)
+    dist_fn = lambda x: reference_spec_distances(spec, x)
+    return reference_gaussian_shell(spec.base.dim, spec.radius, dist_fn, delta, cfg, sigma)
+
+
+def reference_mc_halfspace_gaussian_shell(dim, cfg, sigma=1.0):
+    delta = reference_resolve_delta(cfg, 1.0)
+    dist_fn = lambda x: np.maximum(x[:, 0], 0.0)
+    return reference_gaussian_shell(dim, 0.0, dist_fn, delta, cfg, sigma)
 
 
 def reference_kneser_shell_check(base, norm, a_k, b_k, t, cfg):
@@ -1152,10 +1144,11 @@ def test_band_core_matches_reference_estimators():
                     reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
                 )
             )
-        for target in (spec, halfspace_predicate(dim)):
-            pairs.append(
-                (mc_gaussian_shell(target, cfg, sigma), reference_mc_gaussian_shell(target, cfg, sigma))
-            )
+        pairs += [
+            (mc_gaussian_shell(spec, cfg, sigma), reference_mc_gaussian_shell(spec, cfg, sigma)),
+            (mc_halfspace_gaussian_shell(dim, cfg, sigma),
+             reference_mc_halfspace_gaussian_shell(dim, cfg, sigma)),
+        ]
         for got, want in pairs:
             assert got == want, (dim, norm, delta, workers)
 
@@ -1185,9 +1178,7 @@ def test_box_draws_are_the_broadcast_formula():
 
 def test_band_core_argument_errors():
     cfg = McConfig(samples=10, seed=1)
-    with pytest.raises(InvalidArgumentError, match="target must be"):
-        mc_gaussian_shell(object(), cfg)
     with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
-        mc_gaussian_shell(halfspace_predicate(2), cfg, sigma=0.0)
+        mc_halfspace_gaussian_shell(2, cfg, sigma=0.0)
     with pytest.raises(InvalidArgumentError, match="sigma must be a positive finite real"):
         mc_gaussian_shell(spec_point(2), cfg, sigma=-1.0)

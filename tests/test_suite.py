@@ -22,23 +22,30 @@ from parset.suite import (
 )
 
 
-# sha256 of results.csv for `parset suite all --samples 100 --seed 0 --workers 1`,
+# sha256 of results.csv for `parset suite all --samples S --seed K --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
-_RESULTS_SHA256 = "225fcb7f4eda7633865ed513d03e476363c8f07e6c80a57684a94a5443f7e4cb"
+_RESULTS_SHA256 = {
+    (100, 0): "225fcb7f4eda7633865ed513d03e476363c8f07e6c80a57684a94a5443f7e4cb",
+    (20000, 3): "19584a49ff67ab0f3984d922cddc7d152046f17cf322a7343eac5398ee7f4b09",
+}
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
-def test_results_csv_digest_is_pinned(tmp_path):
+@pytest.mark.parametrize(
+    "samples, seed", list(_RESULTS_SHA256), ids=[f"samples{s}-seed{k}" for s, k in _RESULTS_SHA256]
+)
+def test_results_csv_digest_is_pinned(tmp_path, samples, seed):
     import numpy
     import scipy
 
     have = {"numpy": numpy.__version__, "scipy": scipy.__version__}
     if have != _RESULTS_VERSIONS:
         pytest.skip(f"digest taken with {_RESULTS_VERSIONS}, running with {have}")
-    argv = ["suite", "all", "--samples", "100", "--seed", "0", "--workers", "1", "--out", str(tmp_path)]
+    argv = ["suite", "all", "--samples", str(samples), "--seed", str(seed), "--workers", "1",
+            "--out", str(tmp_path)]
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == _RESULTS_SHA256
+    assert digest == _RESULTS_SHA256[samples, seed]
 
 
 def test_profile_full_and_smoke():
@@ -77,7 +84,7 @@ def test_suites_cover_all_checks():
 _PUBLIC_NAMES = [
     "ArcDecomposition", "BoundReport", "BoundarySegment", "DistributionSpec",
     "EmpiricalMeasure", "GaussianConstantBreakdown", "GaussianMixture",
-    "InvalidArgumentError", "McConfig", "MeasureEstimate", "MembershipPredicate",
+    "InvalidArgumentError", "McConfig", "MeasureEstimate",
     "NormKind", "ParallelSetSpec", "PointSet", "Profile", "RangeOverflowError",
     "RunManifest", "SUITES", "SegmentDecomposition", "SuiteConfig",
     "TransportResult", "Verdict", "bound_bounded_support", "bound_shell_volume",
@@ -88,9 +95,10 @@ _PUBLIC_NAMES = [
     "de_bruijn_check", "disk_union_area", "disk_union_boundary",
     "disk_union_perimeter", "entropy_mc", "entropy_quadrature",
     "fisher_information_mc", "fisher_information_quadrature", "gaussian_constant",
-    "gaussian_surface_bound", "halfspace_predicate", "inscribed_angle_check",
+    "gaussian_surface_bound", "inscribed_angle_check",
     "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",
-    "mc_gaussian_shell", "mc_shell_lebesgue", "mc_volume", "mc_volume_and_shell",
+    "mc_gaussian_shell", "mc_halfspace_gaussian_shell", "mc_shell_lebesgue", "mc_volume",
+    "mc_volume_and_shell",
     "mixture_density", "rasterized_measures", "reverse_bm_bound",
     "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
     "sample_complexity_n0", "sample_distribution", "square_union_area",
@@ -106,6 +114,42 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == _PUBLIC_NAMES
+
+
+# the fields of every public dataclass, so that adding or removing a field is
+# a deliberate change to this table
+_PUBLIC_FIELDS = {
+    "ArcDecomposition": ["arcs", "radius", "centers"],
+    "BoundReport": ["bound_name", "bound_value", "measured", "std_error", "slack", "verdict"],
+    "BoundarySegment": ["orientation", "fixed_coord", "span_start", "span_end", "outward_sign"],
+    "DistributionSpec": ["kind", "dim", "atoms", "weights", "sigma", "center", "radius"],
+    "EmpiricalMeasure": ["points", "weights"],
+    "GaussianConstantBreakdown": ["constant_C", "lower_sandwich", "upper_sandwich"],
+    "GaussianMixture": ["atoms", "weights", "variance"],
+    "McConfig": ["samples", "seed", "shell_delta", "workers"],
+    "MeasureEstimate": ["value", "std_error", "samples_used"],
+    "ParallelSetSpec": ["base", "norm", "radius"],
+    "PointSet": ["points"],
+    "Profile": [
+        "mc_samples", "halfspace_samples", "shell3d_samples", "kneser_samples",
+        "angle_directions", "angle_pairs", "entropy_samples", "raster_instances",
+        "random_configs", "dr_draws", "w1_pairs", "sandwich_count", "convergence_grid",
+        "convergence_trials", "workers",
+    ],
+    "RunManifest": ["suite", "seed", "samples", "workers", "version", "wall_time_s", "reports"],
+    "SegmentDecomposition": ["segments"],
+    "SuiteConfig": ["seed", "samples", "workers", "out_dir", "fmt"],
+    "TransportResult": ["value", "certificate", "value_exact"],
+}
+
+
+def test_public_fields_are_pinned():
+    fields = {
+        name: [f.name for f in dataclasses.fields(value)]
+        for name in _PUBLIC_NAMES
+        if dataclasses.is_dataclass(value := getattr(parset, name)) and isinstance(value, type)
+    }
+    assert fields == _PUBLIC_FIELDS
 
 
 def test_run_suite_unknown_name():

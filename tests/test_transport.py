@@ -346,7 +346,6 @@ def test_d_r_uniform_many_matches_lone_calls_and_brute_force():
         n = len(x)
         lone = d_r_uniform(x, y, r)
         assert res.value_exact == lone.value_exact and res.value == lone.value
-        assert res.threshold_r == r
         if n <= 8:
             assert res.value == d_r_brute_force(x, y, r)
         pairs = np.asarray(res.certificate, dtype=np.int64).reshape(-1, 2)
@@ -984,6 +983,14 @@ def test_convergence_rejects_bad_grid(n_grid):
     gen = DistributionSpec(kind="uniform-ball", dim=1)
     with pytest.raises(InvalidArgumentError, match="n_grid"):
         convergence_experiment(gen, gen, r=0.3, sigma=0.0, n_grid=n_grid, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("n_grid", [(10, 10), (25, 10, 25)])
+def test_convergence_rejects_a_repeated_size(n_grid):
+    # a repeated size wrote each of its (n, trial) rows twice, from the same streams
+    gen = DistributionSpec(kind="uniform-ball", dim=1)
+    with pytest.raises(InvalidArgumentError, match=f"^n_grid holds the size {n_grid[0]} twice$"):
+        convergence_experiment(gen, gen, r=0.3, sigma=0.0, n_grid=n_grid, trials=2, seed=0)
 
 
 def test_convergence_identical_generators():
