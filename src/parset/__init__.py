@@ -63,7 +63,7 @@ from .mc import (
     mc_volume,
     mc_volume_and_shell,
 )
-from .suite import SUITES, Profile, RunManifest, SuiteConfig, run_suite
+from .suite import SUITES, Profile, run_suite
 from .transport import (
     DistributionSpec,
     EmpiricalMeasure,

@@ -1,6 +1,11 @@
 """Closed-form constants, bound comparisons, and the one type of measured
 value they compare against, MeasureEstimate (exact where samples_used == 0).
 
+The one verdict rule lives here: a measured value passes when it exceeds its
+bound by at most 4 standard errors.  A BoundReport derives its slack and
+verdict from its numbers; every other check reads the same allowance through
+MeasureEstimate.lower and .upper and BoundReport.excess.
+
 Every formula is evaluated in log space with one final exponentiation; a
 result past double range raises RangeOverflowError instead of returning inf.
 The Gaussian bounds exponentiate the constant C alone; gaussian_constant
@@ -11,13 +16,15 @@ All logarithms are natural, entropies are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
 from .geometry import NormKind, _log_omega, nonnegative_real, positive_radius, positive_real
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
+# the standard errors a measured value may exceed its bound by and still pass
+_SIGMAS = 4.0
 
 
 class Verdict(Enum):
@@ -31,52 +38,68 @@ class MeasureEstimate:
     """A measured value.  With samples_used > 0 it is a Monte Carlo estimate
     from that many draws and std_error is its standard error; with
     samples_used == 0 it is exact (a union volume, a quadrature integral, a
-    solid angle) and std_error is its rounding or truncation allowance."""
+    solid angle) and std_error is its rounding or truncation allowance.
+    lower and upper are the ends of the 4-sigma range every check allows."""
 
     value: float
     std_error: float
     samples_used: int
 
+    @property
+    def lower(self) -> float:
+        return self.value - _SIGMAS * self.std_error
+
+    @property
+    def upper(self) -> float:
+        return self.value + _SIGMAS * self.std_error
+
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound's value next to a measured quantity, with a 4-sigma verdict.
+    """A bound's value next to a measured quantity; slack and verdict follow
+    from these four numbers.
 
-    fail when measured - 4 * std_error > bound_value, or when any of the
-    three numbers is NaN or infinite.
+    The verdict is not-compared without a measured value, and fail when
+    measured - 4 * std_error > bound_value or when any of the three numbers
+    is NaN or infinite; excess is that left side less bound_value.
     """
 
     bound_name: str
     bound_value: float
     measured: float | None = None
     std_error: float = 0.0
-    slack: float | None = field(default=None)
-    verdict: Verdict = field(default=Verdict.NOT_COMPARED)
+
+    @property
+    def excess(self) -> float:
+        return self.measured - _SIGMAS * self.std_error - self.bound_value
+
+    @property
+    def slack(self) -> float | None:
+        return None if self.measured is None else self.bound_value - self.measured
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.measured is None:
+            return Verdict.NOT_COMPARED
+        finite = all(math.isfinite(v) for v in (self.bound_value, self.measured, self.std_error))
+        fails = not finite or self.measured - _SIGMAS * self.std_error > self.bound_value
+        return Verdict.FAIL if fails else Verdict.PASS
 
     @classmethod
     def compare(
         cls, name: str, bound_value: float, measured: float, std_error: float = 0.0
     ) -> "BoundReport":
-        finite = all(math.isfinite(v) for v in (bound_value, measured, std_error))
-        fails = not finite or measured - 4.0 * std_error > bound_value
-        verdict = Verdict.FAIL if fails else Verdict.PASS
-        return cls(
-            bound_name=name,
-            bound_value=bound_value,
-            measured=measured,
-            std_error=std_error,
-            slack=bound_value - measured,
-            verdict=verdict,
-        )
+        return cls(name, bound_value, measured, std_error)
 
     @classmethod
     def sweep(cls, name: str, bound_value: float, values) -> "BoundReport":
         """compare the worst of a sweep's per-instance values (see worst_excess)."""
         return cls.compare(name, bound_value, worst_excess(values)[0])
 
-    @classmethod
-    def uncompared(cls, name: str, bound_value: float) -> "BoundReport":
-        return cls(bound_name=name, bound_value=bound_value)
+
+def all_pass(reports) -> bool:
+    """Whether no report fails; a not-compared report passes."""
+    return all(rep.verdict is not Verdict.FAIL for rep in reports)
 
 
 def worst_excess(values) -> tuple[float, int]:
@@ -275,7 +298,8 @@ def sample_complexity_n0(
     """Sample count for the plug-in transport estimator's deviation guarantee.
 
     eta = eps / (2 * max(C/sigma, C/(2r/3))) must land in (0, r/3); the count
-    is ceil((log(2/delta) + log c0) / (c1 * (eta*eps/2)^d)).  c0 and c1 are
+    is ceil((log(2/delta) + log c0) / (c1 * (eta*eps/2)^d)), at least 1 where
+    the quotient underflows.  c0 and c1 are
     tail constants not pinned by theory; defaults of 1.0 are placeholders.
     """
     _check_dim(d, r)
@@ -302,7 +326,7 @@ def sample_complexity_n0(
     value = _exp_checked(log_n0, "sample_complexity_n0")
     if value >= 2**63:
         raise RangeOverflowError("sample_complexity_n0 exceeds a 64-bit integer")
-    return math.ceil(value)
+    return max(1, math.ceil(value))
 
 
 # name -> function; `parset bounds` reads each bound's parameters from its signature

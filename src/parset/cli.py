@@ -19,7 +19,7 @@ from . import entropy as ent
 from . import exact2d as ex2
 from . import mc as mcmod
 from . import transport as tp
-from .bounds import BOUND_CATALOG, Verdict, gaussian_constant
+from .bounds import BOUND_CATALOG, Verdict, all_pass, gaussian_constant
 from .errors import InvalidArgumentError, RangeOverflowError
 from .experiment import load_experiment_config, run_verify_experiment
 from .geometry import (
@@ -40,7 +40,7 @@ from .geometry import (
     spec_from_dict,
 )
 from .mc import McConfig
-from .suite import SUITES, SuiteConfig, report_line, run_suite, write_reports
+from .suite import SUITES, report_line, run_suite, write_reports
 
 
 def _fmt(x) -> str:
@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
         write_reports(out_path, cfg.name, [("verify", rep) for rep in reports], args.format)
     for rep in reports:
         print(report_line(None, rep))
-    return 0 if all(r.verdict is not Verdict.FAIL for r in reports) else 1
+    return 0 if all_pass(reports) else 1
 
 
 def _cmd_dr(args) -> int:
@@ -346,17 +346,12 @@ def _cmd_epi(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        samples=args.samples,
-        workers=args.workers,
-        out_dir=args.out,
-        fmt=args.format,
+    reports = run_suite(
+        args.name, args.seed, args.samples, args.workers, args.out, args.format, log=print
     )
-    manifest = run_suite(args.name, config, log=print)
-    print(f"suite {args.name}: {'all pass' if manifest.all_pass() else 'FAILURES'} "
-          f"({len(manifest.reports)} checks)")
-    return 0 if manifest.all_pass() else 1
+    passed = all_pass(reports)
+    print(f"suite {args.name}: {'all pass' if passed else 'FAILURES'} ({len(reports)} checks)")
+    return 0 if passed else 1
 
 
 # the flags several subcommands share; each subcommand takes those its handler reads

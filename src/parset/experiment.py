@@ -125,13 +125,13 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
             cap_norm, cap = _CONTAINMENT[name]
             bound = cap(d, radius)
             if norm is not cap_norm or _enclosing_radius(points.points, norm) > radius:
-                reports.append(BoundReport.uncompared(name, bound))
+                reports.append(BoundReport(name, bound))
             else:
                 surface = measures()[1]
                 reports.append(BoundReport.compare(name, bound, surface.value, surface.std_error))
         elif name == "volume-constrained":
             vol, surface = measures()
-            bound = bound_volume_constrained(d, radius, vol.value + 4.0 * vol.std_error)
+            bound = bound_volume_constrained(d, radius, vol.upper)
             reports.append(BoundReport.compare(name, bound, surface.value, surface.std_error))
         elif name == "gaussian-surface":
             est = mcmod.mc_gaussian_shell(

@@ -190,20 +190,14 @@ def cube_union_measures(base: PointSet, r: float) -> tuple[MeasureEstimate, Meas
     grid past the cover's budget raises InvalidArgumentError before it is
     allocated, and a result past double range RangeOverflowError.
     """
-    r, pts, lines, slabs = _cube_cover(base, r)
+    r, pts = positive_radius(r), base.points
     with np.errstate(over="ignore", invalid="ignore"):
+        lines, slabs = _kernels.cube_cover(pts - pts[0], r)
         volume, gaussian = _contract(slabs, [lines, [_phi(e + c) for e, c in zip(lines, pts[0].tolist())]])
     e_volume, e_gaussian = _cover_allowances(pts, r, lines, volume)
     if not all(map(math.isfinite, (volume, e_volume, e_gaussian))):
         raise RangeOverflowError(f"the volume of the {r:g}-parallel set exceeds double range")
     return MeasureEstimate(volume, e_volume, 0), MeasureEstimate(gaussian, e_gaussian, 0)
-
-
-def _cube_cover(base: PointSet, r: float):
-    """(r, points, lines, slabs): _kernels.cube_cover about the first point."""
-    r, pts = positive_radius(r), base.points
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (r, pts, *_kernels.cube_cover(pts - pts[0], r))
 
 
 def _contract(slabs, weights: list[list[np.ndarray]]) -> list[float]:
@@ -271,17 +265,10 @@ def _cover_allowances(pts, r, lines, volume) -> tuple[float, float]:
 def _exact_volume(base, norm: NormKind, rho: float) -> MeasureEstimate:
     """The volume of the rho-parallel set, with its rounding allowance, where
     it is exact: a planar disk union, or an L-inf cube union in any
-    dimension, the latter cube_union_measures' volume to the bit without its
-    Gaussian measure."""
+    dimension (cube_union_measures' volume)."""
     if norm is NormKind.L2:
         return _planar_area(base, rho)
-    rho, pts, lines, slabs = _cube_cover(base, rho)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (volume,) = _contract(slabs, [lines])
-    allowance = _cover_allowances(pts, rho, lines, volume)[0]
-    if not (math.isfinite(volume) and math.isfinite(allowance)):
-        raise RangeOverflowError(f"the volume of the {rho:g}-parallel set exceeds double range")
-    return MeasureEstimate(volume, allowance, 0)
+    return cube_union_measures(base, rho)[0]
 
 
 def kneser_is_exact(dim: int, norm: NormKind) -> bool:
@@ -482,8 +469,8 @@ def inscribed_angle_check(
     For every sampled apex the cap's solid angle must be at least the central
     one over 2^(d-1), within 4 standard errors of the apex fraction (its
     rounding allowance in 2-d and 3-d, where `directions` is not read).  The
-    report carries the apex with the largest deficit - 4 * standard error,
-    so a failing apex cannot hide behind a larger but noisier deficit.
+    report is the apex's with the largest excess (deficit - 4 * standard
+    error), so a failing apex cannot hide behind a larger but noisier deficit.
     """
     if dim < 2:
         raise InvalidArgumentError("dim must be >= 2")
@@ -491,12 +478,11 @@ def inscribed_angle_check(
         raise InvalidArgumentError("trials must be >= 1")
     shrink = 2.0 ** (dim - 1)
 
-    def deficit(k):
+    def report(k):
         sub = derive_seed(seed, "inscribed-angle", k)
         apex = uniform_in_ball(chunk_generator(derive_seed(sub, "apex"), 0), 1, dim)[0]
         fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub, workers)
-        return fc / shrink - fa.value, fa.std_error
+        return BoundReport.compare("inscribed-angle", 0.0, fc / shrink - fa.value, fa.std_error)
 
-    deficits = [deficit(k) for k in range(trials)]
-    measured, se = deficits[worst_excess(d - 4.0 * se for d, se in deficits)[1]]
-    return BoundReport.compare("inscribed-angle", bound_value=0.0, measured=measured, std_error=se)
+    reports = [report(k) for k in range(trials)]
+    return reports[worst_excess(rep.excess for rep in reports)[1]]

@@ -1,9 +1,11 @@
 """Verification suites: every bound and identity check, runnable end to end.
 
 Each check returns BoundReports.  Aggregate reports over many random
-instances follow one convention: measured is the worst 4-sigma-adjusted
-excess over the per-instance bound (anything <= 0 passes), with bound_value 0
-and std_error 0, unless the check says otherwise.
+instances follow one convention: measured is the worst per-instance
+BoundReport.excess, the measured value less 4 standard errors less its bound
+(anything <= 0 passes), with bound_value 0 and std_error 0, unless the check
+says otherwise.  The 4 lives in bounds alone: a check widens an estimate
+through MeasureEstimate.lower and .upper, or reads a report's excess.
 
 All randomness comes from streams derived from the suite seed, so a rerun
 with the same seed reproduces every number bit for bit.  Result files are
@@ -30,7 +32,7 @@ from . import transport as tp
 from ._rng import chunk_generator, derive_seed, uniform_in_ball, uniform_in_cube
 from .bounds import (
     BoundReport,
-    Verdict,
+    all_pass,
     bound_volume_constrained,
     gaussian_surface_bound,
     reverse_bm_bound,
@@ -191,8 +193,7 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
         sub = derive_seed(seed, "volume-constrained-3d", k)
         cfg = McConfig(samples=prof.shell3d_samples, seed=sub + 1, workers=prof.workers)
         vol, shell = mcmod.mc_volume_and_shell(spec, cfg)
-        bound = bound_volume_constrained(3, r, vol.value + 4.0 * vol.std_error)
-        return shell.value - 4.0 * shell.std_error - bound
+        return shell.lower - bound_volume_constrained(3, r, vol.upper)
 
     return [
         BoundReport.sweep("volume-constrained-2d", 0.0, map(planar_excess, range(100))),
@@ -223,7 +224,7 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
                 rep = mcmod.kneser_shell_check(
                     centers, norm, a_k=0.5, b_k=1.0, t=t, cfg=cfg, volumes=volumes
                 )
-                yield rep.measured - 4.0 * rep.std_error - rep.bound_value
+                yield rep.excess
 
     return [BoundReport.sweep("kneser-shell-sweep", 0.0, excesses())]
 
@@ -242,14 +243,13 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
     g = chunk_generator(derive_seed(seed, "angle-3d"), 0)
 
     def excess(k):
-        rep = mcmod.inscribed_angle_check(
+        return mcmod.inscribed_angle_check(
             3,
             cap_half_angle=float(g.uniform(0.2, 2.5)),
             trials=1,
             seed=derive_seed(seed, "angle-3d", k),
             directions=1,
-        )
-        return rep.measured - 4.0 * rep.std_error
+        ).excess
 
     return [
         BoundReport.compare(
@@ -265,15 +265,10 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
-    """Halfspace shell estimate against the exact constant 1/sqrt(2 pi)."""
+    """Halfspace shell estimate, at the default delta 1/1000, against the
+    exact constant 1/sqrt(2 pi)."""
     est = mcmod.mc_halfspace_gaussian_shell(
-        3,
-        McConfig(
-            samples=prof.halfspace_samples,
-            seed=derive_seed(seed, "halfspace"),
-            shell_delta=1e-3,
-            workers=prof.workers,
-        ),
+        3, McConfig(prof.halfspace_samples, derive_seed(seed, "halfspace"), workers=prof.workers)
     )
     target = 1.0 / math.sqrt(2.0 * math.pi)
     return [
@@ -303,13 +298,13 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
             delta = r / 1000.0
             inner, outer = (mcmod.cube_union_measures(centers, rho)[1] for rho in (r, r + delta))
             shell = (outer.value - inner.value) / delta
-            return shell - 4.0 * (outer.std_error + inner.std_error) / delta - bound
+            std_error = (outer.std_error + inner.std_error) / delta
+            return BoundReport.compare("gaussian-surface-bound", bound, shell, std_error).excess
         spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
         cfg = McConfig(
             samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k), workers=prof.workers
         )
-        est = mcmod.mc_gaussian_shell(spec, cfg)
-        return est.value - 4.0 * est.std_error - bound
+        return mcmod.mc_gaussian_shell(spec, cfg).lower - bound
 
     return [BoundReport.sweep("gaussian-surface-bound", 0.0, map(excess, range(len(shapes))))]
 
@@ -344,8 +339,8 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
         )
         bound = vol_k * vol_l * reverse_bm_bound(2, r)
         exact_sum = ex2.disk_union_area(sum_set, 2.0 * r)
-        return (est.value - 4.0 * est.std_error - bound,
-                abs(est.value - exact_sum) - 4.0 * est.std_error)
+        gap = abs(est.value - exact_sum)
+        return est.lower - bound, BoundReport.compare("mc-vs-exact", 0.0, gap, est.std_error).excess
 
     rows = [excesses(k) for k in range(50)]
     return [
@@ -482,10 +477,8 @@ def check_reverse_epi(seed: int, prof: Profile) -> list[BoundReport]:
     sep = 40.0 * math.sqrt(r)
     gm_x = ent.GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=r)
     gm_y = ent.GaussianMixture(atoms=[[0.0], [3.0 * sep]], weights=[0.5, 0.5], variance=r)
-    h_x = ent.entropy_quadrature(gm_x).value
-    h_y = ent.entropy_quadrature(gm_y).value
-    h_sum = ent.entropy_quadrature(ent.convolve_mixtures(gm_x, gm_y)).value
-    gap = h_sum - h_x - h_y
+    rep, h_x, h_y = ent.reverse_epi_check(gm_x, gm_y)
+    gap = rep.measured - h_x.value - h_y.value
     target = -0.5 * math.log(math.pi * math.e * r)
     reports.append(BoundReport.compare("reverse-epi-far-gap", 0.02, abs(gap - target)))
     return reports
@@ -506,7 +499,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
         est = ent._fisher_auto(
             gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k), workers=prof.workers
         )
-        return est.value - 4.0 * est.std_error - gm.dim / gm.variance
+        return est.lower - gm.dim / gm.variance
 
     def de_bruijn_excess(_):
         n_atoms = int(g.integers(1, 4))
@@ -556,29 +549,6 @@ SUITES = {suite: tuple(checks) for suite, checks in _SUITE_CHECKS.items()}
 SUITES["all"] = tuple(CHECKS)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int
-    samples: int | None = None
-    workers: int = 1
-    out_dir: str | None = None
-    fmt: str = "csv"
-
-
-@dataclass
-class RunManifest:
-    suite: str
-    seed: int
-    samples: int | None
-    workers: int
-    version: str
-    wall_time_s: float
-    reports: list[BoundReport]
-
-    def all_pass(self) -> bool:
-        return all(r.verdict is not Verdict.FAIL for r in self.reports)
-
-
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
@@ -613,40 +583,43 @@ def report_line(check: str | None, rep: BoundReport) -> str:
             f"measured={_fmt_float(rep.measured)} bound={_fmt_float(rep.bound_value)}")
 
 
-def run_suite(suite_name: str, config: SuiteConfig, log=None) -> RunManifest:
-    """Run one suite; writes results (and a timing manifest) when out_dir set."""
+def run_suite(
+    suite_name: str,
+    seed: int,
+    samples: int | None = None,
+    workers: int = 1,
+    out_dir=None,
+    fmt: str = "csv",
+    log=None,
+) -> list[BoundReport]:
+    """Run one suite and return its reports; with out_dir set, write its
+    results (CSV, or JSON when fmt is "json") and a timing manifest there."""
     if suite_name not in SUITES:
         raise InvalidArgumentError(
             f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
         )
-    if config.samples is not None and config.samples < 1:
+    if samples is not None and samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
-    if config.workers < 1:
+    if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
-    prof = replace(profile_from_samples(config.samples), workers=config.workers)
+    prof = replace(profile_from_samples(samples), workers=workers)
     started = time.monotonic()
     collected: list[tuple[str, BoundReport]] = []
     for check_name in SUITES[suite_name]:
-        for rep in CHECKS[check_name](config.seed, prof):
+        for rep in CHECKS[check_name](seed, prof):
             collected.append((check_name, rep))
             if log is not None:
                 log(report_line(check_name, rep))
     wall = time.monotonic() - started
-    manifest = RunManifest(
-        suite=suite_name,
-        seed=config.seed,
-        samples=config.samples,
-        workers=config.workers,
-        version=__version__,
-        wall_time_s=wall,
-        reports=[rep for _, rep in collected],
-    )
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
+    reports = [rep for _, rep in collected]
+    if out_dir is not None:
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        results = "results.json" if config.fmt == "json" else "results.csv"
-        write_reports(out / results, suite_name, collected, config.fmt)
-        summary = {key: value for key, value in vars(manifest).items() if key != "reports"}
-        summary.update(n_reports=len(collected), all_pass=manifest.all_pass())
-        (out / "manifest.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return manifest
+        results = "results.json" if fmt == "json" else "results.csv"
+        write_reports(out / results, suite_name, collected, fmt)
+        manifest = dict(
+            suite=suite_name, seed=seed, samples=samples, workers=workers, version=__version__,
+            wall_time_s=wall, n_reports=len(reports), all_pass=all_pass(reports),
+        )
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return reports

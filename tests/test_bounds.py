@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import struct
 
 import mpmath as mp
 import pytest
@@ -7,6 +10,7 @@ from parset import bounds
 from parset import (
     BoundReport,
     InvalidArgumentError,
+    MeasureEstimate,
     NormKind,
     RangeOverflowError,
     Verdict,
@@ -157,6 +161,12 @@ def test_sample_complexity_regression():
     assert sample_complexity_n0(3, 1.0, 1.0, 0.3, 0.1) == 219801122752967
 
 
+@pytest.mark.parametrize("args", [(2, 1.0, 1e300, 1e200, 0.1), (300, 1e200, 1e200, 1e10, 0.1)])
+def test_sample_complexity_is_at_least_one(args):
+    # the count's exponential underflows to 0 here, and used to return 0
+    assert sample_complexity_n0(*args) == 1
+
+
 def test_sample_complexity_tiny_eps_is_past_double_range():
     # eta * eps / 2 underflowed to 0 and log(0) raised a math domain error
     with pytest.raises(RangeOverflowError, match="sample_complexity_n0"):
@@ -245,9 +255,34 @@ def test_bound_report_verdict_logic():
     assert rep.verdict is Verdict.PASS  # 1.5 - 0.8 <= 1.0
     rep = BoundReport.compare("x", 1.0, measured=2.0, std_error=0.2)
     assert rep.verdict is Verdict.FAIL
-    rep = BoundReport.uncompared("x", 1.0)
+    rep = BoundReport("x", 1.0)
     assert rep.verdict is Verdict.NOT_COMPARED
     assert rep.measured is None
+    assert rep.slack is None
+
+
+def test_report_verdict_follows_its_numbers():
+    # a report whose measured value is replaced keeps no stale verdict
+    rep = dataclasses.replace(BoundReport.compare("x", 1.0, 0.5), measured=2.0)
+    assert rep.verdict is Verdict.FAIL
+    assert rep.slack == -1.0
+    assert bounds.all_pass([BoundReport("x", 1.0), BoundReport.compare("x", 1.0, 0.5)])
+    assert not bounds.all_pass([BoundReport.compare("x", 1.0, 0.5), rep])
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+def test_four_sigma_ends_are_the_written_expressions():
+    edges = [0.0, -0.0, 1.5, -2.25, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+    for value, std_error, bound in itertools.product(edges, repeat=3):
+        est = MeasureEstimate(value, std_error, 0)
+        assert _same_bits(est.lower, value - 4.0 * std_error)
+        assert _same_bits(est.upper, value + 4.0 * std_error)
+        rep = BoundReport.compare("x", bound, value, std_error)
+        assert _same_bits(rep.excess, value - 4.0 * std_error - bound)
+        assert _same_bits(rep.slack, bound - value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -16,7 +16,6 @@ from parset import suite as suite_mod
 from parset.suite import (
     FULL,
     SUITES,
-    SuiteConfig,
     profile_from_samples,
     run_suite,
 )
@@ -86,7 +85,7 @@ _PUBLIC_NAMES = [
     "EmpiricalMeasure", "GaussianConstantBreakdown", "GaussianMixture",
     "InvalidArgumentError", "McConfig", "MeasureEstimate",
     "NormKind", "ParallelSetSpec", "PointSet", "Profile", "RangeOverflowError",
-    "RunManifest", "SUITES", "SegmentDecomposition", "SuiteConfig",
+    "SUITES", "SegmentDecomposition",
     "TransportResult", "Verdict", "bound_bounded_support", "bound_shell_volume",
     "bound_union_in_ball", "bound_union_in_cube", "bound_volume_constrained",
     "check_w1_domination", "convergence_experiment",
@@ -120,7 +119,7 @@ def test_public_names_are_pinned():
 # a deliberate change to this table
 _PUBLIC_FIELDS = {
     "ArcDecomposition": ["arcs", "radius", "centers"],
-    "BoundReport": ["bound_name", "bound_value", "measured", "std_error", "slack", "verdict"],
+    "BoundReport": ["bound_name", "bound_value", "measured", "std_error"],
     "BoundarySegment": ["orientation", "fixed_coord", "span_start", "span_end", "outward_sign"],
     "DistributionSpec": ["kind", "dim", "atoms", "weights", "sigma", "center", "radius"],
     "EmpiricalMeasure": ["points", "weights"],
@@ -136,9 +135,7 @@ _PUBLIC_FIELDS = {
         "random_configs", "dr_draws", "w1_pairs", "sandwich_count", "convergence_grid",
         "convergence_trials", "workers",
     ],
-    "RunManifest": ["suite", "seed", "samples", "workers", "version", "wall_time_s", "reports"],
     "SegmentDecomposition": ["segments"],
-    "SuiteConfig": ["seed", "samples", "workers", "out_dir", "fmt"],
     "TransportResult": ["value", "certificate", "value_exact"],
 }
 
@@ -154,26 +151,32 @@ def test_public_fields_are_pinned():
 
 def test_run_suite_unknown_name():
     with pytest.raises(InvalidArgumentError):
-        run_suite("bogus", SuiteConfig(seed=1))
+        run_suite("bogus", 1)
 
 
 def test_run_suite_writes_outputs(tmp_path):
-    cfg = SuiteConfig(seed=7, samples=1500, out_dir=str(tmp_path), fmt="json")
-    manifest = run_suite("brunn-minkowski", cfg)
-    assert manifest.all_pass()
+    reports = run_suite("brunn-minkowski", 7, samples=1500, out_dir=str(tmp_path), fmt="json")
+    assert [rep.verdict for rep in reports] == [Verdict.PASS] * 2
     rows = json.loads((tmp_path / "results.json").read_text())
     assert rows and rows[0]["suite"] == "brunn-minkowski"
     meta = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(meta) == [
+        "all_pass", "n_reports", "samples", "seed", "suite", "version", "wall_time_s", "workers"
+    ]
     assert meta["all_pass"] is True
     assert meta["version"] == parset.__version__
     assert meta["wall_time_s"] > 0.0
+    assert (meta["suite"], meta["seed"], meta["samples"], meta["workers"]) == (
+        "brunn-minkowski", 7, 1500, 1
+    )
+    assert meta["n_reports"] == len(reports)
 
 
 def test_run_suite_deterministic_results(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     for out in (a, b):
-        run_suite("epi", SuiteConfig(seed=3, samples=1500, out_dir=str(out)))
+        run_suite("epi", 3, samples=1500, out_dir=str(out))
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
 
@@ -306,12 +309,12 @@ def test_suite_workers_reach_every_chunked_estimate(tmp_path, monkeypatch):
     for workers in (1, 2):
         seen.clear()
         out = tmp_path / str(workers)
-        run_suite("all", SuiteConfig(seed=0, samples=100, workers=workers, out_dir=str(out)))
+        run_suite("all", 0, samples=100, workers=workers, out_dir=str(out))
         assert seen and set(seen) == {workers}
         written.append((out / "results.csv").read_bytes())
     assert written[0] == written[1]
     with pytest.raises(InvalidArgumentError, match="workers"):
-        run_suite("epi", SuiteConfig(seed=0, workers=0))
+        run_suite("epi", 0, workers=0)
 
 
 def test_each_transport_sweep_is_one_matching_solve(monkeypatch):
