@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="mixture JSON for the first variable")
     p.add_argument("--y", required=True, help="mixture JSON for the second variable")
     p.add_argument("--smoothing", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=int, default=200_000,
+                   help="Monte Carlo draws per entropy, for a mixture whose quadrature "
+                        f"grid would exceed {ent._MAX_POINTS} points; the others read none")
 
     p = command("suite", _cmd_suite, "run a verification suite", "seed", "workers", "out", "format")
     p.add_argument("name", choices=tuple(SUITES))

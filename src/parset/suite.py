@@ -394,12 +394,15 @@ def check_w1_domination_sweep(seed: int, prof: Profile) -> list[BoundReport]:
         x = PointSet(g.standard_normal((n, dim)) * float(g.uniform(0.5, 2.0)))
         y = PointSet(g.standard_normal((n, dim)) + g.uniform(-1, 1, dim))
         r = float(g.uniform(0.05, 1.0))
-        rep = tp.check_w1_domination(
+        return tp.check_w1_domination(
             tp.EmpiricalMeasure.uniform(x), tp.EmpiricalMeasure.uniform(y), r
-        )
-        return rep.measured - rep.bound_value
+        ).measured
 
-    return [BoundReport.sweep("w1-domination-sweep", 1e-12, map(excess, range(prof.w1_pairs)))]
+    return [
+        BoundReport.sweep(
+            "w1-domination-sweep", tp._W1_MARGIN, map(excess, range(prof.w1_pairs))
+        )
+    ]
 
 
 def check_coupling_sandwich(seed: int, prof: Profile) -> list[BoundReport]:

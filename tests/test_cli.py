@@ -402,22 +402,26 @@ def test_epi_command(tmp_path):
 
 
 def test_epi_entropies_are_the_direct_estimates(tmp_path):
-    from parset.entropy import GaussianMixture, entropy_mc
+    # 2-d mixtures fit the quadrature grid, 4-d ones take Monte Carlo
+    from parset.entropy import GaussianMixture, entropy_mc, entropy_quadrature
 
-    mixtures = {
-        "x": {"atoms": [[0.0, 0.0], [2.0, 1.0]], "weights": [0.3, 0.7]},
-        "y": {"atoms": [[1.0, -1.0]], "weights": [1.0]},
-    }
-    for side, mix in mixtures.items():
-        (tmp_path / f"{side}.json").write_text(json.dumps(mix))
-    out = tmp_path / "epi.json"
-    rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
-               "--smoothing", "0.5", "--samples", "5000", "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    payload = strict_loads(out.read_text())
-    for key, side, seed in (("h_x", "x", 3), ("h_y", "y", 4)):
-        gm = GaussianMixture(variance=0.5, **mixtures[side])
-        assert payload[key] == entropy_mc(gm, n=5000, seed=seed).value
+    for dim in (2, 4):
+        pad = [0.0] * (dim - 2)
+        mixtures = {
+            "x": {"atoms": [[0.0, 0.0, *pad], [2.0, 1.0, *pad]], "weights": [0.3, 0.7]},
+            "y": {"atoms": [[1.0, -1.0, *pad]], "weights": [1.0]},
+        }
+        for side, mix in mixtures.items():
+            (tmp_path / f"{side}.json").write_text(json.dumps(mix))
+        out = tmp_path / "epi.json"
+        rc = main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
+                   "--smoothing", "0.5", "--samples", "5000", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        payload = strict_loads(out.read_text())
+        for key, side, seed in (("h_x", "x", 3), ("h_y", "y", 4)):
+            gm = GaussianMixture(variance=0.5, **mixtures[side])
+            want = entropy_quadrature(gm) if dim == 2 else entropy_mc(gm, n=5000, seed=seed)
+            assert payload[key] == want.value
 
 
 def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch):
@@ -431,8 +435,10 @@ def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch):
         return map_reduce_chunks(seed, total, workers, chunk_fn)
 
     monkeypatch.setattr(entropy, "map_reduce_chunks", recording)
-    (tmp_path / "x.json").write_text(json.dumps({"atoms": [[0.0, 0.0], [2.0, 1.0]], "weights": [0.3, 0.7]}))
-    (tmp_path / "y.json").write_text(json.dumps({"atoms": [[1.0, -1.0], [0.0, 0.5]]}))
+    # 4-d mixtures, which no quadrature grid takes
+    (tmp_path / "x.json").write_text(json.dumps(
+        {"atoms": [[0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0]], "weights": [0.3, 0.7]}))
+    (tmp_path / "y.json").write_text(json.dumps({"atoms": [[1.0, -1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]}))
     written = []
     for workers in (1, 2):
         out = tmp_path / f"epi-{workers}.json"
@@ -1053,8 +1059,9 @@ def test_mc_angle_small_dim_exit_2(tmp_path, capsys, dim):
 
 
 def test_epi_zero_samples_exit_2(tmp_path, capsys):
-    # 1-d mixtures take the quadrature, which reads no samples; they fail too
-    for atoms in ([[0.0, 0.0], [1.0, 0.0]], [[0.0], [1.0]]):
+    # the 2-d and 1-d mixtures take the quadrature, which reads no samples;
+    # they fail as the 4-d ones do
+    for atoms in ([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[0.0], [1.0]]):
         mix = tmp_path / "x.json"
         mix.write_text(json.dumps({"atoms": atoms}))
         assert main(["epi", "--x", str(mix), "--y", str(mix), "--smoothing", "0.5",

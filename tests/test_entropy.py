@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from parset import (
+    BoundReport,
     GaussianMixture,
     InvalidArgumentError,
     MeasureEstimate,
@@ -157,27 +158,29 @@ def test_entropy_quadrature_separated_limit():
 
 def test_entropy_quadrature_refinement(monkeypatch):
     gm = GaussianMixture(atoms=[[0.0], [2.0]], weights=[0.4, 0.6], variance=0.3)
-    coarse = entropy_quadrature(gm).value
-    monkeypatch.setattr(entropy, "_STEP_SD", entropy._STEP_SD / 4.0)
+    coarse = entropy_quadrature(gm)
+    monkeypatch.setattr(entropy, "_GRID_STEP", entropy._GRID_STEP / 4.0)
     fine = entropy_quadrature(gm).value
-    assert abs(coarse - fine) < 1e-14
+    assert abs(coarse.value - fine) < 1e-11
+    assert abs(coarse.value - fine) <= coarse.std_error
 
 
 @pytest.mark.parametrize("sep", [1e3, 1e4])
 def test_entropy_quadrature_rejects_coarse_grid(sep):
     # 8193 points over 1e4 + 2.4 returned -4.247 with std_error 2.6e-31
     gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=0.01)
-    with pytest.raises(InvalidArgumentError, match="quadrature window .* exceeds 2048 sd"):
+    with pytest.raises(InvalidArgumentError, match="quadrature grid of .* points exceeds 32769"):
         entropy_quadrature(gm)
-    with pytest.raises(InvalidArgumentError, match="quadrature window"):
+    with pytest.raises(InvalidArgumentError, match="quadrature grid"):
         fisher_information_quadrature(gm)
 
 
 @pytest.mark.parametrize(
-    "sep, variance", [(200.0, 0.01), (2024.0, 1.0)], ids=["2024-sd", "2048-sd"]
+    "sep, variance", [(800.0, 0.01), (8174.0, 1.0)], ids=["8000-sd", "8174-sd"]
 )
 def test_entropy_quadrature_fine_enough_grid(sep, variance):
-    # windows of 2024 sd and of 2048 sd, the widest that 32769 points cover
+    # atoms 8000 sd and 8174 sd apart, the farthest that 32769 points at
+    # sd/4 reach 9 sd past
     gm = GaussianMixture(atoms=[[0.0], [sep]], weights=[0.5, 0.5], variance=variance)
     want = math.log(2.0) + gaussian_entropy(variance)
     assert entropy_quadrature(gm).value == pytest.approx(want, abs=1e-12)
@@ -185,18 +188,24 @@ def test_entropy_quadrature_fine_enough_grid(sep, variance):
 
 
 def test_quadrature_window_limit():
-    # just past a 2048 sd window, 1-d mixtures go to Monte Carlo
-    gm = GaussianMixture(atoms=[[0.0], [2024.0]], weights=[0.5, 0.5], variance=1.0)
-    wider = GaussianMixture(atoms=[[0.0], [2024.0 + 1e-9]], weights=[0.5, 0.5], variance=1.0)
-    assert entropy._uses_quadrature(gm) and not entropy._uses_quadrature(wider)
-    assert _fisher_auto(wider, n=1000, seed=0).samples_used == 1000
-    with pytest.raises(InvalidArgumentError, match="quadrature window"):
-        entropy_quadrature(wider)
+    # one grid point past the budget, a mixture goes to Monte Carlo: in 1-d
+    # at 32769 and 32770 points, in 2-d at 181 x 181 and 182 x 181
+    for atoms, far in (([[0.0], [8174.0]], [[0.0], [8174.0 + 1e-9]]),
+                       ([[0.0, 0.0], [27.0, 27.0]], [[0.0, 0.0], [27.25, 27.0]])):
+        gm = GaussianMixture(atoms=atoms, weights=[0.5, 0.5], variance=1.0)
+        wider = GaussianMixture(atoms=far, weights=[0.5, 0.5], variance=1.0)
+        assert entropy._grid_shape(gm)[3] <= 32769 < entropy._grid_shape(wider)[3]
+        assert entropy._uses_grid(gm) and not entropy._uses_grid(wider)
+        assert _fisher_auto(wider, n=1000, seed=0).samples_used == 1000
+        with pytest.raises(InvalidArgumentError, match="quadrature grid"):
+            entropy_quadrature(wider)
 
 
-def test_entropy_quadrature_dim_guard():
-    gm = GaussianMixture(atoms=[[0.0, 0.0]], weights=[1.0], variance=1.0)
-    with pytest.raises(InvalidArgumentError):
+def test_entropy_quadrature_refuses_a_grid_past_the_budget():
+    # any 3-d mixture: 73 points an axis at the least
+    gm = GaussianMixture(atoms=[[0.0, 0.0, 0.0]], weights=[1.0], variance=1.0)
+    with pytest.raises(InvalidArgumentError,
+                       match="quadrature grid of 3.89e[+]05 points exceeds 32769"):
         entropy_quadrature(gm)
 
 
@@ -326,12 +335,13 @@ def test_fisher_quadrature_matches_scipy_quad(k):
         est = fisher_information_quadrature(gm)
         assert est.samples_used == 0
         want = reference_fisher_quad(gm.atoms, gm.weights, gm.variance)
-        assert est.value == pytest.approx(want, rel=1e-10)
+        assert abs(est.value - want) <= est.std_error
+        assert est.value == pytest.approx(want, rel=1e-9)
 
 
 def test_fisher_quadrature_single_atom_is_one_over_var():
     # the equality case of J <= 1/var: the std_error must cover the rounding,
-    # which moves 8 of these 20 values off 1/var, by up to 8.9e-16
+    # which moves 9 of these 20 values off 1/var, by up to 4.4e-16
     rng = np.random.default_rng(61)
     for _ in range(20):
         var = float(rng.uniform(0.3, 1.5))
@@ -354,21 +364,179 @@ def test_fisher_quadrature_translation_invariance():
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
-def test_one_dimension_never_reaches_monte_carlo(monkeypatch):
+def test_a_mixture_the_grid_takes_never_reaches_monte_carlo(monkeypatch):
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("Monte Carlo reached")
 
     monkeypatch.setattr(entropy, "_moment_mean", no_monte_carlo)
-    rep = de_bruijn_check([[0.0], [1.1]], [0.4, 0.6], t0=0.7)
-    assert rep.verdict is Verdict.PASS
-    gm = GaussianMixture(atoms=[[0.0], [1.1]], weights=[0.4, 0.6], variance=0.7)
-    assert _fisher_auto(gm, n=1000, seed=0).samples_used == 0
-    gm_x = GaussianMixture(atoms=[[0.0], [1.0]], weights=[0.5, 0.5], variance=0.6)
-    rep = reverse_epi_check(gm_x, GaussianMixture(atoms=[[0.5]], weights=[1.0], variance=0.6))[0]
-    assert rep.verdict is Verdict.PASS
-    # a 2-d mixture still takes the Monte Carlo path
+    for atoms in ([[0.0], [1.1]], [[0.0, 0.3], [1.1, -0.4]]):
+        rep = de_bruijn_check(atoms, [0.4, 0.6], t0=0.7)
+        assert rep.verdict is Verdict.PASS
+        gm = GaussianMixture(atoms=atoms, weights=[0.4, 0.6], variance=0.7)
+        est = _fisher_auto(gm, n=1000, seed=0)
+        assert est.samples_used == 0 and est.lower <= gm.dim / gm.variance
+    for a, b in (([[0.0], [1.0]], [[0.5]]), ([[0.0, 0.0], [1.0, -2.0]], [[0.5, 0.5]])):
+        gm_x = GaussianMixture(atoms=a, weights=[0.5, 0.5], variance=0.6)
+        rep, h_x, h_y = reverse_epi_check(gm_x, GaussianMixture(atoms=b, weights=[1.0], variance=0.6))
+        assert rep.verdict is Verdict.PASS
+        assert h_x.samples_used == h_y.samples_used == 0
+    # a mixture past the budget still takes the Monte Carlo path
     with pytest.raises(AssertionError, match="Monte Carlo reached"):
-        _fisher_auto(GaussianMixture(atoms=[[0.0, 0.0]], weights=[1.0], variance=0.7), 1000, 0)
+        _fisher_auto(GaussianMixture(atoms=[[0.0, 0.0, 0.0]], weights=[1.0], variance=0.7), 1000, 0)
+    with pytest.raises(AssertionError, match="Monte Carlo reached"):
+        far = GaussianMixture(atoms=[[0.0, 0.0], [100.0, 0.0]], weights=[0.5, 0.5], variance=0.6)
+        reverse_epi_check(far, far)
+
+
+def _grid_pair(gm):
+    return entropy_quadrature(gm), fisher_information_quadrature(gm)
+
+
+def _pair_at_step(monkeypatch, gm, factor):
+    """Entropy and Fisher information with the grid step scaled by factor."""
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_GRID_STEP", entropy._GRID_STEP * factor)
+        m.setattr(entropy, "_MAX_POINTS", 10**6)
+        return _grid_pair(gm)
+
+
+def _two_atoms(sep_sd, dim, variance=0.6, shift=0.0):
+    # atoms sep_sd standard deviations apart along the diagonal, where the
+    # trapezoid rule converges the slowest (about 7 sd)
+    a = np.full(dim, sep_sd * math.sqrt(variance / dim))
+    return GaussianMixture(atoms=np.stack([np.zeros(dim), a]) + shift, weights=[0.3, 0.7],
+                           variance=variance)
+
+
+# mixtures of the shapes the suite and `parset epi` integrate, and pairs
+# far_sd apart, the slowest to converge
+def _grid_mixtures(far_sd=(5.0, 7.0, 9.0)):
+    rng = np.random.default_rng(90)
+    yield from (_random_mixture(rng, k, d) for k in (1, 2, 4) for d in (1, 2))
+    yield from (_two_atoms(s, d) for s in far_sd for d in (1, 2))
+    w = rng.random(4) + 0.1
+    gm = GaussianMixture(rng.uniform(-3.0, 3.0, (4, 2)), w / w.sum(), 0.5)
+    yield convolve_mixtures(gm, gm)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_single_atom_closed_forms(dim):
+    # h = (d/2) log(2 pi e var) and J = d / var, within the allowance, which
+    # stays at the rounding level; J is the equality case of
+    # fisher-bound-sweep's J <= d / var, which must pass
+    rng = np.random.default_rng(80 + dim)
+    for _ in range(5):
+        var = float(rng.uniform(0.3, 1.5))
+        gm = GaussianMixture(atoms=rng.uniform(-2.0, 2.0, (1, dim)), weights=[1.0], variance=var)
+        h, j = _grid_pair(gm)
+        assert h.samples_used == j.samples_used == 0
+        assert abs(h.value - gaussian_entropy(var, dim)) <= h.std_error < 1e-10
+        assert abs(j.value - dim / var) <= j.std_error < 1e-10
+        sweep = BoundReport.sweep("fisher-bound-sweep", 0.0, [j.lower - dim / var])
+        assert sweep.verdict is Verdict.PASS
+
+
+def _mpmath_cubature(gm, panels=8, nodes=12):
+    """(h, J) of a 2-d mixture by a Gauss-Legendre product rule in mpmath,
+    on panels x panels panels of nodes x nodes points over the atoms' range
+    widened by 9 sd."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        return _mpmath_sums(mp, gm, panels, nodes)
+
+
+def _mpmath_sums(mp, gm, panels, nodes):
+    v = mp.mpf(gm.variance)
+    atoms = [[mp.mpf(float(c)) for c in a] for a in gm.atoms]
+    weights = [mp.mpf(float(w)) for w in gm.weights]
+    xs, ws = mp.gauss_quadrature(nodes, "legendre")
+
+    def axis(c):
+        lo = min(a[c] for a in atoms) - 9 * mp.sqrt(v)
+        width = (max(a[c] for a in atoms) + 9 * mp.sqrt(v) - lo) / panels
+        mids = [lo + (p + mp.mpf(0.5)) * width for p in range(panels)]
+        return [(m + width / 2 * x, width / 2 * w) for m in mids for x, w in zip(xs, ws)]
+
+    h = j = mp.mpf(0)
+    for x, ux in axis(0):
+        ex = [w * mp.exp(-((x - a[0]) ** 2) / (2 * v)) / (2 * mp.pi * v) for a, w in zip(atoms, weights)]
+        for y, uy in axis(1):
+            c = [e * mp.exp(-((y - a[1]) ** 2) / (2 * v)) for a, e in zip(atoms, ex)]
+            p = mp.fsum(c)
+            gx = mp.fsum(ci * (a[0] - x) for ci, a in zip(c, atoms)) / v
+            gy = mp.fsum(ci * (a[1] - y) for ci, a in zip(c, atoms)) / v
+            h -= ux * uy * p * mp.log(p)
+            j += ux * uy * (gx * gx + gy * gy) / p
+    return float(h), float(j)
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, variance",
+    [([[0.0, 0.0], [1.2, -0.5]], [0.3, 0.7], 0.5),
+     ([[-0.8, 0.4], [0.9, 0.1], [0.2, -1.1]], [0.2, 0.5, 0.3], 0.8)],
+    ids=["two-atoms", "three-atoms"],
+)
+def test_quadrature_matches_mpmath_cubature(atoms, weights, variance):
+    # the cubature agrees with itself at 10 x 10 panels to 1e-12
+    gm = GaussianMixture(atoms=atoms, weights=weights, variance=variance)
+    h, j = _grid_pair(gm)
+    want_h, want_j = _mpmath_cubature(gm)
+    assert abs(h.value - want_h) <= h.std_error + 1e-12
+    assert abs(j.value - want_j) <= j.std_error + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_mixture_shifted_by_a_fraction_of_a_step(monkeypatch, dim):
+    # the grid is the lattice of multiples of the step, so moving the
+    # mixture by part of a step moves it across the grid; every shift stays
+    # within its allowance of a reference on a grid four times finer
+    step = entropy._GRID_STEP * math.sqrt(0.6)
+    ref_h, ref_j = (e.value for e in _pair_at_step(monkeypatch, _two_atoms(7.0, dim), 0.25))
+    values = set()
+    for frac in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.9):
+        h, j = _grid_pair(_two_atoms(7.0, dim, shift=frac * step))
+        assert abs(h.value - ref_h) <= h.std_error
+        assert abs(j.value - ref_j) <= j.std_error
+        values.add(j.value)
+    assert len(values) == 5  # the shifts do move the sums
+
+
+def test_the_step_is_in_the_geometric_range(monkeypatch):
+    # halving the step gains more than doubling it loses: |T_h - T_2h|, the
+    # allowance's discretisation term, bounds T_h's error against T_h/2
+    for gm in _grid_mixtures():
+        fine = _pair_at_step(monkeypatch, gm, 0.5)
+        coarse = _pair_at_step(monkeypatch, gm, 2.0)
+        for t_h, t_half, t_2h in zip(_grid_pair(gm), fine, coarse):
+            # up to the rounding of sums that all agree
+            assert abs(t_h.value - t_half.value) <= abs(t_h.value - t_2h.value) + 1e-15
+            assert abs(t_h.value - t_2h.value) <= t_h.std_error
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_tail_bound_covers_a_short_reach(monkeypatch, dim):
+    # a grid that reaches 3 sd misses 1e-3 of the integrals, which only the
+    # tail bound covers; at the module's reach the bound is below rounding
+    gm = GaussianMixture(atoms=np.zeros((1, dim)), weights=[1.0], variance=0.7)
+    assert max(entropy._tail_moments(dim)) < 1e-16
+    monkeypatch.setattr(entropy, "_GRID_REACH", 3.0)
+    h, j = _grid_pair(gm)
+    assert 1e-4 < abs(h.value - gaussian_entropy(0.7, dim)) <= h.std_error
+    assert 1e-4 < abs(j.value - dim / 0.7) <= j.std_error
+
+
+def test_the_discretisation_term_is_needed_at_a_coarse_step(monkeypatch):
+    # at sd/2 the error reaches 1e-6, far past the rounding and tail terms,
+    # and |T_h - T_2h| covers it; a pair 9 sd apart is past the geometric
+    # range there (its T_sd lands nearer T_sd/2 than the integral does)
+    worst = 0.0
+    for gm in _grid_mixtures(far_sd=(5.0, 7.0)):
+        coarse = _pair_at_step(monkeypatch, gm, 2.0)
+        for est, ref in zip(coarse, _grid_pair(gm)):
+            assert abs(est.value - ref.value) <= est.std_error
+            worst = max(worst, abs(est.value - ref.value))
+    assert worst > 1e-6
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -578,30 +746,43 @@ def test_atom_rows_is_searchsorted_to_the_row(weights):
         assert cw[-1] < 1.0 and (u >= cw[-1]).any()  # the clip is reached
 
 
-# sha256 of what `parset epi` writes for two fixed 2-d mixtures of 70 and 3
-# atoms (so the sum's 210 and the 70 are drawn past _COUNT_MAX_ATOMS, the 3
-# below it) at seed 11 and 70000 samples, taken with these numpy and scipy
-# versions; it pins the sampler, the log-density kernel and the moment sums
-_EPI_SHA256 = "188888a197b5a9e74530349e5ab320210cd1b2fa723c550f787510a85e750af1"
+# sha256 of what `parset epi` writes for two fixed mixtures of 70 and 3 atoms
+# at seed 11 and 70000 samples, taken with these numpy and scipy versions.
+# In 2-d every entropy comes from the grid, which the digest pins.  In 4-d
+# every entropy is Monte Carlo (the sum's 210 and the 70 atoms are drawn past
+# _COUNT_MAX_ATOMS, the 3 below it), and the digest pins the sampler, the
+# log-density kernel and the moment sums.
+_EPI_SHA256 = {
+    2: "7bd09a96c5963365226dd3b5efc4a5e8ce06b0e41c6868879353666c66e007f2",
+    4: "6572dd0a6258f9f7b9c9dbacac958a191275f9be2a1f75ba01b6240e02271714",
+}
 _EPI_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
-def test_epi_digest_is_pinned(tmp_path):
+def _epi_digest(tmp_path, dim, mixture_seed):
     import scipy
 
     have = {"numpy": np.__version__, "scipy": scipy.__version__}
     if have != _EPI_VERSIONS:
         pytest.skip(f"digest taken with {_EPI_VERSIONS}, running with {have}")
-    rng = np.random.default_rng(2800)
+    rng = np.random.default_rng(mixture_seed)
     for side, k in (("x", 70), ("y", 3)):
         w = rng.random(k) + 0.1
-        mixture = {"atoms": rng.uniform(-3.0, 3.0, (k, 2)).tolist(), "weights": (w / w.sum()).tolist()}
+        mixture = {"atoms": rng.uniform(-3.0, 3.0, (k, dim)).tolist(), "weights": (w / w.sum()).tolist()}
         (tmp_path / f"{side}.json").write_text(json.dumps(mixture))
     out = tmp_path / "epi.json"
     assert main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
                  "--smoothing", "0.5", "--samples", "70000", "--seed", "11",
                  "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _EPI_SHA256
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_epi_digest_is_pinned(tmp_path):
+    assert _epi_digest(tmp_path, 2, 2800) == _EPI_SHA256[2]
+
+
+def test_epi_monte_carlo_digest_is_pinned(tmp_path):
+    assert _epi_digest(tmp_path, 4, 3500) == _EPI_SHA256[4]
 
 
 # The log-density and score as they were before they shared the mixture

@@ -281,9 +281,8 @@ REFUSED = {
     "w1-unequal-size-2d": (lambda: transport.w1_empirical(
         EmpiricalMeasure.uniform(_PLANE), EmpiricalMeasure.uniform(PointSet([[0.0, 1.0]]))),
         _W1_TAKES),
-    "de-bruijn-2d": (lambda: entropy.de_bruijn_check([[0.0, 0.0]], [1.0], t0=0.7),
-                     "de_bruijn_check needs a 1-d mixture whose window fits the "
-                     "32769-point quadrature grid"),
+    "de-bruijn-past-the-grid": (lambda: entropy.de_bruijn_check([[0.0, 0.0, 0.0]], [1.0], t0=0.7),
+                                "de_bruijn_check needs a mixture whose grid fits 32769 points"),
     "reverse-epi-two-variances": (lambda: entropy.reverse_epi_check(
         entropy.GaussianMixture([[0.0]], [1.0], 0.5), entropy.GaussianMixture([[0.0]], [1.0], 0.6)),
         "the two mixtures must share one variance r"),

@@ -24,8 +24,8 @@ from parset.suite import (
 # sha256 of results.csv for `parset suite all --samples S --seed K --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
 _RESULTS_SHA256 = {
-    (100, 0): "225fcb7f4eda7633865ed513d03e476363c8f07e6c80a57684a94a5443f7e4cb",
-    (20000, 3): "19584a49ff67ab0f3984d922cddc7d152046f17cf322a7343eac5398ee7f4b09",
+    (100, 0): "c69f68e23a6d4ebd7f5a6936f6e188b2f11388f94bab941b4ac999d95725cc7b",
+    (20000, 3): "3cd3458b3fbf9b05446102809371f6cf9891024038e87f8da761a3654931ea84",
 }
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 

@@ -877,7 +877,7 @@ def test_w1_domination_cases():
     far = uniform([[100.0, 0.0], [101.0, 0.0]])
     rep = check_w1_domination(mu, far, 0.5)
     assert rep.verdict is Verdict.PASS
-    assert rep.measured == 1.0  # completely separated
+    assert rep.measured == 1.0 - 100.0  # completely separated: cost 1, W1 = 100
     rng = np.random.default_rng(9)
     for _ in range(20):
         n = int(rng.integers(2, 51))
@@ -885,6 +885,24 @@ def test_w1_domination_cases():
         b = uniform(rng.standard_normal((n, 2)) + rng.uniform(-1, 1))
         rep = check_w1_domination(a, b, float(rng.uniform(0.05, 1.0)))
         assert rep.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("sigmas", [0.0, 4.0, 100.0])
+def test_w1_domination_margin_does_not_read_the_sigma_rule(monkeypatch, sigmas):
+    # the cost may pass W1 / (2r) by the 1e-12 margin and no more, whatever
+    # multiplier the verdict rule puts on a standard error
+    from types import SimpleNamespace
+
+    from parset import bounds, transport
+
+    monkeypatch.setattr(bounds, "_SIGMAS", sigmas)
+    monkeypatch.setattr(transport, "w1_empirical", lambda mu, nu: SimpleNamespace(value=1.0))
+    mu = uniform([[0.0, 0.0]])
+    for cost, verdict in ((0.5 + 1e-12, Verdict.PASS), (0.5 + 2e-12, Verdict.FAIL)):
+        monkeypatch.setattr(transport, "d_r_weighted", lambda mu, nu, r, c=cost: SimpleNamespace(value=c))
+        rep = check_w1_domination(mu, mu, 1.0)
+        assert rep.measured == cost - 0.5 and rep.std_error == 0.0
+        assert rep.verdict is verdict
 
 
 def test_robust_risk():
