@@ -85,8 +85,65 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
-    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    """Radius of the smallest ball of the norm that holds every point.
+
+    Under L-inf it is measured from the centre of the bounding box, which is
+    exact.  Under L2 the centre is that of the smallest enclosing ball
+    (_ball_center).  Either way the radius is the largest distance measured
+    from the rounded centre, so a ball of that radius about it holds the set;
+    where the rounding leaves it a few ulps above the true radius, a set whose
+    true radius is exactly the dilation radius is not compared.
+    """
+    if norm is NormKind.LINF:
+        center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    else:
+        center = _ball_center(points)
     return float(_kernels.min_dist(points, center[None, :], norm is NormKind.LINF).max())
+
+
+def _ball_center(points: np.ndarray) -> np.ndarray:
+    """Centre of the smallest L2 ball holding every point.  The points go to
+    _welzl in a fixed shuffle: in their own order, sorted or circular inputs
+    would take one recursive call per point."""
+    shuffled = points[np.random.default_rng(0).permutation(len(points))]
+    return _welzl(shuffled, len(points), [])
+
+
+def _welzl(points: np.ndarray, end: int, support: list) -> np.ndarray:
+    """Centre of the smallest L2 ball holding points[:end] with every support
+    point on its sphere: Welzl's move-to-front recursion (Welzl 1991; Gaertner
+    1999), which is at most d + 1 calls deep.  Each point found outside the
+    ball is put on the support of a recursive call and moved to the front of
+    points, which is reordered in place.  A point counts as outside only past
+    1e-12 of the radius, so rounding cannot put a support point twice."""
+    center = _circumcenter(np.asarray(support)) if support else points[0]
+    if len(support) == points.shape[1] + 1:
+        return center
+    radius_sq = ((np.asarray(support) - center) ** 2).sum(axis=1).max() if support else 0.0
+    i = 0
+    while i < end:
+        outside = ((points[i:end] - center) ** 2).sum(axis=1) > radius_sq * (1.0 + 1e-12)
+        if not outside.any():
+            break
+        j = i + int(outside.argmax())
+        p = points[j].copy()
+        center = _welzl(points, j, support + [p])
+        radius_sq = ((np.asarray(support + [p]) - center) ** 2).sum(axis=1).max()
+        points[1 : j + 1] = points[:j]
+        points[0] = p
+        i = j + 1
+    return center
+
+
+def _circumcenter(support: np.ndarray) -> np.ndarray:
+    """Centre of the smallest sphere through every support point: the point
+    of their affine hull equidistant from them (least squares where rounding
+    leaves the support degenerate)."""
+    edges = support[1:] - support[0]
+    if not len(edges):
+        return support[0]
+    coef = np.linalg.lstsq(edges @ edges.T, 0.5 * (edges * edges).sum(axis=1), rcond=None)[0]
+    return support[0] + coef @ edges
 
 
 def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:

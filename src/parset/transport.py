@@ -10,7 +10,13 @@ candidates of one pair query between two KD-trees, one coordinate column at
 a time on int32 keys, and sort the kept keys.
 Matching runs on it as a unit-capacity max flow in scipy, one solve per sweep:
 a sweep's graphs are offset into one disjoint union, whose maximum matching
-is the union of the parts' maximum matchings.  The weighted flow runs Dinic
+is the union of the parts' maximum matchings.  Each matching's graph is built
+on both point sets sorted by first coordinate.  Dinic's first blocking flow
+visits the left nodes, and each node's edges, in index order, so it is then
+the sweep greedy (each point takes the leftmost free partner within 2r),
+which is optimal in 1-d and close to it in 2-d, and the later phases have
+little left to find; the certificates are mapped back to input indices.  The
+weighted flow keeps the input order, and runs Dinic
 in Python integers, the weights scaled to one common denominator,
 so that inequalities between transport values can be checked exactly rather
 than modulo solver tolerance; each phase walks only the edges into the next
@@ -145,8 +151,9 @@ def d_r_uniform(x: PointSet, y: PointSet, r: float) -> TransportResult:
     Pairs within distance 2r are matchable at zero cost; the optimal cost is
     1 - |maximum matching| / n.  Ties at exactly 2r count as matchable.  This
     is d_r_uniform_many on one instance: a batch of one is the instance's own
-    network, so the certificate depends on nothing else.  A sweep of many
-    instances should pass them to d_r_uniform_many together.
+    network, built on the points sorted by first coordinate, so the
+    certificate depends on nothing else.  A sweep of many instances should
+    pass them to d_r_uniform_many together.
     """
     return d_r_uniform_many([(x, y, r)])[0]
 
@@ -162,11 +169,17 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
     once, not once per instance.  The pending graphs go to the solver early
     when the next one would take their edges past _BATCH_MAX_EDGES.
 
+    Each graph is built on x and y sorted by first coordinate (a stable
+    argsort of each), so that Dinic's first phase is the sweep greedy; each
+    certificate is mapped back to input indices and listed by ascending left
+    index.
+
     Every triple is checked, with d_r_uniform's messages, before any graph is
-    built.  Values never depend on the batch.  In a batch of more than one
-    instance, each certificate is still a maximum matching within 2r, but it
-    may differ from the one a lone call returns, because Dinic's phases share
-    the sink across the parts.
+    built.  Values never depend on the batch or on the order of the points.
+    Which maximum matching a certificate is follows the sorted order, and in
+    a batch of more than one instance it may differ from the one a lone call
+    returns, because Dinic's phases share the sink across the parts; each is
+    still a maximum matching within 2r.
     """
     instances = list(instances)
     thresholds = []
@@ -175,14 +188,19 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
         if len(x) != len(y):
             raise InvalidArgumentError("uniform transport needs equal sample counts")
     results: list[TransportResult] = []
-    pending: list = []  # (indptr, indices) per instance
+    pending: list = []  # (indptr, indices, x order, y order) per instance
     edges = 0
     for (x, y, _), threshold_sq in zip(instances, thresholds):
-        indptr, indices = _threshold_csr(x.points, y.points, threshold_sq)
+        # ndarray methods: the numpy functions cost twice as much a call,
+        # which a sweep of small graphs pays once an instance
+        ox = x.points[:, 0].argsort(kind="stable")
+        oy = y.points[:, 0].argsort(kind="stable")
+        xs, ys = x.points.take(ox, axis=0), y.points.take(oy, axis=0)
+        indptr, indices = _threshold_csr(xs, ys, threshold_sq)
         if pending and edges + len(indices) > _BATCH_MAX_EDGES:
             results += _match_disjoint_union(pending)
             edges = 0
-        pending.append((indptr, indices))
+        pending.append((indptr, indices, ox, oy))
         edges += len(indices)
     if pending:
         results += _match_disjoint_union(pending)
@@ -190,24 +208,33 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
 
 
 def _match_disjoint_union(graphs: list) -> list[TransportResult]:
-    """One max_matching on the block-diagonal union of (indptr, indices)
-    graphs of n_k points a side; instance k's left and right nodes both start
-    at node offset n_0 + ... + n_(k-1).  Empties graphs, so that the parts'
+    """One max_matching on the block-diagonal union of (indptr, indices, ox,
+    oy) graphs of n_k points a side, each built on its points reordered by
+    ox (left) and oy (right); instance k's left and right nodes both start at
+    node offset n_0 + ... + n_(k-1).  The matching is mapped back through the
+    orders once for the whole union, so each certificate is in input indices,
+    listed by ascending left index.  Empties graphs, so that the parts'
     arrays are freed once their union is built, before the solve."""
-    sizes = [len(indptr) - 1 for indptr, _ in graphs]
+    sizes = [len(indptr) - 1 for indptr, *_ in graphs]
     starts = list(accumulate(sizes, initial=0))
-    indptr, indices = graphs[0]  # a lone graph is solved as it is, uncopied
+    shift = np.repeat(starts[:-1], sizes)
+    order_x = np.concatenate([ox for *_, ox, _ in graphs]) + shift
+    order_y = np.concatenate([oy for *_, oy in graphs]) + shift
+    indptr, indices, *_ = graphs[0]  # a lone graph is solved as it is, uncopied
     if len(graphs) > 1:
-        edge_starts = accumulate((len(ind) for _, ind in graphs), initial=0)
+        edge_starts = accumulate((len(ind) for _, ind, *_ in graphs), initial=0)
         indptr = np.concatenate(
-            [indptr[:1], *(ip[1:] + e for (ip, _), e in zip(graphs, edge_starts))]
+            [indptr[:1], *(ip[1:] + e for (ip, *_), e in zip(graphs, edge_starts))]
         )
-        indices = np.concatenate([ind + s for (_, ind), s in zip(graphs, starts)])
+        indices = np.concatenate([ind + s for (_, ind, *_), s in zip(graphs, starts)])
     graphs.clear()
     _, match_l = _kernels.max_matching(indptr, indices, starts[-1], starts[-1])
+    partner = np.full(starts[-1], -1)  # input right partner of each input left node
+    matched = match_l >= 0
+    partner[order_x[matched]] = order_y[match_l[matched]]
     results = []
     for lo, n in zip(starts, sizes):
-        part = match_l[lo : lo + n]
+        part = partner[lo : lo + n]
         left = np.flatnonzero(part >= 0)
         pairs = tuple(zip(left.tolist(), (part[left] - lo).tolist()))
         exact = Fraction(n - len(left), n)

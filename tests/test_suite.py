@@ -4,6 +4,7 @@ import json
 import math
 import types
 
+import numpy as np
 import pytest
 
 import parset
@@ -245,6 +246,72 @@ def test_verify_volume_constrained_takes_one_draw():
         shell.value, shell.std_error)
     assert (by_name["union-in-ball"].measured, by_name["union-in-ball"].std_error) == (
         shell.value, shell.std_error)
+
+
+def _union_in_ball(points, radius):
+    params = {"points": points, "norm": "l2", "radius": radius, "checks": ["union-in-ball"]}
+    (report,) = run_verify_experiment(ExperimentConfig("ball", "bounds", params, seed=0))
+    return report
+
+
+# an equilateral triangle of circumradius 1: its bounding box's centre
+# (0, 0.25) is 1.146 from two vertices, the smallest ball's centre 1 + 7e-16
+# from each
+_TRIANGLE = [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]]
+
+
+def test_verify_union_in_ball_measures_the_smallest_enclosing_ball():
+    from parset.bounds import bound_union_in_ball
+    from parset.exact2d import union_boundary
+    from parset.geometry import NormKind, PointSet
+
+    perimeter = union_boundary(PointSet(_TRIANGLE), 1.001, NormKind.L2).perimeter()
+    assert _union_in_ball(_TRIANGLE, 1.001) == BoundReport.compare(
+        "union-in-ball", bound_union_in_ball(2, 1.001), perimeter, 0.0)
+    assert _union_in_ball(_TRIANGLE, 0.99).verdict is Verdict.NOT_COMPARED
+
+
+def test_verify_union_in_ball_compares_from_the_measured_radius():
+    # the radius is the largest distance from the rounded centre, so at the
+    # circumradius itself rounding may leave the set a few ulps outside, and it
+    # is compared from that measured radius on, not an ulp below it
+    from parset.experiment import _enclosing_radius
+    from parset.geometry import NormKind
+
+    reach = _enclosing_radius(np.array(_TRIANGLE), NormKind.L2)
+    assert abs(reach - 1.0) < 1e-15
+    assert _union_in_ball(_TRIANGLE, reach).verdict is not Verdict.NOT_COMPARED
+    assert _union_in_ball(_TRIANGLE, math.nextafter(reach, 0.0)).verdict is Verdict.NOT_COMPARED
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_enclosing_radius_is_the_smallest_ball(dim):
+    # the smallest ball's centre lies in the convex hull of the points on its
+    # sphere; sorted, circular, repeated and random sets of 1-300 points
+    from scipy.optimize import linprog
+
+    from parset.experiment import _ball_center, _enclosing_radius
+    from parset.geometry import NormKind
+
+    rng = np.random.default_rng(dim)
+    line = np.zeros((300, dim))
+    line[:, 0] = np.linspace(0.0, 1.0, 300)
+    sphere = rng.standard_normal((300, dim))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    sets = [line, sphere, np.repeat(rng.standard_normal((4, dim)), 20, axis=0), np.zeros((1, dim))]
+    sets += [np.round(rng.standard_normal((int(rng.integers(1, 40)), dim)) * 2.0) for _ in range(40)]
+    sets += [rng.standard_normal((int(rng.integers(1, 300)), dim)) for _ in range(40)]
+    for points in sets:
+        reach = _enclosing_radius(points, NormKind.L2)
+        box = 0.5 * (points.min(axis=0) + points.max(axis=0))
+        assert reach <= np.linalg.norm(points - box, axis=1).max() + 1e-12
+        center = _ball_center(points)
+        dist = np.linalg.norm(points - center, axis=1)
+        assert abs(dist.max() - reach) <= 1e-12 * (1.0 + reach)
+        rim = points[dist >= reach * (1.0 - 1e-9)]
+        hull = linprog(np.zeros(len(rim)), A_eq=np.vstack([rim.T, np.ones(len(rim))]),
+                       b_eq=np.append(center, 1.0), bounds=(0.0, None))
+        assert hull.status == 0, (dim, len(points))
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])

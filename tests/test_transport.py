@@ -205,10 +205,11 @@ def test_threshold_csr_memory_stays_bounded():
 
 # sha256 of what `parset dr` writes and of repr(d_r_uniform(...).certificate)
 # for two seeded 1500-point clouds at r = 0.3, taken with these numpy and scipy
-# versions; the certificate is the matching that Dinic finds, so it pins the
-# edge order of the threshold graph as well as its edge set
+# versions; the certificate is the matching that Dinic finds on the graph of
+# the points sorted by first coordinate, so it pins that order and the graph's
+# edge order as well as its edge set
 _DR_SHA256 = "522fb2dc46118e15332b308890055bd738c6baa5183148458540d359bb440a01"
-_CERTIFICATE_SHA256 = "44cb56fd24e1acbd0c311e2c9ec25b4b9eeb6212c81f3d7296715ea17433c552"
+_CERTIFICATE_SHA256 = "9cd52f6b23487f9c801cdb1e03447fc840279247c7891ba6c57f1cf44f276144"
 _TRANSPORT_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
@@ -337,6 +338,18 @@ def _batch_instances(seed, count):
         yield x, y, float(rng.choice([0.0, rng.uniform(0.05, 1.5), 4.0]))
 
 
+def _assert_valid_certificate(res, x, y, r):
+    """Distinct pairs in input indices, listed by ascending left index, each
+    within 2r, n * (1 - value) of them."""
+    pairs = np.asarray(res.certificate, dtype=np.int64).reshape(-1, 2)
+    assert len(set(pairs[:, 0])) == len(set(pairs[:, 1])) == len(pairs)
+    assert list(pairs[:, 0]) == sorted(pairs[:, 0])
+    assert ((0 <= pairs) & (pairs < len(x))).all()
+    gaps = np.linalg.norm(x[pairs[:, 0]] - y[pairs[:, 1]], axis=1)
+    assert (gaps <= 2.0 * r).all()
+    assert len(pairs) == len(x) * (1 - res.value_exact)
+
+
 def test_d_r_uniform_many_matches_lone_calls_and_brute_force():
     instances = list(_batch_instances(11, 300))
     results = d_r_uniform_many(instances)
@@ -348,12 +361,7 @@ def test_d_r_uniform_many_matches_lone_calls_and_brute_force():
         assert res.value_exact == lone.value_exact and res.value == lone.value
         if n <= 8:
             assert res.value == d_r_brute_force(x, y, r)
-        pairs = np.asarray(res.certificate, dtype=np.int64).reshape(-1, 2)
-        assert len(set(pairs[:, 0])) == len(set(pairs[:, 1])) == len(pairs)
-        assert ((0 <= pairs) & (pairs < n)).all()
-        gaps = np.linalg.norm(x.points[pairs[:, 0]] - y.points[pairs[:, 1]], axis=1)
-        assert (gaps <= 2.0 * r).all()
-        assert len(pairs) == n * (1 - res.value_exact)
+        _assert_valid_certificate(res, x.points, y.points, r)
 
 
 def test_d_r_uniform_many_batch_of_one_is_the_lone_network():
@@ -361,12 +369,53 @@ def test_d_r_uniform_many_batch_of_one_is_the_lone_network():
     x, y = rng.standard_normal((300, 2)), rng.standard_normal((300, 2))
     (res,) = d_r_uniform_many([(PointSet(x), PointSet(y), 0.1)])
     assert res == d_r_uniform(PointSet(x), PointSet(y), 0.1)
-    # the matching of this instance's own threshold graph, pair for pair
-    matched, match_l = _kernels.max_matching(*_threshold_csr(x, y, 0.2**2), 300, 300)
+    # the matching of this instance's own threshold graph on the points sorted
+    # by first coordinate, pair for pair, in input indices
+    ox, oy = np.argsort(x[:, 0], kind="stable"), np.argsort(y[:, 0], kind="stable")
+    matched, match_l = _kernels.max_matching(*_threshold_csr(x[ox], y[oy], 0.2**2), 300, 300)
     left = np.flatnonzero(match_l >= 0)
-    assert res.certificate == tuple(zip(left.tolist(), match_l[left].tolist()))
+    want = sorted(zip(ox[left].tolist(), oy[match_l[left]].tolist()))
+    assert res.certificate == tuple(want)
     assert res.value_exact == Fraction(300 - matched, 300)
     assert d_r_uniform_many([]) == []
+
+
+@pytest.mark.parametrize("dim, n, r", [(1, 400, 0.002), (2, 600, 0.05), (3, 300, 0.2)])
+def test_d_r_uniform_follows_a_permutation_of_the_rows(dim, n, r):
+    # distinct first coordinates fix the sorted order, so permuting the rows
+    # of x and y permutes the certificate the same way
+    rng = np.random.default_rng(dim)
+    x, y = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+    px, py = rng.permutation(n), rng.permutation(n)
+    res = d_r_uniform(PointSet(x), PointSet(y), r)
+    moved = d_r_uniform(PointSet(x[px]), PointSet(y[py]), r)
+    assert 0 < len(res.certificate) < n
+    assert moved.value_exact == res.value_exact
+    back_x, back_y = np.argsort(px), np.argsort(py)  # input row i is moved row back[i]
+    want = sorted((back_x[i], back_y[j]) for i, j in res.certificate)
+    assert moved.certificate == tuple((int(i), int(j)) for i, j in want)
+    _assert_valid_certificate(moved, x[px], y[py], r)
+
+
+@pytest.mark.parametrize("x, y, r", [
+    # a vertical line against a shifted one: every first coordinate ties
+    (np.column_stack([np.zeros(40), np.arange(40.0)]),
+     np.column_stack([np.full(40, 0.5), np.arange(40.0)[::-1] + 0.3]), 0.3),
+    # repeated points on both sides, in 2-d
+    (np.repeat([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]], [5, 7, 4], axis=0)[::-1],
+     np.repeat([[0.1, 0.0], [1.0, 0.9], [5.0, 5.0]], [6, 6, 4], axis=0), 0.1),
+    # 1-d duplicates
+    (np.array([[0.0], [1.0], [0.0], [1.0], [2.0], [0.0]]),
+     np.array([[1.0], [0.0], [0.5], [0.0], [9.0], [1.0]]), 0.25),
+])
+def test_d_r_uniform_ties_in_first_coordinate_keep_a_valid_certificate(x, y, r):
+    res = d_r_uniform(PointSet(x), PointSet(y), r)
+    _assert_valid_certificate(res, x, y, r)
+    far = (_pair_dist_sq(x, y) > (2.0 * r) ** 2).astype(float)
+    rows, cols = linear_sum_assignment(far)
+    assert res.value_exact == Fraction(int(far[rows, cols].sum()), len(x))
+    if len(x) <= 8:
+        assert res.value == d_r_brute_force(PointSet(x), PointSet(y), r)
 
 
 @pytest.mark.parametrize("bad, match", [
