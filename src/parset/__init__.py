@@ -38,7 +38,6 @@ from .exact2d import (
     disk_union_area,
     disk_union_boundary,
     disk_union_perimeter,
-    rasterized_measures,
     square_union_area,
     square_union_boundary,
     square_union_perimeter,

@@ -1,7 +1,7 @@
 """The primitives every check reduces to, on numpy and scipy.
 
 ``min_dist``: distance from a batch of points to a finite base set, which
-decides membership in an r-parallel set (Monte Carlo and rasterization).
+decides membership in an r-parallel set (Monte Carlo).
 A base of at most ``_SCAN_MAX_BASE`` points is scanned in numpy, one base
 point and one coordinate column at a time, in the floating-point order of
 ``cKDTree``, accumulating in two or three scratch rows allocated once per

@@ -1,5 +1,5 @@
 """Exact perimeter and area of unions of congruent disks and axis-aligned
-squares in the plane, and a grid oracle.
+squares in the plane, and an exact oracle that checks them.
 
 Disk unions: on each circle, every other disk covers an angular interval
 (empty when the centres are 2r or more apart); what survives after removing
@@ -43,14 +43,20 @@ numpy's pairwise sum, so their bits do not depend on how the pieces were
 computed.  ``mc.kneser_shell_check`` takes its planar disk shells from these
 areas.
 
-The grid oracle runs marching squares on the field d(x, centres) - r, which
-needs exact values only at the corners of cells the boundary crosses.  It
-evaluates the field exactly only in a narrow band around the boundary: the
-field is 1-Lipschitz, so one value at a block's centre fixes the sign of
-every lattice node in the block when the block is far enough from the zero
-level set.  Inside the band it uses the same lattice coordinates and sums the
-same cells in the same order as a dense sampling, so the result is bit-for-bit
-the dense one.
+The oracle ``oracle_measures`` reaches both measures by other routes and
+shares no code or formula with the decompositions, so that it can validate
+them; it takes coordinates relative to the first centre too.  Disk
+perimeter: each circle is cut at the points where it meets the other circles
+(the two centres' midpoint plus or minus h times the unit perpendicular),
+ordered by numpy ``arctan2``, and a sub-arc counts when its midpoint lies in
+no other disk.  Disk area: the integral over y of the length of the union of
+the chords, by Gauss-Legendre on each panel between events (disk tops and
+bottoms, crossing heights).  Chord ends cross only at circle crossings, so
+between events the length is a sum of square roots, and the substitution
+y = a + (b - a) sin^2(pi s / 2) makes their ends analytic.  Squares: the
+face lines cut the plane into cells, and a cell is covered when its midpoint
+is; the perimeter counts the cell edges between a covered and an uncovered
+cell.
 """
 
 from __future__ import annotations
@@ -278,180 +284,93 @@ def union_boundary(
 
 
 # ---------------------------------------------------------------------------
-# grid oracle (validation only): marching squares on the distance field
+# exact oracle (validation only): shares no code with the decompositions
 # ---------------------------------------------------------------------------
 
-_MS_POLYS = {
-    1: ((("A", "ab", "da"),), (("ab", "da"),)),
-    2: ((("ab", "B", "bc"),), (("ab", "bc"),)),
-    3: ((("A", "B", "bc", "da"),), (("bc", "da"),)),
-    4: ((("bc", "C", "cd"),), (("bc", "cd"),)),
-    6: ((("ab", "B", "C", "cd"),), (("ab", "cd"),)),
-    7: ((("A", "B", "C", "cd", "da"),), (("cd", "da"),)),
-    8: ((("D", "da", "cd"),), (("da", "cd"),)),
-    9: ((("A", "ab", "cd", "D"),), (("ab", "cd"),)),
-    11: ((("A", "B", "bc", "cd", "D"),), (("bc", "cd"),)),
-    12: ((("da", "bc", "C", "D"),), (("da", "bc"),)),
-    13: ((("A", "ab", "bc", "C", "D"),), (("ab", "bc"),)),
-    14: ((("ab", "B", "C", "D", "da"),), (("ab", "da"),)),
-}
-_MS_AMBIGUOUS = {
-    5: (
-        ((("A", "ab", "bc", "C", "cd", "da"),), (("ab", "bc"), ("cd", "da"))),
-        ((("A", "ab", "da"), ("bc", "C", "cd")), (("ab", "da"), ("bc", "cd"))),
-    ),
-    10: (
-        ((("ab", "B", "bc", "cd", "D", "da"),), (("bc", "cd"), ("da", "ab"))),
-        ((("ab", "B", "bc"), ("D", "da", "cd")), (("ab", "bc"), ("da", "cd"))),
-    ),
-}
+_GL_NODES = 96  # 48 erred by up to 2.9e-11 on the check's unions (seeds 0-99), 96 by 4.6e-14
+_PANEL_CELLS = 1 << 14  # nodes x disks per block of panels
 
 
-_BAND_BLOCK = 16  # cells per side of a narrow-band block
-
-
-def _safe_ratio(num, den):
-    out = np.where(np.abs(den) > 0.0, num / np.where(den == 0.0, 1.0, den), 0.5)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _marching_cells(a, b, c, d, case, hx, hy):
-    """Area (unit-cell units) and contour length (scaled) of mixed cells."""
-    zeros = np.zeros_like(a)
-    ones = np.ones_like(a)
-    coords = {
-        "A": (zeros, zeros),
-        "B": (ones, zeros),
-        "C": (ones, ones),
-        "D": (zeros, ones),
-        "ab": (_safe_ratio(a, a - b), zeros),
-        "bc": (ones, _safe_ratio(b, b - c)),
-        "cd": (1.0 - _safe_ratio(c, c - d), ones),
-        "da": (zeros, 1.0 - _safe_ratio(d, d - a)),
-    }
-
-    def poly_area(names, mask):
-        acc = np.zeros(mask.sum())
-        xs = [coords[nm][0][mask] for nm in names]
-        ys = [coords[nm][1][mask] for nm in names]
-        for k in range(len(names)):
-            k2 = (k + 1) % len(names)
-            acc += xs[k] * ys[k2] - xs[k2] * ys[k]
-        return np.abs(acc) * 0.5
-
-    def seg_length(pair, mask):
-        (x1, y1), (x2, y2) = coords[pair[0]], coords[pair[1]]
-        dx = (x2[mask] - x1[mask]) * hx
-        dy = (y2[mask] - y1[mask]) * hy
-        return np.sqrt(dx * dx + dy * dy)
-
-    area = 0.0
-    length = 0.0
-    center_inside = (a + b + c + d) <= 0.0
-    for case_id in range(1, 15):
-        base_mask = case == case_id
-        if not base_mask.any():
-            continue
-        if case_id in _MS_AMBIGUOUS:
-            variants = (
-                (base_mask & center_inside, _MS_AMBIGUOUS[case_id][0]),
-                (base_mask & ~center_inside, _MS_AMBIGUOUS[case_id][1]),
-            )
-        else:
-            variants = ((base_mask, _MS_POLYS[case_id]),)
-        for mask, (polys, segs) in variants:
-            if not mask.any():
-                continue
-            for names in polys:
-                area += poly_area(names, mask).sum()
-            for pair in segs:
-                length += seg_length(pair, mask).sum()
-    return area, length
-
-
-def rasterized_measures(
-    centers: PointSet, r: float, norm: NormKind = NormKind.L2, grid: int = 4096
-) -> tuple[float, float]:
-    """(area, perimeter) of the union read off a grid of the distance field.
-
-    Validation oracle only.  The field d(x, centres) - r is sampled on a
-    grid x grid lattice over the tight bounding box plus a 2.5-pixel guard
-    ring (so extreme boundary points never sit exactly on a grid line), then
-    area and contour length come from linear-interpolation marching squares.
-
-    Only a narrow band of the lattice is sampled exactly.  The cells are cut
-    into blocks of _BAND_BLOCK x _BAND_BLOCK, and the field is evaluated once
-    at each block's centre.  It is 1-Lipschitz in L2 for both norms (the L-inf
-    distance is 1-Lipschitz in L-inf, and |.|inf <= |.|2), so when |f(centre)|
-    exceeds the distance to the block's farthest node, with a relative guard
-    for rounding, every node of the block has the sign of f(centre) and every
-    cell of the block is full or empty.  The nodes of the remaining blocks are
-    evaluated exactly, at the same linspace coordinates as a dense sampling,
-    and the mixed cells are passed on in row-major lattice order, so the
-    result is bit-for-bit the one the whole lattice would give.
-    """
+def oracle_measures(centers: PointSet, r: float, norm: NormKind) -> tuple[float, float]:
+    """(area, perimeter) of the union by the oracle routes of the module
+    docstring.  Its temporaries grow with the cube of the number of centres:
+    it is meant for the small unions that validate the decompositions."""
     pts = _require_planar(centers)
     r = positive_radius(r)
-    lo = pts.min(axis=0) - r
-    hi = pts.max(axis=0) + r
-    pad = 2.5 * (hi - lo + 1e-9) / grid
-    lo = lo - pad
-    hi = hi + pad
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    linf = norm is NormKind.LINF
-    cells = grid - 1
-    # block k holds cells first[k] .. last[k] - 1 and nodes first[k] .. last[k]
-    first = np.arange(0, cells, _BAND_BLOCK)
-    last = np.minimum(first + _BAND_BLOCK, cells)
-    span = last - first
+    c = np.unique(pts - pts[0], axis=0)
+    if norm is NormKind.LINF:
+        return _oracle_squares(c, r)
+    return _oracle_disk_area(c, r), _oracle_disk_perimeter(c, r)
 
-    # coarse pass: skip the blocks the zero level set cannot reach
-    cx = 0.5 * (xs[first] + xs[last])
-    cy = 0.5 * (ys[first] + ys[last])
-    reach = np.hypot(
-        np.maximum(cx - xs[first], xs[last] - cx)[None, :],
-        np.maximum(cy - ys[first], ys[last] - cy)[:, None],
-    )
-    gx, gy = np.meshgrid(cx, cy, indexing="xy")
-    f_ref = _kernels.min_dist(np.column_stack([gx.ravel(), gy.ravel()]), pts, linf)
-    f_ref = f_ref.reshape(gx.shape) - r
-    band = np.abs(f_ref) <= reach * (1.0 + 1e-9) + 1e-12
-    full_cells = int(np.outer(span, span)[~band & (f_ref <= 0.0)].sum())
 
-    # exact pass: every node of every band block, one square tile per block
-    by, bx = np.nonzero(band)
-    local = np.arange(_BAND_BLOCK + 1)
-    node_y = ys[np.minimum(first[by][:, None] + local, grid - 1)]
-    node_x = xs[np.minimum(first[bx][:, None] + local, grid - 1)]
-    tile = (len(by), _BAND_BLOCK + 1, _BAND_BLOCK + 1)
-    samples = np.column_stack([
-        np.broadcast_to(node_x[:, None, :], tile).ravel(),
-        np.broadcast_to(node_y[:, :, None], tile).ravel(),
-    ])
-    field = (_kernels.min_dist(samples, pts, linf) - r).reshape(tile)
+def _circle_crossings(c, r):
+    """(i, p): the points p, relative to c[i], where circle i meets another."""
+    d = c[None, :, :] - c[:, None, :]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    i, j = np.nonzero((dist > 0.0) & (dist <= 2.0 * r))
+    d, dist = d[i, j], dist[i, j]
+    h = np.sqrt(np.maximum(r * r - 0.25 * dist * dist, 0.0))
+    # midpoint +- h times the unit perpendicular
+    off = h[:, None] * np.column_stack([-d[:, 1], d[:, 0]]) / dist[:, None]
+    return np.concatenate([i, i]), np.concatenate([0.5 * d + off, 0.5 * d - off])
 
-    a = field[:, :-1, :-1]
-    b = field[:, :-1, 1:]
-    c = field[:, 1:, 1:]
-    d = field[:, 1:, :-1]
-    case = (
-        (a <= 0.0).astype(np.int8)
-        + 2 * (b <= 0.0).astype(np.int8)
-        + 4 * (c <= 0.0).astype(np.int8)
-        + 8 * (d <= 0.0).astype(np.int8)
-    )
-    # cells of a partial last block row or column repeat the lattice's edge
-    # nodes, which lie in the guard ring outside the union: they stay empty
-    full_cells += int((case == 15).sum())
-    t, cj, ci = np.nonzero((case > 0) & (case < 15))
-    # row-major lattice order, so the sums below run in the dense order
-    order = np.argsort((first[by[t]] + cj) * cells + first[bx[t]] + ci)
-    idx = (t[order], cj[order], ci[order])
-    unit_area, length = _marching_cells(
-        a[idx], b[idx], c[idx], d[idx], case[idx], hx, hy
-    )
-    area = (full_cells + unit_area) * hx * hy
-    return float(area), float(length)
+
+def _oracle_disk_perimeter(c, r):
+    """Sub-arcs between crossings, each kept when its midpoint lies in no other disk."""
+    owner, p = _circle_crossings(c, r)
+    theta = np.arctan2(p[:, 1], p[:, 0])
+    order = np.lexsort((theta, owner))
+    owner, theta = owner[order], theta[order]
+    change = np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
+    first, last = change[:-1], change[1:] - 1
+    nxt = np.roll(theta, -1)
+    nxt[last] = theta[first] + _TWO_PI
+    mid = 0.5 * (theta + nxt)
+    probe = c[owner] + r * np.column_stack([np.cos(mid), np.sin(mid)])
+    gap = np.hypot(probe[:, None, 0] - c[None, :, 0], probe[:, None, 1] - c[None, :, 1])
+    gap[np.arange(len(owner)), owner] = np.inf
+    exposed = (gap >= r).all(axis=1)
+    whole = len(c) - len(first)  # circles no other one meets
+    return float(r * ((nxt - theta)[exposed].sum() + whole * _TWO_PI))
+
+
+def _oracle_disk_area(c, r):
+    """The chord-union integral of the module docstring, in blocks of panels."""
+    from numpy.polynomial.legendre import leggauss
+
+    owner, p = _circle_crossings(c, r)
+    cuts = np.unique(np.concatenate([c[:, 1] - r, c[:, 1] + r, c[owner, 1] + p[:, 1]]))
+    s, w = leggauss(_GL_NODES)
+    s = 0.5 * (s + 1.0)
+    u = np.sin(0.5 * math.pi * s) ** 2
+    du = 0.25 * math.pi * np.sin(math.pi * s) * w  # dy / (b - a), with ds = 1/2
+    total = 0.0
+    step = max(1, _PANEL_CELLS // (_GL_NODES * len(c)))
+    for k in range(0, len(cuts) - 1, step):
+        a, b = cuts[:-1][k : k + step], cuts[1:][k : k + step]
+        y = (a[:, None] + (b - a)[:, None] * u).reshape(-1, 1)
+        half = np.sqrt(np.maximum(r * r - (y - c[:, 1]) ** 2, 0.0))
+        lo, hi = c[:, 0] - half, c[:, 0] + half
+        order = np.argsort(lo, axis=1)
+        lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
+        # each chord adds what it reaches past the chords that start before it
+        reach = np.maximum.accumulate(hi, axis=1)
+        lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1])
+        length = np.maximum(hi - lo, 0.0).sum(axis=1).reshape(len(a), _GL_NODES)
+        total += float((b - a) @ (length @ du))
+    return total
+
+
+def _oracle_squares(c, r):
+    """Cells of the grid of face lines, each covered when its midpoint is."""
+    xs = np.unique(np.concatenate([c[:, 0] - r, c[:, 0] + r]))
+    ys = np.unique(np.concatenate([c[:, 1] - r, c[:, 1] + r]))
+    in_x = np.abs(0.5 * (xs[:-1] + xs[1:])[:, None] - c[:, 0]) < r
+    in_y = np.abs(0.5 * (ys[:-1] + ys[1:])[:, None] - c[:, 1]) < r
+    covered = np.pad(in_x @ in_y.T, 1)
+    dx, dy = np.diff(xs), np.diff(ys)
+    # a cell edge between a covered and an uncovered cell is boundary
+    across_x = covered[1:, 1:-1] != covered[:-1, 1:-1]
+    across_y = covered[1:-1, 1:] != covered[1:-1, :-1]
+    perimeter = (across_x @ dy).sum() + (dx @ across_y).sum()
+    return float(dx @ covered[1:-1, 1:-1] @ dy), float(perimeter)

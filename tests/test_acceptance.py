@@ -68,9 +68,9 @@ def test_criterion_03_exact_vs_raster():
     reports = check_exact_vs_raster(SEED, FULL)
     elapsed = time.monotonic() - start
     by_name = {r.bound_name: r for r in reports}
-    assert by_name["raster-perimeter-rel-err"].measured <= 0.01
-    assert by_name["raster-area-rel-err"].measured <= 0.001
-    report(3, reports, f"50 instances vs 4096^2 grid oracle in {elapsed:.1f}s",
+    assert by_name["oracle-perimeter-rel-err"].measured <= 1e-12
+    assert by_name["oracle-area-rel-err"].measured <= 1e-12
+    report(3, reports, f"50 instances vs the exact oracle in {elapsed:.1f}s",
            extra_ok=elapsed < 60.0)
 
 

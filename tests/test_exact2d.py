@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath as mp
 
 from parset import (
     NormKind,
@@ -17,15 +18,14 @@ from parset import (
     disk_union_area,
     disk_union_boundary,
     disk_union_perimeter,
-    rasterized_measures,
     square_union_area,
     square_union_boundary,
     square_union_perimeter,
 )
-from parset import _kernels, exact2d, geometry
+from parset import Verdict, _kernels, exact2d, geometry, suite
 from parset._rng import uniform_in_ball, uniform_in_cube
 from parset.cli import main
-from parset.exact2d import _marching_cells
+from parset.exact2d import oracle_measures
 from parset.geometry import positive_radius
 from test_cli import strict_loads
 
@@ -94,12 +94,12 @@ def test_disk_area_monte_carlo_oracle():
 
 
 def test_disk_union_with_hole():
-    # ring of disks enclosing a hole: the signed-arc area must match the grid
+    # ring of disks enclosing a hole: the signed-arc sums must meet the oracle
     angles = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     pts = PointSet(np.stack([1.5 * np.cos(angles), 1.5 * np.sin(angles)], axis=1))
-    exact = disk_union_area(pts, 1.0)
-    area, _ = rasterized_measures(pts, 1.0, NormKind.L2, 2048)
-    assert exact == pytest.approx(area, rel=1e-3)
+    area, perimeter = oracle_measures(pts, 1.0, NormKind.L2)
+    assert disk_union_area(pts, 1.0) == pytest.approx(area, rel=1e-11)
+    assert disk_union_perimeter(pts, 1.0) == pytest.approx(perimeter, rel=1e-12)
     # the origin really is a hole: it sits further than r from every centre
     assert np.sqrt((pts.points**2).sum(axis=1)).min() - 1.0 > 0.0
 
@@ -262,114 +262,147 @@ def test_segment_interiors_disjoint():
             assert b0 >= a1 - 1e-9
 
 
-# -- grid oracle self-test ---------------------------------------------------
+# -- the exact oracle ------------------------------------------------------------
 
 
+# The grid oracle these two once checked is gone; the names now hold the
+# closed forms of one disk and one square under the exact oracle.
 def test_raster_oracle_disk():
-    area, perim = rasterized_measures(PointSet([[0.0, 0.0]]), 1.0, NormKind.L2, 2048)
-    assert area == pytest.approx(math.pi, rel=1e-4)
-    assert perim == pytest.approx(2.0 * math.pi, rel=1e-3)
+    r = 1.5
+    area, perimeter = oracle_measures(PointSet([[0.3, -0.2]]), r, NormKind.L2)
+    assert area == pytest.approx(math.pi * r * r, rel=1e-14)
+    assert perimeter == pytest.approx(2.0 * math.pi * r, rel=1e-15)
 
 
 def test_raster_oracle_square():
-    area, perim = rasterized_measures(PointSet([[0.3, -0.2]]), 0.9, NormKind.LINF, 2048)
-    assert area == pytest.approx((1.8) ** 2, rel=1e-4)
-    assert perim == pytest.approx(4 * 1.8, rel=1e-3)
+    assert oracle_measures(PointSet([[0.3, -0.2]]), 0.9, NormKind.LINF) == pytest.approx((3.24, 7.2), rel=1e-15)
 
 
-def test_raster_matches_exact_random():
-    rng = np.random.default_rng(31)
-    pts = PointSet(rng.uniform(-1, 1, (9, 2)))
-    r = 0.8
-    area, perim = rasterized_measures(pts, r, NormKind.L2, 2048)
-    assert area == pytest.approx(disk_union_area(pts, r), rel=2e-3)
-    assert perim == pytest.approx(disk_union_perimeter(pts, r), rel=5e-3)
+def test_oracle_closed_forms():
+    # two unit disks 1.2 apart: each loses the arc of half-angle acos(0.6) to the other
+    d = 1.2
+    lens = 2.0 * math.acos(d / 2.0) - 0.5 * d * math.sqrt(4.0 - d * d)
+    area, perimeter = oracle_measures(PointSet([[0.0, 0.0], [0.72, 0.96]]), 1.0, NormKind.L2)
+    assert area == pytest.approx(2.0 * math.pi - lens, rel=1e-14)
+    assert perimeter == pytest.approx(4.0 * (math.pi - math.acos(d / 2.0)), rel=1e-15)
 
 
-# -- narrow band against the dense lattice -----------------------------------
+@pytest.mark.parametrize(
+    "name, centers, norm, want",
+    [
+        ("tangent disks", [[0.0, 0.0], [2.0, 0.0]], NormKind.L2, (2.0 * math.pi, 4.0 * math.pi)),
+        ("coincident disks", [[0.5, 0.5], [0.5, 0.5], [3.5, 0.5]], NormKind.L2, (2.0 * math.pi, 4.0 * math.pi)),
+        ("squares sharing a face", [[0.0, 0.0], [2.0, 0.0]], NormKind.LINF, (8.0, 12.0)),
+        ("squares sharing a corner", [[0.0, 0.0], [2.0, 2.0]], NormKind.LINF, (8.0, 16.0)),
+        ("coincident squares", [[0.5, 0.5], [0.5, 0.5]], NormKind.LINF, (4.0, 8.0)),
+    ],
+)
+def test_oracle_edge_cases(name, centers, norm, want):
+    assert oracle_measures(PointSet(centers), 1.0, norm) == pytest.approx(want, rel=1e-14), name
 
 
-def dense_rasterized_measures(centers, r, norm=NormKind.L2, grid=4096):
-    """The grid oracle sampled at every lattice point: the reference that the
-    narrow band must reproduce bit for bit."""
-    pts = exact2d._require_planar(centers)
-    r = positive_radius(r)
-    lo = pts.min(axis=0) - r
-    hi = pts.max(axis=0) + r
-    pad = 2.5 * (hi - lo + 1e-9) / grid
-    lo = lo - pad
-    hi = hi + pad
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    field = np.empty((grid, grid), dtype=np.float64)
-    block = max(1, (1 << 22) // grid)
-    linf = norm is NormKind.LINF
-    for s in range(0, grid, block):
-        yy = ys[s : s + block]
-        gx, gy = np.meshgrid(xs, yy, indexing="xy")
-        samples = np.column_stack([gx.ravel(), gy.ravel()])
-        field[s : s + block, :] = (
-            _kernels.min_dist(samples, pts, linf).reshape(len(yy), grid) - r
-        )
-    a = field[:-1, :-1]
-    b = field[:-1, 1:]
-    c = field[1:, 1:]
-    d = field[1:, :-1]
-    case = (
-        (a <= 0.0).astype(np.int8)
-        + 2 * (b <= 0.0).astype(np.int8)
-        + 4 * (c <= 0.0).astype(np.int8)
-        + 8 * (d <= 0.0).astype(np.int8)
-    )
-    full_cells = int((case == 15).sum())
-    mixed = (case > 0) & (case < 15)
-    idx = np.nonzero(mixed)
-    unit_area, length = _marching_cells(
-        a[idx], b[idx], c[idx], d[idx], case[idx], hx, hy
-    )
-    area = (full_cells + unit_area) * hx * hy
-    return float(area), float(length)
+def test_oracle_three_circles_through_one_point():
+    # unit circles about three points at distance 1 from the origin all pass through it
+    angles = [0.3, 2.0, 4.1]
+    pts = PointSet([[math.cos(a), math.sin(a)] for a in angles])
+    area, perimeter = oracle_measures(pts, 1.0, NormKind.L2)
+    assert area == pytest.approx(disk_union_area(pts, 1.0), rel=1e-12)
+    assert perimeter == pytest.approx(disk_union_perimeter(pts, 1.0), rel=1e-12)
 
 
-def _band_instances():
-    rng = np.random.default_rng(5)
-    yield "single", np.array([[0.3, -0.2]]), 0.9
-    yield "coincident", np.array([[0.1, 0.1], [0.1, 0.1], [0.7, -0.4], [0.7, -0.4]]), 0.6
-    yield "quarter-lattice", np.round(rng.uniform(-1, 1, (15, 2)) * 4) / 4, 0.75
-    yield "touching", np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), 0.5
-    for k in range(3):
-        yield f"random-{k}", rng.uniform(-1, 1, (int(rng.integers(2, 21)), 2)), rng.uniform(0.3, 1.4)
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_oracle_far_from_the_origin(offset):
+    # centres on a 1/64 grid and r = 0.75, so the moved union is the same set
+    rng = np.random.default_rng(41)
+    centers = np.round(rng.uniform(-1, 1, (12, 2)) * 64) / 64
+    for norm in (NormKind.L2, NormKind.LINF):
+        decomp = exact2d.union_boundary(PointSet(centers), 0.75, norm)
+        area, perimeter = oracle_measures(PointSet(centers + offset), 0.75, norm)
+        assert area == pytest.approx(decomp.area(), rel=1e-12), norm
+        assert perimeter == pytest.approx(decomp.perimeter(), rel=1e-12), norm
 
 
-@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.LINF])
-@pytest.mark.parametrize("grid", [2, 64, 257, 1000])
-def test_raster_band_matches_dense_lattice(grid, norm):
-    # 257 - 1 is a whole number of blocks; for 2, 64 and 1000 the last block
-    # row and column are partial
-    for name, centers, r in _band_instances():
-        pts = PointSet(centers)
-        want = dense_rasterized_measures(pts, r, norm, grid)
-        assert rasterized_measures(pts, r, norm, grid) == want, name
+def test_oracle_area_against_mpmath():
+    # tanh-sinh at 30 digits over the same chord union, split at the same events
+    centers = [[0.0, 0.0], [1.1, 0.3], [0.4, -0.9]]
+    with mp.workdps(30):
+        r = mp.mpf(1)
+        c = [(mp.mpf(x), mp.mpf(y)) for x, y in centers]
+
+        def chord_union(y):
+            half = [(x, mp.sqrt(r * r - (y - cy) ** 2)) for x, cy in c if abs(y - cy) < r]
+            total, reach = mp.mpf(0), -mp.inf
+            for lo, hi in sorted((x - h, x + h) for x, h in half):
+                total += max(hi - max(lo, reach), 0)
+                reach = max(reach, hi)
+            return total
+
+        # disk tops and bottoms, and the heights where two circles cross
+        cuts = [cy + s * r for _, cy in c for s in (-1, 1)]
+        for (x0, y0), (x1, y1) in [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]:
+            d = mp.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
+            h = mp.sqrt(r * r - d * d / 4)
+            cuts += [(y0 + y1) / 2 + s * h * (x1 - x0) / d for s in (-1, 1)]
+        want = float(mp.quad(chord_union, sorted(cuts)))
+    area, _ = oracle_measures(PointSet(centers), 1.0, NormKind.L2)
+    assert area == pytest.approx(want, rel=1e-14)
 
 
-def test_raster_band_samples_a_small_share(monkeypatch):
-    evaluated = []
-    dense_min_dist = _kernels.min_dist
+# -- the check's power: perturbations within 1% and 0.1% must fail ----------------
 
-    def counting_min_dist(points, base, linf):
-        evaluated.append(len(points))
-        return dense_min_dist(points, base, linf)
 
-    monkeypatch.setattr(_kernels, "min_dist", counting_min_dist)
-    rng = np.random.default_rng(9)
-    pts = PointSet(rng.uniform(-1, 1, (20, 2)))
-    grid = 1024
-    got = rasterized_measures(pts, 0.9, NormKind.L2, grid)
-    band_points = sum(evaluated)
-    assert 0 < band_points < 0.1 * grid * grid
-    assert got == dense_rasterized_measures(pts, 0.9, NormKind.L2, grid)
+def _rows_with(monkeypatch, mutate):
+    """exact-vs-raster's rows at suite seed 25, smoke profile (a disk union,
+    then a square union), with each exact decomposition passed through mutate.
+    Seed 25's disk union has a shortest arc of 5.7e-4 of its perimeter."""
+    exact = exact2d.union_boundary
+    monkeypatch.setattr(exact2d, "union_boundary", lambda c, r, norm: mutate(exact(c, r, norm)))
+    reports = suite.check_exact_vs_raster(25, suite.profile_from_samples(100))
+    rows = {rep.bound_name: rep for rep in reports}
+    # within the 1% and 0.1% that a grid oracle needs
+    assert rows["oracle-perimeter-rel-err"].measured <= 0.01
+    assert rows["oracle-area-rel-err"].measured <= 0.001
+    return {name: rep.verdict for name, rep in rows.items()}
+
+
+def _arcs(mutate_arcs):
+    def mutate(decomp):
+        if isinstance(decomp, exact2d.ArcDecomposition):
+            return dataclasses.replace(decomp, arcs=mutate_arcs(list(decomp.arcs)))
+        return decomp
+    return mutate
+
+
+def test_unperturbed_rows_pass(monkeypatch):
+    rows = _rows_with(monkeypatch, lambda decomp: decomp)
+    assert set(rows.values()) == {Verdict.PASS}
+
+
+def test_power_arc_end_moved(monkeypatch):
+    rows = _rows_with(monkeypatch, _arcs(lambda arcs: ((arcs[0][0], arcs[0][1], arcs[0][2] + 1e-9), *arcs[1:])))
+    assert set(rows.values()) == {Verdict.FAIL}
+
+
+def test_power_shortest_arc_dropped(monkeypatch):
+    def drop(arcs):
+        arcs.remove(min(arcs, key=lambda arc: arc[2] - arc[1]))
+        return tuple(arcs)
+
+    rows = _rows_with(monkeypatch, _arcs(drop))
+    assert set(rows.values()) == {Verdict.FAIL}
+
+
+def test_power_square_face_moved(monkeypatch):
+    def move(decomp):
+        if isinstance(decomp, exact2d.ArcDecomposition):
+            return decomp
+        faces = list(decomp.segments)
+        k = max(range(len(faces)), key=lambda k: (faces[k].orientation == "vertical", faces[k].length()))
+        faces[k] = dataclasses.replace(faces[k], fixed_coord=faces[k].fixed_coord + faces[k].outward_sign * 1e-9)
+        return dataclasses.replace(decomp, segments=tuple(faces))
+
+    rows = _rows_with(monkeypatch, move)
+    assert rows["oracle-area-rel-err"] is Verdict.FAIL
 
 
 # -- one decomposition, both areas from the boundary --------------------------

@@ -25,8 +25,8 @@ from parset.suite import (
 # sha256 of results.csv for `parset suite all --samples S --seed K --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
 _RESULTS_SHA256 = {
-    (100, 0): "c69f68e23a6d4ebd7f5a6936f6e188b2f11388f94bab941b4ac999d95725cc7b",
-    (20000, 3): "3cd3458b3fbf9b05446102809371f6cf9891024038e87f8da761a3654931ea84",
+    (100, 0): "48f370b048d0912d1cb7bea7ea1aa70c437a7a49049d5d4c57cb3d682cd6210d",
+    (20000, 3): "170c50080d21bae186e85ed6d42308e4dde6a305d0f616d46c042b6c7abccf72",
 }
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -52,7 +52,7 @@ def test_profile_full_and_smoke():
     assert profile_from_samples(None) is FULL
     smoke = profile_from_samples(100)
     assert smoke.mc_samples == 100
-    assert smoke.raster_instances == 2
+    assert smoke.oracle_instances == 2
     # expected hits in the delta = 1e-3 shell of check_gaussian_calibration
     assert smoke.halfspace_samples * 0.5 * math.erf(1e-3 / math.sqrt(2.0)) >= 100.0
     assert profile_from_samples(10**6) is FULL
@@ -99,7 +99,7 @@ _PUBLIC_NAMES = [
     "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",
     "mc_gaussian_shell", "mc_halfspace_gaussian_shell", "mc_shell_lebesgue", "mc_volume",
     "mc_volume_and_shell",
-    "mixture_density", "rasterized_measures", "reverse_bm_bound",
+    "mixture_density", "reverse_bm_bound",
     "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
     "sample_complexity_n0", "sample_distribution", "square_union_area",
     "square_union_boundary", "square_union_perimeter", "union_boundary",
@@ -132,7 +132,7 @@ _PUBLIC_FIELDS = {
     "PointSet": ["points"],
     "Profile": [
         "mc_samples", "halfspace_samples", "shell3d_samples", "kneser_samples",
-        "angle_directions", "angle_pairs", "entropy_samples", "raster_instances",
+        "angle_directions", "angle_pairs", "entropy_samples", "oracle_instances",
         "random_configs", "dr_draws", "w1_pairs", "sandwich_count", "convergence_grid",
         "convergence_trials", "workers",
     ],
