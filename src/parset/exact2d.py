@@ -36,12 +36,13 @@ about its own centre, keeps the union locally on its left, so summing
 with holes subtracted automatically.  x and y are taken from the first
 centre, as the square sum takes x from its first vertical face, the leftmost:
 a closed boundary's integrals of dx and dy vanish, so the reference point
-drops out, and a union far from the origin keeps its digits.  For squares,
-integral(x dy) reduces to the vertical segments, each at a fixed x with its
-outward sign.  Both sums run over Python floats in segment order, not through
-numpy's pairwise sum, so their bits do not depend on how the pieces were
-computed.  ``mc.kneser_shell_check`` takes its planar disk shells from these
-areas.
+drops out, and a disk union far from the origin keeps its digits.  A square
+union does not: the cover rounds its faces c +- r at their absolute
+position.  For squares, integral(x dy) reduces to the vertical segments,
+each at a fixed x with its outward sign.  Both sums run over Python floats
+in segment order, not through numpy's pairwise sum, so their bits do not
+depend on how the pieces were computed.  ``mc.kneser_shell_check`` takes its
+planar disk shells from these areas.
 
 The oracle ``oracle_measures`` reaches both measures by other routes and
 shares no code or formula with the decompositions, so that it can validate
@@ -52,17 +53,23 @@ ordered by numpy ``arctan2``, and a sub-arc counts when its midpoint lies in
 no other disk.  Disk area: the integral over y of the length of the union of
 the chords, by Gauss-Legendre on each panel between events (disk tops and
 bottoms, crossing heights).  Chord ends cross only at circle crossings, so
-between events the length is a sum of square roots, and the substitution
-y = a + (b - a) sin^2(pi s / 2) makes their ends analytic.  Squares: the
-face lines cut the plane into cells, and a cell is covered when its midpoint
-is; the perimeter counts the cell edges between a covered and an uncovered
-cell.
+inside a panel no two of them swap: the chords that span the panel, sorted
+by left end at its midpoint and split where a left end passes the reach of
+those before it, fall into the same components at every node.  So a
+component's length is (x_R + h_R(y)) - (x_L - h_L(y)), with L its opening
+chord and R its farthest-reaching one, a sum of square roots, and the
+substitution y = a + (b - a) sin^2(pi s / 2) makes their ends analytic.
+Only those two chords of each component are evaluated at the nodes.
+Squares: the face lines cut the plane into cells, and a cell is covered when
+its midpoint is; the perimeter counts the cell edges between a covered and
+an uncovered cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -198,8 +205,8 @@ def disk_union_boundary(centers: PointSet, r: float) -> ArcDecomposition:
         near[np.arange(len(rows)), rows] = False
         i, j = np.nonzero(near)
         # points of circle i strictly inside disk j: |theta - phi| < alpha
-        phi = np.array(list(map(math.atan2, dy[i, j].tolist(), dx[i, j].tolist())))
-        alpha = np.array(list(map(math.acos, (dists[i, j] / (2.0 * r)).tolist())))
+        phi = np.fromiter(map(math.atan2, dy[i, j].tolist(), dx[i, j].tolist()), float, len(i))
+        alpha = np.fromiter(map(math.acos, (dists[i, j] / (2.0 * r)).tolist()), float, len(i))
         cut = alpha > 0.0
         i, lo, hi = i[cut], phi[cut] - alpha[cut], phi[cut] + alpha[cut]
         start = np.remainder(lo, _TWO_PI)
@@ -288,7 +295,7 @@ def union_boundary(
 # ---------------------------------------------------------------------------
 
 _GL_NODES = 96  # 48 erred by up to 2.9e-11 on the check's unions (seeds 0-99), 96 by 4.6e-14
-_PANEL_CELLS = 1 << 14  # nodes x disks per block of panels
+_PANEL_CELLS = 1 << 14  # cells per block: panel midpoints x disks, then nodes x components
 
 
 def oracle_measures(centers: PointSet, r: float, norm: NormKind) -> tuple[float, float]:
@@ -334,30 +341,65 @@ def _oracle_disk_perimeter(c, r):
     return float(r * ((nxt - theta)[exposed].sum() + whole * _TWO_PI))
 
 
-def _oracle_disk_area(c, r):
-    """The chord-union integral of the module docstring, in blocks of panels."""
+@cache
+def _panel_rule():
+    """(u, du): the Gauss-Legendre nodes of a panel under the sin^2
+    substitution, as fractions of its height, and their weights."""
     from numpy.polynomial.legendre import leggauss
 
-    owner, p = _circle_crossings(c, r)
-    cuts = np.unique(np.concatenate([c[:, 1] - r, c[:, 1] + r, c[owner, 1] + p[:, 1]]))
     s, w = leggauss(_GL_NODES)
     s = 0.5 * (s + 1.0)
     u = np.sin(0.5 * math.pi * s) ** 2
     du = 0.25 * math.pi * np.sin(math.pi * s) * w  # dy / (b - a), with ds = 1/2
+    return u, du
+
+
+def _chord_components(c, r, mid, first_panel):
+    """(panel, left, right) for each component of the union of the chords at
+    the heights mid, panels numbered from first_panel, each panel's from left
+    to right: the disk whose chord opens the component and the one whose
+    chord reaches farthest."""
+    dy = mid[:, None] - c[:, 1]
+    half = np.sqrt(np.maximum(r * r - dy * dy, 0.0))
+    across = np.abs(dy) < r
+    lo = np.where(across, c[:, 0] - half, np.inf)
+    order = lo.argsort(axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(np.where(across, c[:, 0] + half, -np.inf), order, axis=1)
+    across = lo < np.inf
+    reach = np.maximum.accumulate(hi, axis=1)
+    # a chord opens a component when it starts past the reach of those before it
+    opens = across.copy()
+    opens[:, 1:] &= lo[:, 1:] > reach[:, :-1]
+    closes = across & np.concatenate([opens[:, 1:] | ~across[:, 1:], np.ones((len(mid), 1), bool)], axis=1)
+    # the last chord so far to raise the reach is the farthest reaching one
+    farthest = np.maximum.accumulate(np.where(hi == reach, np.arange(len(c)), 0), axis=1)
+    panel, first = np.nonzero(opens)
+    last_panel, last = np.nonzero(closes)
+    return panel + first_panel, order[panel, first], order[last_panel, farthest[last_panel, last]]
+
+
+def _oracle_disk_area(c, r):
+    """The chord-union integral of the module docstring: each panel's chord
+    structure is read once, at its midpoint, in blocks of panels; then the
+    components' opening and farthest chords are integrated, in blocks of
+    components."""
+    owner, p = _circle_crossings(c, r)
+    cuts = np.unique(np.concatenate([c[:, 1] - r, c[:, 1] + r, c[owner, 1] + p[:, 1]]))
+    mid, height = 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
+    step = max(1, _PANEL_CELLS // len(c))
+    blocks = (_chord_components(c, r, mid[k : k + step], k) for k in range(0, len(mid), step))
+    panel, left, right = map(np.concatenate, zip(*blocks))
+    u, du = _panel_rule()
     total = 0.0
-    step = max(1, _PANEL_CELLS // (_GL_NODES * len(c)))
-    for k in range(0, len(cuts) - 1, step):
-        a, b = cuts[:-1][k : k + step], cuts[1:][k : k + step]
-        y = (a[:, None] + (b - a)[:, None] * u).reshape(-1, 1)
-        half = np.sqrt(np.maximum(r * r - (y - c[:, 1]) ** 2, 0.0))
-        lo, hi = c[:, 0] - half, c[:, 0] + half
-        order = np.argsort(lo, axis=1)
-        lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
-        # each chord adds what it reaches past the chords that start before it
-        reach = np.maximum.accumulate(hi, axis=1)
-        lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1])
-        length = np.maximum(hi - lo, 0.0).sum(axis=1).reshape(len(a), _GL_NODES)
-        total += float((b - a) @ (length @ du))
+    step = max(1, _PANEL_CELLS // _GL_NODES)
+    for k in range(0, len(panel), step):
+        q, i, j = panel[k : k + step], left[k : k + step], right[k : k + step]
+        y = cuts[q, None] + height[q, None] * u
+        h = np.sqrt(np.maximum(r * r - (y - c[i, 1, None]) ** 2, 0.0))
+        h += np.sqrt(np.maximum(r * r - (y - c[j, 1, None]) ** 2, 0.0))
+        # a component's chord union is (x_j + h_j) - (x_i - h_i) long
+        total += float(height[q] @ (c[j, 0] - c[i, 0] + h @ du))
     return total
 
 

@@ -556,11 +556,12 @@ def convergence_experiment(
 
     n_ref = 8 * max(n_grid)
     cells = [(n, trial) for n in n_grid for trial in range(trials)]
-    # the reference and every trial are drawn from their own streams, then
-    # matched in one sweep
-    pairs = [(draw(gen0, n_ref, "ref0"), draw(gen1, n_ref, "ref1"), r)]
-    pairs += [(draw(gen0, n, (n, t, 0)), draw(gen1, n, (n, t, 1)), r) for n, t in cells]
-    ref, *values = (res.value for res in d_r_uniform_many(pairs))
+    # the reference and every trial are drawn from their own streams; the
+    # reference is matched alone, as in one sweep its graph sets the number of
+    # Dinic phases for the trials', and the trials in one sweep
+    ref = d_r_uniform(draw(gen0, n_ref, "ref0"), draw(gen1, n_ref, "ref1"), r).value
+    pairs = [(draw(gen0, n, (n, t, 0)), draw(gen1, n, (n, t, 1)), r) for n, t in cells]
+    values = [res.value for res in d_r_uniform_many(pairs)]
     rows = [(n, t, val, abs(val - ref)) for (n, t), val in zip(cells, values)]
     medians = {
         n: float(np.median([row[3] for row in rows if row[0] == n])) for n in n_grid

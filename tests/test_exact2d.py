@@ -348,6 +348,88 @@ def test_oracle_area_against_mpmath():
     assert area == pytest.approx(want, rel=1e-14)
 
 
+def per_node_chord_union_area(centers, r):
+    """The oracle's disk area with the chords sorted again at every node: the
+    same cuts, 96 nodes and sin^2 substitution, with nothing assumed about
+    which chords bound the union between two cuts."""
+    c = np.unique(centers - centers[0], axis=0)
+    d = c[None, :, :] - c[:, None, :]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    i, j = np.nonzero((dist > 0.0) & (dist <= 2.0 * r))
+    h = np.sqrt(np.maximum(r * r - 0.25 * dist[i, j] ** 2, 0.0))
+    mid, rise = c[i, 1] + 0.5 * d[i, j, 1], h * d[i, j, 0] / dist[i, j]
+    cuts = np.unique(np.concatenate([c[:, 1] - r, c[:, 1] + r, mid - rise, mid + rise]))
+    s, w = np.polynomial.legendre.leggauss(96)
+    s = 0.5 * (s + 1.0)
+    u = np.sin(0.5 * math.pi * s) ** 2
+    du = 0.25 * math.pi * np.sin(math.pi * s) * w
+    a, b = cuts[:-1], cuts[1:]
+    y = (a[:, None] + (b - a)[:, None] * u).reshape(-1, 1)
+    half = np.sqrt(np.maximum(r * r - (y - c[:, 1]) ** 2, 0.0))
+    lo, hi = c[:, 0] - half, c[:, 0] + half
+    order = np.argsort(lo, axis=1)
+    lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
+    reach = np.maximum.accumulate(hi, axis=1)
+    lo[:, 1:] = np.maximum(lo[:, 1:], reach[:, :-1])
+    length = np.maximum(hi - lo, 0.0).sum(axis=1).reshape(len(a), 96)
+    return float((b - a) @ (length @ du))
+
+
+def _random_disk_unions():
+    # 2-20 disks, packed or spread, so that panels hold one or several components
+    rng = np.random.default_rng(39)
+    for k in range(40):
+        n, spread = int(rng.integers(2, 21)), (1.0, 2.5, 6.0)[k % 3]
+        yield pytest.param(rng.uniform(-spread, spread, (n, 2)), float(rng.uniform(0.5, 1.5)), id=f"random-{k}")
+
+
+def _tangent_disk_unions():
+    # chains of disks 2r apart along a slope, pairs just short of tangent (the
+    # steep ones put a thin panel next to a wide one, where 48 nodes err by up to
+    # 3.5e-10), a row with a second row tangent to it from above, and a
+    # hexagonal patch where every neighbour is tangent
+    for slope in (0.0, 0.3, 1.0, math.pi / 2):
+        step = 2.0 * np.array([math.cos(slope), math.sin(slope)])
+        yield pytest.param(np.arange(5)[:, None] * step, 1.0, id=f"chain-{slope:.2f}")
+        for gap in (1e-4, 1e-6):
+            yield pytest.param(np.array([[0.0, 0.0], (1.0 - gap) * step]), 1.0, id=f"pair-{slope:.2f}-{gap:g}")
+    row = np.column_stack([np.arange(6) * 2.5, np.zeros(6)])
+    yield pytest.param(np.concatenate([row, row + [1.25, 2.0]]), 1.0, id="two-rows")
+    hexagon = [[2 * a + b, b * math.sqrt(3.0)] for a in range(3) for b in range(3)]
+    yield pytest.param(np.array(hexagon, float), 1.0, id="hexagon")
+
+
+def _three_circles_through_one_point():
+    # three circles of radius r about points at distance r from p all pass through p
+    rng = np.random.default_rng(40)
+    for k in range(8):
+        r, p = float(rng.uniform(0.5, 1.5)), rng.uniform(-1, 1, 2)
+        angles = np.sort(rng.uniform(0, 2 * math.pi, 3))
+        yield pytest.param(p + r * np.column_stack([np.cos(angles), np.sin(angles)]), r, id=f"through-one-point-{k}")
+
+
+@pytest.mark.parametrize(
+    "centers, r", [*_random_disk_unions(), *_tangent_disk_unions(), *_three_circles_through_one_point()]
+)
+def test_oracle_area_matches_per_node_chord_union(centers, r):
+    # the chord structure read once at each panel's midpoint holds at every node
+    area, _ = oracle_measures(PointSet(centers), r, NormKind.L2)
+    assert area == pytest.approx(per_node_chord_union_area(centers, r), rel=1e-13)
+
+
+@pytest.mark.parametrize("panel_cells", [1, 500, 1 << 14])
+def test_oracle_area_blocks_do_not_matter(monkeypatch, panel_cells):
+    # blocks of one panel and one component, of a few, and the default; a row of
+    # disjoint disks puts twelve components in one panel
+    monkeypatch.setattr(exact2d, "_PANEL_CELLS", panel_cells)
+    row = np.column_stack([np.arange(12) * 2.5, np.zeros(12)])
+    area, _ = oracle_measures(PointSet(row), 1.0, NormKind.L2)
+    assert area == pytest.approx(12 * math.pi, rel=1e-14)
+    centers = np.random.default_rng(42).uniform(-3, 3, (15, 2))
+    area, _ = oracle_measures(PointSet(centers), 0.8, NormKind.L2)
+    assert area == pytest.approx(per_node_chord_union_area(centers, 0.8), rel=1e-13)
+
+
 # -- the check's power: perturbations within 1% and 0.1% must fail ----------------
 
 

@@ -29,7 +29,7 @@ from parset import (
     sample_distribution,
     w1_empirical,
 )
-from parset import _kernels
+from parset import _kernels, transport
 from parset._rng import chunk_generator
 from parset.cli import main
 from parset.transport import _DIRECT_MAX_TERMS, _pair_dist_sq, _permutations, _threshold_csr
@@ -1090,6 +1090,28 @@ def test_convergence_rows_schema():
     assert ns == [4, 4, 8, 8]  # sorted grid, trials within
     assert result.n_ref == 64
     assert set(result.medians) == {4, 8}
+
+
+def test_convergence_matches_one_sweep(monkeypatch):
+    # the reference is matched on its own and the trials in one sweep; values do
+    # not depend on the batch, so one sweep over all the pairs gives the same numbers
+    sweeps = []
+
+    def recording(instances):
+        sweeps.append(list(instances))
+        return d_r_uniform_many(sweeps[-1])
+
+    monkeypatch.setattr(transport, "d_r_uniform_many", recording)
+    gen0 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0), (1.0, 0.5)))
+    gen1 = DistributionSpec(kind="uniform-ball", dim=2, radius=1.2)
+    result = convergence_experiment(gen0, gen1, r=0.2, sigma=0.1, n_grid=(10, 30), trials=3, seed=6)
+    reference, trials = sweeps
+    assert len(reference) == 1 and len(reference[0][0]) == result.n_ref == 240
+    ref, *values = (res.value for res in d_r_uniform_many(reference + trials))
+    assert result.reference == ref
+    assert [row[2] for row in result.rows] == values
+    assert [row[3] for row in result.rows] == [abs(v - ref) for v in values]
+    assert len(set(values)) > 2 and 0.0 < ref < 1.0
 
 
 def test_empirical_measure_validation():
