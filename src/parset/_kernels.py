@@ -11,7 +11,10 @@ bits.
 gives the thresholded transport cost (robust risk).  Its cost on small graphs
 is scipy's per-call set-up, so ``transport.d_r_uniform_many`` hands it a
 whole sweep's graphs at once as one disjoint union; the matching is read
-from the flow's left rows alone.
+from the flow's left rows alone.  It writes each graph's edges, offset, into
+one network index array and drops the graph, so the network holds the only
+copy of the edges while scipy solves; ``index_dtype`` makes every graph and
+network array int32 wherever its counts fit.
 ``pairwise_sum``: the rows of an array summed in numpy's pairwise order,
 which the threshold graph's distance test and the mixture kernel share, so
 that both give the bits of ``.sum(axis=1)``.
@@ -129,35 +132,60 @@ def pairwise_sum(e: np.ndarray) -> np.ndarray:
     return total
 
 
-def max_matching(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int):
-    """Maximum matching size and the right partner of each left node (-1 = unmatched).
+def index_dtype(*counts: int):
+    """int32 where every count is below 2**31, int64 otherwise: the dtype of
+    the indices, offsets and keys that those counts bound.  numpy's int32
+    arithmetic wraps silently, so a count bounds every value computed in
+    the dtype as well as every value stored."""
+    return np.int32 if max(counts) < 2**31 else np.int64
 
-    The bipartite graph is given in CSR form, left node i adjacent to right
-    nodes indices[indptr[i]:indptr[i + 1]].  It is solved as a unit-capacity
-    max flow (Dinic) on source -> left -> right -> sink.  The matching is
-    read from the left nodes' rows of the flow's CSR alone, its first
-    entries, where each matched left node's one unit leaves to its partner;
-    the rest of the network is never converted.
+
+def max_matching(graphs: list):
+    """Maximum matching size and the right partner of each left node (-1 =
+    unmatched), on the block-diagonal union of the bipartite graphs in graphs.
+
+    Each graph is (indptr, indices, n_right) in CSR form, left node i
+    adjacent to right nodes indices[indptr[i]:indptr[i + 1]]; a graph's left
+    nodes follow the graph before's, and so do its right nodes.  A maximum
+    matching of the union is the union of the parts' maximum matchings.  It
+    is solved as a unit-capacity max flow (Dinic) on source -> left -> right
+    -> sink.  Each graph is popped from graphs and its edges written, offset,
+    into the one network index array, so the network holds the only copy of
+    the edges during the solve unless the caller keeps another.  Its arrays
+    are index_dtype of the network's node and entry counts, whatever the
+    graphs' dtypes, so int32 wherever they fit.  The matching is read from
+    the left nodes' rows of the flow's CSR alone, its first entries, where
+    each matched left node's one unit leaves to its partner; the rest of the
+    network is never converted.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    n_edges = len(indices)
+    n_left = sum(len(indptr) - 1 for indptr, _, _ in graphs)
+    n_right = sum(m for _, _, m in graphs)
+    n_edges = sum(len(indices) for _, indices, _ in graphs)
     source, sink = n_left + n_right, n_left + n_right + 1
+    n_nodes, n_entries = sink + 1, n_edges + n_right + n_left
+    dtype = index_dtype(n_nodes, n_entries)
     # rows: left nodes, right nodes (one edge to the sink), source, sink
-    net_indptr = np.concatenate([
-        indptr,
-        n_edges + np.arange(1, n_right + 1),
-        [n_edges + n_right + n_left] * 2,
-    ])
-    net_indices = np.concatenate([
-        np.asarray(indices, np.int64) + n_left,
-        np.full(n_right, sink),
-        np.arange(n_left),
-    ])
-    n_nodes = sink + 1
+    net_indptr = np.empty(n_nodes + 1, dtype)
+    net_indices = np.empty(n_entries, dtype)
+    net_indptr[0] = 0
+    row, edge, col = n_left, n_edges, n_right  # where the graphs still in graphs end
+    while graphs:  # last graph first, freed once written
+        indptr, indices, m = graphs.pop()
+        row, edge, col = row - len(indptr) + 1, edge - len(indices), col - m
+        # dtype= puts the sums in the network's dtype, not the graph's
+        np.add(indptr[1:], edge, out=net_indptr[row + 1 : row + len(indptr)], dtype=dtype)
+        np.add(indices, n_left + col, out=net_indices[edge : edge + len(indices)], dtype=dtype)
+    indptr = indices = None  # the last graph popped goes too
+    net_indptr[n_left + 1 : source + 1] = np.arange(n_edges + 1, n_edges + n_right + 1, dtype=dtype)
+    net_indptr[source + 1 :] = n_entries
+    net_indices[n_edges : n_edges + n_right] = sink
+    net_indices[n_edges + n_right :] = np.arange(n_left, dtype=dtype)
+    # csr_matrix takes the arrays as they are, in their dtype, uncopied
     network = csr_matrix(
-        (np.ones(len(net_indices), np.int32), net_indices, net_indptr), shape=(n_nodes, n_nodes)
+        (np.ones(n_entries, np.int32), net_indices, net_indptr), shape=(n_nodes, n_nodes)
     )
     flow = maximum_flow(network, source, sink, method="dinic").flow
     # a left row holds the flow on its edges to the right (0 or 1) and on the

@@ -7,10 +7,13 @@ one minus the largest mass matchable within distance 2r.  Both cases share
 one threshold graph and one exact squared-distance test, with no Python
 object per pair: small inputs test every pair at once, larger ones test the
 candidates of one pair query between two KD-trees, one coordinate column at
-a time on int32 keys, and sort the kept keys.
+a time, and sort the kept keys.  The graph stays int32 wherever it fits
+(_kernels.index_dtype), from the keys to the max-flow network.
 Matching runs on it as a unit-capacity max flow in scipy, one solve per sweep:
 a sweep's graphs are offset into one disjoint union, whose maximum matching
-is the union of the parts' maximum matchings.  Each matching's graph is built
+is the union of the parts' maximum matchings.  The graphs are written into
+the network and dropped before the solve, so the network holds the only
+copy of the edges.  Each matching's graph is built
 on both point sets sorted by first coordinate.  Dinic's first blocking flow
 visits the left nodes, and each node's edges, in index order, so it is then
 the sweep greedy (each point takes the leftmost free partner within 2r),
@@ -99,20 +102,22 @@ def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
     the candidates, as arrays (24 bytes a pair), within a radius widened by
     1e-9 relative, so rounding in the trees cannot drop a pair; the exact
     test then runs one coordinate column at a time (pairwise_sum), and one
-    sort puts the kept keys in row-major order with ascending columns.  The
-    keys are int32 wherever (len(x) + 1) * len(y) fits, which halves the
-    sort's traffic.  Row i's edges are the keys in [i * len(y), (i + 1) *
-    len(y)), and key % len(y) is the column.
+    sort puts the kept keys in row-major order with ascending columns.  Row
+    i's edges are the keys in [i * len(y), (i + 1) * len(y)), and key %
+    len(y), taken in place, is the column.  Keys, indptr and indices are
+    _kernels.index_dtype((len(x) + 1) * len(y)) on both sides of the split:
+    int32 wherever that fits, which halves the sort's traffic and the
+    graph's memory.
     """
     n, m = len(x), len(y)
+    dtype = _kernels.index_dtype((n + 1) * m)
     if n * m * x.shape[1] <= _DIRECT_MAX_TERMS:
-        key = np.flatnonzero(_pair_dist_sq(x, y) <= threshold_sq)
+        key = np.flatnonzero(_pair_dist_sq(x, y) <= threshold_sq).astype(dtype)
     else:
         from scipy.spatial import cKDTree
 
         radius = math.sqrt(threshold_sq) * (1.0 + 1e-9)
         near = cKDTree(x).sparse_distance_matrix(cKDTree(y), radius, output_type="ndarray")
-        dtype = np.int32 if (n + 1) * m < 2**31 else np.int64
         i, j = near["i"].astype(dtype), near["j"].astype(dtype)
         del near  # 24 bytes a candidate, freed before its 8 * d bytes of terms
         terms = np.empty((x.shape[1], len(i)))
@@ -121,8 +126,9 @@ def _threshold_csr(x: np.ndarray, y: np.ndarray, threshold_sq: float):
             np.square(np.subtract(term, np.take(yk, j), out=term), out=term)
         keep = _kernels.pairwise_sum(terms) <= threshold_sq
         key = np.sort(i[keep] * m + j[keep])
-    indptr = np.searchsorted(key, np.arange(0, (n + 1) * m, m, dtype=key.dtype))
-    return indptr, (key % m).astype(np.int64, copy=False)
+    indptr = np.searchsorted(key, np.arange(0, (n + 1) * m, m, dtype=dtype)).astype(dtype)
+    key %= m
+    return indptr, key
 
 
 def _check_pair(x: PointSet, y: PointSet, r: float) -> float:
@@ -167,7 +173,10 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
     call, and the matching is split back into per-instance certificates in
     local indices.  A sweep of small graphs then pays scipy's per-call set-up
     once, not once per instance.  The pending graphs go to the solver early
-    when the next one would take their edges past _BATCH_MAX_EDGES.
+    when the next one would take their edges past _BATCH_MAX_EDGES.  Only
+    the pending list refers to a graph, and no sorted copy of the points
+    outlives its graph's build, so during a solve the network is the only
+    copy of its edges, beside the next graph when a batch went early.
 
     Each graph is built on x and y sorted by first coordinate (a stable
     argsort of each), so that Dinic's first phase is the sweep greedy; each
@@ -188,47 +197,42 @@ def d_r_uniform_many(instances) -> list[TransportResult]:
         if len(x) != len(y):
             raise InvalidArgumentError("uniform transport needs equal sample counts")
     results: list[TransportResult] = []
-    pending: list = []  # (indptr, indices, x order, y order) per instance
+    graphs: list = []  # (indptr, indices, n) per pending instance
+    orders: list = []  # (x order, y order) per pending instance
     edges = 0
     for (x, y, _), threshold_sq in zip(instances, thresholds):
         # ndarray methods: the numpy functions cost twice as much a call,
         # which a sweep of small graphs pays once an instance
         ox = x.points[:, 0].argsort(kind="stable")
         oy = y.points[:, 0].argsort(kind="stable")
-        xs, ys = x.points.take(ox, axis=0), y.points.take(oy, axis=0)
-        indptr, indices = _threshold_csr(xs, ys, threshold_sq)
-        if pending and edges + len(indices) > _BATCH_MAX_EDGES:
-            results += _match_disjoint_union(pending)
+        graph = _threshold_csr(x.points.take(ox, axis=0), y.points.take(oy, axis=0), threshold_sq)
+        if graphs and edges + len(graph[1]) > _BATCH_MAX_EDGES:
+            results += _match_disjoint_union(graphs, orders)
             edges = 0
-        pending.append((indptr, indices, ox, oy))
-        edges += len(indices)
-    if pending:
-        results += _match_disjoint_union(pending)
+        graphs.append((*graph, len(x)))
+        orders.append((ox, oy))
+        edges += len(graph[1])
+    if graphs:
+        del graph  # graphs holds the only reference to each graph through the solve
+        results += _match_disjoint_union(graphs, orders)
     return results
 
 
-def _match_disjoint_union(graphs: list) -> list[TransportResult]:
-    """One max_matching on the block-diagonal union of (indptr, indices, ox,
-    oy) graphs of n_k points a side, each built on its points reordered by
-    ox (left) and oy (right); instance k's left and right nodes both start at
-    node offset n_0 + ... + n_(k-1).  The matching is mapped back through the
-    orders once for the whole union, so each certificate is in input indices,
-    listed by ascending left index.  Empties graphs, so that the parts'
-    arrays are freed once their union is built, before the solve."""
-    sizes = [len(indptr) - 1 for indptr, *_ in graphs]
+def _match_disjoint_union(graphs: list, orders: list) -> list[TransportResult]:
+    """One max_matching on the block-diagonal union of (indptr, indices, n_k)
+    graphs of n_k points a side, each built on its points reordered by its
+    (x order, y order) in orders; instance k's left and right nodes both
+    start at node offset n_0 + ... + n_(k-1).  The matching is mapped back
+    through the orders once for the whole union, so each certificate is in
+    input indices, listed by ascending left index.  Empties both lists:
+    max_matching frees each graph once it is written into the network."""
+    sizes = [n for *_, n in graphs]
     starts = list(accumulate(sizes, initial=0))
     shift = np.repeat(starts[:-1], sizes)
-    order_x = np.concatenate([ox for *_, ox, _ in graphs]) + shift
-    order_y = np.concatenate([oy for *_, oy in graphs]) + shift
-    indptr, indices, *_ = graphs[0]  # a lone graph is solved as it is, uncopied
-    if len(graphs) > 1:
-        edge_starts = accumulate((len(ind) for _, ind, *_ in graphs), initial=0)
-        indptr = np.concatenate(
-            [indptr[:1], *(ip[1:] + e for (ip, *_), e in zip(graphs, edge_starts))]
-        )
-        indices = np.concatenate([ind + s for (_, ind, *_), s in zip(graphs, starts)])
-    graphs.clear()
-    _, match_l = _kernels.max_matching(indptr, indices, starts[-1], starts[-1])
+    order_x = np.concatenate([ox for ox, _ in orders]) + shift
+    order_y = np.concatenate([oy for _, oy in orders]) + shift
+    orders.clear()
+    _, match_l = _kernels.max_matching(graphs)
     partner = np.full(starts[-1], -1)  # input right partner of each input left node
     matched = match_l >= 0
     partner[order_x[matched]] = order_y[match_l[matched]]

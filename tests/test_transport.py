@@ -166,13 +166,59 @@ def test_split_instances_straddle_the_cutoff():
 def test_threshold_csr_matches_reference(name, xs, ys, threshold_sq):
     indptr, indices = _threshold_csr(xs, ys, threshold_sq)
     want_indptr, want_indices = reference_threshold_csr(xs, ys, threshold_sq)
-    assert indptr.dtype == indices.dtype == np.int64
+    # int32 wherever (len(x) + 1) * len(y) fits, on both sides of the split
+    want_dtype = np.int32 if (len(xs) + 1) * len(ys) < 2**31 else np.int64
+    assert indptr.dtype == indices.dtype == want_dtype
+    assert (want_dtype == np.int64) == (name == "int64-keys")
     np.testing.assert_array_equal(indptr, want_indptr)
     np.testing.assert_array_equal(indices, want_indices)
     if "every-pair" in name:
         assert len(indices) == len(xs) * len(ys)
     if "no-edges" in name:
         assert len(indices) == 0
+
+
+@pytest.mark.parametrize("counts, want", [
+    ((46340 * 46341,), np.int32),  # the keys of a 46339 x 46340 graph
+    ((46342 * 46341,), np.int64),  # and of a 46341 x 46341 one
+    ((2**31 - 1,), np.int32),
+    ((2**31,), np.int64),
+    ((2**31 - 1, 2**31 - 1), np.int32),  # a union's node and entry counts
+    ((5, 2**31), np.int64),  # entries past int32, nodes within it
+    ((2**31, 5), np.int64),  # and the other way round
+    ((2**40, 2**40), np.int64),
+])
+def test_index_dtype_is_int32_wherever_every_count_fits(counts, want):
+    assert _kernels.index_dtype(*counts) is want
+
+
+def test_index_dtype_decides_the_network(monkeypatch):
+    # the network's arrays take the dtype of its node and entry counts,
+    # whatever the graphs' dtypes, and int64 gives the same matching
+    import scipy.sparse.csgraph as csgraph
+
+    rng = np.random.default_rng(15)
+    x, y = rng.standard_normal((300, 2)), rng.standard_normal((300, 2))
+    ox, oy = np.argsort(x[:, 0], kind="stable"), np.argsort(y[:, 0], kind="stable")
+    indptr, indices = _threshold_csr(x[ox], y[oy], 0.2**2)
+    seen, solve = [], csgraph.maximum_flow
+
+    def recorded(network, *args, **kwargs):
+        seen.append((network.indptr.dtype, network.indices.dtype, network.data.dtype))
+        return solve(network, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", recorded)
+    counts = []
+    monkeypatch.setattr(_kernels, "index_dtype", lambda *c: counts.append(c) or np.int32)
+    want = _kernels.max_matching([(indptr, indices, 300)])
+    monkeypatch.setattr(_kernels, "index_dtype", lambda *c: counts.append(c) or np.int64)
+    got = _kernels.max_matching([(indptr, indices, 300)])
+    assert counts == [(602, len(indices) + 600)] * 2
+    # scipy's csr_matrix copies int64 arrays whose values fit int32 down to
+    # int32; index_dtype picks int64 only where they do not fit
+    assert seen == [(np.int32, np.int32, np.int32)] * 2
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("d", [*range(1, 21), 127, 128, 129, 300])
@@ -200,6 +246,27 @@ def test_threshold_csr_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert len(indices) == 490_743
+    assert peak < 25e6, peak
+
+
+def test_matching_memory_stays_bounded():
+    # the graph of test_threshold_csr_memory_stays_bounded, matched: 23.9 MB
+    # with the network's int32 arrays the only copy of the edges, 25.9 MB if
+    # the int32 graph is still held during the solve, and 32.0 MB with an
+    # int64 graph held beside an int64 copy in the network; most of the peak
+    # is inside scipy's maximum_flow, so the bound holds for the pinned
+    # versions only
+    _skip_unless_transport_versions()
+    rng = np.random.default_rng(0)
+    x, y = PointSet(rng.standard_normal((2400, 2))), PointSet(rng.standard_normal((2400, 2)))
+    lone = d_r_uniform(x, y, 0.3)  # imports and scipy's first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        res = d_r_uniform(x, y, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == lone
     assert peak < 25e6, peak
 
 
@@ -372,7 +439,7 @@ def test_d_r_uniform_many_batch_of_one_is_the_lone_network():
     # the matching of this instance's own threshold graph on the points sorted
     # by first coordinate, pair for pair, in input indices
     ox, oy = np.argsort(x[:, 0], kind="stable"), np.argsort(y[:, 0], kind="stable")
-    matched, match_l = _kernels.max_matching(*_threshold_csr(x[ox], y[oy], 0.2**2), 300, 300)
+    matched, match_l = _kernels.max_matching([(*_threshold_csr(x[ox], y[oy], 0.2**2), 300)])
     left = np.flatnonzero(match_l >= 0)
     want = sorted(zip(ox[left].tolist(), oy[match_l[left]].tolist()))
     assert res.certificate == tuple(want)
@@ -436,7 +503,7 @@ def test_d_r_uniform_many_checks_every_triple_before_solving(monkeypatch, bad, m
 def test_d_r_uniform_many_memory_stays_bounded():
     # 12 dense graphs of about 1.9e5 edges each would hold 2.3e6 edges at once,
     # about 170 MB of solver arrays; batches of at most _BATCH_MAX_EDGES edges
-    # peak near 67 MB
+    # peak near 50 MB
     rng = np.random.default_rng(13)
     x, y = PointSet(rng.standard_normal((1500, 2))), PointSet(rng.standard_normal((1500, 2)))
     lone = d_r_uniform(x, y, 0.3)
@@ -478,8 +545,11 @@ def matching_calls(monkeypatch):
         flows.append(res.flow)
         return res
 
-    def matching(indptr, indices, n_left, n_right):
-        got = match(indptr, indices, n_left, n_right)
+    def matching(graphs):
+        n_left = sum(len(indptr) - 1 for indptr, _, _ in graphs)
+        n_right = sum(m for _, _, m in graphs)
+        got = match(graphs)
+        assert graphs == []  # emptied into the network
         calls.append((n_left, n_right, got, flows[-1]))
         return got
 
@@ -509,8 +579,8 @@ def test_max_matching_reads_the_flow_from_its_left_rows(matching_calls):
         dense[rng.random(n_left) < 0.2] = False  # some left nodes with no edge
         indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))])
         graphs.append((indptr, np.nonzero(dense)[1], n_left, n_right))
-    for graph in graphs:
-        _kernels.max_matching(*graph)
+    for indptr, indices, _, n_right in graphs:
+        _kernels.max_matching([(indptr, indices, n_right)])
     # a block-diagonal union of unequal parts, some with no edge
     parts = [(PointSet(rng.standard_normal((n, 2))), PointSet(rng.standard_normal((n, 2)) + shift), 0.3)
              for n, shift in ((1, 0.0), (5, 50.0), (17, 0.0), (1, 50.0), (60, 0.0), (33, 0.0))]
@@ -527,6 +597,66 @@ def test_max_matching_reads_the_flow_from_its_left_rows(matching_calls):
         assert matched == want_matched
         assert match_l.dtype == want_match_l.dtype
         np.testing.assert_array_equal(match_l, want_match_l)
+
+
+def test_max_matching_takes_int32_and_int64_graphs():
+    # graphs built by hand come in either dtype; the network, and so the
+    # matching, does not depend on it
+    rng = np.random.default_rng(16)
+    parts = []
+    for n_left, n_right, density in ((50, 40, 0.08), (30, 45, 0.1)):
+        dense = rng.random((n_left, n_right)) < density
+        indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))])
+        parts.append((indptr, np.nonzero(dense)[1], n_right))
+    assert all(indptr.dtype == indices.dtype == np.int64 for indptr, indices, _ in parts)
+
+    def int32(part):
+        indptr, indices, n_right = part
+        return indptr.astype(np.int32), indices.astype(np.int32), n_right
+
+    for graphs in ([parts[0]], parts):
+        want_matched, want = _kernels.max_matching(list(graphs))
+        for cast in ([int32] * len(graphs), [int32, lambda part: part]):
+            matched, match_l = _kernels.max_matching([f(part) for f, part in zip(cast, graphs)])
+            assert matched == want_matched
+            np.testing.assert_array_equal(match_l, want)
+    # the union's matching is the parts' side by side, the second part's right
+    # nodes after the first's
+    alone = [_kernels.max_matching([int32(part)]) for part in parts]
+    assert want_matched == alone[0][0] + alone[1][0]
+    assert ((want[:50] >= -1) & (want[:50] < 40)).all()
+    assert ((want[50:] == -1) | ((want[50:] >= 40) & (want[50:] < 85))).all()
+
+
+def test_the_network_holds_the_only_copy_of_the_edges_during_the_solve(monkeypatch):
+    import weakref
+
+    import scipy.sparse.csgraph as csgraph
+
+    arrays, alive = [], []
+    build, solve = transport._threshold_csr, csgraph.maximum_flow
+
+    def built(x, y, threshold_sq):  # x and y are the sorted copies
+        graph = build(x, y, threshold_sq)
+        arrays.extend(map(weakref.ref, (x, y, *graph)))
+        return graph
+
+    def solved(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in arrays))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_threshold_csr", built)
+    monkeypatch.setattr(csgraph, "maximum_flow", solved)
+    rng = np.random.default_rng(17)
+    x, y = PointSet(rng.standard_normal((400, 2))), PointSet(rng.standard_normal((400, 2)))
+    small = PointSet(rng.standard_normal((20, 2)))  # a graph of the direct test
+    d_r_uniform(x, y, 0.1)
+    d_r_uniform_many([(x, y, 0.1), (small, small, 0.3), (x, y, 0.2)])
+    assert alive == [0, 0]
+    # a batch solved early holds the graph that did not fit, and only it
+    monkeypatch.setattr(transport, "_BATCH_MAX_EDGES", 1)
+    d_r_uniform_many([(x, y, 0.1), (small, small, 0.3), (x, y, 0.2)])
+    assert alive == [0, 0, 2, 2, 0]
 
 
 def test_dr_certificate_validity():
