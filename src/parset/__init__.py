@@ -60,7 +60,7 @@ from .mc import (
     mc_halfspace_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
-    mc_volume_and_shell,
+    union_measures,
 )
 from .suite import SUITES, Profile, run_suite
 from .transport import (

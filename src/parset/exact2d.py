@@ -38,11 +38,11 @@ centre, as the square sum takes x from its first vertical face, the leftmost:
 a closed boundary's integrals of dx and dy vanish, so the reference point
 drops out, and a disk union far from the origin keeps its digits.  A square
 union does not: the cover rounds its faces c +- r at their absolute
-position.  For squares, integral(x dy) reduces to the vertical segments,
-each at a fixed x with its outward sign.  Both sums run over Python floats
-in segment order, not through numpy's pairwise sum, so their bits do not
-depend on how the pieces were computed.  ``mc.kneser_shell_check`` takes its
-planar disk shells from these areas.
+position, which mc.union_measures' area allowance covers.  For squares,
+integral(x dy) reduces to the vertical segments, each at a fixed x with its
+outward sign.  Both sums run over Python floats in segment order, not
+through numpy's pairwise sum, so their bits do not depend on how the pieces
+were computed.  ``mc.union_measures`` takes every planar area from them.
 
 The oracle ``oracle_measures`` reaches both measures by other routes and
 shares no code or formula with the decompositions, so that it can validate

@@ -15,7 +15,6 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from . import exact2d as ex2
 from . import mc as mcmod
 from ._rng import derive_seed
 from .bounds import (
@@ -147,7 +146,10 @@ def _circumcenter(support: np.ndarray) -> np.ndarray:
 
 
 def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
-    """Measure the configured instance and compare against the named bounds."""
+    """Measure the configured instance and compare against the named bounds.
+    The volume and surface come from mc.union_measures (see the table in mc).
+    gaussian-surface samples mc_gaussian_shell at every norm, since it takes a
+    sigma and union_measures measures the standard Gaussian only."""
     params = cfg.parameters
     spec = spec_from_dict(params, cfg.name)
     points, norm, radius = spec.base, spec.norm, spec.radius
@@ -166,15 +168,10 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
 
     @cache
     def measures() -> tuple[MeasureEstimate, MeasureEstimate]:
-        """(volume, surface): exact in the plane; off it both are counted on
-        one draw, the shell's."""
-        if d == 2:
-            exact = ex2.union_boundary(points, radius, norm)
-            return MeasureEstimate(exact.area(), 0.0, 0), MeasureEstimate(exact.perimeter(), 0.0, 0)
-        seed = derive_seed(cfg.seed, "shell")
-        return mcmod.mc_volume_and_shell(
-            spec, McConfig(samples=samples, seed=seed, shell_delta=delta)
-        )
+        """(volume, surface) from mc.union_measures; the sampled ones are
+        counted on one draw, the shell's."""
+        mc_cfg = McConfig(samples=samples, seed=derive_seed(cfg.seed, "shell"), shell_delta=delta)
+        return mcmod.union_measures(spec, ("volume", "surface"), mc_cfg)
 
     reports: list[BoundReport] = []
     for name in checks:

@@ -9,17 +9,23 @@ Every estimate is a bounds.MeasureEstimate.  A sampled one is a band count,
 _band_estimates: the share p of samples_used draws (uniform in a padded
 bounding box, or Gaussian) whose distance to the set lies in (lo, hi],
 reported as scale * p / delta.  An exact one has samples_used 0 and its
-rounding allowance as std_error.  A solid angle is the
-Gaussian measure of a cone, so from 4-d up a cap's solid angle seen from an
-apex is a band count too.  In 2-d and 3-d it is exact, as the central cap's
-is in every dimension: an arc's angle from two atan2 calls, a disk's solid
-angle from complete elliptic integrals.  The volume and the Gaussian measure
-of an L-inf parallel set, a union of cubes, are exact in every dimension
-(cube_union_measures, on the prefix-sum cover _kernels.cube_cover).  The
-shell-scaling check is exact where the volumes are, under L-inf (cover
-volumes) and in the plane (exact2d disk-union areas), and an L2 band count
-off the plane.  These splits are by dimension and norm only, with no
-fallback: a cube grid past the cover's budget raises.
+rounding allowance as std_error.
+
+union_measures is the one place that decides which measures of a union are
+exact, by kind, dimension and norm, with no fallback:
+
+    kind              in the plane       L-inf off the plane    L2 off the plane
+    volume            exact2d area       cube_union_measures    band count
+    surface           exact2d perimeter  band count             band count
+    gaussian-surface  under L-inf the cover's delta-shell, under L2 mc_gaussian_shell
+
+One exact2d.union_boundary gives a planar area, with its rounding allowance,
+and perimeter.  cube_union_measures contracts the prefix-sum cover
+_kernels.cube_cover, which raises past its budget.  The sampled volume and
+surface share one draw over the box of the (r + delta)-dilation.  A cap's
+solid angle seen from an apex, the Gaussian measure of a cone, is a band
+count from 4-d up and exact in 2-d and 3-d (two atan2 calls; complete
+elliptic integrals), as the central cap's is in every dimension.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
 reproduces estimates bit-for-bit no matter the worker count.  A box draw is
 scaled one coordinate column at a time into a (d, m) buffer and handed on as
@@ -120,21 +126,11 @@ def mc_volume(spec: ParallelSetSpec, cfg: McConfig) -> MeasureEstimate:
 
 
 def mc_shell_lebesgue(spec: ParallelSetSpec, cfg: McConfig) -> MeasureEstimate:
-    """(volume between radii r and r+delta) / delta."""
-    return mc_volume_and_shell(spec, cfg)[1]
-
-
-def mc_volume_and_shell(
-    spec: ParallelSetSpec, cfg: McConfig
-) -> tuple[MeasureEstimate, MeasureEstimate]:
-    """The volume and mc_shell_lebesgue's shell, both counted on one draw over
-    the shell's box (the bounding box padded by r + delta).  The shell is
-    mc_shell_lebesgue's to the bit; the volume is mc_volume's estimator over
-    a box delta wider on every side."""
+    """(volume between radii r and r+delta) / delta, counted over the bounding
+    box padded by r + delta."""
     dim, r, dist_fn = _target(spec)
     delta = _resolve_delta(cfg, r)
-    bands = [(-math.inf, r, 1.0), (r, r + delta, delta)]
-    return tuple(_band_estimates(cfg, dim, dist_fn, bands, box=(spec.base.points, r + delta)))
+    return _band_estimates(cfg, dim, dist_fn, [(r, r + delta, delta)], box=(spec.base.points, r + delta))[0]
 
 
 def mc_gaussian_shell(spec: ParallelSetSpec, cfg: McConfig, sigma: float = 1.0) -> MeasureEstimate:
@@ -152,30 +148,34 @@ def mc_halfspace_gaussian_shell(dim: int, cfg: McConfig, sigma: float = 1.0) -> 
     return _band_estimates(cfg, dim, dist_fn, [(0.0, delta, delta)], sigma=sigma)[0]
 
 
-# rounding allowance of an exact planar disk-union area, in units of
-# ulp(1) * n * L * (rho + R): n exposed arcs of total length L, summed about
-# the first centre (R: the farthest centre from it).  An arc end's angle is
-# within 17 ulp(1) (atan2, acos, the wrap at 2 pi and two sums); moving an
-# arc end by delta moves the area by at most (rho + R) * delta / 2, and
-# L >= 2 pi rho, so the ends cost at most 3 units.  The n terms add up to at
-# most (rho + R) * L with at most 1 unit of error, and the sin and cos
-# differences and the products within a term take at most 1 more.  Gaps the
-# decomposition drops within exact2d._EPS of angle are its own tolerance,
-# not rounding, and are not covered.
+# rounding allowance of an exact planar area, in units of ulp(1) * n * L *
+# reach: n exposed arcs or segments of total length L, reach = rho + R (R:
+# the farthest centre from the first, about which a disk union's area is
+# summed).  An arc end's angle is within 17 ulp(1) (atan2, acos, the wrap at
+# 2 pi and two sums); moving an arc end by delta moves the area by at most
+# reach * delta / 2, and L >= 2 pi rho, so the ends cost at most 3 units.
+# The n terms add up to at most reach * L with at most 1 unit of error, and
+# the sin and cos differences and the products within a term take at most 1
+# more.  The cover rounds square faces c +- rho at their absolute place, so
+# a square union's reach adds the first centre's largest coordinate, as
+# _cover_allowances does.  Gaps within exact2d._EPS of angle are the
+# decomposition's own tolerance, not rounding, and are not covered.
 _AREA_ROUNDING = 8.0
 
 
-def _planar_area(base, rho: float) -> MeasureEstimate:
-    """The exact area of the rho-parallel set of a planar base under L2, a
-    disk union, with its rounding allowance."""
-    boundary = exact2d.disk_union_boundary(base, rho)
-    offsets = base.points - base.points[0]
-    reach = rho + float(np.hypot(offsets[:, 0], offsets[:, 1]).max())
-    area = boundary.area()
-    allowance = _AREA_ROUNDING * len(boundary.arcs) * math.ulp(1.0) * boundary.perimeter() * reach
+def _planar_measures(base, rho: float, norm: NormKind) -> tuple[MeasureEstimate, MeasureEstimate]:
+    """(area with its rounding allowance, perimeter with std_error 0) of the
+    rho-parallel set of a planar base, from one exact2d.union_boundary."""
+    boundary, pts = exact2d.union_boundary(base, rho, norm), base.points
+    reach = rho + float(np.hypot(*(pts - pts[0]).T).max())
+    if norm is NormKind.LINF:
+        reach += float(np.abs(pts[0]).max())
+    pieces = boundary.arcs if norm is NormKind.L2 else boundary.segments
+    area, perimeter = boundary.area(), boundary.perimeter()
+    allowance = _AREA_ROUNDING * len(pieces) * math.ulp(1.0) * perimeter * reach
     if not (math.isfinite(area) and math.isfinite(allowance)):
         raise RangeOverflowError(f"the area of the {rho:g}-parallel set exceeds double range")
-    return MeasureEstimate(area, allowance, 0)
+    return MeasureEstimate(area, allowance, 0), MeasureEstimate(perimeter, 0.0, 0)
 
 
 def cube_union_measures(base: PointSet, r: float) -> tuple[MeasureEstimate, MeasureEstimate]:
@@ -262,18 +262,43 @@ def _cover_allowances(pts, r, lines, volume) -> tuple[float, float]:
     return e_volume, e_gaussian
 
 
-def _exact_volume(base, norm: NormKind, rho: float) -> MeasureEstimate:
-    """The volume of the rho-parallel set, with its rounding allowance, where
-    it is exact: a planar disk union, or an L-inf cube union in any
-    dimension (cube_union_measures' volume)."""
-    if norm is NormKind.L2:
-        return _planar_area(base, rho)
-    return cube_union_measures(base, rho)[0]
+def union_measures(spec: ParallelSetSpec, kinds, cfg: McConfig) -> tuple[MeasureEstimate, ...]:
+    """One MeasureEstimate for each kind in kinds, in order, of the r-parallel
+    set spec: "volume", "surface", or "gaussian-surface" (the standard
+    Gaussian measure of the delta-shell, over delta), each from the engine
+    the module docstring's table names; cfg is read by the sampled ones only.
+    The cover raises InvalidArgumentError past its budget, and a value past
+    double range raises RangeOverflowError."""
+    wanted = set(kinds)
+    if not wanted <= {"volume", "surface", "gaussian-surface"}:
+        raise InvalidArgumentError(f"unknown measure kinds in {kinds}")
+    base, norm, r = spec.base, spec.norm, spec.radius
+    delta = _resolve_delta(cfg, r)
+    found = {}
+    if base.dim == 2 and {"volume", "surface"} & wanted:
+        found["volume"], found["surface"] = _planar_measures(base, r, norm)
+    elif norm is NormKind.LINF and "volume" in wanted:
+        found["volume"] = cube_union_measures(base, r)[0]
+    if "gaussian-surface" in wanted and norm is NormKind.LINF:
+        inner, outer = (cube_union_measures(base, rho)[1] for rho in (r, r + delta))
+        shell, std_error = (outer.value - inner.value) / delta, (outer.std_error + inner.std_error) / delta
+        found["gaussian-surface"] = MeasureEstimate(shell, std_error, 0)
+    elif "gaussian-surface" in wanted:
+        found["gaussian-surface"] = mc_gaussian_shell(spec, cfg)
+    # the sampled Lebesgue kinds share one draw over the box of the (r + delta)-dilation
+    bands = {"volume": (-math.inf, r, 1.0), "surface": (r, r + delta, delta)}
+    sampled = [kind for kind in bands if kind in wanted and kind not in found]
+    if sampled:
+        dim, _, dist_fn = _target(spec)
+        box = (base.points, r + delta)
+        found.update(zip(sampled, _band_estimates(cfg, dim, dist_fn, [bands[k] for k in sampled], box=box)))
+    return tuple(found[kind] for kind in kinds)
 
 
 def kneser_is_exact(dim: int, norm: NormKind) -> bool:
-    """Whether kneser_shell_check's shells are exact, and so draw nothing: in
-    the plane, and under L-inf in every dimension."""
+    """Whether kneser_shell_check's shells are exact, and so draw nothing:
+    where union_measures' volume is, in the plane and under L-inf in every
+    dimension."""
     return dim == 2 or norm is NormKind.LINF
 
 
@@ -288,17 +313,13 @@ def kneser_shell_check(
 ) -> BoundReport:
     """Shell-scaling check: vol(shell a..b scaled by t) <= t^d vol(shell a..b).
 
-    Where the volumes are exact, under L-inf in every dimension (the cover
-    volumes of cube_union_measures) and for planar disks (exact2d), both
-    shells are differences of them at a, b, ta and tb; std_error is their summed
-    rounding allowance, and cfg is not read.  volumes, if given, maps radius
-    to its exact volume for this base and norm; calls that pass one dict
-    compute each radius once (a sweep over t meets a and b in every call).
-    A volume past double range raises RangeOverflowError, and so does a cube
-    grid past the cover's budget InvalidArgumentError.  L2 shells off the
-    plane are band counts on one common sample stream over the box of the
-    largest dilation, so the two estimates are positively correlated and the
-    comparison is sharp even at modest sample counts.
+    Where union_measures' volume is exact (kneser_is_exact), both shells are
+    differences of its volumes at a, b, ta and tb, std_error their summed
+    rounding allowance, and cfg is not read; volumes, if given, maps radius
+    to volume for this base and norm, so calls that share it compute each
+    radius once.  L2 shells off the plane are band counts on one sample
+    stream over the box of the largest dilation, so the two estimates are
+    positively correlated and the comparison is sharp at modest counts.
     """
     if not (0.0 < a_k <= b_k < math.inf):
         raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
@@ -309,11 +330,10 @@ def kneser_shell_check(
     if kneser_is_exact(base.dim, norm):
 
         def volume(rho):
-            if volumes is None:
-                return _exact_volume(base, norm, rho)
-            if rho not in volumes:
-                volumes[rho] = _exact_volume(base, norm, rho)
-            return volumes[rho]
+            if volumes is not None and rho in volumes:
+                return volumes[rho]
+            (found,) = union_measures(ParallelSetSpec(base=base, norm=norm, radius=rho), ("volume",), cfg)
+            return found if volumes is None else volumes.setdefault(rho, found)
 
         outer, inner, big, small = (volume(rho) for rho in (t * b_k, t * a_k, b_k, a_k))
         scale = _checked_power(t, base.dim)

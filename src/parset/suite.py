@@ -171,42 +171,37 @@ def check_exact_vs_raster(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
-    """Measured surface vs the volume-budget cap (V/r) * 2^(2d-1) * d.
-
-    The planar instances are exact (exact2d); each 3-d instance counts its
-    volume and its delta-shell on one draw of shell3d_samples points
-    (mc_volume_and_shell), and the volume enters the cap at its 4-sigma
-    upper end.
-    """
+    """Surface at its 4-sigma lower end vs the volume-budget cap
+    (V/r) * 2^(2d-1) * d at the volume's upper end, both from
+    mc.union_measures (see the table in mc); the 3-d balls are sampled."""
     g = chunk_generator(derive_seed(seed, "volume-constrained"), 0)
 
-    def planar_excess(k):
-        norm, config = _PLANAR_SHAPES[k % 2]
-        r = float(g.uniform(0.4, 1.2))
-        decomp = ex2.union_boundary(PointSet(config(g, 30) * 1.5), r, norm)
-        return decomp.perimeter() - bound_volume_constrained(2, r, decomp.area())
-
-    def spatial_excess(k):
-        r = float(g.uniform(0.4, 1.0))
-        centers = PointSet(uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2)
-        spec = ParallelSetSpec(base=centers, norm=NormKind.L2, radius=r)
-        sub = derive_seed(seed, "volume-constrained-3d", k)
-        cfg = McConfig(samples=prof.shell3d_samples, seed=sub + 1, workers=prof.workers)
-        vol, shell = mcmod.mc_volume_and_shell(spec, cfg)
-        return shell.lower - bound_volume_constrained(3, r, vol.upper)
+    def excesses(dim, count):
+        for k in range(count):
+            if dim == 2:
+                norm, config = _PLANAR_SHAPES[k % 2]
+                r = float(g.uniform(0.4, 1.2))
+                centers = config(g, 30) * 1.5
+            else:
+                norm, r = NormKind.L2, float(g.uniform(0.4, 1.0))
+                centers = uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2
+            spec = ParallelSetSpec(base=PointSet(centers), norm=norm, radius=r)
+            sub = derive_seed(seed, "volume-constrained-3d", k) + 1
+            cfg = McConfig(prof.shell3d_samples, sub, workers=prof.workers)
+            volume, surface = mcmod.union_measures(spec, ("volume", "surface"), cfg)
+            yield surface.lower - bound_volume_constrained(dim, r, volume.upper)
 
     return [
-        BoundReport.sweep("volume-constrained-2d", 0.0, map(planar_excess, range(100))),
-        BoundReport.sweep("volume-constrained-3d", 0.0, map(spatial_excess, range(20))),
+        BoundReport.sweep("volume-constrained-2d", 0.0, excesses(2, 100)),
+        BoundReport.sweep("volume-constrained-3d", 0.0, excesses(3, 20)),
     ]
 
 
 def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
-    """Shell scaling inequality over random configurations and scale factors:
-    exact cube-union volumes for the L-inf ones, exact areas for the 2-d L2
-    ones, band counts of kneser_samples draws for the 3-d L2 ones.  A
-    configuration's three scale factors share its exact volumes, seven radii
-    in all."""
+    """Shell scaling inequality over random configurations and scale factors,
+    exact where mc.union_measures' volume is (see the table in mc), band
+    counts of kneser_samples draws for the 3-d L2 ones.  A configuration's
+    three scale factors share its exact volumes, seven radii in all."""
     g = chunk_generator(derive_seed(seed, "kneser"), 0)
 
     def excesses():
@@ -279,13 +274,9 @@ def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
 
 
 def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
-    """Gaussian shell estimates stay under max(C, C/r) (loose by design).
-
-    Every shell is (G(A_{r+delta}) - G(A_r)) / delta at delta = r / 1000:
-    exact for the L-inf instances, from cube_union_measures' Gaussian
-    measures with their rounding allowances over delta as std_error, and a
-    band count of mc_samples Gaussian draws for the L2 ones.
-    """
+    """Gaussian shell estimates stay under max(C, C/r) (loose by design): each
+    is mc.union_measures' Gaussian surface at delta = r / 1000 (see the table
+    in mc), exact under L-inf and from mc_samples draws under L2."""
     g = chunk_generator(derive_seed(seed, "gaussian-surface"), 0)
     shapes = [(dim, norm) for dim in (2, 3) for norm in (NormKind.L2, NormKind.LINF)]
 
@@ -293,18 +284,10 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
         dim, norm = shapes[k]
         r = float(g.uniform(0.3, 1.5))
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim) * 1.5)
-        bound = gaussian_surface_bound(dim, r, 1.0, norm)
-        if norm is NormKind.LINF:
-            delta = r / 1000.0
-            inner, outer = (mcmod.cube_union_measures(centers, rho)[1] for rho in (r, r + delta))
-            shell = (outer.value - inner.value) / delta
-            std_error = (outer.std_error + inner.std_error) / delta
-            return BoundReport.compare("gaussian-surface-bound", bound, shell, std_error).excess
         spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
-        cfg = McConfig(
-            samples=prof.mc_samples, seed=derive_seed(seed, "gsurf", k), workers=prof.workers
-        )
-        return mcmod.mc_gaussian_shell(spec, cfg).lower - bound
+        cfg = McConfig(prof.mc_samples, derive_seed(seed, "gsurf", k), workers=prof.workers)
+        (shell,) = mcmod.union_measures(spec, ("gaussian-surface",), cfg)
+        return shell.lower - gaussian_surface_bound(dim, r, 1.0, norm)
 
     return [BoundReport.sweep("gaussian-surface-bound", 0.0, map(excess, range(len(shapes))))]
 

@@ -592,6 +592,42 @@ def test_mc_kneser_linf_past_the_cover_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error: the L-inf cover of 8 cubes in 8-d needs ") and err.count("\n") == 1
 
 
+def _verify_cubes(tmp_path, points, **params):
+    cfg = tmp_path / "exp.json"
+    params = {"points": points, "norm": "linf", "radius": 1.0, "checks": ["volume-constrained"], **params}
+    cfg.write_text(json.dumps({"name": "cubes", "module": "bounds", "seed": 4, "parameters": params}))
+    return cfg
+
+
+def test_verify_linf_past_the_cover_budget_exits_2(tmp_path, capsys):
+    # off the plane an L-inf volume is the cover's, which refuses the grid
+    # rather than sample
+    import numpy as np
+
+    cfg = _verify_cubes(tmp_path, np.random.default_rng(5).uniform(-1, 1, (8, 8)).tolist(), samples=1000)
+    assert main(["verify", "--experiment", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the L-inf cover of 8 cubes in 8-d needs ") and err.count("\n") == 1
+
+
+def test_verify_linf_off_the_plane_takes_the_cover_volume(tmp_path):
+    # the volume is cube_union_measures', and the surface the shell's draw
+    from parset import BoundReport, McConfig, NormKind, ParallelSetSpec, cube_union_measures, mc_shell_lebesgue
+    from parset._rng import derive_seed
+    from parset.bounds import bound_volume_constrained
+    from parset.experiment import load_experiment_config, run_verify_experiment
+
+    points = [[0.0, 0.0, 0.0], [0.5, 0.25, -0.5]]
+    cfg = _verify_cubes(tmp_path, points, samples=5000, delta=0.05)
+    (report,) = run_verify_experiment(load_experiment_config(cfg))
+    volume, _ = cube_union_measures(PointSet(points), 1.0)
+    spec = ParallelSetSpec(PointSet(points), NormKind.LINF, 1.0)
+    shell = mc_shell_lebesgue(spec, McConfig(samples=5000, seed=derive_seed(4, "shell"), shell_delta=0.05))
+    assert volume.samples_used == 0 and shell.samples_used == 5000
+    assert report == BoundReport.compare(
+        "volume-constrained", bound_volume_constrained(3, 1.0, volume.upper), shell.value, shell.std_error)
+
+
 def test_exact2d_square_past_the_cover_budget_exits_2(tmp_path, capsys):
     # 4097 squares in general position make a grid of 8194^2 cells, past the
     # cover's 2^26; the square boundary has no other path

@@ -29,7 +29,7 @@ from parset import (
     mc_halfspace_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
-    mc_volume_and_shell,
+    union_measures,
 )
 import parset
 from parset import Verdict, _kernels, exact2d
@@ -144,11 +144,30 @@ def _apex_fraction(dim):
     return [cap_solid_angle_fractions(dim, 0.9, apex, directions=2500, seed=3)[0]]
 
 
+def _union_measure(kind, dim, norm):
+    # kneser_is_exact names the cells where the volume is exact
+    base = PointSet([[0.0] * dim, [0.8, 0.3, -0.2][:dim]])
+    (est,) = union_measures(ParallelSetSpec(base=base, norm=norm, radius=0.5), (kind,), _CFG)
+    if kind == "volume":
+        assert mcmod.kneser_is_exact(dim, norm) is (est.samples_used == 0)
+    return [est]
+
+
+# union_measures' table: the draws behind each (kind, dim, norm) cell, 0 where it is exact
+_UNION_DRAWS = {
+    ("volume", 2, NormKind.L2): 0, ("volume", 2, NormKind.LINF): 0,
+    ("volume", 3, NormKind.L2): 3000, ("volume", 3, NormKind.LINF): 0,
+    ("surface", 2, NormKind.L2): 0, ("surface", 2, NormKind.LINF): 0,
+    ("surface", 3, NormKind.L2): 3000, ("surface", 3, NormKind.LINF): 3000,
+    ("gaussian-surface", 2, NormKind.L2): 3000, ("gaussian-surface", 2, NormKind.LINF): 0,
+    ("gaussian-surface", 3, NormKind.L2): 3000, ("gaussian-surface", 3, NormKind.LINF): 0,
+}
+
+
 # (estimator, the draws behind each of its estimates: 0 where the value is exact)
 _PROVENANCE = {
     "mc_volume": (lambda: [mc_volume(_PLANE, _CFG)], 3000),
     "mc_shell_lebesgue": (lambda: [mc_shell_lebesgue(_PLANE, _CFG)], 3000),
-    "mc_volume_and_shell": (lambda: list(mc_volume_and_shell(_PLANE, _CFG)), 3000),
     "mc_gaussian_shell": (lambda: [mc_gaussian_shell(_PLANE, _CFG)], 3000),
     "cube_union_measures": (lambda: list(cube_union_measures(_PLANE.base, 0.5)), 0),
     "cap-2d": (lambda: _apex_fraction(2), 0),
@@ -158,9 +177,16 @@ _PROVENANCE = {
     "entropy_quadrature": (lambda: [entropy_quadrature(_LINE)], 0),
     "fisher_information_mc": (lambda: [fisher_information_mc(_PLANAR_MIXTURE, n=2000, seed=1)], 2000),
     "fisher_information_quadrature": (lambda: [fisher_information_quadrature(_LINE)], 0),
-    "exact_volume-l2": (lambda: [mcmod._exact_volume(_PLANE.base, NormKind.L2, 0.5)], 0),
-    "exact_volume-linf": (lambda: [mcmod._exact_volume(_PLANE.base, NormKind.LINF, 0.5)], 0),
+    **{
+        f"union_measures-{kind}-{dim}d-{norm.value}": (lambda cell=(kind, dim, norm): _union_measure(*cell), draws)
+        for (kind, dim, norm), draws in _UNION_DRAWS.items()
+    },
 }
+
+
+def test_union_measures_rejects_an_unknown_kind():
+    with pytest.raises(InvalidArgumentError, match="unknown measure kinds"):
+        union_measures(_PLANE, ("volume", "area"), _CFG)
 
 
 @pytest.mark.parametrize("name", list(_PROVENANCE))
@@ -278,20 +304,24 @@ def test_kneser_planar_single_point_is_the_equality_case(norm):
             assert 0.0 < rep.std_error < 1e-12 * reach * rep.bound_value, (t, point)
 
 
+def _bump_first_volume(calls):
+    """union_measures with the first volume asked for raised by 1e-9 of
+    itself; calls collects the radii asked for."""
+    exact = mcmod.union_measures
+
+    def bumped(spec, kinds, cfg):
+        (volume,) = exact(spec, kinds, cfg)
+        calls.append(spec.radius)
+        return (dataclasses.replace(volume, value=volume.value * (1.0 + 1e-9)) if len(calls) == 1 else volume,)
+
+    return bumped
+
+
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
     # the same equality case with one area raised by 1e-9 of itself must FAIL
-    import parset.mc as mcmod
-
-    exact = mcmod._exact_volume
     calls = []
-
-    def bumped(base, norm, rho):
-        area = exact(base, norm, rho)
-        calls.append(rho)
-        return dataclasses.replace(area, value=area.value * (1.0 + 1e-9)) if len(calls) == 1 else area
-
-    monkeypatch.setattr(mcmod, "_exact_volume", bumped)
+    monkeypatch.setattr(mcmod, "union_measures", _bump_first_volume(calls))
     for t in (1.0, 1.2, 2.0):
         calls.clear()
         rep = kneser_shell_check(PointSet([[0.3, -0.7]]), norm, 0.5, 1.0, t, McConfig(samples=1, seed=0))
@@ -301,18 +331,12 @@ def test_kneser_planar_allowance_catches_a_1e9_bump(monkeypatch, norm):
 
 @pytest.mark.parametrize("norm", list(NormKind))
 def test_kneser_planar_shells_are_exact_areas(norm):
-    # each side is a difference of disk-union areas or of cover volumes, and
-    # cfg is not read
+    # each side is a difference of disk-union or square-union areas, and cfg
+    # is not read
     rng = np.random.default_rng(71)
     base = PointSet(rng.uniform(-1, 1, (5, 2)))
     rep = kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=1, seed=0))
-
-    def exact(rho):
-        if norm is NormKind.L2:
-            return exact2d.disk_union_area(base, rho)
-        return cube_union_measures(base, rho)[0].value
-
-    area = {rho: exact(rho) for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
+    area = {rho: exact2d.union_boundary(base, rho, norm).area() for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
     assert rep.measured == area[1.4 * 0.6] - area[1.4 * 0.3]
     assert rep.bound_value == 1.4**2 * (area[0.6] - area[0.3])
     assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
@@ -322,18 +346,16 @@ def test_kneser_planar_shells_are_exact_areas(norm):
 def test_kneser_shared_volumes_compute_each_radius_once(monkeypatch, norm, dim):
     # the suite's sweep, t in (1.2, 1.5, 2) at a = 0.5, b = 1: seven radii,
     # against twelve volumes for three lone calls, with the same reports
-    import parset.mc as mcmod
-
     base = PointSet(np.random.default_rng(72).uniform(-1, 1, (4, dim)))
     cfg = McConfig(samples=1, seed=0)
     alone = [kneser_shell_check(base, norm, 0.5, 1.0, t, cfg) for t in (1.2, 1.5, 2.0)]
-    exact, radii = mcmod._exact_volume, []
+    exact, radii = mcmod.union_measures, []
 
-    def counted(base, norm, rho):
-        radii.append(rho)
-        return exact(base, norm, rho)
+    def counted(spec, kinds, cfg):
+        radii.append(spec.radius)
+        return exact(spec, kinds, cfg)
 
-    monkeypatch.setattr(mcmod, "_exact_volume", counted)
+    monkeypatch.setattr(mcmod, "union_measures", counted)
     volumes = {}
     shared = [kneser_shell_check(base, norm, 0.5, 1.0, t, cfg, volumes) for t in (1.2, 1.5, 2.0)]
     assert shared == alone
@@ -343,18 +365,17 @@ def test_kneser_shared_volumes_compute_each_radius_once(monkeypatch, norm, dim):
 def test_kneser_check_computes_seven_volumes_per_exact_configuration(monkeypatch):
     # 13 of the check's 20 configurations are exact (every planar one and the
     # 3-d L-inf ones); each asks for seven radii, not twelve volumes
-    import parset.mc as mcmod
     from parset import suite
 
-    exact, calls = mcmod._exact_volume, []
+    exact, calls = mcmod.union_measures, []
 
-    def counted(base, norm, rho):
-        if not calls or calls[-1][0] is not base:
-            calls.append((base, []))
-        calls[-1][1].append(rho)
-        return exact(base, norm, rho)
+    def counted(spec, kinds, cfg):
+        if not calls or calls[-1][0] is not spec.base:
+            calls.append((spec.base, []))
+        calls[-1][1].append(spec.radius)
+        return exact(spec, kinds, cfg)
 
-    monkeypatch.setattr(mcmod, "_exact_volume", counted)
+    monkeypatch.setattr(mcmod, "union_measures", counted)
     suite.check_kneser(0, suite.profile_from_samples(100))
     assert len(calls) == 13
     assert all(sorted(radii) == [0.5, 0.6, 0.75, 1.0, 1.2, 1.5, 2.0] for _, radii in calls)
@@ -446,7 +467,9 @@ def test_planar_area_allowance_covers_the_rounding():
     # instances: the rounding stays below a quarter of the allowance
     import mpmath as mp
 
-    from parset.mc import _exact_volume
+    def area(points, norm, rho):
+        spec = ParallelSetSpec(base=PointSet(points), norm=norm, radius=rho)
+        return union_measures(spec, ("volume",), McConfig(samples=1, seed=0))[0]
 
     rng = np.random.default_rng(79)
     cases = [(rng.uniform(-1, 1, (int(rng.integers(1, 16)), 2)), float(rng.uniform(0.05, 3))) for _ in range(20)]
@@ -458,12 +481,15 @@ def test_planar_area_allowance_covers_the_rounding():
     cases += [(np.concatenate([dup, dup + rng.uniform(-1e-9, 1e-9, dup.shape)]), 0.6)]
     cases += [(rng.uniform(-1, 1, (4, 2)) * 3e-9, 1e-9), (rng.uniform(-1, 1, (4, 2)) * 1e-13, 3e-13)]
     cases += [(rng.uniform(-1, 1, (5, 2)) + off * rng.standard_normal(2), 0.7) for off in (1e3, 1e6, 1e10)]
+    # the cover rounds square faces at their absolute place, so these lose
+    # digits (4.3e-9 of the area), and the square allowance grows with it
+    cases += [(np.random.default_rng(41).uniform(-1, 1, (12, 2)) + 1e8, 0.8)]
     for k, (points, rho) in enumerate(cases):
-        base = PointSet(points)
-        area = _exact_volume(base, NormKind.L2, rho)
-        assert abs(mp.mpf(area.value) - _mp_disk_area(exact2d.disk_union_boundary(base, rho))) <= area.std_error / 4, k
-        area = _exact_volume(base, NormKind.LINF, rho)
-        assert abs(Fraction(area.value) - _fraction_square_area(points, rho)) <= area.std_error / 4, k
+        disks = area(points, NormKind.L2, rho)
+        want = _mp_disk_area(exact2d.disk_union_boundary(PointSet(points), rho))
+        assert abs(mp.mpf(disks.value) - want) <= disks.std_error / 4, k
+        squares = area(points, NormKind.LINF, rho)
+        assert abs(Fraction(squares.value) - _fraction_square_area(points, rho)) <= squares.std_error / 4, k
 
 
 # -- the exact L-inf cover --------------------------------------------------------
@@ -559,8 +585,6 @@ def test_cover_gaussian_of_one_cube_is_the_product(dim):
 
 
 def test_cover_matches_the_planar_square_areas():
-    from parset.mc import _exact_volume
-
     rng = np.random.default_rng(87)
     for k in range(300):
         points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 21)), 2))
@@ -657,17 +681,8 @@ def test_kneser_linf_single_point_is_the_equality_case(dim):
 @pytest.mark.parametrize("dim", [3, 4])
 def test_kneser_linf_allowance_catches_a_1e9_bump(monkeypatch, dim):
     # the equality case with the outer volume raised by 1e-9 of itself FAILs
-    import parset.mc as mcmod
-
-    exact = mcmod._exact_volume
     calls = []
-
-    def bumped(base, norm, rho):
-        volume = exact(base, norm, rho)
-        calls.append(rho)
-        return dataclasses.replace(volume, value=volume.value * (1.0 + 1e-9)) if len(calls) == 1 else volume
-
-    monkeypatch.setattr(mcmod, "_exact_volume", bumped)
+    monkeypatch.setattr(mcmod, "union_measures", _bump_first_volume(calls))
     for t in (1.0, 1.2, 2.0):
         calls.clear()
         point = PointSet([np.linspace(-0.7, 0.4, dim)])
@@ -689,15 +704,20 @@ def test_kneser_linf_shells_are_cover_volumes():
 
 
 def test_volume_and_shell_share_one_draw():
-    # the shell is the reference shell estimator to the bit, and the volume
-    # the reference volume count over the shell's wider box
+    # off the plane the surface is the reference shell estimator to the bit;
+    # the L2 volume is the reference volume count over the shell's wider box,
+    # and the L-inf one the cover's
     rng = np.random.default_rng(95)
     for dim, norm, delta in itertools.product((1, 3), NormKind, (None, 0.05)):
         base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
         spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
         cfg = McConfig(samples=CHUNK + 777, seed=int(rng.integers(1 << 32)), shell_delta=delta, workers=2)
-        volume, shell = mc_volume_and_shell(spec, cfg)
+        volume, shell = union_measures(spec, ("volume", "surface"), cfg)
         assert shell == reference_mc_shell_lebesgue(spec, cfg) == mc_shell_lebesgue(spec, cfg)
+        assert union_measures(spec, ("surface", "volume"), cfg) == (shell, volume)
+        if norm is NormKind.LINF:
+            assert volume == cube_union_measures(base, spec.radius)[0]
+            continue
         lo, hi, box_vol = reference_bounding_box(spec, reference_resolve_delta(cfg, spec.radius))
 
         def chunk(g, n):

@@ -25,8 +25,8 @@ from parset.suite import (
 # sha256 of results.csv for `parset suite all --samples S --seed K --workers 1`,
 # taken with these numpy and scipy versions; others may round differently
 _RESULTS_SHA256 = {
-    (100, 0): "0c238c0c00fa78e8589ac0b9b3f4c2267583e8afda25060a3e64783a97e785ca",
-    (20000, 3): "27b692de85ed67b3ed4144815ebea959bae223d21cdc491d6a3ce63e84592f29",
+    (100, 0): "6721e445344eaa0b8e734062d9e18b5ed5e41b6f96b080b1e55e37a325c028ab",
+    (20000, 3): "da55793b016d78b03a7824fe59fec58dd80d14636deb329d93d5b5dde929402c",
 }
 _RESULTS_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -98,11 +98,10 @@ _PUBLIC_NAMES = [
     "gaussian_surface_bound", "inscribed_angle_check",
     "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",
     "mc_gaussian_shell", "mc_halfspace_gaussian_shell", "mc_shell_lebesgue", "mc_volume",
-    "mc_volume_and_shell",
     "mixture_density", "reverse_bm_bound",
     "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
     "sample_complexity_n0", "sample_distribution", "square_union_area",
-    "square_union_boundary", "square_union_perimeter", "union_boundary",
+    "square_union_boundary", "square_union_perimeter", "union_boundary", "union_measures",
     "w1_empirical",
 ]
 
@@ -239,8 +238,8 @@ def test_verify_volume_constrained_takes_one_draw():
     reports = run_verify_experiment(ExperimentConfig("one-draw", "bounds", params, seed=4))
     by_name = {r.bound_name: r for r in reports}
     spec = ParallelSetSpec(PointSet(points), NormKind.L2, 1.0)
-    vol, shell = mcmod.mc_volume_and_shell(
-        spec, mcmod.McConfig(samples=6000, seed=derive_seed(4, "shell"), shell_delta=0.01))
+    vol, shell = mcmod.union_measures(
+        spec, ("volume", "surface"), mcmod.McConfig(samples=6000, seed=derive_seed(4, "shell"), shell_delta=0.01))
     assert by_name["volume-constrained"] == BoundReport.compare(
         "volume-constrained", bound_volume_constrained(3, 1.0, vol.value + 4.0 * vol.std_error),
         shell.value, shell.std_error)
@@ -316,30 +315,34 @@ def test_enclosing_radius_is_the_smallest_ball(dim):
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 def test_verify_plane_measures_one_exact_boundary(monkeypatch, norm):
-    # in the plane the area and perimeter are exact (std_error 0), from one
-    # boundary that the containment and volume checks share
-    from parset import experiment
+    # in the plane the area (with its rounding allowance) and the perimeter
+    # (std_error 0) are exact, from one boundary that the containment and
+    # volume checks share
     from parset.bounds import bound_union_in_ball, bound_union_in_cube, bound_volume_constrained
+    from parset.geometry import NormKind, ParallelSetSpec, PointSet
 
-    union_boundary, boundaries = experiment.ex2.union_boundary, []
+    points = [[0.0, 0.0], [0.5, -0.3], [0.1, 0.4]]
+    spec = ParallelSetSpec(PointSet(points), NormKind.parse(norm), 1.0)
+    (volume,) = mcmod.union_measures(spec, ("volume",), mcmod.McConfig(samples=10, seed=0))
+    union_boundary, boundaries = mcmod.exact2d.union_boundary, []
 
     def counted(*args):
         boundaries.append(union_boundary(*args))
         return boundaries[-1]
 
-    monkeypatch.setattr(experiment.ex2, "union_boundary", counted)
-    points = [[0.0, 0.0], [0.5, -0.3], [0.1, 0.4]]
+    monkeypatch.setattr(mcmod.exact2d, "union_boundary", counted)
     params = {"points": points, "norm": norm, "radius": 1.0, "samples": 10,
               "checks": ["union-in-ball", "union-in-cube", "volume-constrained"]}
     reports = run_verify_experiment(ExperimentConfig("plane", "bounds", params, seed=4))
     assert len(boundaries) == 1
-    area, perimeter = boundaries[0].area(), boundaries[0].perimeter()
+    perimeter = boundaries[0].perimeter()
+    assert volume.value == boundaries[0].area() and volume.std_error > 0.0
     cap = bound_union_in_ball(2, 1.0) if norm == "l2" else bound_union_in_cube(2, 1.0)
     name = "union-in-ball" if norm == "l2" else "union-in-cube"
     by_name = {r.bound_name: r for r in reports}
     assert by_name[name] == BoundReport.compare(name, cap, perimeter, 0.0)
     assert by_name["volume-constrained"] == BoundReport.compare(
-        "volume-constrained", bound_volume_constrained(2, 1.0, area), perimeter, 0.0)
+        "volume-constrained", bound_volume_constrained(2, 1.0, volume.upper), perimeter, 0.0)
 
 
 @pytest.mark.parametrize(
