@@ -3,6 +3,7 @@ and empirical robust-risk estimation."""
 
 __version__ = "0.1.0"
 
+from ._rng import threads
 from .bounds import (
     BoundReport,
     GaussianConstantBreakdown,

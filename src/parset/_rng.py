@@ -3,8 +3,12 @@
 Every Monte Carlo draw goes through a Philox stream keyed by the user seed.
 Work is split into fixed-size chunks; chunk k always starts at the same
 counter offset, and partial results are combined in chunk order.  Estimates
-are therefore bit-identical for a given seed regardless of how many worker
-threads execute the chunks.
+are therefore bit-identical for a given seed regardless of how many threads
+execute the chunks.
+
+That count is one scope, threads(n), not a parameter: map_reduce_chunks reads
+it, and nothing else in the package takes a thread count.  Outside any scope
+it is 1.  parset.suite.run_suite and the mc and epi commands enter it.
 
 The package's two Monte Carlo reductions run on map_reduce_chunks: band
 counts (mc._band_estimates, behind every estimate in mc, solid angles
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,13 +49,25 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def map_reduce_chunks(
-    seed: int,
-    total: int,
-    workers: int,
-    chunk_fn: Callable[[np.random.Generator, int], Sequence],
-):
-    """Run chunk_fn(gen, n) over all chunks; add the tuples in chunk order."""
+_THREADS: ContextVar[int] = ContextVar("parset_threads", default=1)
+
+
+@contextmanager
+def threads(n: int):
+    """Run the chunks of every Monte Carlo reduction inside on n threads; the
+    previous count comes back on exit, an exception's included."""
+    if n < 1:
+        raise InvalidArgumentError("workers must be >= 1")
+    token = _THREADS.set(n)
+    try:
+        yield
+    finally:
+        _THREADS.reset(token)
+
+
+def map_reduce_chunks(seed: int, total: int, chunk_fn: Callable[[np.random.Generator, int], Sequence]):
+    """Run chunk_fn(gen, n) over all chunks, on the threads of the enclosing
+    threads scope; add the tuples in chunk order."""
     if total < 1:
         raise InvalidArgumentError("total samples must be >= 1")
     sizes = [CHUNK] * (total // CHUNK)
@@ -59,10 +77,11 @@ def map_reduce_chunks(
     def run(k: int):
         return chunk_fn(chunk_generator(seed, k), sizes[k])
 
-    if workers <= 1 or len(sizes) == 1:
+    count = _THREADS.get()
+    if count == 1 or len(sizes) == 1:
         parts = [run(k) for k in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(count) as pool:
             parts = list(pool.map(run, range(len(sizes))))
     acc = list(parts[0])
     for part in parts[1:]:

@@ -19,6 +19,7 @@ from . import entropy as ent
 from . import exact2d as ex2
 from . import mc as mcmod
 from . import transport as tp
+from ._rng import threads
 from .bounds import BOUND_CATALOG, Verdict, all_pass, gaussian_constant
 from .errors import InvalidArgumentError, RangeOverflowError
 from .experiment import load_experiment_config, run_verify_experiment
@@ -117,6 +118,7 @@ _MC_KEYS = {
 
 
 def _cmd_mc(args) -> int:
+    positive_real(args.sigma, "--sigma")
     data = read_json(args.spec)
     kind = args.op
     if args.op == "gshell" and isinstance(data, dict) and "predicate" in data:
@@ -127,12 +129,7 @@ def _cmd_mc(args) -> int:
             )
         kind = "halfspace"
     data = json_object(data, args.spec, _MC_KEYS[kind])
-    cfg = McConfig(
-        samples=args.samples,
-        seed=args.seed,
-        shell_delta=args.delta,
-        workers=args.workers,
-    )
+    cfg = McConfig(samples=args.samples, seed=args.seed, shell_delta=args.delta)
     if kind == "halfspace":
         dim = json_count(data, "dim", 2, args.spec)
     elif args.op != "angle":
@@ -145,32 +142,31 @@ def _cmd_mc(args) -> int:
         trials = json_count(data, "trials", 10, args.spec)
         with reading(args.spec):
             cap = float(data.get("cap_half_angle", 0.9))
-    # "samples" counts the draws made, none for an exact value
-    if args.op == "kneser":
-        a_k, b_k, t = kneser_params(data, target.radius, args.spec)
-        rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
-        payload = {"value": rep.measured, "bound": rep.bound_value}
-        samples = 0 if mcmod.kneser_is_exact(target.base.dim, target.norm) else args.samples
-    elif args.op == "angle":
-        rep = mcmod.inscribed_angle_check(
-            dim, cap, trials, args.seed, directions=args.samples, workers=args.workers
-        )
-        payload = {"worst_deficit": rep.measured}
-        samples = 0 if mcmod.cap_is_exact(dim) else trials * args.samples
-    else:
-        if args.op == "volume":
-            est = mcmod.mc_volume(target, cfg)
-        elif args.op == "shell":
-            est = mcmod.mc_shell_lebesgue(target, cfg)
-        elif kind == "halfspace":
-            est = mcmod.mc_halfspace_gaussian_shell(dim, cfg, sigma=args.sigma)
+    with threads(args.workers):
+        # "samples" counts the draws made, none for an exact value
+        if args.op == "kneser":
+            a_k, b_k, t = kneser_params(data, target.radius, args.spec)
+            rep = mcmod.kneser_shell_check(target.base, target.norm, a_k, b_k, t, cfg)
+            payload = {"value": rep.measured, "bound": rep.bound_value}
+            samples = 0 if mcmod.kneser_is_exact(target.base.dim, target.norm) else args.samples
+        elif args.op == "angle":
+            rep = mcmod.inscribed_angle_check(dim, cap, trials, args.seed, directions=args.samples)
+            payload = {"worst_deficit": rep.measured}
+            samples = 0 if mcmod.cap_is_exact(dim) else trials * args.samples
         else:
-            est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
-        _emit(
-            {"value": est.value, "std_error": est.std_error, "samples": est.samples_used},
-            args.out,
-        )
-        return 0
+            if args.op == "volume":
+                est = mcmod.mc_volume(target, cfg)
+            elif args.op == "shell":
+                est = mcmod.mc_shell_lebesgue(target, cfg)
+            elif kind == "halfspace":
+                est = mcmod.mc_halfspace_gaussian_shell(dim, cfg, sigma=args.sigma)
+            else:
+                est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
+            _emit(
+                {"value": est.value, "std_error": est.std_error, "samples": est.samples_used},
+                args.out,
+            )
+            return 0
     payload.update(std_error=rep.std_error, samples=samples, verdict=rep.verdict.value)
     _emit(payload, args.out)
     return 0 if rep.verdict is not Verdict.FAIL else 1
@@ -328,9 +324,8 @@ def _cmd_epi(args) -> int:
     positive_real(args.smoothing, "--smoothing")
     gm_x = _load_mixture_file(args.x, args.smoothing)
     gm_y = _load_mixture_file(args.y, args.smoothing)
-    rep, h_x, h_y = ent.reverse_epi_check(
-        gm_x, gm_y, n=args.samples, seed=args.seed, workers=args.workers
-    )
+    with threads(args.workers):
+        rep, h_x, h_y = ent.reverse_epi_check(gm_x, gm_y, n=args.samples, seed=args.seed)
     _emit(
         {
             "h_x": h_x.value,

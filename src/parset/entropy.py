@@ -191,24 +191,24 @@ def _sample_mixture(gm: GaussianMixture, g: np.random.Generator, n: int) -> np.n
     return rows
 
 
-def _moment_mean(seed: int, n: int, workers: int, chunk_fn) -> MeasureEstimate:
+def _moment_mean(seed: int, n: int, chunk_fn) -> MeasureEstimate:
     """The mean of the per-sample array that chunk_fn(g, m) returns, over n
     samples, with its standard error; sums of v and v * v add in chunk
-    order, so workers do not change them."""
+    order, so the thread count does not change them."""
 
     def chunk(g, m):
         v = chunk_fn(g, m)
         return float(v.sum()), float((v * v).sum())
 
-    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    s1, s2 = map_reduce_chunks(seed, n, chunk)
     m1, m2 = s1 / n, s2 / n
     return MeasureEstimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)
 
 
-def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0, workers: int = 1) -> MeasureEstimate:
+def entropy_mc(gm: GaussianMixture, n: int = 1_000_000, seed: int = 0) -> MeasureEstimate:
     """Unbiased estimator: mean of -log p over samples of the mixture."""
     chunk = lambda g, m: -_log_density(gm, _sample_mixture(gm, g, m))
-    return _moment_mean(seed, n, workers, chunk)
+    return _moment_mean(seed, n, chunk)
 
 
 # standard deviations the quadrature grid reaches past the extreme atoms: at
@@ -298,37 +298,31 @@ def entropy_quadrature(gm: GaussianMixture) -> MeasureEstimate:
     return _trapezoid(gm, integrand, m0 * k + m2)
 
 
-def _entropy_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> MeasureEstimate:
+def _entropy_auto(gm: GaussianMixture, n: int, seed: int) -> MeasureEstimate:
     """Quadrature for a mixture whose grid fits _MAX_POINTS, Monte Carlo otherwise."""
     if _uses_grid(gm):
         return entropy_quadrature(gm)
-    return entropy_mc(gm, n=n, seed=seed, workers=workers)
+    return entropy_mc(gm, n=n, seed=seed)
 
 
 def reverse_epi_check(
-    gm_x: GaussianMixture,
-    gm_y: GaussianMixture,
-    n: int = 1_000_000,
-    seed: int = 0,
-    workers: int = 1,
+    gm_x: GaussianMixture, gm_y: GaussianMixture, n: int = 1_000_000, seed: int = 0
 ) -> tuple[BoundReport, MeasureEstimate, MeasureEstimate]:
     """h(X + Y) <= h(X) + h(Y) - (d/2) ln(pi r) for two mixtures of one
     variance r, with the estimates of h(X) and h(Y) it used.
 
     Entropies come from quadrature for mixtures whose grid fits _MAX_POINTS,
     Monte Carlo otherwise; the verdict allows 4 combined standard errors.
-    ``workers`` threads share the Monte Carlo chunks; the estimates do not
-    depend on it.
+    The Monte Carlo chunks run on the threads of the enclosing _rng.threads
+    scope; the estimates do not depend on their count.
     """
     if n < 1:  # checked here: a mixture the grid takes reads no n
         raise InvalidArgumentError("samples must be >= 1")
-    if workers < 1:
-        raise InvalidArgumentError("workers must be >= 1")
     if gm_x.variance != gm_y.variance:
         raise InvalidArgumentError("the two mixtures must share one variance r")
-    h_x = _entropy_auto(gm_x, n, seed, workers)
-    h_y = _entropy_auto(gm_y, n, seed + 1, workers)
-    h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2, workers)
+    h_x = _entropy_auto(gm_x, n, seed)
+    h_y = _entropy_auto(gm_y, n, seed + 1)
+    h_sum = _entropy_auto(convolve_mixtures(gm_x, gm_y), n, seed + 2)
     bound = h_x.value + h_y.value + reverse_epi_constant(gm_x.dim, gm_x.variance)
     combined = math.sqrt(h_x.std_error**2 + h_y.std_error**2 + h_sum.std_error**2)
     report = BoundReport.compare(
@@ -369,15 +363,13 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
     return _kernels.pairwise_sum(np.square(v).T)
 
 
-def fisher_information_mc(
-    gm: GaussianMixture, n: int = 200_000, seed: int = 0, workers: int = 1
-) -> MeasureEstimate:
+def fisher_information_mc(gm: GaussianMixture, n: int = 200_000, seed: int = 0) -> MeasureEstimate:
     """Mean squared score norm; for smoothed variables this never exceeds d/var."""
 
     def chunk(g, m):
         return _squared_norms(_score_batch(gm, _sample_mixture(gm, g, m)))
 
-    return _moment_mean(seed, n, workers, chunk)
+    return _moment_mean(seed, n, chunk)
 
 
 def fisher_information_quadrature(gm: GaussianMixture) -> MeasureEstimate:
@@ -396,11 +388,11 @@ def fisher_information_quadrature(gm: GaussianMixture) -> MeasureEstimate:
     return _trapezoid(gm, integrand, 2.0 * _tail_moments(gm.dim)[1] / gm.variance)
 
 
-def _fisher_auto(gm: GaussianMixture, n: int, seed: int, workers: int = 1) -> MeasureEstimate:
+def _fisher_auto(gm: GaussianMixture, n: int, seed: int) -> MeasureEstimate:
     """Quadrature for a mixture whose grid fits _MAX_POINTS, Monte Carlo otherwise."""
     if _uses_grid(gm):
         return fisher_information_quadrature(gm)
-    return fisher_information_mc(gm, n=n, seed=seed, workers=workers)
+    return fisher_information_mc(gm, n=n, seed=seed)
 
 
 # half the step of de_bruijn_check's central difference

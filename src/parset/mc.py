@@ -27,11 +27,12 @@ solid angle seen from an apex, the Gaussian measure of a cone, is a band
 count from 4-d up and exact in 2-d and 3-d (two atan2 calls; complete
 elliptic integrals), as the central cap's is in every dimension.
 Sampling is chunked over counter-based streams (see _rng), so a fixed seed
-reproduces estimates bit-for-bit no matter the worker count.  A box draw is
-scaled one coordinate column at a time into a (d, m) buffer and handed on as
-its transpose, which min_dist scans without a copy.  Shell estimators carry
-an O(delta) bias that callers fold into tolerances; the default shell width
-is r / 1000, and 1 / 1000 beside the halfspace.
+reproduces estimates bit-for-bit no matter how many threads the enclosing
+_rng.threads scope gives the chunks.  A box draw is scaled one coordinate
+column at a time into a (d, m) buffer and handed on as its transpose, which
+min_dist scans without a copy.  Shell estimators carry an O(delta) bias that
+callers fold into tolerances; the default shell width is r / 1000, and
+1 / 1000 beside the halfspace.
 """
 
 from __future__ import annotations
@@ -53,15 +54,12 @@ class McConfig:
     samples: int
     seed: int
     shell_delta: float | None = None  # None resolves to r / 1000 at use
-    workers: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise InvalidArgumentError("samples must be >= 1")
         if self.shell_delta is not None:
             positive_real(self.shell_delta, "shell_delta")
-        if self.workers < 1:
-            raise InvalidArgumentError("workers must be >= 1")
 
 
 def _target(spec: ParallelSetSpec):
@@ -78,12 +76,19 @@ def _band_estimates(
     All bands are counted on one sample stream.  With box = (points, reach)
     X is uniform in the bounding box of points padded by reach and scale is
     the box volume, which must be finite; with box None X ~ N(0, sigma^2 I)
-    and scale is 1.
+    and scale is 1, and a draw past double range raises RangeOverflowError.
     """
     if box is None:
         positive_real(sigma, "sigma")
         scale = 1.0
-        draw = lambda g, m: g.standard_normal((m, dim)) * sigma
+
+        def draw(g, m):
+            with np.errstate(over="ignore"):
+                x = g.standard_normal((m, dim)) * sigma
+            # a finite draw times sigma <= 1 stays finite, so only sigma > 1 pays the scan
+            if sigma > 1.0 and not np.isfinite(x).all():
+                raise RangeOverflowError(f"a Gaussian draw at sigma {sigma:g} exceeds double range")
+            return x
     else:
         points, reach = box
         with np.errstate(over="ignore"):  # an infinite box is rejected below
@@ -108,7 +113,7 @@ def _band_estimates(
 
     n = cfg.samples
     estimates = []
-    for hits, (_, _, delta) in zip(map_reduce_chunks(cfg.seed, n, cfg.workers, chunk), bands):
+    for hits, (_, _, delta) in zip(map_reduce_chunks(cfg.seed, n, chunk), bands):
         p = hits / n
         se = scale * math.sqrt(p * (1.0 - p) / n)
         estimates.append(MeasureEstimate(scale * p / delta, se / delta, n))
@@ -434,22 +439,18 @@ def _exact_cap_fraction(dim: int, cap_half_angle: float, apex: np.ndarray) -> Me
 
 
 def cap_solid_angle_fractions(
-    dim: int,
-    cap_half_angle: float,
-    apex: np.ndarray,
-    directions: int,
-    seed: int,
-    workers: int = 1,
+    dim: int, cap_half_angle: float, apex: np.ndarray, directions: int, seed: int
 ) -> tuple[MeasureEstimate, float]:
     """(fraction at apex, exact fraction at centre) of the full sphere.
 
     The cap sits on the unit sphere around axis e_0 with the given half
     angle; the apex fraction is the share of directions whose ray from the
     apex leaves the ball through the cap.  In 2-d and 3-d it is exact
-    (_exact_cap_fraction; std_error is its rounding allowance, and directions,
-    seed and workers are only checked).  From 4-d up it is the Gaussian
-    measure of that cone of directions, one band count over `directions`
-    draws.  The central fraction is central_cap_fraction.
+    (_exact_cap_fraction; std_error is its rounding allowance, and directions
+    and seed are only checked).  From 4-d up it is the Gaussian measure of
+    that cone of directions, one band count over `directions` draws, on the
+    threads of the enclosing _rng.threads scope.  The central fraction is
+    central_cap_fraction.
     """
     if dim < 2:
         raise InvalidArgumentError("dim must be >= 2")
@@ -458,7 +459,7 @@ def cap_solid_angle_fractions(
     apex = np.asarray(apex, dtype=np.float64)
     if apex.shape != (dim,) or np.linalg.norm(apex) > 1.0 + 1e-9:
         raise InvalidArgumentError("apex must be a d-vector inside the closed unit ball")
-    cfg = McConfig(samples=directions, seed=seed, workers=workers)
+    cfg = McConfig(samples=directions, seed=seed)
     central = central_cap_fraction(dim, cap_half_angle)
     if cap_is_exact(dim):
         return _exact_cap_fraction(dim, cap_half_angle, apex), central
@@ -477,12 +478,7 @@ def cap_solid_angle_fractions(
 
 
 def inscribed_angle_check(
-    dim: int,
-    cap_half_angle: float,
-    trials: int,
-    seed: int,
-    directions: int = 200_000,
-    workers: int = 1,
+    dim: int, cap_half_angle: float, trials: int, seed: int, directions: int = 200_000
 ) -> BoundReport:
     """Solid angle of a spherical cap from an interior apex vs from the centre.
 
@@ -501,7 +497,7 @@ def inscribed_angle_check(
     def report(k):
         sub = derive_seed(seed, "inscribed-angle", k)
         apex = uniform_in_ball(chunk_generator(derive_seed(sub, "apex"), 0), 1, dim)[0]
-        fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub, workers)
+        fa, fc = cap_solid_angle_fractions(dim, cap_half_angle, apex, directions, sub)
         return BoundReport.compare("inscribed-angle", 0.0, fc / shrink - fa.value, fa.std_error)
 
     reports = [report(k) for k in range(trials)]

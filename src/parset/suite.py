@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from . import entropy as ent
 from . import exact2d as ex2
 from . import mc as mcmod
 from . import transport as tp
-from ._rng import chunk_generator, derive_seed, uniform_in_ball, uniform_in_cube
+from ._rng import chunk_generator, derive_seed, threads, uniform_in_ball, uniform_in_cube
 from .bounds import (
     BoundReport,
     all_pass,
@@ -45,9 +45,9 @@ from .mc import McConfig
 
 @dataclass(frozen=True)
 class Profile:
-    """Sample budgets, and the threads that share each Monte Carlo estimate's
-    chunks; the default budgets match the stated tolerances, and the results
-    do not depend on the thread count."""
+    """Sample budgets; the defaults match the stated tolerances.  The threads
+    that share each Monte Carlo estimate's chunks are not a budget: run_suite
+    enters an _rng.threads scope, and the results do not depend on it."""
 
     mc_samples: int = 1_000_000
     halfspace_samples: int = 10_000_000
@@ -66,7 +66,6 @@ class Profile:
     sandwich_count: int = 100
     convergence_grid: tuple = (25, 50, 100, 200, 400)
     convergence_trials: int = 20
-    workers: int = 1
 
 
 FULL = Profile()
@@ -187,7 +186,7 @@ def check_volume_constrained(seed: int, prof: Profile) -> list[BoundReport]:
                 centers = uniform_in_ball(g, int(g.integers(1, 12)), 3) * 1.2
             spec = ParallelSetSpec(base=PointSet(centers), norm=norm, radius=r)
             sub = derive_seed(seed, "volume-constrained-3d", k) + 1
-            cfg = McConfig(prof.shell3d_samples, sub, workers=prof.workers)
+            cfg = McConfig(prof.shell3d_samples, sub)
             volume, surface = mcmod.union_measures(spec, ("volume", "surface"), cfg)
             yield surface.lower - bound_volume_constrained(dim, r, volume.upper)
 
@@ -211,11 +210,7 @@ def check_kneser(seed: int, prof: Profile) -> list[BoundReport]:
             norm = NormKind.L2 if k % 3 else NormKind.LINF
             volumes = {}  # the exact volumes of this configuration, by radius
             for t in (1.2, 1.5, 2.0):
-                cfg = McConfig(
-                    samples=prof.kneser_samples,
-                    seed=derive_seed(seed, "kneser", k, t),
-                    workers=prof.workers,
-                )
+                cfg = McConfig(samples=prof.kneser_samples, seed=derive_seed(seed, "kneser", k, t))
                 rep = mcmod.kneser_shell_check(
                     centers, norm, a_k=0.5, b_k=1.0, t=t, cfg=cfg, volumes=volumes
                 )
@@ -262,9 +257,8 @@ def check_inscribed_angle(seed: int, prof: Profile) -> list[BoundReport]:
 def check_gaussian_calibration(seed: int, prof: Profile) -> list[BoundReport]:
     """Halfspace shell estimate, at the default delta 1/1000, against the
     exact constant 1/sqrt(2 pi)."""
-    est = mcmod.mc_halfspace_gaussian_shell(
-        3, McConfig(prof.halfspace_samples, derive_seed(seed, "halfspace"), workers=prof.workers)
-    )
+    cfg = McConfig(prof.halfspace_samples, derive_seed(seed, "halfspace"))
+    est = mcmod.mc_halfspace_gaussian_shell(3, cfg)
     target = 1.0 / math.sqrt(2.0 * math.pi)
     return [
         BoundReport.compare(
@@ -285,7 +279,7 @@ def check_gaussian_surface_bound(seed: int, prof: Profile) -> list[BoundReport]:
         r = float(g.uniform(0.3, 1.5))
         centers = PointSet(uniform_in_ball(g, int(g.integers(1, 9)), dim) * 1.5)
         spec = ParallelSetSpec(base=centers, norm=norm, radius=r)
-        cfg = McConfig(prof.mc_samples, derive_seed(seed, "gsurf", k), workers=prof.workers)
+        cfg = McConfig(prof.mc_samples, derive_seed(seed, "gsurf", k))
         (shell,) = mcmod.union_measures(spec, ("gaussian-surface",), cfg)
         return shell.lower - gaussian_surface_bound(dim, r, 1.0, norm)
 
@@ -318,7 +312,7 @@ def check_reverse_bm(seed: int, prof: Profile) -> list[BoundReport]:
         sum_set = PointSet((k_pts[:, None, :] + l_pts[None, :, :]).reshape(-1, 2))
         est = mcmod.mc_volume(
             ParallelSetSpec(base=sum_set, norm=NormKind.L2, radius=2.0 * r),
-            McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k), workers=prof.workers),
+            McConfig(samples=samples, seed=derive_seed(seed, "bm-mc", k)),
         )
         bound = vol_k * vol_l * reverse_bm_bound(2, r)
         exact_sum = ex2.disk_union_area(sum_set, 2.0 * r)
@@ -482,9 +476,7 @@ def check_fisher_de_bruijn(seed: int, prof: Profile) -> list[BoundReport]:
             weights=w / w.sum(),
             variance=float(g.uniform(0.3, 1.5)),
         )
-        est = ent._fisher_auto(
-            gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k), workers=prof.workers
-        )
+        est = ent._fisher_auto(gm, n=prof.entropy_samples, seed=derive_seed(seed, "fisher", k))
         return est.lower - gm.dim / gm.variance
 
     def de_bruijn_excess(_):
@@ -580,23 +572,23 @@ def run_suite(
     log=None,
 ) -> list[BoundReport]:
     """Run one suite and return its reports; with out_dir set, write its
-    results (CSV, or JSON when fmt is "json") and a timing manifest there."""
+    results (CSV, or JSON when fmt is "json") and a timing manifest there.
+    The checks run inside _rng.threads(workers), which no result depends on."""
     if suite_name not in SUITES:
         raise InvalidArgumentError(
             f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
         )
     if samples is not None and samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
-    if workers < 1:
-        raise InvalidArgumentError("workers must be >= 1")
-    prof = replace(profile_from_samples(samples), workers=workers)
+    prof = profile_from_samples(samples)
     started = time.monotonic()
     collected: list[tuple[str, BoundReport]] = []
-    for check_name in SUITES[suite_name]:
-        for rep in CHECKS[check_name](seed, prof):
-            collected.append((check_name, rep))
-            if log is not None:
-                log(report_line(check_name, rep))
+    with threads(workers):
+        for check_name in SUITES[suite_name]:
+            for rep in CHECKS[check_name](seed, prof):
+                collected.append((check_name, rep))
+                if log is not None:
+                    log(report_line(check_name, rep))
     wall = time.monotonic() - started
     reports = [rep for _, rep in collected]
     if out_dir is not None:

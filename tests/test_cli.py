@@ -424,15 +424,16 @@ def test_epi_entropies_are_the_direct_estimates(tmp_path):
             assert payload[key] == want.value
 
 
-def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch):
-    from parset import entropy
+def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch, capsys):
+    from parset import _rng, entropy
 
+    # the thread count of the scope each entropy's reduction runs in
     seen = []
     map_reduce_chunks = entropy.map_reduce_chunks
 
-    def recording(seed, total, workers, chunk_fn):
-        seen.append(workers)
-        return map_reduce_chunks(seed, total, workers, chunk_fn)
+    def recording(seed, total, chunk_fn):
+        seen.append(_rng._THREADS.get())
+        return map_reduce_chunks(seed, total, chunk_fn)
 
     monkeypatch.setattr(entropy, "map_reduce_chunks", recording)
     # 4-d mixtures, which no quadrature grid takes
@@ -452,6 +453,7 @@ def test_epi_workers_reach_the_estimator(tmp_path, monkeypatch):
     assert written[0] == written[1]
     assert main(["epi", "--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json"),
                  "--smoothing", "0.5", "--samples", "1000", "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
 
 
 def test_suite_smoke_exit_code(tmp_path):
@@ -920,6 +922,15 @@ NON_FINITE = {
     "mc-gshell-delta-inf": (_SPEC, [*_GSHELL, "--delta", "inf"]),
     "mc-gshell-sigma-inf": (_SPEC, [*_GSHELL, "--sigma", "inf"]),
     "mc-gshell-sigma-nan": (_SPEC, [*_GSHELL, "--sigma", "nan"]),
+    # --sigma was checked only where a Gaussian shell read it
+    "mc-volume-sigma-nan": (_SPEC, ["mc", "--op", "volume", "--spec", "spec.json", "--samples", "1000",
+                                    "--sigma", "nan"]),
+    "mc-kneser-sigma-negative": (_kneser(), [*_KNESER, "--sigma", "-1"]),
+    # sigma times a normal draw past double range: a ValueError traceback
+    # from min_dist, and 0 +- 0 beside the halfspace
+    "mc-gshell-sigma-huge": (_SPEC, [*_GSHELL, "--sigma", "1e308"]),
+    "mc-halfspace-sigma-huge": ({"spec.json": {"predicate": "halfspace", "dim": 3}},
+                                [*_GSHELL, "--sigma", "1e308"]),
     "mc-shell-box-overflow": (_SPEC, ["mc", "--op", "shell", "--spec", "spec.json",
                                       "--samples", "1000", "--delta", "1e308"]),
     # the planar shells are exact areas, and A(t b) is past double range
@@ -972,6 +983,15 @@ def test_non_finite_scalars_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err
     assert "[PASS]" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [_GSHELL, ["suite", "gaussian", "--samples", "100"]])
+def test_workers_below_one_exit_2_before_any_draw(tmp_path, capsys, argv):
+    # the thread count is checked where the command enters its scope
+    _write_files(tmp_path, _SPEC)
+    assert main([str(tmp_path / a) if a in _SPEC else a for a in argv] + ["--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: workers must be >= 1\n")
 
 
 @pytest.mark.parametrize("case", ["dr-weights-null", "epi-weights-null"])

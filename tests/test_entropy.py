@@ -23,7 +23,7 @@ from parset import (
     mixture_density,
     reverse_epi_check,
 )
-from parset._rng import _COUNT_MAX_ATOMS, CHUNK, atom_rows, map_reduce_chunks
+from parset._rng import _COUNT_MAX_ATOMS, CHUNK, atom_rows, map_reduce_chunks, threads
 from parset.cli import main
 from parset import entropy
 from parset.entropy import _fisher_auto, _log_density, _row_logsumexp, _score_batch
@@ -650,31 +650,31 @@ def reference_sample_mixture(gm, g, n):
     return gm.atoms[idx] + g.standard_normal((n, gm.dim)) * math.sqrt(gm.variance)
 
 
-def reference_entropy_mc(gm, n=1_000_000, seed=0, workers=1):
+def reference_entropy_mc(gm, n=1_000_000, seed=0):
     def chunk(g, m):
         v = -_log_density(gm, reference_sample_mixture(gm, g, m))
         return float(v.sum()), float((v * v).sum())
 
-    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    s1, s2 = map_reduce_chunks(seed, n, chunk)
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0)
     return MeasureEstimate(mean, math.sqrt(var / n), n)
 
 
-def reference_fisher_information_mc(gm, n=200_000, seed=0, workers=1):
+def reference_fisher_information_mc(gm, n=200_000, seed=0):
     def chunk(g, m):
         x = reference_sample_mixture(gm, g, m)
         s2 = (_score_batch(gm, x) ** 2).sum(axis=1)
         return float(s2.sum()), float((s2 * s2).sum())
 
-    s1, s2 = map_reduce_chunks(seed, n, workers, chunk)
+    s1, s2 = map_reduce_chunks(seed, n, chunk)
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0)
     return MeasureEstimate(mean, math.sqrt(var / n), n)
 
 
 def test_moment_core_matches_reference_estimators():
-    # two chunks, the last one partial, so two workers split the stream
+    # two chunks, the last one partial, so two threads split the stream
     n = CHUNK + 2345
     rng = np.random.default_rng(25)
     for dim, workers in itertools.product(range(1, 5), (1, 2)):
@@ -683,10 +683,9 @@ def test_moment_core_matches_reference_estimators():
         atoms, weights = rng.uniform(-2.0, 2.0, (k, dim)), w / w.sum()
         gm = GaussianMixture(atoms=atoms, weights=weights, variance=float(rng.uniform(0.3, 1.5)))
         seed = int(rng.integers(1 << 32))
-        assert entropy_mc(gm, n, seed, workers) == reference_entropy_mc(gm, n, seed, workers)
-        assert fisher_information_mc(gm, n, seed, workers) == reference_fisher_information_mc(
-            gm, n, seed, workers
-        )
+        with threads(workers):
+            assert entropy_mc(gm, n, seed) == reference_entropy_mc(gm, n, seed)
+            assert fisher_information_mc(gm, n, seed) == reference_fisher_information_mc(gm, n, seed)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

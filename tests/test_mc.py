@@ -29,10 +29,11 @@ from parset import (
     mc_halfspace_gaussian_shell,
     mc_shell_lebesgue,
     mc_volume,
+    threads,
     union_measures,
 )
 import parset
-from parset import Verdict, _kernels, exact2d
+from parset import Verdict, _kernels, _rng, exact2d
 from parset import mc as mcmod
 from parset._kernels import min_dist
 from parset._rng import CHUNK, chunk_generator, map_reduce_chunks, uniform_in_ball
@@ -218,15 +219,16 @@ def test_determinism_across_workers():
         lambda cfg: mc_halfspace_gaussian_shell(3, cfg, sigma=1.5),
         lambda cfg: kneser_shell_check(base, NormKind.LINF, 0.2, 0.5, 1.3, cfg),
     )
+    cfg = McConfig(samples=300_000, seed=42)
     for estimate in estimators:
-        a = estimate(McConfig(samples=300_000, seed=42, workers=1))
-        b = estimate(McConfig(samples=300_000, seed=42, workers=4))
-        assert a == b
+        with threads(4):
+            b = estimate(cfg)
+        assert estimate(cfg) == b
     gm = GaussianMixture(atoms=[[0.0, 0.0], [1.0, 0.5]], weights=[0.3, 0.7], variance=0.4)
     for estimate in (entropy_mc, fisher_information_mc):
-        assert estimate(gm, n=150_000, seed=43, workers=1) == estimate(
-            gm, n=150_000, seed=43, workers=2
-        )
+        with threads(2):
+            b = estimate(gm, n=150_000, seed=43)
+        assert estimate(gm, n=150_000, seed=43) == b
 
 
 def test_unbiasedness_pooled():
@@ -339,7 +341,8 @@ def test_kneser_planar_shells_are_exact_areas(norm):
     area = {rho: exact2d.union_boundary(base, rho, norm).area() for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
     assert rep.measured == area[1.4 * 0.6] - area[1.4 * 0.3]
     assert rep.bound_value == 1.4**2 * (area[0.6] - area[0.3])
-    assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
+    with threads(2):
+        assert rep == kneser_shell_check(base, norm, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5))
 
 
 @pytest.mark.parametrize("norm, dim", [(NormKind.L2, 2), (NormKind.LINF, 2), (NormKind.LINF, 3)])
@@ -700,7 +703,8 @@ def test_kneser_linf_shells_are_cover_volumes():
     volume = {rho: cube_union_measures(base, rho)[0].value for rho in (0.3, 0.6, 1.4 * 0.3, 1.4 * 0.6)}
     assert rep.measured == volume[1.4 * 0.6] - volume[1.4 * 0.3]
     assert rep.bound_value == 1.4**3 * (volume[0.6] - volume[0.3])
-    assert rep == kneser_shell_check(base, NormKind.LINF, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5, workers=2))
+    with threads(2):
+        assert rep == kneser_shell_check(base, NormKind.LINF, 0.3, 0.6, 1.4, McConfig(samples=99, seed=5))
 
 
 def test_volume_and_shell_share_one_draw():
@@ -708,24 +712,25 @@ def test_volume_and_shell_share_one_draw():
     # the L2 volume is the reference volume count over the shell's wider box,
     # and the L-inf one the cover's
     rng = np.random.default_rng(95)
-    for dim, norm, delta in itertools.product((1, 3), NormKind, (None, 0.05)):
-        base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
-        spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
-        cfg = McConfig(samples=CHUNK + 777, seed=int(rng.integers(1 << 32)), shell_delta=delta, workers=2)
-        volume, shell = union_measures(spec, ("volume", "surface"), cfg)
-        assert shell == reference_mc_shell_lebesgue(spec, cfg) == mc_shell_lebesgue(spec, cfg)
-        assert union_measures(spec, ("surface", "volume"), cfg) == (shell, volume)
-        if norm is NormKind.LINF:
-            assert volume == cube_union_measures(base, spec.radius)[0]
-            continue
-        lo, hi, box_vol = reference_bounding_box(spec, reference_resolve_delta(cfg, spec.radius))
+    with threads(2):
+        for dim, norm, delta in itertools.product((1, 3), NormKind, (None, 0.05)):
+            base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
+            spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
+            cfg = McConfig(samples=CHUNK + 777, seed=int(rng.integers(1 << 32)), shell_delta=delta)
+            volume, shell = union_measures(spec, ("volume", "surface"), cfg)
+            assert shell == reference_mc_shell_lebesgue(spec, cfg) == mc_shell_lebesgue(spec, cfg)
+            assert union_measures(spec, ("surface", "volume"), cfg) == (shell, volume)
+            if norm is NormKind.LINF:
+                assert volume == cube_union_measures(base, spec.radius)[0]
+                continue
+            lo, hi, box_vol = reference_bounding_box(spec, reference_resolve_delta(cfg, spec.radius))
 
-        def chunk(g, n):
-            x = lo + g.random((n, dim)) * (hi - lo)
-            return (int((reference_spec_distances(spec, x) <= spec.radius).sum()),)
+            def chunk(g, n):
+                x = lo + g.random((n, dim)) * (hi - lo)
+                return (int((reference_spec_distances(spec, x) <= spec.radius).sum()),)
 
-        (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
-        assert volume == reference_proportion_estimate(hits, cfg.samples, box_vol)
+            (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, chunk)
+            assert volume == reference_proportion_estimate(hits, cfg.samples, box_vol)
 
 
 def _parent_cap_fractions(dim, cap_half_angle, apex, directions, seed):
@@ -901,7 +906,8 @@ def test_inscribed_angle_2d_on_circle():
 def test_cap_fractions_do_not_depend_on_workers():
     apex = np.array([0.1, -0.4, 0.2, 0.3])
     one = cap_solid_angle_fractions(4, 1.1, apex, 200_000, seed=24)
-    two = cap_solid_angle_fractions(4, 1.1, apex, 200_000, seed=24, workers=2)
+    with threads(2):
+        two = cap_solid_angle_fractions(4, 1.1, apex, 200_000, seed=24)
     assert one == two
 
 
@@ -1030,8 +1036,20 @@ def test_mcconfig_validation():
         McConfig(samples=0, seed=1)
     with pytest.raises(InvalidArgumentError):
         McConfig(samples=10, seed=1, shell_delta=0.0)
-    with pytest.raises(InvalidArgumentError):
-        McConfig(samples=10, seed=1, workers=0)
+    # a scope of no threads raises on entry, before any draw
+    drawn = []
+    with pytest.raises(InvalidArgumentError, match="workers must be >= 1"):
+        with threads(0):
+            drawn.append(mc_volume(spec_point(2), McConfig(samples=10, seed=1)))
+    assert drawn == []
+    # each scope gives the previous count back, also after an exception
+    with threads(2):
+        with pytest.raises(InvalidArgumentError):
+            with threads(3):
+                assert _rng._THREADS.get() == 3
+                McConfig(samples=0, seed=1)
+        assert _rng._THREADS.get() == 2
+    assert _rng._THREADS.get() == 1
 
 
 # The estimators as they were before they shared mc._band_estimates, kept
@@ -1066,7 +1084,7 @@ def reference_mc_volume(spec, cfg):
         x = lo + g.random((n, spec.base.dim)) * span
         return (int((reference_spec_distances(spec, x) <= spec.radius).sum()),)
 
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, chunk)
     return reference_proportion_estimate(hits, cfg.samples, box_vol)
 
 
@@ -1085,7 +1103,7 @@ def reference_mc_shell_lebesgue(spec, cfg):
         d = reference_spec_distances(spec, x)
         return (int(((d > r) & (d <= r + delta)).sum()),)
 
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, chunk)
     est = reference_proportion_estimate(hits, cfg.samples, box_vol)
     return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
 
@@ -1099,7 +1117,7 @@ def reference_gaussian_shell(dim, inner, dist_fn, delta, cfg, sigma):
         d = dist_fn(x)
         return (int(((d > inner) & (d <= inner + delta)).sum()),)
 
-    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    (hits,) = map_reduce_chunks(cfg.seed, cfg.samples, chunk)
     est = reference_proportion_estimate(hits, cfg.samples, 1.0)
     return MeasureEstimate(est.value / delta, est.std_error / delta, est.samples_used)
 
@@ -1129,7 +1147,7 @@ def reference_kneser_shell_check(base, norm, a_k, b_k, t, cfg):
         rhs = int(((d > a_k) & (d <= b_k)).sum())
         return lhs, rhs
 
-    lhs_hits, rhs_hits = map_reduce_chunks(cfg.seed, cfg.samples, cfg.workers, chunk)
+    lhs_hits, rhs_hits = map_reduce_chunks(cfg.seed, cfg.samples, chunk)
     lhs = reference_proportion_estimate(lhs_hits, cfg.samples, box_vol)
     rhs = reference_proportion_estimate(rhs_hits, cfg.samples, box_vol)
     scale = t**dim
@@ -1140,37 +1158,38 @@ def reference_kneser_shell_check(base, norm, a_k, b_k, t, cfg):
 
 
 def test_band_core_matches_reference_estimators():
-    # two chunks, the last one partial, so two workers split the stream
+    # two chunks, the last one partial, so two threads split the stream
     samples = CHUNK + 4321
     rng = np.random.default_rng(24)
     for dim, norm, delta, workers in itertools.product(
         range(1, 5), NormKind, (None, 0.03), (1, 2)
     ):
-        seed = int(rng.integers(1 << 32))
-        cfg = McConfig(samples=samples, seed=seed, shell_delta=delta, workers=workers)
-        base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
-        spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
-        sigma = float(rng.uniform(0.5, 2.0))
-        pairs = [
-            (mc_volume(spec, cfg), reference_mc_volume(spec, cfg)),
-            (mc_shell_lebesgue(spec, cfg), reference_mc_shell_lebesgue(spec, cfg)),
-        ]
-        # planar shells are exact areas (test_kneser_planar_shells_are_exact_areas),
-        # L-inf ones exact cube-union volumes in every dimension
-        if dim != 2 and norm is NormKind.L2:
-            pairs.append(
-                (
-                    kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
-                    reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+        with threads(workers):
+            seed = int(rng.integers(1 << 32))
+            cfg = McConfig(samples=samples, seed=seed, shell_delta=delta)
+            base = PointSet(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 9)), dim)))
+            spec = ParallelSetSpec(base=base, norm=norm, radius=float(rng.uniform(0.2, 1.0)))
+            sigma = float(rng.uniform(0.5, 2.0))
+            pairs = [
+                (mc_volume(spec, cfg), reference_mc_volume(spec, cfg)),
+                (mc_shell_lebesgue(spec, cfg), reference_mc_shell_lebesgue(spec, cfg)),
+            ]
+            # planar shells are exact areas (test_kneser_planar_shells_are_exact_areas),
+            # L-inf ones exact cube-union volumes in every dimension
+            if dim != 2 and norm is NormKind.L2:
+                pairs.append(
+                    (
+                        kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+                        reference_kneser_shell_check(base, norm, 0.3, 0.6, 1.4, cfg),
+                    )
                 )
-            )
-        pairs += [
-            (mc_gaussian_shell(spec, cfg, sigma), reference_mc_gaussian_shell(spec, cfg, sigma)),
-            (mc_halfspace_gaussian_shell(dim, cfg, sigma),
-             reference_mc_halfspace_gaussian_shell(dim, cfg, sigma)),
-        ]
-        for got, want in pairs:
-            assert got == want, (dim, norm, delta, workers)
+            pairs += [
+                (mc_gaussian_shell(spec, cfg, sigma), reference_mc_gaussian_shell(spec, cfg, sigma)),
+                (mc_halfspace_gaussian_shell(dim, cfg, sigma),
+                 reference_mc_halfspace_gaussian_shell(dim, cfg, sigma)),
+            ]
+            for got, want in pairs:
+                assert got == want, (dim, norm, delta, workers)
 
 
 def test_box_draws_are_the_broadcast_formula():

@@ -11,6 +11,7 @@ import parset
 from parset import BoundReport, InvalidArgumentError, Verdict
 from parset.cli import main
 from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
+from parset import _rng
 from parset import entropy as ent
 from parset import mc as mcmod
 from parset import suite as suite_mod
@@ -101,7 +102,7 @@ _PUBLIC_NAMES = [
     "mixture_density", "reverse_bm_bound",
     "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
     "sample_complexity_n0", "sample_distribution", "square_union_area",
-    "square_union_boundary", "square_union_perimeter", "union_boundary", "union_measures",
+    "square_union_boundary", "square_union_perimeter", "threads", "union_boundary", "union_measures",
     "w1_empirical",
 ]
 
@@ -125,7 +126,7 @@ _PUBLIC_FIELDS = {
     "EmpiricalMeasure": ["points", "weights"],
     "GaussianConstantBreakdown": ["constant_C", "lower_sandwich", "upper_sandwich"],
     "GaussianMixture": ["atoms", "weights", "variance"],
-    "McConfig": ["samples", "seed", "shell_delta", "workers"],
+    "McConfig": ["samples", "seed", "shell_delta"],
     "MeasureEstimate": ["value", "std_error", "samples_used"],
     "ParallelSetSpec": ["base", "norm", "radius"],
     "PointSet": ["points"],
@@ -133,7 +134,7 @@ _PUBLIC_FIELDS = {
         "mc_samples", "halfspace_samples", "shell3d_samples", "kneser_samples",
         "angle_directions", "angle_pairs", "entropy_samples", "oracle_instances",
         "random_configs", "dr_draws", "w1_pairs", "sandwich_count", "convergence_grid",
-        "convergence_trials", "workers",
+        "convergence_trials",
     ],
     "SegmentDecomposition": ["segments"],
     "TransportResult": ["value", "certificate", "value_exact"],
@@ -367,12 +368,13 @@ def test_nan_instance_fails_its_check(monkeypatch, check, module, primitive, wra
 
 
 def test_suite_workers_reach_every_chunked_estimate(tmp_path, monkeypatch):
+    # the thread count of the scope each chunked reduction runs in
     seen = []
     for module in (mcmod, ent):
 
-        def recording(seed, total, workers, chunk_fn, real=module.map_reduce_chunks):
-            seen.append(workers)
-            return real(seed, total, workers, chunk_fn)
+        def recording(seed, total, chunk_fn, real=module.map_reduce_chunks):
+            seen.append(_rng._THREADS.get())
+            return real(seed, total, chunk_fn)
 
         monkeypatch.setattr(module, "map_reduce_chunks", recording)
     written = []
