@@ -30,6 +30,8 @@ from .geometry import (
     is_json_int,
     json_count,
     json_object,
+    json_real,
+    json_reals,
     kneser_params,
     load_json_object,
     load_points,
@@ -38,6 +40,7 @@ from .geometry import (
     positive_real,
     read_json,
     reading,
+    shell_params,
     spec_from_dict,
 )
 from .mc import McConfig
@@ -63,8 +66,9 @@ def _weighted_points(data, path, key: str, build):
     """build(points, weights) of a JSON object {key, "weights"}; no "weights" is uniform."""
     json_object(data, path, {key, "weights"}, required=(key,))
     points = points_from_json(data[key], f"{path}: {key}")
-    weights = data["weights"] if "weights" in data else np.full(len(points), 1.0 / len(points))
-    with reading(f"{path}: weights"):
+    where = f"{path}: weights"
+    weights = json_reals(data["weights"], where) if "weights" in data else np.full(len(points), 1.0 / len(points))
+    with reading(where):
         return build(points, weights)
 
 
@@ -109,16 +113,15 @@ def _cmd_exact2d(args) -> int:
 # predicate reads the "halfspace" keys instead
 _MC_KEYS = {
     "volume": SPEC_KEYS,
-    "shell": SPEC_KEYS,
-    "gshell": SPEC_KEYS,
-    "halfspace": {"predicate", "dim"},
+    "shell": SPEC_KEYS | {"delta"},
+    "gshell": SPEC_KEYS | {"delta", "sigma"},
+    "halfspace": {"predicate", "dim", "delta", "sigma"},
     "kneser": SPEC_KEYS | {"a_k", "b_k", "t"},
     "angle": {"dim", "cap_half_angle", "trials"},
 }
 
 
 def _cmd_mc(args) -> int:
-    positive_real(args.sigma, "--sigma")
     data = read_json(args.spec)
     kind = args.op
     if args.op == "gshell" and isinstance(data, dict) and "predicate" in data:
@@ -129,7 +132,8 @@ def _cmd_mc(args) -> int:
             )
         kind = "halfspace"
     data = json_object(data, args.spec, _MC_KEYS[kind])
-    cfg = McConfig(samples=args.samples, seed=args.seed, shell_delta=args.delta)
+    delta, sigma = shell_params(data, args.spec)
+    cfg = McConfig(samples=args.samples, seed=args.seed, shell_delta=delta)
     if kind == "halfspace":
         dim = json_count(data, "dim", 2, args.spec)
     elif args.op != "angle":
@@ -140,8 +144,7 @@ def _cmd_mc(args) -> int:
         if not is_json_int(dim):
             raise InvalidArgumentError(f"{args.spec}: dim: need an integer")
         trials = json_count(data, "trials", 10, args.spec)
-        with reading(args.spec):
-            cap = float(data.get("cap_half_angle", 0.9))
+        cap = json_real(data.get("cap_half_angle", 0.9), f"{args.spec}: cap_half_angle")
     with threads(args.workers):
         # "samples" counts the draws made, none for an exact value
         if args.op == "kneser":
@@ -159,9 +162,9 @@ def _cmd_mc(args) -> int:
             elif args.op == "shell":
                 est = mcmod.mc_shell_lebesgue(target, cfg)
             elif kind == "halfspace":
-                est = mcmod.mc_halfspace_gaussian_shell(dim, cfg, sigma=args.sigma)
+                est = mcmod.mc_halfspace_gaussian_shell(dim, cfg, sigma=sigma)
             else:
-                est = mcmod.mc_gaussian_shell(target, cfg, sigma=args.sigma)
+                est = mcmod.mc_gaussian_shell(target, cfg, sigma=sigma)
             _emit(
                 {"value": est.value, "std_error": est.std_error, "samples": est.samples_used},
                 args.out,
@@ -272,10 +275,10 @@ def _gen_from_dict(data, where) -> tp.DistributionSpec:
             kind=kind,
             dim=dim,
             atoms=tuple(map(tuple, atoms)),
-            weights=tuple(map(float, data.get("weights", ()))),
-            sigma=float(data.get("sigma", 0.0)),
-            center=tuple(map(float, data.get("center", ()))),
-            radius=float(data.get("radius", 1.0)),
+            weights=tuple(json_reals(data.get("weights", []), f"{where}: weights").tolist()),
+            sigma=json_real(data.get("sigma", 0.0), f"{where}: sigma"),
+            center=tuple(json_reals(data.get("center", []), f"{where}: center").tolist()),
+            radius=json_real(data.get("radius", 1.0), f"{where}: radius"),
         )
 
 
@@ -283,13 +286,11 @@ def _cmd_dr_converge(args) -> int:
     data = load_json_object(args.config, _CONVERGE_KEYS, required=("gen0", "gen1", "r", "n_grid"))
     gen0 = _gen_from_dict(data["gen0"], f"{args.config}: gen0")
     gen1 = _gen_from_dict(data["gen1"], f"{args.config}: gen1")
-    with reading(f"{args.config}: gen1"):
-        if gen1.dim != gen0.dim:
-            raise InvalidArgumentError(f"dim {gen1.dim} differs from gen0's dim {gen0.dim}")
-    with reading(f"{args.config}: r"):
-        r = nonnegative_real(data["r"], "radius")
-    with reading(f"{args.config}: sigma"):
-        sigma = nonnegative_real(data.get("sigma", 0.0), "noise sigma")
+    if gen1.dim != gen0.dim:
+        raise InvalidArgumentError(f"{args.config}: gen1: dim {gen1.dim} differs from gen0's dim {gen0.dim}")
+    with reading(args.config):  # each check names its key first
+        r = nonnegative_real(json_real(data["r"], f"{args.config}: r"), "r: radius")
+        sigma = nonnegative_real(json_real(data.get("sigma", 0.0), f"{args.config}: sigma"), "sigma: noise sigma")
     n_grid = data["n_grid"]
     if not (isinstance(n_grid, list) and n_grid and all(map(is_count, n_grid))):
         raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
@@ -383,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("volume", "shell", "gshell", "kneser", "angle"), required=True)
     p.add_argument("--spec", required=True, help="JSON instance description")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=1.0)
 
     p = command("bounds", _cmd_bounds, "closed-form constants", "out")
     p.add_argument("--list", action="store_true")
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (InvalidArgumentError, RangeOverflowError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, RangeOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

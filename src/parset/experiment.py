@@ -34,8 +34,8 @@ from .geometry import (
     json_object,
     kneser_params,
     load_json_object,
-    positive_real,
     reading,
+    shell_params,
     spec_from_dict,
 )
 from .mc import McConfig
@@ -154,9 +154,7 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     spec = spec_from_dict(params, cfg.name)
     points, norm, radius = spec.base, spec.norm, spec.radius
     samples = json_count(params, "samples", 200_000, cfg.name)
-    with reading(cfg.name):
-        delta = None if params.get("delta") is None else positive_real(params["delta"], "delta")
-        sigma = positive_real(params.get("sigma", 1.0), "sigma")
+    delta, sigma = shell_params(params, cfg.name)
     checks = params.get("checks", list(_CHECK_NAMES[:3]))
     if not (isinstance(checks, list) and all(isinstance(name, str) for name in checks)):
         raise InvalidArgumentError(f"{cfg.name}: checks: need an array of check names")

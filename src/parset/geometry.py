@@ -6,18 +6,18 @@ parameter of the package, a radius or any other, is checked by
 `positive_real` or `nonnegative_real`.  Point-to-set distances are
 `_kernels.min_dist`, called by the modules that measure.
 
-The IO section at the end holds every input format the CLI reads: point
-files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for unknown
-and required keys, JSON point arrays (a nonempty array of equal-length
-numeric arrays) and spec objects.  Every cast of a JSON value runs inside
-`reading(where)` (CSV rows have their own per-line check), so a malformed
-input is an InvalidArgumentError that names its file, never a bare
-ValueError or TypeError.
+The IO section at the end holds every input format the CLI reads: UTF-8
+point files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for
+unknown and required keys, JSON point arrays and spec objects.  A number in
+JSON is a JSON number, read by `json_reals` (`json_real` for one), never a
+string, a boolean or null.  Every other cast runs inside `reading(where)`, so
+a malformed input is an InvalidArgumentError that names its file and key.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -115,28 +115,28 @@ def load_points_csv(path) -> PointSet:
     blank rows are skipped.  Every field goes through one float() pass at
     the end, and a field float() rejects is traced back to its line only
     then, so a bad file names the same first bad line as a row-by-row read."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidArgumentError(f"{path}: empty point file")
-        dim = len(header)
-        expected = [f"x{i}" for i in range(dim)]
-        if [h.strip() for h in header] != expected:
-            raise InvalidArgumentError(
-                f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
-            )
-        fields: list[str] = []
-        lines: list[int] = []  # the line of each row
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim:
-                _csv_floats(path, fields, lines)  # a non-numeric row above comes first
-                raise InvalidArgumentError(f"{path}:{lineno}: ragged row of width {len(row)}")
-            fields += row
-            lines.append(lineno)
+    with reading(path):  # a file that is not UTF-8 text
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidArgumentError(f"{path}: empty point file")
+    dim = len(header)
+    expected = [f"x{i}" for i in range(dim)]
+    if [h.strip() for h in header] != expected:
+        raise InvalidArgumentError(
+            f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+        )
+    fields: list[str] = []
+    lines: list[int] = []  # the line of each row
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != dim:
+            _csv_floats(path, fields, lines)  # a non-numeric row above comes first
+            raise InvalidArgumentError(f"{path}:{lineno}: ragged row of width {len(row)}")
+        fields += row
+        lines.append(lineno)
     if not lines:
         raise InvalidArgumentError(f"{path}: no points")
     points = _csv_floats(path, fields, lines).reshape(len(lines), dim)
@@ -180,8 +180,8 @@ def reading(where):
 def read_json(path):
     """The parsed contents of a JSON file; malformed JSON is an InvalidArgumentError."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or a file that is not UTF-8 text
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
 
 
@@ -221,15 +221,31 @@ def json_count(data: dict, key: str, default: int, where) -> int:
     return value
 
 
+def json_reals(values, where) -> np.ndarray:
+    """A JSON array of JSON numbers, which json.loads gives as ints and floats, as a float array."""
+    if not isinstance(values, list):
+        raise _PlacedError(f"{where}: need an array of numbers")
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise _PlacedError(f"{where}: need a number, got {json.dumps(bad)}")
+    with reading(where):  # an integer past double range
+        return np.array(values, dtype=np.float64)
+
+
+def json_real(value, where) -> float:
+    """A JSON number as a float, read as json_reals reads one."""
+    return float(json_reals([value], where)[0])
+
+
 def points_from_json(data, where) -> PointSet:
-    """The point set in parsed JSON: a nonempty array of equal-length numeric arrays."""
+    """The point set in parsed JSON: a nonempty array of equal-length arrays of numbers."""
     if not isinstance(data, list) or not data:
         raise InvalidArgumentError(f"{where}: expected a nonempty JSON array of arrays")
     widths = {len(row) if isinstance(row, list) else -1 for row in data}
     if len(widths) != 1 or -1 in widths:
         raise InvalidArgumentError(f"{where}: ragged or non-array rows")
     with reading(where):
-        return PointSet(np.asarray(data, dtype=np.float64))
+        return PointSet(json_reals([x for row in data for x in row], where).reshape(len(data), -1))
 
 
 def points_from_dict(data: dict, where) -> PointSet:
@@ -254,15 +270,22 @@ def spec_from_dict(data: dict, where) -> ParallelSetSpec:
         return ParallelSetSpec(
             base=base,
             norm=NormKind.parse(data.get("norm", "l2")),
-            radius=float(data.get("radius", 1.0)),
+            radius=json_real(data.get("radius", 1.0), f"{where}: radius"),
         )
 
 
 def kneser_params(data: dict, radius: float, where) -> tuple[float, float, float]:
     """(a_k, b_k, t) of a kneser spec; defaults radius / 2, radius and 1.5."""
     defaults = {"a_k": radius / 2.0, "b_k": radius, "t": 1.5}
+    return tuple(json_real(data.get(key, value), f"{where}: {key}") for key, value in defaults.items())
+
+
+def shell_params(data: dict, where) -> tuple[float | None, float]:
+    """(delta, sigma) of a shell spec; delta None (r / 1000 at use) if absent or null, sigma 1."""
+    delta = data.get("delta")
     with reading(where):
-        return tuple(float(data.get(key, value)) for key, value in defaults.items())
+        return (None if delta is None else positive_real(json_real(delta, f"{where}: delta"), "delta"),
+                positive_real(json_real(data.get("sigma", 1.0), f"{where}: sigma"), "sigma"))
 
 
 def load_points_json(path) -> PointSet:

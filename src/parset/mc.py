@@ -363,7 +363,7 @@ def _checked_power(t: float, dim: int) -> float:
     try:
         return t**dim
     except OverflowError:
-        raise RangeOverflowError(f"t^{dim} exceeds double range") from None
+        raise RangeOverflowError(f"{t:g}^{dim} exceeds double range") from None
 
 
 def central_cap_fraction(dim: int, cap_half_angle: float) -> float:
@@ -492,7 +492,7 @@ def inscribed_angle_check(
         raise InvalidArgumentError("dim must be >= 2")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    shrink = 2.0 ** (dim - 1)
+    shrink = _checked_power(2.0, dim - 1)
 
     def report(k):
         sub = derive_seed(seed, "inscribed-angle", k)

@@ -580,6 +580,8 @@ def run_suite(
         )
     if samples is not None and samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
+    if out_dir is not None:  # a path that cannot be a directory fails before any check
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     prof = profile_from_samples(samples)
     started = time.monotonic()
     collected: list[tuple[str, BoundReport]] = []
@@ -592,13 +594,11 @@ def run_suite(
     wall = time.monotonic() - started
     reports = [rep for _, rep in collected]
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         results = "results.json" if fmt == "json" else "results.csv"
-        write_reports(out / results, suite_name, collected, fmt)
+        write_reports(Path(out_dir) / results, suite_name, collected, fmt)
         manifest = dict(
             suite=suite_name, seed=seed, samples=samples, workers=workers, version=__version__,
             wall_time_s=wall, n_reports=len(reports), all_pass=all_pass(reports),
         )
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return reports

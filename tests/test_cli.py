@@ -269,6 +269,44 @@ def test_truncated_json_exit_2(tmp_path, capsys):
         assert f"error: {bad}: not valid JSON (" in capsys.readouterr().err
 
 
+# name: (files to write, argv, the path the error names); each ended in a
+# FileExistsError, IsADirectoryError or UnicodeDecodeError traceback and exit 1
+BAD_PATHS = {
+    "suite-out-is-a-file": ({"taken": ""}, ["suite", "gaussian", "--samples", "100", "--out", "taken"],
+                            "taken"),
+    "exact2d-out-is-a-directory": ({"c.csv": "x0,x1\n0,0\n", "out": None},
+                                   ["exact2d", "--shape", "disk", "--centers", "c.csv",
+                                    "--radius", "1", "--out", "out"], "out"),
+    "dr-mu0-is-a-directory": ({"mu0": None, "mu1.json": {"points": [[0.5]]}},
+                              ["dr", "--mu0", "mu0", "--mu1", "mu1.json", "--radius", "0.5"], "mu0"),
+    "dr-mu0-not-utf8": ({"mu0.json": "[[0.0]]".encode("utf-16"), "mu1.json": {"points": [[0.5]]}},
+                        ["dr", "--mu0", "mu0.json", "--mu1", "mu1.json", "--radius", "0.5"], "mu0.json"),
+    "exact2d-centers-not-utf8": ({"c.csv": "x0,x1\n0,0\n".encode("utf-16")},
+                                 ["exact2d", "--shape", "disk", "--centers", "c.csv", "--radius", "1"],
+                                 "c.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_bad_paths_exit_2(tmp_path, capsys, case):
+    files, argv, where = BAD_PATHS[case]
+    _write_files(tmp_path, files)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert str(tmp_path / where) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # the suite fails before its first check
+
+
+def test_json_integers_are_numbers(tmp_path):
+    # a JSON integer reads as the float it spells, to the bit
+    ints = _mc_payload(tmp_path, {"points": [[0, 0], [1, 0]], "radius": 1}, "--op", "volume",
+                       "--samples", "5000")
+    floats = _mc_payload(tmp_path, {"points": [[0.0, 0.0], [1.0, 0.0]], "radius": 1.0}, "--op",
+                         "volume", "--samples", "5000")
+    assert ints == floats and ints[0] == 0
+
+
 def test_dr_converge_command(tmp_path):
     cfg = tmp_path / "conv.json"
     cfg.write_text(
@@ -499,9 +537,10 @@ def test_mc_shell_ops_match_library(tmp_path, op):
     from parset.geometry import NormKind, ParallelSetSpec
     from parset.mc import McConfig, mc_gaussian_shell, mc_shell_lebesgue
 
-    spec = {"points": [[0.0, 0.0], [0.7, 0.2]], "norm": "linf", "radius": 0.5}
-    rc, payload = _mc_payload(tmp_path, spec, "--op", op, "--samples", "20000",
-                              "--delta", "0.05", "--sigma", "0.7")
+    # a shell reads delta, a Gaussian shell delta and sigma
+    spec = {"points": [[0.0, 0.0], [0.7, 0.2]], "norm": "linf", "radius": 0.5, "delta": 0.05,
+            **({"sigma": 0.7} if op == "gshell" else {})}
+    rc, payload = _mc_payload(tmp_path, spec, "--op", op, "--samples", "20000")
     target = ParallelSetSpec(PointSet(spec["points"]), NormKind.LINF, 0.5)
     cfg = McConfig(samples=20000, seed=3, shell_delta=0.05)
     est = (mc_shell_lebesgue(target, cfg) if op == "shell"
@@ -513,8 +552,8 @@ def test_mc_shell_ops_match_library(tmp_path, op):
 def test_mc_halfspace_predicate_matches_library(tmp_path):
     from parset.mc import McConfig, mc_halfspace_gaussian_shell
 
-    rc, payload = _mc_payload(tmp_path, {"predicate": "halfspace", "dim": 3},
-                              "--op", "gshell", "--samples", "30000", "--delta", "0.1")
+    rc, payload = _mc_payload(tmp_path, {"predicate": "halfspace", "dim": 3, "delta": 0.1},
+                              "--op", "gshell", "--samples", "30000")
     est = mc_halfspace_gaussian_shell(3, McConfig(samples=30000, seed=3, shell_delta=0.1))
     assert rc == 0
     assert payload == {"value": est.value, "std_error": est.std_error, "samples": 30000}
@@ -789,6 +828,27 @@ _VERIFY = ["verify", "--experiment", "exp.json"]
 _CONVERGE = ["dr-converge", "--config", "conv.json"]
 _KNESER = ["mc", "--op", "kneser", "--spec", "spec.json", "--samples", "1000"]
 _CSV = ["exact2d", "--shape", "disk", "--centers", "c.csv", "--radius", "1.0"]
+_EXACT2D_JSON = ["exact2d", "--shape", "disk", "--centers", "centers.json", "--radius", "1.0"]
+
+
+def _spec(**params):
+    return {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0, **params}}
+
+
+def _verify(**params):
+    return {"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+                         "parameters": {"points": [[0.0, 0.0]], "checks": ["gaussian-surface"],
+                                        **params}}}
+
+
+def _gen(**gen0):
+    return {"conv.json": {**_CONV, "gen0": gen0}}
+
+
+def _not_numbers(name, as_string, as_bool, argv, where):
+    """The MALFORMED cases of one site: a numeric string, and a boolean, where a number belongs."""
+    return {f"{name}-numeric-string": (as_string, argv, where), f"{name}-bool": (as_bool, argv, where)}
+
 
 # name: (files to write, argv, where the error is reported)
 MALFORMED = {
@@ -865,13 +925,65 @@ MALFORMED = {
     "csv-non-numeric": ({"c.csv": "x0,x1\n0,0\n1,abc\n"}, _CSV, "c.csv:3"),
     "csv-nan": ({"c.csv": "x0,x1\n0,nan\n"}, _CSV, "c.csv"),
     "csv-inf": ({"c.csv": "x0,x1\n-inf,0\n"}, _CSV, "c.csv"),
+    # a number in an input file is a JSON number: each of these read a
+    # numeric string or a boolean as a number and exited 0
+    **_not_numbers("mc-radius", _spec(radius="0.5"), _spec(radius=True), _MC, "spec.json: radius"),
+    **_not_numbers("mc-kneser-a", _spec(a_k="0.5"), _spec(a_k=True), _KNESER, "spec.json: a_k"),
+    **_not_numbers("mc-kneser-b", _spec(b_k="1"), _spec(b_k=True), _KNESER, "spec.json: b_k"),
+    **_not_numbers("mc-kneser-t", _spec(t="2"), _spec(t=True), _KNESER, "spec.json: t"),
+    **_not_numbers("mc-points", {"spec.json": {"points": [[0.0, "0"]]}},
+                   {"spec.json": {"points": [[0.0, 0.0], [True, False]]}}, _MC, "spec.json: points"),
+    **_not_numbers("mc-cap", {"spec.json": {"dim": 3, "cap_half_angle": "0.9"}},
+                   {"spec.json": {"dim": 3, "cap_half_angle": True}}, _ANGLE,
+                   "spec.json: cap_half_angle"),
+    **_not_numbers("dr-points", {"mu0.json": {"points": [[0.0], ["1"]]}, "mu1.json": _MU1},
+                   {"mu0.json": [[0.0], [True]], "mu1.json": _MU1}, _DR, "mu0.json"),
+    **_not_numbers("dr-weights", {"mu0.json": {"points": [[0.0], [1.0]], "weights": ["0.25", "0.75"]},
+                                  "mu1.json": _MU1},
+                   {"mu0.json": {"points": [[0.0]], "weights": [True]}, "mu1.json": _MU1},
+                   _DR, "mu0.json: weights"),
+    **_not_numbers("epi-atoms", {"x.json": {"atoms": [["0"]]}, "y.json": {"atoms": [[0.0]]}},
+                   {"x.json": {"atoms": [[0.0], [True]]}, "y.json": {"atoms": [[0.0]]}},
+                   _EPI, "x.json: atoms"),
+    **_not_numbers("epi-weights", {"x.json": {"atoms": [[0.0], [1.0]], "weights": [0.5, "0.5"]},
+                                   "y.json": {"atoms": [[0.0]]}},
+                   {"x.json": {"atoms": [[0.0]], "weights": [True]}, "y.json": {"atoms": [[0.0]]}},
+                   _EPI, "x.json: weights"),
+    **_not_numbers("exact2d-centers", {"centers.json": [[0.0, "1"]]},
+                   {"centers.json": [[0.0, False]]}, _EXACT2D_JSON, "centers.json"),
+    **_not_numbers("converge-atoms", _gen(atoms=[[0.0, "0"]]), _gen(atoms=[[True, 0.0]]),
+                   _CONVERGE, "conv.json: gen0: atoms"),
+    **_not_numbers("converge-weights", _gen(atoms=[[0.0, 0.0], [1.0, 0.0]], weights=[1, "3"]),
+                   _gen(atoms=[[0.0, 0.0], [1.0, 0.0]], weights=[1, True]),
+                   _CONVERGE, "conv.json: gen0: weights"),
+    **_not_numbers("converge-sigma", _gen(atoms=[[0.0, 0.0]], sigma="0.1"),
+                   _gen(atoms=[[0.0, 0.0]], sigma=True), _CONVERGE, "conv.json: gen0: sigma"),
+    **_not_numbers("converge-center", _gen(kind="uniform-ball", center=["0", 0.0]),
+                   _gen(kind="uniform-ball", center=[0.0, True]), _CONVERGE, "conv.json: gen0: center"),
+    **_not_numbers("converge-radius", _gen(kind="uniform-ball", radius="2"),
+                   _gen(kind="uniform-ball", radius=True), _CONVERGE, "conv.json: gen0: radius"),
+    **_not_numbers("converge-r", {"conv.json": {**_CONV, "r": "0.5"}},
+                   {"conv.json": {**_CONV, "r": True}}, _CONVERGE, "conv.json: r"),
+    **_not_numbers("converge-sigma-noise", {"conv.json": {**_CONV, "sigma": "0.1"}},
+                   {"conv.json": {**_CONV, "sigma": True}}, _CONVERGE, "conv.json: sigma"),
+    **_not_numbers("verify-delta", _verify(delta="0.05"), _verify(delta=True), _VERIFY, "demo: delta"),
+    **_not_numbers("verify-sigma", _verify(sigma="1.5"), _verify(sigma=True), _VERIFY, "demo: sigma"),
+    # an integer literal is a JSON number, but not one past double range
+    "mc-radius-past-double-range": (_spec(radius=10**400), _MC, "spec.json: radius"),
+    "mc-points-past-double-range": ({"spec.json": {"points": [[10**400, 0]]}}, _MC, "spec.json: points"),
 }
 
 
 def _write_files(tmp_path, files):
-    """Write each file: a string as it is, anything else as JSON."""
+    """Write each file: a string or bytes as they are, None as a directory, anything else as JSON."""
     for name, content in files.items():
-        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -897,18 +1009,7 @@ def test_verify_checks_need_an_array_of_names(tmp_path, capsys, checks):
     assert capsys.readouterr().err == "error: demo: checks: need an array of check names\n"
 
 
-_SPEC = {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0}}
 _N0 = "d=2,sigma=1,r=1,eps=0.01,delta=0.1"
-
-
-def _kneser(**params):
-    return {"spec.json": {"points": [[0.0, 0.0]], "radius": 1.0, **params}}
-
-
-def _verify(**params):
-    return {"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
-                         "parameters": {"points": [[0.0, 0.0]], "checks": ["gaussian-surface"],
-                                        **params}}}
 
 
 def _bounds(name, params):
@@ -919,28 +1020,30 @@ def _bounds(name, params):
 NON_FINITE = {
     "verify-delta-inf": (_verify(delta=math.inf), _VERIFY),
     "verify-sigma-nan": (_verify(sigma=math.nan), _VERIFY),
-    "mc-gshell-delta-inf": (_SPEC, [*_GSHELL, "--delta", "inf"]),
-    "mc-gshell-sigma-inf": (_SPEC, [*_GSHELL, "--sigma", "inf"]),
-    "mc-gshell-sigma-nan": (_SPEC, [*_GSHELL, "--sigma", "nan"]),
-    # --sigma was checked only where a Gaussian shell read it
-    "mc-volume-sigma-nan": (_SPEC, ["mc", "--op", "volume", "--spec", "spec.json", "--samples", "1000",
-                                    "--sigma", "nan"]),
-    "mc-kneser-sigma-negative": (_kneser(), [*_KNESER, "--sigma", "-1"]),
+    "mc-gshell-delta-inf": (_spec(delta=math.inf), _GSHELL),
+    "mc-gshell-sigma-inf": (_spec(sigma=math.inf), _GSHELL),
+    "mc-gshell-sigma-nan": (_spec(sigma=math.nan), _GSHELL),
+    # a sigma key in a volume or kneser spec is an unknown key
+    "mc-volume-sigma-nan": (_spec(sigma=math.nan), _MC),
+    "mc-kneser-sigma-negative": (_spec(sigma=-1), _KNESER),
     # sigma times a normal draw past double range: a ValueError traceback
     # from min_dist, and 0 +- 0 beside the halfspace
-    "mc-gshell-sigma-huge": (_SPEC, [*_GSHELL, "--sigma", "1e308"]),
-    "mc-halfspace-sigma-huge": ({"spec.json": {"predicate": "halfspace", "dim": 3}},
-                                [*_GSHELL, "--sigma", "1e308"]),
-    "mc-shell-box-overflow": (_SPEC, ["mc", "--op", "shell", "--spec", "spec.json",
-                                      "--samples", "1000", "--delta", "1e308"]),
+    "mc-gshell-sigma-huge": (_spec(sigma=1e308), _GSHELL),
+    "mc-halfspace-sigma-huge": ({"spec.json": {"predicate": "halfspace", "dim": 3, "sigma": 1e308}},
+                                _GSHELL),
+    "mc-shell-box-overflow": (_spec(delta=1e308), ["mc", "--op", "shell", "--spec", "spec.json",
+                                                   "--samples", "1000"]),
+    # 2^(dim - 1) past double range ended in an OverflowError traceback
+    "mc-angle-dim-huge": ({"spec.json": {"dim": 1100, "cap_half_angle": 0.9, "trials": 1}},
+                          [*_ANGLE[:-1], "10"]),
     # the planar shells are exact areas, and A(t b) is past double range
-    "mc-kneser-t-huge": (_kneser(t=1e300), _KNESER),
+    "mc-kneser-t-huge": (_spec(t=1e300), _KNESER),
     # a finite 3-d box whose t^3 overflowed ended in an OverflowError traceback
     "mc-kneser-3d-t-cubed": ({"spec.json": {"points": [[0.0, 0.0, 0.0]], "radius": 1.0,
                                             "a_k": 1e-200, "b_k": 1e-200, "t": 1e200}}, _KNESER),
-    "mc-kneser-t-inf": (_kneser(t=math.inf), _KNESER),
-    "mc-kneser-b-inf": (_kneser(b_k=math.inf), _KNESER),
-    "mc-kneser-a-nan": (_kneser(a_k=math.nan), _KNESER),
+    "mc-kneser-t-inf": (_spec(t=math.inf), _KNESER),
+    "mc-kneser-b-inf": (_spec(b_k=math.inf), _KNESER),
+    "mc-kneser-a-nan": (_spec(a_k=math.nan), _KNESER),
     "bounds-volume-nan": ({}, _bounds("volume-constrained", "d=2,r=1,volume=nan")),
     "bounds-shell-delta-inf": ({}, _bounds("shell-volume", "d=2,r=1,delta=inf,volume=1")),
     "bounds-big-r-inf": ({}, _bounds("bounded-support", "d=2,big_r=inf,r=1")),
@@ -988,8 +1091,8 @@ def test_non_finite_scalars_exit_2(tmp_path, capsys, case):
 @pytest.mark.parametrize("argv", [_GSHELL, ["suite", "gaussian", "--samples", "100"]])
 def test_workers_below_one_exit_2_before_any_draw(tmp_path, capsys, argv):
     # the thread count is checked where the command enters its scope
-    _write_files(tmp_path, _SPEC)
-    assert main([str(tmp_path / a) if a in _SPEC else a for a in argv] + ["--workers", "0"]) == 2
+    _write_files(tmp_path, _spec())
+    assert main([str(tmp_path / a) if a in _spec() else a for a in argv] + ["--workers", "0"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: workers must be >= 1\n")
 
@@ -1067,6 +1170,8 @@ _REMOVED_FLAGS = [
     ("dr-converge", "--format"),
     ("mc", "--format"),
     ("epi", "--format"),
+    # a shell's delta and sigma are keys of its spec
+    ("mc", "--delta"), ("mc", "--sigma"),
 ]
 _WELL_FORMED = {
     "exact2d": ["--shape", "disk", "--centers", "c.csv", "--radius", "1"],

@@ -15,7 +15,14 @@ from parset import (
 )
 from parset import _kernels, bounds, entropy, mc, transport
 from parset.experiment import ExperimentConfig, run_verify_experiment
-from parset.geometry import nonnegative_real, positive_real, reading
+from parset.geometry import (
+    json_real,
+    json_reals,
+    nonnegative_real,
+    positive_real,
+    reading,
+    shell_params,
+)
 from parset.transport import EmpiricalMeasure
 
 
@@ -203,6 +210,39 @@ def test_reading_prefixes_each_message_once():
             with reading("a.json: weights"):
                 float("x")
     assert str(err.value) == "a.json: weights: could not convert string to float: 'x'"
+
+
+def test_json_numbers_are_read_by_one_rule():
+    # json.loads gives a JSON number as an int or a float; "2", true and null are not numbers
+    assert json_real(2, "a.json: t") == 2.0 and json_real(-0.5, "a.json: t") == -0.5
+    np.testing.assert_array_equal(json_reals([1, 2.5, math.inf], "a.json: w"), [1.0, 2.5, math.inf])
+    for bad, shown in (("2", '"2"'), (True, "true"), (False, "false"), (None, "null"), ([1], "[1]")):
+        with pytest.raises(InvalidArgumentError) as err:
+            json_real(bad, "a.json: t")
+        assert str(err.value) == f"a.json: t: need a number, got {shown}"
+        with pytest.raises(InvalidArgumentError) as err:
+            json_reals([0.5, bad, "3"], "a.json: w")
+        assert str(err.value) == f"a.json: w: need a number, got {shown}"
+    for bad in ("0.5", None, 0.5, {"0": 1.0}):
+        with pytest.raises(InvalidArgumentError) as err:
+            json_reals(bad, "a.json: w")
+        assert str(err.value) == "a.json: w: need an array of numbers"
+    with pytest.raises(InvalidArgumentError) as err:
+        json_real(10**400, "a.json: t")
+    assert str(err.value) == "a.json: t: int too large to convert to float"
+
+
+def test_shell_params_read_by_mc_and_verify():
+    # a null delta is the default, r / 1000 at use, as a missing one is
+    assert shell_params({}, "a.json") == shell_params({"delta": None}, "a.json") == (None, 1.0)
+    assert shell_params({"delta": 1, "sigma": 0.5}, "a.json") == (1.0, 0.5)
+    for data, message in (({"delta": 0}, "a.json: delta must be a positive finite real"),
+                          ({"sigma": -1.0}, "a.json: sigma must be a positive finite real"),
+                          ({"sigma": None}, "a.json: sigma: need a number, got null"),
+                          ({"delta": "0.1"}, 'a.json: delta: need a number, got "0.1"')):
+        with pytest.raises(InvalidArgumentError) as err:
+            shell_params(data, "a.json")
+        assert str(err.value) == message
 
 
 # -- one checked-real rule: NaN and +-inf fail every real parameter ------------
