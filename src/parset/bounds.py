@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, _log_omega, nonnegative_real, positive_radius, positive_real
+from .geometry import NormKind, _log_omega, left_sum, nonnegative_real, positive_radius, positive_real
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 # the standard errors a measured value may exceed its bound by and still pass
@@ -207,7 +207,7 @@ def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]
 
 def _log_sum_exp(values) -> float:
     m = max(values)
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    return m + math.log(left_sum(math.exp(v - m) for v in values))
 
 
 def _log_gaussian_constant(d: int, norm: NormKind) -> float:

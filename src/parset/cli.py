@@ -225,9 +225,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = load_experiment_config(args.experiment)
     reports = run_verify_experiment(cfg)
-    out_path = args.out or cfg.output_path
-    if out_path:
-        write_reports(out_path, cfg.name, [("verify", rep) for rep in reports], args.format)
+    if args.out:
+        write_reports(args.out, cfg.name, [("verify", rep) for rep in reports], args.format)
     for rep in reports:
         print(report_line(None, rep))
     return 0 if all_pass(reports) else 1
@@ -255,11 +254,11 @@ def _cmd_dr(args) -> int:
     return 0
 
 
-_CONVERGE_KEYS = {"gen0", "gen1", "r", "sigma", "n_grid", "trials", "seed"}
+_CONVERGE_KEYS = {"gen0", "gen1", "r", "n_grid", "trials", "seed"}
 # the keys each generator kind reads
 _GEN_KEYS = {
     "gaussian-mixture": {"kind", "dim", "atoms", "weights", "sigma"},
-    "uniform-ball": {"kind", "dim", "center", "radius"},
+    "uniform-ball": {"kind", "dim", "center", "radius", "sigma"},
 }
 
 
@@ -290,7 +289,6 @@ def _cmd_dr_converge(args) -> int:
         raise InvalidArgumentError(f"{args.config}: gen1: dim {gen1.dim} differs from gen0's dim {gen0.dim}")
     with reading(args.config):  # each check names its key first
         r = nonnegative_real(json_real(data["r"], f"{args.config}: r"), "r: radius")
-        sigma = nonnegative_real(json_real(data.get("sigma", 0.0), f"{args.config}: sigma"), "sigma: noise sigma")
     n_grid = data["n_grid"]
     if not (isinstance(n_grid, list) and n_grid and all(map(is_count, n_grid))):
         raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
@@ -298,9 +296,7 @@ def _cmd_dr_converge(args) -> int:
     seed = data.get("seed", args.seed)
     if not is_json_int(seed):
         raise InvalidArgumentError(f"{args.config}: seed: need an integer")
-    result = tp.convergence_experiment(
-        gen0, gen1, r=r, sigma=sigma, n_grid=n_grid, trials=trials, seed=seed
-    )
+    result = tp.convergence_experiment(gen0, gen1, r=r, n_grid=n_grid, trials=trials, seed=seed)
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(target)

@@ -75,7 +75,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidArgumentError
-from .geometry import NormKind, PointSet, group_rows, positive_radius, row_blocks
+from .geometry import NormKind, PointSet, group_rows, left_sum, positive_radius, row_blocks
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 1e-12
@@ -95,12 +95,10 @@ class ArcDecomposition:
     centers: np.ndarray
 
     def perimeter(self) -> float:
-        return self.radius * sum(t1 - t0 for _, t0, t1 in self.arcs)
+        return self.radius * left_sum(t1 - t0 for _, t0, t1 in self.arcs)
 
     def arc_length_of(self, center_index: int) -> float:
-        return self.radius * sum(
-            t1 - t0 for i, t0, t1 in self.arcs if i == center_index
-        )
+        return self.radius * left_sum(t1 - t0 for i, t0, t1 in self.arcs if i == center_index)
 
     def area(self) -> float:
         """Divergence theorem about the first centre (see the module docstring)."""
@@ -134,7 +132,7 @@ class SegmentDecomposition:
     segments: tuple[BoundarySegment, ...]
 
     def perimeter(self) -> float:
-        return sum(s.length() for s in self.segments)
+        return left_sum(s.length() for s in self.segments)
 
     def area(self) -> float:
         """Divergence theorem: sum of outward_sign * (x - x0) * length over the
@@ -142,7 +140,7 @@ class SegmentDecomposition:
         from the first vertical segment keeps the digits of far-off centres."""
         vertical = [s for s in self.segments if s.orientation == "vertical"]
         x0 = vertical[0].fixed_coord if vertical else 0.0
-        return sum(s.outward_sign * (s.fixed_coord - x0) * s.length() for s in vertical)
+        return left_sum(s.outward_sign * (s.fixed_coord - x0) * s.length() for s in vertical)
 
 
 def _require_planar(centers: PointSet) -> np.ndarray:

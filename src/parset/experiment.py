@@ -34,14 +34,12 @@ from .geometry import (
     json_object,
     kneser_params,
     load_json_object,
-    reading,
     shell_params,
     spec_from_dict,
 )
 from .mc import McConfig
 
-_MODULES = ("core-geometry", "exact2d", "mc-measure", "bounds", "robust-risk", "entropy")
-_TOP_KEYS = {"name", "module", "parameters", "seed", "output_path"}
+_TOP_KEYS = {"name", "parameters", "seed"}
 _PARAM_KEYS = SPEC_KEYS | {"samples", "delta", "sigma", "checks", "a_k", "b_k", "t"}
 _CHECK_NAMES = ("union-in-ball", "union-in-cube", "volume-constrained", "gaussian-surface", "kneser")
 # containment checks: the norm whose unions the cap is for, and the cap
@@ -54,33 +52,18 @@ _CONTAINMENT = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    module: str
     parameters: dict
     seed: int
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.module not in _MODULES:
-            raise InvalidArgumentError(
-                f"unknown module {self.module!r}; expected one of {', '.join(_MODULES)}"
-            )
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    data = load_json_object(path, _TOP_KEYS, required=("name", "module", "seed"))
+    data = load_json_object(path, _TOP_KEYS, required=("name", "seed"))
     params = json_object(
         data.get("parameters", {}), f"{path}: parameters", _PARAM_KEYS, kind="parameter key"
     )
     if not is_json_int(data["seed"]):
         raise InvalidArgumentError(f"{path}: seed: need an integer")
-    with reading(path):
-        return ExperimentConfig(
-            name=str(data["name"]),
-            module=str(data["module"]),
-            parameters=params,
-            seed=data["seed"],
-            output_path=None if data.get("output_path") is None else str(data["output_path"]),
-        )
+    return ExperimentConfig(name=str(data["name"]), parameters=params, seed=data["seed"])
 
 
 def _enclosing_radius(points: np.ndarray, norm: NormKind) -> float:

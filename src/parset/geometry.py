@@ -17,9 +17,11 @@ a malformed input is an InvalidArgumentError that names its file and key.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +40,7 @@ class NormKind(Enum):
     def parse(cls, text: str) -> "NormKind":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: a JSON value other than a string
             raise InvalidArgumentError(f"unknown norm {text!r}, expected 'l2' or 'linf'")
 
 
@@ -84,6 +86,12 @@ def _log_omega(d: int) -> float:
     return 0.5 * d * math.log(math.pi) - math.lgamma(1.0 + 0.5 * d)
 
 
+def left_sum(terms) -> float:
+    """The terms added left to right from 0.0: the bits of sum() before Python
+    3.12, whose sum() of floats is compensated."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 def positive_real(x, name: str) -> float:
     """x as a float, checked to be a positive finite real."""
     x = float(x)
@@ -118,25 +126,27 @@ def load_points_csv(path) -> PointSet:
     with reading(path):  # a file that is not UTF-8 text
         reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidArgumentError(f"{path}: empty point file")
-    dim = len(header)
-    expected = [f"x{i}" for i in range(dim)]
-    if [h.strip() for h in header] != expected:
-        raise InvalidArgumentError(
-            f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
-        )
-    fields: list[str] = []
-    lines: list[int] = []  # the line of each row
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != dim:
-            _csv_floats(path, fields, lines)  # a non-numeric row above comes first
-            raise InvalidArgumentError(f"{path}:{lineno}: ragged row of width {len(row)}")
-        fields += row
-        lines.append(lineno)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidArgumentError(f"{path}: empty point file")
+        dim = len(header)
+        expected = [f"x{i}" for i in range(dim)]
+        if [h.strip() for h in header] != expected:
+            raise InvalidArgumentError(
+                f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+            )
+        fields: list[str] = []
+        lines: list[int] = []  # the line of each row
+        for row in reader:  # a row's line is the last line of its record
+            if not row:
+                continue
+            if len(row) != dim:
+                _csv_floats(path, fields, lines)  # a non-numeric row above comes first
+                raise InvalidArgumentError(f"{path}:{reader.line_num}: ragged row of width {len(row)}")
+            fields += row
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None
     if not lines:
         raise InvalidArgumentError(f"{path}: no points")
     points = _csv_floats(path, fields, lines).reshape(len(lines), dim)
@@ -266,12 +276,10 @@ SPEC_KEYS = frozenset({"points", "points_file", "norm", "radius"})
 def spec_from_dict(data: dict, where) -> ParallelSetSpec:
     """A parallel set from a spec object: points, 'norm' (default l2), 'radius' (default 1)."""
     base = points_from_dict(data, where)
+    with reading(f"{where}: norm"):
+        norm = NormKind.parse(data.get("norm", "l2"))
     with reading(where):
-        return ParallelSetSpec(
-            base=base,
-            norm=NormKind.parse(data.get("norm", "l2")),
-            radius=json_real(data.get("radius", 1.0), f"{where}: radius"),
-        )
+        return ParallelSetSpec(base, norm, json_real(data.get("radius", 1.0), f"{where}: radius"))
 
 
 def kneser_params(data: dict, radius: float, where) -> tuple[float, float, float]:

@@ -407,13 +407,12 @@ def check_coupling_sandwich(seed: int, prof: Profile) -> list[BoundReport]:
 def check_convergence(seed: int, prof: Profile) -> list[BoundReport]:
     """Plug-in cost deviation shrinks along the sample grid (separated case)."""
     r = 0.5
-    gen0 = tp.DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),))
-    gen1 = tp.DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((10.0 * r, 0.0),))
+    gen0 = tp.DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),), sigma=0.2)
+    gen1 = tp.DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((10.0 * r, 0.0),), sigma=0.2)
     result = tp.convergence_experiment(
         gen0,
         gen1,
         r=r,
-        sigma=0.2,
         n_grid=prof.convergence_grid,
         trials=prof.convergence_trials,
         seed=derive_seed(seed, "convergence"),

@@ -476,7 +476,8 @@ def robust_risk(d_r_value: float) -> float:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Named sampling primitive: 'gaussian-mixture' or 'uniform-ball'."""
+    """Named sampling primitive: 'gaussian-mixture' or 'uniform-ball', either
+    one plus N(0, sigma^2 I) noise."""
 
     kind: str
     dim: int
@@ -507,14 +508,15 @@ class DistributionSpec:
 def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) -> np.ndarray:
     if spec.kind == "uniform-ball":
         center = np.asarray(spec.center or (0.0,) * spec.dim, dtype=np.float64)
-        return center + spec.radius * uniform_in_ball(g, n, spec.dim)
-    atoms = np.asarray(spec.atoms, dtype=np.float64).reshape(len(spec.atoms), spec.dim)
-    if spec.weights:
-        w = np.asarray(spec.weights, dtype=np.float64)
-        w = w / w.sum()
+        out = center + spec.radius * uniform_in_ball(g, n, spec.dim)
     else:
-        w = np.full(len(atoms), 1.0 / len(atoms))
-    out = atom_rows(g, atoms, w, n)
+        atoms = np.asarray(spec.atoms, dtype=np.float64).reshape(len(spec.atoms), spec.dim)
+        if spec.weights:
+            w = np.asarray(spec.weights, dtype=np.float64)
+            w = w / w.sum()
+        else:
+            w = np.full(len(atoms), 1.0 / len(atoms))
+        out = atom_rows(g, atoms, w, n)
     if spec.sigma > 0.0:
         out = out + g.standard_normal(out.shape) * spec.sigma
     return out
@@ -532,7 +534,6 @@ def convergence_experiment(
     gen0: DistributionSpec,
     gen1: DistributionSpec,
     r: float,
-    sigma: float,
     n_grid,
     trials: int,
     seed: int,
@@ -549,14 +550,10 @@ def convergence_experiment(
     for n, m in zip(n_grid, n_grid[1:]):
         if n == m:
             raise InvalidArgumentError(f"n_grid holds the size {n} twice")
-    nonnegative_real(sigma, "noise sigma")
 
     def draw(spec, n, tag):
         g = chunk_generator(derive_seed(seed, "draw", tag), 0)
-        raw = sample_distribution(spec, n, g)
-        if sigma > 0.0:
-            raw = raw + g.standard_normal(raw.shape) * sigma
-        return PointSet(raw)
+        return PointSet(sample_distribution(spec, n, g))
 
     n_ref = 8 * max(n_grid)
     cells = [(n, trial) for n in n_grid for trial in range(trials)]

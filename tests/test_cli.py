@@ -131,7 +131,6 @@ def test_verify_experiment(tmp_path, centers_csv):
         json.dumps(
             {
                 "name": "demo",
-                "module": "bounds",
                 "seed": 5,
                 "parameters": {
                     "points_file": str(centers_csv),
@@ -158,7 +157,6 @@ def test_verify_rejects_unknown_key(tmp_path):
         json.dumps(
             {
                 "name": "demo",
-                "module": "bounds",
                 "seed": 5,
                 "parameters": {"radious": 1.0},
             }
@@ -312,10 +310,9 @@ def test_dr_converge_command(tmp_path):
     cfg.write_text(
         json.dumps(
             {
-                "gen0": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[0.0, 0.0]]},
-                "gen1": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[5.0, 0.0]]},
+                "gen0": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[0.0, 0.0]], "sigma": 0.2},
+                "gen1": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[5.0, 0.0]], "sigma": 0.2},
                 "r": 0.5,
-                "sigma": 0.2,
                 "n_grid": [10, 20],
                 "trials": 2,
                 "seed": 9,
@@ -363,8 +360,9 @@ def test_dr_converge_rejects_bad_generator(tmp_path, capsys, gen0):
 
 
 def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
+    # a uniform ball's noise is read and checked as a mixture's is
     cfg = tmp_path / "conv.json"
-    cfg.write_text(json.dumps({**_CONV, "sigma": -0.5}))
+    cfg.write_text(json.dumps({**_CONV, "gen1": {"kind": "uniform-ball", "sigma": -0.5}}))
     assert main(["dr-converge", "--config", str(cfg)]) == 2
     assert "sigma must be a nonnegative finite real" in capsys.readouterr().err
 
@@ -373,7 +371,7 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
     "entry, message",
     [
         ({"r": -0.5}, "r: radius must be a nonnegative finite real"),
-        ({"sigma": -0.5}, "sigma: noise sigma must be a nonnegative finite real"),
+        ({"sigma": 0.1}, "unknown key 'sigma'"),
         ({"gen0": {"kind": "uniform-ball", "center": [math.nan, 0.0]}}, "gen0: center must be finite"),
         ({"gen1": {"dim": 3, "atoms": [[1.0, 0.0, 0.0]]}}, "gen1: dim 3 differs from gen0's dim 2"),
         ({"n_grid": [0]}, "n_grid: need a nonempty list of sizes >= 1"),
@@ -390,8 +388,8 @@ def test_dr_converge_rejects_negative_noise(tmp_path, capsys):
         ({"gen0": {"dim": True, "atoms": [[0.0]]}}, "gen0: dim: need an integer >= 1"),
         ({"gen0": {"dim": 2.0, "atoms": [[0.0, 0.0]]}}, "gen0: dim: need an integer >= 1"),
         ({"gen0": {"kind": "cube"}}, "gen0: unknown distribution kind 'cube'"),
+        ({"gen0": {"kind": "uniform-ball", "sigma": -5.0}}, "gen0: sigma must be a nonnegative finite real"),
         # each generator kind takes only the keys it reads
-        ({"gen0": {"kind": "uniform-ball", "sigma": 5.0}}, "gen0: unknown generator key 'sigma'"),
         ({"gen0": {"kind": "uniform-ball", "atoms": [[0.0, 0.0]]}},
          "gen0: unknown generator key 'atoms'"),
         ({"gen0": {"kind": "uniform-ball", "weights": [1.0]}},
@@ -636,7 +634,7 @@ def test_mc_kneser_linf_past_the_cover_budget_exits_2(tmp_path, capsys):
 def _verify_cubes(tmp_path, points, **params):
     cfg = tmp_path / "exp.json"
     params = {"points": points, "norm": "linf", "radius": 1.0, "checks": ["volume-constrained"], **params}
-    cfg.write_text(json.dumps({"name": "cubes", "module": "bounds", "seed": 4, "parameters": params}))
+    cfg.write_text(json.dumps({"name": "cubes", "seed": 4, "parameters": params}))
     return cfg
 
 
@@ -751,7 +749,6 @@ def test_verify_json_and_printout_match_reports(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
         "name": "cube",
-        "module": "bounds",
         "seed": 4,
         "parameters": {
             "points": [[0.0, 0.0], [0.5, 0.25], [0.25, -0.5]],
@@ -836,7 +833,7 @@ def _spec(**params):
 
 
 def _verify(**params):
-    return {"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+    return {"exp.json": {"name": "demo", "seed": 1,
                          "parameters": {"points": [[0.0, 0.0]], "checks": ["gaussian-surface"],
                                         **params}}}
 
@@ -893,22 +890,25 @@ MALFORMED = {
     "mc-union-with-dim": ({"spec.json": {"points": [[0, 0]], "dim": 7}}, _GSHELL, "spec.json"),
     "converge-seed-fraction": ({"conv.json": {**_CONV, "seed": 2.7}}, _CONVERGE, "conv.json"),
     "converge-seed-bool": ({"conv.json": {**_CONV, "seed": True}}, _CONVERGE, "conv.json"),
-    "verify-samples-fraction": ({"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+    "verify-samples-fraction": ({"exp.json": {"name": "demo", "seed": 1,
                                               "parameters": {"points": [[0.0, 0.0]],
                                                              "samples": 2.5}}},
                                 _VERIFY, "demo"),
     "mc-ragged-points": ({"spec.json": {"points": [[0.0, 0.0], [1.0]]}}, _MC, "spec.json"),
     "mc-radius-string": ({"spec.json": {"points": [[0.0, 0.0]], "radius": "abc"}}, _MC, "spec.json"),
+    # a norm other than a string ended in an AttributeError traceback
+    "mc-norm-number": (_spec(norm=5), _MC, "spec.json: norm"),
+    "mc-norm-null": (_spec(norm=None), _MC, "spec.json: norm"),
     "mc-points-file-number": ({"spec.json": {"points_file": 5}}, _MC, "spec.json"),
     "exact2d-string-centers": ({"centers.json": [["a", "b"]]},
                                ["exact2d", "--shape", "disk", "--centers", "centers.json",
                                 "--radius", "1.0"], "centers.json"),
     "bounds-params-int": ({}, ["bounds", "--eval", "reverse-bm", "--params", "d=x,r=1"], "--params"),
     "bounds-params-missing": ({}, ["bounds", "--eval", "reverse-bm", "--params", "d=2"], "--params"),
-    "verify-ragged-points": ({"exp.json": {"name": "demo", "module": "bounds", "seed": 1,
+    "verify-ragged-points": ({"exp.json": {"name": "demo", "seed": 1,
                                            "parameters": {"points": [[0.0, 0.0], [1.0]]}}},
                              _VERIFY, "demo"),
-    "verify-seed-string": ({"exp.json": {"name": "demo", "module": "bounds", "seed": "abc",
+    "verify-seed-string": ({"exp.json": {"name": "demo", "seed": "abc",
                                          "parameters": {"points": [[0.0, 0.0]]}}},
                            _VERIFY, "exp.json"),
     "converge-n-grid-string": ({"conv.json": {**_CONV, "n_grid": ["a"]}}, _CONVERGE, "conv.json"),
@@ -925,6 +925,10 @@ MALFORMED = {
     "csv-non-numeric": ({"c.csv": "x0,x1\n0,0\n1,abc\n"}, _CSV, "c.csv:3"),
     "csv-nan": ({"c.csv": "x0,x1\n0,nan\n"}, _CSV, "c.csv"),
     "csv-inf": ({"c.csv": "x0,x1\n-inf,0\n"}, _CSV, "c.csv"),
+    # a quoted field across two lines put the ragged row on line 3, not 4
+    "csv-ragged-after-a-two-line-record": ({"c.csv": 'x0,x1\n"0\n",0\n1\n'}, _CSV, "c.csv:4"),
+    # a field past the csv module's limit of 131072 characters ended in a traceback
+    "csv-field-past-limit": ({"c.csv": "x0,x1\n0,0\n" + "1" * 131073 + ",0\n"}, _CSV, "c.csv:3"),
     # a number in an input file is a JSON number: each of these read a
     # numeric string or a boolean as a number and exited 0
     **_not_numbers("mc-radius", _spec(radius="0.5"), _spec(radius=True), _MC, "spec.json: radius"),
@@ -964,8 +968,8 @@ MALFORMED = {
                    _gen(kind="uniform-ball", radius=True), _CONVERGE, "conv.json: gen0: radius"),
     **_not_numbers("converge-r", {"conv.json": {**_CONV, "r": "0.5"}},
                    {"conv.json": {**_CONV, "r": True}}, _CONVERGE, "conv.json: r"),
-    **_not_numbers("converge-sigma-noise", {"conv.json": {**_CONV, "sigma": "0.1"}},
-                   {"conv.json": {**_CONV, "sigma": True}}, _CONVERGE, "conv.json: sigma"),
+    **_not_numbers("converge-sigma-noise", _gen(kind="uniform-ball", sigma="0.1"),
+                   _gen(kind="uniform-ball", sigma=True), _CONVERGE, "conv.json: gen0: sigma"),
     **_not_numbers("verify-delta", _verify(delta="0.05"), _verify(delta=True), _VERIFY, "demo: delta"),
     **_not_numbers("verify-sigma", _verify(sigma="1.5"), _verify(sigma=True), _VERIFY, "demo: sigma"),
     # an integer literal is a JSON number, but not one past double range
@@ -1002,7 +1006,7 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
                          ids=["string", "number", "object", "non-string-name"])
 def test_verify_checks_need_an_array_of_names(tmp_path, capsys, checks):
     # a string was read letter by letter, and an object by its keys
-    exp = {"name": "demo", "module": "bounds", "seed": 1,
+    exp = {"name": "demo", "seed": 1,
            "parameters": {"points": [[0.0, 0.0]], "checks": checks}}
     _write_files(tmp_path, {"exp.json": exp})
     assert main(["verify", "--experiment", str(tmp_path / "exp.json")]) == 2
@@ -1058,7 +1062,7 @@ NON_FINITE = {
     # a finite input whose bound is past double range: strict JSON out refuses it
     "bounds-result-inf": ({}, _bounds("gaussian-surface", "d=2,r=1,sigma=1e-320")),
     "converge-r-inf": ({"conv.json": {**_CONV, "r": math.inf}}, _CONVERGE),
-    "converge-sigma-nan": ({"conv.json": {**_CONV, "sigma": math.nan}}, _CONVERGE),
+    "converge-sigma-nan": (_gen(kind="uniform-ball", sigma=math.nan), _CONVERGE),
     "epi-smoothing-inf": ({"x.json": {"atoms": [[0.0]]}, "y.json": {"atoms": [[0.0]]}},
                           [*_EPI[:5], "--smoothing", "inf"]),
     "dr-radius-nan": ({"mu0.json": _MU1, "mu1.json": _MU1}, [*_DR[:-1], "nan"]),
@@ -1191,6 +1195,26 @@ def test_removed_flags_exit_2(command, flag, capsys):
         main([command, *_WELL_FORMED[command], flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+# config keys that are gone: verify's module (nothing read it), its output_path
+# (--out writes the reports) and dr-converge's sigma (each generator draws its noise)
+_REMOVED_KEYS = {
+    "verify-module": ({"exp.json": {"name": "demo", "seed": 1, "module": "bounds"}}, _VERIFY, "module"),
+    "verify-output-path": ({"exp.json": {"name": "demo", "seed": 1, "output_path": "r.csv"}},
+                           _VERIFY, "output_path"),
+    "converge-sigma": ({"conv.json": {**_CONV, "sigma": 0.1}}, _CONVERGE, "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REMOVED_KEYS))
+def test_removed_config_keys_exit_2(tmp_path, capsys, case):
+    files, argv, key = _REMOVED_KEYS[case]
+    _write_files(tmp_path, files)
+    (name,) = files
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / name}: unknown key {key!r}\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_fresh_import_loads_no_scipy():

@@ -14,16 +14,30 @@ from parset import (
     load_points_json,
 )
 from parset import _kernels, bounds, entropy, mc, transport
+from parset.exact2d import ArcDecomposition, BoundarySegment, SegmentDecomposition
 from parset.experiment import ExperimentConfig, run_verify_experiment
 from parset.geometry import (
     json_real,
     json_reals,
+    left_sum,
     nonnegative_real,
     positive_real,
     reading,
     shell_params,
 )
 from parset.transport import EmpiricalMeasure
+
+
+def test_exact_sums_add_left_to_right():
+    # Python 3.12's sum() of floats is compensated: it gives 1.0000000000000002
+    # here, where 3.11 and earlier give 1.0
+    terms = [1.0, 1e-16, 1e-16]
+    assert left_sum(terms) == (1.0 + 1e-16) + 1e-16 == 1.0
+    arcs = ArcDecomposition(tuple((i, 0.0, t) for i, t in enumerate(terms)), 1.0, np.zeros((3, 2)))
+    assert arcs.perimeter() == arcs.arc_length_of(0) == 1.0
+    segments = SegmentDecomposition(
+        tuple(BoundarySegment("vertical", t, 0.0, 1.0, 1) for t in [0.0, *terms]))
+    assert segments.perimeter() == 4.0 and segments.area() == 1.0
 
 
 def test_distance_identity():
@@ -55,7 +69,6 @@ def test_point_set_distances_reach_min_dist(monkeypatch):
     monkeypatch.setattr(_kernels, "min_dist", no_min_dist)
     verify = ExperimentConfig(
         name="demo",
-        module="bounds",
         parameters={"points": [[0.0, 0.0], [0.5, 0.0]], "checks": ["union-in-ball"]},
         seed=1,
     )
@@ -250,7 +263,6 @@ def test_shell_params_read_by_mc_and_verify():
 _ONE = PointSet([[0.0, 0.0]])
 _UNIFORM = EmpiricalMeasure.uniform(_ONE)
 _CFG = mc.McConfig(samples=10, seed=0)
-_BALL_GEN = transport.DistributionSpec("uniform-ball", 1)
 _POS = "must be a positive finite real"
 _NONNEG = "must be a nonnegative finite real"
 # name: (a call that takes the parameter, the message it fails with)
@@ -295,8 +307,8 @@ ROUTED = {
                              f"radius {_POS}"),
     "generator-sigma": (lambda x: transport.DistributionSpec("gaussian-mixture", 1, ((0.0,),),
                                                              sigma=x), f"sigma {_NONNEG}"),
-    "convergence-sigma": (lambda x: transport.convergence_experiment(
-        _BALL_GEN, _BALL_GEN, 0.5, x, [2], 1, 0), f"noise sigma {_NONNEG}"),
+    "convergence-sigma": (lambda x: transport.DistributionSpec("uniform-ball", 1, sigma=x),
+                          f"sigma {_NONNEG}"),
     "sandwich-eta": (lambda x: transport.coupling_sandwich_check(
         _UNIFORM, _UNIFORM, _UNIFORM, _UNIFORM, 0.3, x), r"eta must lie in \(0, r/3\)"),
     "robust-risk": (transport.robust_risk, r"transport cost must lie in \[0, 1\]"),

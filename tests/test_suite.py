@@ -183,34 +183,23 @@ def test_run_suite_deterministic_results(tmp_path):
 
 def test_experiment_config_validation(tmp_path):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"name": "x", "module": "bounds", "seed": 1, "oops": 2}))
+    path.write_text(json.dumps({"name": "x", "seed": 1, "oops": 2}))
     with pytest.raises(InvalidArgumentError, match="oops"):
         load_experiment_config(path)
-    path.write_text(json.dumps({"name": "x", "module": "nope", "seed": 1}))
-    with pytest.raises(InvalidArgumentError, match="module"):
-        load_experiment_config(path)
-    path.write_text(json.dumps({"name": "x", "module": "bounds"}))
+    path.write_text(json.dumps({"name": "x"}))
     with pytest.raises(InvalidArgumentError, match="seed"):
         load_experiment_config(path)
     # a seed is a JSON integer: 1.5 used to run at seed 1, true at seed 1
     for seed in (1.5, True, "1"):
-        path.write_text(json.dumps({"name": "x", "module": "bounds", "seed": seed}))
+        path.write_text(json.dumps({"name": "x", "seed": seed}))
         with pytest.raises(InvalidArgumentError, match="seed: need an integer"):
             load_experiment_config(path)
-
-
-def test_experiment_output_path_is_a_path(tmp_path):
-    # a number used to reach open() as a file descriptor
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"name": "x", "module": "bounds", "seed": 1, "output_path": 5}))
-    assert load_experiment_config(path).output_path == "5"
 
 
 def test_verify_experiment_not_compared():
     # premise violated: points spread wider than the dilation radius
     cfg = ExperimentConfig(
         name="wide",
-        module="bounds",
         parameters={
             "points": [[0.0, 0.0], [9.0, 0.0]],
             "norm": "l2",
@@ -236,7 +225,7 @@ def test_verify_volume_constrained_takes_one_draw():
     points = [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2]]
     params = {"points": points, "norm": "l2", "radius": 1.0, "samples": 6000, "delta": 0.01,
               "checks": ["union-in-ball", "volume-constrained"]}
-    reports = run_verify_experiment(ExperimentConfig("one-draw", "bounds", params, seed=4))
+    reports = run_verify_experiment(ExperimentConfig("one-draw", params, seed=4))
     by_name = {r.bound_name: r for r in reports}
     spec = ParallelSetSpec(PointSet(points), NormKind.L2, 1.0)
     vol, shell = mcmod.union_measures(
@@ -250,7 +239,7 @@ def test_verify_volume_constrained_takes_one_draw():
 
 def _union_in_ball(points, radius):
     params = {"points": points, "norm": "l2", "radius": radius, "checks": ["union-in-ball"]}
-    (report,) = run_verify_experiment(ExperimentConfig("ball", "bounds", params, seed=0))
+    (report,) = run_verify_experiment(ExperimentConfig("ball", params, seed=0))
     return report
 
 
@@ -334,7 +323,7 @@ def test_verify_plane_measures_one_exact_boundary(monkeypatch, norm):
     monkeypatch.setattr(mcmod.exact2d, "union_boundary", counted)
     params = {"points": points, "norm": norm, "radius": 1.0, "samples": 10,
               "checks": ["union-in-ball", "union-in-cube", "volume-constrained"]}
-    reports = run_verify_experiment(ExperimentConfig("plane", "bounds", params, seed=4))
+    reports = run_verify_experiment(ExperimentConfig("plane", params, seed=4))
     assert len(boundaries) == 1
     perimeter = boundaries[0].perimeter()
     assert volume.value == boundaries[0].area() and volume.std_error > 0.0
@@ -407,7 +396,7 @@ def test_each_transport_sweep_is_one_matching_solve(monkeypatch):
     calls.clear()
     gen = suite_mod.tp.DistributionSpec(kind="uniform-ball", dim=2)
     result = suite_mod.tp.convergence_experiment(
-        gen, gen, r=0.2, sigma=0.0, n_grid=(5, 10, 20), trials=4, seed=0
+        gen, gen, r=0.2, n_grid=(5, 10, 20), trials=4, seed=0
     )
     assert len(result.rows) == 12
     # the reference is solved alone: in a sweep its graph would set the number

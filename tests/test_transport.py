@@ -357,18 +357,21 @@ def test_suite_weighted_flows_digest_is_pinned(monkeypatch):
 
 
 # sha256 of the CSV and the reference line that `parset dr-converge` writes
-# for a small fixed config (a 3-atom mixture against a uniform ball), taken
-# with _TRANSPORT_VERSIONS; it pins the generators' streams and the sweep
-_DR_CONVERGE_SHA256 = "d5dfc240f5530aef6084f54af1ed019ec113d061baa35e1eca3b0e64cdcccad7"
+# for a small fixed config (a 3-atom mixture against a uniform ball, each with
+# noise of sigma 0.1), taken with _TRANSPORT_VERSIONS; it pins the generators'
+# streams and the sweep.  It is the digest of the same draws made as noise-free
+# generators plus a shared config-level sigma of 0.1, the format before each
+# generator drew its own noise
+_DR_CONVERGE_SHA256 = "7c0372e114563fa202cd9a0eea57f30127c8635c69c6f56191e96d5aed45d65d"
 
 
 def test_dr_converge_digest_is_pinned(tmp_path, capsys):
     _skip_unless_transport_versions()
     config = {
         "gen0": {"kind": "gaussian-mixture", "dim": 2, "atoms": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]],
-                 "weights": [0.5, 0.3, 0.2], "sigma": 0.3},
-        "gen1": {"kind": "uniform-ball", "dim": 2, "center": [0.4, 0.2], "radius": 1.2},
-        "r": 0.25, "sigma": 0.1, "n_grid": [15, 40], "trials": 3, "seed": 21,
+                 "weights": [0.5, 0.3, 0.2], "sigma": 0.1},
+        "gen1": {"kind": "uniform-ball", "dim": 2, "center": [0.4, 0.2], "radius": 1.2, "sigma": 0.1},
+        "r": 0.25, "n_grid": [15, 40], "trials": 3, "seed": 21,
     }
     (tmp_path / "conv.json").write_text(json.dumps(config))
     out = tmp_path / "conv.csv"
@@ -1169,9 +1172,9 @@ def test_distribution_spec_rejects_bad_parameters(kw, match):
 
 @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
 def test_convergence_rejects_bad_noise(sigma):
-    gen = DistributionSpec(kind="uniform-ball", dim=1)
+    # the noise of a convergence draw is its generator's, a uniform ball's too
     with pytest.raises(InvalidArgumentError, match="sigma"):
-        convergence_experiment(gen, gen, r=0.3, sigma=sigma, n_grid=(4,), trials=1, seed=0)
+        DistributionSpec(kind="uniform-ball", dim=1, sigma=sigma)
 
 
 @pytest.mark.parametrize("n_grid", [(), (4, 0), (-3,)])
@@ -1179,7 +1182,7 @@ def test_convergence_rejects_bad_grid(n_grid):
     # a negative size used to end in numpy's "negative dimensions" ValueError
     gen = DistributionSpec(kind="uniform-ball", dim=1)
     with pytest.raises(InvalidArgumentError, match="n_grid"):
-        convergence_experiment(gen, gen, r=0.3, sigma=0.0, n_grid=n_grid, trials=1, seed=0)
+        convergence_experiment(gen, gen, r=0.3, n_grid=n_grid, trials=1, seed=0)
 
 
 @pytest.mark.parametrize("n_grid", [(10, 10), (25, 10, 25)])
@@ -1187,25 +1190,21 @@ def test_convergence_rejects_a_repeated_size(n_grid):
     # a repeated size wrote each of its (n, trial) rows twice, from the same streams
     gen = DistributionSpec(kind="uniform-ball", dim=1)
     with pytest.raises(InvalidArgumentError, match=f"^n_grid holds the size {n_grid[0]} twice$"):
-        convergence_experiment(gen, gen, r=0.3, sigma=0.0, n_grid=n_grid, trials=2, seed=0)
+        convergence_experiment(gen, gen, r=0.3, n_grid=n_grid, trials=2, seed=0)
 
 
 def test_convergence_identical_generators():
-    gen = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),))
-    result = convergence_experiment(
-        gen, gen, r=0.5, sigma=0.1, n_grid=(10, 20), trials=3, seed=3
-    )
+    gen = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),), sigma=0.1)
+    result = convergence_experiment(gen, gen, r=0.5, n_grid=(10, 20), trials=3, seed=3)
     for _, _, d_r, dev in result.rows:
         assert d_r <= 0.35
     assert result.reference <= 0.2
 
 
 def test_convergence_separated_atoms():
-    gen0 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),))
-    gen1 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((6.0, 0.0),))
-    result = convergence_experiment(
-        gen0, gen1, r=0.5, sigma=0.05, n_grid=(10, 20), trials=3, seed=4
-    )
+    gen0 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0),), sigma=0.05)
+    gen1 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((6.0, 0.0),), sigma=0.05)
+    result = convergence_experiment(gen0, gen1, r=0.5, n_grid=(10, 20), trials=3, seed=4)
     assert result.reference == 1.0
     for _, _, d_r, dev in result.rows:
         assert d_r == 1.0 and dev == 0.0
@@ -1213,9 +1212,7 @@ def test_convergence_separated_atoms():
 
 def test_convergence_rows_schema():
     gen = DistributionSpec(kind="uniform-ball", dim=1, radius=1.0)
-    result = convergence_experiment(
-        gen, gen, r=0.3, sigma=0.0, n_grid=(8, 4), trials=2, seed=5
-    )
+    result = convergence_experiment(gen, gen, r=0.3, n_grid=(8, 4), trials=2, seed=5)
     ns = [row[0] for row in result.rows]
     assert ns == [4, 4, 8, 8]  # sorted grid, trials within
     assert result.n_ref == 64
@@ -1232,9 +1229,9 @@ def test_convergence_matches_one_sweep(monkeypatch):
         return d_r_uniform_many(sweeps[-1])
 
     monkeypatch.setattr(transport, "d_r_uniform_many", recording)
-    gen0 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0), (1.0, 0.5)))
-    gen1 = DistributionSpec(kind="uniform-ball", dim=2, radius=1.2)
-    result = convergence_experiment(gen0, gen1, r=0.2, sigma=0.1, n_grid=(10, 30), trials=3, seed=6)
+    gen0 = DistributionSpec(kind="gaussian-mixture", dim=2, atoms=((0.0, 0.0), (1.0, 0.5)), sigma=0.1)
+    gen1 = DistributionSpec(kind="uniform-ball", dim=2, radius=1.2, sigma=0.1)
+    result = convergence_experiment(gen0, gen1, r=0.2, n_grid=(10, 30), trials=3, seed=6)
     reference, trials = sweeps
     assert len(reference) == 1 and len(reference[0][0]) == result.n_ref == 240
     ref, *values = (res.value for res in d_r_uniform_many(reference + trials))
