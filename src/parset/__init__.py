@@ -28,7 +28,6 @@ from .entropy import (
     entropy_quadrature,
     fisher_information_mc,
     fisher_information_quadrature,
-    mixture_density,
     reverse_epi_check,
 )
 from .errors import InvalidArgumentError, RangeOverflowError

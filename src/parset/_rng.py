@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .geometry import positive_count
 
 CHUNK = 1 << 16
 # Counter blocks reserved per chunk slot; far larger than any chunk can consume,
@@ -56,9 +56,7 @@ _THREADS: ContextVar[int] = ContextVar("parset_threads", default=1)
 def threads(n: int):
     """Run the chunks of every Monte Carlo reduction inside on n threads; the
     previous count comes back on exit, an exception's included."""
-    if n < 1:
-        raise InvalidArgumentError("workers must be >= 1")
-    token = _THREADS.set(n)
+    token = _THREADS.set(positive_count(n, "workers"))
     try:
         yield
     finally:
@@ -68,8 +66,7 @@ def threads(n: int):
 def map_reduce_chunks(seed: int, total: int, chunk_fn: Callable[[np.random.Generator, int], Sequence]):
     """Run chunk_fn(gen, n) over all chunks, on the threads of the enclosing
     threads scope; add the tuples in chunk order."""
-    if total < 1:
-        raise InvalidArgumentError("total samples must be >= 1")
+    total = positive_count(total, "total samples")
     sizes = [CHUNK] * (total // CHUNK)
     if total % CHUNK:
         sizes.append(total % CHUNK)

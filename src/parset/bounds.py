@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, _log_omega, left_sum, nonnegative_real, positive_radius, positive_real
+from .geometry import NormKind, _log_omega, left_sum, nonnegative_real, positive_count, positive_radius, positive_real
 
 _LOG_DBL_MAX = math.log(1.7976931348623157e308)
 # the standard errors a measured value may exceed its bound by and still pass
@@ -130,17 +130,17 @@ def _exp_checked(log_value: float, what: str) -> float:
     return math.exp(log_value)
 
 
-def _check_dim(d: int, r: float | None = None) -> None:
-    """d >= 1, and r, when given, a positive finite radius."""
-    if d < 1:
-        raise InvalidArgumentError("dimension must be >= 1")
+def _check_dim(d: int, r: float | None = None) -> int:
+    """d as an int, checked to be a count, and r, when given, a positive finite radius."""
+    d = positive_count(d, "dimension")
     if r is not None:
         positive_radius(r)
+    return d
 
 
 def bound_union_in_ball(d: int, r: float) -> float:
     """2^(d-1) * Omega_d * r^(d-1): surface cap for unions centred inside a ball."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     return _exp_checked(
         (d - 1) * math.log(2.0) + math.log(d) + _log_omega(d) + (d - 1) * math.log(r),
         "bound_union_in_ball",
@@ -149,7 +149,7 @@ def bound_union_in_ball(d: int, r: float) -> float:
 
 def bound_union_in_cube(d: int, r: float) -> float:
     """2d * (4r)^(d-1): surface cap for cube unions centred inside a cube."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     return _exp_checked(
         math.log(2.0 * d) + (d - 1) * math.log(4.0 * r), "bound_union_in_cube"
     )
@@ -157,7 +157,7 @@ def bound_union_in_cube(d: int, r: float) -> float:
 
 def bound_volume_constrained(d: int, r: float, volume: float) -> float:
     """(V/r) * 2^(2d-1) * d: surface cap given a volume budget."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     if nonnegative_real(volume, "volume") == 0.0:
         return 0.0
     return _exp_checked(
@@ -168,7 +168,7 @@ def bound_volume_constrained(d: int, r: float, volume: float) -> float:
 
 def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
     """(V/r^d) * 2^(2d-1) * ((r+delta)^d - r^d): shell volume cap."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     positive_real(delta, "delta")
     if nonnegative_real(volume, "volume") == 0.0:
         return 0.0
@@ -182,7 +182,7 @@ def bound_shell_volume(d: int, r: float, delta: float, volume: float) -> float:
 
 def bound_bounded_support(d: int, big_r: float, r: float) -> tuple[float, float]:
     """Surface caps for a base set inside B(R): (ball variant, cube variant)."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     nonnegative_real(big_r, "enclosing radius")
     log_omega = _log_omega(d)
     ball = _exp_checked(
@@ -215,7 +215,7 @@ def _log_gaussian_constant(d: int, norm: NormKind) -> float:
     C_i = binom(d,i) * 2^((d-i)/2) * Gamma(1+(d-i)/2) * (3/2)^i, the cube
     variant carrying an extra (sqrt d)^i per coefficient; one log-sum-exp
     over the log C_i, so no C_i is formed."""
-    _check_dim(d)
+    d = _check_dim(d)
     log_coeffs = []
     for i in range(d + 1):
         v = (
@@ -237,6 +237,10 @@ def _log_gaussian_constant(d: int, norm: NormKind) -> float:
 
 
 def _gaussian_c(d: int, norm: NormKind) -> float:
+    """C, past double range from d = 509 on without the O(d) sum: its i = 0
+    term alone gives C >= 2^(2d-1) * d in both norms."""
+    d = _check_dim(d)
+    _exp_checked((2 * d - 1) * math.log(2.0) + math.log(d), "gaussian_constant")
     return _exp_checked(_log_gaussian_constant(d, norm), "gaussian_constant")
 
 
@@ -273,7 +277,7 @@ def gaussian_surface_bound(
 
 def reverse_bm_bound(d: int, r: float) -> float:
     """2^(4d) / (omega_d * r^d): Minkowski-sum volume inflation factor."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     return _exp_checked(
         4 * d * math.log(2.0) - _log_omega(d) - d * math.log(r),
         "reverse_bm_bound",
@@ -282,7 +286,7 @@ def reverse_bm_bound(d: int, r: float) -> float:
 
 def reverse_epi_constant(d: int, r: float) -> float:
     """-(d/2) * ln(pi * r): additive entropy slack for smoothed sums."""
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     return -0.5 * d * math.log(math.pi * r)
 
 
@@ -302,7 +306,7 @@ def sample_complexity_n0(
     the quotient underflows.  c0 and c1 are
     tail constants not pinned by theory; defaults of 1.0 are placeholders.
     """
-    _check_dim(d, r)
+    d = _check_dim(d, r)
     positive_real(eps, "eps")
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError("delta must lie in (0, 1)")

@@ -292,8 +292,11 @@ def _cmd_dr_converge(args) -> int:
     n_grid = data["n_grid"]
     if not (isinstance(n_grid, list) and n_grid and all(map(is_count, n_grid))):
         raise InvalidArgumentError(f"{args.config}: n_grid: need a nonempty list of sizes >= 1")
+    twice = sorted(n for n in set(n_grid) if n_grid.count(n) > 1)
+    if twice:
+        raise InvalidArgumentError(f"{args.config}: n_grid: holds the size {twice[0]} twice")
     trials = json_count(data, "trials", 10, args.config)
-    seed = data.get("seed", args.seed)
+    seed = data.get("seed", 0)
     if not is_json_int(seed):
         raise InvalidArgumentError(f"{args.config}: seed: need an integer")
     result = tp.convergence_experiment(gen0, gen1, r=r, n_grid=n_grid, trials=trials, seed=seed)
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--weighted", action="store_true", help="has no effect")
 
-    p = command("dr-converge", _cmd_dr_converge, "plug-in convergence experiment", "seed", "out")
+    p = command("dr-converge", _cmd_dr_converge, "plug-in convergence experiment", "out")
     p.add_argument("--workers", **_INERT_WORKERS)
     p.add_argument("--config", required=True)
 

@@ -37,7 +37,7 @@ from . import _kernels
 from ._rng import atom_rows, map_reduce_chunks
 from .bounds import BoundReport, MeasureEstimate, reverse_epi_constant
 from .errors import InvalidArgumentError
-from .geometry import group_rows, positive_real
+from .geometry import group_rows, positive_count, positive_real, probability_weights
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,9 @@ class GaussianMixture:
             raise InvalidArgumentError("atoms must form a nonempty (k, d) array")
         if not np.isfinite(atoms).all():
             raise InvalidArgumentError("atom coordinates must be finite")
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.shape != (atoms.shape[0],) or not (np.isfinite(w).all() and (w > 0.0).all()):
-            raise InvalidArgumentError("need one finite positive weight per atom")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("weights must sum to 1 within 1e-12")
+        w = probability_weights(self.weights, atoms.shape[0], "atom")
         positive_real(self.variance, "variance")
         atoms.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
 
@@ -149,18 +144,6 @@ def _normalize(gm: GaussianMixture, lse: np.ndarray) -> np.ndarray:
     """The log-density from the kernel's log-sum-exp, in place."""
     lse -= 0.5 * gm.dim * math.log(2.0 * math.pi * gm.variance)
     return lse
-
-
-def mixture_density(gm: GaussianMixture, x) -> float | np.ndarray:
-    """Density via log-sum-exp; accepts one d-vector or an (n, d) batch."""
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != gm.dim:
-        raise InvalidArgumentError(f"x must be a {gm.dim}-vector or an (n, {gm.dim}) batch")
-    vals = np.exp(_log_density(gm, pts))
-    return float(vals[0]) if single else vals
 
 
 def convolve_mixtures(gm_x: GaussianMixture, gm_y: GaussianMixture) -> GaussianMixture:
@@ -316,8 +299,7 @@ def reverse_epi_check(
     The Monte Carlo chunks run on the threads of the enclosing _rng.threads
     scope; the estimates do not depend on their count.
     """
-    if n < 1:  # checked here: a mixture the grid takes reads no n
-        raise InvalidArgumentError("samples must be >= 1")
+    n = positive_count(n, "samples")  # checked here: a mixture the grid takes reads no n
     if gm_x.variance != gm_y.variance:
         raise InvalidArgumentError("the two mixtures must share one variance r")
     h_x = _entropy_auto(gm_x, n, seed)

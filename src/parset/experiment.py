@@ -139,8 +139,8 @@ def run_verify_experiment(cfg: ExperimentConfig) -> list[BoundReport]:
     samples = json_count(params, "samples", 200_000, cfg.name)
     delta, sigma = shell_params(params, cfg.name)
     checks = params.get("checks", list(_CHECK_NAMES[:3]))
-    if not (isinstance(checks, list) and all(isinstance(name, str) for name in checks)):
-        raise InvalidArgumentError(f"{cfg.name}: checks: need an array of check names")
+    if not (isinstance(checks, list) and checks and all(isinstance(name, str) for name in checks)):
+        raise InvalidArgumentError(f"{cfg.name}: checks: need a nonempty array of check names")
     a_k, b_k, t = kneser_params(params, radius, cfg.name)
     for name in checks:
         if name not in _CHECK_NAMES:

@@ -1,10 +1,11 @@
 """Core types: point sets, norm bodies, parallel-set specs.
 
 All types are immutable after construction; operations are pure functions.
-Every pairwise temporary is cut by `row_blocks`, and every open-ended real
-parameter of the package, a radius or any other, is checked by
-`positive_real` or `nonnegative_real`.  Point-to-set distances are
-`_kernels.min_dist`, called by the modules that measure.
+Every pairwise temporary is cut by `row_blocks`.  Every open-ended real
+parameter, a radius or any other, is checked by `positive_real` or
+`nonnegative_real`, every count (a dimension, a sample size, a thread count)
+by `positive_count`, and every probability vector by `probability_weights`.
+Point-to-set distances are `_kernels.min_dist`, called by the modules that measure.
 
 The IO section at the end holds every input format the CLI reads: UTF-8
 point files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for
@@ -41,7 +42,8 @@ class NormKind(Enum):
         try:
             return cls(text.strip().lower())
         except (AttributeError, ValueError):  # AttributeError: a JSON value other than a string
-            raise InvalidArgumentError(f"unknown norm {text!r}, expected 'l2' or 'linf'")
+            shown = repr(text) if isinstance(text, str) else json.dumps(text, default=repr)
+            raise InvalidArgumentError(f"unknown norm {shown}, expected 'l2' or 'linf'")
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,30 @@ def nonnegative_real(x, name: str) -> float:
     if not 0.0 <= x < math.inf:
         raise InvalidArgumentError(f"{name} must be a nonnegative finite real")
     return x
+
+
+def positive_count(x, name: str, least: int = 1) -> int:
+    """x as a Python int, checked to be an integer >= least: an int or a numpy
+    integer, never a bool or a float, however whole."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise InvalidArgumentError(f"{name} must be an integer")
+    n = operator.index(x)
+    if n < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}")
+    return n
+
+
+def probability_weights(weights, n: int, what: str) -> np.ndarray:
+    """weights as a read-only float64 copy: n finite, strictly positive reals summing to 1 within 1e-12."""
+    w = np.array(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise InvalidArgumentError(f"need one weight per {what}")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise InvalidArgumentError("weights must be finite and strictly positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise InvalidArgumentError("weights must sum to 1 within 1e-12")
+    w.flags.writeable = False
+    return w
 
 
 def positive_radius(r) -> float:

@@ -46,7 +46,7 @@ from . import _kernels, exact2d
 from ._rng import chunk_generator, derive_seed, map_reduce_chunks, uniform_in_ball
 from .bounds import BoundReport, MeasureEstimate, worst_excess
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, ParallelSetSpec, PointSet, positive_radius, positive_real
+from .geometry import NormKind, ParallelSetSpec, PointSet, positive_count, positive_radius, positive_real
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class McConfig:
     shell_delta: float | None = None  # None resolves to r / 1000 at use
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidArgumentError("samples must be >= 1")
+        object.__setattr__(self, "samples", positive_count(self.samples, "samples"))
         if self.shell_delta is not None:
             positive_real(self.shell_delta, "shell_delta")
 
@@ -452,8 +451,7 @@ def cap_solid_angle_fractions(
     threads of the enclosing _rng.threads scope.  The central fraction is
     central_cap_fraction.
     """
-    if dim < 2:
-        raise InvalidArgumentError("dim must be >= 2")
+    dim = positive_count(dim, "dim", least=2)
     if not (0.0 < cap_half_angle < math.pi):
         raise InvalidArgumentError("cap_half_angle must lie in (0, pi)")
     apex = np.asarray(apex, dtype=np.float64)
@@ -488,10 +486,7 @@ def inscribed_angle_check(
     report is the apex's with the largest excess (deficit - 4 * standard
     error), so a failing apex cannot hide behind a larger but noisier deficit.
     """
-    if dim < 2:
-        raise InvalidArgumentError("dim must be >= 2")
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
+    dim, trials = positive_count(dim, "dim", least=2), positive_count(trials, "trials")
     shrink = _checked_power(2.0, dim - 1)
 
     def report(k):

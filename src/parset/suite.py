@@ -39,7 +39,7 @@ from .bounds import (
     reverse_epi_constant,
 )
 from .errors import InvalidArgumentError
-from .geometry import NormKind, ParallelSetSpec, PointSet
+from .geometry import NormKind, ParallelSetSpec, PointSet, positive_count
 from .mc import McConfig
 
 
@@ -577,8 +577,7 @@ def run_suite(
         raise InvalidArgumentError(
             f"unknown suite {suite_name!r}; choose from {', '.join(SUITES)}"
         )
-    if samples is not None and samples < 1:
-        raise InvalidArgumentError("samples must be >= 1")
+    samples = None if samples is None else positive_count(samples, "samples")
     if out_dir is not None:  # a path that cannot be a directory fails before any check
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     prof = profile_from_samples(samples)

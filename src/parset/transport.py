@@ -42,7 +42,7 @@ from . import _kernels
 from ._rng import atom_rows, chunk_generator, derive_seed, uniform_in_ball
 from .bounds import BoundReport
 from .errors import InvalidArgumentError
-from .geometry import PointSet, nonnegative_real, positive_radius
+from .geometry import PointSet, nonnegative_real, positive_count, positive_radius, probability_weights
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,7 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 1 or len(w) != len(self.points):
-            raise InvalidArgumentError("need one weight per point")
-        if not (np.isfinite(w).all() and (w > 0.0).all()):
-            raise InvalidArgumentError("weights must be finite and strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("weights must sum to 1 within 1e-12")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", probability_weights(self.weights, len(self.points), "point"))
 
     @classmethod
     def uniform(cls, points: PointSet) -> "EmpiricalMeasure":
@@ -490,6 +482,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian-mixture", "uniform-ball"):
             raise InvalidArgumentError(f"unknown distribution kind {self.kind!r}")
+        object.__setattr__(self, "dim", positive_count(self.dim, "dim"))
         if any(len(a) != self.dim for a in self.atoms) or len(self.center) not in (0, self.dim):
             raise InvalidArgumentError(f"atoms and center need {self.dim} coordinates each")
         if not all(map(math.isfinite, self.center)):
@@ -544,9 +537,10 @@ def convergence_experiment(
     n_ref = 8 * max(n_grid); it stands in for the population value with an
     extra O(n_ref^(-1/d)) error of its own.
     """
-    n_grid = sorted(n_grid)
-    if not n_grid or n_grid[0] < 1 or trials < 1:
-        raise InvalidArgumentError("need a nonempty n_grid of sizes >= 1 and trials >= 1")
+    n_grid = sorted(positive_count(n, "n_grid size") for n in n_grid)
+    trials = positive_count(trials, "trials")
+    if not n_grid:
+        raise InvalidArgumentError("need a nonempty n_grid")
     for n, m in zip(n_grid, n_grid[1:]):
         if n == m:
             raise InvalidArgumentError(f"n_grid holds the size {n} twice")

@@ -134,6 +134,25 @@ def test_gaussian_surface_bound_raises_past_c(d, norm):
         gaussian_surface_bound(d, 1.0, norm=norm)
 
 
+@pytest.mark.parametrize("norm", list(NormKind), ids=str)
+def test_gaussian_overflow_from_d_509_skips_the_sum(monkeypatch, norm):
+    # the i = 0 term alone gives C >= 2^(2d-1) * d, past double range from
+    # d = 509 on; the O(d) sum took 4.9 s at d = 3e6 to find the overflow
+    def no_sum(d, norm):
+        raise AssertionError("the sum ran")
+
+    monkeypatch.setattr(bounds, "_log_gaussian_constant", no_sum)
+    for d in (509, 10**9):
+        for call in (lambda: gaussian_constant(d, norm), lambda: gaussian_surface_bound(d, 1.0, norm=norm)):
+            with pytest.raises(RangeOverflowError, match="^gaussian_constant exceeds double range"):
+                call()
+        if norm is NormKind.L2:
+            with pytest.raises(RangeOverflowError, match="^gaussian_constant exceeds double range"):
+                sample_complexity_n0(d, 1.0, 1.0, 0.3, 0.1)
+    with pytest.raises(AssertionError, match="the sum ran"):
+        gaussian_surface_bound(508, 1.0, norm=norm)
+
+
 def test_gaussian_surface_bound_monotone():
     prev = math.inf
     for r in [0.1, 0.5, 1.0, 2.0, 5.0]:

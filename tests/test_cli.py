@@ -419,7 +419,7 @@ def test_dr_converge_refuses_a_repeated_size(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     cfg.write_text(json.dumps({**_CONV, "n_grid": [10, 10], "trials": 2}))
     assert main(["dr-converge", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: n_grid holds the size 10 twice\n"
+    assert capsys.readouterr().err == f"error: {cfg}: n_grid: holds the size 10 twice\n"
     assert not out.exists()
 
 
@@ -1002,15 +1002,26 @@ def test_malformed_input_exit_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("checks", ["kneser", 5, {"kneser": 1}, ["kneser", 5]],
-                         ids=["string", "number", "object", "non-string-name"])
+@pytest.mark.parametrize("norm, shown", [(None, "null"), (True, "true"), (5, "5"), ("l3", "'l3'")],
+                         ids=["null", "bool", "number", "string"])
+def test_mc_norm_errors_spell_the_json_value(tmp_path, capsys, norm, shown):
+    # a null norm was printed as Python's None
+    _write_files(tmp_path, _spec(norm=norm))
+    assert main(["mc", "--op", "volume", "--spec", str(tmp_path / "spec.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'spec.json'}: norm: unknown norm {shown}, expected 'l2' or 'linf'\n")
+
+
+@pytest.mark.parametrize("checks", ["kneser", 5, {"kneser": 1}, ["kneser", 5], []],
+                         ids=["string", "number", "object", "non-string-name", "empty"])
 def test_verify_checks_need_an_array_of_names(tmp_path, capsys, checks):
-    # a string was read letter by letter, and an object by its keys
+    # a string was read letter by letter, and an object by its keys; an empty
+    # array checked nothing and exited 0
     exp = {"name": "demo", "seed": 1,
            "parameters": {"points": [[0.0, 0.0]], "checks": checks}}
     _write_files(tmp_path, {"exp.json": exp})
     assert main(["verify", "--experiment", str(tmp_path / "exp.json")]) == 2
-    assert capsys.readouterr().err == "error: demo: checks: need an array of check names\n"
+    assert capsys.readouterr().err == "error: demo: checks: need a nonempty array of check names\n"
 
 
 _N0 = "d=2,sigma=1,r=1,eps=0.01,delta=0.1"
@@ -1172,6 +1183,8 @@ _REMOVED_FLAGS = [
     ("dr", "--seed"), ("dr", "--format"),
     ("verify", "--seed"), ("verify", "--workers"),
     ("dr-converge", "--format"),
+    # the config's seed is the one seed of a convergence run
+    ("dr-converge", "--seed"),
     ("mc", "--format"),
     ("epi", "--format"),
     # a shell's delta and sigma are keys of its spec

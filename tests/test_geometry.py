@@ -13,7 +13,8 @@ from parset import (
     load_points_csv,
     load_points_json,
 )
-from parset import _kernels, bounds, entropy, mc, transport
+from parset import _kernels, bounds, entropy, mc, run_suite, transport
+from parset._rng import map_reduce_chunks, threads
 from parset.exact2d import ArcDecomposition, BoundarySegment, SegmentDecomposition
 from parset.experiment import ExperimentConfig, run_verify_experiment
 from parset.geometry import (
@@ -21,7 +22,9 @@ from parset.geometry import (
     json_reals,
     left_sum,
     nonnegative_real,
+    positive_count,
     positive_real,
+    probability_weights,
     reading,
     shell_params,
 )
@@ -321,6 +324,92 @@ def test_non_finite_parameters_are_rejected(name, bad):
     call, message = ROUTED[name]
     with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call(bad)
+
+
+# -- one count rule: a float, a bool or an integer below the least fails by name
+
+_BALL = ParallelSetSpec(PointSet([[0.0, 0.0, 0.0]]), NormKind.L2, 1.0)
+_GEN = transport.DistributionSpec("uniform-ball", 1)
+_MIX = entropy.GaussianMixture([[0.0]], [1.0], 0.5)
+
+
+def _threaded_volume(x):
+    with threads(x):
+        return mc.mc_volume(_BALL, mc.McConfig(samples=70_000, seed=0))
+
+
+# name: (a call that takes the count, the name its message gives, its least, a valid count)
+COUNTED = {
+    "threads": (_threaded_volume, "workers", 1, 2),
+    "map-reduce-total": (lambda x: map_reduce_chunks(0, x, lambda g, m: (g.random(m).sum(), m)),
+                         "total samples", 1, 70_000),
+    "bound-dimension": (lambda x: bounds.bound_union_in_ball(x, 1.0), "dimension", 1, 3),
+    "gaussian-constant-dimension": (bounds.gaussian_constant, "dimension", 1, 3),
+    "mc-samples": (lambda x: mc.mc_volume(_BALL, mc.McConfig(samples=x, seed=0)), "samples", 1, 1000),
+    "cap-dim": (lambda x: mc.cap_solid_angle_fractions(x, 0.9, np.zeros(4), 1000, 0), "dim", 2, 4),
+    "angle-dim": (lambda x: mc.inscribed_angle_check(x, 0.9, 1, 0, directions=1000), "dim", 2, 4),
+    "angle-trials": (lambda x: mc.inscribed_angle_check(3, 0.9, x, 0), "trials", 1, 2),
+    "reverse-epi-n": (lambda x: entropy.reverse_epi_check(_MIX, _MIX, n=x), "samples", 1, 1000),
+    "suite-samples": (lambda x: run_suite("gaussian", 0, samples=x), "samples", 1, 1000),
+    "convergence-size": (lambda x: transport.convergence_experiment(_GEN, _GEN, 0.3, [x], 1, 0),
+                         "n_grid size", 1, 5),
+    "convergence-trials": (lambda x: transport.convergence_experiment(_GEN, _GEN, 0.3, [5], x, 0),
+                           "trials", 1, 2),
+    "generator-dim": (lambda x: transport.DistributionSpec("uniform-ball", x), "dim", 1, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1e6, True, 0, -1], ids=["fraction", "whole-float", "bool", "0", "-1"])
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_counts_are_checked_before_any_draw(monkeypatch, name, bad):
+    # a float count crashed inside numpy or was truncated, a bool counted as 1,
+    # and a dimension of 2.5 or 0 reached the formulas
+    call, param, least, _ = COUNTED[name]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    message = f"{param} must be >= {least}" if type(bad) is int else f"{param} must be an integer"
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_numpy_integer_counts_keep_their_bits(name):
+    call, _, _, good = COUNTED[name]
+    assert repr(call(np.int64(good))) == repr(call(good))
+
+
+def test_positive_count_returns_a_python_int():
+    for x in (3, np.int64(3), np.uint8(3), np.int32(3)):
+        n = positive_count(x, "n")
+        assert n == 3 and type(n) is int
+    for bad in (np.True_, np.float64(3.0), "3", None, 3 + 0j):
+        with pytest.raises(InvalidArgumentError, match="^n must be an integer$"):
+            positive_count(bad, "n")
+    with pytest.raises(InvalidArgumentError, match="^dim must be >= 2$"):
+        positive_count(1, "dim", least=2)
+
+
+def test_probability_weights_is_one_rule_for_points_and_atoms():
+    given = [0.25, 0.75]
+    w = probability_weights(given, 2, "point")
+    assert w.dtype == np.float64 and not w.flags.writeable and w.tolist() == given
+    for weights, message in (([1.0], "need one weight per point"),
+                             ([[0.5, 0.5]], "need one weight per point"),
+                             ([0.0, 1.0], "weights must be finite and strictly positive"),
+                             ([math.nan, 1.0], "weights must be finite and strictly positive"),
+                             ([0.5, 0.6], "weights must sum to 1 within 1e-12")):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            probability_weights(weights, 2, "point")
+    for make, what in ((lambda w: EmpiricalMeasure(PointSet([[0.0], [1.0]]), w), "point"),
+                       (lambda w: entropy.GaussianMixture([[0.0], [1.0]], w, 1.0), "atom")):
+        assert make(given).weights.tolist() == given
+        with pytest.raises(InvalidArgumentError, match=f"^need one weight per {what}$"):
+            make([1.0])
+        with pytest.raises(InvalidArgumentError, match="^weights must sum to 1 within 1e-12$"):
+            make([0.5, 0.6])
 
 
 _W1_TAKES = "w1_empirical takes 1-d measures, or two uniform measures of equal size"

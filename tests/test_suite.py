@@ -99,8 +99,7 @@ _PUBLIC_NAMES = [
     "gaussian_surface_bound", "inscribed_angle_check",
     "kneser_shell_check", "load_points", "load_points_csv", "load_points_json",
     "mc_gaussian_shell", "mc_halfspace_gaussian_shell", "mc_shell_lebesgue", "mc_volume",
-    "mixture_density", "reverse_bm_bound",
-    "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
+    "reverse_bm_bound", "reverse_epi_check", "reverse_epi_constant", "robust_risk", "run_suite",
     "sample_complexity_n0", "sample_distribution", "square_union_area",
     "square_union_boundary", "square_union_perimeter", "threads", "union_boundary", "union_measures",
     "w1_empirical",
