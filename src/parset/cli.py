@@ -11,6 +11,7 @@ import csv
 import inspect
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,13 @@ from . import entropy as ent
 from . import exact2d as ex2
 from . import mc as mcmod
 from . import transport as tp
-from ._rng import threads
-from .bounds import BOUND_CATALOG, Verdict, all_pass, gaussian_constant
+from ._rng import derive_seed, threads
+from .bounds import BOUND_CATALOG, BoundReport, Verdict, all_pass, gaussian_constant
 from .errors import InvalidArgumentError, RangeOverflowError
-from .experiment import load_experiment_config, run_verify_experiment
 from .geometry import (
     SPEC_KEYS,
     NormKind,
+    enclosing_radius,
     is_count,
     is_json_int,
     json_count,
@@ -37,6 +38,7 @@ from .geometry import (
     load_points,
     nonnegative_real,
     points_from_json,
+    positive_count,
     positive_real,
     read_json,
     reading,
@@ -139,12 +141,10 @@ def _cmd_mc(args) -> int:
     elif args.op != "angle":
         target = spec_from_dict(data, args.spec)
     else:
-        # inscribed_angle_check names a dimension below 2 itself
-        dim = data.get("dim", 2)
-        if not is_json_int(dim):
-            raise InvalidArgumentError(f"{args.spec}: dim: need an integer")
         trials = json_count(data, "trials", 10, args.spec)
-        cap = json_real(data.get("cap_half_angle", 0.9), f"{args.spec}: cap_half_angle")
+        with reading(args.spec):
+            dim = positive_count(data.get("dim", 2), "dim", least=2)
+            cap = mcmod.half_angle(json_real(data.get("cap_half_angle", 0.9), f"{args.spec}: cap_half_angle"))
     with threads(args.workers):
         # "samples" counts the draws made, none for an exact value
         if args.op == "kneser":
@@ -222,11 +222,73 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# verify's parameter keys: those of an mc gshell and an mc kneser spec, and its own two
+_PARAM_KEYS = _MC_KEYS["gshell"] | _MC_KEYS["kneser"] | {"samples", "checks"}
+# every check but kneser compares with the bound of its name in BOUND_CATALOG
+_CHECK_NAMES = ("union-in-ball", "union-in-cube", "volume-constrained", "gaussian-surface", "kneser")
+# containment checks: the norm whose unions their cap is for
+_CONTAINMENT = {"union-in-ball": NormKind.L2, "union-in-cube": NormKind.LINF}
+
+
+def verify_config(path) -> tuple[str, list[BoundReport]]:
+    """The name of the verify config at path, and the reports of its checks.
+
+    Every value is read and checked before anything is measured, so a
+    malformed one fails by file and key before any draw.  The volume and
+    surface come from mc.union_measures (see the table in mc).
+    gaussian-surface samples mc_gaussian_shell at every norm, since it takes
+    a sigma and union_measures measures the standard Gaussian only.
+    """
+    data = load_json_object(path, {"name", "parameters", "seed"}, required=("name", "seed"))
+    params = json_object(data.get("parameters", {}), f"{path}: parameters", _PARAM_KEYS, kind="parameter key")
+    seed = data["seed"]
+    if not is_json_int(seed):
+        raise InvalidArgumentError(f"{path}: seed: need an integer")
+    spec = spec_from_dict(params, path)
+    points, norm, radius, d = spec.base, spec.norm, spec.radius, spec.base.dim
+    samples = json_count(params, "samples", 200_000, path)
+    delta, sigma = shell_params(params, path)
+    checks = params.get("checks", list(_CHECK_NAMES[:3]))
+    if not (isinstance(checks, list) and checks and all(isinstance(name, str) for name in checks)):
+        raise InvalidArgumentError(f"{path}: checks: need a nonempty array of check names")
+    a_k, b_k, t = kneser_params(params, radius, path)
+    for name in checks:
+        if name not in _CHECK_NAMES:
+            raise InvalidArgumentError(f"{path}: unknown check {name!r}")
+
+    @cache
+    def measures():
+        """(volume, surface) from mc.union_measures; the sampled ones are
+        counted on one draw, the shell's."""
+        mc_cfg = McConfig(samples=samples, seed=derive_seed(seed, "shell"), shell_delta=delta)
+        return mcmod.union_measures(spec, ("volume", "surface"), mc_cfg)
+
+    def report(name) -> BoundReport:
+        if name == "kneser":
+            cfg = McConfig(samples=samples, seed=derive_seed(seed, "kneser"))
+            return mcmod.kneser_shell_check(points, norm, a_k, b_k, t, cfg)
+        if name == "gaussian-surface":
+            cfg = McConfig(samples=samples, seed=derive_seed(seed, "gshell"), shell_delta=delta)
+            est = mcmod.mc_gaussian_shell(spec, cfg, sigma=sigma)
+            bound = BOUND_CATALOG[name](d, radius, sigma, norm)
+            return BoundReport.compare(name, bound, est.value, est.std_error)
+        if name == "volume-constrained":
+            vol, surface = measures()
+            bound = BOUND_CATALOG[name](d, radius, vol.upper)
+        else:
+            bound = BOUND_CATALOG[name](d, radius)
+            if norm is not _CONTAINMENT[name] or enclosing_radius(points.points, norm) > radius:
+                return BoundReport(name, bound)
+            surface = measures()[1]
+        return BoundReport.compare(name, bound, surface.value, surface.std_error)
+
+    return str(data["name"]), [report(name) for name in checks]
+
+
 def _cmd_verify(args) -> int:
-    cfg = load_experiment_config(args.experiment)
-    reports = run_verify_experiment(cfg)
+    name, reports = verify_config(args.experiment)
     if args.out:
-        write_reports(args.out, cfg.name, [("verify", rep) for rep in reports], args.format)
+        write_reports(args.out, name, [("verify", rep) for rep in reports], args.format)
     for rep in reports:
         print(report_line(None, rep))
     return 0 if all_pass(reports) else 1
@@ -255,17 +317,13 @@ def _cmd_dr(args) -> int:
 
 
 _CONVERGE_KEYS = {"gen0", "gen1", "r", "n_grid", "trials", "seed"}
-# the keys each generator kind reads
-_GEN_KEYS = {
-    "gaussian-mixture": {"kind", "dim", "atoms", "weights", "sigma"},
-    "uniform-ball": {"kind", "dim", "center", "radius", "sigma"},
-}
 
 
 def _gen_from_dict(data, where) -> tp.DistributionSpec:
     kind = data.get("kind", "gaussian-mixture") if isinstance(data, dict) else None
     # an unknown kind is checked against every key here and named by DistributionSpec
-    keys = _GEN_KEYS[kind] if kind in tuple(_GEN_KEYS) else set().union(*_GEN_KEYS.values())
+    kinds = tp.GENERATOR_KEYS
+    keys = kinds[kind] if kind in tuple(kinds) else set().union(*kinds.values())
     json_object(data, where, keys, kind="generator key")
     atoms = points_from_json(data["atoms"], f"{where}: atoms").points if "atoms" in data else ()
     dim = json_count(data, "dim", 2, where)
@@ -390,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", type=str, default=None, help="k=v,k=v parameter list")
 
     p = command("verify", _cmd_verify, "measured-vs-bound experiment", "out", "format")
-    p.add_argument("--experiment", required=True, help="ExperimentConfig JSON file")
+    p.add_argument("--experiment", required=True, help="verify config JSON file")
 
     p = command("dr", _cmd_dr, "thresholded transport cost", "out")
     p.add_argument("--workers", **_INERT_WORKERS)

@@ -183,6 +183,7 @@ def _moment_mean(seed: int, n: int, chunk_fn) -> MeasureEstimate:
         v = chunk_fn(g, m)
         return float(v.sum()), float((v * v).sum())
 
+    n = positive_count(n, "n")
     s1, s2 = map_reduce_chunks(seed, n, chunk)
     m1, m2 = s1 / n, s2 / n
     return MeasureEstimate(m1, math.sqrt(max(m2 - m1 * m1, 0.0) / n), n)

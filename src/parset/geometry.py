@@ -1,11 +1,12 @@
-"""Core types: point sets, norm bodies, parallel-set specs.
+"""Core types: point sets, norm bodies, parallel-set specs, and the smallest
+ball that holds a point set (`enclosing_radius`).
 
 All types are immutable after construction; operations are pure functions.
 Every pairwise temporary is cut by `row_blocks`.  Every open-ended real
 parameter, a radius or any other, is checked by `positive_real` or
 `nonnegative_real`, every count (a dimension, a sample size, a thread count)
 by `positive_count`, and every probability vector by `probability_weights`.
-Point-to-set distances are `_kernels.min_dist`, called by the modules that measure.
+Point-to-set distances are `_kernels.min_dist`, looked up at call time.
 
 The IO section at the end holds every input format the CLI reads: UTF-8
 point files (CSV with header x0..x{d-1}, or JSON), JSON objects checked for
@@ -30,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from . import _kernels
+from .errors import InvalidArgumentError, RangeOverflowError
 
 
 class NormKind(Enum):
@@ -81,6 +83,68 @@ class ParallelSetSpec:
 
     def __post_init__(self):
         positive_radius(self.radius)
+
+
+def enclosing_radius(points: np.ndarray, norm: NormKind) -> float:
+    """Radius of the smallest ball of the norm that holds every point.
+
+    Under L-inf it is measured from the centre of the bounding box, which is
+    exact.  Under L2 the centre is that of the smallest enclosing ball
+    (_ball_center).  Either way the radius is the largest distance measured
+    from the rounded centre, so a ball of that radius about it holds the set;
+    where the rounding leaves it a few ulps above the true radius, a set whose
+    true radius is exactly the dilation radius is not compared.
+    """
+    if norm is NormKind.LINF:
+        center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    else:
+        center = _ball_center(points)
+    return float(_kernels.min_dist(points, center[None, :], norm is NormKind.LINF).max())
+
+
+def _ball_center(points: np.ndarray) -> np.ndarray:
+    """Centre of the smallest L2 ball holding every point.  The points go to
+    _welzl in a fixed shuffle: in their own order, sorted or circular inputs
+    would take one recursive call per point."""
+    shuffled = points[np.random.default_rng(0).permutation(len(points))]
+    return _welzl(shuffled, len(points), [])
+
+
+def _welzl(points: np.ndarray, end: int, support: list) -> np.ndarray:
+    """Centre of the smallest L2 ball holding points[:end] with every support
+    point on its sphere: Welzl's move-to-front recursion (Welzl 1991; Gaertner
+    1999), which is at most d + 1 calls deep.  Each point found outside the
+    ball is put on the support of a recursive call and moved to the front of
+    points, which is reordered in place.  A point counts as outside only past
+    1e-12 of the radius, so rounding cannot put a support point twice."""
+    center = _circumcenter(np.asarray(support)) if support else points[0]
+    if len(support) == points.shape[1] + 1:
+        return center
+    radius_sq = ((np.asarray(support) - center) ** 2).sum(axis=1).max() if support else 0.0
+    i = 0
+    while i < end:
+        outside = ((points[i:end] - center) ** 2).sum(axis=1) > radius_sq * (1.0 + 1e-12)
+        if not outside.any():
+            break
+        j = i + int(outside.argmax())
+        p = points[j].copy()
+        center = _welzl(points, j, support + [p])
+        radius_sq = ((np.asarray(support + [p]) - center) ** 2).sum(axis=1).max()
+        points[1 : j + 1] = points[:j]
+        points[0] = p
+        i = j + 1
+    return center
+
+
+def _circumcenter(support: np.ndarray) -> np.ndarray:
+    """Centre of the smallest sphere through every support point: the point
+    of their affine hull equidistant from them (least squares where rounding
+    leaves the support degenerate)."""
+    edges = support[1:] - support[0]
+    if not len(edges):
+        return support[0]
+    coef = np.linalg.lstsq(edges @ edges.T, 0.5 * (edges * edges).sum(axis=1), rcond=None)[0]
+    return support[0] + coef @ edges
 
 
 def _log_omega(d: int) -> float:
@@ -308,10 +372,23 @@ def spec_from_dict(data: dict, where) -> ParallelSetSpec:
         return ParallelSetSpec(base, norm, json_real(data.get("radius", 1.0), f"{where}: radius"))
 
 
+def kneser_triple(a_k: float, b_k: float, t: float) -> None:
+    """The rule of a shell-scaling triple: 0 < a_k <= b_k, 1 <= t and t * b_k finite."""
+    if not (0.0 < a_k <= b_k < math.inf):
+        raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
+    if not (1.0 <= t < math.inf):
+        raise InvalidArgumentError("need 1 <= t < inf")
+    if math.isinf(t * b_k):
+        raise RangeOverflowError("t * b_k exceeds double range")
+
+
 def kneser_params(data: dict, radius: float, where) -> tuple[float, float, float]:
-    """(a_k, b_k, t) of a kneser spec; defaults radius / 2, radius and 1.5."""
+    """(a_k, b_k, t) of a kneser spec, checked by kneser_triple; defaults radius / 2, radius and 1.5."""
     defaults = {"a_k": radius / 2.0, "b_k": radius, "t": 1.5}
-    return tuple(json_real(data.get(key, value), f"{where}: {key}") for key, value in defaults.items())
+    triple = tuple(json_real(data.get(key, value), f"{where}: {key}") for key, value in defaults.items())
+    with reading(where):
+        kneser_triple(*triple)
+    return triple
 
 
 def shell_params(data: dict, where) -> tuple[float | None, float]:

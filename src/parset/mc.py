@@ -46,7 +46,7 @@ from . import _kernels, exact2d
 from ._rng import chunk_generator, derive_seed, map_reduce_chunks, uniform_in_ball
 from .bounds import BoundReport, MeasureEstimate, worst_excess
 from .errors import InvalidArgumentError, RangeOverflowError
-from .geometry import NormKind, ParallelSetSpec, PointSet, positive_count, positive_radius, positive_real
+from .geometry import NormKind, ParallelSetSpec, PointSet, kneser_triple, positive_count, positive_radius, positive_real
 
 
 @dataclass(frozen=True)
@@ -325,12 +325,7 @@ def kneser_shell_check(
     stream over the box of the largest dilation, so the two estimates are
     positively correlated and the comparison is sharp at modest counts.
     """
-    if not (0.0 < a_k <= b_k < math.inf):
-        raise InvalidArgumentError("need 0 < a_k <= b_k < inf")
-    if not (1.0 <= t < math.inf):
-        raise InvalidArgumentError("need 1 <= t < inf")
-    if math.isinf(t * b_k):
-        raise RangeOverflowError("t * b_k exceeds double range")
+    kneser_triple(a_k, b_k, t)
     if kneser_is_exact(base.dim, norm):
 
         def volume(rho):
@@ -437,6 +432,13 @@ def _exact_cap_fraction(dim: int, cap_half_angle: float, apex: np.ndarray) -> Me
     return MeasureEstimate(fraction, ulp * (_CAP_ROUNDING + 1.0 / dist), 0)
 
 
+def half_angle(x: float) -> float:
+    """x, checked to be a cap's half angle: a real in (0, pi)."""
+    if not 0.0 < x < math.pi:
+        raise InvalidArgumentError("cap_half_angle must lie in (0, pi)")
+    return x
+
+
 def cap_solid_angle_fractions(
     dim: int, cap_half_angle: float, apex: np.ndarray, directions: int, seed: int
 ) -> tuple[MeasureEstimate, float]:
@@ -451,9 +453,8 @@ def cap_solid_angle_fractions(
     threads of the enclosing _rng.threads scope.  The central fraction is
     central_cap_fraction.
     """
-    dim = positive_count(dim, "dim", least=2)
-    if not (0.0 < cap_half_angle < math.pi):
-        raise InvalidArgumentError("cap_half_angle must lie in (0, pi)")
+    dim, directions = positive_count(dim, "dim", least=2), positive_count(directions, "directions")
+    cap_half_angle = half_angle(cap_half_angle)
     apex = np.asarray(apex, dtype=np.float64)
     if apex.shape != (dim,) or np.linalg.norm(apex) > 1.0 + 1e-9:
         raise InvalidArgumentError("apex must be a d-vector inside the closed unit ball")
@@ -487,6 +488,7 @@ def inscribed_angle_check(
     error), so a failing apex cannot hide behind a larger but noisier deficit.
     """
     dim, trials = positive_count(dim, "dim", least=2), positive_count(trials, "trials")
+    directions, cap_half_angle = positive_count(directions, "directions"), half_angle(cap_half_angle)
     shrink = _checked_power(2.0, dim - 1)
 
     def report(k):

@@ -31,7 +31,7 @@ an assignment solve, which takes two uniform measures of equal size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
@@ -466,6 +466,13 @@ def robust_risk(d_r_value: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the fields of a DistributionSpec that each kind reads; the others keep their defaults
+GENERATOR_KEYS = {
+    "gaussian-mixture": {"kind", "dim", "atoms", "weights", "sigma"},
+    "uniform-ball": {"kind", "dim", "center", "radius", "sigma"},
+}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Named sampling primitive: 'gaussian-mixture' or 'uniform-ball', either
@@ -480,8 +487,13 @@ class DistributionSpec:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian-mixture", "uniform-ball"):
+        if self.kind not in tuple(GENERATOR_KEYS):  # a JSON kind may be unhashable
             raise InvalidArgumentError(f"unknown distribution kind {self.kind!r}")
+        for f in fields(self):  # a field its kind does not read must keep its default
+            value = getattr(self, f.name)
+            unread = f.name not in GENERATOR_KEYS[self.kind]
+            if unread and (len(value) if f.default == () else value != f.default):
+                raise InvalidArgumentError(f"{self.kind} does not read {f.name}")
         object.__setattr__(self, "dim", positive_count(self.dim, "dim"))
         if any(len(a) != self.dim for a in self.atoms) or len(self.center) not in (0, self.dim):
             raise InvalidArgumentError(f"atoms and center need {self.dim} coordinates each")
@@ -499,6 +511,7 @@ class DistributionSpec:
 
 
 def sample_distribution(spec: DistributionSpec, n: int, g: np.random.Generator) -> np.ndarray:
+    n = positive_count(n, "n")
     if spec.kind == "uniform-ball":
         center = np.asarray(spec.center or (0.0,) * spec.dim, dtype=np.float64)
         out = center + spec.radius * uniform_in_ball(g, n, spec.dim)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from parset import PointSet, transport
-from parset.cli import build_parser, main
+from parset.cli import build_parser, main, verify_config
 from parset.transport import EmpiricalMeasure, d_r_weighted
 
 
@@ -654,11 +654,10 @@ def test_verify_linf_off_the_plane_takes_the_cover_volume(tmp_path):
     from parset import BoundReport, McConfig, NormKind, ParallelSetSpec, cube_union_measures, mc_shell_lebesgue
     from parset._rng import derive_seed
     from parset.bounds import bound_volume_constrained
-    from parset.experiment import load_experiment_config, run_verify_experiment
 
     points = [[0.0, 0.0, 0.0], [0.5, 0.25, -0.5]]
     cfg = _verify_cubes(tmp_path, points, samples=5000, delta=0.05)
-    (report,) = run_verify_experiment(load_experiment_config(cfg))
+    (report,) = verify_config(cfg)[1]
     volume, _ = cube_union_measures(PointSet(points), 1.0)
     spec = ParallelSetSpec(PointSet(points), NormKind.LINF, 1.0)
     shell = mc_shell_lebesgue(spec, McConfig(samples=5000, seed=derive_seed(4, "shell"), shell_delta=0.05))
@@ -744,8 +743,6 @@ def test_bounds_bounded_support_payload(tmp_path):
 
 
 def test_verify_json_and_printout_match_reports(tmp_path, capsys):
-    from parset.experiment import load_experiment_config, run_verify_experiment
-
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
         "name": "cube",
@@ -760,7 +757,8 @@ def test_verify_json_and_printout_match_reports(tmp_path, capsys):
             "checks": ["union-in-cube", "gaussian-surface", "union-in-ball", "kneser"],
         },
     }))
-    reports = run_verify_experiment(load_experiment_config(cfg))
+    name, reports = verify_config(cfg)
+    assert name == "cube"
     capsys.readouterr()
     out_json = tmp_path / "table.json"
     out_csv = tmp_path / "table.csv"
@@ -789,6 +787,47 @@ def test_verify_json_and_printout_match_reports(tmp_path, capsys):
         f"[{r['verdict'].upper()}] {r['bound_name']}: measured={r['measured']} "
         f"bound={r['bound_value']}" for r in expected
     ]
+
+
+_PLANE_POINTS = [[0.0, 0.0], [0.5, 0.25], [0.25, -0.5]]
+_SPACE_POINTS = [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2], [0.1, 0.3, -0.2]]
+_ALL_CHECKS = ["union-in-ball", "union-in-cube", "volume-constrained", "gaussian-surface", "kneser"]
+# name: (verify parameters, sha256 of the exit code, CSV, --format json file and
+# console lines), taken with numpy 2.4.6 and scipy 1.17.1
+_VERIFY_PINS = {
+    "plane-linf": ({"points": _PLANE_POINTS, "norm": "linf", "samples": 4000, "delta": 0.05,
+                    "sigma": 1.5, "checks": _ALL_CHECKS},
+                   "ecae1d8bb00b4608e1b13b7034ae87906a80f19684dc29a6fbaf4c74e0848c09"),
+    "plane-l2": ({"points": _PLANE_POINTS, "radius": 0.9, "samples": 4000, "a_k": 0.2,
+                  "checks": ["union-in-ball", "volume-constrained", "kneser"]},
+                 "eb94e1544cd63e94d94cbe856f8500162b8d449be2582be99516e606666e94b1"),
+    "space-l2": ({"points": _SPACE_POINTS, "samples": 4000, "delta": 0.02, "t": 1.2,
+                  "checks": ["union-in-ball", "volume-constrained", "gaussian-surface", "kneser"]},
+                 "ebcf5cbe9452e908dc27a7228ef243e0bc84cf1d5fc332f9cf32b3bf9215619a"),
+    "space-linf": ({"points": _SPACE_POINTS, "norm": "linf", "radius": 0.8, "samples": 4000},
+                   "0ea58e245120c8e75d8391298bb44b9e5d9e20fb5e715b04ca61c4e6a7a0deee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_PINS))
+def test_verify_output_is_pinned(tmp_path, capsys, name):
+    import hashlib
+
+    import numpy as np
+    import scipy
+
+    have = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if have != {"numpy": "2.4.6", "scipy": "1.17.1"}:
+        pytest.skip(f"digest taken with numpy 2.4.6 and scipy 1.17.1, running with {have}")
+    params, digest = _VERIFY_PINS[name]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"name": name, "seed": 7, "parameters": params}))
+    written = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"table.{fmt}"
+        rc = main(["verify", "--experiment", str(cfg), "--format", fmt, "--out", str(out)])
+        written += [str(rc).encode(), out.read_bytes(), capsys.readouterr().out.encode()]
+    assert hashlib.sha256(b"\0".join(written)).hexdigest() == digest
 
 
 
@@ -893,7 +932,7 @@ MALFORMED = {
     "verify-samples-fraction": ({"exp.json": {"name": "demo", "seed": 1,
                                               "parameters": {"points": [[0.0, 0.0]],
                                                              "samples": 2.5}}},
-                                _VERIFY, "demo"),
+                                _VERIFY, "exp.json"),
     "mc-ragged-points": ({"spec.json": {"points": [[0.0, 0.0], [1.0]]}}, _MC, "spec.json"),
     "mc-radius-string": ({"spec.json": {"points": [[0.0, 0.0]], "radius": "abc"}}, _MC, "spec.json"),
     # a norm other than a string ended in an AttributeError traceback
@@ -907,7 +946,7 @@ MALFORMED = {
     "bounds-params-missing": ({}, ["bounds", "--eval", "reverse-bm", "--params", "d=2"], "--params"),
     "verify-ragged-points": ({"exp.json": {"name": "demo", "seed": 1,
                                            "parameters": {"points": [[0.0, 0.0], [1.0]]}}},
-                             _VERIFY, "demo"),
+                             _VERIFY, "exp.json"),
     "verify-seed-string": ({"exp.json": {"name": "demo", "seed": "abc",
                                          "parameters": {"points": [[0.0, 0.0]]}}},
                            _VERIFY, "exp.json"),
@@ -970,8 +1009,8 @@ MALFORMED = {
                    {"conv.json": {**_CONV, "r": True}}, _CONVERGE, "conv.json: r"),
     **_not_numbers("converge-sigma-noise", _gen(kind="uniform-ball", sigma="0.1"),
                    _gen(kind="uniform-ball", sigma=True), _CONVERGE, "conv.json: gen0: sigma"),
-    **_not_numbers("verify-delta", _verify(delta="0.05"), _verify(delta=True), _VERIFY, "demo: delta"),
-    **_not_numbers("verify-sigma", _verify(sigma="1.5"), _verify(sigma=True), _VERIFY, "demo: sigma"),
+    **_not_numbers("verify-delta", _verify(delta="0.05"), _verify(delta=True), _VERIFY, "exp.json: delta"),
+    **_not_numbers("verify-sigma", _verify(sigma="1.5"), _verify(sigma=True), _VERIFY, "exp.json: sigma"),
     # an integer literal is a JSON number, but not one past double range
     "mc-radius-past-double-range": (_spec(radius=10**400), _MC, "spec.json: radius"),
     "mc-points-past-double-range": ({"spec.json": {"points": [[10**400, 0]]}}, _MC, "spec.json: points"),
@@ -1021,7 +1060,8 @@ def test_verify_checks_need_an_array_of_names(tmp_path, capsys, checks):
            "parameters": {"points": [[0.0, 0.0]], "checks": checks}}
     _write_files(tmp_path, {"exp.json": exp})
     assert main(["verify", "--experiment", str(tmp_path / "exp.json")]) == 2
-    assert capsys.readouterr().err == "error: demo: checks: need a nonempty array of check names\n"
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'exp.json'}: checks: need a nonempty array of check names\n")
 
 
 _N0 = "d=2,sigma=1,r=1,eps=0.01,delta=0.1"
@@ -1101,6 +1141,39 @@ def test_non_finite_scalars_exit_2(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err
     assert "[PASS]" not in captured.out
+
+
+_SPACE_KNESER = {"points": [[0.0, 0.0, 0.0]], "samples": 1000, "checks": ["volume-constrained", "kneser"]}
+# name: (files to write, argv, the file, the message after its name); each
+# value is checked where its file is read
+BAD_SPEC_VALUES = {
+    # the 3-d volume-constrained check drew its samples before the kneser check
+    # read its triple, and the error named no file
+    "verify-kneser-a-above-b": (_verify(**_SPACE_KNESER, a_k=2.0, b_k=1.0), _VERIFY, "exp.json",
+                                "need 0 < a_k <= b_k < inf"),
+    "verify-kneser-t-below-1": (_verify(**_SPACE_KNESER, t=0.5), _VERIFY, "exp.json", "need 1 <= t < inf"),
+    "mc-kneser-a-above-b": (_spec(a_k=2.0, b_k=1.0), _KNESER, "spec.json", "need 0 < a_k <= b_k < inf"),
+    "mc-kneser-t-times-b-overflow": (_spec(b_k=1e308, t=10.0), _KNESER, "spec.json",
+                                     "t * b_k exceeds double range"),
+    # the apexes were drawn before the half angle was checked
+    "mc-angle-cap-past-pi": ({"spec.json": {"cap_half_angle": 4.0}}, _ANGLE, "spec.json",
+                             "cap_half_angle must lie in (0, pi)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_VALUES))
+def test_bad_spec_values_fail_by_file_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    import numpy as np
+
+    files, argv, where, message = BAD_SPEC_VALUES[case]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    _write_files(tmp_path, files)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / where}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [_GSHELL, ["suite", "gaussian", "--samples", "100"]])
@@ -1253,7 +1326,7 @@ def test_mc_angle_small_dim_exit_2(tmp_path, capsys, dim):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dim": dim}))
     assert main(["mc", "--op", "angle", "--spec", str(spec), "--samples", "100"]) == 2
-    assert capsys.readouterr().err == "error: dim must be >= 2\n"
+    assert capsys.readouterr().err == f"error: {spec}: dim must be >= 2\n"
 
 
 def test_epi_zero_samples_exit_2(tmp_path, capsys):

@@ -16,8 +16,8 @@ from parset import (
 from parset import _kernels, bounds, entropy, mc, run_suite, transport
 from parset._rng import map_reduce_chunks, threads
 from parset.exact2d import ArcDecomposition, BoundarySegment, SegmentDecomposition
-from parset.experiment import ExperimentConfig, run_verify_experiment
 from parset.geometry import (
+    enclosing_radius,
     json_real,
     json_reals,
     left_sum,
@@ -70,13 +70,8 @@ def test_point_set_distances_reach_min_dist(monkeypatch):
         raise AssertionError("min_dist reached")
 
     monkeypatch.setattr(_kernels, "min_dist", no_min_dist)
-    verify = ExperimentConfig(
-        name="demo",
-        parameters={"points": [[0.0, 0.0], [0.5, 0.0]], "checks": ["union-in-ball"]},
-        seed=1,
-    )
     with pytest.raises(AssertionError, match="min_dist reached"):
-        run_verify_experiment(verify)
+        enclosing_radius(np.array([[0.0, 0.0], [0.5, 0.0]]), NormKind.L2)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
@@ -356,6 +351,12 @@ COUNTED = {
     "convergence-trials": (lambda x: transport.convergence_experiment(_GEN, _GEN, 0.3, [5], x, 0),
                            "trials", 1, 2),
     "generator-dim": (lambda x: transport.DistributionSpec("uniform-ball", x), "dim", 1, 2),
+    "sample-distribution-n": (lambda x: transport.sample_distribution(_GEN, x, np.random.default_rng(0)),
+                              "n", 1, 5),
+    "cap-directions": (lambda x: mc.cap_solid_angle_fractions(4, 0.9, np.zeros(4), x, 0), "directions", 1, 1000),
+    "angle-directions": (lambda x: mc.inscribed_angle_check(4, 0.9, 1, 0, directions=x), "directions", 1, 1000),
+    "entropy-mc-n": (lambda x: entropy.entropy_mc(_MIX, n=x), "n", 1, 1000),
+    "fisher-mc-n": (lambda x: entropy.fisher_information_mc(_MIX, n=x), "n", 1, 1000),
 }
 
 

@@ -9,8 +9,7 @@ import pytest
 
 import parset
 from parset import BoundReport, InvalidArgumentError, Verdict
-from parset.cli import main
-from parset.experiment import ExperimentConfig, load_experiment_config, run_verify_experiment
+from parset.cli import main, verify_config
 from parset import _rng
 from parset import entropy as ent
 from parset import mc as mcmod
@@ -180,41 +179,39 @@ def test_run_suite_deterministic_results(tmp_path):
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
 
+def _verify_reports(tmp_path, params, seed):
+    """The reports of a verify config of these parameters and seed."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"name": "demo", "seed": seed, "parameters": params}))
+    return verify_config(path)[1]
+
+
 def test_experiment_config_validation(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"name": "x", "seed": 1, "oops": 2}))
     with pytest.raises(InvalidArgumentError, match="oops"):
-        load_experiment_config(path)
+        verify_config(path)
     path.write_text(json.dumps({"name": "x"}))
     with pytest.raises(InvalidArgumentError, match="seed"):
-        load_experiment_config(path)
+        verify_config(path)
     # a seed is a JSON integer: 1.5 used to run at seed 1, true at seed 1
     for seed in (1.5, True, "1"):
         path.write_text(json.dumps({"name": "x", "seed": seed}))
         with pytest.raises(InvalidArgumentError, match="seed: need an integer"):
-            load_experiment_config(path)
+            verify_config(path)
 
 
-def test_verify_experiment_not_compared():
+def test_verify_experiment_not_compared(tmp_path):
     # premise violated: points spread wider than the dilation radius
-    cfg = ExperimentConfig(
-        name="wide",
-        parameters={
-            "points": [[0.0, 0.0], [9.0, 0.0]],
-            "norm": "l2",
-            "radius": 1.0,
-            "samples": 5000,
-            "checks": ["union-in-ball", "volume-constrained"],
-        },
-        seed=2,
-    )
-    reports = run_verify_experiment(cfg)
+    params = {"points": [[0.0, 0.0], [9.0, 0.0]], "norm": "l2", "radius": 1.0, "samples": 5000,
+              "checks": ["union-in-ball", "volume-constrained"]}
+    reports = _verify_reports(tmp_path, params, seed=2)
     by_name = {r.bound_name: r for r in reports}
     assert by_name["union-in-ball"].verdict is Verdict.NOT_COMPARED
     assert by_name["volume-constrained"].verdict is Verdict.PASS
 
 
-def test_verify_volume_constrained_takes_one_draw():
+def test_verify_volume_constrained_takes_one_draw(tmp_path):
     # off the plane the volume and the shell come from the shell's draw, which
     # the containment check shares
     from parset._rng import derive_seed
@@ -224,7 +221,7 @@ def test_verify_volume_constrained_takes_one_draw():
     points = [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2]]
     params = {"points": points, "norm": "l2", "radius": 1.0, "samples": 6000, "delta": 0.01,
               "checks": ["union-in-ball", "volume-constrained"]}
-    reports = run_verify_experiment(ExperimentConfig("one-draw", params, seed=4))
+    reports = _verify_reports(tmp_path, params, seed=4)
     by_name = {r.bound_name: r for r in reports}
     spec = ParallelSetSpec(PointSet(points), NormKind.L2, 1.0)
     vol, shell = mcmod.union_measures(
@@ -236,9 +233,9 @@ def test_verify_volume_constrained_takes_one_draw():
         shell.value, shell.std_error)
 
 
-def _union_in_ball(points, radius):
+def _union_in_ball(tmp_path, points, radius):
     params = {"points": points, "norm": "l2", "radius": radius, "checks": ["union-in-ball"]}
-    (report,) = run_verify_experiment(ExperimentConfig("ball", params, seed=0))
+    (report,) = _verify_reports(tmp_path, params, seed=0)
     return report
 
 
@@ -248,28 +245,27 @@ def _union_in_ball(points, radius):
 _TRIANGLE = [[0.0, 1.0], [-math.sqrt(3.0) / 2.0, -0.5], [math.sqrt(3.0) / 2.0, -0.5]]
 
 
-def test_verify_union_in_ball_measures_the_smallest_enclosing_ball():
+def test_verify_union_in_ball_measures_the_smallest_enclosing_ball(tmp_path):
     from parset.bounds import bound_union_in_ball
     from parset.exact2d import union_boundary
     from parset.geometry import NormKind, PointSet
 
     perimeter = union_boundary(PointSet(_TRIANGLE), 1.001, NormKind.L2).perimeter()
-    assert _union_in_ball(_TRIANGLE, 1.001) == BoundReport.compare(
+    assert _union_in_ball(tmp_path, _TRIANGLE, 1.001) == BoundReport.compare(
         "union-in-ball", bound_union_in_ball(2, 1.001), perimeter, 0.0)
-    assert _union_in_ball(_TRIANGLE, 0.99).verdict is Verdict.NOT_COMPARED
+    assert _union_in_ball(tmp_path, _TRIANGLE, 0.99).verdict is Verdict.NOT_COMPARED
 
 
-def test_verify_union_in_ball_compares_from_the_measured_radius():
+def test_verify_union_in_ball_compares_from_the_measured_radius(tmp_path):
     # the radius is the largest distance from the rounded centre, so at the
     # circumradius itself rounding may leave the set a few ulps outside, and it
     # is compared from that measured radius on, not an ulp below it
-    from parset.experiment import _enclosing_radius
-    from parset.geometry import NormKind
+    from parset.geometry import NormKind, enclosing_radius
 
-    reach = _enclosing_radius(np.array(_TRIANGLE), NormKind.L2)
+    reach = enclosing_radius(np.array(_TRIANGLE), NormKind.L2)
     assert abs(reach - 1.0) < 1e-15
-    assert _union_in_ball(_TRIANGLE, reach).verdict is not Verdict.NOT_COMPARED
-    assert _union_in_ball(_TRIANGLE, math.nextafter(reach, 0.0)).verdict is Verdict.NOT_COMPARED
+    assert _union_in_ball(tmp_path, _TRIANGLE, reach).verdict is not Verdict.NOT_COMPARED
+    assert _union_in_ball(tmp_path, _TRIANGLE, math.nextafter(reach, 0.0)).verdict is Verdict.NOT_COMPARED
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -278,8 +274,7 @@ def test_enclosing_radius_is_the_smallest_ball(dim):
     # sphere; sorted, circular, repeated and random sets of 1-300 points
     from scipy.optimize import linprog
 
-    from parset.experiment import _ball_center, _enclosing_radius
-    from parset.geometry import NormKind
+    from parset.geometry import NormKind, _ball_center, enclosing_radius
 
     rng = np.random.default_rng(dim)
     line = np.zeros((300, dim))
@@ -290,7 +285,7 @@ def test_enclosing_radius_is_the_smallest_ball(dim):
     sets += [np.round(rng.standard_normal((int(rng.integers(1, 40)), dim)) * 2.0) for _ in range(40)]
     sets += [rng.standard_normal((int(rng.integers(1, 300)), dim)) for _ in range(40)]
     for points in sets:
-        reach = _enclosing_radius(points, NormKind.L2)
+        reach = enclosing_radius(points, NormKind.L2)
         box = 0.5 * (points.min(axis=0) + points.max(axis=0))
         assert reach <= np.linalg.norm(points - box, axis=1).max() + 1e-12
         center = _ball_center(points)
@@ -303,7 +298,7 @@ def test_enclosing_radius_is_the_smallest_ball(dim):
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
-def test_verify_plane_measures_one_exact_boundary(monkeypatch, norm):
+def test_verify_plane_measures_one_exact_boundary(tmp_path, monkeypatch, norm):
     # in the plane the area (with its rounding allowance) and the perimeter
     # (std_error 0) are exact, from one boundary that the containment and
     # volume checks share
@@ -322,7 +317,7 @@ def test_verify_plane_measures_one_exact_boundary(monkeypatch, norm):
     monkeypatch.setattr(mcmod.exact2d, "union_boundary", counted)
     params = {"points": points, "norm": norm, "radius": 1.0, "samples": 10,
               "checks": ["union-in-ball", "union-in-cube", "volume-constrained"]}
-    reports = run_verify_experiment(ExperimentConfig("plane", params, seed=4))
+    reports = _verify_reports(tmp_path, params, seed=4)
     assert len(boundaries) == 1
     perimeter = boundaries[0].perimeter()
     assert volume.value == boundaries[0].area() and volume.std_error > 0.0

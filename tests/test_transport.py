@@ -1170,6 +1170,22 @@ def test_distribution_spec_rejects_bad_parameters(kw, match):
         DistributionSpec(kind="gaussian-mixture", dim=1, atoms=((0.0,), (1.0,)), **kw)
 
 
+def test_distribution_spec_rejects_a_field_its_kind_does_not_read():
+    # a uniform ball drew the unit ball and dropped its atoms; a mixture
+    # dropped its center and radius
+    mixture = {"kind": "gaussian-mixture", "atoms": ((0.0, 0.0),)}
+    for kw, name in (({"kind": "uniform-ball", "atoms": ((5.0, 5.0),)}, "atoms"),
+                     ({"kind": "uniform-ball", "weights": (1.0,)}, "weights"),
+                     ({**mixture, "center": (1.0, 0.0)}, "center"),
+                     ({**mixture, "radius": 2.0}, "radius")):
+        with pytest.raises(InvalidArgumentError, match=f"^{kw['kind']} does not read {name}$"):
+            DistributionSpec(dim=2, **kw)
+    # a field at its default is not set, and a uniform ball's radius keeps its rule
+    assert DistributionSpec(dim=2, **mixture, center=(), radius=1.0).radius == 1.0
+    with pytest.raises(InvalidArgumentError, match="^radius must be a positive finite real$"):
+        DistributionSpec("uniform-ball", 2, radius=-1.0)
+
+
 @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
 def test_convergence_rejects_bad_noise(sigma):
     # the noise of a convergence draw is its generator's, a uniform ball's too
